@@ -7,9 +7,9 @@ BENCH ?= .
 COUNT ?= 6
 FAULTSEEDS ?= 8
 
-.PHONY: ci ci-race vet build test race bench bench-sharded bench-compiled bench-obs bench-vec bench-mvcc bench-wal bench-repl bench-smoke test-vec fmt-check faultinject fuzz fuzz-smoke lint lint-engine
+.PHONY: ci ci-race vet build test race bench bench-sharded bench-compiled bench-obs bench-vec bench-mvcc bench-wal bench-repl bench-smoke bench-build test-vec fmt-check faultinject fuzz fuzz-smoke lint lint-engine
 
-ci: vet build race test-vec faultinject lint lint-engine fuzz-smoke bench-smoke
+ci: vet build race test-vec faultinject lint lint-engine fuzz-smoke bench-smoke bench-build
 
 # The static-analysis plane, all three layers: the decomposition linter
 # over every checked-in spec (relvet0xx — adequacy, storage redundancy,
@@ -122,6 +122,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'MVCC' -benchtime 10x .
 	$(GO) test -run '^$$' -bench 'WAL' -benchtime 1x -short .
 	$(GO) test -run '^$$' -bench 'Repl' -benchtime 1x -short .
+
+# The repo's benchmark (bench/, BENCHMARK.json) is a nested module that
+# root `go build/vet/test ./...` does not see, so an engine API change can
+# break it silently. This leg compiles it against the engine and runs its
+# smoke and model-vs-oracle tests; it measures nothing.
+bench-build:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -count 1 -run 'TestSmoke|TestModelIsTheOracle' ./...
 
 # Observability-plane overhead: each BenchmarkObs* runs its hot loop with
 # metrics off and on; compare with `benchstat -col /metrics BENCH_obs.json`

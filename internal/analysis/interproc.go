@@ -257,7 +257,7 @@ func IsPubPointer(t types.Type) bool {
 
 // IsCellStruct reports whether t (pointers stripped) is a named struct
 // holding a published pointer field — a "cell" in engine terms
-// (SyncRelation, relShard, DurableRelation wrappers in fixtures, ...).
+// (core's cell, wrappers in fixtures, ...).
 func (p *Program) IsCellStruct(t types.Type) bool {
 	if t == nil {
 		return false

@@ -216,6 +216,7 @@ func TestTuneLintPruning(t *testing.T) {
 		Palette:        []dstruct.Kind{dstruct.HTableKind},
 		MaxAssignments: 1,
 		Lint:           true,
+		Workers:        1, // bench counts calls in a plain int
 	}, bench)
 	if err != nil {
 		t.Fatal(err)
@@ -257,6 +258,7 @@ func TestTuneLintPruning(t *testing.T) {
 		MaxAssignments: 1,
 		Lint:           true,
 		LintSuppress:   []string{"relvet006"},
+		Workers:        1,
 	}, bench)
 	if err != nil {
 		t.Fatal(err)
@@ -282,6 +284,7 @@ func TestTuneSurvivesPanickingCandidates(t *testing.T) {
 		MaxEdges: 2, KeyArity: 1,
 		Palette:        []dstruct.Kind{dstruct.HTableKind},
 		MaxAssignments: 2,
+		Workers:        1, // bench counts calls in a plain int
 	}, bench)
 	if err != nil {
 		t.Fatal(err)

@@ -239,7 +239,7 @@ func TestSyncRelationSurvivesContainedPanic(t *testing.T) {
 	if err == nil {
 		t.Fatal("injected panic surfaced as success")
 	}
-	if s.Poisoned() {
+	if s.Snapshot().Poisoned() {
 		t.Fatal("contained panic poisoned the wrapped relation")
 	}
 	// The write lock was released on the error path: further operations
@@ -309,8 +309,10 @@ func TestShardedBatchPerShardUndo(t *testing.T) {
 			if err == nil {
 				t.Fatalf("step %d/%v: injected fault surfaced as success", step, mode)
 			}
-			if sr.Poisoned() {
-				t.Fatalf("step %d/%v: single fault poisoned a shard", step, mode)
+			for i := 0; i < sr.NumShards(); i++ {
+				if sr.Shard(i).Poisoned() {
+					t.Fatalf("step %d/%v: single fault poisoned shard %d", step, mode, i)
+				}
 			}
 			if ierr := sr.CheckInvariants(); ierr != nil {
 				t.Fatalf("step %d/%v: invariants violated: %v", step, mode, ierr)

@@ -14,30 +14,30 @@ import (
 	"repro/internal/wal"
 )
 
-// ErrClosed is returned by every operation on a DurableRelation after
-// Close. Queries fail too: a closed relation's logs no longer record
+// ErrClosed is returned by every operation on a DurableRelation that can
+// report an error, after Close. Queries fail too (only Len still
+// answers): a closed relation's logs no longer record
 // writes, so continuing to serve reads would hide the missing durability
 // from a caller holding the handle across the close.
 var ErrClosed = errors.New("core: durable relation is closed")
 
-// DurableRelation is the persistence tier: it wraps one of the MVCC
-// engines (SyncRelation or ShardedRelation) and write-ahead-logs every
-// mutation's logical delta — the full tuples removed and inserted — to a
-// per-cell wal.Log before the new version is published. The WAL ordering
-// invariant is the write path's whole contract: a version is published to
-// readers only after its delta is on the log (and, under wal.SyncAlways,
-// fsynced), so any state a reader — or a crash — can observe is
-// reconstructible from the log. Conversely a delta whose append fails is
-// never published: the fork is dropped exactly like a failed mutation on
+// DurableRelation is the persistence tier: an MVCC engine (SyncRelation
+// or ShardedRelation) with a wal.Log attached to each of its cells, so
+// every mutation's logical delta — the full tuples removed and inserted —
+// is write-ahead-logged before the new version is published. The ordering
+// is enforced in the one place every write goes through (cell.commit): a
+// version is published to readers only after its delta is on the log
+// (and, under wal.SyncAlways, fsynced), and a delta whose append fails is
+// never published — the fork is dropped exactly like a failed mutation on
 // the MVCC tiers, the caller gets the append error, and a retry is safe
 // because wal.Log.Append guarantees a failed record is not on disk.
 //
 // Logging is logical (tuples, not decomposition nodes), so the log is
-// representation-independent: recovery replays deltas through the normal
-// copy-on-write mutation path against a freshly synthesized instance,
-// which means a log written under one decomposition can be recovered
-// under another, and a fault during replay drops an unpublished fork
-// instead of poisoning the relation being rebuilt.
+// representation-independent: recovery replays deltas through the same
+// copy-on-write cell path against a freshly synthesized instance, which
+// means a log written under one decomposition can be recovered under
+// another, and a fault during replay drops an unpublished fork instead of
+// poisoning the relation being rebuilt.
 //
 // The sharded engine gets one log per shard, appended under that shard's
 // writer mutex — per-shard group commit, no global ordering. Cross-shard
@@ -45,33 +45,34 @@ var ErrClosed = errors.New("core: durable relation is closed")
 // loud as the underlying tier documents, and recovery rebuilds each shard
 // cell from its own snapshot+log pair.
 //
-// Queries are untouched: they run lock-free against published snapshots
-// through the embedded tier, same plans, same cache, same metrics.
+// Every method below is the engine's own behind an ErrClosed check:
+// queries run lock-free against published snapshots, same plans, same
+// cache, same metrics.
 type DurableRelation struct {
-	sync *SyncRelation    // exactly one of sync
-	shr  *ShardedRelation // ... and shr is non-nil
-	logs []*wal.Log       // one per cell: logs[0] for sync, logs[i] per shard
-	met  *obs.Metrics
-	sink CommitSink // acknowledged-delta tap; read under a cell mutex, written under all of them
-
+	eng    Engine // its cells carry the logs: cellAt(i).log is cell i's
 	closed atomic.Bool
 }
 
-// NewDurableSync wraps an MVCC relation with a write-ahead log. The
-// SyncRelation's current published state must already be covered by the
-// log's snapshot/record history (freshly built engines with a fresh log
-// trivially are; recovered ones are by construction in durable.Open).
-func NewDurableSync(s *SyncRelation, log *wal.Log) *DurableRelation {
-	return &DurableRelation{sync: s, logs: []*wal.Log{log}, met: s.Metrics()}
-}
-
-// NewDurableSharded wraps a sharded engine with one write-ahead log per
-// shard; len(logs) must equal sr.NumShards().
-func NewDurableSharded(sr *ShardedRelation, logs []*wal.Log) (*DurableRelation, error) {
-	if len(logs) != sr.NumShards() {
-		return nil, fmt.Errorf("core: durable sharded relation needs one log per shard: %d logs for %d shards", len(logs), sr.NumShards())
+// NewDurable attaches one write-ahead log per cell to an MVCC engine — one
+// log for a SyncRelation, len(logs) == NumShards for a ShardedRelation —
+// and returns the durable handle to it. The engine's current published
+// state must already be covered by the logs' snapshot/record history
+// (freshly built engines with fresh logs trivially are; recovered ones are
+// by construction in durable.Open). The logs belong to the cells, so a
+// write through the engine itself is logged just the same; what only the
+// returned handle provides is the lifecycle — Checkpoint, Sync, Close and
+// the ErrClosed fence — so keep to the handle from here on.
+func NewDurable(eng Engine, logs []*wal.Log) (*DurableRelation, error) {
+	if len(logs) != eng.NumCells() {
+		return nil, fmt.Errorf("core: durable relation needs one log per cell: %d logs for %d cells", len(logs), eng.NumCells())
 	}
-	return &DurableRelation{shr: sr, logs: logs, met: sr.Metrics()}, nil
+	for i, log := range logs {
+		c := eng.cellAt(i)
+		c.wmu.Lock()
+		c.log = log
+		c.wmu.Unlock()
+	}
+	return &DurableRelation{eng: eng}, nil
 }
 
 // A CommitSink observes every acknowledged delta of a DurableRelation,
@@ -94,237 +95,46 @@ type CommitSink func(c wal.Commit)
 // writer is between its log append and its sink call while the snapshot
 // is read.
 func (d *DurableRelation) SetCommitSink(sink CommitSink) ([]relation.Tuple, error) {
-	if d.sync != nil {
-		s := d.sync
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
-		d.sink = sink
-		return d.All()
+	for i := range d.NumCells() {
+		c := d.cellAt(i)
+		c.wmu.Lock()
+		defer c.wmu.Unlock()
+		c.sink = sink
 	}
-	for i := range d.shr.shards {
-		sh := &d.shr.shards[i]
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-	}
-	d.sink = sink
 	return d.All()
 }
 
-// ship hands one acknowledged delta to the sink, if any. Called with the
-// mutating cell's writer mutex held, after log append and publish.
-func (d *DurableRelation) ship(c wal.Commit) {
-	if d.sink != nil {
-		d.sink(c)
-	}
-}
-
 // Spec returns the relational specification.
-func (d *DurableRelation) Spec() *Spec {
-	if d.sync != nil {
-		return d.sync.cur.Load().spec
-	}
-	return d.shr.spec
-}
-
-// Sharded reports whether the embedded tier is the sharded engine.
-func (d *DurableRelation) Sharded() bool { return d.shr != nil }
+func (d *DurableRelation) Spec() *Spec { return d.eng.Spec() }
 
 // NumCells returns the number of independently logged cells: 1 for the
 // sync tier, the shard count for the sharded tier.
-func (d *DurableRelation) NumCells() int { return len(d.logs) }
+func (d *DurableRelation) NumCells() int { return d.eng.NumCells() }
 
 // Log exposes cell i's write-ahead log for tests and tooling.
-func (d *DurableRelation) Log(i int) *wal.Log { return d.logs[i] }
+func (d *DurableRelation) Log(i int) *wal.Log { return d.cellAt(i).log }
 
-// Metrics returns the attached metrics sink, or nil.
-func (d *DurableRelation) Metrics() *obs.Metrics { return d.met }
+func (d *DurableRelation) cellAt(i int) *cell { return d.eng.cellAt(i) }
+
+// Metrics returns the engine's metrics sink, or nil.
+func (d *DurableRelation) Metrics() *obs.Metrics { return d.eng.Metrics() }
+
+// SetMetrics attaches a metrics sink to the engine. The write-ahead logs
+// keep counting into the sink they were opened with (wal.Config.Metrics);
+// durable.Open hands both the same one.
+func (d *DurableRelation) SetMetrics(m *obs.Metrics) { d.eng.SetMetrics(m) }
+
+// SetTracer attaches a span-event tracer to the engine.
+func (d *DurableRelation) SetTracer(t obs.Tracer) { d.eng.SetTracer(t) }
 
 // Insert implements insert r t, durably: fork, mutate copy-on-write, log
 // the delta, publish. A no-op insert (tuple already present) logs
 // nothing.
 func (d *DurableRelation) Insert(t relation.Tuple) error {
-	if d.sync != nil {
-		s := d.sync
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
-		return d.insertCell(&s.cur, d.logs[0], t)
-	}
-	sr := d.shr
-	i, err := sr.ro.mustRoute(t)
-	if err != nil {
-		return err
-	}
-	sr.routed()
-	sh := &sr.shards[i]
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
-	return d.insertCell(&sh.cur, d.logs[i], t)
-}
-
-// insertCell is the per-cell insert body; called with the cell's writer
-// mutex held, like every *Cell method below.
-func (d *DurableRelation) insertCell(cur *atomic.Pointer[Relation], log *wal.Log, t relation.Tuple) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	next := cur.Load().beginVersion()
-	changed, err := next.insert(t)
-	if err == nil && changed {
-		if werr := log.Append(wal.Commit{Inserted: []relation.Tuple{t}}); werr != nil {
-			publishCell(cur, next, false, werr)
-			return werr
-		}
-	}
-	publishCell(cur, next, changed, err)
-	if err == nil && changed {
-		d.ship(wal.Commit{Inserted: []relation.Tuple{t}})
-	}
-	return err
-}
-
-// publishCell is relShard.publish/SyncRelation.publish generalized over
-// the cell's atomic pointer, so the durable write path has one body for
-// both tiers.
-//
-//relvet:role=publish
-func publishCell(cur *atomic.Pointer[Relation], next *Relation, changed bool, err error) {
-	m := next.metrics
-	switch {
-	case err != nil:
-		if m != nil {
-			m.SnapDrops.Add(1)
-		}
-	case changed:
-		cur.Store(next)
-		if m != nil {
-			m.SnapPublishes.Add(1)
-		}
-	}
-}
-
-// Remove implements remove r s, durably. Every removed tuple is logged in
-// full — the delta, not the pattern — so replay does not depend on the
-// pattern semantics of a future build. On the sharded tier a pattern
-// binding the shard key removes (and logs) on one shard; any other
-// pattern fans out and each shard logs its own removals on its own log.
-func (d *DurableRelation) Remove(pat relation.Tuple) (int, error) {
-	if d.sync != nil {
-		s := d.sync
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
-		return d.removeCell(&s.cur, d.logs[0], pat)
-	}
-	sr := d.shr
-	if i, ok := sr.ro.route(pat); ok {
-		sr.routed()
-		sh := &sr.shards[i]
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		return d.removeCell(&sh.cur, d.logs[i], pat)
-	}
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
-	counts := make([]int, len(sr.shards))
-	err := sr.fanOut(func(i int, sh *relShard) error {
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		n, err := d.removeCell(&sh.cur, d.logs[i], pat)
-		counts[i] = n
-		return err
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, err
-}
-
-func (d *DurableRelation) removeCell(cur *atomic.Pointer[Relation], log *wal.Log, pat relation.Tuple) (int, error) {
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
-	next := cur.Load().beginVersion()
-	removed, err := next.remove(pat)
-	if err == nil && len(removed) > 0 {
-		if werr := log.Append(wal.Commit{Removed: removed}); werr != nil {
-			publishCell(cur, next, false, werr)
-			return 0, werr
-		}
-	}
-	publishCell(cur, next, len(removed) > 0, err)
-	if err != nil {
-		return 0, err
-	}
-	if len(removed) > 0 {
-		d.ship(wal.Commit{Removed: removed})
-	}
-	return len(removed), nil
-}
-
-// Update implements the keyed dupdate, durably: the delta logged is the
-// full stored tuple replaced and the full merged tuple now stored, so
-// replay is two exact-tuple operations with no key reasoning. The
-// sharded point-update fast path is not taken on this tier — it does not
-// report the replaced tuple, and the fsync on the log dwarfs the saved
-// plan work.
-func (d *DurableRelation) Update(pat, u relation.Tuple) (int, error) {
-	if d.sync != nil {
-		s := d.sync
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
-		return d.updateCell(&s.cur, d.logs[0], pat, u)
-	}
-	sr := d.shr
-	if i, ok := sr.ro.route(pat); ok {
-		sr.routed()
-		sh := &sr.shards[i]
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		return d.updateCell(&sh.cur, d.logs[i], pat, u)
-	}
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
-	counts := make([]int, len(sr.shards))
-	err := sr.fanOut(func(i int, sh *relShard) error {
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		n, err := d.updateCell(&sh.cur, d.logs[i], pat, u)
-		counts[i] = n
-		return err
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, err
-}
-
-func (d *DurableRelation) updateCell(cur *atomic.Pointer[Relation], log *wal.Log, pat, u relation.Tuple) (int, error) {
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
-	next := cur.Load().beginVersion()
-	// One logical update; updateDelta leaves the counter to its caller.
-	if next.metrics != nil {
-		next.metrics.Updates.Add(1)
-	}
-	n, old, upd, err := next.updateDelta(pat, u)
-	if err == nil && n > 0 {
-		if werr := log.Append(wal.Commit{Removed: []relation.Tuple{old}, Inserted: []relation.Tuple{upd}}); werr != nil {
-			publishCell(cur, next, false, werr)
-			return 0, werr
-		}
-	}
-	publishCell(cur, next, n > 0, err)
-	if err != nil {
-		return 0, err
-	}
-	if n > 0 {
-		d.ship(wal.Commit{Removed: []relation.Tuple{old}, Inserted: []relation.Tuple{upd}})
-	}
-	return n, nil
+	return d.eng.Insert(t)
 }
 
 // InsertBatch inserts many tuples with one version fork and one log
@@ -334,145 +144,107 @@ func (d *DurableRelation) updateCell(cur *atomic.Pointer[Relation], log *wal.Log
 // sharded tier: a failing cell drops its fork and logs nothing, without
 // disturbing its peers.
 func (d *DurableRelation) InsertBatch(ts []relation.Tuple) error {
-	if len(ts) == 0 {
-		return nil
-	}
-	if d.sync != nil {
-		s := d.sync
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
-		return d.insertBatchCell(&s.cur, d.logs[0], ts)
-	}
-	sr := d.shr
-	groups := make([][]relation.Tuple, len(sr.shards))
-	for _, t := range ts {
-		i, err := sr.ro.mustRoute(t)
-		if err != nil {
-			return err
-		}
-		groups[i] = append(groups[i], t)
-	}
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	return sr.fanOut(func(i int, sh *relShard) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		return d.insertBatchCell(&sh.cur, d.logs[i], groups[i])
-	})
+	return d.eng.InsertBatch(ts)
 }
 
-func (d *DurableRelation) insertBatchCell(cur *atomic.Pointer[Relation], log *wal.Log, ts []relation.Tuple) error {
+// Remove implements remove r s, durably. Every removed tuple is logged in
+// full. On the sharded tier a pattern binding the shard key removes (and
+// logs) on one shard; any other pattern fans out and each shard logs its
+// own removals on its own log.
+func (d *DurableRelation) Remove(pat relation.Tuple) (int, error) {
+	if d.closed.Load() {
+		return 0, ErrClosed
+	}
+	return d.eng.Remove(pat)
+}
+
+// Update implements the keyed dupdate, durably: the delta logged is the
+// full stored tuple replaced and the full merged tuple now stored.
+func (d *DurableRelation) Update(pat, u relation.Tuple) (int, error) {
+	if d.closed.Load() {
+		return 0, ErrClosed
+	}
+	return d.eng.Update(pat, u)
+}
+
+// ApplyCommit replays one logical delta, durably: the strict apply is
+// logged like any other write.
+func (d *DurableRelation) ApplyCommit(c wal.Commit) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	next := cur.Load().beginVersion()
-	var inserted []relation.Tuple
-	for _, t := range ts {
-		ch, err := next.insert(t)
-		if err != nil {
-			publishCell(cur, next, false, err)
-			return err
-		}
-		if ch {
-			inserted = append(inserted, t)
-		}
-	}
-	if len(inserted) > 0 {
-		if werr := log.Append(wal.Commit{Inserted: inserted}); werr != nil {
-			publishCell(cur, next, false, werr)
-			return werr
-		}
-	}
-	publishCell(cur, next, len(inserted) > 0, nil)
-	if len(inserted) > 0 {
-		d.ship(wal.Commit{Inserted: inserted})
-	}
-	return nil
+	return d.eng.ApplyCommit(c)
 }
 
-// Query implements query r s C against the embedded tier's published
-// snapshots, lock-free.
+// Query implements query r s C against the engine's published snapshots,
+// lock-free.
 //
 //relvet:role=read
 func (d *DurableRelation) Query(pat relation.Tuple, out []string) ([]relation.Tuple, error) {
 	if d.closed.Load() {
 		return nil, ErrClosed
 	}
-	if d.sync != nil {
-		return d.sync.Query(pat, out)
-	}
-	return d.shr.Query(pat, out)
+	return d.eng.Query(pat, out)
 }
 
-// QueryFunc streams results from the embedded tier, lock-free.
+// QueryFunc streams results from the engine, lock-free.
 //
 //relvet:role=read
 func (d *DurableRelation) QueryFunc(pat relation.Tuple, out []string, f func(relation.Tuple) bool) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	if d.sync != nil {
-		return d.sync.QueryFunc(pat, out, f)
-	}
-	return d.shr.QueryFunc(pat, out, f)
+	return d.eng.QueryFunc(pat, out, f)
 }
 
-// QueryRange implements the order-based query against the embedded tier.
+// QueryRange implements the order-based query against the engine.
 //
 //relvet:role=read
 func (d *DurableRelation) QueryRange(pat relation.Tuple, col string, lo, hi *value.Value, out []string) ([]relation.Tuple, error) {
 	if d.closed.Load() {
 		return nil, ErrClosed
 	}
-	if d.sync != nil {
-		return d.sync.QueryRange(pat, col, lo, hi, out)
-	}
-	return d.shr.QueryRange(pat, col, lo, hi, out)
+	return d.eng.QueryRange(pat, col, lo, hi, out)
 }
 
-// Len returns the tuple count of the published state.
+// Len returns the tuple count of the published state. It is the one
+// operation that still answers after Close: it cannot report an error.
 //
 //relvet:role=read
-func (d *DurableRelation) Len() int {
-	if d.sync != nil {
-		return d.sync.Len()
-	}
-	return d.shr.Len()
-}
+func (d *DurableRelation) Len() int { return d.eng.Len() }
 
 // All returns every tuple in deterministic order.
+//
+//relvet:role=read
 func (d *DurableRelation) All() ([]relation.Tuple, error) {
-	return d.Query(relation.NewTuple(), d.Spec().Cols().Names())
-}
-
-// CheckInvariants verifies the embedded tier's published state.
-func (d *DurableRelation) CheckInvariants() error {
-	if d.sync != nil {
-		return d.sync.CheckInvariants()
+	if d.closed.Load() {
+		return nil, ErrClosed
 	}
-	return d.shr.CheckInvariants()
+	return d.eng.All()
 }
 
-// ExplainQuery reports the embedded tier's explanation with the durable
-// tag: the shape's plan, cache and routing provenance are unchanged by
-// logging (queries never touch the log), but the tag records that writes
-// to this relation are write-ahead logged.
+// CheckInvariants verifies the engine's published state.
+func (d *DurableRelation) CheckInvariants() error {
+	if d.closed.Load() {
+		return ErrClosed
+	}
+	return d.eng.CheckInvariants()
+}
+
+// ExplainQuery reports the engine's explanation with the durable tag:
+// the shape's plan, cache and routing provenance are unchanged by logging
+// (queries never touch the log), but the tag records that writes to this
+// relation are write-ahead logged.
 //
 //relvet:role=read
 func (d *DurableRelation) ExplainQuery(input, output []string) (*QueryExplain, error) {
-	var (
-		e   *QueryExplain
-		err error
-	)
-	if d.sync != nil {
-		e, err = d.sync.ExplainQuery(input, output)
-	} else {
-		e, err = d.shr.ExplainQuery(input, output)
+	if d.closed.Load() {
+		return nil, ErrClosed
 	}
+	e, err := d.eng.ExplainQuery(input, output)
 	if err != nil {
 		return nil, err
 	}
@@ -488,8 +260,8 @@ func (d *DurableRelation) Sync() error {
 		return ErrClosed
 	}
 	var first error
-	for _, l := range d.logs {
-		if err := l.Sync(); err != nil && first == nil {
+	for i := range d.NumCells() {
+		if err := d.Log(i).Sync(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -511,38 +283,31 @@ func (d *DurableRelation) Checkpoint() error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	if d.sync != nil {
-		s := d.sync
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
-		return d.checkpointCell(&s.cur, d.logs[0])
-	}
-	sr := d.shr
-	for i := range sr.shards {
-		sh := &sr.shards[i]
-		sh.wmu.Lock()
-		err := d.checkpointCell(&sh.cur, d.logs[i])
-		sh.wmu.Unlock()
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+	for i := range d.NumCells() {
+		if err := d.cellAt(i).checkpoint(); err != nil {
+			return fmt.Errorf("cell %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-func (d *DurableRelation) checkpointCell(cur *atomic.Pointer[Relation], log *wal.Log) error {
-	if d.closed.Load() {
+// checkpoint is Checkpoint for one cell: writers on this cell wait, the
+// other cells proceed.
+func (c *cell) checkpoint() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.closed {
 		return ErrClosed
 	}
-	seq := log.LastSeq()
-	r := cur.Load()
+	seq := c.log.LastSeq()
+	r := c.cur.Load()
 	tuples := r.inst.Relation().All()
-	dir := filepath.Dir(log.Path())
+	dir := filepath.Dir(c.log.Path())
 	path := filepath.Join(dir, SnapshotName(seq))
 	if _, err := wal.WriteSnapshot(path, seq, tuples, r.metrics); err != nil {
 		return err
 	}
-	if err := log.Rotate(seq + 1); err != nil {
+	if err := c.log.Rotate(seq + 1); err != nil {
 		return err
 	}
 	gcSnapshots(dir, seq)
@@ -602,192 +367,29 @@ func (d *DurableRelation) Close() error {
 		return ErrClosed
 	}
 	var first error
-	closeCell := func(l *wal.Log) {
-		if err := l.Close(); err != nil && first == nil {
+	for i := range d.NumCells() {
+		c := d.cellAt(i)
+		c.wmu.Lock()
+		c.closed = true
+		if err := c.log.Close(); err != nil && first == nil {
 			first = err
 		}
-	}
-	if d.sync != nil {
-		s := d.sync
-		s.wmu.Lock()
-		closeCell(d.logs[0])
-		s.wmu.Unlock()
-		return first
-	}
-	for i := range d.shr.shards {
-		sh := &d.shr.shards[i]
-		sh.wmu.Lock()
-		closeCell(d.logs[i])
-		sh.wmu.Unlock()
+		c.wmu.Unlock()
 	}
 	return first
 }
 
-// Replay application: recovery routes every snapshot chunk and log
-// record through the same copy-on-write publish path live mutations use.
-// A fault mid-replay therefore drops an unpublished fork and leaves the
-// relation being rebuilt at its last published (fully applied) state —
-// never a torn or poisoned one — which is what lets durable.Open fail
-// loudly and be retried.
-
-// ReplaySnapshot applies a checkpoint's tuples to the relation as one
-// atomic version. Every tuple must be new: a duplicate means the
-// snapshot disagrees with the relation it is being loaded into, which is
-// corruption, not idempotence.
-func ReplaySnapshot(s *SyncRelation, ts []relation.Tuple) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return replayTuples(&s.cur, ts)
+// ReplayShardCommit applies one logged delta to cell i of an engine as one
+// atomic version, strictly (see Engine.ApplyCommit): a SyncRelation is its
+// own cell 0, a ShardedRelation has one cell per shard. Crash recovery
+// rebuilds each cell from its own snapshot+log pair through it — a
+// checkpoint is the delta {Inserted: tuples} — so the tuples must belong
+// to cell i (they came from its own files, and CheckInvariants verifies
+// routing after recovery).
+func ReplayShardCommit(e Engine, i int, c wal.Commit) error {
+	return e.cellAt(i).applyCommit(c)
 }
 
-// ReplayShardSnapshot is ReplaySnapshot for one shard cell of a sharded
-// engine; the tuples must belong to shard i (they came from its own
-// snapshot file, and CheckInvariants verifies routing after recovery).
-func ReplayShardSnapshot(sr *ShardedRelation, i int, ts []relation.Tuple) error {
-	sh := &sr.shards[i]
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
-	return replayTuples(&sh.cur, ts)
-}
-
-func replayTuples(cur *atomic.Pointer[Relation], ts []relation.Tuple) error {
-	if len(ts) == 0 {
-		return nil
-	}
-	next := cur.Load().beginVersion()
-	for _, t := range ts {
-		ch, err := next.insert(t)
-		if err != nil {
-			publishCell(cur, next, false, err)
-			return err
-		}
-		if !ch {
-			err := fmt.Errorf("core: replay inserted duplicate tuple %v", t)
-			publishCell(cur, next, false, err)
-			return err
-		}
-	}
-	publishCell(cur, next, true, nil)
-	return nil
-}
-
-// ReplayCommit applies one logged delta as one atomic version: every
-// removed tuple must remove exactly one stored tuple and every inserted
-// tuple must be new. The log records acknowledged operations against
-// known state, so any mismatch means the snapshot/log pair is
-// inconsistent and recovery must fail loudly rather than guess.
-func ReplayCommit(s *SyncRelation, c wal.Commit) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return replayCommit(&s.cur, c)
-}
-
-// ReplayShardCommit is ReplayCommit for one shard cell.
-func ReplayShardCommit(sr *ShardedRelation, i int, c wal.Commit) error {
-	sh := &sr.shards[i]
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
-	return replayCommit(&sh.cur, c)
-}
-
-// ReplayShardedSnapshot applies a logical snapshot — tuples that are NOT
-// pre-partitioned for this engine's layout — by routing each tuple to
-// its shard and applying per shard. A replication follower uses it to
-// bootstrap a sharded replica whose shard key or count differs from the
-// publisher's. Atomic per shard, like every sharded operation.
-func ReplayShardedSnapshot(sr *ShardedRelation, ts []relation.Tuple) error {
-	groups := make([][]relation.Tuple, len(sr.shards))
-	for _, t := range ts {
-		i, err := sr.ro.mustRoute(t)
-		if err != nil {
-			return err
-		}
-		groups[i] = append(groups[i], t)
-	}
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if err := ReplayShardSnapshot(sr, i, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReplayShardedCommit applies one logical delta to a sharded engine by
-// routing the removed and inserted tuples to their shards and replaying
-// each shard's piece as its own atomic version, removals before
-// insertions. Deltas produced by the durable write path route whole to
-// one shard whenever the replica shares the publisher's shard key
-// (mutations preserve key columns); under a different key a delta may
-// split, in which case readers get the sharded tier's documented
-// per-shard snapshot consistency.
-func ReplayShardedCommit(sr *ShardedRelation, c wal.Commit) error {
-	type piece struct{ removed, inserted []relation.Tuple }
-	pieces := make(map[int]*piece)
-	at := func(i int) *piece {
-		p := pieces[i]
-		if p == nil {
-			p = &piece{}
-			pieces[i] = p
-		}
-		return p
-	}
-	for _, t := range c.Removed {
-		i, err := sr.ro.mustRoute(t)
-		if err != nil {
-			return err
-		}
-		at(i).removed = append(at(i).removed, t)
-	}
-	for _, t := range c.Inserted {
-		i, err := sr.ro.mustRoute(t)
-		if err != nil {
-			return err
-		}
-		at(i).inserted = append(at(i).inserted, t)
-	}
-	for i := range sr.shards {
-		p := pieces[i]
-		if p == nil {
-			continue
-		}
-		err := ReplayShardCommit(sr, i, wal.Commit{Seq: c.Seq, Removed: p.removed, Inserted: p.inserted})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func replayCommit(cur *atomic.Pointer[Relation], c wal.Commit) error {
-	if len(c.Removed) == 0 && len(c.Inserted) == 0 {
-		return nil
-	}
-	next := cur.Load().beginVersion()
-	fail := func(err error) error {
-		publishCell(cur, next, false, err)
-		return err
-	}
-	for _, t := range c.Removed {
-		removed, err := next.remove(t)
-		if err != nil {
-			return fail(err)
-		}
-		if len(removed) != 1 {
-			return fail(fmt.Errorf("core: replay of record %d removed %d tuples for %v, want exactly 1", c.Seq, len(removed), t))
-		}
-	}
-	for _, t := range c.Inserted {
-		ch, err := next.insert(t)
-		if err != nil {
-			return fail(err)
-		}
-		if !ch {
-			return fail(fmt.Errorf("core: replay of record %d inserted duplicate tuple %v", c.Seq, t))
-		}
-	}
-	publishCell(cur, next, true, nil)
-	return nil
-}
+// ReplayShardedCommit is sr.ApplyCommit(c): the routed replay of a delta
+// that is not pre-partitioned for sr's layout.
+func ReplayShardedCommit(sr *ShardedRelation, c wal.Commit) error { return sr.ApplyCommit(c) }

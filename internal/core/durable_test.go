@@ -24,7 +24,44 @@ func newDurableSync(t *testing.T, dir string, policy wal.SyncPolicy) *core.Durab
 	}
 	r := core.MustNew(schedSpec(), paperex.SchedulerDecomp())
 	r.CheckFDs = true
-	return core.NewDurableSync(core.NewSync(r), log)
+	d, err := core.NewDurable(core.NewSync(r), []*wal.Log{log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// newDurableSharded builds a fresh durable scheduler relation sharded on
+// {ns, pid}, one log per shard under dir/shard-NNN/wal.log, and returns it
+// with the engine the logs were attached to.
+func newDurableSharded(t *testing.T, dir string, shards int, policy wal.SyncPolicy) (*core.DurableRelation, *core.ShardedRelation) {
+	t.Helper()
+	sr, err := core.NewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
+		ShardKey: []string{"ns", "pid"},
+		Shards:   shards,
+		Workers:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := make([]*wal.Log, shards)
+	for i := range logs {
+		sub := filepath.Join(dir, core.ShardDirName(i))
+		if err := os.MkdirAll(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if logs[i], err = wal.Create(filepath.Join(sub, "wal.log"), 1, wal.Config{Policy: policy}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sr.SetCheckFDs(true)
+	d, err := core.NewDurable(sr, logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d, sr
 }
 
 // allTuples reads the full relation state in deterministic order.
@@ -61,7 +98,7 @@ func recoverSync(t *testing.T, dir string) []relation.Tuple {
 			t.Fatal(err)
 		}
 		snapSeq = seq
-		if err := core.ReplaySnapshot(s, ts); err != nil {
+		if err := s.ApplyCommit(wal.Commit{Seq: seq, Inserted: ts}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +110,7 @@ func recoverSync(t *testing.T, dir string) []relation.Tuple {
 		if c.Seq <= snapSeq {
 			continue
 		}
-		if err := core.ReplayCommit(s, c); err != nil {
+		if err := s.ApplyCommit(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,28 +267,7 @@ func TestDurableCheckpoint(t *testing.T) {
 func TestDurableShardedLogsPerShard(t *testing.T) {
 	dir := t.TempDir()
 	const shards = 4
-	sr, err := core.NewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
-		ShardKey: []string{"ns", "pid"},
-		Shards:   shards,
-		Workers:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	logs := make([]*wal.Log, shards)
-	for i := range logs {
-		sub := filepath.Join(dir, core.ShardDirName(i))
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if logs[i], err = wal.Create(filepath.Join(sub, "wal.log"), 1, wal.Config{Policy: wal.SyncAlways}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := core.NewDurableSharded(sr, logs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, _ := newDurableSharded(t, dir, shards, wal.SyncAlways)
 	var batch []relation.Tuple
 	for i := int64(0); i < 32; i++ {
 		batch = append(batch, paperex.SchedulerTuple(i%3, i, i%2, i))
@@ -309,35 +325,72 @@ func TestDurableShardedLogsPerShard(t *testing.T) {
 	}
 }
 
-// TestDurableClosed verifies every surface reports ErrClosed after Close.
+// TestDurableClosed verifies every surface of both tiers reports
+// ErrClosed after Close.
 func TestDurableClosed(t *testing.T) {
-	d := newDurableSync(t, t.TempDir(), wal.SyncOff)
-	if err := d.Insert(paperex.SchedulerTuple(1, 1, 0, 0)); err != nil {
-		t.Fatal(err)
+	key := relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", 1))
+	tup := paperex.SchedulerTuple(1, 2, 0, 0)
+	ops := []struct {
+		name string
+		run  func(d *core.DurableRelation) error
+	}{
+		{"Close", func(d *core.DurableRelation) error { return d.Close() }},
+		{"Insert", func(d *core.DurableRelation) error { return d.Insert(tup) }},
+		{"InsertBatch", func(d *core.DurableRelation) error { return d.InsertBatch([]relation.Tuple{tup}) }},
+		{"Remove", func(d *core.DurableRelation) error { _, err := d.Remove(key); return err }},
+		{"Remove fan-out", func(d *core.DurableRelation) error { _, err := d.Remove(relation.NewTuple()); return err }},
+		{"Update", func(d *core.DurableRelation) error {
+			_, err := d.Update(key, relation.NewTuple(relation.BindInt("cpu", 1)))
+			return err
+		}},
+		{"ApplyCommit", func(d *core.DurableRelation) error {
+			return d.ApplyCommit(wal.Commit{Inserted: []relation.Tuple{tup}})
+		}},
+		{"Query", func(d *core.DurableRelation) error {
+			_, err := d.Query(relation.NewTuple(), []string{"ns"})
+			return err
+		}},
+		{"QueryFunc", func(d *core.DurableRelation) error {
+			return d.QueryFunc(relation.NewTuple(), []string{"ns"}, func(relation.Tuple) bool { return true })
+		}},
+		{"QueryRange", func(d *core.DurableRelation) error {
+			_, err := d.QueryRange(relation.NewTuple(), "cpu", nil, nil, []string{"ns"})
+			return err
+		}},
+		{"All", func(d *core.DurableRelation) error { _, err := d.All(); return err }},
+		{"CheckInvariants", func(d *core.DurableRelation) error { return d.CheckInvariants() }},
+		{"ExplainQuery", func(d *core.DurableRelation) error {
+			_, err := d.ExplainQuery([]string{"ns", "pid"}, []string{"cpu"})
+			return err
+		}},
+		{"Checkpoint", func(d *core.DurableRelation) error { return d.Checkpoint() }},
+		{"Sync", func(d *core.DurableRelation) error { return d.Sync() }},
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	tiers := []struct {
+		name string
+		open func(t *testing.T) *core.DurableRelation
+	}{
+		{"1 cell", func(t *testing.T) *core.DurableRelation { return newDurableSync(t, t.TempDir(), wal.SyncOff) }},
+		{"4 cells", func(t *testing.T) *core.DurableRelation {
+			d, _ := newDurableSharded(t, t.TempDir(), 4, wal.SyncOff)
+			return d
+		}},
 	}
-	if err := d.Close(); !errors.Is(err, core.ErrClosed) {
-		t.Errorf("second close: %v", err)
-	}
-	if err := d.Insert(paperex.SchedulerTuple(1, 2, 0, 0)); !errors.Is(err, core.ErrClosed) {
-		t.Errorf("insert after close: %v", err)
-	}
-	if _, err := d.Remove(relation.NewTuple()); !errors.Is(err, core.ErrClosed) {
-		t.Errorf("remove after close: %v", err)
-	}
-	if _, err := d.Update(relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", 1)), relation.NewTuple(relation.BindInt("cpu", 1))); !errors.Is(err, core.ErrClosed) {
-		t.Errorf("update after close: %v", err)
-	}
-	if _, err := d.Query(relation.NewTuple(), []string{"ns"}); !errors.Is(err, core.ErrClosed) {
-		t.Errorf("query after close: %v", err)
-	}
-	if err := d.Checkpoint(); !errors.Is(err, core.ErrClosed) {
-		t.Errorf("checkpoint after close: %v", err)
-	}
-	if err := d.Sync(); !errors.Is(err, core.ErrClosed) {
-		t.Errorf("sync after close: %v", err)
+	for _, tier := range tiers {
+		t.Run(tier.name, func(t *testing.T) {
+			d := tier.open(t)
+			if err := d.Insert(paperex.SchedulerTuple(1, 1, 0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range ops {
+				if err := op.run(d); !errors.Is(err, core.ErrClosed) {
+					t.Errorf("%s after close: %v", op.name, err)
+				}
+			}
+		})
 	}
 }
 
@@ -395,6 +448,36 @@ func TestDurableAppendErrorDropsFork(t *testing.T) {
 	}
 	if got := recoverSync(t, dir); !eqStates(got, want) {
 		t.Fatalf("recovery after retried append diverged")
+	}
+}
+
+// TestDurableRefusesUnloggableWrites verifies the commit path's guard: the
+// write bodies that run caller code on the fork (Upsert, Exclusive) have no
+// delta to log, so on a logged cell they drop their fork instead of
+// publishing state the log does not contain.
+func TestDurableRefusesUnloggableWrites(t *testing.T) {
+	d, sr := newDurableSharded(t, t.TempDir(), 4, wal.SyncOff)
+	if err := d.Insert(paperex.SchedulerTuple(1, 1, 0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	before := durAll(t, d)
+	key := relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", 1))
+	bump := relation.NewTuple(relation.BindInt("cpu", 6))
+	if err := sr.Upsert(key, func(relation.Tuple, bool) (relation.Tuple, error) { return bump, nil }); err == nil {
+		t.Error("Upsert published an unlogged version on a durable engine")
+	}
+	if err := sr.Exclusive(key, func(r *core.Relation) error { _, err := r.Update(key, bump); return err }); err == nil {
+		t.Error("Exclusive published an unlogged version on a durable engine")
+	}
+	if got := durAll(t, d); !eqStates(got, before) {
+		t.Fatalf("refused writes changed the published state: %v", got)
+	}
+	// The same update through the logged body is fine.
+	if n, err := sr.Update(key, bump); err != nil || n != 1 {
+		t.Fatalf("logged update: n=%d err=%v", n, err)
+	}
+	if got := d.Log(0).Size() + d.Log(1).Size() + d.Log(2).Size() + d.Log(3).Size(); got <= 4*16 {
+		t.Fatalf("no record reached the logs (%d bytes)", got)
 	}
 }
 

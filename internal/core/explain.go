@@ -138,39 +138,18 @@ func (r *Relation) planCached(input, output relation.Cols) bool {
 	return ok
 }
 
-// ExplainQuery reports the published snapshot's explanation, lock-free
-// like the query paths it describes. (Plan promotion inside the cache has
-// its own synchronization.) The explanation carries the snapshot's version
-// number; a later explanation with a higher version ran against a state
-// some write has replaced since.
-//
-//relvet:role=read
-func (s *SyncRelation) ExplainQuery(input, output []string) (*QueryExplain, error) {
-	r := s.cur.Load()
-	e, err := r.ExplainQuery(input, output)
-	if err != nil {
-		return nil, err
-	}
-	e.Snapshot = true
-	e.SnapshotVersion = r.Version()
-	return e, nil
-}
-
 // ExplainQuery reports how the sharded tier executes the shape: the plan
 // provenance from shard 0 (all shards share one plan cache, so the chosen
-// plan and its compilation state are shard-independent) plus the routing
-// decision the input's columns produce.
+// plan and its compilation state are shard-independent, and the snapshot
+// version is shard 0's) plus the routing decision the input's columns
+// produce.
 //
 //relvet:role=read
 func (sr *ShardedRelation) ExplainQuery(input, output []string) (*QueryExplain, error) {
-	r := sr.shards[0].cur.Load()
-	e, err := r.ExplainQuery(input, output)
+	e, err := sr.shards[0].explain(input, output)
 	if err != nil {
 		return nil, err
 	}
-	e.Relation = sr.spec.Name
-	e.Snapshot = true
-	e.SnapshotVersion = r.Version()
 	if sr.ro.key.SubsetOf(relation.NewCols(input...)) {
 		e.Routing = "routed"
 	} else {

@@ -1,12 +1,10 @@
 package core
 
 // White-box proof of the MVCC tiers' lock-free read path: the ONLY locks
-// either tier owns are the writer mutexes (SyncRelation.wmu and each
-// relShard.wmu — the structs are visible from this internal test, so a new
-// lock cannot sneak in unnoticed), and every read operation completes
-// while this test holds all of them. A read path that acquired any engine
-// lock would deadlock here; the watchdog converts that hang into a clear
-// failure.
+// either tier owns are its cells' writer mutexes (cell.wmu — the struct is
+// visible from this internal test, so a new lock cannot sneak in
+// unnoticed), and every read operation completes while this test holds
+// all of them.
 
 import (
 	"testing"
@@ -36,63 +34,13 @@ func newSchedInternal(t *testing.T) *Relation {
 	return r
 }
 
-// readsUnderLockedWriters runs every read operation of api and fails the
-// test if any of them blocks for watchdog-long (i.e. tried to take a lock
-// the caller holds).
-func readsUnderLockedWriters(t *testing.T, name string, reads func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		reads()
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%s: read path blocked with all writer mutexes held — reads are not lock-free", name)
-	}
-}
-
-func TestSyncReadsAreLockFree(t *testing.T) {
-	s := NewSync(newSchedInternal(t))
-	for i := int64(0); i < 10; i++ {
-		if err := s.Insert(paperex.SchedulerTuple(0, i, paperex.StateR, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Hold the one and only lock the tier owns. If any read acquires it,
-	// the watchdog fires.
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-
-	readsUnderLockedWriters(t, "SyncRelation", func() {
-		pat := relation.NewTuple(relation.BindInt("state", paperex.StateR))
-		if res, err := s.Query(pat, []string{"pid"}); err != nil || len(res) != 10 {
-			t.Errorf("query: %d rows, err %v", len(res), err)
-		}
-		n := 0
-		if err := s.QueryFunc(pat, []string{"pid"}, func(relation.Tuple) bool { n++; return true }); err != nil || n != 10 {
-			t.Errorf("query func: %d rows, err %v", n, err)
-		}
-		lo := value.OfInt(2)
-		if _, err := s.QueryRange(relation.NewTuple(), "cpu", &lo, nil, []string{"pid"}); err != nil {
-			t.Errorf("query range: %v", err)
-		}
-		if got := s.Len(); got != 10 {
-			t.Errorf("len: %d", got)
-		}
-		if s.Snapshot() == nil || s.Version() == 0 {
-			t.Errorf("snapshot/version unavailable")
-		}
-		if _, err := s.ExplainQuery([]string{"state"}, []string{"pid"}); err != nil {
-			t.Errorf("explain: %v", err)
-		}
-	})
-}
-
-func TestShardedReadsAreLockFree(t *testing.T) {
-	sr, err := NewSharded(newSchedInternal(t).spec, paperex.SchedulerDecomp(), ShardOptions{
+// TestReadsAreLockFree holds every writer mutex a tier owns — each cell's
+// wmu, the only locks there are — and runs the whole read surface. Routed
+// reads, fan-out reads and the sequential broadcast must all complete; a
+// read path that acquired any engine lock would deadlock, and the watchdog
+// converts that hang into a clear failure.
+func TestReadsAreLockFree(t *testing.T) {
+	sharded, err := NewSharded(newSchedInternal(t).spec, paperex.SchedulerDecomp(), ShardOptions{
 		ShardKey: []string{"ns", "pid"},
 		Shards:   4,
 		Workers:  4,
@@ -100,42 +48,59 @@ func TestShardedReadsAreLockFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 20; i++ {
-		if err := sr.Insert(paperex.SchedulerTuple(i%3, i, paperex.StateR, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for name, e := range map[string]Engine{
+		"SyncRelation":    NewSync(newSchedInternal(t)),
+		"ShardedRelation": sharded,
+	} {
+		t.Run(name, func(t *testing.T) {
+			const rows = 20
+			for i := int64(0); i < rows; i++ {
+				if err := e.Insert(paperex.SchedulerTuple(i%3, i, paperex.StateR, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range e.NumCells() {
+				e.cellAt(i).wmu.Lock()
+				defer e.cellAt(i).wmu.Unlock()
+			}
 
-	// Hold every shard's writer mutex at once — the only locks the tier
-	// owns. Routed reads, fan-out reads, and the sequential broadcast must
-	// all still complete.
-	for i := range sr.shards {
-		sr.shards[i].wmu.Lock()
-		defer sr.shards[i].wmu.Unlock()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				key := relation.NewTuple(relation.BindInt("ns", 0), relation.BindInt("pid", 0))
+				if res, err := e.Query(key, []string{"cpu"}); err != nil || len(res) != 1 {
+					t.Errorf("keyed query: %d rows, err %v", len(res), err)
+				}
+				pat := relation.NewTuple(relation.BindInt("state", paperex.StateR))
+				if res, err := e.Query(pat, []string{"pid"}); err != nil || len(res) != rows {
+					t.Errorf("pattern query: %d rows, err %v", len(res), err)
+				}
+				n := 0
+				if err := e.QueryFunc(pat, []string{"pid"}, func(relation.Tuple) bool { n++; return true }); err != nil || n != rows {
+					t.Errorf("query func: %d rows, err %v", n, err)
+				}
+				lo := value.OfInt(2)
+				if _, err := e.QueryRange(relation.NewTuple(), "cpu", &lo, nil, []string{"pid"}); err != nil {
+					t.Errorf("query range: %v", err)
+				}
+				if res, err := e.All(); err != nil || len(res) != rows {
+					t.Errorf("all: %d rows, err %v", len(res), err)
+				}
+				if got := e.Len(); got != rows {
+					t.Errorf("len: %d", got)
+				}
+				if _, err := e.ExplainQuery([]string{"state"}, []string{"pid"}); err != nil {
+					t.Errorf("explain: %v", err)
+				}
+				if s, ok := e.(*SyncRelation); ok && (s.Snapshot() == nil || s.Version() == 0) {
+					t.Errorf("snapshot/version unavailable")
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: read path blocked with all writer mutexes held — reads are not lock-free", name)
+			}
+		})
 	}
-
-	readsUnderLockedWriters(t, "ShardedRelation", func() {
-		key := relation.NewTuple(relation.BindInt("ns", 0), relation.BindInt("pid", 0))
-		if res, err := sr.Query(key, []string{"cpu"}); err != nil || len(res) != 1 {
-			t.Errorf("routed query: %d rows, err %v", len(res), err)
-		}
-		pat := relation.NewTuple(relation.BindInt("state", paperex.StateR))
-		if res, err := sr.Query(pat, []string{"pid"}); err != nil || len(res) != 20 {
-			t.Errorf("fan-out query: %d rows, err %v", len(res), err)
-		}
-		n := 0
-		if err := sr.QueryFunc(pat, []string{"pid"}, func(relation.Tuple) bool { n++; return true }); err != nil || n != 20 {
-			t.Errorf("broadcast query func: %d rows, err %v", n, err)
-		}
-		lo := value.OfInt(2)
-		if _, err := sr.QueryRange(relation.NewTuple(), "cpu", &lo, nil, []string{"pid"}); err != nil {
-			t.Errorf("fan-out query range: %v", err)
-		}
-		if got := sr.Len(); got != 20 {
-			t.Errorf("len: %d", got)
-		}
-		if _, err := sr.ExplainQuery([]string{"state"}, []string{"pid"}); err != nil {
-			t.Errorf("explain: %v", err)
-		}
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/decomp"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 // DefaultShards is the shard count used when ShardOptions leaves it zero.
@@ -43,52 +43,12 @@ type ShardOptions struct {
 	AllowNonKey bool
 }
 
-// relShard is one partition: an atomically-published immutable *Relation
-// version plus a mutex serializing that shard's writers. Readers load the
-// pointer and never touch the mutex, so all reads — and writes on
-// disjoint keys — proceed without contention. The padding keeps
-// neighbouring shards' write-path state off one cache line.
-type relShard struct {
-	wmu sync.Mutex
-	cur atomic.Pointer[Relation]
-	_   [48]byte
-}
-
-// snapshot loads the shard's published version for one read operation,
-// counting the acquisition.
-func (sh *relShard) snapshot() *Relation {
-	r := sh.cur.Load()
-	if r.metrics != nil {
-		r.metrics.SnapReads.Add(1)
-	}
-	return r
-}
-
-// publish finishes one write operation on the shard's fork next: publish
-// on success-with-change, drop on error, neither on a no-op. Called with
-// the shard's wmu held.
-//
-//relvet:role=publish
-func (sh *relShard) publish(next *Relation, changed bool, err error) {
-	m := next.metrics
-	switch {
-	case err != nil:
-		if m != nil {
-			m.SnapDrops.Add(1)
-		}
-	case changed:
-		sh.cur.Store(next)
-		if m != nil {
-			m.SnapPublishes.Add(1)
-		}
-	}
-}
-
 // ShardedRelation is the concurrent engine tier above SyncRelation: it
 // hash-partitions tuples across N per-shard Relation instances on a
-// shard-key column subset. Each shard is an MVCC cell — an immutable
-// published version behind an atomic pointer with a per-shard writer
-// mutex — so reads are lock-free everywhere: operations that bind the
+// shard-key column subset. Each shard is an MVCC cell (see cell) — an
+// immutable published version behind an atomic pointer with a per-shard
+// writer mutex — so reads are lock-free everywhere, and writes on
+// disjoint keys proceed without contention: operations that bind the
 // whole shard key route to exactly one shard, and queries that do not
 // bind the shard key fan out across all shards' snapshots on a bounded
 // worker pool, merging their (per-shard sorted, de-duplicated) results
@@ -111,14 +71,12 @@ type ShardedRelation struct {
 	// latency histogram. Nil when observability is off.
 	metrics *obs.Metrics
 
-	shards []relShard
+	shards []cell
 }
 
 // NewSharded builds a sharded engine over the given decomposition. Every
 // shard gets its own decomposition instance; the decomposition and spec
 // themselves are immutable at run time and shared.
-//
-//relvet:role=publish
 func NewSharded(spec *Spec, d *decomp.Decomp, opts ShardOptions) (*ShardedRelation, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
@@ -145,7 +103,7 @@ func NewSharded(spec *Spec, d *decomp.Decomp, opts ShardOptions) (*ShardedRelati
 		ro:     &router{key: key, shards: opts.Shards},
 		keyed:  keyed,
 		sem:    make(chan struct{}, opts.Workers),
-		shards: make([]relShard, opts.Shards),
+		shards: make([]cell, opts.Shards),
 	}
 	shared := newPlanCache()
 	for i := range sr.shards {
@@ -154,7 +112,7 @@ func NewSharded(spec *Spec, d *decomp.Decomp, opts ShardOptions) (*ShardedRelati
 			return nil, err
 		}
 		r.plans = shared
-		sr.shards[i].cur.Store(r)
+		sr.shards[i].init(r)
 	}
 	return sr, nil
 }
@@ -190,47 +148,39 @@ func (sr *ShardedRelation) Shard(i int) *Relation { return sr.shards[i].cur.Load
 
 // SetMetrics attaches one shared metrics sink to every shard and to the
 // sharded tier's routing counters. Counters are atomic, so the shards can
-// increment the shared block without coordination. Attach before the
-// engine is shared, like the other configuration knobs.
+// increment the shared block without coordination.
 //
 //relvet:role=config
 func (sr *ShardedRelation) SetMetrics(m *obs.Metrics) {
 	sr.metrics = m
-	for i := range sr.shards {
-		sh := &sr.shards[i]
-		sh.wmu.Lock()
-		sh.cur.Load().SetMetrics(m)
-		sh.wmu.Unlock()
-	}
+	sr.config(func(r *Relation) { r.SetMetrics(m) })
 }
 
 // SetTracer attaches one tracer to every shard. The tracer receives events
-// from fan-out workers concurrently; it must be safe for concurrent use.
-//
-//relvet:role=config
+// from fan-out workers concurrently.
 func (sr *ShardedRelation) SetTracer(t obs.Tracer) {
-	for i := range sr.shards {
-		sh := &sr.shards[i]
-		sh.wmu.Lock()
-		sh.cur.Load().SetTracer(t)
-		sh.wmu.Unlock()
-	}
+	sr.config(func(r *Relation) { r.SetTracer(t) })
 }
 
 // SetCheckFDs toggles per-mutation FD validation on every shard. Like the
 // other configuration knobs it belongs to the pre-share window: call it
 // before the engine is visible to concurrent readers, since version forks
 // inherit the flag from the version they copy.
-//
-//relvet:role=config
 func (sr *ShardedRelation) SetCheckFDs(on bool) {
+	sr.config(func(r *Relation) { r.CheckFDs = on })
+}
+
+// config applies a configuration knob to every shard's published version.
+func (sr *ShardedRelation) config(set func(*Relation)) {
 	for i := range sr.shards {
-		sh := &sr.shards[i]
-		sh.wmu.Lock()
-		sh.cur.Load().CheckFDs = on
-		sh.wmu.Unlock()
+		sr.shards[i].config(set)
 	}
 }
+
+// NumCells is the shard count: each shard is one cell.
+func (sr *ShardedRelation) NumCells() int { return len(sr.shards) }
+
+func (sr *ShardedRelation) cellAt(i int) *cell { return &sr.shards[i] }
 
 // Metrics returns the attached metrics sink, or nil.
 func (sr *ShardedRelation) Metrics() *obs.Metrics { return sr.metrics }
@@ -250,13 +200,7 @@ func (sr *ShardedRelation) Insert(t relation.Tuple) error {
 		return err
 	}
 	sr.routed()
-	sh := &sr.shards[i]
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
-	next := sh.cur.Load().beginVersion()
-	changed, ierr := next.insert(t)
-	sh.publish(next, changed, ierr)
-	return ierr
+	return sr.shards[i].insert(t)
 }
 
 // Remove implements remove r s. A pattern binding the whole shard key
@@ -267,83 +211,24 @@ func (sr *ShardedRelation) Insert(t relation.Tuple) error {
 func (sr *ShardedRelation) Remove(pat relation.Tuple) (int, error) {
 	if i, ok := sr.ro.route(pat); ok {
 		sr.routed()
-		sh := &sr.shards[i]
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		next := sh.cur.Load().beginVersion()
-		removed, err := next.remove(pat)
-		sh.publish(next, len(removed) > 0, err)
-		if err != nil {
-			return 0, err
-		}
-		return len(removed), nil
+		return sr.shards[i].remove(pat)
 	}
-	counts := make([]int, len(sr.shards))
-	err := sr.fanOut(func(i int, sh *relShard) error {
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		next := sh.cur.Load().beginVersion()
-		removed, err := next.remove(pat)
-		sh.publish(next, len(removed) > 0, err)
-		if err != nil {
-			return err
-		}
-		counts[i] = len(removed)
-		return nil
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, err
+	return sr.fanOutSum(func(_ int, sh *cell) (int, error) { return sh.remove(pat) })
 }
 
 // Update implements the keyed dupdate. When the pattern binds the shard
 // key the update touches exactly one shard (this is what the construction
-// -time FD validation guarantees for key-routed workloads); otherwise every
-// shard checks the pattern, and since the pattern must be a key of the
-// relation at most one shard finds a match.
+// -time FD validation guarantees for key-routed workloads) — and when the
+// shard key is FD-certified such a pattern is a superkey, so the cell may
+// skip the per-operation key check and take the compiled point-update
+// path. Otherwise every shard checks the pattern, and since the pattern
+// must be a key of the relation at most one shard finds a match.
 func (sr *ShardedRelation) Update(s, u relation.Tuple) (int, error) {
 	if i, ok := sr.ro.route(s); ok {
 		sr.routed()
-		sh := &sr.shards[i]
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		next := sh.cur.Load().beginVersion()
-		var n int
-		var err error
-		if sr.keyed {
-			// The shard key is FD-certified and s binds all of it, so s is a
-			// superkey: skip the per-operation key check and take the
-			// compiled point-update path.
-			n, err = next.updatePoint(s, u)
-		} else {
-			n, err = next.Update(s, u)
-		}
-		sh.publish(next, n > 0, err)
-		if err != nil {
-			return 0, err
-		}
-		return n, nil
+		return sr.shards[i].update(s, u, sr.keyed)
 	}
-	counts := make([]int, len(sr.shards))
-	err := sr.fanOut(func(i int, sh *relShard) error {
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		next := sh.cur.Load().beginVersion()
-		n, err := next.Update(s, u)
-		sh.publish(next, n > 0, err)
-		if err != nil {
-			return err
-		}
-		counts[i] = n
-		return nil
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, err
+	return sr.fanOutSum(func(_ int, sh *cell) (int, error) { return sh.update(s, u, false) })
 }
 
 // Query implements query r s C, lock-free. Patterns binding the shard key
@@ -364,7 +249,7 @@ func (sr *ShardedRelation) Query(pat relation.Tuple, out []string) ([]relation.T
 		return r.Query(pat, out)
 	}
 	parts := make([][]relation.Tuple, len(sr.shards))
-	err := sr.fanOut(func(i int, sh *relShard) error {
+	err := sr.fanOut(func(i int, sh *cell) error {
 		res, err := sh.snapshot().Query(pat, out)
 		parts[i] = res
 		return err
@@ -424,7 +309,7 @@ func (sr *ShardedRelation) QueryRange(pat relation.Tuple, col string, lo, hi *va
 		return sr.shards[i].snapshot().QueryRange(pat, col, lo, hi, out)
 	}
 	parts := make([][]relation.Tuple, len(sr.shards))
-	err := sr.fanOut(func(i int, sh *relShard) error {
+	err := sr.fanOut(func(i int, sh *cell) error {
 		res, err := sh.snapshot().QueryRange(pat, col, lo, hi, out)
 		parts[i] = res
 		return err
@@ -437,12 +322,12 @@ func (sr *ShardedRelation) QueryRange(pat relation.Tuple, col string, lo, hi *va
 
 // InsertBatch inserts many tuples, grouping them by shard and applying
 // each group on a single version fork — the per-op fork-and-publish of N
-// inserts collapses to one version per touched shard, and distinct shards
-// apply their groups in parallel. Each shard's group is atomic: on error
-// the failing shard drops its fork (readers keep the pre-batch version)
-// and returns the first error (by shard index), while the other shards'
-// groups publish independently — a failing shard never strands its peers
-// mid-batch.
+// inserts collapses to one version (and, on a durable engine, one log
+// record) per touched shard, and distinct shards apply their groups in
+// parallel. Each shard's group is atomic: on error the failing shard drops
+// its fork (readers keep the pre-batch version) and returns the first
+// error (by shard index), while the other shards' groups publish
+// independently — a failing shard never strands its peers mid-batch.
 func (sr *ShardedRelation) InsertBatch(ts []relation.Tuple) error {
 	if len(ts) == 0 {
 		return nil
@@ -455,25 +340,7 @@ func (sr *ShardedRelation) InsertBatch(ts []relation.Tuple) error {
 		}
 		groups[i] = append(groups[i], t)
 	}
-	return sr.fanOut(func(i int, sh *relShard) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		next := sh.cur.Load().beginVersion()
-		changed := false
-		for _, t := range groups[i] {
-			ch, err := next.insert(t)
-			if err != nil {
-				sh.publish(next, false, err)
-				return err
-			}
-			changed = changed || ch
-		}
-		sh.publish(next, changed, nil)
-		return nil
-	})
+	return sr.fanOut(func(i int, sh *cell) error { return sh.insertBatch(groups[i]) })
 }
 
 // RemoveBatch removes by many patterns with one version fork per touched
@@ -487,32 +354,54 @@ func (sr *ShardedRelation) RemoveBatch(pats []relation.Tuple) (int, error) {
 		return 0, nil
 	}
 	groups := sr.ro.group(pats)
-	counts := make([]int, len(sr.shards))
-	err := sr.fanOut(func(i int, sh *relShard) error {
-		if len(groups[i]) == 0 {
-			return nil
+	return sr.fanOutSum(func(i int, sh *cell) (int, error) { return sh.removeBatch(groups[i]) })
+}
+
+// ApplyCommit replays one logical delta by routing the removed and
+// inserted tuples to their shards and replaying each shard's piece as its
+// own atomic version, removals before insertions. Deltas produced by the
+// durable write path route whole to one shard whenever this engine shares
+// the writer's shard key (mutations preserve key columns); under a
+// different key or count a delta may split, in which case readers get the
+// sharded tier's documented per-shard snapshot consistency. A replication
+// follower uses it to keep a replica whose layout differs from the
+// publisher's.
+func (sr *ShardedRelation) ApplyCommit(c wal.Commit) error {
+	pieces := make(map[int]*wal.Commit)
+	at := func(t relation.Tuple) (*wal.Commit, error) {
+		i, err := sr.ro.mustRoute(t)
+		if err != nil {
+			return nil, err
 		}
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
-		next := sh.cur.Load().beginVersion()
-		n := 0
-		for _, pat := range groups[i] {
-			removed, err := next.remove(pat)
-			if err != nil {
-				sh.publish(next, false, err)
+		p := pieces[i]
+		if p == nil {
+			p = &wal.Commit{Seq: c.Seq}
+			pieces[i] = p
+		}
+		return p, nil
+	}
+	for _, t := range c.Removed {
+		p, err := at(t)
+		if err != nil {
+			return err
+		}
+		p.Removed = append(p.Removed, t)
+	}
+	for _, t := range c.Inserted {
+		p, err := at(t)
+		if err != nil {
+			return err
+		}
+		p.Inserted = append(p.Inserted, t)
+	}
+	for i := range sr.shards {
+		if p := pieces[i]; p != nil {
+			if err := sr.shards[i].applyCommit(*p); err != nil {
 				return err
 			}
-			n += len(removed)
 		}
-		sh.publish(next, n > 0, nil)
-		counts[i] = n
-		return nil
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
 	}
-	return total, err
+	return nil
 }
 
 // Upsert atomically reads the tuple matching the routed pattern pat and
@@ -563,8 +452,7 @@ func (sr *ShardedRelation) Upsert(pat relation.Tuple, f func(cur relation.Tuple,
 	}
 	if !found {
 		changed, ierr := next.insert(pat.Merge(u))
-		sh.publish(next, changed, ierr)
-		return ierr
+		return sh.commit(next, changed, wal.Commit{}, ierr)
 	}
 	var n int
 	if sr.keyed {
@@ -572,8 +460,7 @@ func (sr *ShardedRelation) Upsert(pat relation.Tuple, f func(cur relation.Tuple,
 	} else {
 		n, err = next.Update(pat, u)
 	}
-	sh.publish(next, n > 0, err)
-	return err
+	return sh.commit(next, n > 0, wal.Commit{}, err)
 }
 
 // Exclusive runs f on a private fork of the shard owning pat's shard-key
@@ -599,9 +486,7 @@ func (sr *ShardedRelation) Exclusive(pat relation.Tuple, f func(*Relation) error
 		defer containRead("exclusive", &ferr)
 		return f(next)
 	}
-	ferr := run()
-	sh.publish(next, ferr == nil, ferr)
-	return ferr
+	return sh.commit(next, true, wal.Commit{}, run())
 }
 
 // Len returns the total number of tuples across all shards, lock-free.
@@ -651,27 +536,13 @@ func (sr *ShardedRelation) All() ([]relation.Tuple, error) {
 	return sr.Query(relation.NewTuple(), sr.spec.Cols().Names())
 }
 
-// Poisoned reports whether any shard's published version has degraded to
-// read-only. Failed mutations on the MVCC tiers drop their unpublished
-// forks instead of rolling back in place, so poisoning is unreachable
-// through this tier's own operations; the method remains for interface
-// compatibility with the single-threaded tier.
-func (sr *ShardedRelation) Poisoned() bool {
-	for i := range sr.shards {
-		if sr.shards[i].cur.Load().Poisoned() {
-			return true
-		}
-	}
-	return false
-}
-
 // fanOut runs f once per shard on the bounded worker pool and returns the
 // lowest-indexed error. With a single worker it degenerates to an inline
 // sequential loop — no goroutines, no channel traffic. Each shard's work is
 // wrapped in panic containment inside the worker itself: a panic in a
 // goroutine cannot be recovered by the caller, so without this a single
 // crashing shard would kill the process and strand its peers' locks.
-func (sr *ShardedRelation) fanOut(f func(int, *relShard) error) error {
+func (sr *ShardedRelation) fanOut(f func(int, *cell) error) error {
 	if m := sr.metrics; m != nil {
 		m.FanOuts.Add(1)
 		start := time.Now()
@@ -710,6 +581,21 @@ func (sr *ShardedRelation) fanOut(f func(int, *relShard) error) error {
 		}
 	}
 	return nil
+}
+
+// fanOutSum is fanOut for counting write bodies: it returns the total over
+// the shards that succeeded alongside the lowest-indexed error.
+func (sr *ShardedRelation) fanOutSum(f func(int, *cell) (int, error)) (int, error) {
+	counts := make([]int, len(sr.shards))
+	err := sr.fanOut(func(i int, sh *cell) (err error) {
+		counts[i], err = f(i, sh)
+		return err
+	})
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	return total, err
 }
 
 // queryPoint is Relation.Query specialized to superkey patterns: at most

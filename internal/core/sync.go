@@ -1,115 +1,60 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 // SyncRelation makes a synthesized relation safe to share between
-// goroutines with lock-free reads: the current state is an immutable
-// *Relation version published through an atomic pointer. Queries load the
-// pointer and run against that snapshot without ever taking a lock, so a
-// reader never blocks behind a writer (and never blocks a writer). Writers
-// serialize among themselves on a plain mutex, fork the next version
-// copy-on-write (beginVersion — only the nodes a mutation touches are
-// cloned, the rest of the graph is shared), and publish it atomically on
-// success or drop it on failure. A dropped fork leaves the published
-// version bit-for-bit intact, so the undo-log/poison machinery of the
-// single-threaded tier is never needed here; superseded versions are
-// reclaimed by the garbage collector once the last reader lets go.
+// goroutines with lock-free reads: it is one MVCC cell (see cell). Queries
+// load the published version and run against that snapshot without ever
+// taking a lock, so a reader never blocks behind a writer (and never
+// blocks a writer); writers serialize among themselves, fork the next
+// version copy-on-write, and publish it atomically on success or drop it
+// on failure.
 //
 // Reads are snapshot-isolated, not linearizable with respect to in-flight
 // writers: a query sees the latest version published before its load, and
 // two tuples returned by one query always come from the same version.
 type SyncRelation struct {
-	wmu sync.Mutex               // serializes writers; readers never touch it
-	cur atomic.Pointer[Relation] // the published immutable version
+	cell
 }
 
 // NewSync wraps a relation. The caller must not use the wrapped relation
 // directly afterwards: it becomes the published version 0 and must no
 // longer be mutated.
-//
-//relvet:role=publish
 func NewSync(r *Relation) *SyncRelation {
 	s := &SyncRelation{}
-	s.cur.Store(r)
+	s.init(r)
 	return s
 }
 
-// snapshot loads the published version for one read operation, counting
-// the acquisition.
-func (s *SyncRelation) snapshot() *Relation {
-	r := s.cur.Load()
-	if r.metrics != nil {
-		r.metrics.SnapReads.Add(1)
-	}
-	return r
-}
+// NumCells is 1: a SyncRelation is its own cell 0.
+func (s *SyncRelation) NumCells() int { return 1 }
 
-// publish finishes one write operation on the fork next: a successful
-// mutation that changed the relation is published for subsequent readers;
-// a failed one is dropped, leaving the previous version current (this is
-// the whole rollback story on this tier); a no-op neither publishes nor
-// drops. Called with wmu held.
-//
-//relvet:role=publish
-func (s *SyncRelation) publish(next *Relation, changed bool, err error) {
-	m := next.metrics
-	switch {
-	case err != nil:
-		if m != nil {
-			m.SnapDrops.Add(1)
-		}
-	case changed:
-		s.cur.Store(next)
-		if m != nil {
-			m.SnapPublishes.Add(1)
-		}
-	}
-}
+func (s *SyncRelation) cellAt(int) *cell { return &s.cell }
+
+// Spec returns the relational specification.
+func (s *SyncRelation) Spec() *Spec { return s.cur.Load().spec }
 
 // Insert implements insert r t: fork, mutate copy-on-write, publish.
-func (s *SyncRelation) Insert(t relation.Tuple) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	next := s.cur.Load().beginVersion()
-	changed, err := next.insert(t)
-	s.publish(next, changed, err)
-	return err
-}
+func (s *SyncRelation) Insert(t relation.Tuple) error { return s.insert(t) }
+
+// InsertBatch inserts many tuples as one atomic version.
+func (s *SyncRelation) InsertBatch(ts []relation.Tuple) error { return s.insertBatch(ts) }
 
 // Remove implements remove r s. On error the fork is dropped and the
 // published version is unchanged, so the reported count is 0.
-func (s *SyncRelation) Remove(pat relation.Tuple) (int, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	next := s.cur.Load().beginVersion()
-	removed, err := next.remove(pat)
-	s.publish(next, len(removed) > 0, err)
-	if err != nil {
-		return 0, err
-	}
-	return len(removed), nil
-}
+func (s *SyncRelation) Remove(pat relation.Tuple) (int, error) { return s.remove(pat) }
 
 // Update implements the keyed dupdate; like Remove, a failed update drops
 // the fork and reports 0.
-func (s *SyncRelation) Update(pat, u relation.Tuple) (int, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	next := s.cur.Load().beginVersion()
-	n, err := next.Update(pat, u)
-	s.publish(next, n > 0, err)
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
+func (s *SyncRelation) Update(pat, u relation.Tuple) (int, error) { return s.update(pat, u, false) }
+
+// ApplyCommit replays one logical delta as one atomic version.
+func (s *SyncRelation) ApplyCommit(c wal.Commit) error { return s.applyCommit(c) }
 
 // Query implements query r s C against the current published snapshot,
 // lock-free.
@@ -137,6 +82,12 @@ func (s *SyncRelation) QueryFunc(pat relation.Tuple, out []string, f func(relati
 func (s *SyncRelation) QueryRange(pat relation.Tuple, col string, lo, hi *value.Value, out []string) ([]relation.Tuple, error) {
 	return s.snapshot().QueryRange(pat, col, lo, hi, out)
 }
+
+// All returns every tuple of the current published snapshot, in
+// deterministic order.
+//
+//relvet:role=read
+func (s *SyncRelation) All() ([]relation.Tuple, error) { return s.snapshot().All() }
 
 // Len returns the number of tuples in the current published snapshot.
 //
@@ -170,34 +121,26 @@ func (s *SyncRelation) CheckInvariants() error {
 	return s.cur.Load().CheckInvariants()
 }
 
-// SetMetrics attaches a metrics sink to the relation. Like the other
-// configuration knobs, attach before the engine is shared; future forks
-// inherit the sink.
-func (s *SyncRelation) SetMetrics(m *obs.Metrics) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.cur.Load().SetMetrics(m)
+// ExplainQuery reports the published snapshot's explanation. It carries
+// the snapshot's version number; a later explanation with a higher version
+// ran against a state some write has replaced since.
+//
+//relvet:role=read
+func (s *SyncRelation) ExplainQuery(input, output []string) (*QueryExplain, error) {
+	return s.explain(input, output)
 }
 
-// SetTracer attaches a span-event tracer to the relation. Attach before
-// the engine is shared; the tracer receives events from concurrent readers
-// and must be safe for concurrent use.
+// SetMetrics attaches a metrics sink to the relation.
+func (s *SyncRelation) SetMetrics(m *obs.Metrics) {
+	s.config(func(r *Relation) { r.SetMetrics(m) })
+}
+
+// SetTracer attaches a span-event tracer to the relation.
 func (s *SyncRelation) SetTracer(t obs.Tracer) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.cur.Load().SetTracer(t)
+	s.config(func(r *Relation) { r.SetTracer(t) })
 }
 
 // Metrics returns the attached metrics sink, or nil.
 func (s *SyncRelation) Metrics() *obs.Metrics {
 	return s.cur.Load().Metrics()
-}
-
-// Poisoned reports whether the published version has degraded to
-// read-only. On this tier a failed mutation drops its unpublished fork
-// instead of rolling back in place, so the poisoned state is unreachable
-// through this tier's own operations; the method remains for interface
-// compatibility with the other tiers.
-func (s *SyncRelation) Poisoned() bool {
-	return s.cur.Load().Poisoned()
 }

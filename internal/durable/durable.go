@@ -16,7 +16,7 @@
 // any), scans its log — discarding a torn tail, failing loudly on
 // mid-log corruption — and replays the records the snapshot does not
 // cover through the engine's normal copy-on-write publish path
-// (core.ReplaySnapshot / core.ReplayCommit). Replaying through the COW
+// (core.ReplayShardCommit, cell by cell). Replaying through the COW
 // path is a correctness property, not a convenience: a fault mid-replay
 // drops an unpublished fork, so a failed recovery leaves no torn or
 // poisoned state behind and Open can simply be retried.
@@ -39,7 +39,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/relation"
 	"repro/internal/wal"
 )
 
@@ -214,65 +213,60 @@ func Open(dir string, spec *core.Spec, d *decomp.Decomp, opts Options) (*core.Du
 		}
 	}
 
-	cfg := wal.Config{Policy: opts.Policy, Interval: opts.Interval, Metrics: opts.Metrics}
-	if opts.Shards > 0 {
-		return openSharded(dir, spec, d, opts, cfg)
+	eng, err := newEngine(spec, d, opts)
+	if err != nil {
+		return nil, err
 	}
-	return openSync(dir, spec, d, opts, cfg)
+	cfg := wal.Config{Policy: opts.Policy, Interval: opts.Interval, Metrics: opts.Metrics}
+	logs := make([]*wal.Log, eng.NumCells())
+	for i := range logs {
+		// One directory per cell: dir itself for the sync tier's single
+		// cell, dir/shard-NNN per shard.
+		cellDir := dir
+		if opts.Shards > 0 {
+			cellDir = filepath.Join(dir, core.ShardDirName(i))
+		}
+		err := os.MkdirAll(cellDir, 0o755)
+		if err == nil {
+			logs[i], err = recoverCell(cellDir, cfg, opts.Metrics,
+				func(c wal.Commit) error { return core.ReplayShardCommit(eng, i, c) })
+		}
+		if err != nil {
+			closeLogs(logs[:i])
+			if opts.Shards > 0 {
+				err = fmt.Errorf("shard %d: %w", i, err)
+			}
+			return nil, err
+		}
+	}
+	if opts.Metrics != nil {
+		eng.SetMetrics(opts.Metrics)
+	}
+	return core.NewDurable(eng, logs)
 }
 
-func openSync(dir string, spec *core.Spec, d *decomp.Decomp, opts Options, cfg wal.Config) (*core.DurableRelation, error) {
+// newEngine builds the empty MVCC engine recovery replays into: sharded
+// when Options.Shards asks for it, a single cell otherwise.
+func newEngine(spec *core.Spec, d *decomp.Decomp, opts Options) (core.Engine, error) {
+	if opts.Shards > 0 {
+		sr, err := core.NewSharded(spec, d, core.ShardOptions{
+			ShardKey:    opts.ShardKey,
+			Shards:      opts.Shards,
+			Workers:     opts.Workers,
+			AllowNonKey: opts.AllowNonKey,
+		})
+		if err != nil {
+			return nil, err
+		}
+		sr.SetCheckFDs(opts.CheckFDs)
+		return sr, nil
+	}
 	r, err := core.New(spec, d)
 	if err != nil {
 		return nil, err
 	}
 	r.CheckFDs = opts.CheckFDs
-	s := core.NewSync(r)
-	log, err := recoverCell(dir, cfg, opts.Metrics,
-		func(ts []relation.Tuple) error { return core.ReplaySnapshot(s, ts) },
-		func(c wal.Commit) error { return core.ReplayCommit(s, c) })
-	if err != nil {
-		return nil, err
-	}
-	if opts.Metrics != nil {
-		s.SetMetrics(opts.Metrics)
-	}
-	return core.NewDurableSync(s, log), nil
-}
-
-func openSharded(dir string, spec *core.Spec, d *decomp.Decomp, opts Options, cfg wal.Config) (*core.DurableRelation, error) {
-	sr, err := core.NewSharded(spec, d, core.ShardOptions{
-		ShardKey:    opts.ShardKey,
-		Shards:      opts.Shards,
-		Workers:     opts.Workers,
-		AllowNonKey: opts.AllowNonKey,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opts.CheckFDs {
-		sr.SetCheckFDs(true)
-	}
-	logs := make([]*wal.Log, opts.Shards)
-	for i := range logs {
-		cellDir := filepath.Join(dir, core.ShardDirName(i))
-		if err := os.MkdirAll(cellDir, 0o755); err != nil {
-			closeLogs(logs[:i])
-			return nil, err
-		}
-		shard := i
-		logs[i], err = recoverCell(cellDir, cfg, opts.Metrics,
-			func(ts []relation.Tuple) error { return core.ReplayShardSnapshot(sr, shard, ts) },
-			func(c wal.Commit) error { return core.ReplayShardCommit(sr, shard, c) })
-		if err != nil {
-			closeLogs(logs[:i])
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	if opts.Metrics != nil {
-		sr.SetMetrics(opts.Metrics)
-	}
-	return core.NewDurableSharded(sr, logs)
+	return core.NewSync(r), nil
 }
 
 func closeLogs(logs []*wal.Log) {
@@ -284,12 +278,11 @@ func closeLogs(logs []*wal.Log) {
 }
 
 // recoverCell rebuilds one cell: pick the highest valid snapshot, scan
-// the log, replay snapshot then uncovered records through the supplied
-// COW-path appliers, and reopen the log for appending. Returns the open
-// log; any error leaves nothing to clean up (the log is the last thing
-// opened).
-func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics,
-	applySnap func([]relation.Tuple) error, applyCommit func(wal.Commit) error) (*wal.Log, error) {
+// the log, replay the snapshot (as the delta that inserts its tuples) then
+// the uncovered records through the supplied COW-path applier, and reopen
+// the log for appending. Returns the open log; any error leaves nothing to
+// clean up (the log is the last thing opened).
+func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(wal.Commit) error) (*wal.Log, error) {
 	fi := faultinject.Active()
 	logPath := filepath.Join(cellDir, logName)
 
@@ -328,7 +321,7 @@ func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics,
 				return nil, err
 			}
 		}
-		if err := applySnap(ts); err != nil {
+		if err := apply(wal.Commit{Seq: seq, Inserted: ts}); err != nil {
 			return nil, err
 		}
 	}
@@ -344,7 +337,7 @@ func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics,
 					return nil, err
 				}
 			}
-			if err := applyCommit(c); err != nil {
+			if err := apply(c); err != nil {
 				return nil, err
 			}
 			replayed++

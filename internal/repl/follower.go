@@ -52,14 +52,6 @@ type FollowerOptions struct {
 	Backoff time.Duration
 }
 
-// followerEngine is the replica's engine — exactly one of the two tiers.
-// The whole struct swaps atomically when a snapshot bootstrap completes,
-// so readers always see either the old consistent state or the new one.
-type followerEngine struct {
-	sync *core.SyncRelation
-	shr  *core.ShardedRelation
-}
-
 // Follower maintains a read-only replica of a published relation. It
 // subscribes through its Dialer, bootstraps from a snapshot when it has
 // no usable prefix, applies commit records one atomic version at a time
@@ -76,7 +68,11 @@ type Follower struct {
 	fi   *faultinject.Plane
 	cols []string
 
-	engine   atomic.Pointer[followerEngine]
+	// engine is the replica: a SyncRelation or ShardedRelation behind the
+	// one Engine interface. The pointer swaps atomically when a snapshot
+	// bootstrap completes, so readers always see either the old consistent
+	// state or the new one.
+	engine   atomic.Pointer[core.Engine]
 	applied  atomic.Uint64 // records[1..applied] are visible to readers
 	headSeen atomic.Uint64 // newest publisher head any session reported
 
@@ -110,12 +106,13 @@ func NewFollower(spec *core.Spec, dial Dialer, opts FollowerOptions) (*Follower,
 	if err != nil {
 		return nil, err
 	}
-	f.engine.Store(e)
+	f.setEngine(e)
 	go f.run()
 	return f, nil
 }
 
-func (f *Follower) newEngine() (*followerEngine, error) {
+func (f *Follower) newEngine() (core.Engine, error) {
+	var e core.Engine
 	if len(f.opts.ShardKey) > 0 {
 		sr, err := core.NewSharded(f.spec, f.opts.Decomp, core.ShardOptions{
 			ShardKey:    f.opts.ShardKey,
@@ -126,16 +123,16 @@ func (f *Follower) newEngine() (*followerEngine, error) {
 		if err != nil {
 			return nil, err
 		}
-		sr.SetMetrics(f.met)
-		return &followerEngine{shr: sr}, nil
+		e = sr
+	} else {
+		r, err := core.New(f.spec, f.opts.Decomp)
+		if err != nil {
+			return nil, err
+		}
+		e = core.NewSync(r)
 	}
-	r, err := core.New(f.spec, f.opts.Decomp)
-	if err != nil {
-		return nil, err
-	}
-	s := core.NewSync(r)
-	s.SetMetrics(f.met)
-	return &followerEngine{sync: s}, nil
+	e.SetMetrics(f.met)
+	return e, nil
 }
 
 // errStopped tells run that attempt saw the closed flag and the loop
@@ -245,7 +242,7 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 	// Snapshot bootstrap state: the pending engine fills chunk by chunk,
 	// invisible to readers until snapEnd publishes it with one pointer
 	// swap. A session death mid-snapshot just discards it.
-	var pending *followerEngine
+	var pending core.Engine
 	var pendingSeq uint64
 
 	for {
@@ -278,7 +275,7 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 			if err != nil {
 				return err
 			}
-			if err := f.applySnapshot(pending, ts); err != nil {
+			if err := pending.ApplyCommit(wal.Commit{Seq: pendingSeq, Inserted: ts}); err != nil {
 				return err
 			}
 
@@ -295,13 +292,13 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 					return err
 				}
 			}
-			f.engine.Store(pending)
+			f.setEngine(pending)
 			f.applied.Store(pendingSeq)
 			f.bumpHead(pendingSeq)
 			pending = nil
 			if f.met != nil {
 				f.met.ReplSnapshots.Add(1)
-				f.met.ReplLag.Store(f.headSeen.Load() - f.applied.Load())
+				f.met.ReplLag.Store(f.Lag())
 			}
 
 		case msgCommit:
@@ -325,7 +322,7 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 					return err
 				}
 			}
-			if err := f.applyCommit(f.engine.Load(), c); err != nil {
+			if err := f.eng().ApplyCommit(c); err != nil {
 				return err
 			}
 			f.applied.Store(c.Seq)
@@ -333,7 +330,7 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 			f.bumpHead(head)
 			if f.met != nil {
 				f.met.ReplRecords.Add(1)
-				f.met.ReplLag.Store(f.headSeen.Load() - f.applied.Load())
+				f.met.ReplLag.Store(f.Lag())
 			}
 
 		default:
@@ -342,19 +339,12 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 	}
 }
 
-func (f *Follower) applySnapshot(e *followerEngine, ts []relation.Tuple) error {
-	if e.sync != nil {
-		return core.ReplaySnapshot(e.sync, ts)
-	}
-	return core.ReplayShardedSnapshot(e.shr, ts)
-}
+// eng returns the engine readers and the apply loop currently see.
+func (f *Follower) eng() core.Engine { return *f.engine.Load() }
 
-func (f *Follower) applyCommit(e *followerEngine, c wal.Commit) error {
-	if e.sync != nil {
-		return core.ReplayCommit(e.sync, c)
-	}
-	return core.ReplayShardedCommit(e.shr, c)
-}
+// setEngine publishes e to readers (the parameter is a fresh variable, so
+// the stored pointer is never written through again).
+func (f *Follower) setEngine(e core.Engine) { f.engine.Store(&e) }
 
 // bumpHead ratchets headSeen up to seq. headSeen only feeds the lag
 // gauge, so the monotonic maximum across sessions is the right value.
@@ -396,7 +386,22 @@ func (f *Follower) Applied() uint64 { return f.applied.Load() }
 // newest publisher head it has heard of. Zero means caught up as of the
 // last frame; during a partition the number is a lower bound, since the
 // publisher may be acknowledging records the follower cannot hear about.
-func (f *Follower) Lag() uint64 { return f.headSeen.Load() - f.applied.Load() }
+func (f *Follower) Lag() uint64 {
+	// applied first: headSeen only grows, so the later load can only
+	// overstate the lag, never understate it.
+	applied := f.applied.Load()
+	return lagOf(applied, f.headSeen.Load())
+}
+
+// lagOf is headSeen − applied, saturating at zero: the session stores
+// applied before it ratchets headSeen, so a concurrent reader can catch
+// applied one record ahead.
+func lagOf(applied, headSeen uint64) uint64 {
+	if headSeen < applied {
+		return 0
+	}
+	return headSeen - applied
+}
 
 // WaitFor blocks until the replica has applied at least seq, the timeout
 // expires, or the follower closes.
@@ -424,49 +429,19 @@ func (f *Follower) WaitFor(seq uint64, timeout time.Duration) error {
 // serves, against the follower's own decomposition.
 
 func (f *Follower) Query(pat relation.Tuple, out []string) ([]relation.Tuple, error) {
-	if e := f.engine.Load(); e.sync != nil {
-		return e.sync.Query(pat, out)
-	} else {
-		return e.shr.Query(pat, out)
-	}
+	return f.eng().Query(pat, out)
 }
 
 func (f *Follower) QueryFunc(pat relation.Tuple, out []string, fn func(relation.Tuple) bool) error {
-	if e := f.engine.Load(); e.sync != nil {
-		return e.sync.QueryFunc(pat, out, fn)
-	} else {
-		return e.shr.QueryFunc(pat, out, fn)
-	}
+	return f.eng().QueryFunc(pat, out, fn)
 }
 
 func (f *Follower) QueryRange(pat relation.Tuple, col string, lo, hi *value.Value, out []string) ([]relation.Tuple, error) {
-	if e := f.engine.Load(); e.sync != nil {
-		return e.sync.QueryRange(pat, col, lo, hi, out)
-	} else {
-		return e.shr.QueryRange(pat, col, lo, hi, out)
-	}
+	return f.eng().QueryRange(pat, col, lo, hi, out)
 }
 
-func (f *Follower) Len() int {
-	if e := f.engine.Load(); e.sync != nil {
-		return e.sync.Len()
-	} else {
-		return e.shr.Len()
-	}
-}
+func (f *Follower) Len() int { return f.eng().Len() }
 
-func (f *Follower) All() ([]relation.Tuple, error) {
-	if e := f.engine.Load(); e.sync != nil {
-		return e.sync.Snapshot().All()
-	} else {
-		return e.shr.All()
-	}
-}
+func (f *Follower) All() ([]relation.Tuple, error) { return f.eng().All() }
 
-func (f *Follower) CheckInvariants() error {
-	if e := f.engine.Load(); e.sync != nil {
-		return e.sync.CheckInvariants()
-	} else {
-		return e.shr.CheckInvariants()
-	}
-}
+func (f *Follower) CheckInvariants() error { return f.eng().CheckInvariants() }

@@ -181,6 +181,54 @@ func TestTailStream(t *testing.T) {
 	}
 }
 
+// TestLagSaturates pins the lag arithmetic: a reader racing the apply loop
+// can load applied one record ahead of headSeen, which must read as "caught
+// up", not as 2⁶⁴−1 — on the helper directly, and on Lag() and the repl.lag
+// gauge polled throughout a live stream (under -race in ci-race).
+func TestLagSaturates(t *testing.T) {
+	for _, c := range []struct{ applied, headSeen, want uint64 }{
+		{applied: 6, headSeen: 5, want: 0},
+		{applied: 5, headSeen: 5, want: 0},
+		{applied: 2, headSeen: 5, want: 3},
+	} {
+		if got := lagOf(c.applied, c.headSeen); got != c.want {
+			t.Errorf("lagOf(applied %d, head %d) = %d, want %d", c.applied, c.headSeen, got, c.want)
+		}
+	}
+
+	d := openPrimary(t, 0)
+	p := newTestPublisher(t, d, PublisherOptions{})
+	fm := &obs.Metrics{}
+	f := newTestFollower(t, schedSpec(), InProcDialer(p), FollowerOptions{Metrics: fm})
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			lag, gauge := f.Lag(), fm.ReplLag.Load()
+			if head := p.Head(); lag > head || gauge > head {
+				t.Errorf("Lag() = %d, repl.lag = %d with publisher head %d", lag, gauge, head)
+				return
+			}
+		}
+	}()
+	for i := int64(0); i < 2000; i++ {
+		if err := d.Insert(paperex.SchedulerTuple(1, i, paperex.StateS, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.WaitFor(p.Head(), waitTimeout); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-polled
+}
+
 // cutDialer wraps a dialer and remembers the live connection so a test
 // can sever it, simulating a network partition.
 type cutDialer struct {

@@ -339,8 +339,7 @@ func runWalOrder(pass *analysis.Pass) {
 				continue
 			}
 			// A changed=false publish is a drop: it cannot store the fork,
-			// so logging order is moot (the pre-append error paths of
-			// insertCell use exactly this shape).
+			// so logging order is moot.
 			if !pv.direct && isFalseLiteral(pv.changed) {
 				continue
 			}

@@ -18,11 +18,14 @@ func trigger(dir string, spec *core.Spec, dc *decomp.Decomp, tup relation.Tuple)
 }
 
 func triggerWrapped(s *core.SyncRelation, l *wal.Log, a, b relation.Tuple) error {
-	d := core.NewDurableSync(s, l) // want relvet107
+	d, err := core.NewDurable(s, []*wal.Log{l}) // want relvet107
+	if err != nil {
+		return err
+	}
 	if err := d.Insert(a); err != nil {
 		return err
 	}
-	_, err := d.Remove(b)
+	_, err = d.Remove(b)
 	return err
 }
 
@@ -48,7 +51,10 @@ func nearMissDeferredClose(dir string, spec *core.Spec, dc *decomp.Decomp, tup r
 }
 
 func nearMissSync(s *core.SyncRelation, l *wal.Log, tup relation.Tuple) error {
-	d := core.NewDurableSync(s, l)
+	d, err := core.NewDurable(s, []*wal.Log{l})
+	if err != nil {
+		return err
+	}
 	if err := d.Insert(tup); err != nil {
 		return err
 	}

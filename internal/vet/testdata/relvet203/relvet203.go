@@ -15,7 +15,7 @@ func fork(cur *atomic.Pointer[core.Relation]) *core.Relation {
 	return &c
 }
 
-// publish mirrors the engine's publishCell: install only a changed,
+// publish is a stand-alone publish point: install only a changed,
 // error-free fork; otherwise drop it.
 //
 //relvet:role=publish
@@ -60,9 +60,9 @@ func triggerDiscard(cur *atomic.Pointer[core.Relation], log *wal.Log, rec wal.Co
 	return publish(cur, next, true, nil)
 }
 
-// nearMissEngineShape is the exact durable-tier cell shape: append, and
-// on failure publish with changed=false — the sanctioned drop.
-func nearMissEngineShape(cur *atomic.Pointer[core.Relation], log *wal.Log, rec wal.Commit) error {
+// nearMissDropOnError appends, and on failure publishes with
+// changed=false — the sanctioned drop.
+func nearMissDropOnError(cur *atomic.Pointer[core.Relation], log *wal.Log, rec wal.Commit) error {
 	next := fork(cur)
 	if werr := log.Append(rec); werr != nil {
 		return publish(cur, next, false, werr)
@@ -86,4 +86,35 @@ func nearMissSplitAssign(cur *atomic.Pointer[core.Relation], log *wal.Log, rec w
 func nearMissReplay(cur *atomic.Pointer[core.Relation]) error {
 	next := fork(cur)
 	return publish(cur, next, true, nil)
+}
+
+// nearMissEngineShape is the engine's cell.commit: one publish point that
+// holds both the append and the store, the append error deciding between
+// them.
+//
+//relvet:role=publish
+func nearMissEngineShape(cur *atomic.Pointer[core.Relation], log *wal.Log, next *core.Relation, changed bool, rec wal.Commit, err error) error {
+	if err == nil && changed && log != nil {
+		err = log.Append(rec)
+	}
+	switch {
+	case err != nil:
+	case changed:
+		cur.Store(next)
+	}
+	return err
+}
+
+// triggerEngineShapeHoisted is the same publish point with the store moved
+// ahead of the append.
+//
+//relvet:role=publish
+func triggerEngineShapeHoisted(cur *atomic.Pointer[core.Relation], log *wal.Log, next *core.Relation, changed bool, rec wal.Commit, err error) error {
+	if err == nil && changed {
+		cur.Store(next) // want relvet203
+	}
+	if err == nil && changed && log != nil {
+		err = log.Append(rec)
+	}
+	return err
 }

@@ -429,7 +429,7 @@ func pinnedAcrossMutation(pass *analysis.Pass, body *ast.BlockStmt,
 
 // UnsyncedDurable (relvet107) flags a durable relation that a function
 // opens (binds from any call returning *core.DurableRelation — typically
-// durable.Open or core.NewDurableSync/NewDurableSharded), mutates, and
+// durable.Open or core.NewDurable), mutates, and
 // then abandons: no Close, Sync, or Checkpoint on the handle anywhere in
 // the function, including deferred calls and closures. Handles that
 // escape — returned, passed to another function, stored — are the
