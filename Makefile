@@ -7,7 +7,7 @@ BENCH ?= .
 COUNT ?= 6
 FAULTSEEDS ?= 8
 
-.PHONY: ci ci-race vet build test race bench bench-sharded bench-compiled bench-obs bench-vec bench-mvcc bench-wal bench-repl bench-smoke bench-build test-vec fmt-check faultinject fuzz fuzz-smoke lint lint-engine
+.PHONY: ci ci-race vet build test race bench bench-sharded bench-compiled bench-obs bench-vec bench-mvcc bench-wal bench-repl bench-smoke bench-build bench-pairs test-vec fmt-check faultinject fuzz fuzz-smoke lint lint-engine
 
 ci: vet build race test-vec faultinject lint lint-engine fuzz-smoke bench-smoke bench-build
 
@@ -47,7 +47,7 @@ ci-race: vet build race
 	$(GO) test -race -count 2 -run 'Differential|Vectorized' ./internal/plan ./internal/core
 	$(GO) test -race -count 2 -run 'Concurrent|Randomized' ./internal/faultinject/harness -faultseeds $(FAULTSEEDS)
 	$(GO) test -race -count 1 -run 'ExhaustiveWALSharded|WALRecovery' ./internal/faultinject/harness
-	$(GO) test -race -count 1 -run 'PartitionPrefix|ReplResubscribe' ./internal/repl ./internal/faultinject/harness
+	$(GO) test -race -count 1 -run 'PartitionPrefix|ReplResubscribe|SnapshotCutIsExact|CloseRacesPin' ./internal/repl ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'EngineCorpus|EngineCleanOnModule' ./internal/vet
 
 # The vectorized-tier gate: the randomized corpus differential (every plan
@@ -130,6 +130,35 @@ bench-smoke:
 bench-build:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -count 1 -run 'TestSmoke|TestModelIsTheOracle' ./...
+
+# Paired runs of one workload of the repo's benchmark, BASE against this
+# checkout, the way a performance claim has to be measured (choosing-metrics
+# section 8): `make bench-pairs BASE=<rev> W=<workload> N=10` exports BASE
+# into the git-ignored bench/out/ (git archive: a plain directory, no
+# worktree to prune), runs `bench/run.sh --workload W --seed i --seconds 28
+# --trace 0` on both sides for i = 1..N, alternating which side goes first,
+# merges each side's result files (jq) and prints `bench compare old new`.
+# About a minute per pair; run it for every workload the change's code runs
+# in, and again if a cell comes back unresolved.
+BASE ?= HEAD~1
+W ?= flows-commit
+N ?= 10
+bench-pairs:
+	@set -e; rev=$$(git rev-parse --short $(BASE)); base=bench/out/base-$$rev; \
+	if [ ! -d $$base ]; then mkdir -p $$base; git archive $(BASE) | tar -x -C $$base; fi; \
+	out=$$PWD/bench/out/pairs; mkdir -p $$out; rm -f $$out/$(W)-old-*.json $$out/$(W)-new-*.json; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="old new"; else order="new old"; fi; \
+		for side in $$order; do \
+			if [ $$side = old ]; then run=$$base/bench/run.sh; else run=bench/run.sh; fi; \
+			echo "pair $$i/$(N): $$side" >&2; \
+			bash $$run --workload $(W) --seed $$i --seconds 28 --trace 0 -o $$out/$(W)-$$side-$$i.json >/dev/null; \
+		done; \
+	done; \
+	for side in old new; do \
+		jq -s '{env: .[0].env, runs: (map(.runs) | add)}' $$out/$(W)-$$side-*.json > $$out/$(W)-$$side.json; \
+	done; \
+	cd bench && ./out/bench compare out/pairs/$(W)-old.json out/pairs/$(W)-new.json
 
 # Observability-plane overhead: each BenchmarkObs* runs its hot loop with
 # metrics off and on; compare with `benchstat -col /metrics BENCH_obs.json`

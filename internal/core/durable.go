@@ -87,21 +87,58 @@ func NewDurable(eng Engine, logs []*wal.Log) (*DurableRelation, error) {
 type CommitSink func(c wal.Commit)
 
 // SetCommitSink installs (or with nil, removes) the acknowledged-delta
-// tap and returns a tuple snapshot consistent with the installation
-// point: every delta acknowledged before SetCommitSink returned is
-// reflected in the returned tuples, and every delta acknowledged after
-// it reaches the sink exactly once — no gap, no overlap. The cut is
-// exact because installation holds every cell's writer mutex, so no
-// writer is between its log append and its sink call while the snapshot
-// is read.
-func (d *DurableRelation) SetCommitSink(sink CommitSink) ([]relation.Tuple, error) {
+// tap. Installation holds every cell's writer mutex, so no writer is
+// between its log append and its sink call while the tap changes hands:
+// every delta acknowledged after SetCommitSink returns reaches the sink
+// exactly once, and none acknowledged before it does. Pin names the state
+// such a stream continues from. Installing a tap on a closed relation
+// fails with ErrClosed; removing one always succeeds.
+func (d *DurableRelation) SetCommitSink(sink CommitSink) error {
+	if sink != nil && d.closed.Load() {
+		return ErrClosed
+	}
+	d.fenced(func() {
+		for i := range d.NumCells() {
+			d.cellAt(i).sink = sink
+		}
+	})
+	return nil
+}
+
+// Pin returns every cell's published version as of one instant of the
+// acknowledged-delta stream, and runs at at that instant.
+// It holds every cell's writer mutex while it loads the versions and calls
+// at, and the sink runs under the mutating cell's mutex after the publish,
+// so no writer is between its publish and its sink call: the returned
+// versions hold exactly the deltas the sink had seen when at ran — no gap,
+// no overlap. The cost is one lock and one pointer load per cell; no tuple
+// is touched, and the versions are immutable, so the caller reads them
+// lock-free for as long as it likes while writers carry on. at runs with
+// the cell mutexes held: it must be brief and must not call back into the
+// relation.
+func (d *DurableRelation) Pin(at func()) ([]*Relation, error) {
+	if d.closed.Load() {
+		return nil, ErrClosed
+	}
+	versions := make([]*Relation, d.NumCells())
+	d.fenced(func() {
+		for i := range versions {
+			versions[i] = d.cellAt(i).cur.Load()
+		}
+		at()
+	})
+	return versions, nil
+}
+
+// fenced runs f with every cell's writer mutex held, taken in index order:
+// no write is in flight anywhere in the relation while f runs.
+func (d *DurableRelation) fenced(f func()) {
 	for i := range d.NumCells() {
 		c := d.cellAt(i)
 		c.wmu.Lock()
 		defer c.wmu.Unlock()
-		c.sink = sink
 	}
-	return d.All()
+	f()
 }
 
 // Spec returns the relational specification.

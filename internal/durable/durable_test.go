@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/durable"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/paperex"
 	"repro/internal/relation"
+	"repro/internal/systems/ipcap"
 	"repro/internal/wal"
 )
 
@@ -389,5 +391,55 @@ func TestWalCounters(t *testing.T) {
 	}
 	if s := snap.String(); !strings.Contains(s, "wal.appends") {
 		t.Errorf("metrics rendering lacks wal.appends:\n%s", s)
+	}
+}
+
+// TestCheckpointLargeTable: a checkpoint serializes α of the published
+// state, so it is only as usable as α is cheap. 50k flows in one cell —
+// the shape whose α used to copy the accumulated relation once per host —
+// must checkpoint, and recover from the checkpoint alone, in test time.
+func TestCheckpointLargeTable(t *testing.T) {
+	const hosts, perHost = 250, 200
+	dir := t.TempDir()
+	opts := durable.Options{Create: true, Policy: wal.SyncOff}
+	d, err := durable.Open(dir, ipcap.FlowSpec(), ipcap.DefaultFlowDecomp(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := make([]relation.Tuple, 0, hosts*perHost)
+	for local := int64(0); local < hosts; local++ {
+		for foreign := int64(0); foreign < perHost; foreign++ {
+			ts = append(ts, relation.NewTuple(
+				relation.BindInt("local", local), relation.BindInt("foreign", foreign),
+				relation.BindInt("packets", local), relation.BindInt("bytes", foreign)))
+		}
+	}
+	if err := d.InsertBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("checkpoint of %d flows took %v", len(ts), time.Since(start))
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := &obs.Metrics{}
+	d, err = durable.Open(dir, ipcap.FlowSpec(), ipcap.DefaultFlowDecomp(), durable.Options{Policy: wal.SyncOff, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := d.Len(); got != len(ts) {
+		t.Fatalf("recovered %d flows, want %d", got, len(ts))
+	}
+	if got := m.Snapshot().RecoveryReplays; got != 0 {
+		t.Fatalf("recovery replayed %d log records after a checkpoint of everything", got)
+	}
+	got, err := d.Query(ts[len(ts)-1].Project(relation.NewCols("local", "foreign")), []string{"packets", "bytes"})
+	if err != nil || len(got) != 1 || !got[0].Equal(ts[len(ts)-1].Project(relation.NewCols("bytes", "packets"))) {
+		t.Fatalf("last flow after recovery = %v, %v", got, err)
 	}
 }

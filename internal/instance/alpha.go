@@ -35,7 +35,7 @@ func (in *Instance) alphaPrim(p decomp.Primitive, n *Node, memo map[*Node]*relat
 		out := relation.Empty(p.Key.Union(in.dcmp.Var(p.Target).Cover))
 		n.MapAt(in, p).Range(func(k relation.Tuple, child *Node) bool {
 			sub := relation.Join(relation.Singleton(k), in.alphaNode(child, memo))
-			out = relation.Union(out, padTo(sub, out.Cols()))
+			out.UnionWith(padTo(sub, out.Cols()))
 			return true
 		})
 		return out

@@ -6,12 +6,19 @@ package relation
 
 // Union returns r ∪ o. Both relations must have identical columns.
 func Union(r, o *Relation) *Relation {
-	mustSameCols(r, o)
 	out := r.Clone()
-	for k, t := range o.tuples {
-		out.tuples[k] = t
-	}
+	out.UnionWith(o)
 	return out
+}
+
+// UnionWith is the in-place union r ← !r ∪ o, at a cost proportional to o
+// alone: the accumulator for a union of many parts, where folding with
+// Union would copy the growing left operand once per part.
+func (r *Relation) UnionWith(o *Relation) {
+	mustSameCols(r, o)
+	for k, t := range o.tuples {
+		r.tuples[k] = t
+	}
 }
 
 // Intersect returns r ∩ o.

@@ -81,6 +81,11 @@ type Follower struct {
 	lastErr error
 	closed  bool
 
+	// waitCh is non-nil while a WaitFor is parked; the next advance closes
+	// and clears it, so an apply with nobody waiting allocates nothing.
+	waitMu sync.Mutex
+	waitCh chan struct{}
+
 	stop chan struct{}
 	done chan struct{}
 }
@@ -293,7 +298,7 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 				}
 			}
 			f.setEngine(pending)
-			f.applied.Store(pendingSeq)
+			f.advance(pendingSeq)
 			f.bumpHead(pendingSeq)
 			pending = nil
 			if f.met != nil {
@@ -325,7 +330,7 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 			if err := f.eng().ApplyCommit(c); err != nil {
 				return err
 			}
-			f.applied.Store(c.Seq)
+			f.advance(c.Seq)
 			f.bumpHead(c.Seq)
 			f.bumpHead(head)
 			if f.met != nil {
@@ -345,6 +350,20 @@ func (f *Follower) eng() core.Engine { return *f.engine.Load() }
 // setEngine publishes e to readers (the parameter is a fresh variable, so
 // the stored pointer is never written through again).
 func (f *Follower) setEngine(e core.Engine) { f.engine.Store(&e) }
+
+// advance makes records[1..seq] the applied prefix and wakes every parked
+// WaitFor. The store comes before the lock and WaitFor checks applied
+// under the same lock before parking, so a waiter either sees the new
+// value or is parked on the channel closed here.
+func (f *Follower) advance(seq uint64) {
+	f.applied.Store(seq)
+	f.waitMu.Lock()
+	if f.waitCh != nil {
+		close(f.waitCh)
+		f.waitCh = nil
+	}
+	f.waitMu.Unlock()
+}
 
 // bumpHead ratchets headSeen up to seq. headSeen only feeds the lag
 // gauge, so the monotonic maximum across sessions is the right value.
@@ -404,24 +423,33 @@ func lagOf(applied, headSeen uint64) uint64 {
 }
 
 // WaitFor blocks until the replica has applied at least seq, the timeout
-// expires, or the follower closes.
+// expires, or the follower closes. It parks on a channel the apply loop
+// closes, so it returns as soon as the record it waits for is applied.
 func (f *Follower) WaitFor(seq uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for f.applied.Load() < seq {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		f.waitMu.Lock()
+		if f.applied.Load() >= seq {
+			f.waitMu.Unlock()
+			return nil
+		}
+		if f.waitCh == nil {
+			f.waitCh = make(chan struct{})
+		}
+		woken := f.waitCh
+		f.waitMu.Unlock()
 		select {
+		case <-woken:
 		case <-f.done:
 			if f.applied.Load() >= seq {
 				return nil
 			}
 			return ErrFollowerClosed
-		default:
-		}
-		if time.Now().After(deadline) {
+		case <-timer.C:
 			return fmt.Errorf("repl: timed out waiting for sequence %d (applied %d)", seq, f.applied.Load())
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
-	return nil
 }
 
 // Query, QueryFunc, QueryRange, Len, All and CheckInvariants are the

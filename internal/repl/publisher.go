@@ -41,27 +41,36 @@ type PublisherOptions struct {
 // Publisher ships a durable relation's acknowledged commit log to any
 // number of subscribed followers. It taps the relation's commit stream
 // (core.SetCommitSink), assigns each acknowledged delta one dense
-// replication sequence number, and retains a bounded history plus a
-// logical mirror of the current state, so every subscription can be
-// answered either by streaming retained records from the follower's
-// resume point or by a snapshot of the mirror taken at an exact sequence
-// number. All methods are safe for concurrent use.
+// replication sequence number, and retains a bounded history, so every
+// subscription can be answered either by streaming retained records from
+// the follower's resume point or by a snapshot of the relation's own
+// published versions pinned at an exact sequence number
+// (core.DurableRelation.Pin). It keeps no copy of the state: what it adds
+// to a commit is proportional to the delta, whatever the table holds. All
+// methods are safe for concurrent use.
+//
+// Lock order: cell writer mutexes, then mu. The sink runs with a cell
+// mutex held and takes mu; a pin takes every cell mutex and then mu.
+// Nothing takes a cell mutex while holding mu.
 type Publisher struct {
 	d    *core.DurableRelation
 	name string
 	cols []string
 	met  *obs.Metrics
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	mirror  *relation.Relation // state after records[1..head]
-	head    uint64             // sequence of the newest acknowledged record
-	base    uint64             // records holds sequences base+1 .. head
+	mu   sync.Mutex
+	cond *sync.Cond
+	head uint64 // sequence of the newest acknowledged record
+	base uint64 // the window holds sequences base+1 .. head
+	// records[lo:] is the retained window. Compaction advances lo one
+	// record per commit and slides the window back to the front of the
+	// slice once the dead prefix is as long as the window, so a commit
+	// costs O(1) amortised however large the window is.
 	records []wal.Commit
+	lo      int
 	retain  int
 	conns   map[io.Closer]struct{}
 	closed  bool
-	broken  error // mirror divergence: refuse new work loudly
 }
 
 // NewPublisher attaches a publisher to d. The returned publisher owns
@@ -80,68 +89,48 @@ func NewPublisher(d *core.DurableRelation, opts PublisherOptions) (*Publisher, e
 		name:   spec.Name,
 		cols:   specColumns(spec),
 		met:    opts.Metrics,
-		mirror: relation.Empty(spec.Cols()),
 		retain: opts.Retain,
 		conns:  make(map[io.Closer]struct{}),
+		// The attach state is sequence 1; base == head means no retained
+		// records, and resume == 1 is always <= base, forcing bootstrap.
+		head: 1,
+		base: 1,
 	}
 	if p.retain <= 0 {
 		p.retain = DefaultRetain
 	}
 	p.cond = sync.NewCond(&p.mu)
-	ts, err := d.SetCommitSink(p.onCommit)
-	if err != nil {
+	if err := d.SetCommitSink(p.onCommit); err != nil {
 		return nil, err
 	}
-	for _, t := range ts {
-		if ierr := p.mirror.Insert(t); ierr != nil {
-			d.SetCommitSink(nil)
-			return nil, fmt.Errorf("repl: attach snapshot: %w", ierr)
-		}
-	}
-	// The attach state is sequence 1; base == head means no retained
-	// records, and resume == 1 is always <= base, forcing bootstrap.
-	p.head, p.base = 1, 1
 	return p, nil
 }
 
 // onCommit is the core.CommitSink: it runs on the writer's critical path
 // with the mutating cell's writer mutex held, so per cell it observes
 // deltas in WAL order; the publisher mutex serializes cells into the one
-// replication stream.
+// replication stream. It stamps the sequence number, appends to the
+// retained window and wakes the sessions; it touches no stored tuple.
 func (p *Publisher) onCommit(c wal.Commit) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.broken != nil {
+	if p.closed {
 		return
-	}
-	for _, t := range c.Removed {
-		if n := p.mirror.Remove(t); n != 1 {
-			p.breakLocked(fmt.Errorf("repl: acknowledged delta removed %d tuples for %v, want 1", n, t))
-			return
-		}
-	}
-	for _, t := range c.Inserted {
-		if err := p.mirror.Insert(t); err != nil {
-			p.breakLocked(fmt.Errorf("repl: acknowledged delta re-inserts %v: %w", t, err))
-			return
-		}
 	}
 	p.head++
 	c.Seq = p.head
 	p.records = append(p.records, c)
-	if len(p.records) > p.retain {
-		drop := len(p.records) - p.retain
-		p.records = append(p.records[:0:0], p.records[drop:]...)
-		p.base += uint64(drop)
+	if len(p.records)-p.lo > p.retain {
+		p.records[p.lo] = wal.Commit{} // let the dropped delta's tuples go
+		p.lo++
+		p.base++
+		if p.lo >= p.retain {
+			n := copy(p.records, p.records[p.lo:])
+			clear(p.records[n:])
+			p.records = p.records[:n]
+			p.lo = 0
+		}
 	}
-	p.cond.Broadcast()
-}
-
-// breakLocked wedges the publisher: an acknowledged delta disagreed with
-// the mirror, which means the stream can no longer be trusted. Sessions
-// end with the error; the relation itself is untouched.
-func (p *Publisher) breakLocked(err error) {
-	p.broken = err
 	p.cond.Broadcast()
 }
 
@@ -158,7 +147,7 @@ func (p *Publisher) Head() uint64 {
 func (p *Publisher) History() (base uint64, records []wal.Commit) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.base, append([]wal.Commit(nil), p.records...)
+	return p.base, append([]wal.Commit(nil), p.records[p.lo:]...)
 }
 
 // Serve accepts subscriptions from ln until the listener or the
@@ -240,41 +229,41 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 		return refuse("resume sequence 0: sequences are 1-based")
 	}
 
-	// Decide snapshot versus tail under the lock, so the cut is exact.
+	// Decide snapshot versus tail under the lock, then let go of it: a pin
+	// takes the cell mutexes, which come before mu in the lock order.
 	p.mu.Lock()
-	if p.broken != nil {
-		msg := p.broken.Error()
-		p.mu.Unlock()
-		return refuse(msg)
-	}
-	next := h.resume
-	var snapTuples []relation.Tuple
-	var snapSeq uint64
-	sendSnap := false
-	switch {
-	case h.resume > p.head+1:
+	head, base := p.head, p.base
+	p.mu.Unlock()
+	if h.resume > head+1 {
 		// The never-ahead half of the contract: a follower claiming
 		// records this publisher never acknowledged is from another
 		// incarnation and must not be silently rewound.
-		head := p.head
-		p.mu.Unlock()
 		return refuse(fmt.Sprintf("resume %d is ahead of acknowledged head %d: follower belongs to another publisher incarnation", h.resume, head))
-	case h.resume <= p.base:
-		// Resume point compacted away (or fresh follower): bootstrap
-		// from the mirror at exactly head.
-		snapTuples = p.mirror.All()
-		snapSeq = p.head
-		next = p.head + 1
-		sendSnap = true
 	}
-	p.mu.Unlock()
 
 	go watch()
 	enc := wal.NewStreamEncoder()
-	if sendSnap {
-		if err := p.sendSnapshot(f, enc, snapSeq, snapTuples); err != nil {
+	next := h.resume
+	if h.resume <= base {
+		// Resume point compacted away (or fresh follower): bootstrap from
+		// the relation's own versions, pinned at exactly snapSeq. The head
+		// is read inside the pin's fence, where no commit is between its
+		// publish and onCommit, so the versions are the state after records
+		// [1..snapSeq] and the tail resumes at snapSeq+1. Writers wait for
+		// the pin — a lock and a pointer load per cell — not for the send.
+		var snapSeq uint64
+		versions, err := p.d.Pin(func() {
+			p.mu.Lock()
+			snapSeq = p.head
+			p.mu.Unlock()
+		})
+		if err != nil {
+			return refuse(err.Error())
+		}
+		if err := p.sendSnapshot(f, enc, snapSeq, versions); err != nil {
 			return err
 		}
+		next = snapSeq + 1
 	}
 
 	// The send loop: stream every record from next on, waiting for new
@@ -282,7 +271,7 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 	var scratch []byte
 	for {
 		p.mu.Lock()
-		for !p.closed && !dead && p.broken == nil && next > p.head {
+		for !p.closed && !dead && next > p.head {
 			p.cond.Wait()
 		}
 		switch {
@@ -292,10 +281,6 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 		case dead:
 			p.mu.Unlock()
 			return fmt.Errorf("repl: follower hung up")
-		case p.broken != nil:
-			msg := p.broken.Error()
-			p.mu.Unlock()
-			return refuse(msg)
 		case next <= p.base:
 			// Compaction overtook this session — the follower reads too
 			// slowly for the retained window. End the session; on
@@ -304,7 +289,7 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 			p.mu.Unlock()
 			return refuse(fmt.Sprintf("resume %d compacted away (history starts at %d): follower too slow, resubscribe for a snapshot", next, base+1))
 		}
-		batch := append([]wal.Commit(nil), p.records[next-p.base-1:]...)
+		batch := append([]wal.Commit(nil), p.records[p.lo+int(next-p.base-1):]...)
 		head := p.head
 		p.mu.Unlock()
 
@@ -322,22 +307,48 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 	}
 }
 
-func (p *Publisher) sendSnapshot(f *framer, enc *wal.StreamEncoder, seq uint64, ts []relation.Tuple) error {
-	if err := f.writeFrame(appendSnapBegin(nil, seq, uint64(len(ts)))); err != nil {
+// sendSnapshot streams the pinned versions, cell by cell, as one snapshot
+// covering sequences ≤ seq. Each version is scanned through the lock-free
+// read path straight into chunk frames, so the send holds one chunk of
+// tuples at a time and no lock at all: a follower that reads slowly slows
+// only its own session.
+func (p *Publisher) sendSnapshot(f *framer, enc *wal.StreamEncoder, seq uint64, versions []*core.Relation) error {
+	total := 0
+	for _, v := range versions {
+		total += v.Len()
+	}
+	if err := f.writeFrame(appendSnapBegin(nil, seq, uint64(total))); err != nil {
 		return err
 	}
+	cols := p.d.Spec().Cols().Names()
+	chunk := make([]relation.Tuple, 0, min(total, snapChunkTuples))
 	var scratch []byte
-	for len(ts) > 0 {
-		n := snapChunkTuples
-		if n > len(ts) {
-			n = len(ts)
-		}
+	flush := func() error {
 		scratch = append(scratch[:0], msgSnapChunk)
-		scratch = enc.AppendChunk(scratch, ts[:n])
-		if err := f.writeFrame(scratch); err != nil {
+		scratch = enc.AppendChunk(scratch, chunk)
+		chunk = chunk[:0]
+		return f.writeFrame(scratch)
+	}
+	for _, v := range versions {
+		var werr error
+		err := v.QueryFunc(relation.NewTuple(), cols, func(t relation.Tuple) bool {
+			chunk = append(chunk, t)
+			if len(chunk) == snapChunkTuples {
+				werr = flush()
+			}
+			return werr == nil
+		})
+		if err == nil {
+			err = werr
+		}
+		if err != nil {
 			return err
 		}
-		ts = ts[n:]
+	}
+	if len(chunk) > 0 {
+		if err := flush(); err != nil {
+			return err
+		}
 	}
 	if err := f.writeFrame([]byte{msgSnapEnd}); err != nil {
 		return err

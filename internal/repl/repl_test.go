@@ -615,3 +615,66 @@ func TestStreamCodecSharesDictionary(t *testing.T) {
 		t.Fatalf("commit round trip: %+v", rc)
 	}
 }
+
+// TestWaitForIsSignalled: a WaitFor parks on the apply loop's notify
+// channel rather than polling, wakes on the apply that reaches its
+// sequence (and not before), and is woken by Close.
+func TestWaitForIsSignalled(t *testing.T) {
+	d := openPrimary(t, 0)
+	p := newTestPublisher(t, d, PublisherOptions{})
+	f := newTestFollower(t, schedSpec(), InProcDialer(p), FollowerOptions{})
+	if err := f.WaitFor(1, waitTimeout); err != nil {
+		t.Fatal(err)
+	}
+	parked := func() bool {
+		f.waitMu.Lock()
+		defer f.waitMu.Unlock()
+		return f.waitCh != nil
+	}
+	// wait starts a WaitFor and returns once it is parked.
+	wait := func(seq uint64) chan error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f.WaitFor(seq, waitTimeout) }()
+		for deadline := time.Now().Add(waitTimeout); !parked(); time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("WaitFor never parked")
+			}
+		}
+		return done
+	}
+
+	target := p.Head() + 3
+	done := wait(target)
+	for pid := int64(1); pid <= 3; pid++ {
+		select {
+		case err := <-done:
+			t.Fatalf("WaitFor(%d) returned %v with %d applied", target, err, f.Applied())
+		default:
+		}
+		if err := d.Insert(paperex.SchedulerTuple(1, pid, paperex.StateS, pid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Applied(); got != target {
+		t.Fatalf("WaitFor(%d) returned at applied = %d", target, got)
+	}
+	if parked() {
+		t.Fatal("the apply that woke the waiter left the notify channel armed")
+	}
+
+	if err := f.WaitFor(target+1, 5*time.Millisecond); err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("WaitFor past the head = %v, want a timeout", err)
+	}
+
+	done = wait(target + 1)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != ErrFollowerClosed {
+		t.Fatalf("WaitFor across Close = %v, want ErrFollowerClosed", err)
+	}
+}
