@@ -1,9 +1,8 @@
 package repro
 
 // Shared fixtures for the root benchmark harness: relation builders used
-// by both the figure benchmarks (bench_test.go) and the observability
-// overhead benchmarks (obs_bench_test.go), parameterized over testing.TB
-// so benchmarks and the scale-sanity tests build identical workloads.
+// by the figure benchmarks and the scale-sanity tests (bench_test.go),
+// parameterized over testing.TB so both build identical workloads.
 
 import (
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/experiments"
-	"repro/internal/paperex"
 	"repro/internal/workload"
 )
 
@@ -26,17 +24,4 @@ func graphBenchRelation(tb testing.TB, d *decomp.Decomp) (*core.Relation, []work
 		tb.Fatal(err)
 	}
 	return r, workload.RoadNetwork(benchGridN, 11), workload.NodeCount(benchGridN)
-}
-
-// processesSpec is the §4.1 scheduler specification the observability
-// benchmarks run against.
-func processesSpec() *core.Spec {
-	return &core.Spec{
-		Name: "processes",
-		Columns: []core.ColDef{
-			{Name: "ns", Type: core.IntCol}, {Name: "pid", Type: core.IntCol},
-			{Name: "state", Type: core.IntCol}, {Name: "cpu", Type: core.IntCol},
-		},
-		FDs: paperex.SchedulerFDs(),
-	}
 }

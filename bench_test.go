@@ -381,39 +381,6 @@ func BenchmarkRemoveCleanup(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation 4 (DESIGN.md): plan caching in the engine.
-
-func BenchmarkPlanCache(b *testing.B) {
-	for _, v := range []struct {
-		name  string
-		cache bool
-	}{
-		{"cached", true},
-		{"uncached", false},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			r, err := core.New(experiments.SchedulerSpec(), paperex.SchedulerDecomp())
-			if err != nil {
-				b.Fatal(err)
-			}
-			r.CachePlans = v.cache
-			for pid := int64(0); pid < 50; pid++ {
-				if err := r.Insert(paperex.SchedulerTuple(1, pid, pid%2, pid)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			pat := relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", 7))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Query(pat, []string{"cpu"}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Ablation 2 (DESIGN.md): node sharing (decomposition 5 vs 9) — memory
 // side: shared decompositions allocate fewer nodes for the same relation.
 
@@ -475,55 +442,6 @@ var _ = autotuner.ErrTimeout // the sweep benchmark relies on its semantics
 // ---------------------------------------------------------------------------
 // Range-query extension: ordered seek vs unordered filter on the same
 // workload — the complexity gap the dstruct.Ranger fast path buys.
-
-// ---------------------------------------------------------------------------
-// Concurrency tiers: the coarse-locked SyncRelation vs the hash-partitioned
-// ShardedRelation on a mixed 90/10 keyed read/write workload over the IpCap
-// flow relation, across goroutine counts. The acceptance target for the
-// sharded tier is ≥3× the sync tier's ops/sec at 8 goroutines with no
-// regression at 1.
-
-func BenchmarkShardedThroughput(b *testing.B) {
-	const flows = 8192
-	for _, eng := range []struct {
-		name string
-		mk   func(b *testing.B) experiments.ConcurrentEngine
-	}{
-		{"sync", func(b *testing.B) experiments.ConcurrentEngine {
-			r, err := core.New(ipcap.FlowSpec(), ipcap.DefaultFlowDecomp())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return core.NewSync(r)
-		}},
-		{"sharded", func(b *testing.B) experiments.ConcurrentEngine {
-			sr, err := core.NewSharded(ipcap.FlowSpec(), ipcap.DefaultFlowDecomp(), core.ShardOptions{
-				ShardKey: []string{"local", "foreign"},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return sr
-		}},
-	} {
-		for _, g := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", eng.name, g), func(b *testing.B) {
-				e := eng.mk(b)
-				if err := experiments.PreloadFlows(e, flows); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				secs, err := experiments.DriveMixed(e, b.N, g, 90, 29)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if secs > 0 {
-					b.ReportMetric(float64(b.N)/secs, "ops/sec")
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkQueryAllocs pins the allocation behaviour of the collect path:
 // plan-cost-sized result maps and reused scratch buffers keep the steady

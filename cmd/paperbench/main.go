@@ -8,11 +8,7 @@
 //	paperbench fig13 [-packets N] [-maxedges N] [-timeout D] [-assignments N]
 //	paperbench table1
 //	paperbench parity [-scale N]
-//	paperbench sharded [-flows N] [-ops N] [-readpct N] [-shards N]
-//	paperbench compiled [-scale N]
 //	paperbench explain
-//	paperbench durable [-ops N]
-//	paperbench repl [-ops N] [-mixed N] [-readpct N]
 //	paperbench all
 //
 // Absolute numbers depend on the machine (and on this being an interpreted
@@ -25,11 +21,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/paperex"
 )
@@ -51,30 +45,14 @@ func main() {
 		err = table1()
 	case "parity":
 		err = parity(args)
-	case "sharded":
-		err = sharded(args)
-	case "compiled":
-		err = compiled(args)
 	case "explain":
 		err = explain()
-	case "durable":
-		err = durableCmd(args)
-	case "repl":
-		err = replCmd(args)
 	case "all":
 		if err = fig12(); err == nil {
 			if err = table1(); err == nil {
 				if err = parity(nil); err == nil {
-					if err = sharded(nil); err == nil {
-						if err = compiled(nil); err == nil {
-							if err = durableCmd(nil); err == nil {
-								if err = replCmd(nil); err == nil {
-									if err = fig11(nil); err == nil {
-										err = fig13(nil)
-									}
-								}
-							}
-						}
+					if err = fig11(nil); err == nil {
+						err = fig13(nil)
 					}
 				}
 			}
@@ -89,144 +67,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: paperbench {fig11|fig12|fig13|table1|parity|sharded|compiled|explain|durable|repl|all} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: paperbench {fig11|fig12|fig13|table1|parity|explain|all} [flags]")
 	os.Exit(2)
-}
-
-// sharded prints the concurrency-tier throughput table: the coarse-locked
-// SyncRelation vs the ShardedRelation on a mixed keyed read/write workload
-// across goroutine counts.
-func sharded(args []string) error {
-	fs := flag.NewFlagSet("sharded", flag.ExitOnError)
-	cfg := experiments.DefaultShardedConfig()
-	fs.IntVar(&cfg.Flows, "flows", cfg.Flows, "distinct flows preloaded into each engine")
-	fs.IntVar(&cfg.Ops, "ops", cfg.Ops, "operations per engine and goroutine count")
-	fs.IntVar(&cfg.ReadPct, "readpct", cfg.ReadPct, "percentage of keyed reads (rest are keyed updates)")
-	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "shard count for the sharded engine")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if cfg.ReadPct < 0 || cfg.ReadPct > 100 {
-		return fmt.Errorf("-readpct must be between 0 and 100, got %d", cfg.ReadPct)
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = core.DefaultShards
-	}
-	fmt.Printf("== Concurrency tiers: mixed %d/%d keyed read/write throughput ==\n", cfg.ReadPct, 100-cfg.ReadPct)
-	fmt.Printf("%d flows preloaded, %d ops per cell, %d shards, GOMAXPROCS=%d\n\n",
-		cfg.Flows, cfg.Ops, cfg.Shards, runtime.GOMAXPROCS(0))
-	rows, err := experiments.RunSharded(cfg)
-	if err != nil {
-		return err
-	}
-	base := map[int]float64{}
-	fmt.Printf("%-17s %-12s %-12s %-14s %s\n", "engine", "goroutines", "time(s)", "ops/sec", "vs sync")
-	for _, r := range rows {
-		if r.Engine == "SyncRelation" {
-			base[r.Goroutines] = r.OpsPerSec
-		}
-		speedup := ""
-		if b, ok := base[r.Goroutines]; ok && r.Engine != "SyncRelation" {
-			speedup = fmt.Sprintf("%.2f×", r.OpsPerSec/b)
-		}
-		fmt.Printf("%-17s %-12d %-12.4f %-14.0f %s\n", r.Engine, r.Goroutines, r.Seconds, r.OpsPerSec, speedup)
-	}
-	fmt.Println()
-	return nil
-}
-
-// compiled prints the execution-tier table: each workload runs on the same
-// engine and plans under the interpreter, the compiled closure tier, and
-// the vectorized batch tier, and all runs must agree on a checksum.
-func compiled(args []string) error {
-	fs := flag.NewFlagSet("compiled", flag.ExitOnError)
-	cfg := experiments.DefaultCompiledConfig()
-	fs.IntVar(&cfg.Scale, "scale", cfg.Scale, "workload scale multiplier")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	fmt.Println("== Execution tiers: interpreter vs compiled closures vs vectorized batches ==")
-	rows, err := experiments.RunCompiled(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-18s %-11s %-12s %-9s %-11s %-9s %s\n",
-		"workload", "interp(s)", "compiled(s)", "speedup", "vec(s)", "vec/comp", "behaviour")
-	for _, r := range rows {
-		agree := "identical"
-		if !r.Agree {
-			agree = "DIVERGED"
-		}
-		fmt.Printf("%-18s %-11.4f %-12.4f %-9.2f %-11.4f %-9.2f %s\n",
-			r.Workload, r.InterpSecs, r.CompiledSecs, r.Speedup(), r.VecSecs, r.VecSpeedup(), agree)
-	}
-	fmt.Println()
-	return nil
-}
-
-// durableCmd prints the durable-tier tables: WAL append throughput per
-// fsync policy, and recovery time against log length with and without a
-// mid-history checkpoint.
-func durableCmd(args []string) error {
-	fs := flag.NewFlagSet("durable", flag.ExitOnError)
-	cfg := experiments.DefaultDurableConfig()
-	fs.IntVar(&cfg.Ops, "ops", cfg.Ops, "appends per fsync policy")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	fmt.Println("== Durable tier: WAL append throughput and recovery time ==")
-	res, err := experiments.RunDurable(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\n%-10s %-8s %-10s %-14s %-10s %s\n", "policy", "ops", "time(s)", "appends/sec", "fsyncs", "wal bytes")
-	for _, r := range res.Appends {
-		fmt.Printf("%-10s %-8d %-10.4f %-14.0f %-10d %d\n",
-			r.Policy, r.Ops, r.Seconds, r.OpsPerSec, r.Fsyncs, r.WalBytes)
-	}
-	fmt.Printf("\n%-10s %-12s %-10s %-10s %-14s %s\n", "log ops", "checkpoint", "time(s)", "replayed", "replays/sec", "tuples")
-	for _, r := range res.Recoveries {
-		ck := "none"
-		if r.Checkpointed {
-			ck = "mid-log"
-		}
-		fmt.Printf("%-10d %-12s %-10.4f %-10d %-14.0f %d\n",
-			r.Ops, ck, r.Seconds, r.Replayed, r.OpsPerSec, r.Tuples)
-	}
-	fmt.Println()
-	return nil
-}
-
-// replCmd prints the replication tables: end-to-end ship throughput,
-// catch-up replay throughput for the tail and snapshot paths, and the
-// lag a mixed read/write load sustains on the replica.
-func replCmd(args []string) error {
-	fs := flag.NewFlagSet("repl", flag.ExitOnError)
-	cfg := experiments.DefaultReplConfig()
-	fs.IntVar(&cfg.ShipOps, "ops", cfg.ShipOps, "records in the ship and catch-up sweeps")
-	fs.IntVar(&cfg.MixedOps, "mixed", cfg.MixedOps, "operations in the mixed-load lag phase")
-	fs.IntVar(&cfg.ReadPct, "readpct", cfg.ReadPct, "percentage of replica reads in the mixed phase")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if cfg.ReadPct < 0 || cfg.ReadPct > 100 {
-		return fmt.Errorf("-readpct must be between 0 and 100, got %d", cfg.ReadPct)
-	}
-	fmt.Println("== Replication: log-shipping throughput, catch-up, and lag ==")
-	res, err := experiments.RunRepl(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\n%-14s %-8s %-10s %-14s %s\n", "phase", "ops", "time(s)", "records/sec", "wire bytes")
-	fmt.Printf("%-14s %-8d %-10.4f %-14.0f %d\n",
-		"ship", res.Ship.Ops, res.Ship.Seconds, res.Ship.RecordsPerSec, res.Ship.WireBytes)
-	fmt.Printf("\n%-20s %-10s %-10s %s\n", "catch-up path", "records", "time(s)", "records/sec")
-	for _, r := range res.CatchUps {
-		fmt.Printf("%-20s %-10d %-10.4f %.0f\n", r.Mode, r.Records, r.Seconds, r.RecordsPerSec)
-	}
-	fmt.Printf("\nmixed load: %d replica reads / %d primary writes in %.4fs — max lag %d records, final lag %d\n\n",
-		res.Lag.Reads, res.Lag.Writes, res.Lag.Seconds, res.Lag.MaxLag, res.Lag.FinalLag)
-	return nil
 }
 
 func fig11(args []string) error {

@@ -38,7 +38,7 @@ func fork(b *box) *core.Relation {
 // not inherit MutatesParam through it.
 //
 //relvet:role=config
-func configure(r *core.Relation) { r.CachePlans = true }
+func configure(r *core.Relation) { r.CheckFDs = true }
 
 // applyConfig calls only the role-exempt mutator: no MutatesParam.
 func applyConfig(r *core.Relation) { configure(r) }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/decomp"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -85,6 +86,39 @@ type Engine interface {
 	// SyncRelation, the shard count for a ShardedRelation.
 	NumCells() int
 	cellAt(i int) *cell
+}
+
+// NewEngine builds the MVCC engine a shard layout describes: a
+// ShardedRelation partitioned on opts.ShardKey when one is given (Shards
+// defaults to DefaultShards), a single-cell SyncRelation for the zero
+// options. A shard count without a shard key describes neither and is
+// rejected rather than quietly served from one cell.
+func NewEngine(spec *Spec, d *decomp.Decomp, opts ShardOptions) (Engine, error) {
+	if len(opts.ShardKey) > 0 {
+		sr, err := NewSharded(spec, d, opts)
+		if err != nil {
+			return nil, err
+		}
+		return sr, nil
+	}
+	if opts.Shards > 0 {
+		return nil, fmt.Errorf("core: %d shards requested without a shard key", opts.Shards)
+	}
+	r, err := New(spec, d)
+	if err != nil {
+		return nil, err
+	}
+	return NewSync(r), nil
+}
+
+// SetCheckFDs toggles per-mutation FD validation on every cell of e. Like
+// the other configuration knobs it belongs to the pre-share window: call it
+// before the engine is visible to concurrent readers, since version forks
+// inherit the flag from the version they copy.
+func SetCheckFDs(e Engine, on bool) {
+	for i := 0; i < e.NumCells(); i++ {
+		e.cellAt(i).config(func(r *Relation) { r.CheckFDs = on })
+	}
 }
 
 // errUnlogged rejects a write body that changed a logged cell without

@@ -26,202 +26,6 @@ func fillSched(t *testing.T, insert func(relation.Tuple) error, n int) []relatio
 	return tuples
 }
 
-func tuplesEqual(a, b []relation.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestCompiledEngineDifferential runs the same query mix through a relation
-// with compiled execution on and one with it off (interpreter-pinned): every
-// result must be identical. This is the engine-level differential on top of
-// the plan-level one in internal/plan.
-func TestCompiledEngineDifferential(t *testing.T) {
-	compiled := newSched(t)
-	interp := newSched(t)
-	interp.CompilePrograms = false
-	fillSched(t, compiled.Insert, 64)
-	fillSched(t, interp.Insert, 64)
-
-	queries := []struct {
-		pat relation.Tuple
-		out []string
-	}{
-		{relation.NewTuple(), []string{"ns", "pid", "state", "cpu"}},
-		{relation.NewTuple(), []string{"ns"}},
-		{relation.NewTuple(relation.BindInt("ns", 3)), []string{"pid", "cpu"}},
-		{relation.NewTuple(relation.BindInt("state", paperex.StateR)), []string{"ns", "pid"}},
-		{relation.NewTuple(relation.BindInt("ns", 2), relation.BindInt("state", paperex.StateS)), []string{"pid"}},
-		{relation.NewTuple(relation.BindInt("ns", 5), relation.BindInt("pid", 5)), []string{"cpu"}},
-		{relation.NewTuple(relation.BindInt("ns", 99)), []string{"pid"}}, // miss
-	}
-	for _, q := range queries {
-		for rep := 0; rep < 2; rep++ { // rep 0 promotes the plan, rep 1 hits the cache
-			got, err := compiled.Query(q.pat, q.out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := interp.Query(q.pat, q.out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tuplesEqual(got, want) {
-				t.Fatalf("pattern %v out %v (rep %d): compiled %v, interpreted %v", q.pat, q.out, rep, got, want)
-			}
-		}
-	}
-
-	// The streaming path: same multiset cardinality and per-row domains.
-	for _, q := range queries {
-		nc, ni := 0, 0
-		if err := compiled.QueryFunc(q.pat, q.out, func(relation.Tuple) bool { nc++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		if err := interp.QueryFunc(q.pat, q.out, func(relation.Tuple) bool { ni++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		if nc != ni {
-			t.Fatalf("pattern %v out %v: compiled streamed %d rows, interpreted %d", q.pat, q.out, nc, ni)
-		}
-	}
-
-	// Mutations ride the same queryFunc machinery (Remove gathers doomed
-	// tuples, Update locates its match): both engines must stay in lockstep.
-	for _, pat := range []relation.Tuple{
-		relation.NewTuple(relation.BindInt("ns", 1)),
-		relation.NewTuple(relation.BindInt("state", paperex.StateR)),
-	} {
-		n1, err := compiled.Remove(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n2, err := interp.Remove(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n1 != n2 {
-			t.Fatalf("Remove(%v): compiled removed %d, interpreted %d", pat, n1, n2)
-		}
-	}
-	u := relation.NewTuple(relation.BindInt("cpu", 123))
-	s := relation.NewTuple(relation.BindInt("ns", 2), relation.BindInt("pid", 2))
-	n1, err := compiled.Update(s, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := interp.Update(s, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != n2 {
-		t.Fatalf("Update: compiled %d, interpreted %d", n1, n2)
-	}
-	a1, err := compiled.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := interp.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tuplesEqual(a1, a2) {
-		t.Fatalf("final states diverged:\ncompiled    %v\ninterpreted %v", a1, a2)
-	}
-	if err := compiled.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCompiledShardedDifferential drives SyncRelation and ShardedRelation —
-// both with compiled execution on by default — against the interpreter-
-// pinned plain relation.
-func TestCompiledShardedDifferential(t *testing.T) {
-	oracle := newSched(t)
-	oracle.CompilePrograms = false
-	syncR := core.NewSync(newSched(t))
-	sharded, err := core.NewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
-		ShardKey: []string{"ns", "pid"},
-		Shards:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillSched(t, oracle.Insert, 96)
-	fillSched(t, syncR.Insert, 96)
-	fillSched(t, sharded.Insert, 96)
-
-	queries := []struct {
-		pat relation.Tuple
-		out []string
-	}{
-		{relation.NewTuple(), []string{"ns", "pid", "state", "cpu"}},
-		{relation.NewTuple(relation.BindInt("ns", 3)), []string{"pid", "cpu"}},
-		{relation.NewTuple(relation.BindInt("state", paperex.StateR)), []string{"ns", "pid"}},
-		{relation.NewTuple(relation.BindInt("ns", 5), relation.BindInt("pid", 5)), []string{"cpu", "state"}}, // routed point read
-	}
-	for _, q := range queries {
-		want, err := oracle.Query(q.pat, q.out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSync, err := syncR.Query(q.pat, q.out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tuplesEqual(gotSync, want) {
-			t.Fatalf("sync pattern %v: %v, want %v", q.pat, gotSync, want)
-		}
-		gotSharded, err := sharded.Query(q.pat, q.out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tuplesEqual(gotSharded, want) {
-			t.Fatalf("sharded pattern %v: %v, want %v", q.pat, gotSharded, want)
-		}
-	}
-	if err := sharded.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPlanCachePromotesPrograms pins the promotion contract: with caching
-// on, the first query of a shape installs a compiled program and later
-// queries run it; with caching off, nothing is ever compiled.
-func TestPlanCachePromotesPrograms(t *testing.T) {
-	r := newSched(t)
-	fillSched(t, r.Insert, 16)
-	if _, err := r.Query(relation.NewTuple(relation.BindInt("ns", 1)), []string{"pid"}); err != nil {
-		t.Fatal(err)
-	}
-	cand, err := r.PlanCandidate([]string{"ns"}, []string{"pid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cand.Prog == nil {
-		t.Fatalf("cached candidate has no compiled program")
-	}
-
-	uncached := newSched(t)
-	uncached.CachePlans = false
-	fillSched(t, uncached.Insert, 16)
-	if _, err := uncached.Query(relation.NewTuple(relation.BindInt("ns", 1)), []string{"pid"}); err != nil {
-		t.Fatal(err)
-	}
-	cand2, err := uncached.PlanCandidate([]string{"ns"}, []string{"pid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cand2.Prog != nil {
-		t.Fatalf("uncached candidate unexpectedly compiled")
-	}
-}
-
 // TestCompiledConcurrentReaders hammers one compiled program from many
 // goroutines: pooled execution states must never be shared between
 // concurrent runs (run with -race).

@@ -55,7 +55,7 @@ func newDurableSharded(t *testing.T, dir string, shards int, policy wal.SyncPoli
 			t.Fatal(err)
 		}
 	}
-	sr.SetCheckFDs(true)
+	core.SetCheckFDs(sr, true)
 	d, err := core.NewDurable(sr, logs)
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func TestEveryTierCommitsThroughOneCell(t *testing.T) {
 			Shards:   shards,
 			Workers:  1,
 		})
-		sr.SetCheckFDs(true)
+		core.SetCheckFDs(sr, true)
 		return sr
 	}
 	sync := newSched(t)

@@ -96,9 +96,9 @@ func (e *QueryExplain) String() string {
 
 // ExplainQuery reports how this relation executes a query binding exactly
 // the input columns and producing the output columns. Explaining a shape
-// plans it (and, with CompilePrograms, promotes and compiles it) exactly
-// like running it would, so the Cached flag reflects the state before the
-// call and later executions of the shape are cache hits.
+// plans, compiles and promotes it exactly like running it would, so the
+// Cached flag reflects the state before the call and later executions of
+// the shape are cache hits.
 //
 //relvet:role=read
 func (r *Relation) ExplainQuery(input, output []string) (*QueryExplain, error) {
@@ -120,16 +120,13 @@ func (r *Relation) ExplainQuery(input, output []string) (*QueryExplain, error) {
 		Cached:     cached,
 		Compiled:   cand.Prog != nil,
 		Point:      cand.Point != nil,
-		Vectorized: cand.Batch != nil && r.Vectorize,
+		Vectorized: cand.Batch != nil,
 	}, nil
 }
 
 // planCached reports whether the shape is already in the plan cache,
 // without counting a metrics hit or planning on miss.
 func (r *Relation) planCached(input, output relation.Cols) bool {
-	if !r.CachePlans {
-		return false
-	}
 	var sigArr [96]byte
 	buf := input.AppendKey(sigArr[:0])
 	buf = append(buf, '|')

@@ -15,9 +15,8 @@ import (
 	"repro/internal/value"
 )
 
-func newSchedInternal(t *testing.T) *Relation {
-	t.Helper()
-	spec := &Spec{
+func schedSpecInternal() *Spec {
+	return &Spec{
 		Name: "processes",
 		Columns: []ColDef{
 			{Name: "ns", Type: IntCol},
@@ -27,7 +26,11 @@ func newSchedInternal(t *testing.T) *Relation {
 		},
 		FDs: paperex.SchedulerFDs(),
 	}
-	r, err := New(spec, paperex.SchedulerDecomp())
+}
+
+func newSchedInternal(t *testing.T) *Relation {
+	t.Helper()
+	r, err := New(schedSpecInternal(), paperex.SchedulerDecomp())
 	if err != nil {
 		t.Fatal(err)
 	}

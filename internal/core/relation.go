@@ -34,27 +34,6 @@ type Relation struct {
 	// no dynamic checking.
 	CheckFDs bool
 
-	// CachePlans controls memoization of query plans per (input, output)
-	// column signature. On by default; the ablation benchmark turns it off.
-	CachePlans bool
-
-	// CompilePrograms controls the compiled execution tier: when a plan is
-	// promoted into the plan cache, it is also lowered to a closure program
-	// (plan.Compile) and every later query with that shape runs the program
-	// instead of the interpreter. On by default; turning it off (or turning
-	// CachePlans off, which disables promotion) pins every query to the
-	// interpreter — the ablation the differential tests and benchmarks use.
-	CompilePrograms bool
-
-	// Vectorize controls the vectorized execution tier on top of
-	// CompilePrograms: promoted plans are additionally lowered to a batch
-	// program (plan.CompileBatch), and Query/QueryFunc try the batch
-	// program first, falling back to the closure tier when it bails at run
-	// time (the fallback is counted in Metrics.VecFallbacks and surfaced by
-	// ExplainQuery). On by default; it has no effect while CompilePrograms
-	// or CachePlans is off. Point and range queries never vectorize.
-	Vectorize bool
-
 	// poisoned degrades the relation to read-only after a failed rollback;
 	// see ErrPoisoned. Only written under the owning tier's write lock.
 	poisoned bool
@@ -88,13 +67,10 @@ func New(spec *Spec, d *decomp.Decomp) (*Relation, error) {
 		}
 	}
 	r := &Relation{
-		spec:            spec,
-		dcmp:            d,
-		inst:            instance.New(d, spec.FDs),
-		plans:           newPlanCache(),
-		CachePlans:      true,
-		CompilePrograms: true,
-		Vectorize:       true,
+		spec:  spec,
+		dcmp:  d,
+		inst:  instance.New(d, spec.FDs),
+		plans: newPlanCache(),
 	}
 	r.planner = plan.NewPlanner(d, spec.FDs, nil)
 	return r, nil
@@ -146,7 +122,7 @@ func (r *Relation) beginVersion() *Relation {
 }
 
 // SetMetrics attaches (or, with nil, detaches) a metrics sink. Like the
-// CheckFDs/CachePlans flags, set it before the relation is shared;
+// CheckFDs flag, set it before the relation is shared;
 // sharded shards may safely share one sink — every counter is atomic.
 //
 //relvet:role=config
@@ -182,9 +158,6 @@ func (r *Relation) Reprofile() {
 // that result. A hit allocates nothing — the signature is built in a
 // scratch buffer and only materialized as a string on a miss.
 func (r *Relation) planFor(input, output relation.Cols) (*plan.Candidate, error) {
-	if !r.CachePlans {
-		return r.planner.Best(input, output)
-	}
 	var sigArr [96]byte
 	buf := input.AppendKey(sigArr[:0])
 	buf = append(buf, '|')
@@ -212,33 +185,27 @@ func (r *Relation) planFor(input, output relation.Cols) (*plan.Candidate, error)
 		// program compiled against this instance is valid for every shard
 		// sharing the cache. A plan the compiler cannot lower keeps Prog nil
 		// and runs interpreted — the interpreter stays the oracle.
-		if r.CompilePrograms {
-			prog, perr := plan.Compile(r.inst, c.Op, input, output)
-			if perr == nil {
-				c.Prog = prog
+		prog, perr := plan.Compile(r.inst, c.Op, input, output)
+		if perr == nil {
+			c.Prog = prog
+			if r.metrics != nil {
+				r.metrics.PlanCompiled.Add(1)
+			}
+			// The vectorized form rides the same promotion: CompileBatch
+			// accepts exactly the plans Compile accepts, and like Prog the
+			// batch program binds only decomposition slot indices, so it
+			// is valid for every shard sharing the cache.
+			if bp, berr := plan.CompileBatch(r.inst, c.Op, input, output); berr == nil {
+				c.Batch = bp
 				if r.metrics != nil {
-					r.metrics.PlanCompiled.Add(1)
+					r.metrics.PlanVectorized.Add(1)
 				}
-				// The vectorized form rides the same promotion: CompileBatch
-				// accepts exactly the plans Compile accepts, and like Prog the
-				// batch program binds only decomposition slot indices, so it
-				// is valid for every shard sharing the cache.
-				if r.Vectorize {
-					if bp, berr := plan.CompileBatch(r.inst, c.Op, input, output); berr == nil {
-						c.Batch = bp
-						if r.metrics != nil {
-							r.metrics.PlanVectorized.Add(1)
-						}
-					}
-				}
-			} else if r.metrics != nil {
-				r.metrics.PlanFallbacks.Add(1)
 			}
-			if r.tracer != nil {
-				r.tracer.Event(obs.Event{Kind: obs.EvPlanCompile, Detail: c.Op.String(), Err: perr})
-			}
-		} else if r.tracer != nil {
-			r.tracer.Event(obs.Event{Kind: obs.EvPlanCompile, Detail: c.Op.String()})
+		} else if r.metrics != nil {
+			r.metrics.PlanFallbacks.Add(1)
+		}
+		if r.tracer != nil {
+			r.tracer.Event(obs.Event{Kind: obs.EvPlanCompile, Detail: c.Op.String(), Err: perr})
 		}
 		return c, nil
 	})
@@ -264,9 +231,9 @@ func (r *Relation) PlanDescription(input, output []string) (string, error) {
 
 // PlanCandidate returns the plan candidate the engine would run for a
 // query binding exactly the input columns and projecting the output
-// columns — cached (and therefore compiled, when CompilePrograms is on) if
-// plan caching is enabled. It exposes the promotion state for tests and
-// diagnostics; cand.Prog == nil means the shape runs on the interpreter.
+// columns, from the plan cache (planning, compiling and promoting the shape
+// on first use). It exposes the promotion state for tests and diagnostics;
+// cand.Prog == nil means the shape runs on the interpreter.
 func (r *Relation) PlanCandidate(input, output []string) (*plan.Candidate, error) {
 	return r.planFor(relation.NewCols(input...), relation.NewCols(output...))
 }
@@ -342,7 +309,7 @@ func (r *Relation) Query(s relation.Tuple, out []string) (res []relation.Tuple, 
 	// Vectorized tier first: a completed batch run produces the same
 	// deduplicated, sorted result set; a bailout falls through to the
 	// closure tier having emitted nothing (stages bail before emitting).
-	if cand.Batch != nil && r.Vectorize {
+	if cand.Batch != nil {
 		if br, ok := cand.Batch.Run(r.inst, s); ok {
 			if r.metrics != nil {
 				r.metrics.ExecVectorized.Add(1)
@@ -418,7 +385,7 @@ func (r *Relation) queryFunc(s relation.Tuple, out relation.Cols, f func(relatio
 	// fallback re-run on the closure tier never duplicates rows, and the
 	// batch emission order matches the closure tier's exactly (the
 	// differential tests in package plan hold both tiers to it).
-	if cand.Batch != nil && r.Vectorize {
+	if cand.Batch != nil {
 		if br, ok := cand.Batch.Run(r.inst, s); ok {
 			if r.metrics != nil {
 				r.metrics.ExecVectorized.Add(1)

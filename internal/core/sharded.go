@@ -162,14 +162,6 @@ func (sr *ShardedRelation) SetTracer(t obs.Tracer) {
 	sr.config(func(r *Relation) { r.SetTracer(t) })
 }
 
-// SetCheckFDs toggles per-mutation FD validation on every shard. Like the
-// other configuration knobs it belongs to the pre-share window: call it
-// before the engine is visible to concurrent readers, since version forks
-// inherit the flag from the version they copy.
-func (sr *ShardedRelation) SetCheckFDs(on bool) {
-	sr.config(func(r *Relation) { r.CheckFDs = on })
-}
-
 // config applies a configuration knob to every shard's published version.
 func (sr *ShardedRelation) config(set func(*Relation)) {
 	for i := range sr.shards {

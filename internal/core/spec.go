@@ -70,6 +70,18 @@ func (s *Spec) Cols() relation.Cols {
 	return s.colsVal
 }
 
+// Signature is the relation's column signature — name:type per column in
+// declaration order. It is the identity a durable directory's manifest pins
+// and a replication hello carries, so a subscription is refused exactly when
+// durable.Open would refuse the directory.
+func (s *Spec) Signature() []string {
+	sig := make([]string, len(s.Columns))
+	for i, c := range s.Columns {
+		sig[i] = c.Name + ":" + c.Type.String()
+	}
+	return sig
+}
+
 // Type returns the declared type of the named column.
 func (s *Spec) Type(name string) (ColType, bool) {
 	for _, c := range s.Columns {

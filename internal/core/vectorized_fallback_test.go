@@ -36,13 +36,10 @@ func newUnitRootRelation() *Relation {
 		decomp.Let("x", nil, []string{"a", "b"}, decomp.U("a", "b")),
 	}, "x")
 	r := &Relation{
-		spec:            spec,
-		dcmp:            d,
-		inst:            instance.New(d, spec.FDs),
-		plans:           newPlanCache(),
-		CachePlans:      true,
-		CompilePrograms: true,
-		Vectorize:       true,
+		spec:  spec,
+		dcmp:  d,
+		inst:  instance.New(d, spec.FDs),
+		plans: newPlanCache(),
 	}
 	r.planner = plan.NewPlanner(d, spec.FDs, nil)
 	return r
@@ -51,15 +48,12 @@ func newUnitRootRelation() *Relation {
 // TestVectorizedFallbackProvenance: the bailing shape still explains as
 // vectorized (bailout is a run-time event, not a compile-time one), every
 // query counts one VecFallbacks plus one row-tier execution, the pooled
-// state stays reusable across bails, and the answer matches a
-// never-vectorized twin's.
+// state stays reusable across bails, and the answer the fallback produces
+// matches the interpreter's and the closure program's (checkTiers).
 func TestVectorizedFallbackProvenance(t *testing.T) {
 	r := newUnitRootRelation()
 	m := &obs.Metrics{}
 	r.SetMetrics(m)
-
-	twin := newUnitRootRelation()
-	twin.Vectorize = false
 
 	ex, err := r.ExplainQuery(nil, []string{"a", "b"})
 	if err != nil {
@@ -69,29 +63,18 @@ func TestVectorizedFallbackProvenance(t *testing.T) {
 		t.Fatal("explain: the bailing shape must still report vectorized")
 	}
 
+	engines := map[string]tierEngine{"bare": r}
 	for run := 0; run < 3; run++ { // repeated runs: the fallback must stay lossless
-		got, err := r.Query(relation.NewTuple(), []string{"a", "b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := twin.Query(relation.NewTuple(), []string{"a", "b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("run %d: fallback %d rows, closure twin %d", run, len(got), len(want))
-		}
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("run %d row %d: fallback %v, twin %v", run, i, got[i], want[i])
-			}
+		if !checkTiers(t, r, engines, nil, relation.NewTuple(), []string{"a", "b"}) {
+			t.Fatalf("run %d: the unit-root batch program did not bail", run)
 		}
 	}
+	// Each run queries the engine twice: one Query, one QueryFunc.
 	s := m.Snapshot()
-	if s.VecFallbacks != 3 || s.ExecVectorized != 0 {
+	if s.VecFallbacks != 6 || s.ExecVectorized != 0 {
 		t.Fatalf("fallback accounting: %s", s.String())
 	}
-	if s.ExecCompiled+s.ExecInterpreted != 3 {
-		t.Fatalf("bailed queries must re-run on a row tier: %s", s.String())
+	if s.ExecCompiled != 6 || s.ExecInterpreted != 0 {
+		t.Fatalf("bailed queries must re-run on the closure tier: %s", s.String())
 	}
 }

@@ -1,8 +1,9 @@
 package core_test
 
-// Engine-level tests of the vectorized tier: promotion and EXPLAIN
-// provenance, and the Vectorize ablation switch. The run-time bailout path
-// is pinned by the white-box test in vectorized_fallback_test.go.
+// Engine-level test of the vectorized tier's promotion and EXPLAIN
+// provenance. The run-time bailout path is pinned by the white-box test in
+// vectorized_fallback_test.go; the tier's results are held to the
+// interpreter in exec_oracle_test.go.
 
 import (
 	"strings"
@@ -30,8 +31,7 @@ func seedSched(t *testing.T, r *core.Relation) {
 }
 
 // TestVectorizedQueryProvenance: a promoted shape carries a batch program,
-// EXPLAIN reports it, queries execute on the vectorized tier, and turning
-// Vectorize off re-routes the same cached candidate to the closure tier.
+// EXPLAIN reports it, and queries execute on the vectorized tier.
 func TestVectorizedQueryProvenance(t *testing.T) {
 	r := newSched(t)
 	m := &obs.Metrics{}
@@ -61,33 +61,5 @@ func TestVectorizedQueryProvenance(t *testing.T) {
 	d := m.Snapshot().Sub(base)
 	if d.ExecVectorized != 1 || d.VecFallbacks != 0 || d.PlanVectorized != 1 {
 		t.Fatalf("after vectorized query: %s", d.String())
-	}
-
-	// The ablation switch: the cached candidate keeps its batch program,
-	// but dispatch must respect Vectorize and run the closure tier.
-	r.Vectorize = false
-	before := m.Snapshot()
-	got2, err := r.Query(pat, []string{"ns", "pid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d = m.Snapshot().Sub(before)
-	if d.ExecVectorized != 0 || d.ExecCompiled != 1 {
-		t.Fatalf("after Vectorize=false query: %s", d.String())
-	}
-	if len(got2) != len(got) {
-		t.Fatalf("tiers disagree: vectorized %d rows, closure %d", len(got), len(got2))
-	}
-	for i := range got {
-		if !got[i].Equal(got2[i]) {
-			t.Fatalf("row %d: vectorized %v, closure %v", i, got[i], got2[i])
-		}
-	}
-	ex, err = r.ExplainQuery([]string{"state"}, []string{"ns", "pid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Vectorized {
-		t.Fatal("explain reports vectorized while Vectorize is off")
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -55,9 +56,11 @@ type Options struct {
 	Policy   wal.SyncPolicy
 	Interval time.Duration
 
-	// Shards selects the sharded tier when > 0; ShardKey, Workers and
-	// AllowNonKey configure it exactly like core.ShardOptions. Shards == 0
-	// opens the single-cell sync tier.
+	// Shards > 0 with a ShardKey selects the sharded tier; Workers and
+	// AllowNonKey configure it exactly like core.ShardOptions. Both unset
+	// opens the single-cell sync tier; either without the other is an
+	// error (the shard count is the directory's on-disk layout, so it has
+	// no default).
 	Shards      int
 	ShardKey    []string
 	Workers     int
@@ -95,14 +98,6 @@ const (
 // directory holds no durable relation.
 var ErrNoRelation = errors.New("durable: directory holds no durable relation")
 
-func specColumns(spec *core.Spec) []string {
-	cols := make([]string, len(spec.Columns))
-	for i, c := range spec.Columns {
-		cols[i] = c.Name + ":" + c.Type.String()
-	}
-	return cols
-}
-
 func writeManifest(dir string, m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -130,18 +125,6 @@ func readManifest(dir string) (*manifest, error) {
 	return &m, nil
 }
 
-func eqStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // validate refuses to recover when the directory's identity disagrees
 // with the caller's: a mismatch means the log's tuples would be
 // reinterpreted under a different schema, which is silent corruption.
@@ -149,7 +132,7 @@ func (m *manifest) validate(spec *core.Spec, opts Options) error {
 	if m.Name != spec.Name {
 		return fmt.Errorf("durable: directory holds relation %q, caller opened %q", m.Name, spec.Name)
 	}
-	if want := specColumns(spec); !eqStrings(m.Columns, want) {
+	if want := spec.Signature(); !slices.Equal(m.Columns, want) {
 		return fmt.Errorf("durable: directory columns %v != spec columns %v", m.Columns, want)
 	}
 	tier := "sync"
@@ -163,7 +146,7 @@ func (m *manifest) validate(spec *core.Spec, opts Options) error {
 		if m.Shards != opts.Shards {
 			return fmt.Errorf("durable: directory is sharded %d ways, caller requested %d", m.Shards, opts.Shards)
 		}
-		if !eqStrings(m.ShardKey, opts.ShardKey) {
+		if !slices.Equal(m.ShardKey, opts.ShardKey) {
 			return fmt.Errorf("durable: directory shard key %v != requested %v", m.ShardKey, opts.ShardKey)
 		}
 	}
@@ -184,6 +167,23 @@ func Open(dir string, spec *core.Spec, d *decomp.Decomp, opts Options) (*core.Du
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	// The shard count is part of the on-disk layout (one log directory per
+	// shard), so unlike core.NewSharded there is no default to fall back on.
+	if len(opts.ShardKey) > 0 && opts.Shards <= 0 {
+		return nil, fmt.Errorf("durable: Options.ShardKey %v given without Options.Shards", opts.ShardKey)
+	}
+	// The empty MVCC engine recovery replays into, built first so that a
+	// layout or decomposition it rejects never creates the directory.
+	eng, err := core.NewEngine(spec, d, core.ShardOptions{
+		ShardKey:    opts.ShardKey,
+		Shards:      opts.Shards,
+		Workers:     opts.Workers,
+		AllowNonKey: opts.AllowNonKey,
+	})
+	if err != nil {
+		return nil, err
+	}
+	core.SetCheckFDs(eng, opts.CheckFDs)
 	m, err := readManifest(dir)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -193,7 +193,7 @@ func Open(dir string, spec *core.Spec, d *decomp.Decomp, opts Options) (*core.Du
 		m = &manifest{
 			Format:  manifestFormat,
 			Name:    spec.Name,
-			Columns: specColumns(spec),
+			Columns: spec.Signature(),
 			Tier:    "sync",
 		}
 		if opts.Shards > 0 {
@@ -213,10 +213,6 @@ func Open(dir string, spec *core.Spec, d *decomp.Decomp, opts Options) (*core.Du
 		}
 	}
 
-	eng, err := newEngine(spec, d, opts)
-	if err != nil {
-		return nil, err
-	}
 	cfg := wal.Config{Policy: opts.Policy, Interval: opts.Interval, Metrics: opts.Metrics}
 	logs := make([]*wal.Log, eng.NumCells())
 	for i := range logs {
@@ -243,30 +239,6 @@ func Open(dir string, spec *core.Spec, d *decomp.Decomp, opts Options) (*core.Du
 		eng.SetMetrics(opts.Metrics)
 	}
 	return core.NewDurable(eng, logs)
-}
-
-// newEngine builds the empty MVCC engine recovery replays into: sharded
-// when Options.Shards asks for it, a single cell otherwise.
-func newEngine(spec *core.Spec, d *decomp.Decomp, opts Options) (core.Engine, error) {
-	if opts.Shards > 0 {
-		sr, err := core.NewSharded(spec, d, core.ShardOptions{
-			ShardKey:    opts.ShardKey,
-			Shards:      opts.Shards,
-			Workers:     opts.Workers,
-			AllowNonKey: opts.AllowNonKey,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sr.SetCheckFDs(opts.CheckFDs)
-		return sr, nil
-	}
-	r, err := core.New(spec, d)
-	if err != nil {
-		return nil, err
-	}
-	r.CheckFDs = opts.CheckFDs
-	return core.NewSync(r), nil
 }
 
 func closeLogs(logs []*wal.Log) {

@@ -34,8 +34,9 @@ type FollowerOptions struct {
 	Decomp *decomp.Decomp
 
 	// ShardKey, when non-empty, makes the replica a ShardedRelation
-	// partitioned on these columns; Shards, Workers and AllowNonKey are
-	// passed through to core.NewSharded. Empty means a SyncRelation.
+	// partitioned on these columns; Shards (default core.DefaultShards),
+	// Workers and AllowNonKey are passed through to core.NewEngine. Empty
+	// means a SyncRelation, and Shards without a ShardKey is an error.
 	ShardKey    []string
 	Shards      int
 	Workers     int
@@ -100,7 +101,7 @@ func NewFollower(spec *core.Spec, dial Dialer, opts FollowerOptions) (*Follower,
 		opts: opts,
 		met:  opts.Metrics,
 		fi:   faultinject.Active(),
-		cols: specColumns(spec),
+		cols: spec.Signature(),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -117,24 +118,14 @@ func NewFollower(spec *core.Spec, dial Dialer, opts FollowerOptions) (*Follower,
 }
 
 func (f *Follower) newEngine() (core.Engine, error) {
-	var e core.Engine
-	if len(f.opts.ShardKey) > 0 {
-		sr, err := core.NewSharded(f.spec, f.opts.Decomp, core.ShardOptions{
-			ShardKey:    f.opts.ShardKey,
-			Shards:      f.opts.Shards,
-			Workers:     f.opts.Workers,
-			AllowNonKey: f.opts.AllowNonKey,
-		})
-		if err != nil {
-			return nil, err
-		}
-		e = sr
-	} else {
-		r, err := core.New(f.spec, f.opts.Decomp)
-		if err != nil {
-			return nil, err
-		}
-		e = core.NewSync(r)
+	e, err := core.NewEngine(f.spec, f.opts.Decomp, core.ShardOptions{
+		ShardKey:    f.opts.ShardKey,
+		Shards:      f.opts.Shards,
+		Workers:     f.opts.Workers,
+		AllowNonKey: f.opts.AllowNonKey,
+	})
+	if err != nil {
+		return nil, err
 	}
 	e.SetMetrics(f.met)
 	return e, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -87,7 +88,7 @@ func NewPublisher(d *core.DurableRelation, opts PublisherOptions) (*Publisher, e
 	p := &Publisher{
 		d:      d,
 		name:   spec.Name,
-		cols:   specColumns(spec),
+		cols:   spec.Signature(),
 		met:    opts.Metrics,
 		retain: opts.Retain,
 		conns:  make(map[io.Closer]struct{}),
@@ -222,7 +223,7 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 	if h.name != p.name {
 		return refuse(fmt.Sprintf("relation %q, this publisher serves %q", h.name, p.name))
 	}
-	if !eqStrings(h.cols, p.cols) {
+	if !slices.Equal(h.cols, p.cols) {
 		return refuse(fmt.Sprintf("columns %v, this publisher serves %v", h.cols, p.cols))
 	}
 	if h.resume == 0 {
@@ -383,28 +384,4 @@ func (p *Publisher) Close() error {
 		c.Close()
 	}
 	return nil
-}
-
-// specColumns is the column signature carried in hello — name:type per
-// column in declaration order, the same strings the durable manifest
-// pins, so a subscription is refused exactly when durable.Open would
-// refuse the directory.
-func specColumns(spec *core.Spec) []string {
-	cols := make([]string, len(spec.Columns))
-	for i, c := range spec.Columns {
-		cols[i] = c.Name + ":" + c.Type.String()
-	}
-	return cols
-}
-
-func eqStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

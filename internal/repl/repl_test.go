@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -304,7 +306,7 @@ func TestSlowFollowerCompaction(t *testing.T) {
 	defer client.Close()
 	go p.Handle(server)
 	fr := newFramer(client, nil, false, false)
-	h := hello{version: protocolVersion, resume: p.Head() + 1, name: "processes", cols: specColumns(schedSpec())}
+	h := hello{version: protocolVersion, resume: p.Head() + 1, name: "processes", cols: schedSpec().Signature()}
 	if err := fr.writeFrame(appendHello(nil, h)); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +385,7 @@ func TestNeverAheadRefused(t *testing.T) {
 	defer client.Close()
 	go p.Handle(server)
 	fr := newFramer(client, nil, false, false)
-	h := hello{version: protocolVersion, resume: 99, name: "processes", cols: specColumns(schedSpec())}
+	h := hello{version: protocolVersion, resume: 99, name: "processes", cols: schedSpec().Signature()}
 	if err := fr.writeFrame(appendHello(nil, h)); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +402,7 @@ func TestNeverAheadRefused(t *testing.T) {
 }
 
 func TestSubscriptionRefusals(t *testing.T) {
-	good := hello{version: protocolVersion, resume: 1, name: "processes", cols: specColumns(schedSpec())}
+	good := hello{version: protocolVersion, resume: 1, name: "processes", cols: schedSpec().Signature()}
 	cases := []struct {
 		name string
 		mut  func(h hello) hello
@@ -549,7 +551,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.version != h.version || got.resume != h.resume || got.name != h.name || !eqStrings(got.cols, h.cols) {
+	if got.version != h.version || got.resume != h.resume || got.name != h.name || !slices.Equal(got.cols, h.cols) {
 		t.Fatalf("hello round trip: %+v != %+v", got, h)
 	}
 
@@ -676,5 +678,65 @@ func TestWaitForIsSignalled(t *testing.T) {
 	}
 	if err := <-done; err != ErrFollowerClosed {
 		t.Fatalf("WaitFor across Close = %v, want ErrFollowerClosed", err)
+	}
+}
+
+// TestShardLayoutOptions is the table over both constructors that take a
+// shard layout as loose option fields: durable.Open and NewFollower build
+// their engine through core.NewEngine, so a layout either means the same
+// thing to both or is refused — a half-specified one is never quietly
+// served from a single cell. The one deliberate difference: a follower may
+// leave Shards to core.DefaultShards, a durable directory may not (the
+// count is its on-disk layout).
+func TestShardLayoutOptions(t *testing.T) {
+	key := []string{"ns", "pid"}
+	noDial := func() (io.ReadWriteCloser, error) { return nil, io.ErrClosedPipe }
+	for _, tc := range []struct {
+		name          string
+		shardKey      []string
+		shards        int
+		durableCells  int // 0: durable.Open must fail
+		followerCells int // 0: NewFollower must fail
+	}{
+		{"zero options", nil, 0, 1, 1},
+		{"key and count", key, 4, 4, 4},
+		{"key without count", key, 0, 0, core.DefaultShards},
+		{"count without key", nil, 4, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(ctor string, cells int, err error, want int) {
+				t.Helper()
+				switch {
+				case want == 0 && err == nil:
+					t.Errorf("%s accepted the layout and built %d cells", ctor, cells)
+				case want > 0 && err != nil:
+					t.Errorf("%s: %v", ctor, err)
+				case want > 0 && cells != want:
+					t.Errorf("%s built %d cells, want %d", ctor, cells, want)
+				}
+			}
+			dir := t.TempDir()
+			cells := 0
+			d, err := durable.Open(dir, schedSpec(), paperex.SchedulerDecomp(), durable.Options{
+				Create: true, Policy: wal.SyncOff, ShardKey: tc.shardKey, Shards: tc.shards,
+			})
+			if err == nil {
+				defer d.Close()
+				cells = d.NumCells()
+			} else if left, _ := os.ReadDir(dir); len(left) > 0 {
+				t.Errorf("refused durable.Open left %d entries in the directory", len(left))
+			}
+			check("durable.Open", cells, err, tc.durableCells)
+
+			cells = 0
+			f, err := NewFollower(schedSpec(), noDial, FollowerOptions{
+				Decomp: paperex.SchedulerDecomp(), ShardKey: tc.shardKey, Shards: tc.shards,
+			})
+			if err == nil {
+				defer f.Close()
+				cells = f.eng().NumCells()
+			}
+			check("NewFollower", cells, err, tc.followerCells)
+		})
 	}
 }

@@ -111,7 +111,7 @@ func TestWriterNotBlockedByParkedBootstrap(t *testing.T) {
 	defer client.Close()
 	go p.Handle(server)
 	fr := newFramer(client, nil, false, false)
-	h := hello{version: protocolVersion, resume: 1, name: "flows", cols: specColumns(ipcap.FlowSpec())}
+	h := hello{version: protocolVersion, resume: 1, name: "flows", cols: ipcap.FlowSpec().Signature()}
 	if err := fr.writeFrame(appendHello(nil, h)); err != nil {
 		t.Fatal(err)
 	}

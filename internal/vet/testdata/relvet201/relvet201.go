@@ -52,7 +52,7 @@ func trigger(b *box) {
 
 func triggerVar(b *box) {
 	r := b.cur.Load()
-	r.Vectorize = true // want relvet201
+	r.CheckFDs = true // want relvet201
 }
 
 func triggerInterproc(b *box) {
@@ -65,11 +65,11 @@ func triggerChain(b *box) {
 }
 
 func triggerTwoLevel(b *box) {
-	relOf(b).CachePlans = true // want relvet201
+	relOf(b).CheckFDs = true // want relvet201
 }
 
 func triggerAlias(b *box) {
-	ref(view(b)).CompilePrograms = true // want relvet201
+	ref(view(b)).CheckFDs = true // want relvet201
 }
 
 func nearMissFork(b *box) {

@@ -16,19 +16,35 @@ package repro
 // Beyond ns/op the benchmarks report reads/s and writes/s so the two
 // populations can be compared directly:
 //
-//	make bench-mvcc        # writes BENCH_mvcc.json
-//	benchstat -col /impl BENCH_mvcc.json
+//	make bench-mvcc > mvcc.txt        # benchstat-format text on stdout
+//	benchstat -col /impl mvcc.txt
 //
 // The acceptance bar for the MVCC tiers is ≥4× the baseline's read
 // throughput at 64 goroutines on the 99/1 mix with write throughput
-// within 2× of the baseline's. That bar assumes real read parallelism:
-// the lock-free win is readers proceeding on other cores while a write
-// is in flight, which a single-core host cannot exhibit — there, reads
-// cost the same CPU under every tier and the grid degenerates to a
-// relative cost comparison (the sharded tier still leads on write-heavier
-// mixes because RWMutex writer preference parks the whole reader
-// population on every write). Interpret BENCH_mvcc.json against the host
-// core count recorded in its goos/cpu header lines.
+// within 2× of the baseline's. THAT BAR HAS NEVER BEEN MET, because it has
+// never been run on a host that can show it: it assumes real read
+// parallelism — the lock-free win is readers proceeding on other cores
+// while a write is in flight — and every host this grid has run on had
+// one usable CPU. There, reads cost the same CPU under every tier and the
+// grid degenerates to a relative cost comparison. The only grid on record
+// (PR 7; cpu: Intel(R) Xeon(R) Processor @ 2.10GHz, 1 usable CPU; -count 4
+// medians, reads/s):
+//
+//	mix    g    rwmutex   sync     sharded
+//	90/10  8    77.9k     67.8k    140.9k
+//	90/10  16   70.9k     62.1k    156.7k
+//	90/10  64   72.1k     52.8k    132.5k   (runs: sync 44k–64k, rwmutex 69k–80k)
+//	99/1   8    292.2k    243.8k   371.9k
+//	99/1   16   201.6k    205.2k   260.1k
+//	99/1   64   203.2k    234.0k   419.1k
+//
+// so on one core the single-cell sync tier is at or below the RWMutex
+// design it replaced (each write pays a copy-on-write fork), and only the
+// sharded tier leads (RWMutex writer preference parks the whole reader
+// population on every write; per-shard writers do not). The lock-free
+// read-scaling claim is unproven until `make bench-mvcc` runs on a
+// multi-core machine; read its output against the goos/cpu header lines
+// go test prints and the -cpu/GOMAXPROCS it ran with.
 
 import (
 	"fmt"
@@ -38,6 +54,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/paperex"
 	"repro/internal/relation"
 )
@@ -96,7 +113,7 @@ func mvccEngines(b *testing.B) []struct {
 	e    mvccEngine
 } {
 	b.Helper()
-	base, err := core.New(processesSpec(), paperex.SchedulerDecomp())
+	base, err := core.New(experiments.SchedulerSpec(), paperex.SchedulerDecomp())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +123,7 @@ func mvccEngines(b *testing.B) []struct {
 	s := core.NewSync(mustRelation(b))
 	mvccSeed(b, s.Insert)
 
-	sr, err := core.NewSharded(processesSpec(), paperex.SchedulerDecomp(),
+	sr, err := core.NewSharded(experiments.SchedulerSpec(), paperex.SchedulerDecomp(),
 		core.ShardOptions{ShardKey: []string{"ns", "pid"}, Shards: 8})
 	if err != nil {
 		b.Fatal(err)
@@ -125,7 +142,7 @@ func mvccEngines(b *testing.B) []struct {
 
 func mustRelation(b *testing.B) *core.Relation {
 	b.Helper()
-	r, err := core.New(processesSpec(), paperex.SchedulerDecomp())
+	r, err := core.New(experiments.SchedulerSpec(), paperex.SchedulerDecomp())
 	if err != nil {
 		b.Fatal(err)
 	}
