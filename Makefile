@@ -7,9 +7,9 @@ BENCH ?= .
 COUNT ?= 6
 FAULTSEEDS ?= 8
 
-.PHONY: ci ci-race vet build test race bench bench-mvcc bench-smoke bench-build bench-pairs test-vec fmt-check faultinject fuzz fuzz-smoke lint lint-engine docs-check
+.PHONY: ci ci-race vet build test race bench bench-mvcc bench-smoke bench-build bench-pairs test-vec fmt-check faultinject fuzz fuzz-smoke lint lint-engine docs-check run-check
 
-ci: vet build race test-vec faultinject lint lint-engine fuzz-smoke bench-smoke bench-build docs-check
+ci: vet build race test-vec faultinject lint lint-engine fuzz-smoke bench-smoke bench-build docs-check run-check
 
 # The static-analysis plane, all three layers: the decomposition linter
 # over every checked-in spec (relvet0xx — adequacy, storage redundancy,
@@ -158,3 +158,9 @@ bench-mvcc:
 # make targets and paperbench subcommands that exist.
 docs-check:
 	@bash scripts/docs-check.sh
+
+# Every alternative of every `-run '<re>'` above must select at least one
+# test in the packages it is run on (`go test -list`): a renamed test fails
+# here instead of turning its CI leg into a no-op.
+run-check:
+	@GO=$(GO) bash scripts/run-check.sh

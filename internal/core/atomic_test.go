@@ -96,50 +96,33 @@ func TestPanicContainedAsError(t *testing.T) {
 // left the relation exactly as seeded, well-formed, and not poisoned.
 func exhaustMutation(t *testing.T, p *faultinject.Plane, mut func(r *core.Relation) error) {
 	t.Helper()
-	tr := seededSched(t)
-	p.Reset()
-	p.Trace(true)
-	if err := mut(tr); err != nil {
-		t.Fatalf("trace run failed: %v", err)
+	type subject struct {
+		r      *core.Relation
+		before []relation.Tuple
 	}
-	pts := p.Points()
-	p.Trace(false)
-	p.Reset()
-	if len(pts) == 0 {
-		t.Fatal("mutation passed no injection points")
-	}
-	for step := 1; step <= len(pts); step++ {
-		for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-			if mode == faultinject.Error && !pts[step-1].CanError {
-				continue
-			}
+	faultinject.Sweep(t, p, faultinject.Regime[subject]{
+		Fresh: func() subject {
 			r := seededSched(t)
-			before := allTuples(t, r)
-			p.Reset()
-			p.Arm(int64(step), mode)
-			err := mut(r)
-			fired := len(p.Fired()) > 0
-			p.Disarm()
-			if !fired {
-				t.Fatalf("step %d/%v: fault did not fire", step, mode)
-			}
-			if err == nil {
-				t.Fatalf("step %d/%v: injected fault surfaced as success", step, mode)
-			}
+			return subject{r, allTuples(t, r)}
+		},
+		Action: func(s subject) error { return mut(s.r) },
+		Contract: func(s subject, a faultinject.Attempt) {
+			r, step, mode := s.r, a.Step, a.Mode
+			a.RequireContained(t)
 			if r.Poisoned() {
 				t.Fatalf("step %d/%v: single fault poisoned the relation", step, mode)
 			}
 			if ierr := r.CheckInvariants(); ierr != nil {
 				t.Fatalf("step %d/%v: invariants violated: %v", step, mode, ierr)
 			}
-			if got := allTuples(t, r); !sameTuples(got, before) {
-				t.Fatalf("step %d/%v: relation changed across failed mutation:\n got %v\nwant %v", step, mode, got, before)
+			if got := allTuples(t, r); !sameTuples(got, s.before) {
+				t.Fatalf("step %d/%v: relation changed across failed mutation:\n got %v\nwant %v", step, mode, got, s.before)
 			}
 			if merr := mut(r); merr != nil {
 				t.Fatalf("step %d/%v: retry failed: %v", step, mode, merr)
 			}
-		}
-	}
+		},
+	})
 }
 
 // TestUpdateReplaceRestoresOnFailure is the public-API torn-update
@@ -173,6 +156,34 @@ func TestRemovePatternCompensation(t *testing.T) {
 	})
 }
 
+// secondLinkStep traces a clean insert of tup into a seeded scheduler
+// relation and returns the step of its second link write: a persistent
+// panic armed from there (ArmFrom) fires once during apply, with a
+// non-empty undo log, and again during the undo replay — the one way to
+// make a rollback itself fail.
+func secondLinkStep(t *testing.T, p *faultinject.Plane, tup relation.Tuple) int {
+	t.Helper()
+	r := seededSched(t)
+	p.Reset()
+	p.Trace(true)
+	if err := r.Insert(tup); err != nil {
+		t.Fatalf("trace insert: %v", err)
+	}
+	pts := p.Points()
+	p.Trace(false)
+	p.Reset()
+	links := 0
+	for i, pi := range pts {
+		if pi.Site == "instance.insert.link" {
+			if links++; links == 2 {
+				return i + 1
+			}
+		}
+	}
+	t.Fatalf("insert has %d link writes, need 2 (points: %v)", links, pts)
+	return 0
+}
+
 // TestPoisonedDegradesToReadOnly drives the one unmaskable failure — a
 // panic during apply whose rollback panics again — and checks the contract:
 // the relation flips to poisoned, rejects further mutations with
@@ -180,29 +191,7 @@ func TestRemovePatternCompensation(t *testing.T) {
 func TestPoisonedDegradesToReadOnly(t *testing.T) {
 	p := planeForTest(t)
 	tup := paperex.SchedulerTuple(3, 1, paperex.StateR, 2)
-
-	tr := seededSched(t)
-	p.Reset()
-	p.Trace(true)
-	if err := tr.Insert(tup); err != nil {
-		t.Fatalf("trace insert: %v", err)
-	}
-	pts := p.Points()
-	p.Trace(false)
-	p.Reset()
-	step, links := 0, 0
-	for i, pi := range pts {
-		if pi.Site == "instance.insert.link" {
-			links++
-			if links == 2 {
-				step = i + 1
-				break
-			}
-		}
-	}
-	if step == 0 {
-		t.Fatalf("insert has %d link writes, need 2 (points: %v)", links, pts)
-	}
+	step := secondLinkStep(t, p, tup)
 
 	r := seededSched(t)
 	p.Reset()
@@ -282,33 +271,12 @@ func TestShardedBatchPerShardUndo(t *testing.T) {
 		return int(h % 4)
 	}
 
-	tr := newEngine()
-	p.Reset()
-	p.Trace(true)
-	if err := tr.InsertBatch(batch); err != nil {
-		t.Fatalf("trace batch: %v", err)
-	}
-	pts := p.Points()
-	p.Trace(false)
-	p.Reset()
-
-	for step := 1; step <= len(pts); step++ {
-		for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-			if mode == faultinject.Error && !pts[step-1].CanError {
-				continue
-			}
-			sr := newEngine()
-			p.Reset()
-			p.Arm(int64(step), mode)
-			err := sr.InsertBatch(batch)
-			fired := len(p.Fired()) > 0
-			p.Disarm()
-			if !fired {
-				t.Fatalf("step %d/%v: fault did not fire", step, mode)
-			}
-			if err == nil {
-				t.Fatalf("step %d/%v: injected fault surfaced as success", step, mode)
-			}
+	faultinject.Sweep(t, p, faultinject.Regime[*core.ShardedRelation]{
+		Fresh:  newEngine,
+		Action: func(sr *core.ShardedRelation) error { return sr.InsertBatch(batch) },
+		Contract: func(sr *core.ShardedRelation, a faultinject.Attempt) {
+			step, mode := a.Step, a.Mode
+			a.RequireContained(t)
 			for i := 0; i < sr.NumShards(); i++ {
 				if sr.Shard(i).Poisoned() {
 					t.Fatalf("step %d/%v: single fault poisoned shard %d", step, mode, i)
@@ -350,6 +318,6 @@ func TestShardedBatchPerShardUndo(t *testing.T) {
 			if n := sr.Len(); n != len(batch) {
 				t.Fatalf("step %d/%v: Len after retry = %d, want %d", step, mode, n, len(batch))
 			}
-		}
-	}
+		},
+	})
 }

@@ -402,53 +402,46 @@ func TestDurableAppendErrorDropsFork(t *testing.T) {
 	faultinject.Install(p)
 	defer faultinject.Uninstall()
 
-	dir := t.TempDir()
-	d := newDurableSync(t, dir, wal.SyncAlways)
-	if err := d.Insert(paperex.SchedulerTuple(1, 1, 0, 5)); err != nil {
-		t.Fatal(err)
+	type subject struct {
+		dir    string
+		d      *core.DurableRelation
+		before []relation.Tuple
 	}
-
-	// Trace one insert to find the step index of the first WAL point; the
-	// steps before it belong to the data structures the mutation touches.
-	p.Trace(true)
-	p.Reset()
-	if err := d.Insert(paperex.SchedulerTuple(1, 2, 1, 6)); err != nil {
-		t.Fatal(err)
-	}
-	walStep := 0
-	for i, pi := range p.Points() {
-		if strings.HasPrefix(pi.Site, "wal.") {
-			walStep = i + 1
-			break
-		}
-	}
-	p.Trace(false)
-	if walStep == 0 {
-		t.Fatal("no wal.* injection point reached by a durable insert")
-	}
-	before := durAll(t, d)
-
-	p.Reset()
-	p.Arm(int64(walStep), faultinject.Error)
-	err := d.Insert(paperex.SchedulerTuple(1, 3, 1, 6))
-	if err == nil {
-		t.Fatal("append fault not surfaced")
-	}
-	p.Disarm()
-	if got := durAll(t, d); !eqStates(got, before) {
-		t.Fatalf("failed append published state: %v", got)
-	}
-	// Retry is safe: the failed record is guaranteed absent from the log.
-	if err := d.Insert(paperex.SchedulerTuple(1, 3, 1, 6)); err != nil {
-		t.Fatal(err)
-	}
-	want := durAll(t, d)
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := recoverSync(t, dir); !eqStates(got, want) {
-		t.Fatalf("recovery after retried append diverged")
-	}
+	insert := func(s subject) error { return s.d.Insert(paperex.SchedulerTuple(1, 3, 1, 6)) }
+	// Only the WAL's own steps are armed; the steps before them belong to
+	// the data structures the mutation touches.
+	faultinject.Sweep(t, p, faultinject.Regime[subject]{
+		Fresh: func() subject {
+			dir := t.TempDir()
+			d := newDurableSync(t, dir, wal.SyncAlways)
+			if err := d.Insert(paperex.SchedulerTuple(1, 1, 0, 5)); err != nil {
+				t.Fatal(err)
+			}
+			return subject{dir, d, durAll(t, d)}
+		},
+		Action: insert,
+		Modes:  []faultinject.Mode{faultinject.Error},
+		Sites:  "wal.",
+		Contract: func(s subject, a faultinject.Attempt) {
+			if a.Err == nil {
+				t.Fatal("append fault not surfaced")
+			}
+			if got := durAll(t, s.d); !eqStates(got, s.before) {
+				t.Fatalf("failed append published state: %v", got)
+			}
+			// Retry is safe: the failed record is guaranteed absent from the log.
+			if err := insert(s); err != nil {
+				t.Fatal(err)
+			}
+			want := durAll(t, s.d)
+			if err := s.d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := recoverSync(t, s.dir); !eqStates(got, want) {
+				t.Fatalf("recovery after retried append diverged")
+			}
+		},
+	})
 }
 
 // TestDurableRefusesUnloggableWrites verifies the commit path's guard: the

@@ -76,9 +76,10 @@ func (o *obsOracle) lookup(in, out []string, n uint64) (compiled, point, vec boo
 	return cand.Prog != nil, cand.Point != nil, cand.Batch != nil
 }
 
-// exec accounts n executions through the Query/QueryFunc dispatch: the
-// batch program when the shape vectorized (none of the scheduler's shapes
-// bail at run time), else the closure program, else the interpreter.
+// exec accounts n executions through the one dispatch ladder below the
+// point plan (Query, QueryFunc and queryPoint's fallback alike): the batch
+// program when the shape vectorized (none of the scheduler's shapes bail at
+// run time), else the closure program, else the interpreter.
 func (o *obsOracle) exec(compiled, vec bool, n uint64) {
 	switch {
 	case vec:
@@ -86,16 +87,6 @@ func (o *obsOracle) exec(compiled, vec bool, n uint64) {
 	case compiled:
 		o.exp.ExecCompiled += n
 	default:
-		o.exp.ExecInterpreted += n
-	}
-}
-
-// execClosure accounts a queryPoint fallback execution: the point tier's
-// general-executor fallback never attempts the batch program.
-func (o *obsOracle) execClosure(compiled bool, n uint64) {
-	if compiled {
-		o.exp.ExecCompiled += n
-	} else {
 		o.exp.ExecInterpreted += n
 	}
 }
@@ -394,11 +385,11 @@ func TestObsDifferentialSharded(t *testing.T) {
 			o.exp.RoutedOps++
 			o.exp.QueryPoint++
 			o.snapRead(1)
-			c, point, _ := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
+			c, point, v := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
 			if point {
 				o.exp.ExecPoint++
 			} else {
-				o.execClosure(c, 1)
+				o.exec(c, v, 1)
 			}
 		case 4: // fan-out query by state
 			pat := relation.NewTuple(relation.BindInt("state", tup.MustGet("state").Int()))
@@ -463,8 +454,8 @@ func TestObsDifferentialSharded(t *testing.T) {
 			// publishes.
 			o.snapPublish(true)
 			o.exp.QueryPoint++
-			c, _, _ := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
-			o.execClosure(c, 1) // point read falls to the general executor (no point plan)
+			c, _, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+			o.exec(c, v, 1) // point read falls to the streaming ladder (no point plan)
 			u := relation.NewTuple(relation.BindInt("cpu", newCPU))
 			if !stored {
 				o.exp.Inserts++

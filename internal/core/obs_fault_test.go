@@ -18,37 +18,33 @@ import (
 	"repro/internal/paperex"
 )
 
-// meteredSched seeds a scheduler relation and attaches a fresh metrics
-// sink afterwards, so every counter starts at zero for the faulted op.
-func meteredSched(t *testing.T) (*core.Relation, *obs.Metrics) {
-	t.Helper()
-	r := seededSched(t)
+// A metered is a relation with a metrics sink attached after seeding, so
+// every counter starts at zero for the faulted op.
+type metered struct {
+	r *core.Relation
+	m *obs.Metrics
+}
+
+func meter(r *core.Relation) metered {
 	m := &obs.Metrics{}
 	r.SetMetrics(m)
-	return r, m
+	return metered{r, m}
 }
 
-// tracePoints runs mut once with tracing on and returns the injection
-// points it passes.
-func tracePoints(t *testing.T, p *faultinject.Plane, mut func(*core.Relation) error) []faultinject.PointInfo {
-	t.Helper()
-	r := seededSched(t)
-	p.Reset()
-	p.Trace(true)
-	if err := mut(r); err != nil {
-		t.Fatalf("trace run failed: %v", err)
-	}
-	pts := p.Points()
-	p.Trace(false)
-	p.Reset()
-	if len(pts) == 0 {
-		t.Fatal("mutation passed no injection points")
-	}
-	return pts
-}
+// freshTuple is absent from schedSeed.
+var freshTuple = paperex.SchedulerTuple(3, 1, paperex.StateR, 2)
 
-func freshInsert(r *core.Relation) error {
-	return r.Insert(paperex.SchedulerTuple(3, 1, paperex.StateR, 2))
+func freshInsert(r *core.Relation) error { return r.Insert(freshTuple) }
+
+// sweepFreshInsert arms every step of a fresh insert into a metered
+// scheduler relation in the given mode.
+func sweepFreshInsert(t *testing.T, mode faultinject.Mode, contract func(metered, faultinject.Attempt)) {
+	faultinject.Sweep(t, planeForTest(t), faultinject.Regime[metered]{
+		Fresh:    func() metered { return meter(seededSched(t)) },
+		Action:   func(s metered) error { return freshInsert(s.r) },
+		Modes:    []faultinject.Mode{mode},
+		Contract: contract,
+	})
 }
 
 // TestObsCountersOnInjectedError arms an error at every error-capable step
@@ -57,39 +53,18 @@ func freshInsert(r *core.Relation) error {
 // (Injectable errors fire only from apply-phase instance sites, so the
 // apply was always entered.)
 func TestObsCountersOnInjectedError(t *testing.T) {
-	p := planeForTest(t)
-	pts := tracePoints(t, p, freshInsert)
-	ran := 0
-	for step := 1; step <= len(pts); step++ {
-		if !pts[step-1].CanError {
-			continue
-		}
-		ran++
-		r, m := meteredSched(t)
-		p.Reset()
-		p.Arm(int64(step), faultinject.Error)
-		err := freshInsert(r)
-		fired := len(p.Fired()) > 0
-		p.Disarm()
-		if !fired {
-			t.Fatalf("step %d: fault did not fire", step)
-		}
-		if err == nil {
-			t.Fatalf("step %d: injected error surfaced as success", step)
-		}
-		d := m.Snapshot()
+	sweepFreshInsert(t, faultinject.Error, func(s metered, a faultinject.Attempt) {
+		a.RequireContained(t)
+		d := s.m.Snapshot()
 		want := obs.Snapshot{Inserts: 1, MutValidates: 1, MutApplies: 1, MutRollbacks: 1}
 		if d != want {
 			t.Fatalf("step %d (%s): counters after injected error\n got: %s\nwant: %s",
-				step, pts[step-1].Site, d.String(), want.String())
+				a.Step, a.Point.Site, d.String(), want.String())
 		}
-		if r.Poisoned() {
-			t.Fatalf("step %d: compensated mutation poisoned the relation", step)
+		if s.r.Poisoned() {
+			t.Fatalf("step %d: compensated mutation poisoned the relation", a.Step)
 		}
-	}
-	if ran == 0 {
-		t.Fatal("no error-capable injection points")
-	}
+	})
 }
 
 // TestObsCountersOnInjectedPanic arms a panic at every step of a fresh
@@ -97,36 +72,24 @@ func TestObsCountersOnInjectedError(t *testing.T) {
 // even starts. The invariant is phase-shaped rather than a fixed delta:
 // rollbacks happen exactly when an apply was entered.
 func TestObsCountersOnInjectedPanic(t *testing.T) {
-	p := planeForTest(t)
-	pts := tracePoints(t, p, freshInsert)
-	for step := 1; step <= len(pts); step++ {
-		r, m := meteredSched(t)
-		p.Reset()
-		p.Arm(int64(step), faultinject.Panic)
-		err := freshInsert(r)
-		fired := len(p.Fired()) > 0
-		p.Disarm()
-		if !fired {
-			t.Fatalf("step %d: fault did not fire", step)
-		}
-		if err == nil {
-			t.Fatalf("step %d: injected panic surfaced as success", step)
-		}
-		d := m.Snapshot()
+	sweepFreshInsert(t, faultinject.Panic, func(s metered, a faultinject.Attempt) {
+		step, site := a.Step, a.Point.Site
+		a.RequireContained(t)
+		d := s.m.Snapshot()
 		if d.Inserts != 1 {
 			t.Fatalf("step %d: Inserts = %d, want 1", step, d.Inserts)
 		}
 		if d.MutValidates > 1 || d.MutApplies > d.MutValidates {
-			t.Fatalf("step %d (%s): impossible phase counts %s", step, pts[step-1].Site, d.String())
+			t.Fatalf("step %d (%s): impossible phase counts %s", step, site, d.String())
 		}
 		if d.MutRollbacks != d.MutApplies {
 			t.Fatalf("step %d (%s): rollbacks %d != applies %d — an entered apply must roll back exactly once",
-				step, pts[step-1].Site, d.MutRollbacks, d.MutApplies)
+				step, site, d.MutRollbacks, d.MutApplies)
 		}
-		if d.PoisonEvents != 0 || r.Poisoned() {
+		if d.PoisonEvents != 0 || s.r.Poisoned() {
 			t.Fatalf("step %d: contained panic poisoned the relation", step)
 		}
-	}
+	})
 }
 
 // TestObsCountersOnPoison makes the rollback itself fail — a persistent
@@ -137,23 +100,10 @@ func TestObsCountersOnInjectedPanic(t *testing.T) {
 // enter no phases.
 func TestObsCountersOnPoison(t *testing.T) {
 	p := planeForTest(t)
-	pts := tracePoints(t, p, freshInsert)
-	step := 0
-	links := 0
-	for i, pt := range pts {
-		if pt.Site == "instance.insert.link" {
-			links++
-			if links == 2 {
-				step = i + 1
-				break
-			}
-		}
-	}
-	if step == 0 {
-		t.Fatal("fresh insert passes fewer than two link writes")
-	}
+	step := secondLinkStep(t, p, freshTuple)
 
-	r, m := meteredSched(t)
+	ms := meter(seededSched(t))
+	r, m := ms.r, ms.m
 	ring := obs.NewRingTracer(32)
 	r.SetTracer(ring)
 	p.Reset()
@@ -222,49 +172,28 @@ func TestObsCountersFaultCorpus(t *testing.T) {
 			}
 			for _, mut := range c.Muts {
 				t.Run(mut.Name, func(t *testing.T) {
-					r := build()
-					p.Reset()
-					p.Trace(true)
-					if err := mut.Run(r); err != nil {
-						t.Fatalf("trace run failed: %v", err)
-					}
-					pts := p.Points()
-					p.Trace(false)
-					p.Reset()
-					for step := 1; step <= len(pts); step++ {
-						if !pts[step-1].CanError {
-							continue
-						}
-						r := build()
-						m := &obs.Metrics{}
-						r.SetMetrics(m)
-						p.Reset()
-						p.Arm(int64(step), faultinject.Error)
-						err := mut.Run(r)
-						fired := len(p.Fired()) > 0
-						p.Disarm()
-						if !fired {
-							t.Fatalf("step %d: fault did not fire", step)
-						}
-						if err == nil {
-							t.Fatalf("step %d: injected error surfaced as success", step)
-						}
-						d := m.Snapshot()
-						if d.MutRollbacks == 0 {
-							t.Fatalf("step %d (%s): failed apply counted no rollback: %s",
-								step, pts[step-1].Site, d.String())
-						}
-						if d.MutApplies < d.MutRollbacks {
-							t.Fatalf("step %d (%s): more rollbacks than applies: %s",
-								step, pts[step-1].Site, d.String())
-						}
-						if d.PoisonEvents != 0 || r.Poisoned() {
-							t.Fatalf("step %d: compensated mutation poisoned the relation", step)
-						}
-						if err := r.CheckInvariants(); err != nil {
-							t.Fatalf("step %d: invariants: %v", step, err)
-						}
-					}
+					faultinject.Sweep(t, p, faultinject.Regime[metered]{
+						Fresh:  func() metered { return meter(build()) },
+						Action: func(s metered) error { return mut.Run(s.r) },
+						Modes:  []faultinject.Mode{faultinject.Error},
+						Contract: func(s metered, a faultinject.Attempt) {
+							step, site := a.Step, a.Point.Site
+							a.RequireContained(t)
+							d := s.m.Snapshot()
+							if d.MutRollbacks == 0 {
+								t.Fatalf("step %d (%s): failed apply counted no rollback: %s", step, site, d.String())
+							}
+							if d.MutApplies < d.MutRollbacks {
+								t.Fatalf("step %d (%s): more rollbacks than applies: %s", step, site, d.String())
+							}
+							if d.PoisonEvents != 0 || s.r.Poisoned() {
+								t.Fatalf("step %d: compensated mutation poisoned the relation", step)
+							}
+							if err := s.r.CheckInvariants(); err != nil {
+								t.Fatalf("step %d: invariants: %v", step, err)
+							}
+						},
+					})
 				})
 			}
 		})

@@ -372,6 +372,15 @@ func (r *Relation) queryFunc(s relation.Tuple, out relation.Cols, f func(relatio
 	if err != nil {
 		return err
 	}
+	r.stream(cand, s, f)
+	return nil
+}
+
+// stream runs cand for s on the streaming dispatch ladder — vectorized,
+// closure program on a bail, interpreter — the one order every streaming
+// query takes once its plan is chosen (queryPoint tries the point plan
+// first and then comes here).
+func (r *Relation) stream(cand *plan.Candidate, s relation.Tuple, f func(relation.Tuple) bool) {
 	if tr := r.tracer; tr != nil {
 		rows := 0
 		inner := f
@@ -392,7 +401,7 @@ func (r *Relation) queryFunc(s relation.Tuple, out relation.Cols, f func(relatio
 			}
 			br.EachTuple(f)
 			br.Release()
-			return nil
+			return
 		}
 		if r.metrics != nil {
 			r.metrics.VecFallbacks.Add(1)
@@ -401,10 +410,9 @@ func (r *Relation) queryFunc(s relation.Tuple, out relation.Cols, f func(relatio
 	r.countExec(cand)
 	if cand.Prog != nil {
 		cand.Prog.StreamView(r.inst, s, f)
-		return nil
+		return
 	}
 	plan.Exec(r.inst, cand.Op, s, f)
-	return nil
 }
 
 // QueryRange implements the order-based query extension (§2 of the paper
@@ -424,24 +432,9 @@ func (r *Relation) QueryRange(s relation.Tuple, col string, lo, hi *value.Value,
 	if err != nil {
 		return nil, err
 	}
-	// Size the dedup map and result slice from the planner's row estimate
-	// and build dedup keys in one reused scratch buffer, exactly like
-	// plan.CollectSized; duplicate projections cost no allocation.
-	hint := cand.EstimatedRows()
-	seen := make(map[string]struct{}, hint)
-	res = make([]relation.Tuple, 0, hint)
-	var buf []byte
-	r.execRange(cand, s, lo, hi, col, func(t relation.Tuple) bool {
-		p := t.Project(outCols)
-		buf = p.AppendKey(buf[:0])
-		if _, ok := seen[string(buf)]; !ok {
-			seen[string(buf)] = struct{}{}
-			res = append(res, p)
-		}
-		return true
-	})
-	relation.SortTuples(res)
-	return res, nil
+	return plan.CollectFunc(func(emit func(relation.Tuple) bool) {
+		r.execRange(cand, s, lo, hi, col, emit)
+	}, outCols, cand.EstimatedRows()), nil
 }
 
 // QueryRangeFunc is the streaming form of QueryRange.

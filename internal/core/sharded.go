@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -593,9 +592,9 @@ func (sr *ShardedRelation) fanOutSum(f func(int, *cell) (int, error)) (int, erro
 // queryPoint is Relation.Query specialized to superkey patterns: at most
 // one tuple extends the pattern, so the dedup map, canonical-key encoding,
 // and sort are all skipped. When the chosen plan compiled to a PointPlan the
-// whole query runs as a flat map descent; otherwise the general executor
-// runs with an early stop. ShardedRelation uses it for routed queries once
-// construction has certified the shard key as a key.
+// whole query runs as a flat map descent; otherwise the streaming ladder
+// (Relation.stream) runs with an early stop. ShardedRelation uses it for
+// routed queries once construction has certified the shard key as a key.
 func (r *Relation) queryPoint(s relation.Tuple, out []string) (res []relation.Tuple, err error) {
 	defer containRead("query", &err)
 	if r.metrics != nil {
@@ -631,16 +630,10 @@ func (r *Relation) queryPoint(s relation.Tuple, out []string) (res []relation.Tu
 			return []relation.Tuple{res}, nil
 		}
 	}
-	emit := func(t relation.Tuple) bool {
+	r.stream(cand, s, func(t relation.Tuple) bool {
 		res = append(res, t.Project(outCols))
 		return false // a superkey pattern matches at most one tuple
-	}
-	r.countExec(cand)
-	if cand.Prog != nil {
-		cand.Prog.StreamView(r.inst, s, emit)
-	} else {
-		plan.Exec(r.inst, cand.Op, s, emit)
-	}
+	})
 	return res, nil
 }
 

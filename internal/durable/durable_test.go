@@ -289,74 +289,41 @@ func TestRecoveryFaultLeavesNoTornState(t *testing.T) {
 	faultinject.Install(p)
 	defer faultinject.Uninstall()
 
-	// Error at every replay step in turn.
-	for step := int64(1); ; step++ {
-		p.Reset()
-		p.Arm(step, faultinject.Error)
-		got, err := durable.Open(dir, schedSpec(), paperex.SchedulerDecomp(), durable.Options{CheckFDs: true})
-		if len(p.Fired()) == 0 {
-			if err != nil {
-				t.Fatalf("step %d: no fault fired yet Open failed: %v", step, err)
+	// The subject is the attempt's own Open of the one prepared directory.
+	type recovery struct{ got *core.DurableRelation }
+	faultinject.Sweep(t, p, faultinject.Regime[*recovery]{
+		Fresh: func() *recovery { return new(recovery) },
+		Action: func(r *recovery) (err error) {
+			r.got, err = durable.Open(dir, schedSpec(), paperex.SchedulerDecomp(), durable.Options{CheckFDs: true})
+			return err
+		},
+		Require: []string{"recovery.apply"},
+		Traced:  func(r *recovery, _ []faultinject.PointInfo) { r.got.Close() },
+		Contract: func(r *recovery, a faultinject.Attempt) {
+			if a.Err == nil {
+				r.got.Close()
+				t.Fatalf("step %d/%v: injected fault not surfaced by Open", a.Step, a.Mode)
 			}
-			got.Close()
-			if step == 1 {
-				t.Fatal("no recovery.apply step was ever reached")
+			if r.got != nil {
+				t.Fatalf("step %d/%v: failed Open returned a non-nil relation", a.Step, a.Mode)
 			}
-			break
-		}
-		if err == nil {
-			got.Close()
-			t.Fatalf("step %d: injected fault not surfaced by Open", step)
-		}
-		if got != nil {
-			t.Fatalf("step %d: failed Open returned a non-nil relation", step)
-		}
-	}
-
-	// Panic mid-replay: recovery must not trap the panic into torn state;
-	// a later clean Open still recovers everything. Panics inside the
-	// engine's own mutation machinery are contained to errors, so to
-	// exercise the propagating case the fault is aimed at a recovery.apply
-	// step itself.
-	p.Trace(true)
-	p.Reset()
-	if clean, err := durable.Open(dir, schedSpec(), paperex.SchedulerDecomp(), durable.Options{CheckFDs: true}); err != nil {
-		t.Fatal(err)
-	} else {
-		clean.Close()
-	}
-	applyStep := int64(0)
-	for i, pi := range p.Points() {
-		if pi.Site == "recovery.apply" {
-			applyStep = int64(i + 1)
-			break
-		}
-	}
-	p.Trace(false)
-	if applyStep == 0 {
-		t.Fatal("no recovery.apply point traced during a clean Open")
-	}
-	p.Reset()
-	p.Arm(applyStep, faultinject.Panic)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("armed panic did not propagate out of Open")
+			// Panics inside the engine's own mutation machinery are
+			// contained to errors; one at a recovery.apply step itself must
+			// propagate — recovery may not trap it into torn state.
+			if a.Mode == faultinject.Panic && a.Point.Site == "recovery.apply" && !a.Panicked {
+				t.Fatalf("step %d: armed panic did not propagate out of Open", a.Step)
 			}
-		}()
-		durable.Open(dir, schedSpec(), paperex.SchedulerDecomp(), durable.Options{CheckFDs: true})
-	}()
-
-	p.Reset()
-	p.Disarm()
-	d2 := open(t, dir, durable.Options{CheckFDs: true})
-	defer d2.Close()
-	if got := state(t, d2); !eqStates(got, want) {
-		t.Fatalf("post-fault recovery diverged: %d tuples, want %d", len(got), len(want))
-	}
-	if err := d2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+			// A later clean Open still recovers everything.
+			d2 := open(t, dir, durable.Options{CheckFDs: true})
+			defer d2.Close()
+			if got := state(t, d2); !eqStates(got, want) {
+				t.Fatalf("step %d/%v: post-fault recovery diverged: %d tuples, want %d", a.Step, a.Mode, len(got), len(want))
+			}
+			if err := d2.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		},
+	})
 }
 
 // TestWalCounters pins the observability contract of the write path:

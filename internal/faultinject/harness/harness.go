@@ -3,17 +3,23 @@
 // that fails — because a data structure returned an injected error or
 // panicked outright — leaves the relation exactly as it was, well-formed
 // (CheckWF), and representing the same abstract relation α as before the
-// mutation. The harness runs three regimes over a corpus of paper
-// decompositions: exhaustive (a fault at every reachable step of every
-// mutation, in both error and panic mode), randomized (seed-driven op/fault
-// schedules against a mirror oracle), and concurrent (a sharded engine
-// hammered from several goroutines while faults are armed, for the race
-// detector).
+// mutation. Over a corpus of paper decompositions it runs
+//
+//   - the exhaustive regimes: a fault at every reachable step of every
+//     mutation, in both error and panic mode. Each Exhaust* function is a
+//     faultinject.Regime — fresh subject, action, armed sites, contract —
+//     handed to the one sweep driver, faultinject.Sweep: Exhaust (bare
+//     relation), ExhaustCOW (MVCC tier), ExhaustWAL, ExhaustWALCheckpoint
+//     and ExhaustWALRecovery (durable tier, wal.go), ExhaustRepl and
+//     ExhaustReplResubscribe (replication, repl.go);
+//   - randomized: seed-driven op/fault schedules against a mirror oracle;
+//   - concurrent: a sharded engine hammered from several goroutines while
+//     faults are armed, for the race detector.
 package harness
 
 import (
 	"math/rand"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -52,6 +58,9 @@ type Case struct {
 	Decomp func() *decomp.Decomp
 	Seed   []relation.Tuple
 	Muts   []Mutation
+	// Batch is three tuples absent from Seed that the FDs admit together:
+	// the insert-batch row of engineMuts commits them as one version.
+	Batch []relation.Tuple
 
 	// Gen produces a random full tuple and Key names the update-pattern
 	// columns, for the randomized regime.
@@ -69,6 +78,25 @@ func intCols(names ...string) []core.ColDef {
 
 func bi(col string, v int64) relation.Binding { return relation.BindInt(col, v) }
 
+// The corpus mutations come in three shapes.
+func insertMut(t relation.Tuple) Mutation {
+	return Mutation{"insert", func(r Mutator) error { return r.Insert(t) }}
+}
+
+func removeMut(name string, pat relation.Tuple) Mutation {
+	return Mutation{name, func(r Mutator) error {
+		_, err := r.Remove(pat)
+		return err
+	}}
+}
+
+func updateMut(name string, pat, u relation.Tuple) Mutation {
+	return Mutation{name, func(r Mutator) error {
+		_, err := r.Update(pat, u)
+		return err
+	}}
+}
+
 // schedulerCase is Figure 2(a): the shared-node scheduler decomposition.
 func schedulerCase() Case {
 	seed := []relation.Tuple{
@@ -83,26 +111,17 @@ func schedulerCase() Case {
 		},
 		Decomp: paperex.SchedulerDecomp,
 		Seed:   seed,
+		Batch: []relation.Tuple{
+			paperex.SchedulerTuple(3, 1, paperex.StateR, 2),
+			paperex.SchedulerTuple(3, 2, paperex.StateS, 3),
+			paperex.SchedulerTuple(4, 1, paperex.StateR, 1),
+		},
 		Muts: []Mutation{
-			{"insert", func(r Mutator) error {
-				return r.Insert(paperex.SchedulerTuple(3, 1, paperex.StateR, 2))
-			}},
-			{"remove-point", func(r Mutator) error {
-				_, err := r.Remove(seed[0])
-				return err
-			}},
-			{"remove-pattern", func(r Mutator) error {
-				_, err := r.Remove(relation.NewTuple(bi("ns", 1)))
-				return err
-			}},
-			{"update-inplace", func(r Mutator) error {
-				_, err := r.Update(relation.NewTuple(bi("ns", 1), bi("pid", 1)), relation.NewTuple(bi("cpu", 9)))
-				return err
-			}},
-			{"update-replace", func(r Mutator) error {
-				_, err := r.Update(relation.NewTuple(bi("ns", 1), bi("pid", 1)), relation.NewTuple(bi("state", paperex.StateR)))
-				return err
-			}},
+			insertMut(paperex.SchedulerTuple(3, 1, paperex.StateR, 2)),
+			removeMut("remove-point", seed[0]),
+			removeMut("remove-pattern", relation.NewTuple(bi("ns", 1))),
+			updateMut("update-inplace", relation.NewTuple(bi("ns", 1), bi("pid", 1)), relation.NewTuple(bi("cpu", 9))),
+			updateMut("update-replace", relation.NewTuple(bi("ns", 1), bi("pid", 1)), relation.NewTuple(bi("state", paperex.StateR))),
 		},
 		Gen: func(rnd *rand.Rand) relation.Tuple {
 			return paperex.SchedulerTuple(rnd.Int63n(3), rnd.Int63n(3), rnd.Int63n(2), rnd.Int63n(4))
@@ -127,22 +146,12 @@ func graphCase(name string, d func() *decomp.Decomp) Case {
 		},
 		Decomp: d,
 		Seed:   seed,
+		Batch:  []relation.Tuple{paperex.EdgeTuple(3, 1, 13), paperex.EdgeTuple(3, 2, 14), paperex.EdgeTuple(4, 1, 15)},
 		Muts: []Mutation{
-			{"insert", func(r Mutator) error {
-				return r.Insert(paperex.EdgeTuple(3, 1, 13))
-			}},
-			{"remove-point", func(r Mutator) error {
-				_, err := r.Remove(seed[0])
-				return err
-			}},
-			{"remove-pattern", func(r Mutator) error {
-				_, err := r.Remove(relation.NewTuple(bi("src", 1)))
-				return err
-			}},
-			{"update-inplace", func(r Mutator) error {
-				_, err := r.Update(relation.NewTuple(bi("src", 2), bi("dst", 3)), relation.NewTuple(bi("weight", 99)))
-				return err
-			}},
+			insertMut(paperex.EdgeTuple(3, 1, 13)),
+			removeMut("remove-point", seed[0]),
+			removeMut("remove-pattern", relation.NewTuple(bi("src", 1))),
+			updateMut("update-inplace", relation.NewTuple(bi("src", 2), bi("dst", 3)), relation.NewTuple(bi("weight", 99))),
 		},
 		Gen: func(rnd *rand.Rand) relation.Tuple {
 			return paperex.EdgeTuple(rnd.Int63n(3), rnd.Int63n(3), rnd.Int63n(5))
@@ -176,20 +185,12 @@ func deepCase() Case {
 		},
 		Decomp: dcmp,
 		Seed:   seed,
+		Batch:  []relation.Tuple{tup(2, 2, 2, 9), tup(2, 2, 3, 1), tup(3, 1, 1, 2)},
 		Muts: []Mutation{
-			{"insert", func(r Mutator) error { return r.Insert(tup(2, 2, 2, 9)) }},
-			{"remove-point", func(r Mutator) error {
-				_, err := r.Remove(seed[0])
-				return err
-			}},
-			{"remove-pattern", func(r Mutator) error {
-				_, err := r.Remove(relation.NewTuple(bi("a", 1), bi("b", 1)))
-				return err
-			}},
-			{"update-inplace", func(r Mutator) error {
-				_, err := r.Update(relation.NewTuple(bi("a", 1), bi("b", 1), bi("c", 1)), relation.NewTuple(bi("d", 42)))
-				return err
-			}},
+			insertMut(tup(2, 2, 2, 9)),
+			removeMut("remove-point", seed[0]),
+			removeMut("remove-pattern", relation.NewTuple(bi("a", 1), bi("b", 1))),
+			updateMut("update-inplace", relation.NewTuple(bi("a", 1), bi("b", 1), bi("c", 1)), relation.NewTuple(bi("d", 42))),
 		},
 		Gen: func(rnd *rand.Rand) relation.Tuple {
 			return tup(rnd.Int63n(3), rnd.Int63n(3), rnd.Int63n(3), rnd.Int63n(3))
@@ -228,16 +229,11 @@ func twoKeyCase() Case {
 		},
 		Decomp: dcmp,
 		Seed:   seed,
+		Batch:  []relation.Tuple{tup(3, 7, 30), tup(4, 8, 40), tup(5, 9, 50)},
 		Muts: []Mutation{
-			{"insert", func(r Mutator) error { return r.Insert(tup(3, 7, 30)) }},
-			{"remove-point", func(r Mutator) error {
-				_, err := r.Remove(seed[0])
-				return err
-			}},
-			{"update-replace", func(r Mutator) error {
-				_, err := r.Update(relation.NewTuple(bi("k1", 1)), relation.NewTuple(bi("k2", 9)))
-				return err
-			}},
+			insertMut(tup(3, 7, 30)),
+			removeMut("remove-point", seed[0]),
+			updateMut("update-replace", relation.NewTuple(bi("k1", 1)), relation.NewTuple(bi("k2", 9))),
 		},
 		Gen: func(rnd *rand.Rand) relation.Tuple {
 			k := rnd.Int63n(4)
@@ -257,6 +253,19 @@ func Cases() []Case {
 		deepCase(),
 		twoKeyCase(),
 	}
+}
+
+// engineMuts is the corpus of the regimes whose subject is a core.Engine
+// (COW, WAL, replication): the case's mutations plus two that move several
+// tuples in one fork and one log record, so that faults land between tuple
+// i and i+1 of a single commit. The single-cell engines have no RemoveBatch
+// (it is the sharded tier's); their one-record multi-tuple remove is a
+// pattern remove, here the empty pattern taking every seeded tuple. On the
+// sharded WAL tier both rows fan out, which ExhaustWAL observes and skips.
+func (c Case) engineMuts() []Mutation {
+	return append(slices.Clip(c.Muts),
+		Mutation{"insert-batch", func(r Mutator) error { return r.(core.Engine).InsertBatch(c.Batch) }},
+		removeMut("remove-batch", relation.NewTuple()))
 }
 
 // build constructs and seeds the case's relation. The fault plane must
@@ -285,45 +294,28 @@ func (c Case) build(t *testing.T) *core.Relation {
 // pre-mutation oracle, the relation is not poisoned, and the mutation
 // succeeds when retried.
 func Exhaust(t *testing.T, p *faultinject.Plane, c Case) {
+	type subject struct {
+		r      *core.Relation
+		oracle *relation.Relation
+	}
 	for _, mu := range c.Muts {
 		t.Run(mu.Name, func(t *testing.T) {
-			tr := c.build(t)
-			p.Reset()
-			p.Trace(true)
-			if err := mu.Run(tr); err != nil {
-				t.Fatalf("trace run: %v", err)
-			}
-			pts := p.Points()
-			p.Trace(false)
-			p.Reset()
-			if len(pts) == 0 {
-				t.Fatal("mutation passed no injection points")
-			}
-			for step := 1; step <= len(pts); step++ {
-				for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-					if mode == faultinject.Error && !pts[step-1].CanError {
-						continue
-					}
+			faultinject.Sweep(t, p, faultinject.Regime[subject]{
+				Fresh: func() subject {
 					r := c.build(t)
-					oracle := r.Instance().Relation()
-					p.Reset()
-					p.Arm(int64(step), mode)
-					err := mu.Run(r)
-					fired := len(p.Fired()) > 0
-					p.Disarm()
-					if !fired {
-						t.Fatalf("step %d/%v: fault did not fire", step, mode)
-					}
-					if err == nil {
-						t.Fatalf("step %d/%v: injected fault surfaced as success", step, mode)
-					}
+					return subject{r, r.Instance().Relation()}
+				},
+				Action: func(s subject) error { return mu.Run(s.r) },
+				Contract: func(s subject, a faultinject.Attempt) {
+					r, step, mode := s.r, a.Step, a.Mode
+					a.RequireContained(t)
 					if r.Poisoned() {
 						t.Fatalf("step %d/%v: single fault poisoned the relation", step, mode)
 					}
 					if werr := r.Instance().CheckWF(); werr != nil {
 						t.Fatalf("step %d/%v: not well-formed after rollback: %v", step, mode, werr)
 					}
-					if !r.Instance().Relation().Equal(oracle) {
+					if !r.Instance().Relation().Equal(s.oracle) {
 						t.Fatalf("step %d/%v: α changed across failed %s", step, mode, mu.Name)
 					}
 					if rerr := mu.Run(r); rerr != nil {
@@ -332,8 +324,8 @@ func Exhaust(t *testing.T, p *faultinject.Plane, c Case) {
 					if werr := r.Instance().CheckWF(); werr != nil {
 						t.Fatalf("step %d/%v: retry left instance ill-formed: %v", step, mode, werr)
 					}
-				}
-			}
+				},
+			})
 		})
 	}
 }
@@ -350,57 +342,33 @@ func Exhaust(t *testing.T, p *faultinject.Plane, c Case) {
 // instance.cow.link), so faults land inside fork construction as well as
 // inside the underlying data structures.
 func ExhaustCOW(t *testing.T, p *faultinject.Plane, c Case) {
-	for _, mu := range c.Muts {
+	type subject struct {
+		s      *core.SyncRelation
+		pre    *core.Relation
+		preVer uint64
+		oracle *relation.Relation
+	}
+	for _, mu := range c.engineMuts() {
 		t.Run(mu.Name, func(t *testing.T) {
-			tr := core.NewSync(c.build(t))
-			p.Reset()
-			p.Trace(true)
-			if err := mu.Run(tr); err != nil {
-				t.Fatalf("trace run: %v", err)
-			}
-			pts := p.Points()
-			p.Trace(false)
-			p.Reset()
-			if len(pts) == 0 {
-				t.Fatal("mutation passed no injection points")
-			}
-			cow := 0
-			for _, pt := range pts {
-				if strings.HasPrefix(pt.Site, "instance.cow.") {
-					cow++
-				}
-			}
-			if cow == 0 {
-				t.Fatal("mutation passed no instance.cow.* points — injection is not reaching the copy-on-write fork path")
-			}
-			for step := 1; step <= len(pts); step++ {
-				for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-					if mode == faultinject.Error && !pts[step-1].CanError {
-						continue
-					}
+			faultinject.Sweep(t, p, faultinject.Regime[subject]{
+				Fresh: func() subject {
 					s := core.NewSync(c.build(t))
 					pre := s.Snapshot()
-					preVer := s.Version()
-					oracle := pre.Instance().Relation()
-					p.Reset()
-					p.Arm(int64(step), mode)
-					err := mu.Run(s)
-					fired := len(p.Fired()) > 0
-					p.Disarm()
-					if !fired {
-						t.Fatalf("step %d/%v: fault did not fire", step, mode)
-					}
-					if err == nil {
-						t.Fatalf("step %d/%v: injected fault surfaced as success", step, mode)
-					}
+					return subject{s, pre, s.Version(), pre.Instance().Relation()}
+				},
+				Action:  func(sub subject) error { return mu.Run(sub.s) },
+				Require: []string{"instance.cow."},
+				Contract: func(sub subject, a faultinject.Attempt) {
+					s, pre, step, mode := sub.s, sub.pre, a.Step, a.Mode
+					a.RequireContained(t)
 					// The torn-hybrid check: failure drops the fork before
 					// publication, so the handle must be the same instance,
 					// pointer-identical, at the same version.
 					if got := s.Snapshot(); got != pre {
 						t.Fatalf("step %d/%v: failed %s published a new version", step, mode, mu.Name)
 					}
-					if got := s.Version(); got != preVer {
-						t.Fatalf("step %d/%v: version advanced %d -> %d across failed %s", step, mode, preVer, got, mu.Name)
+					if got := s.Version(); got != sub.preVer {
+						t.Fatalf("step %d/%v: version advanced %d -> %d across failed %s", step, mode, sub.preVer, got, mu.Name)
 					}
 					if s.Snapshot().Poisoned() {
 						t.Fatalf("step %d/%v: fault poisoned the MVCC tier (the dropped fork should absorb it)", step, mode)
@@ -408,7 +376,7 @@ func ExhaustCOW(t *testing.T, p *faultinject.Plane, c Case) {
 					if werr := pre.Instance().CheckWF(); werr != nil {
 						t.Fatalf("step %d/%v: published instance ill-formed after drop: %v", step, mode, werr)
 					}
-					if !pre.Instance().Relation().Equal(oracle) {
+					if !pre.Instance().Relation().Equal(sub.oracle) {
 						t.Fatalf("step %d/%v: α of the published snapshot changed across failed %s", step, mode, mu.Name)
 					}
 					if rerr := mu.Run(s); rerr != nil {
@@ -421,8 +389,8 @@ func ExhaustCOW(t *testing.T, p *faultinject.Plane, c Case) {
 					if werr := post.Instance().CheckWF(); werr != nil {
 						t.Fatalf("step %d/%v: retry left published instance ill-formed: %v", step, mode, werr)
 					}
-				}
-			}
+				},
+			})
 		})
 	}
 }

@@ -75,6 +75,9 @@ type replEnv struct {
 	fol *repl.Follower
 	fm  *obs.Metrics
 	cd  *replCut
+	// rcBefore is the follower's reconnect count at quiescence: a
+	// session-killing fault must move it.
+	rcBefore uint64
 }
 
 func openRepl(t *testing.T, c Case) *replEnv {
@@ -97,6 +100,7 @@ func openRepl(t *testing.T, c Case) *replEnv {
 	env := &replEnv{d: d, pub: pub, fol: fol, fm: fm, cd: cd}
 	seedWAL(t, d, c)
 	env.quiesce(t)
+	env.rcBefore = fm.Snapshot().ReplReconnects
 	return env
 }
 
@@ -116,45 +120,16 @@ func (e *replEnv) close() {
 	e.d.Close()
 }
 
-// replicaAlpha reads the follower's abstraction α.
-func replicaAlpha(t *testing.T, c Case, fol *repl.Follower) *relation.Relation {
-	t.Helper()
-	ts, err := fol.All()
-	if err != nil {
-		t.Fatalf("replica All: %v", err)
-	}
-	rr := relation.Empty(c.Spec().Cols())
-	for _, tup := range ts {
-		if err := rr.Insert(tup); err != nil {
-			t.Fatalf("replica α tuple %v: %v", tup, err)
-		}
-	}
-	return rr
-}
-
-// waitFired polls for the armed fault, which may fire in a replication
-// goroutine after the mutation already returned to the writer.
-func waitFired(t *testing.T, p *faultinject.Plane, step int, mode faultinject.Mode) {
-	t.Helper()
-	deadline := time.Now().Add(replWait)
-	for len(p.Fired()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("step %d/%v: fault did not fire", step, mode)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // checkConverged asserts the full post-fault contract: primary at the
 // oracle state, follower an exact copy of it at the acknowledged head,
 // invariants intact, and the session death visible as a reconnect.
-func checkConverged(t *testing.T, c Case, env *replEnv, want *relation.Relation, rcBefore uint64, label string) {
+func checkConverged(t *testing.T, c Case, env *replEnv, want *relation.Relation, label string) {
 	t.Helper()
 	env.quiesce(t)
-	if !alphaWAL(t, env.d).Equal(want) {
+	if !alpha(t, c, env.d).Equal(want) {
 		t.Fatalf("%s: primary α diverged from the oracle", label)
 	}
-	if got := replicaAlpha(t, c, env.fol); !got.Equal(want) {
+	if got := alpha(t, c, env.fol); !got.Equal(want) {
 		t.Fatalf("%s: replica α is not the acknowledged state:\n%v", label, got)
 	}
 	if env.fol.Applied() != env.pub.Head() {
@@ -163,8 +138,8 @@ func checkConverged(t *testing.T, c Case, env *replEnv, want *relation.Relation,
 	if err := env.fol.CheckInvariants(); err != nil {
 		t.Fatalf("%s: replica invariants: %v", label, err)
 	}
-	if got := env.fm.Snapshot().ReplReconnects; got <= rcBefore {
-		t.Fatalf("%s: session-killing fault did not surface as a reconnect (%d -> %d)", label, rcBefore, got)
+	if got := env.fm.Snapshot().ReplReconnects; got <= env.rcBefore {
+		t.Fatalf("%s: session-killing fault did not surface as a reconnect (%d -> %d)", label, env.rcBefore, got)
 	}
 }
 
@@ -172,62 +147,30 @@ func checkConverged(t *testing.T, c Case, env *replEnv, want *relation.Relation,
 // path of every mutation of the case: a fault at every repl.* step, in
 // both modes, with the acknowledged-prefix contract asserted after each.
 func ExhaustRepl(t *testing.T, p *faultinject.Plane, c Case) {
-	for _, mu := range c.Muts {
+	for _, mu := range c.engineMuts() {
 		t.Run(mu.Name, func(t *testing.T) {
-			// Trace the replicated mutation's injection points cleanly.
-			env := openRepl(t, c)
-			p.Reset()
-			p.Trace(true)
-			if err := mu.Run(env.d); err != nil {
-				t.Fatalf("trace run: %v", err)
-			}
-			env.quiesce(t)
-			pts := p.Points()
-			p.Trace(false)
-			p.Reset()
-			env.close()
-			var send, recv, apply int
-			for _, pt := range pts {
-				switch pt.Site {
-				case "repl.send":
-					send++
-				case "repl.recv":
-					recv++
-				case "repl.apply":
-					apply++
-				}
-			}
-			if send == 0 || recv == 0 || apply == 0 {
-				t.Fatalf("mutation crossed send=%d recv=%d apply=%d repl points — the plane is not reaching the replication path", send, recv, apply)
-			}
-
 			_, post := walOracles(t, c, mu)
-
-			for step := 1; step <= len(pts); step++ {
+			faultinject.Sweep(t, p, faultinject.Regime[*replEnv]{
+				Fresh:  func() *replEnv { return openRepl(t, c) },
+				Action: func(env *replEnv) error { return mu.Run(env.d) },
+				Settle: func(env *replEnv) { env.quiesce(t) },
+				Traced: func(env *replEnv, _ []faultinject.PointInfo) { env.close() },
 				// The wal.* steps of the same trace are exhausted by
 				// ExhaustWAL; here only the replication plane is under
 				// test, so only its steps are armed.
-				if !strings.HasPrefix(pts[step-1].Site, "repl.") {
-					continue
-				}
-				for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-					env := openRepl(t, c)
-					rcBefore := env.fm.Snapshot().ReplReconnects
-					p.Reset()
-					p.Arm(int64(step), mode)
-					err, panicked := runContained(func() error { return mu.Run(env.d) })
-					waitFired(t, p, step, mode)
-					p.Disarm()
+				Sites:     "repl.",
+				Require:   []string{"repl.send", "repl.recv", "repl.apply"},
+				AwaitFire: replWait,
+				Contract: func(env *replEnv, a faultinject.Attempt) {
 					// Replication is downstream of acknowledgement: the
 					// writer must never see a shipping fault.
-					if err != nil || panicked {
-						t.Fatalf("step %d/%v: replication fault surfaced into the writer: %v", step, mode, err)
+					if a.Err != nil {
+						t.Fatalf("step %d/%v: replication fault surfaced into the writer: %v", a.Step, a.Mode, a.Err)
 					}
-					checkConverged(t, c, env, post, rcBefore,
-						"step "+pts[step-1].Site+"/"+mode.String())
+					checkConverged(t, c, env, post, "step "+a.Point.Site+"/"+a.Mode.String())
 					env.close()
-				}
-			}
+				},
+			})
 		})
 	}
 }
@@ -240,66 +183,49 @@ func ExhaustRepl(t *testing.T, p *faultinject.Plane, c Case) {
 // proves the recovered session is live and converges to the same prefix
 // contract.
 //
-// Unlike ExhaustRepl, nothing is mutated while the reconnect is in
-// flight: a writer racing the handshake would interleave its wal.*
-// points with the resubscription's points nondeterministically. The
-// traced phase is exactly cut-to-settle, which is causally ordered by
-// the synchronous pipe (resubscribe before hello-send before
-// hello-recv).
+// Unlike ExhaustRepl, nothing is mutated while step numbers still
+// matter: a writer racing the handshake would interleave its wal.* points
+// with the resubscription's points nondeterministically. The traced run
+// is exactly cut-to-settle (waitSteady), which is causally ordered by the
+// synchronous pipe (resubscribe before hello-send before hello-recv); an
+// armed run only waits for its fault, after which the plane is disarmed
+// and the contract's mutation may overlap the retried handshake freely.
 func ExhaustReplResubscribe(t *testing.T, p *faultinject.Plane, c Case) {
 	mu := c.Muts[0]
-
-	// Trace one cut-and-reconnect cycle cleanly.
-	env := openRepl(t, c)
-	p.Reset()
-	p.Trace(true)
-	env.cd.cut()
-	waitSteady(t, p)
-	pts := p.Points()
-	p.Trace(false)
-	p.Reset()
-	env.quiesce(t)
-	env.close()
-	resub := 0
-	for _, pt := range pts {
-		if pt.Site == "repl.resubscribe" {
-			resub++
-		}
-		if !strings.HasPrefix(pt.Site, "repl.") {
-			t.Fatalf("non-replication point %s crossed during a reconnect", pt.Site)
-		}
-	}
-	if resub == 0 {
-		t.Fatal("cut did not cross the repl.resubscribe point")
-	}
-
 	_, post := walOracles(t, c, mu)
-
-	for step := 1; step <= len(pts); step++ {
-		for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-			env := openRepl(t, c)
-			rcBefore := env.fm.Snapshot().ReplReconnects
-			p.Reset()
-			p.Arm(int64(step), mode)
+	faultinject.Sweep(t, p, faultinject.Regime[*replEnv]{
+		Fresh: func() *replEnv { return openRepl(t, c) },
+		Action: func(env *replEnv) error {
 			env.cd.cut()
-			waitSteady(t, p)
-			waitFired(t, p, step, mode)
-			p.Disarm()
+			return nil
+		},
+		Settle: func(*replEnv) { waitSteady(t, p) },
+		Traced: func(env *replEnv, pts []faultinject.PointInfo) {
+			env.quiesce(t)
+			env.close()
+			for _, pt := range pts {
+				if !strings.HasPrefix(pt.Site, "repl.") {
+					t.Fatalf("non-replication point %s crossed during a reconnect", pt.Site)
+				}
+			}
+		},
+		Require:   []string{"repl.resubscribe"},
+		AwaitFire: replWait,
+		Contract: func(env *replEnv, a faultinject.Attempt) {
 			// The faulted attempt absorbed, the retried session must be
 			// live: replicate one mutation through it.
 			if err := mu.Run(env.d); err != nil {
-				t.Fatalf("step %d/%v: mutation after reconnect: %v", step, mode, err)
+				t.Fatalf("step %d/%v: mutation after reconnect: %v", a.Step, a.Mode, err)
 			}
-			checkConverged(t, c, env, post, rcBefore,
-				"resubscribe step "+pts[step-1].Site+"/"+mode.String())
+			checkConverged(t, c, env, post, "resubscribe step "+a.Point.Site+"/"+a.Mode.String())
 			env.close()
-		}
-	}
+		},
+	})
 }
 
 // waitSteady polls the plane's step counter until it has been quiet for
 // long enough that the reconnect retry loop (1ms backoff) must have
-// settled into an established session.
+// settled into an established session: the traced reconnect is complete.
 func waitSteady(t *testing.T, p *faultinject.Plane) {
 	t.Helper()
 	deadline := time.Now().Add(replWait)

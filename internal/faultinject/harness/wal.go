@@ -1,13 +1,12 @@
 package harness
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/wal"
 )
@@ -34,7 +33,7 @@ import (
 //     the recovered instance passes CheckWF. Re-running the mutation
 //     must converge to the post state.
 //
-// ExhaustWALCheckpoint and ExhaustWALRecovery run the same two regimes
+// ExhaustWALCheckpoint and ExhaustWALRecovery run the same two modes
 // over the checkpoint path (snapshot write + log rotation) and over
 // recovery itself (durable.Open replaying a prepared directory), the
 // latter being the regression harness for replay-through-COW: a fault
@@ -59,6 +58,7 @@ func tryOpenWAL(dir string, c Case, shards int) (*core.DurableRelation, error) {
 		Create:   true,
 		Policy:   wal.SyncAlways,
 		CheckFDs: true,
+		Metrics:  &obs.Metrics{},
 	}
 	if shards > 0 {
 		opts.Shards = shards
@@ -78,14 +78,43 @@ func seedWAL(t *testing.T, d *core.DurableRelation, c Case) {
 	}
 }
 
-// alphaWAL reads the durable relation's abstraction α.
-func alphaWAL(t *testing.T, d *core.DurableRelation) *relation.Relation {
+// A walSubject is one seeded durable relation and the directory under it.
+type walSubject struct {
+	dir string
+	d   *core.DurableRelation
+}
+
+// freshWAL builds walSubjects: a new directory, the case's relation opened
+// in it, the seed tuples acknowledged through the durable engine.
+func freshWAL(t *testing.T, c Case, shards int) func() *walSubject {
+	return func() *walSubject {
+		t.Helper()
+		s := &walSubject{dir: t.TempDir()}
+		s.d = openWAL(t, s.dir, c, shards)
+		seedWAL(t, s.d, c)
+		return s
+	}
+}
+
+// closeTraced releases the subject of a clean traced run.
+func (s *walSubject) closeTraced(t *testing.T) {
 	t.Helper()
-	ts, err := d.All()
+	if err := s.d.Close(); err != nil {
+		t.Fatalf("trace close: %v", err)
+	}
+}
+
+// alpha reads the abstraction α of the case's relation as src — a durable
+// primary or a replica — serves it.
+func alpha(t *testing.T, c Case, src interface {
+	All() ([]relation.Tuple, error)
+}) *relation.Relation {
+	t.Helper()
+	ts, err := src.All()
 	if err != nil {
 		t.Fatalf("reading α: %v", err)
 	}
-	rr := relation.Empty(d.Spec().Cols())
+	rr := relation.Empty(c.Spec().Cols())
 	for _, tup := range ts {
 		if err := rr.Insert(tup); err != nil {
 			t.Fatalf("α tuple %v: %v", tup, err)
@@ -94,97 +123,53 @@ func alphaWAL(t *testing.T, d *core.DurableRelation) *relation.Relation {
 	return rr
 }
 
-// runContained runs f, converting a panic into (error, panicked=true).
-func runContained(f func() error) (err error, panicked bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			panicked = true
-			err = fmt.Errorf("panic: %v", rec)
-		}
-	}()
-	return f(), false
-}
-
 // walOracles computes the α before and after the mutation on a plain
-// in-memory relation.
+// in-memory engine.
 func walOracles(t *testing.T, c Case, mu Mutation) (pre, post *relation.Relation) {
 	t.Helper()
-	r := c.build(t)
-	pre = r.Instance().Relation().Clone()
-	if err := mu.Run(r); err != nil {
+	s := core.NewSync(c.build(t))
+	pre = s.Snapshot().Instance().Relation()
+	if err := mu.Run(s); err != nil {
 		t.Fatalf("%s: oracle run of %s: %v", c.Name, mu.Name, err)
 	}
-	post = r.Instance().Relation()
-	return pre, post
+	return pre, s.Snapshot().Instance().Relation()
 }
 
 // ExhaustWAL runs the exhaustive kill-point regime over every mutation of
-// the case on the durable tier.
+// the case on the durable tier. Which mutations the all-or-nothing oracle
+// applies to is decided by what the traced run did, not by their names.
 func ExhaustWAL(t *testing.T, p *faultinject.Plane, c Case, shards int) {
-	for _, mu := range c.Muts {
-		if shards > 0 && !strings.Contains(mu.Name, "point") && !strings.Contains(mu.Name, "insert") && !strings.Contains(mu.Name, "update") {
-			// Fan-out mutations (pattern removes not binding the shard
-			// key) are atomic per cell, not across cells: a fault in one
-			// shard leaves earlier shards' commits published, so the
-			// all-or-nothing oracle below does not apply. Routed
-			// mutations cover the sharded durable write path.
-			continue
-		}
+	for _, mu := range c.engineMuts() {
 		t.Run(mu.Name, func(t *testing.T) {
-			// Trace the mutation's injection points on a clean run.
-			dir := t.TempDir()
-			d := openWAL(t, dir, c, shards)
-			seedWAL(t, d, c)
-			p.Reset()
-			p.Trace(true)
-			if err := mu.Run(d); err != nil {
-				t.Fatalf("trace run: %v", err)
-			}
-			pts := p.Points()
-			p.Trace(false)
-			p.Reset()
-			if err := d.Close(); err != nil {
-				t.Fatalf("trace close: %v", err)
-			}
-			if len(pts) == 0 {
-				t.Fatal("mutation passed no injection points")
-			}
-			walPoints := 0
-			for _, pt := range pts {
-				if strings.HasPrefix(pt.Site, "wal.") {
-					walPoints++
-				}
-			}
-			if walPoints == 0 {
-				t.Fatal("mutation passed no wal.* points — the durable tier is not logging it")
-			}
-
 			pre, post := walOracles(t, c, mu)
+			faultinject.Sweep(t, p, faultinject.Regime[*walSubject]{
+				Fresh:   freshWAL(t, c, shards),
+				Action:  func(s *walSubject) error { return mu.Run(s.d) },
+				Require: []string{"wal."},
+				Traced: func(s *walSubject, _ []faultinject.PointInfo) {
+					// Seeding is routed inserts, so any fan-out the engine
+					// counted is the traced mutation's.
+					fanOuts := s.d.Metrics().Snapshot().FanOuts
+					s.closeTraced(t)
+					if fanOuts > 0 {
+						// A fan-out mutation is atomic per cell, not across
+						// cells: a fault in one shard leaves earlier shards'
+						// commits published, so the all-or-nothing oracle
+						// below does not apply. Routed mutations cover the
+						// sharded durable write path.
+						t.Skipf("%s fanned out over the %d cells (shard.fanouts=%d): per-cell atomicity, the all-or-nothing oracle does not apply", mu.Name, shards, fanOuts)
+					}
+				},
+				Contract: func(s *walSubject, a faultinject.Attempt) {
+					d, step := s.d, a.Step
+					if a.Err == nil {
+						t.Fatalf("step %d/%v: injected fault surfaced as success", step, a.Mode)
+					}
 
-			for step := 1; step <= len(pts); step++ {
-				for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-					if mode == faultinject.Error && !pts[step-1].CanError {
-						continue
-					}
-					dir := t.TempDir()
-					d := openWAL(t, dir, c, shards)
-					seedWAL(t, d, c)
-					p.Reset()
-					p.Arm(int64(step), mode)
-					err, panicked := runContained(func() error { return mu.Run(d) })
-					fired := len(p.Fired()) > 0
-					p.Disarm()
-					if !fired {
-						t.Fatalf("step %d/%v: fault did not fire", step, mode)
-					}
-					if err == nil {
-						t.Fatalf("step %d/%v: injected fault surfaced as success", step, mode)
-					}
-
-					if mode == faultinject.Error {
+					if a.Mode == faultinject.Error {
 						// Live-failure contract: nothing published, nothing
 						// logged, retry works, recovery agrees.
-						if !alphaWAL(t, d).Equal(pre) {
+						if !alpha(t, c, d).Equal(pre) {
 							t.Fatalf("step %d/error: failed %s changed the published α", step, mu.Name)
 						}
 						if ierr := d.CheckInvariants(); ierr != nil {
@@ -193,30 +178,29 @@ func ExhaustWAL(t *testing.T, p *faultinject.Plane, c Case, shards int) {
 						if rerr := mu.Run(d); rerr != nil {
 							t.Fatalf("step %d/error: retry: %v", step, rerr)
 						}
-						if !alphaWAL(t, d).Equal(post) {
+						if !alpha(t, c, d).Equal(post) {
 							t.Fatalf("step %d/error: retried %s did not reach the post state", step, mu.Name)
 						}
 						if cerr := d.Close(); cerr != nil {
 							t.Fatalf("step %d/error: close: %v", step, cerr)
 						}
-						d2 := openWAL(t, dir, c, shards)
-						if !alphaWAL(t, d2).Equal(post) {
+						d2 := openWAL(t, s.dir, c, shards)
+						if !alpha(t, c, d2).Equal(post) {
 							t.Fatalf("step %d/error: recovery disagrees with the acknowledged state", step)
 						}
 						d2.Close()
-						continue
+						return
 					}
 
 					// Kill contract. The handle is dead (possibly wedged);
 					// Close only releases file handles — it cannot repair or
 					// extend the on-disk tail the "crash" left behind.
-					_ = panicked
 					d.Close()
-					d2, oerr := tryOpenWAL(dir, c, shards)
+					d2, oerr := tryOpenWAL(s.dir, c, shards)
 					if oerr != nil {
 						t.Fatalf("step %d/panic: reopen after kill: %v", step, oerr)
 					}
-					got := alphaWAL(t, d2)
+					got := alpha(t, c, d2)
 					if !got.Equal(pre) && !got.Equal(post) {
 						t.Fatalf("step %d/panic: recovered α is neither the pre- nor the post-%s state:\n%v", step, mu.Name, got)
 					}
@@ -226,14 +210,14 @@ func ExhaustWAL(t *testing.T, p *faultinject.Plane, c Case, shards int) {
 					if rerr := mu.Run(d2); rerr != nil {
 						t.Fatalf("step %d/panic: re-running %s after recovery: %v", step, mu.Name, rerr)
 					}
-					if !alphaWAL(t, d2).Equal(post) {
+					if !alpha(t, c, d2).Equal(post) {
 						t.Fatalf("step %d/panic: re-run did not converge to the post state", step)
 					}
 					if cerr := d2.Close(); cerr != nil {
 						t.Fatalf("step %d/panic: close after recovery: %v", step, cerr)
 					}
-				}
-			}
+				},
+			})
 		})
 	}
 }
@@ -245,56 +229,18 @@ func ExhaustWAL(t *testing.T, p *faultinject.Plane, c Case, shards int) {
 // served by the old log, the new snapshot, or both, depending on where
 // the crash landed.
 func ExhaustWALCheckpoint(t *testing.T, p *faultinject.Plane, c Case) {
-	// Trace a clean checkpoint.
-	dir := t.TempDir()
-	d := openWAL(t, dir, c, 0)
-	seedWAL(t, d, c)
-	p.Reset()
-	p.Trace(true)
-	if err := d.Checkpoint(); err != nil {
-		t.Fatalf("trace checkpoint: %v", err)
-	}
-	pts := p.Points()
-	p.Trace(false)
-	p.Reset()
-	if err := d.Close(); err != nil {
-		t.Fatalf("trace close: %v", err)
-	}
-	ckptPoints := 0
-	for _, pt := range pts {
-		if strings.HasPrefix(pt.Site, "ckpt.") || strings.HasPrefix(pt.Site, "wal.rotate.") {
-			ckptPoints++
-		}
-	}
-	if ckptPoints == 0 {
-		t.Fatal("checkpoint passed no ckpt.*/wal.rotate.* points")
-	}
-
-	pre := func() *relation.Relation {
-		r := c.build(t)
-		return r.Instance().Relation()
-	}()
-
-	for step := 1; step <= len(pts); step++ {
-		for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-			if mode == faultinject.Error && !pts[step-1].CanError {
-				continue
-			}
-			dir := t.TempDir()
-			d := openWAL(t, dir, c, 0)
-			seedWAL(t, d, c)
-			p.Reset()
-			p.Arm(int64(step), mode)
-			err, _ := runContained(func() error { return d.Checkpoint() })
-			fired := len(p.Fired()) > 0
-			p.Disarm()
-			if !fired {
-				t.Fatalf("step %d/%v: fault did not fire", step, mode)
-			}
-			if err == nil {
+	pre := c.build(t).Instance().Relation()
+	faultinject.Sweep(t, p, faultinject.Regime[*walSubject]{
+		Fresh:   freshWAL(t, c, 0),
+		Action:  func(s *walSubject) error { return s.d.Checkpoint() },
+		Require: []string{"ckpt.", "wal.rotate."},
+		Traced:  func(s *walSubject, _ []faultinject.PointInfo) { s.closeTraced(t) },
+		Contract: func(s *walSubject, a faultinject.Attempt) {
+			d, step, mode := s.d, a.Step, a.Mode
+			if a.Err == nil {
 				t.Fatalf("step %d/%v: injected fault surfaced as success", step, mode)
 			}
-			if !alphaWAL(t, d).Equal(pre) {
+			if !alpha(t, c, d).Equal(pre) {
 				t.Fatalf("step %d/%v: failed checkpoint changed the live α", step, mode)
 			}
 
@@ -310,11 +256,11 @@ func ExhaustWALCheckpoint(t *testing.T, p *faultinject.Plane, c Case) {
 				d.Close() // kill: release handles only
 			}
 
-			d2, oerr := tryOpenWAL(dir, c, 0)
+			d2, oerr := tryOpenWAL(s.dir, c, 0)
 			if oerr != nil {
 				t.Fatalf("step %d/%v: reopen after checkpoint fault: %v", step, mode, oerr)
 			}
-			if !alphaWAL(t, d2).Equal(pre) {
+			if !alpha(t, c, d2).Equal(pre) {
 				t.Fatalf("step %d/%v: recovery after checkpoint fault lost state", step, mode)
 			}
 			if rerr := d2.Checkpoint(); rerr != nil {
@@ -323,8 +269,8 @@ func ExhaustWALCheckpoint(t *testing.T, p *faultinject.Plane, c Case) {
 			if cerr := d2.Close(); cerr != nil {
 				t.Fatalf("step %d/%v: close after recovery: %v", step, mode, cerr)
 			}
-		}
-	}
+		},
+	})
 }
 
 // ExhaustWALRecovery exhausts recovery itself: a directory with a
@@ -337,9 +283,8 @@ func ExhaustWALCheckpoint(t *testing.T, p *faultinject.Plane, c Case) {
 // replay would leave a half-applied relation behind on the first fault
 // and the retry would disagree with the oracle.
 func ExhaustWALRecovery(t *testing.T, p *faultinject.Plane, c Case) {
-	dir := t.TempDir()
-	d := openWAL(t, dir, c, 0)
-	seedWAL(t, d, c)
+	prep := freshWAL(t, c, 0)()
+	dir, d := prep.dir, prep.d
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("prepare checkpoint: %v", err)
 	}
@@ -350,71 +295,45 @@ func ExhaustWALRecovery(t *testing.T, p *faultinject.Plane, c Case) {
 			t.Fatalf("prepare tail %s: %v", mu.Name, err)
 		}
 	}
-	want := alphaWAL(t, d)
+	want := alpha(t, c, d)
 	if err := d.Close(); err != nil {
 		t.Fatalf("prepare close: %v", err)
 	}
 
-	// Trace a clean recovery.
-	p.Reset()
-	p.Trace(true)
-	d2, err := tryOpenWAL(dir, c, 0)
-	if err != nil {
-		t.Fatalf("trace open: %v", err)
-	}
-	pts := p.Points()
-	p.Trace(false)
-	p.Reset()
-	if !alphaWAL(t, d2).Equal(want) {
-		t.Fatal("clean recovery disagrees with the acknowledged state")
-	}
-	if err := d2.Close(); err != nil {
-		t.Fatalf("trace close: %v", err)
-	}
-	applySteps := 0
-	for _, pt := range pts {
-		if pt.Site == "recovery.apply" {
-			applySteps++
-		}
-	}
-	if applySteps == 0 {
-		t.Fatal("recovery passed no recovery.apply points")
-	}
-
-	for step := 1; step <= len(pts); step++ {
-		for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-			if mode == faultinject.Error && !pts[step-1].CanError {
-				continue
+	// The subject is the attempt's own Open of the one prepared directory.
+	type recovery struct{ opened *core.DurableRelation }
+	faultinject.Sweep(t, p, faultinject.Regime[*recovery]{
+		Fresh: func() *recovery { return new(recovery) },
+		Action: func(r *recovery) (err error) {
+			r.opened, err = tryOpenWAL(dir, c, 0)
+			return err
+		},
+		Require: []string{"recovery.apply"},
+		Traced: func(r *recovery, _ []faultinject.PointInfo) {
+			if !alpha(t, c, r.opened).Equal(want) {
+				t.Fatal("clean recovery disagrees with the acknowledged state")
 			}
-			p.Reset()
-			p.Arm(int64(step), mode)
-			var opened *core.DurableRelation
-			err, _ := runContained(func() error {
-				var oerr error
-				opened, oerr = tryOpenWAL(dir, c, 0)
-				return oerr
-			})
-			fired := len(p.Fired()) > 0
-			p.Disarm()
-			if !fired {
-				t.Fatalf("step %d/%v: fault did not fire", step, mode)
+			if err := r.opened.Close(); err != nil {
+				t.Fatalf("trace close: %v", err)
 			}
-			if err == nil {
-				opened.Close()
+		},
+		Contract: func(r *recovery, a faultinject.Attempt) {
+			step, mode := a.Step, a.Mode
+			if a.Err == nil {
+				r.opened.Close()
 				t.Fatalf("step %d/%v: faulted recovery surfaced as success", step, mode)
 			}
-			if opened != nil {
-				opened.Close()
+			if r.opened != nil {
+				r.opened.Close()
 				t.Fatalf("step %d/%v: faulted recovery returned a relation", step, mode)
 			}
 			// The COW guarantee: a disarmed retry sees an untouched
 			// directory and recovers everything.
-			p.Reset()
 			d3, oerr := tryOpenWAL(dir, c, 0)
 			if oerr != nil {
 				t.Fatalf("step %d/%v: retried recovery failed: %v", step, mode, oerr)
 			}
-			if !alphaWAL(t, d3).Equal(want) {
+			if !alpha(t, c, d3).Equal(want) {
 				t.Fatalf("step %d/%v: retried recovery disagrees with the acknowledged state", step, mode)
 			}
 			if ierr := d3.CheckInvariants(); ierr != nil {
@@ -423,6 +342,6 @@ func ExhaustWALRecovery(t *testing.T, p *faultinject.Plane, c Case) {
 			if cerr := d3.Close(); cerr != nil {
 				t.Fatalf("step %d/%v: close after retried recovery: %v", step, mode, cerr)
 			}
-		}
-	}
+		},
+	})
 }

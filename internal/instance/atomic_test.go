@@ -75,34 +75,6 @@ func installPlane(t *testing.T) *faultinject.Plane {
 	return p
 }
 
-// traceMutation counts the injection steps of one mutation by running it
-// once with tracing on a sacrificial instance.
-func tracePoints(t *testing.T, p *faultinject.Plane, mut func(in *Instance) error) []faultinject.PointInfo {
-	t.Helper()
-	in := schedFI(t, p)
-	p.Reset()
-	p.Trace(true)
-	if err := mut(in); err != nil {
-		t.Fatalf("trace run failed: %v", err)
-	}
-	pts := p.Points()
-	p.Trace(false)
-	p.Reset()
-	if len(pts) == 0 {
-		t.Fatal("mutation passed no injection points")
-	}
-	return pts
-}
-
-func runRecovered(mut func() error) (err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-		}
-	}()
-	return mut(), false
-}
-
 // TestMutationsRollBackAtEveryStep injects a fault — returned error at the
 // error-capable instance sites, panic at every site — at each step of an
 // insert and a remove, and asserts the instance afterwards is well-formed,
@@ -118,29 +90,27 @@ func TestMutationsRollBackAtEveryStep(t *testing.T) {
 		{"insert", func(in *Instance) error { _, err := in.Insert(tup); return err }},
 		{"remove", func(in *Instance) error { _, err := in.RemoveTuple(gone); return err }},
 	}
+	type subject struct {
+		in     *Instance
+		oracle *relation.Relation
+		before int
+	}
 	for _, mu := range muts {
 		t.Run(mu.name, func(t *testing.T) {
-			pts := tracePoints(t, p, mu.run)
-			for step := 1; step <= len(pts); step++ {
-				for _, mode := range []faultinject.Mode{faultinject.Error, faultinject.Panic} {
-					if mode == faultinject.Error && !pts[step-1].CanError {
-						continue
-					}
+			faultinject.Sweep(t, p, faultinject.Regime[subject]{
+				Fresh: func() subject {
 					in := schedFI(t, p)
-					oracle := in.Relation()
-					before := in.Len()
-					p.Reset()
-					p.Arm(int64(step), mode)
-					err, panicked := runRecovered(func() error { return mu.run(in) })
-					fired := len(p.Fired()) > 0
-					p.Disarm()
-					if !fired {
-						t.Fatalf("step %d/%v: fault did not fire", step, mode)
-					}
-					if mode == faultinject.Error && err == nil {
+					return subject{in, in.Relation(), in.Len()}
+				},
+				Action: func(s subject) error { return mu.run(s.in) },
+				Contract: func(s subject, a faultinject.Attempt) {
+					in, step, mode := s.in, a.Step, a.Mode
+					// The bare instance has no containment boundary: an
+					// injected panic must reach the caller as a panic.
+					if mode == faultinject.Error && (a.Err == nil || a.Panicked) {
 						t.Fatalf("step %d: injected error not surfaced", step)
 					}
-					if mode == faultinject.Panic && !panicked {
+					if mode == faultinject.Panic && !a.Panicked {
 						t.Fatalf("step %d: injected panic did not propagate", step)
 					}
 					if in.Torn() {
@@ -149,7 +119,7 @@ func TestMutationsRollBackAtEveryStep(t *testing.T) {
 					if werr := in.CheckWF(); werr != nil {
 						t.Fatalf("step %d/%v: instance not well-formed after rollback: %v", step, mode, werr)
 					}
-					if in.Len() != before || !in.Relation().Equal(oracle) {
+					if in.Len() != s.before || !in.Relation().Equal(s.oracle) {
 						t.Fatalf("step %d/%v: α changed after failed mutation", step, mode)
 					}
 					if err := mu.run(in); err != nil {
@@ -158,8 +128,8 @@ func TestMutationsRollBackAtEveryStep(t *testing.T) {
 					if werr := in.CheckWF(); werr != nil {
 						t.Fatalf("step %d/%v: retry left instance ill-formed: %v", step, mode, werr)
 					}
-				}
-			}
+				},
+			})
 		})
 	}
 }
@@ -171,7 +141,14 @@ func TestMutationsRollBackAtEveryStep(t *testing.T) {
 func TestDoubleFaultMarksTorn(t *testing.T) {
 	p := installPlane(t)
 	tup := paperex.SchedulerTuple(2, 1, paperex.StateR, 9)
-	pts := tracePoints(t, p, func(in *Instance) error { _, err := in.Insert(tup); return err })
+	tr := schedFI(t, p)
+	p.Reset()
+	p.Trace(true)
+	if _, err := tr.Insert(tup); err != nil {
+		t.Fatalf("trace run failed: %v", err)
+	}
+	pts := p.Points()
+	p.Trace(false)
 	step, links := 0, 0
 	for i, pi := range pts {
 		if pi.Site == "instance.insert.link" {
@@ -188,7 +165,7 @@ func TestDoubleFaultMarksTorn(t *testing.T) {
 	in := schedFI(t, p)
 	p.Reset()
 	p.ArmFrom(int64(step), faultinject.Panic)
-	_, panicked := runRecovered(func() error { _, err := in.Insert(tup); return err })
+	_, panicked := faultinject.Contain(func() error { _, err := in.Insert(tup); return err })
 	p.Disarm()
 	if !panicked {
 		t.Fatal("persistent fault did not panic the insert")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/decomp"
+	"repro/internal/dstruct"
 	"repro/internal/instance"
 	"repro/internal/relation"
 )
@@ -18,38 +19,50 @@ import (
 // Execution is constant-space: the only state is the recursion down the
 // plan tree and the constraint tuple threaded through it.
 func Exec(in *instance.Instance, op Op, s relation.Tuple, emit func(relation.Tuple) bool) bool {
-	return execOp(in, op, in.Decomp().RootBinding().Def, in.Root(), s, emit)
+	return execOp(in, op, in.Decomp().RootBinding().Def, in.Root(), s, nil, emit)
 }
 
-func execOp(in *instance.Instance, op Op, prim decomp.Primitive, n *instance.Node, constraint relation.Tuple, emit func(relation.Tuple) bool) bool {
+// execOp is the one Figure 7 interpreter. rg, when non-nil, is ExecRange's
+// constraint: a unit or map key binding rg.Col outside the range is skipped
+// as soon as the column becomes bound, and a scan over an ordered map keyed
+// exactly by rg.Col seeks instead of filtering.
+func execOp(in *instance.Instance, op Op, prim decomp.Primitive, n *instance.Node, constraint relation.Tuple, rg *Range, emit func(relation.Tuple) bool) bool {
 	switch op := op.(type) {
 	case *Unit:
 		u := n.UnitAt(in, op.U)
-		if u.Matches(constraint) {
-			return emit(constraint.Merge(u))
+		if !u.Matches(constraint) || !rg.admits(u) {
+			return true
 		}
-		return true
+		return emit(constraint.Merge(u))
 	case *Lookup:
 		e := op.Edge
 		child, ok := n.MapAt(in, e).Get(constraint.Project(e.Key))
 		if !ok {
 			return true
 		}
-		return execOp(in, op.Sub, in.Decomp().Var(e.Target).Def, child, constraint, emit)
+		return execOp(in, op.Sub, in.Decomp().Var(e.Target).Def, child, constraint, rg, emit)
 	case *Scan:
 		e := op.Edge
 		cont := true
-		n.MapAt(in, e).Range(func(k relation.Tuple, child *instance.Node) bool {
-			if !k.Matches(constraint) {
+		step := func(k relation.Tuple, child *instance.Node) bool {
+			if !k.Matches(constraint) || !rg.admits(k) {
 				return true
 			}
-			cont = execOp(in, op.Sub, in.Decomp().Var(e.Target).Def, child, constraint.Merge(k), emit)
+			cont = execOp(in, op.Sub, in.Decomp().Var(e.Target).Def, child, constraint.Merge(k), rg, emit)
 			return cont
-		})
+		}
+		m := n.MapAt(in, e)
+		if rg != nil && e.Key.Len() == 1 && e.Key.Has(rg.Col) {
+			if ranger, ok := m.(dstruct.Ranger[*instance.Node]); ok {
+				ranger.RangeBetween(rg.loTuple(), rg.hiTuple(), step)
+				return cont
+			}
+		}
+		m.Range(step)
 		return cont
 	case *LR:
 		j := prim.(*decomp.Join)
-		return execOp(in, op.Sub, sideOf(j, op.Side), n, constraint, emit)
+		return execOp(in, op.Sub, sideOf(j, op.Side), n, constraint, rg, emit)
 	case *Join:
 		j := prim.(*decomp.Join)
 		outerOp, innerOp := op.LeftOp, op.RightOp
@@ -58,8 +71,8 @@ func execOp(in *instance.Instance, op Op, prim decomp.Primitive, n *instance.Nod
 			outerOp, innerOp = op.RightOp, op.LeftOp
 			outerPrim, innerPrim = j.Right, j.Left
 		}
-		return execOp(in, outerOp, outerPrim, n, constraint, func(t relation.Tuple) bool {
-			return execOp(in, innerOp, innerPrim, n, t, emit)
+		return execOp(in, outerOp, outerPrim, n, constraint, rg, func(t relation.Tuple) bool {
+			return execOp(in, innerOp, innerPrim, n, t, rg, emit)
 		})
 	default:
 		panic(fmt.Sprintf("plan: unknown operator %T", op))
@@ -76,24 +89,30 @@ func Collect(in *instance.Instance, op Op, s relation.Tuple, out relation.Cols) 
 }
 
 // CollectSized is Collect with a result-cardinality hint (usually the
-// planner's row estimate for the chosen plan): the dedup map and result
-// slice are sized once instead of rehashed as they grow, and the encoded
-// dedup keys are built in a single reused scratch buffer so duplicate
-// results cost no allocation at all.
+// planner's row estimate for the chosen plan).
 func CollectSized(in *instance.Instance, op Op, s relation.Tuple, out relation.Cols, hint int) []relation.Tuple {
+	return CollectFunc(func(emit func(relation.Tuple) bool) { Exec(in, op, s, emit) }, out, hint)
+}
+
+// CollectFunc gathers π_out of every tuple stream emits, de-duplicated and
+// sorted — the collecting half of Collect for any executor that streams.
+// The dedup map and result slice are sized once from hint instead of
+// rehashed as they grow, and the encoded dedup keys are built in a single
+// reused scratch buffer so duplicate results cost no allocation at all.
+func CollectFunc(stream func(emit func(relation.Tuple) bool), out relation.Cols, hint int) []relation.Tuple {
 	if hint < 0 {
 		hint = 0
 	}
-	seen := make(map[string]relation.Tuple, hint)
+	seen := make(map[string]struct{}, hint)
 	var buf []byte
 	res := make([]relation.Tuple, 0, hint)
-	Exec(in, op, s, func(t relation.Tuple) bool {
+	stream(func(t relation.Tuple) bool {
 		p := t.Project(out)
 		buf = p.AppendKey(buf[:0])
 		// The map lookup with string(buf) does not allocate; the key string
 		// is materialized only when the projection is new.
 		if _, ok := seen[string(buf)]; !ok {
-			seen[string(buf)] = p
+			seen[string(buf)] = struct{}{}
 			res = append(res, p)
 		}
 		return true

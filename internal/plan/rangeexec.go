@@ -1,10 +1,6 @@
 package plan
 
 import (
-	"fmt"
-
-	"repro/internal/decomp"
-	"repro/internal/dstruct"
 	"repro/internal/instance"
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -18,6 +14,16 @@ type Range struct {
 	Lo, Hi value.Value
 	HasLo  bool
 	HasHi  bool
+}
+
+// admits reports whether t, if it binds the range column, binds it inside
+// the range. A nil range admits everything.
+func (rg *Range) admits(t relation.Tuple) bool {
+	if rg == nil {
+		return true
+	}
+	v, ok := t.Get(rg.Col)
+	return !ok || rg.Contains(v)
 }
 
 // Contains reports whether v satisfies the range.
@@ -53,62 +59,5 @@ func (rg *Range) hiTuple() relation.Tuple {
 // RangeBetween when it implements dstruct.Ranger, turning the filter into a
 // seek; other operators filter as the column becomes bound.
 func ExecRange(in *instance.Instance, op Op, s relation.Tuple, rg Range, emit func(relation.Tuple) bool) {
-	execRangeOp(in, op, in.Decomp().RootBinding().Def, in.Root(), s, &rg, emit)
-}
-
-func execRangeOp(in *instance.Instance, op Op, prim decomp.Primitive, n *instance.Node, constraint relation.Tuple, rg *Range, emit func(relation.Tuple) bool) bool {
-	switch op := op.(type) {
-	case *Unit:
-		u := n.UnitAt(in, op.U)
-		if !u.Matches(constraint) {
-			return true
-		}
-		if v, ok := u.Get(rg.Col); ok && !rg.Contains(v) {
-			return true
-		}
-		return emit(constraint.Merge(u))
-	case *Lookup:
-		e := op.Edge
-		child, ok := n.MapAt(in, e).Get(constraint.Project(e.Key))
-		if !ok {
-			return true
-		}
-		return execRangeOp(in, op.Sub, in.Decomp().Var(e.Target).Def, child, constraint, rg, emit)
-	case *Scan:
-		e := op.Edge
-		cont := true
-		step := func(k relation.Tuple, child *instance.Node) bool {
-			if !k.Matches(constraint) {
-				return true
-			}
-			if v, ok := k.Get(rg.Col); ok && !rg.Contains(v) {
-				return true
-			}
-			cont = execRangeOp(in, op.Sub, in.Decomp().Var(e.Target).Def, child, constraint.Merge(k), rg, emit)
-			return cont
-		}
-		m := n.MapAt(in, e)
-		if ranger, ok := m.(dstruct.Ranger[*instance.Node]); ok && e.Key.Len() == 1 && e.Key.Has(rg.Col) {
-			ranger.RangeBetween(rg.loTuple(), rg.hiTuple(), step)
-			return cont
-		}
-		m.Range(step)
-		return cont
-	case *LR:
-		j := prim.(*decomp.Join)
-		return execRangeOp(in, op.Sub, sideOf(j, op.Side), n, constraint, rg, emit)
-	case *Join:
-		j := prim.(*decomp.Join)
-		outerOp, innerOp := op.LeftOp, op.RightOp
-		outerPrim, innerPrim := j.Left, j.Right
-		if op.First == Right {
-			outerOp, innerOp = op.RightOp, op.LeftOp
-			outerPrim, innerPrim = j.Right, j.Left
-		}
-		return execRangeOp(in, outerOp, outerPrim, n, constraint, rg, func(t relation.Tuple) bool {
-			return execRangeOp(in, innerOp, innerPrim, n, t, rg, emit)
-		})
-	default:
-		panic(fmt.Sprintf("plan: unknown operator %T", op))
-	}
+	execOp(in, op, in.Decomp().RootBinding().Def, in.Root(), s, &rg, emit)
 }
