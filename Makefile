@@ -47,7 +47,7 @@ ci-race: vet build race
 	$(GO) test -race -count 2 -run 'Differential|Vectorized' ./internal/plan ./internal/core
 	$(GO) test -race -count 2 -run 'Concurrent|Randomized' ./internal/faultinject/harness -faultseeds $(FAULTSEEDS)
 	$(GO) test -race -count 1 -run 'ExhaustiveWALSharded|WALRecovery' ./internal/faultinject/harness
-	$(GO) test -race -count 1 -run 'PartitionPrefix|ReplResubscribe|SnapshotCutIsExact|CloseRacesPin' ./internal/repl ./internal/faultinject/harness
+	$(GO) test -race -count 1 -run 'PartitionPrefix|ReplResubscribe|ReplCatchUpBatch|SnapshotCutIsExact|CloseRacesPin' ./internal/repl ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'EngineCorpus|EngineCleanOnModule' ./internal/vet
 
 # The vectorized-tier gate: the randomized corpus differential (every plan

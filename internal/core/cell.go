@@ -76,10 +76,27 @@ type Engine interface {
 	SetTracer(t obs.Tracer)
 	Metrics() *obs.Metrics
 
-	// ApplyCommit replays one logical delta — tuples that need not be
-	// partitioned for this engine's layout — strictly: every removed tuple
-	// must be stored and every inserted tuple must be new. A checkpoint or
-	// bootstrap chunk is the delta {Inserted: tuples}. Atomic per cell.
+	// ApplyCommits replays the logical deltas src hands over — tuples that
+	// need not be partitioned for this engine's layout — strictly: every
+	// removed tuple must be stored and every inserted tuple must be new. A
+	// checkpoint or bootstrap chunk is the delta {Inserted: tuples}.
+	//
+	// Records are pulled one at a time and consecutive records that route
+	// whole to the same cell share one fork and one publish, so a reader
+	// sees the state move from one exact prefix of the stream to a longer
+	// one and never anything in between; where a run ends is decided by the
+	// records, not by the caller (a record that splits across cells is
+	// applied on its own, atomically per cell). src runs with the open
+	// run's cell locked and its fork unpublished: it may read the engine,
+	// not write it. Any error — src's or a record that does not replay —
+	// drops the open fork whole, and published says how many leading
+	// records are visible to readers all the same; a panic in src
+	// propagates after the same drop. A logged cell (DurableRelation)
+	// forks, logs and publishes every record on its own: a shared fork
+	// there would put records on the log whose version never published.
+	ApplyCommits(src CommitSource) (published int, err error)
+
+	// ApplyCommit is ApplyCommits for the one record c.
 	ApplyCommit(c wal.Commit) error
 
 	// NumCells is the number of MVCC cells underneath: 1 for a
@@ -319,33 +336,95 @@ func (c *cell) removeBatch(pats []relation.Tuple) (int, error) {
 	return n, nil
 }
 
-// applyCommit replays one logged delta as one atomic version: every
-// removed tuple must remove exactly one stored tuple and every inserted
-// tuple must be new. Recovery and follower apply come through here — a
-// checkpoint or bootstrap chunk is the delta {Inserted: tuples} — so a
-// fault mid-replay drops an unpublished fork and leaves the relation being
-// rebuilt at its last fully applied state. The log records acknowledged
-// operations against known state, so any mismatch means the snapshot/log
-// pair is inconsistent: fail loudly rather than guess.
-func (c *cell) applyCommit(d wal.Commit) error {
-	if len(d.Removed)+len(d.Inserted) == 0 {
-		return nil
+// A CommitSource hands an applier its records one at a time: ok is false
+// once it has none left, and an error ends the replay. Pulling, rather than
+// taking a slice, lets the caller's kill-point fire before each record and
+// keeps the records from being materialized or pinned as a batch.
+type CommitSource func() (c wal.Commit, ok bool, err error)
+
+// oneCommit is the source of the single record c.
+func oneCommit(c wal.Commit) CommitSource {
+	done := false
+	return func() (wal.Commit, bool, error) {
+		if done {
+			return wal.Commit{}, false, nil
+		}
+		done = true
+		return c, true, nil
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	next := c.cur.Load().beginVersion()
-	return c.commit(next, true, d, replayOnto(next, d))
 }
 
-// replayOnto applies d to the fork next, strictly.
+// apply is the engine's one replay body: it forks once, replays onto the
+// fork every record src hands over — each strictly: a removed tuple must
+// remove exactly one stored tuple, an inserted tuple must be new — and
+// publishes them as one atomic version. Recovery and follower apply come
+// through here (a checkpoint or bootstrap chunk is the delta {Inserted:
+// tuples}), so a fault anywhere in the run drops an unpublished fork and
+// leaves the relation being rebuilt at its last fully applied state: forks
+// log no undo, so there is no earlier record boundary to fall back to. The
+// log records acknowledged operations against known state, so any mismatch
+// means the snapshot/log pair is inconsistent: fail loudly rather than
+// guess.
+//
+// On a logged cell every record is its own fork, log append and publish:
+// the WAL rule ties one record to one version, and a fork shared by several
+// would leave records on the log whose version a later failure dropped.
+//
+// It returns how many records are published; on an unlogged cell that is
+// all of them or, with an error, none.
+func (c *cell) apply(src CommitSource) (int, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var (
+		published int
+		next      *Relation // the open fork; nil between versions
+		staged    int       // records replayed onto next
+		changed   bool      // one of them carried a tuple
+	)
+	for {
+		d, ok, err := src()
+		if err == nil && ok {
+			if next == nil {
+				next = c.cur.Load().beginVersion()
+			}
+			err = replayOnto(next, d)
+			staged++
+			changed = changed || len(d.Removed)+len(d.Inserted) > 0
+			if err == nil && c.log == nil {
+				continue
+			}
+		}
+		// The version is complete: src is dry, something failed, or the cell
+		// is logged and d is the whole of it.
+		if next != nil {
+			if err = c.commit(next, changed, d, err); err == nil {
+				published += staged
+			}
+			next, staged, changed = nil, 0, false
+		}
+		if err != nil || !ok {
+			return published, err
+		}
+	}
+}
+
+// applyOne is apply for the one record d.
+func (c *cell) applyOne(d wal.Commit) error {
+	_, err := c.apply(oneCommit(d))
+	return err
+}
+
+// replayOnto applies d to the fork next, strictly. A logged removal names
+// the full stored tuple, so it goes straight to the containment-checked
+// removal: there is no pattern to plan a query for.
 func replayOnto(next *Relation, d wal.Commit) error {
 	for _, t := range d.Removed {
-		removed, err := next.remove(t)
+		ok, err := next.removeStored(t)
 		if err != nil {
 			return err
 		}
-		if len(removed) != 1 {
-			return fmt.Errorf("core: replay of record %d removed %d tuples for %v, want exactly 1", d.Seq, len(removed), t)
+		if !ok {
+			return fmt.Errorf("core: replay of record %d removed 0 tuples for %v, want exactly 1", d.Seq, t)
 		}
 	}
 	for _, t := range d.Inserted {

@@ -207,8 +207,19 @@ func (d *DurableRelation) Update(pat, u relation.Tuple) (int, error) {
 	return d.eng.Update(pat, u)
 }
 
-// ApplyCommit replays one logical delta, durably: the strict apply is
-// logged like any other write.
+// ApplyCommits replays the records src hands over, durably: each strict
+// apply is logged like any other write. Unlike the unlogged engines it
+// never shares a fork between records — every applied record is one log
+// record and one published version, so the log never holds a record whose
+// version a later failure in the same run dropped.
+func (d *DurableRelation) ApplyCommits(src CommitSource) (int, error) {
+	if d.closed.Load() {
+		return 0, ErrClosed
+	}
+	return d.eng.ApplyCommits(src)
+}
+
+// ApplyCommit replays one logical delta, durably.
 func (d *DurableRelation) ApplyCommit(c wal.Commit) error {
 	if d.closed.Load() {
 		return ErrClosed
@@ -416,16 +427,19 @@ func (d *DurableRelation) Close() error {
 	return first
 }
 
-// ReplayShardCommit applies one logged delta to cell i of an engine as one
-// atomic version, strictly (see Engine.ApplyCommit): a SyncRelation is its
-// own cell 0, a ShardedRelation has one cell per shard. Crash recovery
-// rebuilds each cell from its own snapshot+log pair through it — a
-// checkpoint is the delta {Inserted: tuples} — so the tuples must belong
-// to cell i (they came from its own files, and CheckInvariants verifies
-// routing after recovery).
-func ReplayShardCommit(e Engine, i int, c wal.Commit) error {
-	return e.cellAt(i).applyCommit(c)
+// ReplayCell replays the records src hands over onto cell i of an engine,
+// strictly, as one atomic version (see Engine.ApplyCommits): a SyncRelation
+// is its own cell 0, a ShardedRelation has one cell per shard. Crash
+// recovery rebuilds each cell from its own snapshot+log pair through it — a
+// checkpoint is the delta {Inserted: tuples} — so the tuples must belong to
+// cell i (they came from its own files, and CheckInvariants verifies routing
+// after recovery).
+func ReplayCell(e Engine, i int, src CommitSource) (int, error) {
+	return e.cellAt(i).apply(src)
 }
+
+// ReplayShardCommit is ReplayCell for the one record c.
+func ReplayShardCommit(e Engine, i int, c wal.Commit) error { return e.cellAt(i).applyOne(c) }
 
 // ReplayShardedCommit is sr.ApplyCommit(c): the routed replay of a delta
 // that is not pre-partitioned for sr's layout.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/paperex"
 	"repro/internal/relation"
 	"repro/internal/wal"
@@ -182,6 +183,74 @@ func TestDurableSyncLogsDeltas(t *testing.T) {
 	rem := scan.Commits[3]
 	if len(rem.Removed) != 1 || !rem.Removed[0].Equal(t2) {
 		t.Errorf("remove delta logs %+v, want the full removed tuple", rem)
+	}
+}
+
+// TestDurableApplyCommitsLogsPerRecord: a logged cell never shares a fork
+// between records. A batch that an unlogged engine would publish as one
+// version is, through a DurableRelation, one log record and one version per
+// applied record on both tiers — so when a later record of the batch does
+// not replay, every record on the log is one whose version published, and
+// recovery lands on exactly the prefix the applier reported.
+func TestDurableApplyCommitsLogsPerRecord(t *testing.T) {
+	t1 := paperex.SchedulerTuple(1, 1, paperex.StateS, 7)
+	t2 := paperex.SchedulerTuple(1, 2, paperex.StateR, 4)
+	batch := []wal.Commit{
+		{Inserted: []relation.Tuple{t1}},
+		{Inserted: []relation.Tuple{t2}},
+		{Removed: []relation.Tuple{t1}, Inserted: []relation.Tuple{paperex.SchedulerTuple(1, 1, paperex.StateS, 9)}},
+		{Inserted: []relation.Tuple{t2}}, // already stored: strict replay refuses it
+		{Inserted: []relation.Tuple{paperex.SchedulerTuple(1, 3, paperex.StateR, 1)}},
+	}
+	source := func() core.CommitSource {
+		next := 0
+		return func() (wal.Commit, bool, error) {
+			if next == len(batch) {
+				return wal.Commit{}, false, nil
+			}
+			next++
+			return batch[next-1], true, nil
+		}
+	}
+	const applied = 3 // the records before the one that is refused
+	dir := t.TempDir()
+	sync := newDurableSync(t, dir, wal.SyncAlways)
+	// One cell, so the whole batch is one run whichever tier applies it.
+	sharded, _ := newDurableSharded(t, t.TempDir(), 1, wal.SyncOff)
+	for _, e := range []struct {
+		name string
+		d    *core.DurableRelation
+	}{
+		{"sync", sync},
+		{"sharded x1", sharded},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			m := &obs.Metrics{}
+			e.d.SetMetrics(m)
+			n, err := e.d.ApplyCommits(source())
+			if err == nil || !strings.Contains(err.Error(), "duplicate") {
+				t.Fatalf("ApplyCommits over a duplicate insert = %v, want a strict-replay refusal", err)
+			}
+			if n != applied {
+				t.Fatalf("ApplyCommits reported %d records published, want %d", n, applied)
+			}
+			if got := e.d.Log(0).LastSeq(); got != applied {
+				t.Fatalf("log holds %d records, want %d: one per published record, none for the dropped fork", got, applied)
+			}
+			if s := m.Snapshot(); s.SnapPublishes != applied || s.SnapDrops != 1 {
+				t.Fatalf("snap.publishes = %d, snap.drops = %d; want %d and 1", s.SnapPublishes, s.SnapDrops, applied)
+			}
+			if got := len(durAll(t, e.d)); got != 2 {
+				t.Fatalf("published state holds %d tuples, want 2", got)
+			}
+		})
+	}
+	want := durAll(t, sync)
+	if err := sync.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoverSync(t, dir); !eqStates(got, want) {
+		t.Fatalf("recovered %v, want the published prefix %v", got, want)
 	}
 }
 

@@ -546,6 +546,24 @@ func (r *Relation) remove(s relation.Tuple) (removed []relation.Tuple, err error
 	return removed, nil
 }
 
+// removeStored removes the full tuple t if exactly it is stored — same key,
+// same dependent columns — and reports whether it was. It is remove for a
+// caller that already holds the doomed tuple: the same counter and checks,
+// without the query that finds it.
+func (r *Relation) removeStored(t relation.Tuple) (ok bool, err error) {
+	if r.metrics != nil {
+		r.metrics.Removes.Add(1)
+	}
+	if r.poisoned {
+		return false, ErrPoisoned
+	}
+	defer r.containMut("remove", &err)
+	if err := r.spec.CheckTuple(t, true); err != nil {
+		return false, err
+	}
+	return r.removeContained(t)
+}
+
 // Update implements the restricted dupdate of §4.5: the pattern s must be a
 // key for the relation (∆ ⊢ dom s → columns) and u must not bind any column
 // of s. It updates in place when the touched columns live only in unit

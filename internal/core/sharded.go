@@ -348,16 +348,96 @@ func (sr *ShardedRelation) RemoveBatch(pats []relation.Tuple) (int, error) {
 	return sr.fanOutSum(func(i int, sh *cell) (int, error) { return sh.removeBatch(groups[i]) })
 }
 
-// ApplyCommit replays one logical delta by routing the removed and
-// inserted tuples to their shards and replaying each shard's piece as its
-// own atomic version, removals before insertions. Deltas produced by the
-// durable write path route whole to one shard whenever this engine shares
-// the writer's shard key (mutations preserve key columns); under a
-// different key or count a delta may split, in which case readers get the
-// sharded tier's documented per-shard snapshot consistency. A replication
-// follower uses it to keep a replica whose layout differs from the
-// publisher's.
+// ApplyCommits replays the records src hands over, routing each by its
+// tuples. Deltas produced by the durable write path route whole to one shard
+// whenever this engine shares the writer's shard key (mutations preserve key
+// columns), and consecutive records that route whole to the same shard are
+// one run: one fork, one publish (cell.apply). The run ends at the first
+// record that routes anywhere else, which is pulled while the run's fork is
+// still open and held over to start the next one — so every publish moves
+// the engine from one exact prefix of the stream to a longer one, whatever
+// the interleaving. Under a different key or count a delta may split; a
+// split record is applied on its own, each shard's piece as its own atomic
+// version, removals before insertions, and readers get the sharded tier's
+// documented per-shard snapshot consistency. A replication follower uses it
+// to keep a replica whose layout differs from the publisher's.
+func (sr *ShardedRelation) ApplyCommits(src CommitSource) (int, error) {
+	var (
+		published int
+		rec       wal.Commit // the record pulled last
+		at        int        // the shard rec routes whole to; -1 when it splits
+		held      bool       // rec ended a run it does not belong to: it starts the next
+	)
+	pull := func() (ok bool, err error) {
+		if rec, ok, err = src(); err != nil || !ok {
+			return false, err
+		}
+		at, err = sr.routeWhole(rec)
+		return err == nil, err
+	}
+	for {
+		if !held {
+			if ok, err := pull(); err != nil || !ok {
+				return published, err
+			}
+		}
+		held = false
+		if at < 0 {
+			if err := sr.applySplit(rec); err != nil {
+				return published, err
+			}
+			published++
+			continue
+		}
+		run, first := at, true
+		n, err := sr.shards[run].apply(func() (wal.Commit, bool, error) {
+			if first {
+				first = false
+				return rec, true, nil
+			}
+			if ok, err := pull(); err != nil || !ok {
+				return wal.Commit{}, false, err
+			}
+			held = at != run
+			return rec, !held, nil
+		})
+		published += n
+		// A run that ended on neither an error nor a held record ended
+		// because src is dry.
+		if err != nil || !held {
+			return published, err
+		}
+	}
+}
+
+// ApplyCommit replays one logical delta: ApplyCommits for the one record c.
 func (sr *ShardedRelation) ApplyCommit(c wal.Commit) error {
+	_, err := sr.ApplyCommits(oneCommit(c))
+	return err
+}
+
+// routeWhole returns the one shard every tuple of c routes to, or -1 when
+// c splits across shards (or carries no tuple to route by).
+func (sr *ShardedRelation) routeWhole(c wal.Commit) (int, error) {
+	at := -1
+	for _, ts := range [...][]relation.Tuple{c.Removed, c.Inserted} {
+		for _, t := range ts {
+			i, err := sr.ro.mustRoute(t)
+			if err != nil {
+				return -1, err
+			}
+			if at >= 0 && i != at {
+				return -1, nil
+			}
+			at = i
+		}
+	}
+	return at, nil
+}
+
+// applySplit replays a delta that spans shards: each shard's piece is its
+// own atomic version, applied in shard order.
+func (sr *ShardedRelation) applySplit(c wal.Commit) error {
 	pieces := make(map[int]*wal.Commit)
 	at := func(t relation.Tuple) (*wal.Commit, error) {
 		i, err := sr.ro.mustRoute(t)
@@ -387,7 +467,7 @@ func (sr *ShardedRelation) ApplyCommit(c wal.Commit) error {
 	}
 	for i := range sr.shards {
 		if p := pieces[i]; p != nil {
-			if err := sr.shards[i].applyCommit(*p); err != nil {
+			if err := sr.shards[i].applyOne(*p); err != nil {
 				return err
 			}
 		}

@@ -53,8 +53,11 @@ func (s *SyncRelation) Remove(pat relation.Tuple) (int, error) { return s.remove
 // the fork and reports 0.
 func (s *SyncRelation) Update(pat, u relation.Tuple) (int, error) { return s.update(pat, u, false) }
 
+// ApplyCommits replays every record src hands over as one atomic version.
+func (s *SyncRelation) ApplyCommits(src CommitSource) (int, error) { return s.apply(src) }
+
 // ApplyCommit replays one logical delta as one atomic version.
-func (s *SyncRelation) ApplyCommit(c wal.Commit) error { return s.applyCommit(c) }
+func (s *SyncRelation) ApplyCommit(c wal.Commit) error { return s.applyOne(c) }
 
 // Query implements query r s C against the current published snapshot,
 // lock-free.

@@ -14,12 +14,15 @@
 //
 // Recovery. Open loads each cell's highest-numbered valid snapshot (if
 // any), scans its log — discarding a torn tail, failing loudly on
-// mid-log corruption — and replays the records the snapshot does not
-// cover through the engine's normal copy-on-write publish path
-// (core.ReplayShardCommit, cell by cell). Replaying through the COW
-// path is a correctness property, not a convenience: a fault mid-replay
-// drops an unpublished fork, so a failed recovery leaves no torn or
-// poisoned state behind and Open can simply be retried.
+// mid-log corruption — and replays the snapshot and the records it does
+// not cover through the engine's normal copy-on-write publish path
+// (core.ReplayCell, cell by cell), all on one fork per cell: nothing can
+// read the engine before Open returns, so the intermediate versions
+// would have no observer, and a recovered cell is at version 1 however
+// long its log was. Replaying through the COW path is a correctness
+// property, not a convenience: a fault mid-replay drops an unpublished
+// fork, so a failed recovery leaves no torn or poisoned state behind and
+// Open can simply be retried.
 //
 // The log records logical deltas (full tuples), so recovery is
 // representation-independent: a directory written under one
@@ -224,8 +227,10 @@ func Open(dir string, spec *core.Spec, d *decomp.Decomp, opts Options) (*core.Du
 		}
 		err := os.MkdirAll(cellDir, 0o755)
 		if err == nil {
-			logs[i], err = recoverCell(cellDir, cfg, opts.Metrics,
-				func(c wal.Commit) error { return core.ReplayShardCommit(eng, i, c) })
+			logs[i], err = recoverCell(cellDir, cfg, opts.Metrics, func(src core.CommitSource) error {
+				_, err := core.ReplayCell(eng, i, src)
+				return err
+			})
 		}
 		if err != nil {
 			closeLogs(logs[:i])
@@ -250,11 +255,11 @@ func closeLogs(logs []*wal.Log) {
 }
 
 // recoverCell rebuilds one cell: pick the highest valid snapshot, scan
-// the log, replay the snapshot (as the delta that inserts its tuples) then
-// the uncovered records through the supplied COW-path applier, and reopen
-// the log for appending. Returns the open log; any error leaves nothing to
-// clean up (the log is the last thing opened).
-func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(wal.Commit) error) (*wal.Log, error) {
+// the log, hand the snapshot (as the delta that inserts its tuples) and then
+// the uncovered records to the supplied COW-path applier as one batch, and
+// reopen the log for appending. Returns the open log; any error leaves
+// nothing to clean up (the log is the last thing opened).
+func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(core.CommitSource) error) (*wal.Log, error) {
 	fi := faultinject.Active()
 	logPath := filepath.Join(cellDir, logName)
 
@@ -280,6 +285,7 @@ func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(wa
 		}
 	}
 
+	var snap wal.Commit
 	if hasSnap {
 		ts, seq, err := wal.ReadSnapshot(snapPath)
 		if err != nil {
@@ -288,35 +294,45 @@ func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(wa
 		if seq != snapSeq {
 			return nil, fmt.Errorf("durable: snapshot %s declares sequence %d, name says %d", snapPath, seq, snapSeq)
 		}
-		if fi != nil {
-			if err := fi.Point("recovery.apply", true); err != nil {
-				return nil, err
-			}
-		}
-		if err := apply(wal.Commit{Seq: seq, Inserted: ts}); err != nil {
-			return nil, err
+		snap = wal.Commit{Seq: seq, Inserted: ts}
+	}
+	// The tail: the scanned records the snapshot does not cover.
+	var tail []wal.Commit
+	if scan != nil {
+		tail = scan.Commits
+		for len(tail) > 0 && tail[0].Seq <= snapSeq {
+			tail = tail[1:]
 		}
 	}
 
-	replayed := uint64(0)
-	if scan != nil {
-		for _, c := range scan.Commits {
-			if c.Seq <= snapSeq {
-				continue
-			}
-			if fi != nil {
-				if err := fi.Point("recovery.apply", true); err != nil {
-					return nil, err
-				}
-			}
-			if err := apply(c); err != nil {
-				return nil, err
-			}
-			replayed++
+	// The batch is the snapshot (record -1), then the tail, with the recovery
+	// kill-point before every record.
+	next := 0
+	if hasSnap {
+		next = -1
+	}
+	err = apply(func() (c wal.Commit, ok bool, err error) {
+		switch {
+		case next < 0:
+			c = snap
+		case next < len(tail):
+			c = tail[next]
+		default:
+			return c, false, nil
 		}
+		next++
+		if fi != nil {
+			if err := fi.Point("recovery.apply", true); err != nil {
+				return c, false, err
+			}
+		}
+		return c, true, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if met != nil {
-		met.RecoveryReplays.Add(replayed)
+		met.RecoveryReplays.Add(uint64(len(tail)))
 		if scan != nil {
 			met.RecoveryDiscards.Add(uint64(scan.Discarded))
 		}

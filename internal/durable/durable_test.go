@@ -271,6 +271,92 @@ func TestShardedReopen(t *testing.T) {
 	}
 }
 
+// wantOneVersionPerCell fails t unless every cell of a freshly recovered d
+// that holds anything sits at version 1: its snapshot and its whole log tail
+// were replayed on one fork and published once. The version stamp, not a
+// counter, because Open attaches Options.Metrics only after the replay.
+func wantOneVersionPerCell(t *testing.T, d *core.DurableRelation) {
+	t.Helper()
+	versions, err := d.Pin(func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range versions {
+		// A cell with nothing on disk publishes nothing and stays at 0.
+		if got := v.Version(); got > 1 || (got == 0 && v.Len() > 0) {
+			t.Fatalf("cell %d recovered %d tuples at version %d, want version 1: one fork per cell", i, v.Len(), got)
+		}
+	}
+}
+
+// TestRecoveryIsOneVersionPerCell: Open replays a cell's checkpoint and log
+// tail as one batch, so the cell is at version 1 whether the log held n
+// records or 4n, with a checkpoint under them or not, on one cell or four.
+func TestRecoveryIsOneVersionPerCell(t *testing.T) {
+	const n = 12
+	for _, tc := range []struct {
+		name       string
+		records    int64
+		checkpoint bool
+		shards     int
+	}{
+		{"n", n, false, 0},
+		{"4n", 4 * n, false, 0},
+		{"n after checkpoint", n, true, 0},
+		{"4n after checkpoint", 4 * n, true, 0},
+		{"4n sharded", 4 * n, false, 4},
+		{"4n sharded after checkpoint", 4 * n, true, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := durable.Options{Create: true, CheckFDs: true}
+			if tc.shards > 0 {
+				opts.Shards, opts.ShardKey = tc.shards, []string{"ns", "pid"}
+			}
+			d := open(t, dir, opts)
+			if tc.checkpoint {
+				seed(t, d, n)
+				if err := d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The tail: tc.records records of every kind the log carries.
+			for i := int64(100); i < 100+tc.records; i += 3 {
+				if err := d.Insert(paperex.SchedulerTuple(i%4, i, i%2, i)); err != nil {
+					t.Fatal(err)
+				}
+				key := relation.NewTuple(relation.BindInt("ns", i%4), relation.BindInt("pid", i))
+				if _, err := d.Update(key, relation.NewTuple(relation.BindInt("cpu", i+1))); err != nil {
+					t.Fatal(err)
+				}
+				if i%2 == 0 {
+					if _, err := d.Remove(key); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := d.Insert(paperex.SchedulerTuple(i%4, i+1, i%2, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := state(t, d)
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			opts.Create = false
+			met := &obs.Metrics{}
+			opts.Metrics = met
+			d2 := open(t, dir, opts)
+			defer d2.Close()
+			if got := state(t, d2); !eqStates(got, want) {
+				t.Fatalf("recovered %d tuples, want %d", len(got), len(want))
+			}
+			if got := met.Snapshot().RecoveryReplays; got != uint64(tc.records) {
+				t.Fatalf("recovery.replays = %d, want the %d tail records", got, tc.records)
+			}
+			wantOneVersionPerCell(t, d2)
+		})
+	}
+}
+
 // TestRecoveryFaultLeavesNoTornState is the regression test for replay
 // routing through the COW publish path: a fault injected during replay
 // must fail Open loudly (error) or abort it (panic) without leaving any
@@ -298,7 +384,21 @@ func TestRecoveryFaultLeavesNoTornState(t *testing.T) {
 			return err
 		},
 		Require: []string{"recovery.apply"},
-		Traced:  func(r *recovery, _ []faultinject.PointInfo) { r.got.Close() },
+		Traced: func(r *recovery, pts []faultinject.PointInfo) {
+			// The kill-points above sat inside one batch: every record had
+			// its own, and all of them were replayed on one fork.
+			applies := 0
+			for _, pt := range pts {
+				if pt.Site == "recovery.apply" {
+					applies++
+				}
+			}
+			if applies != 12 {
+				t.Fatalf("clean recovery crossed %d recovery.apply points, want one per record (12)", applies)
+			}
+			wantOneVersionPerCell(t, r.got)
+			r.got.Close()
+		},
 		Contract: func(r *recovery, a faultinject.Attempt) {
 			if a.Err == nil {
 				r.got.Close()

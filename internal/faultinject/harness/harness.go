@@ -10,8 +10,8 @@
 //     faultinject.Regime — fresh subject, action, armed sites, contract —
 //     handed to the one sweep driver, faultinject.Sweep: Exhaust (bare
 //     relation), ExhaustCOW (MVCC tier), ExhaustWAL, ExhaustWALCheckpoint
-//     and ExhaustWALRecovery (durable tier, wal.go), ExhaustRepl and
-//     ExhaustReplResubscribe (replication, repl.go);
+//     and ExhaustWALRecovery (durable tier, wal.go), ExhaustRepl,
+//     ExhaustReplResubscribe and ExhaustReplCatchUp (replication, repl.go);
 //   - randomized: seed-driven op/fault schedules against a mirror oracle;
 //   - concurrent: a sharded engine hammered from several goroutines while
 //     faults are armed, for the race detector.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"flag"
+	"fmt"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -137,5 +138,22 @@ func TestReplResubscribeInjection(t *testing.T) {
 			p := withPlane(t)
 			ExhaustReplResubscribe(t, p, c)
 		})
+	}
+}
+
+// TestReplCatchUpBatchInjection exhausts a catch-up batch: a history
+// committed while the link was down arrives in one write and is applied as
+// one batch, and a fault at every step of that — between the records of one
+// fork included — must leave the replica at exactly records[1..Applied()]
+// and able to reconverge. Once on a single-cell follower (the batch is one
+// version) and once on a two-cell one (one version per same-cell run).
+func TestReplCatchUpBatchInjection(t *testing.T) {
+	for _, c := range Cases() {
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/cells=%d", c.Name, max(shards, 1)), func(t *testing.T) {
+				p := withPlane(t)
+				ExhaustReplCatchUp(t, p, c, shards)
+			})
+		}
 	}
 }

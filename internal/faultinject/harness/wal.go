@@ -313,6 +313,17 @@ func ExhaustWALRecovery(t *testing.T, p *faultinject.Plane, c Case) {
 			if !alpha(t, c, r.opened).Equal(want) {
 				t.Fatal("clean recovery disagrees with the acknowledged state")
 			}
+			// The kill-points swept below sit inside one batch: checkpoint
+			// and tail were replayed on one fork and published once. (The
+			// version stamp says so; Open attaches the metrics sink only
+			// after the replay.)
+			versions, err := r.opened.Pin(func() {})
+			if err != nil {
+				t.Fatalf("pin: %v", err)
+			}
+			if got := versions[0].Version(); got != 1 {
+				t.Fatalf("clean recovery left the cell at version %d, want 1: checkpoint and tail are one batch", got)
+			}
 			if err := r.opened.Close(); err != nil {
 				t.Fatalf("trace close: %v", err)
 			}

@@ -89,12 +89,17 @@
 //     served, a follower counts records applied, framed bytes received,
 //     and snapshots loaded. One record shipped to two followers counts
 //     once per follower connection on the publisher.
+//   - ReplBatches: follower only — how many times Applied advanced over
+//     commit records: the frames one read of the link returned are applied
+//     as one batch, each run of them bound for one cell as one version. A
+//     follower that keeps up counts one batch per record; the ratio
+//     ReplRecords / ReplBatches is how far catch-up amortized its forks.
 //   - ReplReconnects: follower re-subscription attempts after the first
 //     connection — every dial after a session ended, successful or not.
 //   - ReplLag: a gauge, not a counter — the follower's current sequence
 //     delta behind the publisher's acknowledged head (head seen on the
-//     wire minus records applied), stored on every commit frame and on
-//     catch-up completion. Sub keeps the later snapshot's value rather
+//     wire minus records applied), stored on every applied batch and on
+//     snapshot completion. Sub keeps the later snapshot's value rather
 //     than subtracting, since a gauge delta is meaningless.
 package obs
 
@@ -158,6 +163,7 @@ type Metrics struct {
 	RecoveryDiscards atomic.Uint64
 
 	ReplRecords    atomic.Uint64
+	ReplBatches    atomic.Uint64
 	ReplBytes      atomic.Uint64
 	ReplSnapshots  atomic.Uint64
 	ReplReconnects atomic.Uint64
@@ -188,8 +194,8 @@ type Snapshot struct {
 	CkptWrites, CkptBytes             uint64
 	RecoveryReplays, RecoveryDiscards uint64
 
-	ReplRecords, ReplBytes, ReplSnapshots uint64
-	ReplReconnects, ReplLag               uint64
+	ReplRecords, ReplBatches, ReplBytes, ReplSnapshots uint64
+	ReplReconnects, ReplLag                            uint64
 }
 
 // Snapshot copies every counter. Each counter is read atomically; the
@@ -238,6 +244,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		RecoveryDiscards: m.RecoveryDiscards.Load(),
 
 		ReplRecords:    m.ReplRecords.Load(),
+		ReplBatches:    m.ReplBatches.Load(),
 		ReplBytes:      m.ReplBytes.Load(),
 		ReplSnapshots:  m.ReplSnapshots.Load(),
 		ReplReconnects: m.ReplReconnects.Load(),
@@ -289,6 +296,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		RecoveryDiscards: s.RecoveryDiscards - prev.RecoveryDiscards,
 
 		ReplRecords:    s.ReplRecords - prev.ReplRecords,
+		ReplBatches:    s.ReplBatches - prev.ReplBatches,
 		ReplBytes:      s.ReplBytes - prev.ReplBytes,
 		ReplSnapshots:  s.ReplSnapshots - prev.ReplSnapshots,
 		ReplReconnects: s.ReplReconnects - prev.ReplReconnects,
@@ -346,6 +354,7 @@ func (s Snapshot) String() string {
 	app("recovery.replays", s.RecoveryReplays)
 	app("recovery.discards", s.RecoveryDiscards)
 	app("repl.records", s.ReplRecords)
+	app("repl.batches", s.ReplBatches)
 	app("repl.bytes", s.ReplBytes)
 	app("repl.snapshots", s.ReplSnapshots)
 	app("repl.reconnects", s.ReplReconnects)

@@ -43,9 +43,9 @@ type FollowerOptions struct {
 	AllowNonKey bool
 
 	// Metrics receives the follower-side replication counters:
-	// repl.records and repl.bytes received, repl.snapshots loaded,
-	// repl.reconnects, and the repl.lag gauge — plus the replica
-	// engine's own query counters.
+	// repl.records and repl.bytes received, the repl.batches they were
+	// applied in, repl.snapshots loaded, repl.reconnects, and the
+	// repl.lag gauge — plus the replica engine's own query counters.
 	Metrics *obs.Metrics
 
 	// Backoff is the pause between subscription attempts (default
@@ -55,12 +55,13 @@ type FollowerOptions struct {
 
 // Follower maintains a read-only replica of a published relation. It
 // subscribes through its Dialer, bootstraps from a snapshot when it has
-// no usable prefix, applies commit records one atomic version at a time
-// through the engine's copy-on-write publish path, and resubscribes with
-// sequence-checked catch-up whenever the session dies. Its state is
-// always an exact prefix of the publisher's acknowledged history; the
-// query surface is lock-free and stays available across partitions,
-// reconnects, and Close (serving the last applied prefix).
+// no usable prefix, applies the commit records each read of the link
+// returned as one batch through the engine's copy-on-write publish path —
+// one atomic version per run of records bound for the same cell — and
+// resubscribes with sequence-checked catch-up whenever the session dies.
+// Its state is always an exact prefix of the publisher's acknowledged
+// history; the query surface is lock-free and stays available across
+// partitions, reconnects, and Close (serving the last applied prefix).
 type Follower struct {
 	spec *core.Spec
 	dial Dialer
@@ -301,38 +302,77 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 			if pending != nil {
 				return fmt.Errorf("%w: commit during a snapshot", ErrBadFrame)
 			}
-			head, rest, err := parseCommitHead(payload)
-			if err != nil {
+			if err := f.applyCommits(fr, dec, payload); err != nil {
 				return err
-			}
-			c, err := dec.ReadCommit(rest)
-			if err != nil {
-				return err
-			}
-			applied := f.applied.Load()
-			if c.Seq != applied+1 {
-				return fmt.Errorf("repl: sequence gap: applied %d, publisher sent %d", applied, c.Seq)
-			}
-			if f.fi != nil {
-				if err := f.fi.Point("repl.apply", true); err != nil {
-					return err
-				}
-			}
-			if err := f.eng().ApplyCommit(c); err != nil {
-				return err
-			}
-			f.advance(c.Seq)
-			f.bumpHead(c.Seq)
-			f.bumpHead(head)
-			if f.met != nil {
-				f.met.ReplRecords.Add(1)
-				f.met.ReplLag.Store(f.Lag())
 			}
 
 		default:
 			return fmt.Errorf("%w: unknown message type 0x%02x", ErrBadFrame, payload[0])
 		}
 	}
+}
+
+// applyCommits applies the commit frame in payload and every complete commit
+// frame already received behind it as one batch through the engine's
+// applier, which publishes each run of records bound for one cell as one
+// version. Nothing waits for a batch to fill: a record that arrives alone
+// publishes alone. Each record still passes the sequence check and the
+// repl.recv and repl.apply kill-points before it is handed over; a fault at
+// any of them — an injected panic included, contained here so the applier
+// can report — drops the unpublished records, and Applied advances over
+// exactly the ones the applier published.
+func (f *Follower) applyCommits(fr *framer, dec *wal.StreamDecoder, payload []byte) error {
+	applied := f.applied.Load()
+	pulled, head := uint64(0), uint64(0)
+	src := func() (c wal.Commit, ok bool, err error) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				ok, err = false, fmt.Errorf("repl: follower apply panic: %v", rec)
+			}
+		}()
+		if payload == nil {
+			if typ, buffered := fr.buffered(); !buffered || typ != msgCommit {
+				return c, false, nil
+			}
+			if payload, err = fr.readFrame(); err != nil {
+				return c, false, err
+			}
+		}
+		h, rest, err := parseCommitHead(payload)
+		payload = nil
+		if err != nil {
+			return c, false, err
+		}
+		if c, err = dec.ReadCommit(rest); err != nil {
+			return c, false, err
+		}
+		if c.Seq != applied+pulled+1 {
+			return c, false, fmt.Errorf("repl: sequence gap: applied %d, publisher sent %d", applied+pulled, c.Seq)
+		}
+		if f.fi != nil {
+			if err := f.fi.Point("repl.apply", true); err != nil {
+				return c, false, err
+			}
+		}
+		pulled++
+		head = max(head, h)
+		return c, true, nil
+	}
+	n, err := f.eng().ApplyCommits(src)
+	if n > 0 {
+		// Counted before Applied moves, so whoever WaitFor wakes finds the
+		// counters already there.
+		if f.met != nil {
+			f.met.ReplRecords.Add(uint64(n))
+			f.met.ReplBatches.Add(1)
+		}
+		f.advance(applied + uint64(n))
+		f.bumpHead(max(applied+uint64(n), head))
+		if f.met != nil {
+			f.met.ReplLag.Store(f.Lag())
+		}
+	}
+	return err
 }
 
 // eng returns the engine readers and the apply loop currently see.

@@ -294,17 +294,28 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 		head := p.head
 		p.mu.Unlock()
 
-		for _, c := range batch {
+		// The whole batch goes out in one Write (a long catch-up in several
+		// of maxWriteBuf), so a follower that is behind finds many frames
+		// per read.
+		sent := 0
+		for i, c := range batch {
 			scratch = appendCommitMsg(scratch[:0], head)
 			scratch = enc.AppendCommit(scratch, c)
-			if err := f.writeFrame(scratch); err != nil {
+			if err := f.appendFrame(scratch); err != nil {
+				return err
+			}
+			if len(f.wbuf) < maxWriteBuf && i < len(batch)-1 {
+				continue
+			}
+			if err := f.flush(); err != nil {
 				return err
 			}
 			if p.met != nil {
-				p.met.ReplRecords.Add(1)
+				p.met.ReplRecords.Add(uint64(i + 1 - sent))
 			}
-			next = c.Seq + 1
+			sent = i + 1
 		}
+		next += uint64(len(batch))
 	}
 }
 

@@ -237,9 +237,16 @@ type cutDialer struct {
 	inner Dialer
 	mu    sync.Mutex
 	cur   io.Closer
+	down  chan struct{} // non-nil while the link is held down; closed by restore
 }
 
 func (c *cutDialer) dial() (io.ReadWriteCloser, error) {
+	c.mu.Lock()
+	down := c.down
+	c.mu.Unlock()
+	if down != nil {
+		<-down
+	}
 	conn, err := c.inner()
 	if err != nil {
 		return nil, err
@@ -257,6 +264,25 @@ func (c *cutDialer) cut() {
 	if cur != nil {
 		cur.Close()
 	}
+}
+
+// sever cuts the live connection and holds the link down: dials wait for
+// restore instead of racing the writes the test makes in the dark.
+func (c *cutDialer) sever() {
+	c.mu.Lock()
+	c.down = make(chan struct{})
+	c.mu.Unlock()
+	c.cut()
+}
+
+// restore brings a severed link back up. Idempotent.
+func (c *cutDialer) restore() {
+	c.mu.Lock()
+	if c.down != nil {
+		close(c.down)
+		c.down = nil
+	}
+	c.mu.Unlock()
 }
 
 func TestReconnectCatchUp(t *testing.T) {
@@ -277,12 +303,14 @@ func TestReconnectCatchUp(t *testing.T) {
 	}
 
 	// Partition, write while the follower is dark, reconnect.
-	cd.cut()
+	cd.sever()
+	defer cd.restore() // a follower waiting to dial could not be closed
 	for pid := int64(2); pid <= 6; pid++ {
 		if err := d.Insert(paperex.SchedulerTuple(1, pid, paperex.StateR, pid)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	cd.restore()
 	if err := f.WaitFor(p.Head(), waitTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +321,37 @@ func TestReconnectCatchUp(t *testing.T) {
 	// Catch-up resumed from the applied prefix: no second snapshot.
 	if got := fm.Snapshot().ReplSnapshots; got != 1 {
 		t.Fatalf("repl.snapshots = %d, want 1 (catch-up must stream the tail)", got)
+	}
+	// The records written in the dark arrived together and were applied
+	// together: fewer batches than records.
+	if m := fm.Snapshot(); m.ReplRecords != 6 || m.ReplBatches >= m.ReplRecords {
+		t.Fatalf("repl.records = %d, repl.batches = %d; want 6 records in fewer batches", m.ReplRecords, m.ReplBatches)
+	}
+}
+
+// TestKeepingUpAppliesRecordByRecord: nothing waits for a batch to fill. A
+// writer that waits for the replica after every commit finds each record
+// applied on its own — one batch per record — so replica latency when the
+// follower keeps up is what it was before batches existed.
+func TestKeepingUpAppliesRecordByRecord(t *testing.T) {
+	d := openPrimary(t, 0)
+	p := newTestPublisher(t, d, PublisherOptions{})
+	fm := &obs.Metrics{}
+	f := newTestFollower(t, schedSpec(), InProcDialer(p), FollowerOptions{Metrics: fm})
+	if err := f.WaitFor(1, waitTimeout); err != nil {
+		t.Fatal(err)
+	}
+	const records = 8
+	for pid := int64(1); pid <= records; pid++ {
+		if err := d.Insert(paperex.SchedulerTuple(1, pid, paperex.StateS, pid)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.WaitFor(p.Head(), waitTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := fm.Snapshot(); m.ReplRecords != records || m.ReplBatches != records {
+		t.Fatalf("repl.records = %d, repl.batches = %d; want %d of each", m.ReplRecords, m.ReplBatches, records)
 	}
 }
 
@@ -535,6 +594,117 @@ func TestPublisherCloseEndsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// chunkReader serves a byte stream in reads of at most max bytes, recording
+// the largest read it was asked for.
+type chunkReader struct {
+	data    []byte
+	max     int
+	largest int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	r.largest = max(r.largest, len(p))
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.max)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+func (r *chunkReader) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestFramerReadsAhead: the framer hands out the same frames however the
+// stream is cut into reads — a byte at a time, across frame boundaries, all
+// at once — including one far larger than its read-ahead; several pending
+// frames go out in one Write; and with everything already on the link a read
+// reaches at most readAhead past the frame it is waiting for, so buffered
+// reports a bounded batch of complete frames and then runs dry.
+func TestFramerReadsAhead(t *testing.T) {
+	var payloads [][]byte
+	for i := 0; i < 400; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, 1+i%61)
+		p[0] = msgCommit
+		payloads = append(payloads, p)
+	}
+	big := bytes.Repeat([]byte{0xAB}, 5*readAhead)
+	big[0] = msgSnapChunk
+	payloads = append(payloads[:200:200], append([][]byte{big}, payloads[200:]...)...)
+
+	var wire bytes.Buffer
+	writes := 0
+	out := newFramer(writeCounter{&wire, &writes}, nil, false, false)
+	for _, p := range payloads {
+		if err := out.appendFrame(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if writes != 1 {
+		t.Fatalf("%d pending frames went out in %d writes, want 1", len(payloads), writes)
+	}
+
+	for _, chunk := range []int{1, 7, frameHdrSize, 100, readAhead - 1, 1 << 30} {
+		src := &chunkReader{data: wire.Bytes(), max: chunk}
+		in := newFramer(src, nil, false, false)
+		batch, largestBatch := 0, 0
+		for i, want := range payloads {
+			typ, ok := in.buffered()
+			if ok && typ != want[0] {
+				t.Fatalf("chunk %d: frame %d buffered as type %#x, want %#x", chunk, i, typ, want[0])
+			}
+			if ok {
+				batch++
+			} else {
+				batch = 1 // this readFrame goes to the link: a new batch
+			}
+			largestBatch = max(largestBatch, batch)
+			got, err := in.readFrame()
+			if err != nil {
+				t.Fatalf("chunk %d: frame %d: %v", chunk, i, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("chunk %d: frame %d came back as %d bytes, want %d", chunk, i, len(got), len(want))
+			}
+		}
+		if _, err := in.readFrame(); err != io.EOF {
+			t.Fatalf("chunk %d: read past the last frame = %v, want io.EOF", chunk, err)
+		}
+		if limit := frameHdrSize + len(big) + readAhead; src.largest > limit {
+			t.Fatalf("chunk %d: a read asked for %d bytes, more than the largest frame plus the read-ahead (%d)", chunk, src.largest, limit)
+		}
+		// Frames here average ~40 bytes: the read-ahead holds about a
+		// hundred, and must hold many when the link delivers them.
+		if chunk >= readAhead-1 && (largestBatch < 16 || largestBatch > 2*readAhead/frameHdrSize) {
+			t.Fatalf("chunk %d: largest run of buffered frames = %d", chunk, largestBatch)
+		}
+	}
+
+	// A stream that ends inside a frame — in its header, in its payload —
+	// is not a clean end.
+	for _, cut := range []int{frameHdrSize - 3, frameHdrSize + len(payloads[0]) + frameHdrSize + 1} {
+		in := newFramer(&chunkReader{data: wire.Bytes()[:cut], max: 1 << 30}, nil, false, false)
+		var err error
+		for err == nil {
+			_, err = in.readFrame()
+		}
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("stream cut at byte %d = %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
+// writeCounter is an io.ReadWriter that counts the writes it passes on.
+type writeCounter struct {
+	w *bytes.Buffer
+	n *int
+}
+
+func (c writeCounter) Write(p []byte) (int, error) { *c.n++; return c.w.Write(p) }
+func (c writeCounter) Read(p []byte) (int, error)  { return c.w.Read(p) }
 
 func TestWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer

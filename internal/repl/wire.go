@@ -37,12 +37,16 @@
 //
 // # Consistency contract
 //
-// A follower's published state always equals the publisher's history
-// prefix records[1..applied] — applied atomically record by record via
-// the COW publish path, so a reader on the follower never observes a
-// torn delta, and sequence checking makes running ahead or skipping
-// impossible (a gap kills the session and catch-up restarts it from the
-// follower's own applied count). docs/REPLICATION.md states the
+// A follower's published state always equals an exact prefix
+// records[1..k] of the publisher's history, k ≥ applied. Records are
+// applied via the COW publish path in whole same-cell runs — the commit
+// frames one read returned are one batch, and consecutive records of it
+// bound for one cell share a fork and a publish — so a reader on the
+// follower never observes a torn delta or a state between two prefixes,
+// and sequence checking makes running ahead or skipping impossible (a
+// gap kills the session and catch-up restarts it from the follower's own
+// applied count, which advances over exactly the records the engine
+// published). docs/REPLICATION.md states the
 // contract, the state machine, and the proof obligations; the
 // fault-injection harness (internal/faultinject/harness) discharges them
 // with a kill at every send/recv/apply/resubscribe step.
@@ -87,79 +91,168 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // log tail there is no benign torn case to discriminate).
 var ErrBadFrame = errors.New("repl: corrupt frame")
 
+// readAhead is how far past the frame it is waiting for one Read may reach:
+// a follower that has fallen behind finds about this many bytes of commit
+// frames per read, which is what it applies as one batch. It bounds the
+// batch whatever size a bootstrap chunk grew the buffer to, because a batch
+// is also how far the replica's visible state and Applied() may trail the
+// records already received; a fork is amortized long before this many.
+const readAhead = 4 << 10
+
+// maxWriteBuf is where a publisher stops adding frames to one Write: a long
+// catch-up goes out in writes of about this size instead of one buffer as
+// large as the retained history. The buffer stays with the session, so it is
+// kept to a few reads' worth — a follower's batch is bounded by readAhead,
+// not by this.
+const maxWriteBuf = 16 << 10
+
 // framer reads and writes CRC-checked frames on one connection. The
 // byte counter feeds obs.ReplBytes for the direction this endpoint is
 // accountable for: a publisher counts what it sends, a follower what it
 // receives. Not safe for concurrent use.
+//
+// Each endpoint streams in one direction and uses one buffer for it: rbuf
+// holds what a Read returned — possibly several frames, which readFrame
+// hands out one by one and buffered reports on — and wbuf collects the
+// frames appendFrame framed until flush writes them with one Write.
 type framer struct {
 	rw         io.ReadWriter
 	fi         *faultinject.Plane
 	met        *obs.Metrics
 	countRead  bool
 	countWrite bool
-	buf        []byte
+	wbuf       []byte
+	rbuf       []byte // rbuf[r:w] is received and not yet handed out
+	r, w       int
 }
 
 func newFramer(rw io.ReadWriter, met *obs.Metrics, countRead, countWrite bool) *framer {
 	return &framer{rw: rw, fi: faultinject.Active(), met: met, countRead: countRead, countWrite: countWrite}
 }
 
-// writeFrame frames payload and writes it in one call. The injection
-// point fires before the write, modelling a send that never reached the
-// wire; an injected error (or panic, contained by the session) kills the
-// connection and the follower's catch-up takes over.
+// writeFrame frames payload and writes it, with anything appendFrame left
+// pending before it, in one call.
 func (f *framer) writeFrame(payload []byte) error {
+	if err := f.appendFrame(payload); err != nil {
+		return err
+	}
+	return f.flush()
+}
+
+// appendFrame frames payload behind the frames already pending, for flush to
+// write. The injection point fires before the frame joins them, modelling a
+// send that never reached the wire; an injected error (or panic, contained
+// by the session) kills the connection with the pending frames unsent, and
+// the follower's catch-up takes over.
+func (f *framer) appendFrame(payload []byte) error {
 	if f.fi != nil {
 		if err := f.fi.Point("repl.send", true); err != nil {
 			return err
 		}
 	}
-	f.buf = f.buf[:0]
-	f.buf = binary.LittleEndian.AppendUint32(f.buf, uint32(len(payload)))
-	f.buf = binary.LittleEndian.AppendUint32(f.buf, crc32.Checksum(payload, castagnoli))
-	f.buf = append(f.buf, payload...)
-	if _, err := f.rw.Write(f.buf); err != nil {
+	f.wbuf = binary.LittleEndian.AppendUint32(f.wbuf, uint32(len(payload)))
+	f.wbuf = binary.LittleEndian.AppendUint32(f.wbuf, crc32.Checksum(payload, castagnoli))
+	f.wbuf = append(f.wbuf, payload...)
+	return nil
+}
+
+// flush writes the pending frames in one call.
+func (f *framer) flush() error {
+	n := len(f.wbuf)
+	_, err := f.rw.Write(f.wbuf)
+	f.wbuf = f.wbuf[:0]
+	if err != nil {
 		return err
 	}
 	if f.met != nil && f.countWrite {
-		f.met.ReplBytes.Add(uint64(len(f.buf)))
+		f.met.ReplBytes.Add(uint64(n))
 	}
 	return nil
 }
 
-// readFrame reads one frame and verifies its CRC. The injection point
-// fires after the frame arrived and before it is trusted, so a fault
-// here models a receive lost between wire and apply. The returned slice
-// is valid until the next readFrame.
+// header decodes the frame header at the front of the received bytes; ok is
+// false while fewer than a header's worth have arrived.
+func (f *framer) header() (plen int, crc uint32, ok bool, err error) {
+	if f.w-f.r < frameHdrSize {
+		return 0, 0, false, nil
+	}
+	n := binary.LittleEndian.Uint32(f.rbuf[f.r:])
+	if n == 0 || n > maxFrame {
+		return 0, 0, false, fmt.Errorf("%w: payload length %d", ErrBadFrame, n)
+	}
+	return int(n), binary.LittleEndian.Uint32(f.rbuf[f.r+4:]), true, nil
+}
+
+// buffered reports whether readFrame can answer from bytes already
+// received, without touching the connection, and if so the message type the
+// frame claims (its CRC is checked by the readFrame that takes it).
+func (f *framer) buffered() (msgType byte, ok bool) {
+	plen, _, ok, err := f.header()
+	if err != nil {
+		return 0, true // readFrame reports it
+	}
+	if !ok || f.w-f.r < frameHdrSize+plen {
+		return 0, false
+	}
+	return f.rbuf[f.r+frameHdrSize], true
+}
+
+// readFrame hands out the next frame, reading from the connection only when
+// no complete frame is already buffered, and verifies its CRC. The injection
+// point fires after the frame arrived and before it is trusted, so a fault
+// here models a receive lost between wire and apply. The returned slice is
+// valid until the next readFrame.
 func (f *framer) readFrame() ([]byte, error) {
-	var hdr [frameHdrSize]byte
-	if _, err := io.ReadFull(f.rw, hdr[:]); err != nil {
-		return nil, err
-	}
-	plen := binary.LittleEndian.Uint32(hdr[0:])
-	want := binary.LittleEndian.Uint32(hdr[4:])
-	if plen == 0 || plen > maxFrame {
-		return nil, fmt.Errorf("%w: payload length %d", ErrBadFrame, plen)
-	}
-	if cap(f.buf) < int(plen) {
-		f.buf = make([]byte, plen)
-	}
-	payload := f.buf[:plen]
-	if _, err := io.ReadFull(f.rw, payload); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(payload, castagnoli) != want {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
-	}
-	if f.fi != nil {
-		if err := f.fi.Point("repl.recv", true); err != nil {
+	for {
+		plen, want, ok, err := f.header()
+		if err != nil {
+			return nil, err
+		}
+		need := frameHdrSize + plen // plen is 0 until the header is in
+		if ok && f.w-f.r >= need {
+			payload := f.rbuf[f.r+frameHdrSize : f.r+need]
+			f.r += need
+			if crc32.Checksum(payload, castagnoli) != want {
+				return nil, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
+			}
+			if f.fi != nil {
+				if err := f.fi.Point("repl.recv", true); err != nil {
+					return nil, err
+				}
+			}
+			if f.met != nil && f.countRead {
+				f.met.ReplBytes.Add(uint64(need))
+			}
+			return payload, nil
+		}
+		if err := f.fill(need); err != nil {
 			return nil, err
 		}
 	}
-	if f.met != nil && f.countRead {
-		f.met.ReplBytes.Add(uint64(frameHdrSize + len(payload)))
+}
+
+// fill reads once from the connection behind the received bytes — the rest
+// of the frame of need bytes at their front and at most readAhead beyond it
+// — first making room for that frame in the buffer.
+func (f *framer) fill(need int) error {
+	if f.r > 0 && (f.r == f.w || len(f.rbuf)-f.r < need) {
+		f.w = copy(f.rbuf, f.rbuf[f.r:f.w])
+		f.r = 0
 	}
-	return payload, nil
+	if len(f.rbuf) < need {
+		grown := make([]byte, max(need, readAhead))
+		copy(grown, f.rbuf[:f.w])
+		f.rbuf = grown
+	}
+	n, err := f.rw.Read(f.rbuf[f.w:min(len(f.rbuf), f.r+need+readAhead)])
+	f.w += n
+	if n > 0 {
+		return nil // a sticky error comes back on the read after this one
+	}
+	if err == io.EOF && f.w > f.r {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // hello is the subscription request.

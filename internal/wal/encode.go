@@ -150,6 +150,13 @@ func (e *encoder) appendDict(b []byte) []byte {
 // reopened for append.
 type decoder struct {
 	dict []string
+
+	// The column ids of the tuple decoded last, and their names. Every
+	// tuple of a relation carries the same sorted columns, so a tuple whose
+	// ids repeat shares the cols slice instead of allocating its own; the
+	// slice is frozen from the moment the first tuple aliases it.
+	colIDs []uint64
+	cols   []string
 }
 
 type byteReader struct {
@@ -215,15 +222,34 @@ func (d *decoder) readTuple(r *byteReader) (relation.Tuple, error) {
 	if err != nil {
 		return relation.Tuple{}, err
 	}
-	cols := make([]string, n)
+	// cols and ids alias the remembered column set until an id departs from
+	// it; from there on they are this tuple's own, and become the set the
+	// next tuple is compared with.
+	cols, ids := d.cols, d.colIDs
+	shared := uint64(len(ids)) == n
+	if !shared {
+		cols, ids = make([]string, n), make([]uint64, n)
+	}
 	vals := make([]value.Value, n)
 	for i := uint64(0); i < n; i++ {
 		id, err := r.uvarint()
 		if err != nil {
 			return relation.Tuple{}, err
 		}
-		if cols[i], err = d.lookup(id); err != nil {
-			return relation.Tuple{}, err
+		if shared && id != ids[i] {
+			// Keep the prefix that did match, own the rest.
+			shared = false
+			cols = append(make([]string, 0, n), cols[:i]...)[:n]
+			ids = append(make([]uint64, 0, n), ids[:i]...)[:n]
+		}
+		if !shared {
+			ids[i] = id
+			if cols[i], err = d.lookup(id); err != nil {
+				return relation.Tuple{}, err
+			}
+			if i > 0 && cols[i-1] >= cols[i] {
+				return relation.Tuple{}, fmt.Errorf("%w: tuple columns not strictly sorted", ErrCorrupt)
+			}
 		}
 		tag, err := r.byte()
 		if err != nil {
@@ -249,10 +275,8 @@ func (d *decoder) readTuple(r *byteReader) (relation.Tuple, error) {
 		default:
 			return relation.Tuple{}, fmt.Errorf("%w: unknown value tag 0x%02x", ErrCorrupt, tag)
 		}
-		if i > 0 && cols[i-1] >= cols[i] {
-			return relation.Tuple{}, fmt.Errorf("%w: tuple columns not strictly sorted", ErrCorrupt)
-		}
 	}
+	d.cols, d.colIDs = cols, ids
 	return relation.SortedTuple(cols, vals), nil
 }
 

@@ -56,6 +56,58 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeSharesColumnNames: every tuple of a relation carries the same
+// sorted columns, so the decoder names them once per column set, not once
+// per tuple — a 1,000-tuple chunk costs one allocation per tuple (its
+// values) where it used to cost two. A chunk whose tuples change shape
+// part-way — shorter, a different column at the same width, back again —
+// still decodes each tuple under its own columns.
+func TestDecodeSharesColumnNames(t *testing.T) {
+	const n = 1000
+	ts := make([]relation.Tuple, n)
+	for i := range ts {
+		ts[i] = tup(bi("pid", int64(i)), bs("state", "running"), bi("cpu", int64(i%7)))
+	}
+	payload := NewStreamEncoder().AppendChunk(nil, ts)
+	var got []relation.Tuple
+	allocs := testing.AllocsPerRun(10, func() {
+		var err error
+		if got, err = NewStreamDecoder().ReadChunk(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !eqTuples(got, ts) {
+		t.Fatal("chunk round-trip mismatch")
+	}
+	// One values slice per tuple, plus the chunk's own few: the decoder,
+	// the dictionary, the tuple slice, the one shared column-name slice.
+	if allocs >= n+32 {
+		t.Fatalf("decoding %d same-shaped tuples allocated %.0f times, want about one per tuple", n, allocs)
+	}
+
+	mixed := []relation.Tuple{
+		tup(bi("a", 1), bi("b", 2)),
+		tup(bi("a", 3), bi("b", 4)),
+		tup(bi("a", 5)),
+		tup(bi("a", 6), bi("c", 7)),
+		tup(bi("a", 8), bi("b", 9)),
+		tup(),
+		tup(bi("a", 10), bi("b", 11)),
+	}
+	enc := NewStreamEncoder()
+	dec := NewStreamDecoder()
+	back, err := dec.ReadChunk(enc.AppendChunk(nil, mixed))
+	if err != nil || !eqTuples(back, mixed) {
+		t.Fatalf("mixed-shape chunk: %v, %v", back, err)
+	}
+	// The column set carries over from payload to payload of one stream.
+	c := Commit{Seq: 4, Removed: mixed[:1], Inserted: mixed[3:5]}
+	rc, err := dec.ReadCommit(enc.AppendCommit(nil, c))
+	if err != nil || !eqTuples(rc.Removed, c.Removed) || !eqTuples(rc.Inserted, c.Inserted) {
+		t.Fatalf("commit after chunk: %+v, %v", rc, err)
+	}
+}
+
 func TestEncoderAbortRollsBackDict(t *testing.T) {
 	enc := newEncoder()
 	_ = enc.appendCommit(nil, Commit{Seq: 1, Inserted: []relation.Tuple{tup(bs("c", "x"))}})
