@@ -97,14 +97,17 @@ fmt-check:
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) .
 
-# Ten iterations of the two benchmark families kept outside bench/ — the
+# Ten iterations of the three benchmark families kept outside bench/ — the
 # internal/plan tier pairs (the per-layer drill-down under the three
-# plan.exec_*_us metrics) and the MVCC grid: not a measurement, a smoke
-# test that their fixtures still build and run. Part of `make ci` so
-# bench-only regressions cannot land silently.
+# plan.exec_*_us metrics), the MVCC grid and the list micro-benchmarks: not
+# a measurement, a smoke test that their fixtures still build and run. Part
+# of `make ci` so bench-only regressions cannot land silently. The one
+# figure worth reading off it is allocs/op on the ListFirstWriteAfterClone
+# rows, which must not grow with the list's length (DESIGN.md ablation 11).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '(Scan|Enumerate|Join|Collect)(Interpreted|Compiled|Vectorized)$$' -benchtime 10x ./internal/plan
 	$(GO) test -run '^$$' -bench 'MVCC' -benchtime 10x .
+	$(GO) test -run '^$$' -bench 'ListFirstWriteAfterClone|ListSmall' -benchmem -benchtime 10x ./internal/dstruct
 
 # The repo's benchmark (bench/, BENCHMARK.json) is a nested module that
 # root `go build/vet/test ./...` does not see, so an engine API change can

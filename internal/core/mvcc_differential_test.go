@@ -16,6 +16,7 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -258,6 +259,132 @@ func TestSyncConcurrentDifferential(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSyncPinnedSnapshotsUnderListChurnDifferential holds the scheduler's
+// two run-queue lists at about a thousand processes each — some thirty
+// chunks — and commits seeded spawn / exit / set-state / charge operations
+// against them while a reader streams {state}→{ns,pid} off whatever version
+// is published. Every hundredth commit pins Snapshot() beside the oracle of
+// that moment; at the end every pinned version must still read back exactly
+// its oracle and pass CheckInvariants. A chunk or directory that a later
+// version wrote in place instead of copying shows up here as a pinned
+// version that changed — which pointer identity of the version cannot show.
+func TestSyncPinnedSnapshotsUnderListChurnDifferential(t *testing.T) {
+	const (
+		procs   = 2000
+		commits = 2400
+	)
+	s := core.NewSync(newSched(t))
+	key := func(pid int64) relation.Tuple {
+		return relation.NewTuple(relation.BindInt("ns", pid%4), relation.BindInt("pid", pid))
+	}
+	model := map[int64]relation.Tuple{}
+	live := make([]int64, 0, procs)
+	seed := make([]relation.Tuple, procs)
+	for pid := int64(0); pid < procs; pid++ {
+		seed[pid] = paperex.SchedulerTuple(pid%4, pid, pid/4%2, pid)
+		model[pid] = seed[pid]
+		live = append(live, pid)
+	}
+	if err := s.InsertBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	serializeModel := func() string {
+		rows := make([]relation.Tuple, 0, len(model))
+		for _, tu := range model {
+			rows = append(rows, tu)
+		}
+		return serializeAll(rows)
+	}
+
+	// The reader checks each version against itself: the two per-state
+	// streams of one pinned version hold no process twice and together hold
+	// Len() of them.
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for streams := 0; !done.Load() || streams == 0; streams++ {
+			snap := s.Snapshot()
+			seen := map[int64]bool{}
+			for _, state := range []int64{paperex.StateS, paperex.StateR} {
+				err := snap.QueryFunc(relation.NewTuple(relation.BindInt("state", state)), []string{"ns", "pid"}, func(tu relation.Tuple) bool {
+					pid := tu.MustGet("pid").Int()
+					if seen[pid] {
+						t.Errorf("version %d streams pid %d twice", snap.Version(), pid)
+					}
+					seen[pid] = true
+					return true
+				})
+				if err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+			}
+			if len(seen) != snap.Len() {
+				t.Errorf("version %d streams %d processes, Len %d", snap.Version(), len(seen), snap.Len())
+				return
+			}
+		}
+	}()
+
+	type pin struct {
+		snap *core.Relation
+		want string
+	}
+	var pins []pin
+	rng := rand.New(rand.NewSource(19))
+	next := int64(procs)
+	for i := 1; i <= commits; i++ {
+		at := rng.Intn(len(live))
+		pid := live[at]
+		switch op := rng.Intn(8); {
+		case op < 2: // spawn
+			pid, next = next, next+1
+			tu := paperex.SchedulerTuple(pid%4, pid, int64(rng.Intn(2)), 0)
+			model[pid] = tu
+			live = append(live, pid)
+			if err := s.Insert(tu); err != nil {
+				t.Fatalf("commit %d spawn: %v", i, err)
+			}
+		case op < 4: // exit
+			delete(model, pid)
+			live[at] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if n, err := s.Remove(key(pid)); err != nil || n != 1 {
+				t.Fatalf("commit %d exit: n=%d err=%v", i, n, err)
+			}
+		default: // set-state, charge
+			u := relation.NewTuple(relation.BindInt("cpu", int64(i)))
+			if op < 6 {
+				u = relation.NewTuple(relation.BindInt("state", 1-model[pid].MustGet("state").Int()))
+			}
+			model[pid] = model[pid].Merge(u)
+			if n, err := s.Update(key(pid), u); err != nil || n != 1 {
+				t.Fatalf("commit %d update %v: n=%d err=%v", i, u, n, err)
+			}
+		}
+		if i%100 == 0 {
+			pins = append(pins, pin{snap: s.Snapshot(), want: serializeModel()})
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+
+	for i, p := range pins {
+		res, err := p.snap.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := serializeAll(res); got != p.want {
+			t.Fatalf("pin %d (version %d) no longer reads back the state it was pinned at", i, p.snap.Version())
+		}
+		if err := p.snap.CheckInvariants(); err != nil {
+			t.Fatalf("pin %d (version %d): %v", i, p.snap.Version(), err)
+		}
 	}
 }
 

@@ -358,29 +358,36 @@ func (r *Relation) QueryFunc(s relation.Tuple, out []string, f func(relation.Tup
 		return err
 	}
 	outCols := r.plans.outCols(out)
-	return r.queryFunc(s, outCols, func(t relation.Tuple) bool {
-		return f(t.Project(outCols))
-	})
+	cand, err := r.planFor(s.Dom(), outCols)
+	if err != nil {
+		return err
+	}
+	r.stream(cand, s, f, &outCols)
+	return nil
 }
 
 // queryFunc streams matching tuples to f. The tuples f sees bind at least
 // the columns of out but may be transient views — every internal caller
-// projects (which copies) before retaining, and the public QueryFunc wraps f
-// in a projection.
+// projects (which copies) before retaining; the public QueryFunc, whose
+// caller may retain, asks stream for rows of its own instead.
 func (r *Relation) queryFunc(s relation.Tuple, out relation.Cols, f func(relation.Tuple) bool) error {
 	cand, err := r.planFor(s.Dom(), out)
 	if err != nil {
 		return err
 	}
-	r.stream(cand, s, f)
+	r.stream(cand, s, f, nil)
 	return nil
 }
 
 // stream runs cand for s on the streaming dispatch ladder — vectorized,
 // closure program on a bail, interpreter — the one order every streaming
 // query takes once its plan is chosen (queryPoint tries the point plan
-// first and then comes here).
-func (r *Relation) stream(cand *plan.Candidate, s relation.Tuple, f func(relation.Tuple) bool) {
+// first and then comes here). With keep nil, f may be handed transient
+// views. Otherwise cand was planned for the output *keep and f may retain
+// what it gets: each row is π_keep in memory of its own — projected row by
+// row on the closure and interpreter tiers, carved from one allocation per
+// slab of rows on the vectorized tier, which knows its row count up front.
+func (r *Relation) stream(cand *plan.Candidate, s relation.Tuple, f func(relation.Tuple) bool, keep *relation.Cols) {
 	if tr := r.tracer; tr != nil {
 		rows := 0
 		inner := f
@@ -399,13 +406,21 @@ func (r *Relation) stream(cand *plan.Candidate, s relation.Tuple, f func(relatio
 			if r.metrics != nil {
 				r.metrics.ExecVectorized.Add(1)
 			}
-			br.EachTuple(f)
+			if keep != nil {
+				br.EachRow(f)
+			} else {
+				br.EachTuple(f)
+			}
 			br.Release()
 			return
 		}
 		if r.metrics != nil {
 			r.metrics.VecFallbacks.Add(1)
 		}
+	}
+	if keep != nil {
+		inner := f
+		f = func(t relation.Tuple) bool { return inner(t.Project(*keep)) }
 	}
 	r.countExec(cand)
 	if cand.Prog != nil {

@@ -254,6 +254,64 @@ func TestQueryFuncStreamsAndStops(t *testing.T) {
 	}
 }
 
+// TestQueryFuncRowsAreTheCallersToKeep: the rows QueryFunc hands out are
+// not views. Kept across the rest of the sweep, across a second query that
+// reuses the executor's pooled state, and across mutations, they still
+// equal what Query returned at the time — and handing them out costs well
+// under an object per row (the vectorized tier carves them from slabs).
+func TestQueryFuncRowsAreTheCallersToKeep(t *testing.T) {
+	r := newSched(t)
+	const nss, pids = 4, 150
+	for ns := int64(0); ns < nss; ns++ {
+		for pid := int64(0); pid < pids; pid++ {
+			if err := r.Insert(paperex.SchedulerTuple(ns, pid, pid%2, pid)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	out := []string{"ns", "pid", "cpu"}
+	keep := func(state int64) (kept, want []relation.Tuple) {
+		pat := relation.NewTuple(relation.BindInt("state", state))
+		want, err := r.Query(pat, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.QueryFunc(pat, out, func(tu relation.Tuple) bool { kept = append(kept, tu); return true }); err != nil {
+			t.Fatal(err)
+		}
+		return kept, want
+	}
+	kept0, want0 := keep(paperex.StateS)
+	kept1, want1 := keep(paperex.StateR)
+	for pid := int64(0); pid < pids; pid++ {
+		if _, err := r.Update(relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", pid)),
+			relation.NewTuple(relation.BindInt("cpu", 9000+pid))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range []struct{ kept, want []relation.Tuple }{{kept0, want0}, {kept1, want1}} {
+		relation.SortTuples(c.kept)
+		if len(c.kept) != nss*pids/2 || len(c.want) != len(c.kept) {
+			t.Fatalf("state %d: kept %d rows, Query returned %d, want %d", i, len(c.kept), len(c.want), nss*pids/2)
+		}
+		for j := range c.kept {
+			if !c.kept[j].Equal(c.want[j]) {
+				t.Fatalf("state %d row %d: kept %v, Query returned %v", i, j, c.kept[j], c.want[j])
+			}
+		}
+	}
+	pat := relation.NewTuple(relation.BindInt("state", paperex.StateS))
+	var last relation.Tuple
+	allocs := testing.AllocsPerRun(20, func() {
+		_ = r.QueryFunc(pat, out, func(tu relation.Tuple) bool { last = tu; return true })
+	})
+	// Sixty slabs of five three-column rows, plus the executor's pooled
+	// state whenever the race detector makes sync.Pool drop it.
+	if rows := float64(nss * pids / 2); allocs > rows/2 {
+		t.Errorf("streaming %v rows allocates %v objects, want under one per two rows (%v)", rows, allocs, last)
+	}
+}
+
 func TestAllAndPlanDescription(t *testing.T) {
 	r := newSched(t)
 	for _, tup := range paperex.SchedulerRelation().All() {

@@ -713,7 +713,7 @@ func (r *Relation) queryPoint(s relation.Tuple, out []string) (res []relation.Tu
 	r.stream(cand, s, func(t relation.Tuple) bool {
 		res = append(res, t.Project(outCols))
 		return false // a superkey pattern matches at most one tuple
-	})
+	}, nil)
 	return res, nil
 }
 

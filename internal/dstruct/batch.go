@@ -52,18 +52,23 @@ func appendAVL[V any](n *avlNode[V], ks []relation.Tuple, vs []V) ([]relation.Tu
 
 // AppendEntries appends entries in insertion order (Range order).
 func (l *DList[V]) AppendEntries(ks []relation.Tuple, vs []V) ([]relation.Tuple, []V) {
-	for e := l.sentinel.next; e != &l.sentinel; e = e.next {
-		ks = append(ks, e.Key)
-		vs = append(vs, e.Val)
+	for ci := range l.dir {
+		for _, e := range l.dir[ci].ents {
+			ks = append(ks, e.key)
+			vs = append(vs, e.val)
+		}
 	}
 	return ks, vs
 }
 
 // AppendEntries appends entries newest-first (Range order).
 func (l *SList[V]) AppendEntries(ks []relation.Tuple, vs []V) ([]relation.Tuple, []V) {
-	for n := l.head; n != nil; n = n.next {
-		ks = append(ks, n.key)
-		vs = append(vs, n.val)
+	for ci := len(l.dir) - 1; ci >= 0; ci-- {
+		ents := l.dir[ci].ents
+		for i := len(ents) - 1; i >= 0; i-- {
+			ks = append(ks, ents[i].key)
+			vs = append(vs, ents[i].val)
+		}
 	}
 	return ks, vs
 }

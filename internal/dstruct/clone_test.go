@@ -2,40 +2,147 @@ package dstruct
 
 // Clone contract tests: a clone and its receiver are fully independent —
 // mutations on either side, in any order, interleaved with structural
-// events (hash-table growth, AVL rebalancing, vector regrowth), never leak
-// into the other. The randomized differential drives both sides against
-// reference map oracles.
+// events (hash-table growth, AVL rebalancing, vector regrowth, list chunk
+// copies, merges and drops), never leak into the other. The randomized
+// differential drives both sides against reference oracles.
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
 )
 
-// snapshotOf captures a map's contents for later comparison.
-func snapshotOf(m Map[int]) map[string]int {
-	got := map[string]int{}
-	m.Range(func(k relation.Tuple, v int) bool {
-		got[k.ValuesKey()] = v
-		return true
-	})
-	return got
+// refMap is the oracle: values by key, plus the keys in insertion order (an
+// overwrite keeps its position), which is the order a list must iterate in.
+type refMap struct {
+	vals  map[int64]int
+	order []int64
 }
 
-func sameContents(t *testing.T, kind Kind, label string, m Map[int], want map[string]int) {
-	t.Helper()
-	got := snapshotOf(m)
-	if len(got) != len(want) || m.Len() != len(want) {
-		t.Fatalf("%s/%s: %d entries (Len %d), want %d\n got %v\nwant %v",
-			kind, label, len(got), m.Len(), len(want), got, want)
+func newRefMap() *refMap { return &refMap{vals: map[int64]int{}} }
+
+func (r *refMap) put(k int64, v int) {
+	if _, ok := r.vals[k]; !ok {
+		r.order = append(r.order, k)
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("%s/%s: key %s = %d, want %d", kind, label, k, got[k], v)
+	r.vals[k] = v
+}
+
+func (r *refMap) delete(k int64) bool {
+	if _, ok := r.vals[k]; !ok {
+		return false
+	}
+	delete(r.vals, k)
+	for i, o := range r.order {
+		if o == k {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			break
 		}
 	}
+	return true
+}
+
+func (r *refMap) clone() *refMap {
+	c := &refMap{vals: make(map[int64]int, len(r.vals)), order: append([]int64(nil), r.order...)}
+	for k, v := range r.vals {
+		c.vals[k] = v
+	}
+	return c
+}
+
+// refOf captures a map's contents as an oracle for later comparison.
+func refOf(m Map[int]) *refMap {
+	r := newRefMap()
+	m.Range(func(k relation.Tuple, v int) bool {
+		r.put(k.ValueAt(0).Int(), v)
+		return true
+	})
+	if m.Kind() == SListKind { // Range ran newest-first
+		slices.Reverse(r.order)
+	}
+	return r
+}
+
+// diffContents describes how m differs from want, or returns "": the same
+// entries under Range and Len for every kind; for the list kinds also
+// Range's order (insertion order for dlist, newest-first for slist), the
+// same order from AppendEntries, and the chunk directory's invariants.
+func diffContents(m Map[int], want *refMap) string {
+	got, bad := diffGot[:0], ""
+	m.Range(func(k relation.Tuple, v int) bool {
+		key := k.ValueAt(0).Int()
+		if w, ok := want.vals[key]; !ok || w != v {
+			bad = fmt.Sprintf("key %d = %d, want %d (present %v)", key, v, w, ok)
+		}
+		got = append(got, key)
+		return bad == ""
+	})
+	diffGot = got
+	if bad != "" {
+		return bad
+	}
+	if len(got) != len(want.vals) || m.Len() != len(want.vals) {
+		return fmt.Sprintf("%d entries (Len %d), want %d", len(got), m.Len(), len(want.vals))
+	}
+	l := listOf(m)
+	if l == nil {
+		return ""
+	}
+	if !l.checkInvariant() {
+		return fmt.Sprintf("chunk directory invariant broken at %d entries", m.Len())
+	}
+	diffKeys, diffVals = AppendEntries(m, diffKeys[:0], diffVals[:0])
+	for i, key := range got {
+		w := want.order[i]
+		if m.Kind() == SListKind {
+			w = want.order[len(got)-1-i]
+		}
+		if key != w || diffKeys[i].ValueAt(0).Int() != w {
+			return fmt.Sprintf("entry %d is key %d under Range and %v under AppendEntries, want %d", i, key, diffKeys[i], w)
+		}
+	}
+	return ""
+}
+
+// listOf returns the chunked body of a list kind, nil for any other.
+func listOf(m Map[int]) *list[int] {
+	switch l := m.(type) {
+	case *DList[int]:
+		return &l.list
+	case *SList[int]:
+		return &l.list
+	}
+	return nil
+}
+
+// diffContents runs per live copy per step of the differential; its buffers
+// are reused across calls.
+var (
+	diffGot  []int64
+	diffKeys []relation.Tuple
+	diffVals []int
+)
+
+func sameContents(t *testing.T, kind Kind, label string, m Map[int], want *refMap) {
+	t.Helper()
+	if d := diffContents(m, want); d != "" {
+		t.Fatalf("%s/%s: %s", kind, label, d)
+	}
+}
+
+// cloneSpans returns the key-range scales the clone tests run kind at: every
+// kind at 1, and the list kinds also at a scale whose key range fills ten
+// chunks, so directory copies, chunk copies, merges and dropped chunks all
+// happen with clones alive.
+func cloneSpans(kind Kind) []int64 {
+	if slices.Contains(listKinds, kind) {
+		return []int64{1, 10 * listChunkCap / 64}
+	}
+	return []int64{1}
 }
 
 // TestCloneIndependence mutates the receiver after cloning and the clone
@@ -43,90 +150,153 @@ func sameContents(t *testing.T, kind Kind, label string, m Map[int], want map[st
 // other's writes.
 func TestCloneIndependence(t *testing.T) {
 	for _, kind := range AllKinds() {
-		m := New[int](kind)
-		for i := int64(0); i < 64; i++ {
-			m.Put(key1(i), int(i))
-		}
-		before := snapshotOf(m)
+		for _, s := range cloneSpans(kind) {
+			m := New[int](kind)
+			for i := int64(0); i < 64*s; i++ {
+				m.Put(key1(i), int(i))
+			}
+			before := refOf(m)
 
-		c := m.Clone()
-		if c.Kind() != kind {
-			t.Fatalf("%s: clone Kind = %s", kind, c.Kind())
-		}
-		sameContents(t, kind, "clone/initial", c, before)
+			c := m.Clone()
+			if c.Kind() != kind {
+				t.Fatalf("%s: clone Kind = %s", kind, c.Kind())
+			}
+			sameContents(t, kind, "clone/initial", c, before)
 
-		// Mutate the receiver: overwrites, deletes, and inserts that force
-		// structural churn (growth, rebalancing) over shared nodes.
-		for i := int64(0); i < 32; i++ {
-			m.Put(key1(i), int(1000+i))
-		}
-		for i := int64(32); i < 48; i++ {
-			m.Delete(key1(i))
-		}
-		for i := int64(64); i < 160; i++ {
-			m.Put(key1(i), int(i))
-		}
-		sameContents(t, kind, "clone/after-receiver-writes", c, before)
+			// Mutate the receiver: overwrites, deletes, and inserts that force
+			// structural churn (growth, rebalancing) over shared nodes.
+			for i := int64(0); i < 32*s; i++ {
+				m.Put(key1(i), int(1000+i))
+			}
+			for i := 32 * s; i < 48*s; i++ {
+				m.Delete(key1(i))
+			}
+			for i := 64 * s; i < 160*s; i++ {
+				m.Put(key1(i), int(i))
+			}
+			sameContents(t, kind, "clone/after-receiver-writes", c, before)
 
-		// Mutate the clone; the receiver's state must hold too.
-		afterRecv := snapshotOf(m)
-		for i := int64(48); i < 64; i++ {
-			c.Delete(key1(i))
-		}
-		for i := int64(200); i < 264; i++ {
-			c.Put(key1(i), int(i))
-		}
-		c.Put(key1(0), -1)
-		sameContents(t, kind, "receiver/after-clone-writes", m, afterRecv)
+			// Mutate the clone; the receiver's state must hold too.
+			afterRecv := refOf(m)
+			for i := 48 * s; i < 64*s; i++ {
+				c.Delete(key1(i))
+			}
+			for i := 200 * s; i < 264*s; i++ {
+				c.Put(key1(i), int(i))
+			}
+			c.Put(key1(0), -1)
+			sameContents(t, kind, "receiver/after-clone-writes", m, afterRecv)
 
-		// And the clone's own writes landed.
-		if v, ok := c.Get(key1(0)); !ok || v != -1 {
-			t.Fatalf("%s: clone lost its own overwrite: %d %v", kind, v, ok)
-		}
-		if _, ok := c.Get(key1(50)); ok {
-			t.Fatalf("%s: clone still holds a key it deleted", kind)
+			// And the clone's own writes landed.
+			if v, ok := c.Get(key1(0)); !ok || v != -1 {
+				t.Fatalf("%s: clone lost its own overwrite: %d %v", kind, v, ok)
+			}
+			if v, ok := c.GetByValue(key1(263 * s).ValueAt(0)); !ok || v != int(263*s) {
+				t.Fatalf("%s: clone lost its last insert under GetByValue: %d %v", kind, v, ok)
+			}
+			if _, ok := c.Get(key1(50 * s)); ok {
+				t.Fatalf("%s: clone still holds a key it deleted", kind)
+			}
 		}
 	}
 }
 
 // TestCloneChainsDifferential chains clones (clone of a clone, repeated
 // re-cloning of a mutated receiver) under a randomized schedule, comparing
-// every live copy against its own oracle at each step.
+// every live copy against its own oracle at each step. Each copy alternates
+// between an insert-heavy mix, until it holds three fifths of the key
+// range, and a delete-heavy one, until it is nearly empty, so structures
+// both grow and thin out while shared (lists fill chunks, then merge and
+// drop them); once eight copies are live a new clone replaces a random one,
+// so copies keep being re-shared to the end. A step is s operations at
+// scale s, which takes a copy through several such cycles at either scale.
 func TestCloneChainsDifferential(t *testing.T) {
 	for _, kind := range AllKinds() {
-		rng := rand.New(rand.NewSource(7))
-		type pair struct {
-			m Map[int]
-			o map[string]int
-		}
-		live := []*pair{{m: New[int](kind), o: map[string]int{}}}
-		for step := 0; step < 2000; step++ {
-			p := live[rng.Intn(len(live))]
-			k := int64(rng.Intn(100))
-			switch op := rng.Intn(10); {
-			case op < 5:
-				v := rng.Intn(1 << 20)
-				p.m.Put(key1(k), v)
-				p.o[key1(k).ValuesKey()] = v
-			case op < 8:
-				del := p.m.Delete(key1(k))
-				_, want := p.o[key1(k).ValuesKey()]
-				if del != want {
-					t.Fatalf("%s step %d: Delete = %v, oracle %v", kind, step, del, want)
+		for _, s := range cloneSpans(kind) {
+			rng := rand.New(rand.NewSource(7))
+			type pair struct {
+				m         Map[int]
+				o         *refMap
+				shrinking bool
+			}
+			span := int(100 * s)
+			live := []*pair{{m: New[int](kind), o: newRefMap()}}
+			for step := 0; step < int(2000*s); step++ {
+				p := live[rng.Intn(len(live))]
+				switch n := len(p.o.order); {
+				case n >= 3*span/5:
+					p.shrinking = true
+				case n <= span/20:
+					p.shrinking = false
 				}
-				delete(p.o, key1(k).ValuesKey())
-			default:
-				if len(live) < 8 {
-					o2 := make(map[string]int, len(p.o))
-					for kk, vv := range p.o {
-						o2[kk] = vv
+				switch op := rng.Intn(10); {
+				case op < 2, !p.shrinking && op < 6:
+					for i := int64(0); i < s; i++ {
+						k, v := int64(rng.Intn(span)), rng.Intn(1<<20)
+						p.m.Put(key1(k), v)
+						p.o.put(k, v)
 					}
-					live = append(live, &pair{m: p.m.Clone(), o: o2})
+				case op < 8:
+					for i := int64(0); i < s; i++ {
+						k := int64(rng.Intn(span))
+						if len(p.o.order) > 0 && rng.Intn(4) > 0 {
+							k = p.o.order[rng.Intn(len(p.o.order))]
+						}
+						if del, want := p.m.Delete(key1(k)), p.o.delete(k); del != want {
+							t.Fatalf("%s step %d: Delete = %v, oracle %v", kind, step, del, want)
+						}
+					}
+				default:
+					c := &pair{m: p.m.Clone(), o: p.o.clone(), shrinking: p.shrinking}
+					if len(live) < 8 {
+						live = append(live, c)
+					} else {
+						live[rng.Intn(len(live))] = c
+					}
+				}
+				for i, p := range live {
+					if d := diffContents(p.m, p.o); d != "" {
+						t.Fatalf("%s step %d copy %d: %s", kind, step, i, d)
+					}
 				}
 			}
 		}
-		for i, p := range live {
-			sameContents(t, kind, fmt.Sprintf("chain-%d", i), p.m, p.o)
+	}
+}
+
+// TestListFirstWriteAfterCloneIsCheap pins what the chunked list body is
+// for: a clone plus the first delete and the first insert on it allocate a
+// handful of objects however long the list is, and bytes that grow with the
+// chunk directory (n/listChunkCap headers), not with the entries.
+func TestListFirstWriteAfterCloneIsCheap(t *testing.T) {
+	for _, kind := range listKinds {
+		cost := func(n int64) (allocs, bytes float64) {
+			m := New[int](kind)
+			for i := int64(0); i < n; i++ {
+				m.Put(key1(i), int(i))
+			}
+			del, put := key1(n/2), key1(n)
+			op := func() {
+				c := m.Clone()
+				c.Delete(del)
+				c.Put(put, 0)
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			return testing.AllocsPerRun(runs, op), float64(after.TotalAlloc-before.TotalAlloc) / runs
+		}
+		_, small := cost(512)
+		allocs, large := cost(4096)
+		if allocs > 8 {
+			t.Errorf("%s: clone + delete + put on 4096 entries allocates %.0f objects, want at most 8", kind, allocs)
+		}
+		if large >= 4*small {
+			t.Errorf("%s: clone + delete + put allocates %.0f B at 4096 entries and %.0f B at 512, want under 4x", kind, large, small)
 		}
 	}
 }

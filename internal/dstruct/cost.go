@@ -72,10 +72,8 @@ func DeleteCost(k Kind, n float64) float64 {
 		n = 1
 	}
 	switch k {
-	case DListKind:
-		return n / 2 // scan; O(1) with a handle, see HandleDeleteCost
-	case SListKind:
-		return n / 2
+	case DListKind, SListKind:
+		return n / 2 // scan for the key
 	case HTableKind:
 		return 2
 	case AVLKind, SkipListKind:
@@ -87,14 +85,4 @@ func DeleteCost(k Kind, n float64) float64 {
 	default:
 		return n
 	}
-}
-
-// HandleDeleteCost returns the cost of unlinking when the caller holds a
-// direct handle to the entry (the intrusive-container capability). Only the
-// doubly-linked list supports it; other kinds fall back to DeleteCost.
-func HandleDeleteCost(k Kind, n float64) float64 {
-	if k == DListKind {
-		return 1
-	}
-	return DeleteCost(k, n)
 }

@@ -5,9 +5,10 @@
 // parameterized over the choice of structure ψ exactly as the paper's RELC
 // is parameterized over its C++ templates.
 //
-// The set of structures mirrors the paper's library: unordered doubly-linked
-// lists (with O(1) handle-based unlink standing in for Boost's intrusive
-// lists), singly-linked lists, chained hash tables, AVL trees (the ordered
+// The set of structures mirrors the paper's library: unordered lists in the
+// doubly-linked (insertion order) and singly-linked (newest first) roles —
+// one chunked copy-on-write body under both, removal by key, no intrusive
+// handles — chained hash tables, AVL trees (the ordered
 // std::map/boost::intrusive::set role), vectors, and sorted arrays. All are
 // implemented here from scratch on stdlib only.
 package dstruct
@@ -24,8 +25,8 @@ type Kind string
 
 // The available data structures.
 const (
-	DListKind     Kind = "dlist"     // unordered doubly-linked list
-	SListKind     Kind = "slist"     // singly-linked list
+	DListKind     Kind = "dlist"     // unordered list, iterates in insertion order
+	SListKind     Kind = "slist"     // unordered list, iterates newest first
 	HTableKind    Kind = "htable"    // chained hash table
 	AVLKind       Kind = "avl"       // AVL tree, ordered iteration
 	VectorKind    Kind = "vector"    // dense array over small integer keys
@@ -64,8 +65,8 @@ func (k Kind) IntKeyedOnly() bool { return k == VectorKind }
 // AVL tree compares values column-wise).
 //
 // Range visits entries until the callback returns false; the iteration order
-// is insertion order for lists, bucket order for hash tables, and key order
-// for ordered structures.
+// is insertion order for dlist, newest first for slist, bucket order for
+// hash tables, and key order for ordered structures.
 type Map[V any] interface {
 	// Get returns the value for k and whether it is present.
 	Get(k relation.Tuple) (V, bool)
@@ -83,11 +84,11 @@ type Map[V any] interface {
 	// Range visits entries until f returns false.
 	Range(f func(k relation.Tuple, v V) bool)
 	// Clone returns an independent copy of the map: mutating either side
-	// after the call never changes what the other side observes. Structures
-	// with immutable-friendly layouts (the AVL tree, the hash table, the
-	// vector, the sorted array) share substructure and copy lazily on the
-	// first write to each shared piece, so Clone itself is cheap; list-shaped
-	// structures copy their spines eagerly. The clone is the same concrete
+	// after the call never changes what the other side observes. Every
+	// structure but the skip list shares substructure with its clone and
+	// copies lazily on the first write to each shared piece (a tree path, a
+	// bucket chain, a list chunk, a whole array), so Clone itself is O(1);
+	// the skip list copies eagerly. The clone is the same concrete
 	// kind as the receiver, preserving optional capabilities (Ranger,
 	// Entries). Clone is the primitive under copy-on-write versioning
 	// (instance.BeginVersion): a frozen version's maps are never mutated, so

@@ -1,7 +1,9 @@
 package dstruct
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -197,32 +199,6 @@ func TestRangeEarlyStop(t *testing.T) {
 	}
 }
 
-func TestDListHandles(t *testing.T) {
-	l := NewDList[int]()
-	e1 := l.PutEntry(key1(1), 10)
-	e2 := l.PutEntry(key1(2), 20)
-	l.RemoveEntry(e1)
-	if l.Len() != 1 {
-		t.Fatalf("Len after handle removal = %d", l.Len())
-	}
-	if _, ok := l.Get(key1(1)); ok {
-		t.Errorf("entry still reachable after RemoveEntry")
-	}
-	// Removing twice is a no-op.
-	l.RemoveEntry(e1)
-	if l.Len() != 1 {
-		t.Errorf("double RemoveEntry changed Len")
-	}
-	// PutEntry on existing key returns the same entry.
-	e2b := l.PutEntry(key1(2), 21)
-	if e2b != e2 {
-		t.Errorf("PutEntry allocated a new entry for an existing key")
-	}
-	if v, _ := l.Get(key1(2)); v != 21 {
-		t.Errorf("PutEntry did not update value")
-	}
-}
-
 func TestDListDeleteDuringRange(t *testing.T) {
 	l := NewDList[int]()
 	for i := int64(0); i < 5; i++ {
@@ -234,6 +210,104 @@ func TestDListDeleteDuringRange(t *testing.T) {
 	})
 	if l.Len() != 0 {
 		t.Errorf("Len after delete-during-range = %d", l.Len())
+	}
+}
+
+// TestListDeleteDuringRangeAcrossChunks is TestDListDeleteDuringRange on
+// lists long enough that the callback's deletes shift chunks in place, merge
+// them and drop them under the walk: in both directions, on a list nothing
+// shares and on a clone (whose first delete in a chunk copies it), on full
+// chunks and on chunks already thinned to a third (so the walk's deletes
+// merge the chunk it is in into the one it has not reached yet), deleting
+// every visited entry or only most of them, Range must still visit every
+// entry exactly once, in order.
+func TestListDeleteDuringRangeAcrossChunks(t *testing.T) {
+	const n = 5*listChunkCap + 7
+	for _, kind := range listKinds {
+		for _, shared := range []bool{false, true} {
+			for _, thinned := range []bool{false, true} {
+				for _, keepEvery := range []int64{0, 5} {
+					label := fmt.Sprintf("shared=%v thinned=%v keep=%d", shared, thinned, keepEvery)
+					m := New[int](kind)
+					for i := int64(0); i < n; i++ {
+						m.Put(key1(i), int(i))
+					}
+					if thinned {
+						for i := int64(0); i < n; i++ {
+							if i%3 != 0 {
+								m.Delete(key1(i))
+							}
+						}
+					}
+					if shared {
+						m = m.Clone()
+					}
+					want := refOf(m)
+					order := append([]int64(nil), want.order...)
+					if kind == SListKind {
+						slices.Reverse(order)
+					}
+					var visited []int64
+					m.Range(func(k relation.Tuple, _ int) bool {
+						key := k.ValueAt(0).Int()
+						visited = append(visited, key)
+						if keepEvery == 0 || key%keepEvery != 0 {
+							m.Delete(k)
+							want.delete(key)
+						}
+						return true
+					})
+					if !slices.Equal(visited, order) {
+						t.Fatalf("%s %s: Range visited\n%v, want\n%v", kind, label, visited, order)
+					}
+					sameContents(t, kind, label, m, want)
+				}
+			}
+		}
+	}
+}
+
+// TestListReshapeRightAfterClone makes the first write after a Clone one
+// that reshapes the chunk directory — a chunk dropped, merged into its left
+// neighbour, merged into its right — on the clone and on the receiver, and
+// checks that the other side, which shares that directory, still reads back
+// its oracle in order.
+func TestListReshapeRightAfterClone(t *testing.T) {
+	const c = listChunkCap
+	for _, tc := range []struct {
+		name         string
+		n            int64 // keys [0, n) inserted
+		thinLo, thin int64 // keys [thinLo, thinLo+thin) deleted before the Clone
+		del          int64 // the first write after it
+	}{
+		{"drop", 3 * c, c, c - 1, 2*c - 1},            // [c][1][c]: the 1 goes, and its chunk
+		{"merge-right", 2*c + 2, c, c/2 + 1, 2*c - 1}, // [c][c/2-1][2]: the middle chunk drops to c/2-2
+		{"merge-left", 2*c + 2, c, c/2 + 1, 2 * c},    // [c][c/2-1][2]: the tail drops to 1
+	} {
+		for _, kind := range listKinds {
+			for _, onClone := range []bool{true, false} {
+				label := fmt.Sprintf("%s onClone=%v", tc.name, onClone)
+				m := New[int](kind)
+				for i := int64(0); i < tc.n; i++ {
+					m.Put(key1(i), int(i))
+				}
+				for i := tc.thinLo; i < tc.thinLo+tc.thin; i++ {
+					m.Delete(key1(i))
+				}
+				chunks := len(listOf(m).dir)
+				want := refOf(m)
+				writer, other := m.Clone(), m
+				if !onClone {
+					writer, other = other, writer
+				}
+				if !writer.Delete(key1(tc.del)) || len(listOf(writer).dir) != chunks-1 {
+					t.Fatalf("%s %s: the delete left %d chunks of %d", kind, label, len(listOf(writer).dir), chunks)
+				}
+				sameContents(t, kind, label+" other side", other, want)
+				want.delete(tc.del)
+				sameContents(t, kind, label+" writer", writer, want)
+			}
+		}
 	}
 }
 
@@ -345,13 +419,9 @@ func TestCostModelShapes(t *testing.T) {
 	if !(LookupCost(HTableKind, n) >= LookupCost(VectorKind, n)) {
 		t.Errorf("hash lookup cheaper than vector")
 	}
-	// Handle-based delete beats scanning delete on dlist.
-	if !(HandleDeleteCost(DListKind, n) < DeleteCost(DListKind, n)) {
-		t.Errorf("handle delete not cheaper than scan delete")
-	}
 	// Costs are defined (>0) at n = 0 for every kind.
 	for _, k := range AllKinds() {
-		for _, f := range []func(Kind, float64) float64{LookupCost, ScanCost, InsertCost, DeleteCost, HandleDeleteCost} {
+		for _, f := range []func(Kind, float64) float64{LookupCost, ScanCost, InsertCost, DeleteCost} {
 			if c := f(k, 0); c <= 0 {
 				t.Errorf("%s: zero-size cost = %v", k, c)
 			}

@@ -130,6 +130,45 @@ func schedulerCase() Case {
 	}
 }
 
+// longListCase is the scheduler decomposition again with sixty-six sleeping
+// processes, so that their run-queue dlist spans three of dstruct's
+// 32-entry chunks (32, 32, 2) and a commit's kill-points fall around the
+// list's own copy-on-write steps: a directory copy and a chunk copy (insert,
+// remove-point, update-replace), two chunks merging (remove-merge thins the
+// second chunk until it fits in half a chunk with the third) and a chunk
+// dropped from the directory (remove-drop empties the third).
+func longListCase() Case {
+	c := schedulerCase()
+	c.Name = "scheduler-long"
+	c.Seed = []relation.Tuple{paperex.SchedulerTuple(1, 100, paperex.StateR, 1)}
+	for pid := int64(1); pid <= 66; pid++ {
+		ns := int64(1)
+		switch {
+		case pid > 64:
+			ns = 3
+		case pid > 40 && pid <= 60:
+			ns = 2
+		}
+		c.Seed = append(c.Seed, paperex.SchedulerTuple(ns, pid, paperex.StateS, pid))
+	}
+	c.Batch = []relation.Tuple{
+		paperex.SchedulerTuple(5, 1, paperex.StateR, 2),
+		paperex.SchedulerTuple(5, 2, paperex.StateS, 3),
+		paperex.SchedulerTuple(6, 1, paperex.StateR, 1),
+	}
+	c.Muts = []Mutation{
+		insertMut(paperex.SchedulerTuple(4, 1, paperex.StateS, 2)),
+		removeMut("remove-point", paperex.SchedulerTuple(1, 36, paperex.StateS, 36)),
+		removeMut("remove-merge", relation.NewTuple(bi("ns", 2))),
+		removeMut("remove-drop", relation.NewTuple(bi("ns", 3))),
+		updateMut("update-replace", relation.NewTuple(bi("ns", 1), bi("pid", 5)), relation.NewTuple(bi("state", paperex.StateR))),
+	}
+	c.Gen = func(rnd *rand.Rand) relation.Tuple {
+		return paperex.SchedulerTuple(1+rnd.Int63n(3), 1+rnd.Int63n(70), rnd.Int63n(2), rnd.Int63n(4))
+	}
+	return c
+}
+
 // graphCase builds one corpus entry per Figure 12 decomposition shape:
 // decomposition 1 (a chain), 5 (a shared unit under two access paths), and
 // 9 (unshared left/right units).
@@ -254,6 +293,13 @@ func Cases() []Case {
 		twoKeyCase(),
 	}
 }
+
+// InMemoryCases is Cases plus the long-list case, for the regimes whose
+// armed attempt costs a rebuild in memory (Exhaust, ExhaustCOW, Randomized).
+// Its sweeps are thousands of attempts long, and the regimes that pay a
+// directory or a socket per attempt commit through the same fork the COW
+// regime already kills at every step.
+func InMemoryCases() []Case { return append(Cases(), longListCase()) }
 
 // engineMuts is the corpus of the regimes whose subject is a core.Engine
 // (COW, WAL, replication): the case's mutations plus two that move several

@@ -25,7 +25,7 @@ func withPlane(t *testing.T) *faultinject.Plane {
 // decomposition, a fault at every reachable step of every mutation leaves
 // the instance well-formed and α unchanged.
 func TestExhaustiveInjection(t *testing.T) {
-	for _, c := range Cases() {
+	for _, c := range InMemoryCases() {
 		t.Run(c.Name, func(t *testing.T) {
 			p := withPlane(t)
 			Exhaust(t, p, c)
@@ -38,7 +38,7 @@ func TestExhaustiveInjection(t *testing.T) {
 // published snapshot pointer-identical to the pre-mutation version — never
 // a torn hybrid — at the same version number, and a retry must publish.
 func TestExhaustiveCOWInjection(t *testing.T) {
-	for _, c := range Cases() {
+	for _, c := range InMemoryCases() {
 		t.Run(c.Name, func(t *testing.T) {
 			p := withPlane(t)
 			ExhaustCOW(t, p, c)
@@ -50,7 +50,7 @@ func TestExhaustiveCOWInjection(t *testing.T) {
 // mirror oracle; raise -faultseeds (see `make faultinject`) for a longer
 // soak.
 func TestRandomizedSchedules(t *testing.T) {
-	for _, c := range Cases() {
+	for _, c := range InMemoryCases() {
 		t.Run(c.Name, func(t *testing.T) {
 			p := withPlane(t)
 			for seed := int64(1); seed <= int64(*faultSeeds); seed++ {

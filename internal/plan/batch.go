@@ -1231,6 +1231,43 @@ func (r *BatchResult) EachTuple(f func(relation.Tuple) bool) bool {
 	return true
 }
 
+// rowSlab is how many values EachRow allocates at a time: 512 bytes, the
+// most the allocator hands out without a header of its own, and every
+// multiple of a value's 32 bytes up to there is a size class, so a slab
+// rounds up to nothing. Larger would save few allocations more and let a
+// row the callback retains keep more of its neighbours alive.
+const rowSlab = 16
+
+// EachRow is EachTuple for a callback that keeps what it is given: every
+// row is a tuple of its own, not a view. The row count is known before the
+// first row is emitted, so the rows' values are carved from one allocation
+// per rowSlab values rather than one per row — the same bytes, and no more
+// than the rows need.
+func (r *BatchResult) EachRow(f func(relation.Tuple) bool) bool {
+	st := r.st
+	p := st.p
+	cols := st.cur.blk.Cols
+	n := st.cur.blk.N
+	names := p.cols.Names()
+	k := len(p.out)
+	perSlab := max(rowSlab/max(k, 1), 1) * k
+	var slab []value.Value
+	for i := 0; i < n; i++ {
+		if len(slab) < k {
+			slab = make([]value.Value, min((n-i)*k, perSlab))
+		}
+		vals := slab[:k:k]
+		slab = slab[k:]
+		for j, reg := range p.out {
+			vals[j] = st.dict.Decode(cols[reg][i])
+		}
+		if !f(relation.SortedTuple(names, vals)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Collect gathers the projected results de-duplicated and in deterministic
 // order — the batch counterpart of Program.Collect. The dedup key is the
 // raw code words of each row (equal codes ⟺ equal values within one

@@ -111,7 +111,23 @@ func TestVectorizedDifferential(t *testing.T) {
 							if got := br.Rows(); got != len(gotS) {
 								t.Fatalf("Rows() = %d but EachTuple emitted %d", got, len(gotS))
 							}
+							// EachRow's rows are the callback's to keep: read back
+							// after the sweep and the release, each must still be
+							// what EachTuple's view was while it was current.
+							var rows []relation.Tuple
+							br.EachRow(func(tp relation.Tuple) bool {
+								rows = append(rows, tp)
+								return true
+							})
 							br.Release()
+							var keptS []string
+							for _, tp := range rows {
+								keptS = append(keptS, tp.Key())
+							}
+							if !sameKeys(keptS, gotS) {
+								t.Fatalf("input %v → %v plan %s pattern %v: rows kept from EachRow differ from EachTuple's (order-sensitive):\nkept %v\nview %v",
+									input, output, cand.Op, pat, keptS, gotS)
+							}
 							var wantS []string
 							prog.Stream(in, pat, func(tp relation.Tuple) bool {
 								wantS = append(wantS, tp.Key())
@@ -242,8 +258,77 @@ func TestVectorizedEarlyStop(t *testing.T) {
 	if count != 3 || !done {
 		t.Errorf("full sweep emitted %d rows (done=%v), want 3 (true)", count, done)
 	}
+	count = 0
+	done = br.EachRow(func(relation.Tuple) bool {
+		count++
+		return count < 2
+	})
+	if count != 2 || done {
+		t.Errorf("EachRow stopped after %d rows (done=%v), want 2 (false)", count, done)
+	}
 	br.Release()
 	br.Release() // idempotent
+}
+
+// TestVectorizedEachRowSlabs pins what EachRow is for: a sweep whose rows
+// the callback keeps allocates one object per slab of rows — the steady
+// state allocates nothing else — never one per row, and rows that share a
+// slab do not share values. 3 columns × 40 rows crosses eight slabs of five
+// rows; 1 column × 10 rows fits a single, exactly-sized one.
+func TestVectorizedEachRowSlabs(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool randomly drops items under the race detector")
+	}
+	in := instance.New(paperex.SchedulerDecomp(), paperex.SchedulerFDs())
+	for ns := 0; ns < 4; ns++ {
+		for pid := 0; pid < 10; pid++ {
+			if _, err := in.Insert(paperex.SchedulerTuple(int64(ns), int64(pid), paperex.StateS, int64(pid))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, s := range []struct {
+		name          string
+		pat           relation.Tuple
+		input, output relation.Cols
+		rows, slabs   int
+	}{
+		{"one-slab", relation.NewTuple(relation.BindInt("ns", 2)), cols("ns"), cols("pid"), 10, 1},
+		{"two-columns", relation.NewTuple(relation.BindInt("state", paperex.StateS)), cols("state"), cols("ns", "pid"), 40, 5},
+		{"three-columns", relation.NewTuple(), cols(), cols("ns", "pid", "cpu"), 40, 8},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			cand, err := plan.NewPlanner(in.Decomp(), in.FDs(), nil).Best(s.input, s.output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp, err := plan.CompileBatch(in, cand.Op, s.input, s.output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := make([]relation.Tuple, 0, s.rows)
+			run := func() {
+				kept = kept[:0]
+				br, ok := bp.Run(in, s.pat)
+				if !ok {
+					t.Fatal("batch run bailed")
+				}
+				br.EachRow(func(tp relation.Tuple) bool { kept = append(kept, tp); return true })
+				br.Release()
+			}
+			run() // warm the pool and scratch
+			if allocs := testing.AllocsPerRun(50, run); allocs != float64(s.slabs) {
+				t.Errorf("a sweep of %d kept rows allocates %.1f objects, want %d (one per slab)", s.rows, allocs, s.slabs)
+			}
+			want := plan.Collect(in, cand.Op, s.pat, s.output)
+			if len(kept) != s.rows || !sameKeys(sortedKeys(kept), sortedKeys(want)) {
+				t.Errorf("kept rows %v\nwant      %v", kept, want)
+			}
+		})
+	}
 }
 
 // TestVectorizedSteadyStateAllocs pins the perf acceptance bar that the

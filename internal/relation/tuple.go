@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -100,13 +101,30 @@ func (t Tuple) MustGet(c string) value.Value {
 // Project returns π_C(t): the restriction of t to the columns of C that t
 // binds. Columns of C absent from t are silently dropped, which matches the
 // paper's use of projection on partial tuples.
+//
+// The values are always copied (t may be a transient view). When t binds
+// every column of C — every projection on the engine's read paths — the
+// result shares C's sorted name slice, as MergeProject's does, so it costs
+// one allocation, not two.
 func (t Tuple) Project(c Cols) Tuple {
-	cols := make([]string, 0, c.Len())
-	vals := make([]value.Value, 0, c.Len())
-	for i, name := range t.cols {
+	vals := make([]value.Value, 0, len(c.names))
+	j := 0
+	for i := 0; i < len(t.cols) && j < len(c.names); i++ {
+		for j < len(c.names) && c.names[j] < t.cols[i] {
+			j++
+		}
+		if j < len(c.names) && c.names[j] == t.cols[i] {
+			vals = append(vals, t.vals[i])
+			j++
+		}
+	}
+	if len(vals) == len(c.names) {
+		return Tuple{cols: c.names, vals: vals}
+	}
+	cols := make([]string, 0, len(vals))
+	for _, name := range t.cols {
 		if c.Has(name) {
 			cols = append(cols, name)
-			vals = append(vals, t.vals[i])
 		}
 	}
 	return Tuple{cols: cols, vals: vals}
@@ -240,6 +258,11 @@ func (t Tuple) Equal(u Tuple) bool {
 	}
 	return true
 }
+
+// EqualValues reports whether t and u hold the same values position by
+// position, without comparing column names. It equals Equal for tuples of
+// one domain — the keys of a single map — and is cheaper there.
+func (t Tuple) EqualValues(u Tuple) bool { return slices.Equal(t.vals, u.vals) }
 
 // keySize returns the exact encoded length of Key(), so buffers can be
 // allocated once instead of grown.

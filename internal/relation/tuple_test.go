@@ -71,6 +71,58 @@ func TestProject(t *testing.T) {
 	}
 }
 
+// TestProjectAgainstDefinition holds Project's merge walk to the definition
+// — keep exactly the bindings whose column is in C — over every pair of
+// subsets of a five-name universe, so columns of C absent from t fall
+// before, between and after t's own; it also pins what the engine's
+// streaming read path relies on: the values are copied even when the name
+// slice is shared, and a projection that keeps all of C is one allocation.
+func TestProjectAgainstDefinition(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e"}
+	pick := func(mask int) []string {
+		var s []string
+		for i, n := range names {
+			if mask&(1<<i) != 0 {
+				s = append(s, n)
+			}
+		}
+		return s
+	}
+	for tm := 0; tm < 1<<len(names); tm++ {
+		var bs []Binding
+		for i, n := range pick(tm) {
+			bs = append(bs, BindInt(n, int64(10*tm+i)))
+		}
+		tp := NewTuple(bs...)
+		for cm := 0; cm < 1<<len(names); cm++ {
+			c := NewCols(pick(cm)...)
+			var want []Binding
+			for _, b := range bs {
+				if c.Has(b.Col) {
+					want = append(want, b)
+				}
+			}
+			if got := tp.Project(c); !got.Equal(NewTuple(want...)) {
+				t.Fatalf("%v.Project(%v) = %v, want %v", tp, c, got, NewTuple(want...))
+			}
+		}
+	}
+
+	c := NewCols("ns", "pid")
+	vals := []value.Value{value.OfInt(1), value.OfInt(2)}
+	view := SortedTuple(c.Names(), vals)
+	p := view.Project(c)
+	vals[0], vals[1] = value.OfInt(8), value.OfInt(9)
+	if !p.Equal(tupNsPid(1, 2)) {
+		t.Errorf("projection of a view changed with the view: %v", p)
+	}
+	wide := schedTuple(1, 2, "S", 5)
+	var kept Tuple
+	if n := testing.AllocsPerRun(100, func() { kept = wide.Project(c) }); n != 1 || !kept.Equal(tupNsPid(1, 2)) {
+		t.Errorf("a projection that keeps every column of C allocates %v objects (%v), want 1", n, kept)
+	}
+}
+
 func TestExtendsAndMatches(t *testing.T) {
 	full := schedTuple(1, 2, "R", 7)
 	part := NewTuple(BindInt("ns", 1), BindString("state", "R"))
@@ -224,4 +276,37 @@ func TestValuesKeyFixedDomain(t *testing.T) {
 		t.Errorf("ValuesKey not deterministic")
 	}
 	_ = value.OfInt(0) // keep import for doc symmetry
+}
+
+func TestEqualValues(t *testing.T) {
+	a := tupNsPid(1, 2)
+	for _, c := range []struct {
+		name string
+		u    Tuple
+		want bool
+	}{
+		{"same domain, same values", tupNsPid(1, 2), true},
+		{"same domain, values swapped", tupNsPid(2, 1), false},
+		{"other column names, same values", NewTuple(BindInt("a", 1), BindInt("b", 2)), true},
+		{"shorter: equal prefix", NewTuple(BindInt("ns", 1)), false},
+		{"longer: equal prefix", NewTuple(BindInt("ns", 1), BindInt("pid", 2), BindInt("z", 3)), false},
+		{"string against int", NewTuple(BindInt("ns", 1), BindString("pid", "2")), false},
+		{"empty", Tuple{}, false},
+	} {
+		if got := a.EqualValues(c.u); got != c.want {
+			t.Errorf("%s: %v.EqualValues(%v) = %v, want %v", c.name, a, c.u, got, c.want)
+		}
+		if got := c.u.EqualValues(a); got != c.want {
+			t.Errorf("%s: not symmetric", c.name)
+		}
+		if sameDom := a.Dom().Equal(c.u.Dom()); sameDom && a.Equal(c.u) != c.want {
+			t.Errorf("%s: disagrees with Equal on one domain", c.name)
+		}
+	}
+	if !(Tuple{}).EqualValues(Tuple{}) {
+		t.Errorf("empty tuples differ")
+	}
+	if s := NewTuple(BindString("k", "x")); !s.EqualValues(NewTuple(BindString("k", "x"))) || s.EqualValues(NewTuple(BindString("k", "y"))) {
+		t.Errorf("string values compared wrongly")
+	}
 }

@@ -290,11 +290,15 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 				}
 			}
 			f.setEngine(pending)
+			// Counted before Applied() moves, like a batch of records: a
+			// caller WaitFor released must already see the bootstrap.
+			if f.met != nil {
+				f.met.ReplSnapshots.Add(1)
+			}
 			f.advance(pendingSeq)
 			f.bumpHead(pendingSeq)
 			pending = nil
 			if f.met != nil {
-				f.met.ReplSnapshots.Add(1)
 				f.met.ReplLag.Store(f.Lag())
 			}
 

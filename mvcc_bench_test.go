@@ -65,10 +65,11 @@ const (
 	mvccPidDiv = 16
 	// The state column spreads over 64 values so the per-state run-queue
 	// DLists hold ~64 entries, the regime the paper's Figure 2(a) intrusive
-	// lists are sized for. DList.Clone is an eager O(len) copy, so COW
-	// write cost is proportional to the fan-out of the widest list node on
-	// the spine — a giant 2-state seed would benchmark the list copy, not
-	// the concurrency tier.
+	// lists are sized for. A list forks in O(1) and a write copies one
+	// chunk of it whatever its length, so a 2-state seed would no longer
+	// benchmark a list copy; 64 stays because a keyed update still scans
+	// the list for its entry, and so that the grid on record (DESIGN.md
+	// "MVCC snapshot reads") stays comparable.
 	mvccStates = 64
 )
 
