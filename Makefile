@@ -101,11 +101,14 @@ bench:
 # internal/plan tier pairs (the per-layer drill-down under the three
 # plan.exec_*_us metrics), the MVCC grid and the list micro-benchmarks: not
 # a measurement, a smoke test that their fixtures still build and run. Part
-# of `make ci` so bench-only regressions cannot land silently. The one
-# figure worth reading off it is allocs/op on the ListFirstWriteAfterClone
-# rows, which must not grow with the list's length (DESIGN.md ablation 11).
+# of `make ci` so bench-only regressions cannot land silently. The figures
+# worth reading off it are allocs/op on the ListFirstWriteAfterClone rows,
+# which must not grow with the list's length (DESIGN.md ablation 11), and on
+# the Collect*/Range*Vectorized rows, which must stay a handful per call —
+# an object per row means set-valued reads are boxing tuples before they
+# know which ones survive again (ablation 13).
 bench-smoke:
-	$(GO) test -run '^$$' -bench '(Scan|Enumerate|Join|Collect)(Interpreted|Compiled|Vectorized)$$' -benchtime 10x ./internal/plan
+	$(GO) test -run '^$$' -bench '(Scan|Enumerate|Join|Collect)(Interpreted|Compiled|Vectorized)$$|Range(Interpreted|Vectorized)$$|CollectDupVectorized$$' -benchmem -benchtime 10x ./internal/plan
 	$(GO) test -run '^$$' -bench 'MVCC' -benchtime 10x .
 	$(GO) test -run '^$$' -bench 'ListFirstWriteAfterClone|ListSmall' -benchmem -benchtime 10x ./internal/dstruct
 

@@ -13,7 +13,11 @@
 // raw word compares without touching the dictionary.
 package colblock
 
-import "repro/internal/value"
+import (
+	"cmp"
+
+	"repro/internal/value"
+)
 
 // A Code is one column value packed into a machine word. Bit 0 is the tag:
 //
@@ -107,6 +111,18 @@ func (d *Dict) Decode(c Code) value.Value {
 		return value.OfInt(int64(c) >> 1)
 	}
 	return d.vals[c>>1]
+}
+
+// Compare orders the values a and b encode exactly as value.Compare orders
+// them, so sorting rows by their codes yields the canonical tuple order
+// without materializing a tuple. Two inline integers compare as the words
+// they are (the shared zero tag bit preserves order); a dictionary
+// reference on either side decodes both.
+func (d *Dict) Compare(a, b Code) int {
+	if (a|b)&dictTag == 0 {
+		return cmp.Compare(int64(a), int64(b))
+	}
+	return value.Compare(d.Decode(a), d.Decode(b))
 }
 
 // Len returns the number of interned (non-inline) values.

@@ -129,3 +129,28 @@ func TestCeilRows(t *testing.T) {
 		}
 	}
 }
+
+// TestDictCompareIsValueCompare: codes order exactly as the values they
+// encode, whichever mix of inline and dictionary codes a pair is.
+func TestDictCompareIsValueCompare(t *testing.T) {
+	d := NewDict()
+	vals := []value.Value{
+		value.OfInt(math.MinInt64), value.OfInt(math.MinInt64>>1 - 1), value.OfInt(math.MinInt64 >> 1),
+		value.OfInt(-1), value.OfInt(0), value.OfInt(7), value.OfInt(math.MaxInt64 >> 1),
+		value.OfInt(math.MaxInt64>>1 + 1), value.OfInt(math.MaxInt64),
+		value.OfString(""), value.OfString("7"), value.OfString("a"), value.OfString("ab"),
+	}
+	// Intern in an order unrelated to the values', so dictionary indices
+	// carry no accidental order.
+	codes := make([]Code, len(vals))
+	for _, i := range []int{12, 0, 8, 9, 1, 11, 7, 10, 2, 3, 4, 5, 6} {
+		codes[i] = d.Encode(vals[i])
+	}
+	for i := range vals {
+		for j := range vals {
+			if got, want := d.Compare(codes[i], codes[j]), value.Compare(vals[i], vals[j]); got != want {
+				t.Errorf("Compare(%v, %v) = %d, value.Compare = %d", vals[i], vals[j], got, want)
+			}
+		}
+	}
+}

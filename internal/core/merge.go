@@ -5,12 +5,18 @@ import "repro/internal/relation"
 // mergeSorted merges per-shard query results — each already de-duplicated
 // and in the canonical order relation.SortTuples produces — into one sorted,
 // de-duplicated slice. The same full tuple lives in exactly one shard, but
-// projections of different tuples can collide across shards, so equal heads
-// collapse to one result. Merging the pre-sorted parts keeps fan-out query
-// results deterministic without re-sorting the union.
+// projections of different tuples can collide across shards, so equal
+// tuples collapse to one result. Merging the pre-sorted parts keeps fan-out
+// query results deterministic without re-sorting the union.
+//
+// Every part is the answer of one plan to one query, so all tuples share one
+// domain by construction: Compare orders them by value alone, and never
+// meets the mixed-domain case SortTuples also handles. The merged output is
+// ascending, so a duplicate — wherever it sat in its part — is exactly a
+// tuple equal to the one emitted last.
 //
 // The shard count is small (typically ≤ 64), so a linear scan for the
-// minimum head beats a heap: the constant factor is a handful of pointer
+// minimum head beats a heap: the constant factor is a handful of value
 // compares per emitted tuple.
 func mergeSorted(parts [][]relation.Tuple) []relation.Tuple {
 	nonEmpty, total := 0, 0
@@ -33,10 +39,7 @@ func mergeSorted(parts [][]relation.Tuple) []relation.Tuple {
 	for {
 		min := -1
 		for i, p := range parts {
-			if idx[i] >= len(p) {
-				continue
-			}
-			if min < 0 || tupleLess(p[idx[i]], parts[min][idx[min]]) {
+			if idx[i] < len(p) && (min < 0 || p[idx[i]].Compare(parts[min][idx[min]]) < 0) {
 				min = i
 			}
 		}
@@ -45,27 +48,8 @@ func mergeSorted(parts [][]relation.Tuple) []relation.Tuple {
 		}
 		t := parts[min][idx[min]]
 		idx[min]++
-		// Skip duplicates of t at every head, including further copies in
-		// the same part's tail (parts are internally deduplicated, so only
-		// cross-part duplicates can occur — one per part at most).
-		for i, p := range parts {
-			for idx[i] < len(p) && tupleEqualOrdered(p[idx[i]], t) {
-				idx[i]++
-			}
+		if n := len(res); n == 0 || !res[n-1].EqualValues(t) {
+			res = append(res, t)
 		}
-		res = append(res, t)
 	}
-}
-
-// tupleLess replicates the ordering of relation.SortTuples: same-domain
-// tuples compare by value, mixed domains fall back to the canonical key.
-func tupleLess(a, b relation.Tuple) bool {
-	if a.Dom().Equal(b.Dom()) {
-		return a.Compare(b) < 0
-	}
-	return a.Key() < b.Key()
-}
-
-func tupleEqualOrdered(a, b relation.Tuple) bool {
-	return a.Dom().Equal(b.Dom()) && a.Compare(b) == 0
 }

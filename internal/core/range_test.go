@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/dstruct"
+	"repro/internal/faultinject"
 	"repro/internal/paperex"
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -133,5 +134,57 @@ func TestQueryRangeStreamingStops(t *testing.T) {
 	})
 	if err != nil || n != 4 {
 		t.Errorf("early stop: n=%d err=%v", n, err)
+	}
+}
+
+// TestQueryRangeKilledAtEveryStep runs the vectorized range query through
+// the fault wrapper — whose Ranger forwarding is what keeps the seek (and,
+// over the dlist, the filter) reachable while injection is on — and kills
+// it at every point it crosses. A read has nothing to roll back: the panic
+// must come back as an error, and the same relation, its pooled execution
+// state abandoned mid-run, must answer the next range query correctly.
+func TestQueryRangeKilledAtEveryStep(t *testing.T) {
+	p := planeForTest(t)
+	out := []string{"ns", "pid", "cpu"}
+	for name, d := range rangeDecomps() {
+		t.Run(name, func(t *testing.T) {
+			fresh := func() *core.Relation {
+				r, err := core.New(schedSpec(), d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pid := int64(0); pid < 12; pid++ {
+					if err := r.Insert(paperex.SchedulerTuple(pid%2, pid, pid%2, pid*3)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return r
+			}
+			query := func(r *core.Relation) ([]relation.Tuple, error) {
+				return r.QueryRange(relation.NewTuple(), "pid", vp(3), vp(8), out)
+			}
+			want, err := query(fresh())
+			if err != nil || len(want) != 6 {
+				t.Fatalf("clean run: %d rows, %v", len(want), err)
+			}
+			faultinject.Sweep(t, p, faultinject.Regime[*core.Relation]{
+				Fresh:   fresh,
+				Action:  func(r *core.Relation) error { _, err := query(r); return err },
+				Modes:   []faultinject.Mode{faultinject.Panic},
+				Require: []string{"dstruct.range"},
+				Contract: func(r *core.Relation, a faultinject.Attempt) {
+					a.RequireContained(t)
+					got, err := query(r)
+					if err != nil || len(got) != len(want) {
+						t.Fatalf("step %d (%s): the query after the killed one returned %d rows, %v", a.Step, a.Point.Site, len(got), err)
+					}
+					for i := range got {
+						if !got[i].Equal(want[i]) {
+							t.Fatalf("step %d (%s): row %d is %v, want %v", a.Step, a.Point.Site, i, got[i], want[i])
+						}
+					}
+				},
+			})
+		})
 	}
 }

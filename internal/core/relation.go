@@ -151,17 +151,33 @@ func (r *Relation) Reprofile() {
 	r.plans.reset()
 }
 
-// planFor returns the cheapest valid plan computing output from input,
-// memoized on the column signature. The cache is read-lock-free and
-// deduplicates concurrent misses, so shard fan-out cannot stampede the
-// planner: the first miss on a shape plans it, concurrent misses wait for
-// that result. A hit allocates nothing — the signature is built in a
-// scratch buffer and only materialized as a string on a miss.
+// planFor returns the cheapest valid plan computing output from input: the
+// equality-query case of planShape.
 func (r *Relation) planFor(input, output relation.Cols) (*plan.Candidate, error) {
+	return r.planShape(input, output, "")
+}
+
+// planShape returns the cheapest valid plan for a query shape, memoized on
+// its column signature. The cache is read-lock-free and deduplicates
+// concurrent misses, so shard fan-out cannot stampede the planner: the first
+// miss on a shape plans it, concurrent misses wait for that result. A hit
+// allocates nothing — the signature is built in a scratch buffer and only
+// materialized as a string on a miss.
+//
+// A shape is an equality query (rangeCol empty) or a range query over
+// rangeCol, which is a shape of its own — the signature includes the column,
+// the plan must bind it on top of output, and the batch program is compiled
+// to constrain it (the bounds themselves are run-time values, so one entry
+// serves every interval).
+func (r *Relation) planShape(input, output relation.Cols, rangeCol string) (*plan.Candidate, error) {
 	var sigArr [96]byte
 	buf := input.AppendKey(sigArr[:0])
 	buf = append(buf, '|')
 	buf = output.AppendKey(buf)
+	if rangeCol != "" {
+		buf = append(buf, '|')
+		buf = append(buf, rangeCol...)
+	}
 	if c, ok := r.plans.get(string(buf)); ok {
 		if r.metrics != nil {
 			r.metrics.PlanCacheHits.Add(1)
@@ -173,6 +189,9 @@ func (r *Relation) planFor(input, output relation.Cols) (*plan.Candidate, error)
 		planned = true
 		if r.metrics != nil {
 			r.metrics.PlanCacheMisses.Add(1)
+		}
+		if rangeCol != "" {
+			return r.promoteRange(input, output, rangeCol)
 		}
 		c, err := r.planner.Best(input, output)
 		if err != nil {
@@ -217,6 +236,29 @@ func (r *Relation) planFor(input, output relation.Cols) (*plan.Candidate, error)
 		r.metrics.PlanCacheHits.Add(1)
 	}
 	return c, err
+}
+
+// promoteRange plans and compiles a range shape for the cache. The plan is
+// the cheapest one binding output ∪ {col}; its batch program projects onto
+// output alone. There is no closure form of a range query — the executor of
+// last resort is the interpreter (plan.ExecRange) — so the promotion counts
+// PlanVectorized and neither PlanCompiled nor PlanFallbacks.
+func (r *Relation) promoteRange(input, output relation.Cols, col string) (*plan.Candidate, error) {
+	c, err := r.planner.Best(input, output.Union(relation.NewCols(col)))
+	if err != nil {
+		return nil, err
+	}
+	bp, berr := plan.CompileBatchRange(r.inst, c.Op, input, output, col)
+	if berr == nil {
+		c.Batch = bp
+		if r.metrics != nil {
+			r.metrics.PlanVectorized.Add(1)
+		}
+	}
+	if r.tracer != nil {
+		r.tracer.Event(obs.Event{Kind: obs.EvPlanCompile, Detail: c.Op.String(), Err: berr})
+	}
+	return c, nil
 }
 
 // PlanDescription returns the chosen plan for a query shape in the paper's
@@ -314,7 +356,7 @@ func (r *Relation) Query(s relation.Tuple, out []string) (res []relation.Tuple, 
 			if r.metrics != nil {
 				r.metrics.ExecVectorized.Add(1)
 			}
-			res = br.Collect(cand.EstimatedRows())
+			res = br.Collect()
 			br.Release()
 			return res, nil
 		}
@@ -447,12 +489,11 @@ func (r *Relation) QueryRange(s relation.Tuple, col string, lo, hi *value.Value,
 	if err != nil {
 		return nil, err
 	}
-	return plan.CollectFunc(func(emit func(relation.Tuple) bool) {
-		r.execRange(cand, s, lo, hi, col, emit)
-	}, outCols, cand.EstimatedRows()), nil
+	return r.execRange(cand, s, rangeOf(col, lo, hi), outCols, nil), nil
 }
 
-// QueryRangeFunc is the streaming form of QueryRange.
+// QueryRangeFunc is the streaming form of QueryRange: no de-duplication,
+// and like QueryFunc's, the rows f is handed are the caller's to keep.
 func (r *Relation) QueryRangeFunc(s relation.Tuple, col string, lo, hi *value.Value, out []string, f func(relation.Tuple) bool) (rerr error) {
 	defer containRead("query-range", &rerr)
 	if r.metrics != nil {
@@ -462,10 +503,19 @@ func (r *Relation) QueryRangeFunc(s relation.Tuple, col string, lo, hi *value.Va
 	if err != nil {
 		return err
 	}
-	r.execRange(cand, s, lo, hi, col, func(t relation.Tuple) bool {
-		return f(t.Project(outCols))
-	})
+	r.execRange(cand, s, rangeOf(col, lo, hi), outCols, f)
 	return nil
+}
+
+func rangeOf(col string, lo, hi *value.Value) plan.Range {
+	rg := plan.Range{Col: col}
+	if lo != nil {
+		rg.Lo, rg.HasLo = *lo, true
+	}
+	if hi != nil {
+		rg.Hi, rg.HasHi = *hi, true
+	}
+	return rg
 }
 
 // rangePlan validates a range query and plans it; the plan must bind the
@@ -480,39 +530,62 @@ func (r *Relation) rangePlan(s relation.Tuple, col string, out []string) (*plan.
 	if s.Dom().Has(col) {
 		return nil, relation.Cols{}, fmt.Errorf("core: range column %q already bound by the pattern", col)
 	}
-	outCols := relation.NewCols(out...)
+	outCols := r.plans.outCols(out)
 	if !outCols.SubsetOf(r.spec.Cols()) {
 		return nil, relation.Cols{}, fmt.Errorf("core: query output %v not in relation columns", outCols)
 	}
-	cand, err := r.planFor(s.Dom(), outCols.Union(relation.NewCols(col)))
+	cand, err := r.planShape(s.Dom(), outCols, col)
 	if err != nil {
 		return nil, relation.Cols{}, err
 	}
 	return cand, outCols, nil
 }
 
-func (r *Relation) execRange(cand *plan.Candidate, s relation.Tuple, lo, hi *value.Value, col string, f func(relation.Tuple) bool) {
-	// Range execution has no compiled tier; it always runs the interpreter.
+// execRange runs a planned range query on the range dispatch ladder — the
+// batch program compiled for the column, then the interpreter
+// (plan.ExecRange) when there is none or it bailed, having emitted nothing
+// — and counts the tier that ran. With f nil it returns the de-duplicated,
+// sorted result set (QueryRange); otherwise it streams π_out row by row to
+// f, each row in memory of its own (QueryRangeFunc), and returns nil.
+func (r *Relation) execRange(cand *plan.Candidate, s relation.Tuple, rg plan.Range, out relation.Cols, f func(relation.Tuple) bool) (res []relation.Tuple) {
+	if tr := r.tracer; tr != nil {
+		rows := 0
+		if inner := f; inner != nil {
+			f = func(t relation.Tuple) bool { rows++; return inner(t) }
+		}
+		start := time.Now()
+		defer func() {
+			// Rows streamed to f, or — collecting — rows returned, as for Query.
+			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: "query-range", Detail: cand.Op.String(), Rows: rows + len(res), Dur: time.Since(start)})
+		}()
+	}
+	if cand.Batch != nil {
+		if br, ok := cand.Batch.RunRange(r.inst, s, rg); ok {
+			if r.metrics != nil {
+				r.metrics.ExecVectorized.Add(1)
+			}
+			if f == nil {
+				res = br.Collect()
+			} else {
+				br.EachRow(f)
+			}
+			br.Release()
+			return res
+		}
+		if r.metrics != nil {
+			r.metrics.VecFallbacks.Add(1)
+		}
+	}
 	if r.metrics != nil {
 		r.metrics.ExecInterpreted.Add(1)
 	}
-	if tr := r.tracer; tr != nil {
-		rows := 0
-		inner := f
-		f = func(t relation.Tuple) bool { rows++; return inner(t) }
-		start := time.Now()
-		defer func() {
-			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: "query-range", Detail: cand.Op.String(), Rows: rows, Dur: time.Since(start)})
-		}()
+	if f == nil {
+		return plan.CollectFunc(func(emit func(relation.Tuple) bool) {
+			plan.ExecRange(r.inst, cand.Op, s, rg, emit)
+		}, out, cand.EstimatedRows())
 	}
-	rg := plan.Range{Col: col}
-	if lo != nil {
-		rg.Lo, rg.HasLo = *lo, true
-	}
-	if hi != nil {
-		rg.Hi, rg.HasHi = *hi, true
-	}
-	plan.ExecRange(r.inst, cand.Op, s, rg, f)
+	plan.ExecRange(r.inst, cand.Op, s, rg, func(t relation.Tuple) bool { return f(t.Project(out)) })
+	return nil
 }
 
 // Remove implements remove r s: it removes every tuple extending s and

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dstruct"
 	"repro/internal/paperex"
 	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 func schedSpec() *core.Spec {
@@ -309,6 +310,76 @@ func TestQueryFuncRowsAreTheCallersToKeep(t *testing.T) {
 	// state whenever the race detector makes sync.Pool drop it.
 	if rows := float64(nss * pids / 2); allocs > rows/2 {
 		t.Errorf("streaming %v rows allocates %v objects, want under one per two rows (%v)", rows, allocs, last)
+	}
+}
+
+// TestCollectedRowsAreTheCallersToKeep is the same promise for the
+// set-valued reads, whose rows are carved from the same slabs: what Query,
+// QueryRange and QueryRangeFunc return survives the pooled execution
+// state's release and reuse — a second run of each program, then 150
+// updates — and a collected row costs a share of a slab, not a tuple, a
+// key and a map entry each.
+func TestCollectedRowsAreTheCallersToKeep(t *testing.T) {
+	r := newSched(t)
+	const nss, pids = 4, 150
+	for ns := int64(0); ns < nss; ns++ {
+		for pid := int64(0); pid < pids; pid++ {
+			if err := r.Insert(paperex.SchedulerTuple(ns, pid, pid%2, pid)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	out := []string{"ns", "pid", "cpu"}
+	lo, hi := value.OfInt(10), value.OfInt(99)
+	read := func(state int64) (res [3][]relation.Tuple) {
+		pat := relation.NewTuple(relation.BindInt("state", state))
+		var err error
+		if res[0], err = r.Query(pat, out); err != nil {
+			t.Fatal(err)
+		}
+		if res[1], err = r.QueryRange(pat, "pid", &lo, &hi, out); err != nil {
+			t.Fatal(err)
+		}
+		if err = r.QueryRangeFunc(pat, "pid", &lo, &hi, out, func(tu relation.Tuple) bool {
+			res[2] = append(res[2], tu)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		relation.SortTuples(res[2])
+		return res
+	}
+	render := func(res [3][]relation.Tuple) (s [3]string) {
+		for i, ts := range res {
+			for _, tu := range ts {
+				s[i] += tu.String()
+			}
+		}
+		return s
+	}
+	kept := read(paperex.StateS)
+	if len(kept[0]) != nss*pids/2 || len(kept[1]) != nss*45 || len(kept[2]) != nss*45 {
+		t.Fatalf("read %d, %d and %d rows, want %d, %d and %d", len(kept[0]), len(kept[1]), len(kept[2]), nss*pids/2, nss*45, nss*45)
+	}
+	then := render(kept)
+	_ = read(paperex.StateR) // the same three programs, on the states the first run pooled
+	for pid := int64(0); pid < pids; pid++ {
+		if _, err := r.Update(relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", pid)),
+			relation.NewTuple(relation.BindInt("cpu", 9000+pid))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now := render(kept); now != then {
+		t.Fatalf("kept rows changed under a later run and updates:\n then %v\n now  %v", then, now)
+	}
+	pat := relation.NewTuple(relation.BindInt("state", paperex.StateS))
+	var last []relation.Tuple
+	allocs := testing.AllocsPerRun(20, func() { last, _ = r.Query(pat, out) })
+	// Sixty slabs of five three-column rows and the result, plus the
+	// executor's pooled state whenever the race detector makes sync.Pool
+	// drop it.
+	if rows := float64(nss * pids / 2); allocs > rows/2 {
+		t.Errorf("collecting %v rows allocates %v objects, want under one per two rows (%d returned)", rows, allocs, len(last))
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 func newUnitRootRelation() *Relation {
@@ -76,5 +77,20 @@ func TestVectorizedFallbackProvenance(t *testing.T) {
 	}
 	if s.ExecCompiled != 6 || s.ExecInterpreted != 0 {
 		t.Fatalf("bailed queries must re-run on the closure tier: %s", s.String())
+	}
+
+	// A range query has no closure form: its batch program bails the same
+	// way and the interpreter (plan.ExecRange), the executor of last resort,
+	// finishes it — once per call, whether collected or streamed.
+	lo := value.OfInt(0)
+	if _, err := r.QueryRange(relation.NewTuple(), "a", &lo, nil, []string{"b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.QueryRangeFunc(relation.NewTuple(), "a", &lo, nil, []string{"b"}, func(relation.Tuple) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	s = m.Snapshot()
+	if s.VecFallbacks != 8 || s.ExecVectorized != 0 || s.ExecInterpreted != 2 || s.ExecCompiled != 6 {
+		t.Fatalf("range fallback accounting: %s", s.String())
 	}
 }

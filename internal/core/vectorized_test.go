@@ -63,3 +63,52 @@ func TestVectorizedQueryProvenance(t *testing.T) {
 		t.Fatalf("after vectorized query: %s", d.String())
 	}
 }
+
+// TestVectorizedRangeProvenance: a range query is promoted under a shape of
+// its own, runs on the vectorized tier and is counted there — whatever the
+// bounds, one plan-cache entry — and its tracer event still says what ran:
+// the op, the plan, the rows handed back, the time.
+func TestVectorizedRangeProvenance(t *testing.T) {
+	r := newSched(t)
+	m := &obs.Metrics{}
+	tr := obs.NewRingTracer(16)
+	r.SetMetrics(m)
+	seedSched(t, r)
+	base := m.Snapshot()
+	r.SetTracer(tr)
+
+	pat := relation.NewTuple(relation.BindInt("state", paperex.StateS))
+	got, err := r.QueryRange(pat, "pid", vp(2), vp(5), []string{"ns", "cpu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := 0
+	if err := r.QueryRangeFunc(pat, "pid", nil, vp(1), []string{"ns", "cpu"}, func(relation.Tuple) bool {
+		streamed++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 12 || streamed != 4 {
+		t.Fatalf("range queries returned %d and streamed %d rows, want 12 and 4", len(got), streamed)
+	}
+	d := m.Snapshot().Sub(base)
+	want := obs.Snapshot{QueryRange: 2, ExecVectorized: 2, PlanCacheMisses: 1, PlanCacheHits: 1, PlanVectorized: 1}
+	if d != want {
+		t.Fatalf("after two range queries of one shape:\n got: %s\nwant: %s", d.String(), want.String())
+	}
+	var execs []obs.Event
+	for _, e := range tr.Events() {
+		if e.Kind == obs.EvPlanExec {
+			execs = append(execs, e)
+		}
+	}
+	if len(execs) != 2 {
+		t.Fatalf("traced %d plan executions, want 2: %v", len(execs), tr)
+	}
+	for i, rows := range []int{12, 4} {
+		if e := execs[i]; e.Op != "query-range" || e.Rows != rows || !strings.HasPrefix(e.Detail, "q") || e.Dur <= 0 {
+			t.Errorf("event %d: %v, want op=query-range rows=%d with a plan and a duration", i, e, rows)
+		}
+	}
+}

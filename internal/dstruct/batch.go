@@ -35,6 +35,32 @@ func appendViaRange[V any](m Map[V], ks []relation.Tuple, vs []V) ([]relation.Tu
 	return ks, vs
 }
 
+// AppendEntriesBetween is AppendEntries restricted to the entries whose
+// keys fall in [lo, hi] (inclusive; a zero bound tuple is unbounded, as for
+// Ranger): the bulk extraction under a vectorized range scan. An ordered
+// container seeks — RangeBetween touches only the entries it appends —
+// while an unordered one is extracted whole and filtered in place. The
+// fault wrapper forwards Ranger over either kind, so under injection this
+// crosses the same single range point a Range sweep would.
+func AppendEntriesBetween[V any](m Map[V], lo, hi relation.Tuple, ks []relation.Tuple, vs []V) ([]relation.Tuple, []V) {
+	if r, ok := m.(Ranger[V]); ok {
+		r.RangeBetween(lo, hi, func(k relation.Tuple, v V) bool {
+			ks, vs = append(ks, k), append(vs, v)
+			return true
+		})
+		return ks, vs
+	}
+	w := len(ks)
+	ks, vs = AppendEntries(m, ks, vs)
+	for i := w; i < len(ks); i++ {
+		if between(ks[i], lo, hi) {
+			ks[w], vs[w] = ks[i], vs[i]
+			w++
+		}
+	}
+	return ks[:w], vs[:w]
+}
+
 // AppendEntries appends entries in ascending key order (Range order).
 func (t *AVL[V]) AppendEntries(ks []relation.Tuple, vs []V) ([]relation.Tuple, []V) {
 	return appendAVL(t.root, ks, vs)

@@ -78,12 +78,6 @@ func (f *faultMap[V]) RangeBetween(lo, hi relation.Tuple, fn func(k relation.Tup
 		return
 	}
 	f.m.Range(func(k relation.Tuple, v V) bool {
-		if !unbounded(lo) && k.Compare(lo) < 0 {
-			return true
-		}
-		if !unbounded(hi) && k.Compare(hi) > 0 {
-			return true
-		}
-		return fn(k, v)
+		return !between(k, lo, hi) || fn(k, v)
 	})
 }

@@ -118,3 +118,40 @@ func TestUnorderedKindsHaveNoRanger(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendEntriesBetween: on every kind — the ordered ones seek, the
+// others are extracted whole and filtered — the ranged bulk extraction
+// appends exactly the entries of AppendEntries whose keys lie in the
+// interval, in the same order, after whatever the slices already held.
+func TestAppendEntriesBetween(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	for _, kind := range AllKinds() {
+		m := New[int](kind)
+		for i := 0; i < 120; i++ {
+			k := int64(rnd.Intn(90))
+			m.Put(key1(k), int(k)*3)
+		}
+		allK, allV := AppendEntries(m, nil, nil)
+		for _, c := range [][2]relation.Tuple{
+			{key1(10), key1(50)}, {key1(33), key1(33)}, {key1(60), key1(20)},
+			{key1(70), {}}, {{}, key1(15)}, {{}, {}}, {key1(500), key1(600)},
+		} {
+			lo, hi := c[0], c[1]
+			gotK, gotV := AppendEntriesBetween(m, lo, hi, []relation.Tuple{key1(-1)}, []int{-1})
+			wantK, wantV := []relation.Tuple{key1(-1)}, []int{-1}
+			for i, k := range allK {
+				if between(k, lo, hi) {
+					wantK, wantV = append(wantK, k), append(wantV, allV[i])
+				}
+			}
+			if len(gotK) != len(wantK) || len(gotV) != len(wantV) {
+				t.Fatalf("%s [%v,%v]: extracted %d entries, want %d", kind, lo, hi, len(gotK)-1, len(wantK)-1)
+			}
+			for i := range wantK {
+				if !gotK[i].Equal(wantK[i]) || gotV[i] != wantV[i] {
+					t.Fatalf("%s [%v,%v]: entry %d is %v→%d, want %v→%d", kind, lo, hi, i, gotK[i], gotV[i], wantK[i], wantV[i])
+				}
+			}
+		}
+	}
+}

@@ -17,6 +17,12 @@ type Ranger[V any] interface {
 
 func unbounded(t relation.Tuple) bool { return t.Len() == 0 }
 
+// between reports lo ≤ k ≤ hi: the filter an unordered container applies
+// where an ordered one seeks.
+func between(k, lo, hi relation.Tuple) bool {
+	return (unbounded(lo) || k.Compare(lo) >= 0) && (unbounded(hi) || k.Compare(hi) <= 0)
+}
+
 // RangeBetween visits the AVL entries with lo ≤ k ≤ hi in ascending order,
 // pruning subtrees outside the bounds.
 func (t *AVL[V]) RangeBetween(lo, hi relation.Tuple, f func(k relation.Tuple, v V) bool) {

@@ -14,3 +14,11 @@ import (
 func (n *Node) AppendMapEntries(i int, ks []relation.Tuple, children []*Node) ([]relation.Tuple, []*Node) {
 	return dstruct.AppendEntries(n.slots[i].m, ks, children)
 }
+
+// AppendMapEntriesBetween is AppendMapEntries restricted to the entries
+// whose keys fall in [lo, hi] — a seek on an ordered structure, a filter on
+// the others (dstruct.AppendEntriesBetween): how a vectorized range query
+// scans the level keyed by its range column.
+func (n *Node) AppendMapEntriesBetween(i int, lo, hi relation.Tuple, ks []relation.Tuple, children []*Node) ([]relation.Tuple, []*Node) {
+	return dstruct.AppendEntriesBetween(n.slots[i].m, lo, hi, ks, children)
+}

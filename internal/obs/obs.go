@@ -25,19 +25,25 @@
 //     increments it once.
 //   - ExecCompiled / ExecInterpreted / ExecPoint / ExecVectorized: one
 //     increment per plan execution, by tier — including the internal
-//     executions mutations use to locate tuples. Range queries always run
-//     on the interpreter and count as ExecInterpreted. A vectorized
-//     execution that bails out mid-run counts one VecFallbacks plus one
-//     increment for the tier that finished the query; ExecVectorized
-//     counts only completed vectorized executions.
+//     executions mutations use to locate tuples. A vectorized execution
+//     that bails out mid-run counts one VecFallbacks plus one increment
+//     for the tier that finished the query; ExecVectorized counts only
+//     completed vectorized executions. Range queries are attributed the
+//     same way: their batch program counts ExecVectorized, and the tier
+//     that finishes a bailed one is the interpreter (a range query has no
+//     closure form), so ExecInterpreted counts exactly the bails.
 //   - PlanCacheHits / PlanCacheMisses: one increment per memoized plan
 //     lookup. A miss is a planner invocation; concurrent callers that wait
-//     on an in-flight planning of the same shape count as hits.
-//   - PlanCompiled / PlanFallbacks: promotions into the plan cache that
-//     did / did not lower to a closure program.
-//   - PlanVectorized: promotions that additionally lowered to a batch
-//     program (plan.CompileBatch); VecFallbacks: vectorized executions
-//     that bailed out at run time and re-ran on the closure tier.
+//     on an in-flight planning of the same shape count as hits. A range
+//     query's shape is (input, output, range column) — an entry of its own,
+//     whatever the bounds.
+//   - PlanCompiled / PlanFallbacks: promotions of an equality shape into
+//     the plan cache that did / did not lower to a closure program.
+//   - PlanVectorized: promotions that lowered to a batch program — an
+//     equality shape's on top of its closure program (plan.CompileBatch), a
+//     range shape's on its own (plan.CompileBatchRange; it counts neither
+//     of the two above); VecFallbacks: vectorized executions that bailed
+//     out at run time and re-ran on the tier below.
 //   - Inserts / Removes / Updates / Upserts: one increment per mutation
 //     call on a single-threaded Relation — a batch of n tuples counts n
 //     inserts, a pattern remove counts 1 however many tuples matched, a

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/colblock"
@@ -29,6 +30,11 @@ import (
 //   - qjoin becomes a save/load pair around the linearized outer and inner
 //     stages, carrying the per-row join node in a frontier column.
 //
+// A range query (CompileBatchRange) is the same pipeline with one column
+// held to bounds each run supplies: the scan of a level keyed by that column
+// extracts only the entries in range, and wherever else the column becomes
+// bound a filter stage compacts the frontier right behind the binding stage.
+//
 // Values live as colblock.Codes (ints inline, strings interned per
 // execution), so equality filters are word compares and projection dedup is
 // a word-wise key. The closure tier remains the oracle and the fallback:
@@ -49,6 +55,12 @@ type BatchProgram struct {
 	cols   relation.Cols
 	nJoin  int
 	maxKey int // widest multi-column lookup key
+
+	// A range program (CompileBatchRange) constrains rangeCol to the bounds
+	// each RunRange supplies; rangeKey is the column as the one-column key
+	// domain of a level keyed by it. Both are empty for an equality program.
+	rangeCol string
+	rangeKey []string
 
 	pool sync.Pool
 }
@@ -119,7 +131,6 @@ type batchState struct {
 	eks     []relation.Tuple // bulk-extraction scratch: keys
 	ens     []*instance.Node // bulk-extraction scratch: children
 	keyVals []value.Value    // multi-column lookup key scratch
-	keyBuf  []byte           // Collect dedup key scratch
 
 	// Inverted-probe scratch (lookup stages): when a run of frontier rows
 	// all probe one linear-scan map, buildProbe extracts its entries once
@@ -130,6 +141,18 @@ type batchState struct {
 	pbuf []colblock.Code
 	ptab []int32
 	kc   []colblock.Code
+
+	// A range program's bounds for this run (RunRange): rg is what the
+	// filter stages test, lo and hi are the same bounds as single-column key
+	// tuples over bnd for ranged extraction (the zero tuple is unbounded).
+	rg     Range
+	lo, hi relation.Tuple
+	bnd    [2]value.Value
+
+	// Collect scratch (distinctRows): the output columns gathered once, and
+	// the surviving row indices. The dedup table itself is ptab.
+	outc [][]colblock.Code
+	rows []int32
 
 	// EachTuple's zero-alloc view, prebound like progState.emitView.
 	viewVals []value.Value
@@ -149,6 +172,7 @@ type bcompiler struct {
 	names    []string
 	bound    map[string]bool
 	jnActive []int
+	rangeCol string // "" unless compiling a range program
 	prog     *BatchProgram
 	err      error
 
@@ -206,12 +230,33 @@ func (c *bcompiler) fail(format string, args ...any) {
 // attempts it after Compile succeeded, keeping the closure tier as the
 // fallback for both compile-time rejection and run-time bailout.
 func CompileBatch(in *instance.Instance, op Op, input, output relation.Cols) (*BatchProgram, error) {
+	return compileBatch(in, op, input, output, "")
+}
+
+// CompileBatchRange lowers op into a range program: the projection onto
+// output of the tuples whose col lies within bounds supplied per execution
+// (RunRange), so one compiled program serves every interval. op must bind
+// col — plan for output ∪ {col} — and the pattern must not. The constraint
+// is applied where col becomes bound: a scan over an edge keyed exactly by
+// col extracts only the entries in range (a seek on an ordered structure),
+// and anywhere else — a unit, a multi-column key, either side of a join — a
+// filter stage compacts the frontier on col's register right after the
+// stage that binds it, so no later stage sees a row out of range.
+func CompileBatchRange(in *instance.Instance, op Op, input, output relation.Cols, col string) (*BatchProgram, error) {
+	if input.Has(col) {
+		return nil, fmt.Errorf("plan: range column %q is bound by the pattern", col)
+	}
+	return compileBatch(in, op, input, output, col)
+}
+
+func compileBatch(in *instance.Instance, op Op, input, output relation.Cols, rangeCol string) (*BatchProgram, error) {
 	c := &bcompiler{
-		in:    in,
-		d:     in.Decomp(),
-		reg:   make(map[string]int),
-		bound: make(map[string]bool),
-		prog:  &BatchProgram{},
+		in:       in,
+		d:        in.Decomp(),
+		reg:      make(map[string]int),
+		bound:    make(map[string]bool),
+		rangeCol: rangeCol,
+		prog:     &BatchProgram{rangeCol: rangeCol},
 	}
 	for _, col := range input.Names() {
 		c.regOf(col)
@@ -223,6 +268,12 @@ func CompileBatch(in *instance.Instance, op Op, input, output relation.Cols) (*B
 		return nil, c.err
 	}
 	p := c.prog
+	if rangeCol != "" {
+		if _, ok := c.reg[rangeCol]; !ok {
+			return nil, fmt.Errorf("plan: batch plan %s never binds range column %q", op, rangeCol)
+		}
+		p.rangeKey = []string{rangeCol}
+	}
 	p.reg = c.names
 	p.cols = output
 	for _, col := range output.Names() {
@@ -366,6 +417,7 @@ func (c *bcompiler) emitUnit(op *Unit) {
 			}
 			return true
 		})
+		c.constrain(binds)
 		return
 	}
 	keep := c.keepFor(live)
@@ -411,6 +463,47 @@ func (c *bcompiler) emitUnit(op *Unit) {
 		f.truncate(w, kp, jn)
 		return true
 	})
+	c.constrain(binds)
+}
+
+// constrain appends a range program's filter stage when binds — the
+// registers the stage just appended bound — include the range column: an
+// in-place compaction of the frontier to the rows whose value lies within
+// the run's bounds. An equality program has no range column and never
+// matches.
+func (c *bcompiler) constrain(binds []regPos) {
+	r, ok := c.reg[c.rangeCol]
+	if !ok || !slices.ContainsFunc(binds, func(bp regPos) bool { return bp.reg == r }) {
+		return
+	}
+	jn := append([]int(nil), c.jnActive...)
+	c.readReg(r)
+	keep := c.keepFor(len(c.names))
+	c.prog.stages = append(c.prog.stages, func(st *batchState) bool {
+		f := st.cur
+		cols := f.blk.Cols
+		key := cols[r]
+		n := f.blk.N
+		kp := *keep
+		w := 0
+		for i := 0; i < n; i++ {
+			if !st.rg.Contains(st.dict.Decode(key[i])) {
+				continue
+			}
+			if w != i {
+				for _, rr := range kp {
+					cols[rr][w] = cols[rr][i]
+				}
+				f.node[w] = f.node[i]
+				for _, j := range jn {
+					f.jn[j][w] = f.jn[j][i]
+				}
+			}
+			w++
+		}
+		f.truncate(w, kp, jn)
+		return true
+	})
 }
 
 // unitRegs allocates registers for a unit's columns and splits them into
@@ -446,6 +539,22 @@ const (
 	probePrime uint64 = 1099511628211
 )
 
+// resetTab returns the pooled open-addressed table ptab emptied and sized
+// for n entries at load factor ≤ ½ (a power of two, so a mask wraps it).
+func (st *batchState) resetTab(n int) []int32 {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(st.ptab) < size {
+		st.ptab = make([]int32, size)
+	} else {
+		st.ptab = st.ptab[:size]
+		clear(st.ptab)
+	}
+	return st.ptab
+}
+
 // buildProbe extracts the map at node's slot into the pooled probe table:
 // entry key codes row-major (nKey wide) in pbuf, and an open-addressed index
 // over them (load factor ≤ ½) in ptab. Key codes come from the interning
@@ -459,17 +568,7 @@ func (st *batchState) buildProbe(node *instance.Node, slot, nKey int) {
 	st.eks, st.ens = node.AppendMapEntries(slot, st.eks[:0], st.ens[:0])
 	nE := len(st.eks)
 	st.pbuf = sizedCodes(st.pbuf, nE*nKey)
-	size := 16
-	for size < 2*nE {
-		size <<= 1
-	}
-	if cap(st.ptab) < size {
-		st.ptab = make([]int32, size)
-	} else {
-		st.ptab = st.ptab[:size]
-		clear(st.ptab)
-	}
-	mask := uint64(size - 1)
+	mask := uint64(len(st.resetTab(nE)) - 1)
 	for e := 0; e < nE; e++ {
 		k := st.eks[e]
 		if k.Len() != nKey {
@@ -725,6 +824,14 @@ func (c *bcompiler) emitScan(op *Scan) {
 		}
 	}
 	nKey := len(names)
+	// A range program scanning the level keyed exactly by its range column
+	// extracts only the entries in range; a wider key that binds the column
+	// is filtered after the stage, like any other bind.
+	ranged := nKey == 1 && len(binds) == 1 && names[0] == c.rangeCol
+	filter := binds
+	if ranged {
+		filter = nil
+	}
 	jn := append([]int(nil), c.jnActive...)
 	for _, cp := range checks {
 		c.readReg(cp.reg)
@@ -796,7 +903,7 @@ func (c *bcompiler) emitScan(op *Scan) {
 					g.jn[j] = g.jn[j][:0]
 				}
 				for i := 0; i < n; i++ {
-					st.eks, st.ens = f.node[i].AppendMapEntries(slot, st.eks[:0], st.ens[:0])
+					st.extract(f.node[i], slot, ranged)
 					eks, ens := st.eks, st.ens
 					m := len(eks)
 					switch {
@@ -885,6 +992,8 @@ func (c *bcompiler) emitScan(op *Scan) {
 				st.cur, st.nxt = g, f
 				return true
 			})
+			c.constrain(filter)
+			c.constrain(ubinds)
 			return
 		}
 		c.prog.stages = append(c.prog.stages, func(st *batchState) bool {
@@ -908,7 +1017,7 @@ func (c *bcompiler) emitScan(op *Scan) {
 				g.jn[j] = g.jn[j][:0]
 			}
 			for i := 0; i < n; i++ {
-				st.eks, st.ens = f.node[i].AppendMapEntries(slot, st.eks[:0], st.ens[:0])
+				st.extract(f.node[i], slot, ranged)
 			entries:
 				for e := range st.eks {
 					k := st.eks[e]
@@ -956,6 +1065,8 @@ func (c *bcompiler) emitScan(op *Scan) {
 			st.cur, st.nxt = g, f
 			return true
 		})
+		c.constrain(filter)
+		c.constrain(ubinds)
 		return
 	}
 	keep := c.keepFor(live)
@@ -978,7 +1089,7 @@ func (c *bcompiler) emitScan(op *Scan) {
 				g.jn[j] = g.jn[j][:0]
 			}
 			for i := 0; i < n; i++ {
-				st.eks, st.ens = f.node[i].AppendMapEntries(slot, st.eks[:0], st.ens[:0])
+				st.extract(f.node[i], slot, ranged)
 				m := len(st.eks)
 				if len(binds) == 0 {
 					for e := range st.eks {
@@ -1026,6 +1137,7 @@ func (c *bcompiler) emitScan(op *Scan) {
 			st.cur, st.nxt = g, f
 			return true
 		})
+		c.constrain(filter)
 		c.emit(op.Sub, c.d.Var(e.Target).Def)
 		return
 	}
@@ -1047,7 +1159,7 @@ func (c *bcompiler) emitScan(op *Scan) {
 			g.jn[j] = g.jn[j][:0]
 		}
 		for i := 0; i < n; i++ {
-			st.eks, st.ens = f.node[i].AppendMapEntries(slot, st.eks[:0], st.ens[:0])
+			st.extract(f.node[i], slot, ranged)
 		entries:
 			for e := range st.eks {
 				k := st.eks[e]
@@ -1076,7 +1188,19 @@ func (c *bcompiler) emitScan(op *Scan) {
 		st.cur, st.nxt = g, f
 		return true
 	})
+	c.constrain(filter)
 	c.emit(op.Sub, c.d.Var(e.Target).Def)
+}
+
+// extract bulk-extracts the map level a scan stage fans out over into the
+// eks/ens scratch: every entry, or for a ranged scan only those whose key
+// lies within the run's bounds.
+func (st *batchState) extract(n *instance.Node, slot int, ranged bool) {
+	if ranged {
+		st.eks, st.ens = n.AppendMapEntriesBetween(slot, st.lo, st.hi, st.eks[:0], st.ens[:0])
+		return
+	}
+	st.eks, st.ens = n.AppendMapEntries(slot, st.eks[:0], st.ens[:0])
 }
 
 // emitJoin linearizes a qjoin: a save stage records each row's node in join
@@ -1159,10 +1283,29 @@ func (p *BatchProgram) OutCols() relation.Cols { return p.cols }
 // the caller should re-run on the closure tier. A bailed run emits nothing,
 // so fallback never duplicates results.
 func (p *BatchProgram) Run(in *instance.Instance, s relation.Tuple) (*BatchResult, bool) {
+	return p.RunRange(in, s, Range{})
+}
+
+// RunRange is Run for a program compiled by CompileBatchRange: rg, whose
+// column must be the one the program was compiled for, bounds this
+// execution. Run itself is the case of no range column at all.
+func (p *BatchProgram) RunRange(in *instance.Instance, s relation.Tuple, rg Range) (*BatchResult, bool) {
 	if s.Len() != p.nIn {
 		panic(fmt.Sprintf("plan: batch program for %d input columns run with pattern %v", p.nIn, s))
 	}
+	if rg.Col != p.rangeCol {
+		panic(fmt.Sprintf("plan: batch program for range column %q run with range column %q", p.rangeCol, rg.Col))
+	}
 	st := p.getBatchState()
+	st.rg, st.lo, st.hi = rg, relation.Tuple{}, relation.Tuple{}
+	if rg.HasLo {
+		st.bnd[0] = rg.Lo
+		st.lo = relation.SortedTuple(p.rangeKey, st.bnd[0:1])
+	}
+	if rg.HasHi {
+		st.bnd[1] = rg.Hi
+		st.hi = relation.SortedTuple(p.rangeKey, st.bnd[1:2])
+	}
 	f := st.cur
 	for r := 0; r < p.nIn; r++ {
 		f.blk.Cols[r] = append(f.blk.Cols[r][:0], st.dict.Encode(s.ValueAt(r)))
@@ -1231,35 +1374,49 @@ func (r *BatchResult) EachTuple(f func(relation.Tuple) bool) bool {
 	return true
 }
 
-// rowSlab is how many values EachRow allocates at a time: 512 bytes, the
+// rowSlab is how many values emitRows allocates at a time: 512 bytes, the
 // most the allocator hands out without a header of its own, and every
 // multiple of a value's 32 bytes up to there is a size class, so a slab
 // rounds up to nothing. Larger would save few allocations more and let a
-// row the callback retains keep more of its neighbours alive.
+// row the caller retains keep more of its neighbours alive.
 const rowSlab = 16
 
 // EachRow is EachTuple for a callback that keeps what it is given: every
-// row is a tuple of its own, not a view. The row count is known before the
-// first row is emitted, so the rows' values are carved from one allocation
-// per rowSlab values rather than one per row — the same bytes, and no more
-// than the rows need.
+// row is a tuple of its own, not a view.
 func (r *BatchResult) EachRow(f func(relation.Tuple) bool) bool {
-	st := r.st
+	return r.st.emitRows(nil, f)
+}
+
+// emitRows hands f one tuple of its own per selected frontier row — the
+// rows listed, in that order, or every row when rows is nil — stopping
+// early when f returns false. The row count is known before the first row
+// is emitted, so the rows' values are carved from one allocation per
+// rowSlab values rather than one per row: the same bytes, and no more than
+// the rows need. It is the one materialization loop of the tier, under
+// EachRow and Collect.
+func (st *batchState) emitRows(rows []int32, f func(relation.Tuple) bool) bool {
 	p := st.p
 	cols := st.cur.blk.Cols
 	n := st.cur.blk.N
+	if rows != nil {
+		n = len(rows)
+	}
 	names := p.cols.Names()
 	k := len(p.out)
 	perSlab := max(rowSlab/max(k, 1), 1) * k
 	var slab []value.Value
 	for i := 0; i < n; i++ {
+		row := i
+		if rows != nil {
+			row = int(rows[i])
+		}
 		if len(slab) < k {
 			slab = make([]value.Value, min((n-i)*k, perSlab))
 		}
 		vals := slab[:k:k]
 		slab = slab[k:]
 		for j, reg := range p.out {
-			vals[j] = st.dict.Decode(cols[reg][i])
+			vals[j] = st.dict.Decode(cols[reg][row])
 		}
 		if !f(relation.SortedTuple(names, vals)) {
 			return false
@@ -1268,41 +1425,85 @@ func (r *BatchResult) EachRow(f func(relation.Tuple) bool) bool {
 	return true
 }
 
-// Collect gathers the projected results de-duplicated and in deterministic
-// order — the batch counterpart of Program.Collect. The dedup key is the
-// raw code words of each row (equal codes ⟺ equal values within one
-// execution's dictionary), so duplicate rows cost no allocation.
-func (r *BatchResult) Collect(hint int) []relation.Tuple {
-	if hint < 0 {
-		hint = 0
-	}
-	st := r.st
-	p := st.p
-	cols := st.cur.blk.Cols
+// distinctRows returns the frontier rows that survive projection dedup —
+// the first row of every distinct combination of output codes, in frontier
+// order. Rows are deduplicated on their code words (equal codes ⟺ equal
+// values within one execution's dictionary) in an open-addressed table of
+// row indices, the buildProbe discipline: row index + 1 per slot, 0 empty,
+// load factor ≤ ½. Every stage has run by now, so the table is the lookup
+// stages' own ptab, reset here; nothing is allocated once the pooled state
+// has seen a result this large.
+func (st *batchState) distinctRows() []int32 {
 	n := st.cur.blk.N
-	seen := make(map[string]struct{}, hint)
-	res := make([]relation.Tuple, 0, hint)
-	outNames := p.cols.Names()
-	buf := st.keyBuf
-	for i := 0; i < n; i++ {
-		buf = buf[:0]
-		for _, reg := range p.out {
-			c := uint64(cols[reg][i])
-			buf = append(buf, byte(c>>56), byte(c>>48), byte(c>>40), byte(c>>32),
-				byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
-		}
-		if _, ok := seen[string(buf)]; ok {
-			continue
-		}
-		seen[string(buf)] = struct{}{}
-		vals := make([]value.Value, len(p.out))
-		for j, reg := range p.out {
-			vals[j] = st.dict.Decode(cols[reg][i])
-		}
-		res = append(res, relation.SortedTuple(outNames, vals))
+	out := st.outc[:0]
+	for _, reg := range st.p.out {
+		out = append(out, st.cur.blk.Cols[reg][:n])
 	}
-	st.keyBuf = buf
-	relation.SortTuples(res)
+	st.outc = out
+	tab := st.resetTab(n)
+	if cap(st.rows) < n {
+		st.rows = make([]int32, 0, colblock.CeilRows(n))
+	}
+	rows := st.rows[:0]
+	mask := uint64(len(tab) - 1)
+	for i := 0; i < n; i++ {
+		h := probeSeed
+		for _, col := range out {
+			h = (h ^ uint64(col[i])) * probePrime
+		}
+		// The multiplicative fold leaves its entropy in the high bits (the low
+		// bit of an inline code is the constant tag); bring it down to the mask.
+		h ^= h >> 32
+	probe:
+		for idx := h & mask; ; idx = (idx + 1) & mask {
+			t := tab[idx]
+			if t == 0 {
+				tab[idx] = int32(i + 1)
+				rows = append(rows, int32(i))
+				break
+			}
+			e := int(t) - 1
+			for _, col := range out {
+				if col[e] != col[i] {
+					continue probe
+				}
+			}
+			break // a duplicate of row e
+		}
+	}
+	st.rows = rows
+	return rows
+}
+
+// Collect gathers the projected results de-duplicated and in canonical
+// order (relation.SortTuples') — the batch counterpart of Program.Collect.
+// Dedup and order are operators over the result's own code words: rows are
+// deduplicated by distinctRows, the surviving row indices are sorted by
+// comparing codes column by column (Dict.Compare — an integer compare unless
+// a string or a 64-bit integer is involved), and only then does a survivor
+// become a tuple, through the same slab carving EachRow uses. A duplicate
+// costs a hash and a word compare, a kept row one slab share, and nothing
+// is boxed before it is known to be part of the answer.
+func (r *BatchResult) Collect() []relation.Tuple {
+	st := r.st
+	rows := st.distinctRows()
+	if len(rows) == 0 {
+		return []relation.Tuple{}
+	}
+	out, dict := st.outc, st.dict
+	slices.SortFunc(rows, func(a, b int32) int {
+		for _, col := range out {
+			if ca, cb := col[a], col[b]; ca != cb {
+				return dict.Compare(ca, cb)
+			}
+		}
+		return 0
+	})
+	res := make([]relation.Tuple, 0, len(rows))
+	st.emitRows(rows, func(t relation.Tuple) bool {
+		res = append(res, t)
+		return true
+	})
 	return res
 }
 

@@ -92,7 +92,7 @@ func TestVectorizedDifferential(t *testing.T) {
 							if !ok {
 								t.Fatalf("input %v plan %s pattern %v: batch run bailed on a complete instance", input, cand.Op, pat)
 							}
-							got := br.Collect(0)
+							got := br.Collect()
 							want := prog.Collect(in, pat, 0)
 							if !sameKeys(sortedKeys(got), sortedKeys(want)) {
 								t.Fatalf("input %v → %v plan %s pattern %v:\nvectorized %v\nclosure    %v",
@@ -178,7 +178,7 @@ func TestVectorizedDifferentialEmpty(t *testing.T) {
 			if !ok {
 				t.Fatalf("plan %s: batch run bailed on an empty map-rooted instance", cand.Op)
 			}
-			got := br.Collect(0)
+			got := br.Collect()
 			br.Release()
 			want := plan.Collect(in, cand.Op, relation.NewTuple(), b)
 			if !sameKeys(sortedKeys(got), sortedKeys(want)) {

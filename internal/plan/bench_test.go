@@ -7,12 +7,13 @@ import (
 	"repro/internal/paperex"
 	"repro/internal/plan"
 	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 // benchGraph builds a graph5 instance with n×fan edges: n sources with fan
 // successors each. Scan-heavy queries over it are the shape the compiled
 // tier exists to accelerate.
-func benchGraph(b *testing.B, n, fan int) *instance.Instance {
+func benchGraph(b testing.TB, n, fan int) *instance.Instance {
 	b.Helper()
 	in := instance.New(paperex.GraphDecomp5(), paperex.GraphFDs())
 	for src := 0; src < n; src++ {
@@ -327,7 +328,7 @@ func BenchmarkCollectVectorized(b *testing.B) {
 		if !ok {
 			b.Fatal("batch run bailed")
 		}
-		res := br.Collect(cand.EstimatedRows())
+		res := br.Collect()
 		br.Release()
 		if len(res) != 64 {
 			b.Fatalf("collect saw %d rows", len(res))
@@ -346,6 +347,78 @@ func BenchmarkCollectCompiled(b *testing.B) {
 		res := prog.Collect(in, pat, cand.EstimatedRows())
 		if len(res) != 64 {
 			b.Fatalf("collect saw %d rows", len(res))
+		}
+	}
+}
+
+// The duplicate-heavy collect: 30,720 edges projected onto dst alone leave
+// 1,024 distinct rows — the direction in which a dedup that boxed or sorted
+// every row before discarding it would lose (DESIGN.md ablation 13).
+func BenchmarkCollectDupVectorized(b *testing.B) {
+	in := benchGraph(b, 1024, 30)
+	input, output := cols(), cols("dst")
+	cand, _ := benchPlan(b, in, input, output)
+	bp := benchBatch(b, in, cand, input, output)
+	pat := relation.NewTuple()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br, ok := bp.Run(in, pat)
+		if !ok {
+			b.Fatal("batch run bailed")
+		}
+		res := br.Collect()
+		br.Release()
+		if len(res) != 1024 {
+			b.Fatalf("collect saw %d rows", len(res))
+		}
+	}
+}
+
+// The range shape: no pattern, src within a two-source interval, (dst,
+// weight) collected — flows-read's QueryRange in miniature: a seek on the
+// ordered root, then a fan-out over two successor lists.
+
+func rangeBench(b *testing.B) (*instance.Instance, *plan.Candidate, relation.Cols, plan.Range) {
+	in := benchGraph(b, 64, 64)
+	cand, _ := benchPlan(b, in, cols(), cols("src", "dst", "weight"))
+	rg := plan.Range{Col: "src", Lo: value.OfInt(7), HasLo: true, Hi: value.OfInt(8), HasHi: true}
+	return in, cand, cols("dst", "weight"), rg
+}
+
+func BenchmarkRangeInterpreted(b *testing.B) {
+	in, cand, output, rg := rangeBench(b)
+	pat := relation.NewTuple()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := plan.CollectFunc(func(emit func(relation.Tuple) bool) {
+			plan.ExecRange(in, cand.Op, pat, rg, emit)
+		}, output, cand.EstimatedRows())
+		if len(res) != 128 {
+			b.Fatalf("range saw %d rows", len(res))
+		}
+	}
+}
+
+func BenchmarkRangeVectorized(b *testing.B) {
+	in, cand, output, rg := rangeBench(b)
+	bp, err := plan.CompileBatchRange(in, cand.Op, cols(), output, rg.Col)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat := relation.NewTuple()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br, ok := bp.RunRange(in, pat, rg)
+		if !ok {
+			b.Fatal("batch run bailed")
+		}
+		res := br.Collect()
+		br.Release()
+		if len(res) != 128 {
+			b.Fatalf("range saw %d rows", len(res))
 		}
 	}
 }

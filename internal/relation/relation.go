@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -140,10 +140,10 @@ func (r *Relation) String() string {
 // order. Tuples with differing domains sort by their canonical key, so mixed
 // slices are still deterministic.
 func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Dom().Equal(ts[j].Dom()) {
-			return ts[i].Compare(ts[j]) < 0
+	slices.SortFunc(ts, func(a, b Tuple) int {
+		if a.Dom().Equal(b.Dom()) {
+			return a.Compare(b)
 		}
-		return ts[i].Key() < ts[j].Key()
+		return strings.Compare(a.Key(), b.Key())
 	})
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Fails when an alternative of a `go test -run '<re>'` pattern in the
-# Makefile selects no test in the packages that line runs it on, so a
-# renamed test cannot turn a CI leg (ci-race's sweeps, fuzz-smoke, ...) into
-# a silent no-op. Every top-level `|` alternative is checked on its own with
-# `go test -list`, Go's own matcher; `-run '^$'` (the benchmark targets'
-# "no tests") is the one pattern allowed to select nothing.
+# Fails when an alternative of a `go test -run '<re>'` or `-bench '<re>'`
+# pattern in the Makefile selects nothing in the packages that line runs it
+# on, so a renamed test or benchmark cannot turn a CI leg (ci-race's sweeps,
+# fuzz-smoke, bench-smoke, ...) into a silent no-op. Every top-level `|`
+# alternative is checked on its own with `go test -list`, Go's own matcher;
+# `-run '^$'` (the benchmark targets' "no tests") is the one pattern allowed
+# to select nothing, and a pattern taken from a make variable is the
+# caller's to get right.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -29,26 +31,30 @@ alternatives() {
 }
 
 while IFS=: read -r lineno line; do
-	re=$(sed -n "s/.*-run '\([^']*\)'.*/\1/p" <<<"$line")
-	re=${re//\$\$/\$}
-	if [ -z "$re" ] || [ "$re" = '^$' ]; then continue; fi
-	dir=.
-	if [[ $line =~ -C[[:space:]]+([^[:space:]]+) ]]; then dir=${BASH_REMATCH[1]}; fi
-	mapfile -t pkgs < <(grep -oE '(^|[[:space:]])\./[^[:space:]]*' <<<"$line" | tr -d ' \t')
-	if [ ${#pkgs[@]} -eq 0 ]; then
-		echo "run-check: Makefile:$lineno: -run '$re' names no ./package"
-		fail=1
-		continue
-	fi
-	while read -r alt; do
-		checked=$((checked + 1))
-		listed=$(cd "$dir" && $GO test -list "$alt" "${pkgs[@]}")
-		if ! grep -qE '^(Test|Fuzz|Example)' <<<"$listed"; then
-			echo "run-check: Makefile:$lineno: -run alternative '$alt' selects no test in ${pkgs[*]} (from $dir)"
+	for flag in run bench; do
+		re=$(sed -n "s/.*-$flag '\([^']*\)'.*/\1/p" <<<"$line")
+		re=${re//\$\$/\$}
+		if [ -z "$re" ] || [ "$re" = '^$' ] || [[ $re == *'$('* ]]; then continue; fi
+		kinds='Test|Fuzz|Example'
+		if [ $flag = bench ]; then kinds='Benchmark'; fi
+		dir=.
+		if [[ $line =~ -C[[:space:]]+([^[:space:]]+) ]]; then dir=${BASH_REMATCH[1]}; fi
+		mapfile -t pkgs < <(tr -s ' \t' '\n\n' <<<"$line" | grep -E '^\.(/.*)?$')
+		if [ ${#pkgs[@]} -eq 0 ]; then
+			echo "run-check: Makefile:$lineno: -$flag '$re' names no ./package"
 			fail=1
+			continue
 		fi
-	done < <(alternatives "$re")
-done < <(grep -nE "\btest\b.*-run '" Makefile)
+		while read -r alt; do
+			checked=$((checked + 1))
+			listed=$(cd "$dir" && $GO test -list "$alt" "${pkgs[@]}")
+			if ! grep -qE "^($kinds)" <<<"$listed"; then
+				echo "run-check: Makefile:$lineno: -$flag alternative '$alt' selects nothing in ${pkgs[*]} (from $dir)"
+				fail=1
+			fi
+		done < <(alternatives "$re")
+	done
+done < <(grep -nE "\btest\b.*-(run|bench) '" Makefile)
 
-echo "run-check: $checked -run alternatives checked"
+echo "run-check: $checked -run/-bench alternatives checked"
 exit $fail
