@@ -7,9 +7,9 @@ BENCH ?= .
 COUNT ?= 6
 FAULTSEEDS ?= 8
 
-.PHONY: ci ci-race vet build test race bench bench-mvcc bench-smoke bench-build bench-pairs test-vec fmt-check faultinject fuzz fuzz-smoke lint lint-engine docs-check run-check
+.PHONY: ci ci-race vet build test race bench bench-mvcc bench-smoke bench-build bench-pairs test-vec heap-budget fmt-check faultinject fuzz fuzz-smoke lint lint-engine docs-check run-check
 
-ci: vet build race test-vec faultinject lint lint-engine fuzz-smoke bench-smoke bench-build docs-check run-check
+ci: vet build race test-vec heap-budget faultinject lint lint-engine fuzz-smoke bench-smoke bench-build docs-check run-check
 
 # The static-analysis plane, all three layers: the decomposition linter
 # over every checked-in spec (relvet0xx — adequacy, storage redundancy,
@@ -27,9 +27,11 @@ lint: bin/relvet
 	bin/relvet -gen spec/*.rel
 
 # The engine-invariant plane (relvet2xx): the interprocedural analyzers
-# turned inward on internal/core, instance, dstruct, durable, and wal —
-# COW write containment, lock-free read purity, WAL-before-publish
-# ordering, and atomic-pointer publication discipline. Exemptions only
+# turned inward on internal/core, instance, dstruct, colblock, durable, and
+# wal — COW write containment (a clone copies the words it will write),
+# lock-free read purity (no path from a read to the lineage dictionary's
+# writer side), WAL-before-publish ordering, and atomic-pointer publication
+# discipline. Exemptions only
 # via //relvet:role annotations, never //relvet:ignore.
 lint-engine: bin/relvet
 	bin/relvet -engine
@@ -56,6 +58,14 @@ ci-race: vet build race
 # and fallback-accounting tests.
 test-vec:
 	$(GO) test -count 1 -run 'Vectorized' ./internal/plan ./internal/core
+
+# The representation's budget: live heap per stored tuple for the three
+# benchmark decompositions at 20k tuples on the bare tier, held to a ceiling
+# 10% above what the word representation measured, and Instance.Stats —
+# resident bytes by category, from counts × sizes — held to within 15% of
+# that heap. -v prints the per-category table.
+heap-budget:
+	$(GO) test -count 1 -v -run 'TestBytesPerTupleBudget' ./internal/core
 
 # The fault-injection gate: exhaustive per-step injection over the harness
 # corpus plus FAULTSEEDS randomized schedules per case. `make ci` runs it
@@ -103,14 +113,16 @@ bench:
 # a measurement, a smoke test that their fixtures still build and run. Part
 # of `make ci` so bench-only regressions cannot land silently. The figures
 # worth reading off it are allocs/op on the ListFirstWriteAfterClone rows,
-# which must not grow with the list's length (DESIGN.md ablation 11), and on
+# which must not grow with the list's length (DESIGN.md ablation 11), on
 # the Collect*/Range*Vectorized rows, which must stay a handful per call —
 # an object per row means set-valued reads are boxing tuples before they
-# know which ones survive again (ablation 13).
+# know which ones survive again (ablation 13) — and on the word-keyed lookup
+# rows (ListFindWords*, HTableGetWord, ListSmall/get), which must read 0: a
+# lookup that allocates is boxing a key again (ablation 14).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '(Scan|Enumerate|Join|Collect)(Interpreted|Compiled|Vectorized)$$|Range(Interpreted|Vectorized)$$|CollectDupVectorized$$' -benchmem -benchtime 10x ./internal/plan
 	$(GO) test -run '^$$' -bench 'MVCC' -benchtime 10x .
-	$(GO) test -run '^$$' -bench 'ListFirstWriteAfterClone|ListSmall' -benchmem -benchtime 10x ./internal/dstruct
+	$(GO) test -run '^$$' -bench 'ListFirstWriteAfterClone|ListSmall|ListFindWords(64|512)|HTableGetWord' -benchmem -benchtime 10x ./internal/dstruct
 
 # The repo's benchmark (bench/, BENCHMARK.json) is a nested module that
 # root `go build/vet/test ./...` does not see, so an engine API change can

@@ -28,6 +28,11 @@ package analysis
 //	read      snapshot read entry point; roots the relvet202 walk
 //	cachefill may take a non-cell mutex on the read path (memoization
 //	          that readers tolerate, e.g. plan-cache fill)
+//	writer    runs on a lineage's single serialized writer only: it
+//	          reads or appends state that lock-free readers must reach
+//	          through a captured header instead (the lineage dictionary,
+//	          colblock.Dict); relvet202 rejects any path to it from a
+//	          read root
 
 import (
 	"go/ast"
@@ -46,6 +51,7 @@ const (
 	RoleConfig    = "config"
 	RoleRead      = "read"
 	RoleCacheFill = "cachefill"
+	RoleWriter    = "writer"
 )
 
 // ValidRoles is the closed annotation vocabulary.
@@ -56,6 +62,7 @@ var ValidRoles = map[string]string{
 	RoleConfig:    "pre-share configuration of a published value",
 	RoleRead:      "snapshot read entry point (relvet202 root)",
 	RoleCacheFill: "sanctioned read-path memoization: may mutate its receiver and take a non-cell mutex",
+	RoleWriter:    "single-writer side only: unreachable from snapshot read entry points",
 }
 
 // RoleExemptsMutation reports whether a role sanctions the function's
@@ -81,6 +88,7 @@ const pubPointerType = "sync/atomic.Pointer[repro/internal/core.Relation]"
 var engineSeedTypes = []string{
 	"repro/internal/core.Relation",
 	"repro/internal/instance.Instance",
+	"repro/internal/colblock.Dict",
 }
 
 // RoleMark is one //relvet:role annotation found in source, valid or

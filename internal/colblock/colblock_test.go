@@ -3,6 +3,7 @@ package colblock
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/value"
@@ -15,7 +16,7 @@ func TestCodeIntRoundTrip(t *testing.T) {
 	for _, i := range cases {
 		v := value.OfInt(i)
 		c := d.Encode(v)
-		if got := d.Decode(c); got != v {
+		if got := d.View().Decode(c); got != v {
 			t.Fatalf("Decode(Encode(%d)) = %v", i, got)
 		}
 	}
@@ -49,14 +50,14 @@ func TestDictStrings(t *testing.T) {
 	if again := d.Encode(value.OfString("alpha")); again != a {
 		t.Fatalf("re-encoding the same string changed its code: %d vs %d", again, a)
 	}
-	if got := d.Decode(a); got.Str() != "alpha" {
+	if got := d.View().Decode(a); got.Str() != "alpha" {
 		t.Fatalf("Decode = %v", got)
 	}
 	// Equal value ⟺ equal code: the filter contract.
-	if c, ok := d.Find(value.OfString("beta")); !ok || c != b {
+	if c, ok := d.View().Find(value.OfString("beta")); !ok || c != b {
 		t.Fatalf("Find(beta) = %d,%v want %d,true", c, ok, b)
 	}
-	if _, ok := d.Find(value.OfString("gamma")); ok {
+	if _, ok := d.View().Find(value.OfString("gamma")); ok {
 		t.Fatal("Find of an un-interned string must miss")
 	}
 	// Find never interns.
@@ -65,29 +66,113 @@ func TestDictStrings(t *testing.T) {
 	}
 }
 
-func TestDictResetAndRecycle(t *testing.T) {
+// TestViewIsAPrefix: a view captured before later interning decodes what it
+// covered, misses what came after — even though the table it shares now
+// holds it — and never changes length.
+func TestViewIsAPrefix(t *testing.T) {
 	d := NewDict()
-	d.Encode(value.OfString("x"))
-	d.Reset()
-	if d.Len() != 0 {
-		t.Fatal("Reset kept entries")
+	a := d.Encode(value.OfString("a"))
+	vw := d.View()
+	var later []Code
+	for i := 0; i < 5000; i++ { // reallocates the value table and the index many times over
+		later = append(later, d.Encode(value.OfString(fmt.Sprintf("s%d", i))))
 	}
-	if _, ok := d.Find(value.OfString("x")); ok {
-		t.Fatal("Reset kept index entries")
+	if vw.Len() != 1 || d.Len() != 5001 {
+		t.Fatalf("view covers %d values, table %d; want 1 and 5001", vw.Len(), d.Len())
 	}
-	// Below the retention bound, Recycle keeps the table.
-	c := d.Encode(value.OfString("y"))
-	d.Recycle()
-	if got, ok := d.Find(value.OfString("y")); !ok || got != c {
-		t.Fatal("Recycle below the bound must retain the table")
+	if got := vw.Decode(a); got.Str() != "a" {
+		t.Fatalf("view decodes %v", got)
 	}
-	// Above the bound, Recycle drops it.
-	for i := 0; d.Len() <= dictRetain; i++ {
-		d.Encode(value.OfString(fmt.Sprintf("s%d", i)))
+	if c, ok := vw.Find(value.OfString("a")); !ok || c != a {
+		t.Fatalf("view lost its own value: %d, %v", c, ok)
 	}
-	d.Recycle()
-	if d.Len() != 0 {
-		t.Fatalf("Recycle above the bound kept %d entries", d.Len())
+	if _, ok := vw.Find(value.OfString("s7")); ok {
+		t.Fatal("a view found a value interned after it was captured")
+	}
+	if vw.Valid(later[0]) || !vw.Valid(a) || vw.Valid(Unset) {
+		t.Fatal("Valid must hold exactly for codes below the view's length")
+	}
+	now := d.View()
+	for i, c := range later {
+		if got := now.Decode(c); got.Str() != fmt.Sprintf("s%d", i) {
+			t.Fatalf("code %d decodes to %v", i, got)
+		}
+	}
+	if d.Bytes() < 5001*32 {
+		t.Fatalf("Bytes = %d for 5001 interned values", d.Bytes())
+	}
+}
+
+// TestViewReadersRaceTheWriter: readers decode and look values up through
+// views captured at different moments while the single writer keeps
+// interning; run under -race this is the proof that a view touches no word
+// the writer writes.
+func TestViewReadersRaceTheWriter(t *testing.T) {
+	d := NewDict()
+	const n = 4000
+	views := make(chan View, 16)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for vw := range views {
+				for j := 0; j < vw.Len(); j += 1 + vw.Len()/64 {
+					want := value.OfString(fmt.Sprintf("s%d", j))
+					c, ok := vw.Find(want)
+					if !ok || vw.Decode(c) != want {
+						t.Errorf("view of %d values: Find(%v) = %d, %v", vw.Len(), want, c, ok)
+						return
+					}
+				}
+				if _, ok := vw.Find(value.OfString(fmt.Sprintf("s%d", vw.Len()))); ok {
+					t.Errorf("view of %d values found the next one", vw.Len())
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			d.Encode(value.OfString(fmt.Sprintf("s%d", i)))
+			if i%50 == 0 {
+				views <- d.View()
+			}
+		}
+		close(views)
+	}()
+	<-done
+	wg.Wait()
+}
+
+// TestHashSpreadsConsecutiveInlineKeys: consecutive integers differ only
+// above the constant tag bit; the fold must still reach both parities of a
+// power-of-two table's slots and fill it evenly enough that a probe at load
+// factor ½ takes two steps or fewer on average.
+func TestHashSpreadsConsecutiveInlineKeys(t *testing.T) {
+	const n, size = 1024, 2048
+	var tab [size]bool
+	parity := [2]int{}
+	steps := 0
+	for i := int64(0); i < n; i++ {
+		c, _ := InlineInt(i)
+		idx := Hash1(c) & (size - 1)
+		parity[idx&1]++
+		for steps++; tab[idx]; steps++ {
+			idx = (idx + 1) & (size - 1)
+		}
+		tab[idx] = true
+	}
+	if parity[0] == 0 || parity[1] == 0 {
+		t.Fatalf("home slots by parity: %v — half the table is unreachable", parity)
+	}
+	if avg := float64(steps) / n; avg > 2 {
+		t.Fatalf("%d keys probe %.2f steps on average, want at most 2", n, avg)
+	}
+	if Hash1(7<<1) != Hash([]Code{7 << 1}) {
+		t.Fatal("Hash1 must be Hash of a one-word key")
 	}
 }
 
@@ -148,7 +233,7 @@ func TestDictCompareIsValueCompare(t *testing.T) {
 	}
 	for i := range vals {
 		for j := range vals {
-			if got, want := d.Compare(codes[i], codes[j]), value.Compare(vals[i], vals[j]); got != want {
+			if got, want := d.View().Compare(codes[i], codes[j]), value.Compare(vals[i], vals[j]); got != want {
 				t.Errorf("Compare(%v, %v) = %d, value.Compare = %d", vals[i], vals[j], got, want)
 			}
 		}

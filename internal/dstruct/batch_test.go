@@ -1,9 +1,10 @@
 package dstruct
 
 import (
+	"slices"
 	"testing"
 
-	"repro/internal/relation"
+	"repro/internal/colblock"
 )
 
 // TestAppendEntriesMatchesRange checks, for every structure kind, that bulk
@@ -11,50 +12,53 @@ import (
 // the contract the vectorized scan stage depends on for deterministic
 // differential comparison against the row-at-a-time tiers.
 func TestAppendEntriesMatchesRange(t *testing.T) {
+	var vw colblock.View
 	for _, kind := range []Kind{AVLKind, DListKind, SListKind, HTableKind, SkipListKind, SortedArrKind, VectorKind} {
 		t.Run(string(kind), func(t *testing.T) {
-			m := New[int](kind)
-			if _, ok := m.(Entries[int]); !ok {
-				t.Fatalf("%s does not implement the Entries fast path", kind)
-			}
+			m := NewWords[int](kind, 1)
 			for i := 0; i < 37; i++ {
-				m.Put(relation.NewTuple(relation.BindInt("k", int64(i*3%37))), i)
+				m.Put(vw, code1(int64(i*3%37)), i)
 			}
-			var wantK []relation.Tuple
+			var wantK []colblock.Code
 			var wantV []int
-			m.Range(func(k relation.Tuple, v int) bool {
-				wantK = append(wantK, k)
+			m.Range(func(k []colblock.Code, v int) bool {
+				wantK = append(wantK, k...)
 				wantV = append(wantV, v)
 				return true
 			})
-			ks, vs := AppendEntries[int](m, nil, nil)
-			if len(ks) != len(wantK) || len(vs) != len(wantV) {
-				t.Fatalf("extracted %d/%d entries, Range saw %d", len(ks), len(vs), len(wantK))
-			}
-			for i := range ks {
-				if !ks[i].Equal(wantK[i]) || vs[i] != wantV[i] {
-					t.Fatalf("entry %d: got (%v,%d), Range saw (%v,%d)", i, ks[i], vs[i], wantK[i], wantV[i])
-				}
+			ks, vs := m.AppendEntries(nil, nil)
+			if !slices.Equal(ks, wantK) || !slices.Equal(vs, wantV) {
+				t.Fatalf("extracted %v→%v, Range saw %v→%v", ks, vs, wantK, wantV)
 			}
 			// Appending to non-empty slices must extend, not clobber.
-			ks2, vs2 := AppendEntries[int](m, ks[:1:1], vs[:1:1])
-			if len(ks2) != len(ks)+1 || !ks2[0].Equal(ks[0]) || vs2[0] != vs[0] {
+			ks2, vs2 := m.AppendEntries(ks[:1:1], vs[:1:1])
+			if len(ks2) != len(ks)+1 || ks2[0] != ks[0] || vs2[0] != vs[0] {
 				t.Fatal("AppendEntries must append after existing entries")
 			}
 		})
 	}
 }
 
-// The generic fallback must work for maps without the capability.
-type rangeOnlyMap struct{ Map[int] }
-
-func TestAppendEntriesFallback(t *testing.T) {
-	inner := New[int](SListKind)
-	inner.Put(relation.NewTuple(relation.BindInt("k", 1)), 10)
-	inner.Put(relation.NewTuple(relation.BindInt("k", 2)), 20)
-	m := rangeOnlyMap{inner}
-	ks, vs := AppendEntries[int](m, nil, nil)
-	if len(ks) != 2 || len(vs) != 2 {
-		t.Fatalf("fallback extracted %d entries, want 2", len(ks))
+// TestAppendEntriesStridesWideKeys: a key of several columns is extracted as
+// that many consecutive words per entry, on every kind that takes one.
+func TestAppendEntriesStridesWideKeys(t *testing.T) {
+	var vw colblock.View
+	for _, kind := range kindsFor(false) {
+		m := NewWords[int](kind, 3)
+		for i := int64(0); i < 40; i++ {
+			m.Put(vw, append(append(code1(i%5), code1(i)...), code1(-i)...), int(i))
+		}
+		ks, vs := m.AppendEntries(nil, nil)
+		if len(vs) != 40 || len(ks) != 3*len(vs) {
+			t.Fatalf("%s: %d key words for %d entries", kind, len(ks), len(vs))
+		}
+		for e, v := range vs {
+			if want := append(append(code1(int64(v)%5), code1(int64(v))...), code1(-int64(v))...); !slices.Equal(ks[3*e:3*e+3], want) {
+				t.Fatalf("%s: entry %d holds key %v for value %d", kind, e, ks[3*e:3*e+3], v)
+			}
+			if got, ok := m.Get(vw, ks[3*e:3*e+3]); !ok || got != v {
+				t.Fatalf("%s: Get of extracted key %d = %d, %v", kind, e, got, ok)
+			}
+		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/relation"
+	"repro/internal/colblock"
 )
 
 var listKinds = []Kind{DListKind, SListKind}
@@ -15,20 +15,21 @@ var listKinds = []Kind{DListKind, SListKind}
 // follows the list's length (an eager clone: one object per entry) or its
 // chunk directory. `make bench-smoke` runs it.
 func BenchmarkListFirstWriteAfterClone(b *testing.B) {
+	var vw colblock.View
 	for _, kind := range listKinds {
 		for _, n := range []int64{64, 512, 4096} {
 			b.Run(fmt.Sprintf("%s/%d", kind, n), func(b *testing.B) {
-				m := New[int](kind)
+				m := NewWords[int](kind, 1)
 				for i := int64(0); i < n; i++ {
-					m.Put(key1(i), int(i))
+					m.Put(vw, code1(i), int(i))
 				}
-				del, put := key1(n/2), key1(n)
+				del, put := code1(n/2), code1(n)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					c := m.Clone()
-					c.Delete(del)
-					c.Put(put, i)
+					c.Delete(vw, del)
+					c.Put(vw, put, i)
 				}
 			})
 		}
@@ -40,28 +41,73 @@ func BenchmarkListFirstWriteAfterClone(b *testing.B) {
 // only pay the directory hop. build allocates and fills one; get looks up
 // its keys in turn.
 func BenchmarkListSmall(b *testing.B) {
-	keys := []relation.Tuple{key1(0), key1(1), key1(2)}
+	var vw colblock.View
+	keys := [][]colblock.Code{code1(0), code1(1), code1(2)}
 	for _, kind := range listKinds {
 		b.Run(string(kind)+"/build", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m := New[int](kind)
+				m := NewWords[int](kind, 1)
 				for j, k := range keys {
-					m.Put(k, j)
+					m.Put(vw, k, j)
 				}
 			}
 		})
 		b.Run(string(kind)+"/get", func(b *testing.B) {
-			m := New[int](kind)
+			m := NewWords[int](kind, 1)
 			for j, k := range keys {
-				m.Put(k, j)
+				m.Put(vw, k, j)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := m.Get(keys[i%len(keys)]); !ok {
+				if _, ok := m.Get(vw, keys[i%len(keys)]); !ok {
 					b.Fatal("key missing")
 				}
 			}
 		})
+	}
+}
+
+// benchListFindWords is the scheduler's hot loop: find a two-column key in a
+// chunked list of n entries, the keys a stride of words. Every lookup must
+// report 0 allocs/op.
+func benchListFindWords(b *testing.B, n int64) {
+	var vw colblock.View
+	m := NewWords[int](DListKind, 2)
+	keys := make([][]colblock.Code, n)
+	for i := range keys {
+		keys[i] = append(code1(int64(i)%7), code1(int64(i))...)
+		m.Put(vw, keys[i], i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Get(vw, keys[(i*31)%len(keys)]); !ok {
+			b.Fatal("key missing")
+		}
+	}
+}
+
+func BenchmarkListFindWords64(b *testing.B)  { benchListFindWords(b, 64) }
+func BenchmarkListFindWords512(b *testing.B) { benchListFindWords(b, 512) }
+
+// BenchmarkHTableGetWord is the single-column point lookup every hashed edge
+// of the benchmark's decompositions answers: one word hashed, one chain
+// walked, nothing allocated.
+func BenchmarkHTableGetWord(b *testing.B) {
+	var vw colblock.View
+	const n = 1 << 14
+	m := NewWords[int](HTableKind, 1)
+	for i := int64(0); i < n; i++ {
+		m.Put(vw, code1(i), int(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, _ := colblock.InlineInt(int64(i*31) & (n - 1))
+		if _, ok := m.Get1(vw, c); !ok {
+			b.Fatal("key missing")
+		}
 	}
 }

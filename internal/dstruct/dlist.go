@@ -1,8 +1,9 @@
 package dstruct
 
 import (
-	"repro/internal/relation"
-	"repro/internal/value"
+	"slices"
+
+	"repro/internal/colblock"
 )
 
 // listChunkCap is the most entries one chunk of a list holds. It trades the
@@ -20,8 +21,10 @@ const listFirstCap = 4
 
 // list is the body DList and SList share: an unordered sequence of key/value
 // entries kept in insertion order in chunks of at most listChunkCap entries,
-// with a directory of chunk headers over them. Lookup and delete-by-key scan;
-// insertion appends to the last chunk.
+// with a directory of chunk headers over them. A chunk holds its keys
+// strided — arity words per entry, back to back in one pointer-free array —
+// beside the array of values, so lookup and delete-by-key are a scan over
+// dense words; insertion appends to the last chunk.
 //
 // Copy-on-write state follows HTable's discipline. A chunk is writable in
 // place iff its owner token is the list's; Clone hands both sides fresh
@@ -43,35 +46,51 @@ type list[V any] struct {
 	n   int
 
 	owner     *listOwner
+	arity     int32
 	sharedDir bool // dir's backing array is shared with a Clone
 }
 
 type listOwner struct{ _ byte }
 
-// listChunk is a directory slot. Chunks live in the directory by value: the
+// listChunk is a directory slot: len(vals) entries, entry i's key in
+// keys[i*arity:(i+1)*arity]. Chunks live in the directory by value: the
 // lists a graph decomposition builds average under four entries, and a
 // pointer hop per chunk costs those more than the wider directory copy costs
 // long lists.
 type listChunk[V any] struct {
-	ents  []listEntry[V]
+	keys  []colblock.Code
+	vals  []V
 	owner *listOwner
 }
 
-type listEntry[V any] struct {
-	key relation.Tuple
-	val V
-}
+// Arity returns the number of words per key.
+func (l *list[V]) Arity() int { return int(l.arity) }
 
 // Len returns the number of entries.
 func (l *list[V]) Len() int { return l.n }
 
-// find returns the chunk and offset of k's entry, or -1. Keys of one map
-// share a column domain (see Map), so only the values are compared.
-func (l *list[V]) find(k relation.Tuple) (int, int) {
+// find returns the chunk and offset of k's entry, or -1.
+func (l *list[V]) find(k []colblock.Code) (int, int) {
+	if l.arity == 1 {
+		return l.find1(k[0])
+	}
+	a := int(l.arity)
+	k0, rest := k[0], k[1:]
 	for ci := range l.dir {
-		ents := l.dir[ci].ents
-		for i := range ents {
-			if ents[i].key.EqualValues(k) {
+		keys := l.dir[ci].keys
+		for off := 0; off < len(keys); off += a {
+			if keys[off] == k0 && slices.Equal(keys[off+1:off+a], rest) {
+				return ci, off / a
+			}
+		}
+	}
+	return -1, -1
+}
+
+func (l *list[V]) find1(k colblock.Code) (int, int) {
+	for ci := range l.dir {
+		for i, c := range l.dir[ci].keys {
+			if c == k {
 				return ci, i
 			}
 		}
@@ -80,24 +99,19 @@ func (l *list[V]) find(k relation.Tuple) (int, int) {
 }
 
 // Get returns the value for k.
-func (l *list[V]) Get(k relation.Tuple) (V, bool) {
+func (l *list[V]) Get(_ colblock.View, k []colblock.Code) (V, bool) {
 	if ci, i := l.find(k); ci >= 0 {
-		return l.dir[ci].ents[i].val, true
+		return l.dir[ci].vals[i], true
 	}
 	var zero V
 	return zero, false
 }
 
-// GetByValue is the single-column-key point lookup: a linear scan comparing
-// the sole key values, with no key tuple and no allocation.
-func (l *list[V]) GetByValue(v value.Value) (V, bool) {
-	for ci := range l.dir {
-		ents := l.dir[ci].ents
-		for i := range ents {
-			if ents[i].key.ValueAt(0) == v {
-				return ents[i].val, true
-			}
-		}
+// Get1 is the single-column-key point lookup: a linear scan over the key
+// words.
+func (l *list[V]) Get1(_ colblock.View, k colblock.Code) (V, bool) {
+	if ci, i := l.find1(k); ci >= 0 {
+		return l.dir[ci].vals[i], true
 	}
 	var zero V
 	return zero, false
@@ -124,100 +138,121 @@ func (l *list[V]) copyCap(ci, n int) int {
 	return n
 }
 
+// newChunk returns an empty chunk this list owns with room for c entries.
+func (l *list[V]) newChunk(c int) listChunk[V] {
+	return listChunk[V]{keys: make([]colblock.Code, 0, c*int(l.arity)), vals: make([]V, 0, c), owner: l.owner}
+}
+
+// add appends the entries [from, to) of src to c.
+func (c *listChunk[V]) add(src *listChunk[V], from, to, arity int) {
+	c.keys = append(c.keys, src.keys[from*arity:to*arity]...)
+	c.vals = append(c.vals, src.vals[from:to]...)
+}
+
 // ownChunk makes chunk ci writable in place, copying it if this list does
-// not own it, and returns its entries.
-func (l *list[V]) ownChunk(ci int) []listEntry[V] {
+// not own it, and returns it.
+func (l *list[V]) ownChunk(ci int) *listChunk[V] {
 	l.ownDir()
 	c := &l.dir[ci]
 	if c.owner != l.owner {
-		ents := make([]listEntry[V], len(c.ents), l.copyCap(ci, len(c.ents)))
-		copy(ents, c.ents)
-		*c = listChunk[V]{ents: ents, owner: l.owner}
+		n := len(c.vals)
+		cp := l.newChunk(l.copyCap(ci, n))
+		cp.add(c, 0, n, int(l.arity))
+		*c = cp
 	}
-	return c.ents
+	return c
 }
 
 // Put inserts or replaces the value for k; a new key goes after every
 // existing entry, a replaced one keeps its position.
-func (l *list[V]) Put(k relation.Tuple, v V) {
+func (l *list[V]) Put(_ colblock.View, k []colblock.Code, v V) {
 	if ci, i := l.find(k); ci >= 0 {
-		l.ownChunk(ci)[i].val = v
+		l.ownChunk(ci).vals[i] = v
 		return
 	}
 	l.n++
-	e := listEntry[V]{key: k, val: v}
 	last := len(l.dir) - 1
-	if last < 0 || len(l.dir[last].ents) == listChunkCap {
+	if last < 0 || len(l.dir[last].vals) == listChunkCap {
 		c := listChunkCap
 		if last < 0 {
 			c = listFirstCap
 		}
 		l.ownDir()
-		l.dir = append(l.dir, listChunk[V]{ents: append(make([]listEntry[V], 0, c), e), owner: l.owner})
+		nc := l.newChunk(c)
+		nc.keys, nc.vals = append(nc.keys, k...), append(nc.vals, v)
+		l.dir = append(l.dir, nc)
 		return
 	}
-	ents := l.ownChunk(last)
-	if len(ents) == cap(ents) {
-		grown := make([]listEntry[V], len(ents), min(2*cap(ents), listChunkCap))
-		copy(grown, ents)
-		ents = grown
+	c := l.ownChunk(last)
+	if n := len(c.vals); n == cap(c.vals) {
+		grown := l.newChunk(min(2*n, listChunkCap))
+		grown.add(c, 0, n, int(l.arity))
+		*c = grown
 	}
-	l.dir[last].ents = append(ents, e)
-}
-
-// without appends ents minus the entry at i to dst.
-func without[V any](dst, ents []listEntry[V], i int) []listEntry[V] {
-	return append(append(dst, ents[:i]...), ents[i+1:]...)
+	c.keys, c.vals = append(c.keys, k...), append(c.vals, v)
 }
 
 // Delete removes k by scanning for it.
-func (l *list[V]) Delete(k relation.Tuple) bool {
+func (l *list[V]) Delete(_ colblock.View, k []colblock.Code) (V, bool) {
 	ci, i := l.find(k)
 	if ci < 0 {
-		return false
+		var zero V
+		return zero, false
 	}
+	a := int(l.arity)
 	l.n--
-	cur := l.dir[ci].ents
-	left := len(cur) - 1
+	cur := &l.dir[ci]
+	val := cur.vals[i]
+	left := len(cur.vals) - 1
 	// Chunks [lo, hi] are rewritten as one (or none, when ci empties): ci
 	// and a neighbour when the pair now fits in half a chunk. One merge
 	// restores the pair invariant on both sides, because the merged chunk is
 	// no shorter than either part.
 	lo, hi := ci, ci
-	var merged []listEntry[V]
+	var merged *listChunk[V]
 	switch {
 	case left == 0:
-	case ci > 0 && len(l.dir[ci-1].ents)+left <= listChunkCap/2:
+	case ci > 0 && len(l.dir[ci-1].vals)+left <= listChunkCap/2:
 		lo = ci - 1
-		prev := l.dir[lo].ents
-		merged = without(append(make([]listEntry[V], 0, len(prev)+left), prev...), cur, i)
-	case ci+1 < len(l.dir) && left+len(l.dir[ci+1].ents) <= listChunkCap/2:
+		prev := &l.dir[lo]
+		m := l.newChunk(len(prev.vals) + left)
+		m.add(prev, 0, len(prev.vals), a)
+		m.add(cur, 0, i, a)
+		m.add(cur, i+1, left+1, a)
+		merged = &m
+	case ci+1 < len(l.dir) && left+len(l.dir[ci+1].vals) <= listChunkCap/2:
 		hi = ci + 1
-		next := l.dir[hi].ents
-		merged = append(without(make([]listEntry[V], 0, left+len(next)), cur, i), next...)
+		next := &l.dir[hi]
+		m := l.newChunk(left + len(next.vals))
+		m.add(cur, 0, i, a)
+		m.add(cur, i+1, left+1, a)
+		m.add(next, 0, len(next.vals), a)
+		merged = &m
 	default:
 		// The directory keeps its shape. A chunk this list owns shifts in
 		// place; a shared one is copied without the entry.
 		l.ownDir()
 		c := &l.dir[ci]
 		if c.owner == l.owner {
-			copy(cur[i:], cur[i+1:])
-			cur[left] = listEntry[V]{}
-			c.ents = cur[:left]
+			c.keys = slices.Delete(c.keys, i*a, (i+1)*a)
+			c.vals = slices.Delete(c.vals, i, i+1)
 		} else {
-			*c = listChunk[V]{ents: without(make([]listEntry[V], 0, l.copyCap(ci, left)), cur, i), owner: l.owner}
+			cp := l.newChunk(l.copyCap(ci, left))
+			cp.add(c, 0, i, a)
+			cp.add(c, i+1, left+1, a)
+			*c = cp
 		}
-		return true
+		return val, true
 	}
 	// The directory changes shape: it is replaced, and a merged chunk is a
-	// fresh array, so whoever still holds the old directory (a clone, a
-	// Range in progress) sees it exactly as it was.
+	// fresh pair of arrays, so whoever still holds the old directory (a
+	// clone, a Range in progress) sees it exactly as it was.
 	dir := append(make([]listChunk[V], 0, len(l.dir)-1), l.dir[:lo]...)
 	if merged != nil {
-		dir = append(dir, listChunk[V]{ents: merged, owner: l.owner})
+		dir = append(dir, *merged)
 	}
 	l.dir, l.sharedDir = append(dir, l.dir[hi+1:]...), false
-	return true
+	return val, true
 }
 
 // clone returns an independent list sharing the directory and every chunk
@@ -238,15 +273,16 @@ func (l *list[V]) clone() list[V] {
 // chunk, a merge, a dropped chunk): a change in Len says so, and the walk
 // finds its place again in the live directory by counting — the deleted
 // entry's successor has the ordinal the deleted entry had.
-func (l *list[V]) rangeForward(f func(k relation.Tuple, v V) bool) {
+func (l *list[V]) rangeForward(f func(k []colblock.Code, v V) bool) {
+	a := int(l.arity)
 	dir, n := l.dir, l.n
 	for ci, i, pos := 0, 0, 0; ci < len(dir); {
-		ents := dir[ci].ents
-		if i >= len(ents) {
+		c := &dir[ci]
+		if i >= len(c.vals) {
 			ci, i = ci+1, 0
 			continue
 		}
-		if !f(ents[i].key, ents[i].val) {
+		if !f(c.keys[i*a:(i+1)*a:(i+1)*a], c.vals[i]) {
 			return
 		}
 		if l.n == n {
@@ -257,8 +293,8 @@ func (l *list[V]) rangeForward(f func(k relation.Tuple, v V) bool) {
 			pos++
 		}
 		dir, n = l.dir, l.n
-		for ci, i = 0, pos; ci < len(dir) && i >= len(dir[ci].ents); ci++ {
-			i -= len(dir[ci].ents)
+		for ci, i = 0, pos; ci < len(dir) && i >= len(dir[ci].vals); ci++ {
+			i -= len(dir[ci].vals)
 		}
 	}
 }
@@ -266,11 +302,13 @@ func (l *list[V]) rangeForward(f func(k relation.Tuple, v V) bool) {
 // rangeBackward visits entries newest-first on the directory it started
 // with. Deleting the visited entry only moves entries already visited, and
 // Delete never reshapes a directory in place.
-func (l *list[V]) rangeBackward(f func(k relation.Tuple, v V) bool) {
+func (l *list[V]) rangeBackward(f func(k []colblock.Code, v V) bool) {
+	a := int(l.arity)
 	dir := l.dir
 	for ci := len(dir) - 1; ci >= 0; ci-- {
-		for i := len(dir[ci].ents) - 1; i >= 0; i-- {
-			if e := &dir[ci].ents[i]; !f(e.key, e.val) {
+		c := &dir[ci]
+		for i := len(c.vals) - 1; i >= 0; i-- {
+			if !f(c.keys[i*a:(i+1)*a:(i+1)*a], c.vals[i]) {
 				return
 			}
 		}
@@ -281,15 +319,25 @@ func (l *list[V]) rangeBackward(f func(k relation.Tuple, v V) bool) {
 func (l *list[V]) checkInvariant() bool {
 	n := 0
 	for ci, c := range l.dir {
-		if len(c.ents) == 0 || len(c.ents) > listChunkCap {
+		if len(c.vals) == 0 || len(c.vals) > listChunkCap || len(c.keys) != len(c.vals)*int(l.arity) {
 			return false
 		}
-		if ci > 0 && len(l.dir[ci-1].ents)+len(c.ents) <= listChunkCap/2 {
+		if ci > 0 && len(l.dir[ci-1].vals)+len(c.vals) <= listChunkCap/2 {
 			return false
 		}
-		n += len(c.ents)
+		n += len(c.vals)
 	}
 	return n == l.n && len(l.dir) <= 4*l.n/listChunkCap+2
+}
+
+// Footprint counts the chunks' key and value arrays as entries and the
+// header and chunk directory as overhead.
+func (l *list[V]) Footprint() Footprint {
+	fp := Footprint{Overhead: AllocSize(sizeOf[list[V]]()) + AllocSize(cap(l.dir)*sizeOf[listChunk[V]]())}
+	for i := range l.dir {
+		fp.Entries += codesBytes(l.dir[i].keys) + AllocSize(cap(l.dir[i].vals)*sizeOf[V]())
+	}
+	return fp
 }
 
 // DList is the doubly-linked-list role of the paper's library (the container
@@ -299,7 +347,7 @@ func (l *list[V]) checkInvariant() bool {
 type DList[V any] struct{ list[V] }
 
 // NewDList returns an empty list iterating in insertion order.
-func NewDList[V any]() *DList[V] { return &DList[V]{} }
+func NewDList[V any](arity int) *DList[V] { return &DList[V]{list[V]{arity: int32(arity)}} }
 
 // Kind returns DListKind.
 func (l *DList[V]) Kind() Kind { return DListKind }
@@ -307,11 +355,20 @@ func (l *DList[V]) Kind() Kind { return DListKind }
 // Clone returns an independent list sharing every chunk with the receiver.
 //
 //relvet:role=clone
-func (l *DList[V]) Clone() Map[V] { return &DList[V]{l.list.clone()} }
+func (l *DList[V]) Clone() Words[V] { return &DList[V]{l.list.clone()} }
 
 // Range visits entries in insertion order. The callback may delete the
 // entry it is visiting.
-func (l *DList[V]) Range(f func(k relation.Tuple, v V) bool) { l.rangeForward(f) }
+func (l *DList[V]) Range(f func(k []colblock.Code, v V) bool) { l.rangeForward(f) }
+
+// AppendEntries appends entries in insertion order (Range order).
+func (l *DList[V]) AppendEntries(ks []colblock.Code, vs []V) ([]colblock.Code, []V) {
+	for ci := range l.dir {
+		ks = append(ks, l.dir[ci].keys...)
+		vs = append(vs, l.dir[ci].vals...)
+	}
+	return ks, vs
+}
 
 // SList is the singly-linked-list role: the same body as DList, iterated
 // from the most recently inserted entry to the least, as a list with head
@@ -319,7 +376,7 @@ func (l *DList[V]) Range(f func(k relation.Tuple, v V) bool) { l.rangeForward(f)
 type SList[V any] struct{ list[V] }
 
 // NewSList returns an empty list iterating newest-first.
-func NewSList[V any]() *SList[V] { return &SList[V]{} }
+func NewSList[V any](arity int) *SList[V] { return &SList[V]{list[V]{arity: int32(arity)}} }
 
 // Kind returns SListKind.
 func (l *SList[V]) Kind() Kind { return SListKind }
@@ -327,8 +384,21 @@ func (l *SList[V]) Kind() Kind { return SListKind }
 // Clone returns an independent list sharing every chunk with the receiver.
 //
 //relvet:role=clone
-func (l *SList[V]) Clone() Map[V] { return &SList[V]{l.list.clone()} }
+func (l *SList[V]) Clone() Words[V] { return &SList[V]{l.list.clone()} }
 
 // Range visits entries from most recently inserted to least. The callback
 // may delete the entry it is visiting.
-func (l *SList[V]) Range(f func(k relation.Tuple, v V) bool) { l.rangeBackward(f) }
+func (l *SList[V]) Range(f func(k []colblock.Code, v V) bool) { l.rangeBackward(f) }
+
+// AppendEntries appends entries newest-first (Range order).
+func (l *SList[V]) AppendEntries(ks []colblock.Code, vs []V) ([]colblock.Code, []V) {
+	a := int(l.arity)
+	for ci := len(l.dir) - 1; ci >= 0; ci-- {
+		c := &l.dir[ci]
+		for i := len(c.vals) - 1; i >= 0; i-- {
+			ks = append(ks, c.keys[i*a:(i+1)*a]...)
+			vs = append(vs, c.vals[i])
+		}
+	}
+	return ks, vs
+}

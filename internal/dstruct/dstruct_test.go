@@ -7,8 +7,15 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/relation"
 )
+
+// code1 is the one-word key holding the integer v.
+func code1(v int64) []colblock.Code {
+	c, _ := colblock.InlineInt(v)
+	return []colblock.Code{c}
+}
 
 func key1(v int64) relation.Tuple { return relation.NewTuple(relation.BindInt("k", v)) }
 
@@ -107,6 +114,34 @@ func TestStringKeys(t *testing.T) {
 	}
 }
 
+// TestLookupsInternNothing: Get, GetByValue and Delete of a string the map
+// never held miss without growing the map's dictionary — only Put interns.
+func TestLookupsInternNothing(t *testing.T) {
+	for _, kind := range kindsFor(false) {
+		m := New[int](kind)
+		m.Put(strKey("alpha"), 1)
+		d := wordsDict(m)
+		if d.Len() != 1 {
+			t.Fatalf("%s: one string put, %d interned", kind, d.Len())
+		}
+		if _, ok := m.Get(strKey("ghost")); ok {
+			t.Errorf("%s: Get found a key never put", kind)
+		}
+		if _, ok := m.GetByValue(strKey("ghost").ValueAt(0)); ok {
+			t.Errorf("%s: GetByValue found a key never put", kind)
+		}
+		if m.Delete(strKey("ghost")) {
+			t.Errorf("%s: Delete removed a key never put", kind)
+		}
+		if d.Len() != 1 {
+			t.Errorf("%s: lookups interned %d values", kind, d.Len()-1)
+		}
+		if v, ok := m.GetByValue(strKey("alpha").ValueAt(0)); !ok || v != 1 {
+			t.Errorf("%s: GetByValue(alpha) = %d, %v", kind, v, ok)
+		}
+	}
+}
+
 // TestAgainstReference drives every structure with a random operation
 // sequence and compares against a plain Go map oracle after each step.
 func TestAgainstReference(t *testing.T) {
@@ -200,7 +235,7 @@ func TestRangeEarlyStop(t *testing.T) {
 }
 
 func TestDListDeleteDuringRange(t *testing.T) {
-	l := NewDList[int]()
+	l := New[int](DListKind)
 	for i := int64(0); i < 5; i++ {
 		l.Put(key1(i), int(i))
 	}
@@ -312,48 +347,49 @@ func TestListReshapeRightAfterClone(t *testing.T) {
 }
 
 func TestAVLInvariantUnderChurn(t *testing.T) {
-	tr := NewAVL[int]()
+	tr := NewAVL[int](1)
+	var vw colblock.View
 	rnd := rand.New(rand.NewSource(9))
 	live := make(map[int64]bool)
 	for i := 0; i < 2000; i++ {
 		k := int64(rnd.Intn(300))
 		if rnd.Intn(2) == 0 {
-			tr.Put(key1(k), int(k))
+			tr.Put(vw, code1(k), int(k))
 			live[k] = true
 		} else {
-			tr.Delete(key1(k))
+			tr.Delete(vw, code1(k))
 			delete(live, k)
 		}
-		if i%97 == 0 && !tr.checkInvariant() {
+		if i%97 == 0 && !tr.checkInvariant(vw) {
 			t.Fatalf("AVL invariant broken at step %d", i)
 		}
 	}
 	if tr.Len() != len(live) {
 		t.Errorf("AVL Len = %d, want %d", tr.Len(), len(live))
 	}
-	if !tr.checkInvariant() {
+	if !tr.checkInvariant(vw) {
 		t.Errorf("AVL invariant broken at end")
 	}
 }
 
 func TestAVLMinMax(t *testing.T) {
-	tr := NewAVL[int]()
+	tr := NewAVL[int](1)
 	if _, _, ok := tr.Min(); ok {
 		t.Errorf("Min on empty reported ok")
 	}
 	for _, v := range []int64{5, 1, 9, 3} {
-		tr.Put(key1(v), int(v))
+		tr.Put(colblock.View{}, code1(v), int(v))
 	}
-	if k, _, _ := tr.Min(); k.MustGet("k").Int() != 1 {
+	if k, _, _ := tr.Min(); k[0] != code1(1)[0] {
 		t.Errorf("Min = %v", k)
 	}
-	if k, _, _ := tr.Max(); k.MustGet("k").Int() != 9 {
+	if k, _, _ := tr.Max(); k[0] != code1(9)[0] {
 		t.Errorf("Max = %v", k)
 	}
 }
 
 func TestVectorNegativeAndGrowth(t *testing.T) {
-	v := NewVector[int]()
+	v := New[int](VectorKind)
 	v.Put(key1(10), 1)
 	v.Put(key1(-5), 2) // grow downward
 	v.Put(key1(30), 3) // grow upward
@@ -382,7 +418,7 @@ func TestVectorNegativeAndGrowth(t *testing.T) {
 }
 
 func TestVectorRejectsBadKeys(t *testing.T) {
-	v := NewVector[int]()
+	v := New[int](VectorKind)
 	for _, bad := range []relation.Tuple{strKey("x"), key2(1, 2)} {
 		func() {
 			defer func() {
@@ -396,7 +432,7 @@ func TestVectorRejectsBadKeys(t *testing.T) {
 }
 
 func TestVectorSpanLimit(t *testing.T) {
-	v := NewVector[int]()
+	v := New[int](VectorKind)
 	v.Put(key1(0), 1)
 	defer func() {
 		if recover() == nil {

@@ -2,19 +2,22 @@ package dstruct
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 // rangers returns the containers implementing the ordered Ranger
 // extension.
 func rangers() map[Kind]Map[int] {
 	return map[Kind]Map[int]{
-		AVLKind:       NewAVL[int](),
-		SortedArrKind: NewSortedArr[int](),
-		SkipListKind:  NewSkipList[int](),
-		VectorKind:    NewVector[int](),
+		AVLKind:       New[int](AVLKind),
+		SortedArrKind: New[int](SortedArrKind),
+		SkipListKind:  New[int](SkipListKind),
+		VectorKind:    New[int](VectorKind),
 	}
 }
 
@@ -125,32 +128,29 @@ func TestUnorderedKindsHaveNoRanger(t *testing.T) {
 // interval, in the same order, after whatever the slices already held.
 func TestAppendEntriesBetween(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
+	var vw colblock.View
+	bound := func(v int64) *value.Value { b := value.OfInt(v); return &b }
 	for _, kind := range AllKinds() {
-		m := New[int](kind)
+		m := NewWords[int](kind, 1)
 		for i := 0; i < 120; i++ {
 			k := int64(rnd.Intn(90))
-			m.Put(key1(k), int(k)*3)
+			m.Put(vw, code1(k), int(k)*3)
 		}
-		allK, allV := AppendEntries(m, nil, nil)
-		for _, c := range [][2]relation.Tuple{
-			{key1(10), key1(50)}, {key1(33), key1(33)}, {key1(60), key1(20)},
-			{key1(70), {}}, {{}, key1(15)}, {{}, {}}, {key1(500), key1(600)},
+		allK, allV := m.AppendEntries(nil, nil)
+		for _, c := range [][2]*value.Value{
+			{bound(10), bound(50)}, {bound(33), bound(33)}, {bound(60), bound(20)},
+			{bound(70), nil}, {nil, bound(15)}, {nil, nil}, {bound(500), bound(600)},
 		} {
 			lo, hi := c[0], c[1]
-			gotK, gotV := AppendEntriesBetween(m, lo, hi, []relation.Tuple{key1(-1)}, []int{-1})
-			wantK, wantV := []relation.Tuple{key1(-1)}, []int{-1}
+			gotK, gotV := AppendEntriesBetween(m, vw, lo, hi, code1(-1), []int{-1})
+			wantK, wantV := code1(-1), []int{-1}
 			for i, k := range allK {
-				if between(k, lo, hi) {
+				if between(vw, k, lo, hi) {
 					wantK, wantV = append(wantK, k), append(wantV, allV[i])
 				}
 			}
-			if len(gotK) != len(wantK) || len(gotV) != len(wantV) {
-				t.Fatalf("%s [%v,%v]: extracted %d entries, want %d", kind, lo, hi, len(gotK)-1, len(wantK)-1)
-			}
-			for i := range wantK {
-				if !gotK[i].Equal(wantK[i]) || gotV[i] != wantV[i] {
-					t.Fatalf("%s [%v,%v]: entry %d is %v→%d, want %v→%d", kind, lo, hi, i, gotK[i], gotV[i], wantK[i], wantV[i])
-				}
+			if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
+				t.Fatalf("%s [%v,%v]: extracted %v→%v, want %v→%v", kind, lo, hi, gotK, gotV, wantK, wantV)
 			}
 		}
 	}

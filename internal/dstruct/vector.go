@@ -2,8 +2,9 @@ package dstruct
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/relation"
+	"repro/internal/colblock"
 	"repro/internal/value"
 )
 
@@ -17,10 +18,10 @@ const vectorMaxSpan = 1 << 24
 // Vector is a dense array mapping a single integer key column to values by
 // index, the ψ = vector of the paper (used there to map the two process
 // states to lists). It auto-grows in both directions around the first key
-// inserted. Get, Put, and Delete are O(1); Range is ordered by key.
+// inserted. Get, Put, and Delete are O(1); Range is ordered by key. It
+// stores no key words at all: slot i's key is the inline code of base+i.
 type Vector[V any] struct {
-	base    int64 // key value of slot 0; meaningful once n > 0 or len(slots) > 0
-	col     string
+	base    int64 // key value of slot 0; meaningful once started
 	slots   []vectorSlot[V]
 	n       int
 	started bool
@@ -32,61 +33,66 @@ type vectorSlot[V any] struct {
 	present bool
 }
 
-// NewVector returns an empty vector.
-func NewVector[V any]() *Vector[V] { return &Vector[V]{} }
+// NewVector returns an empty vector. It panics unless arity is one.
+func NewVector[V any](arity int) *Vector[V] {
+	if arity != 1 {
+		panic(fmt.Sprintf("dstruct: vector key must be a single column, got %d", arity))
+	}
+	return &Vector[V]{}
+}
 
 // Kind returns VectorKind.
 func (v *Vector[V]) Kind() Kind { return VectorKind }
 
+// Arity returns 1.
+func (v *Vector[V]) Arity() int { return 1 }
+
 // Len returns the number of present entries.
 func (v *Vector[V]) Len() int { return v.n }
 
-func vectorIndex(k relation.Tuple) int64 {
-	if k.Len() != 1 {
-		panic(fmt.Sprintf("dstruct: vector key must be a single column, got %v", k))
+// vectorIndex is the integer an inline code holds; a dictionary reference —
+// a string, or an integer too wide for any span — has none.
+func vectorIndex(k colblock.Code) (int64, bool) {
+	return int64(k) >> 1, k&1 == 0
+}
+
+// slot returns the slot index of key k, or -1 when k is not an integer or
+// falls outside the array.
+func (v *Vector[V]) slot(k colblock.Code) int64 {
+	key, ok := vectorIndex(k)
+	if !ok || !v.started {
+		return -1
 	}
-	val := k.Bindings()[0].Val
-	if val.Kind() != value.Int {
-		panic(fmt.Sprintf("dstruct: vector key must be an integer, got %v", val))
+	if i := key - v.base; i >= 0 && i < int64(len(v.slots)) {
+		return i
 	}
-	return val.Int()
+	return -1
 }
 
 // Get returns the value for k.
-func (v *Vector[V]) Get(k relation.Tuple) (V, bool) {
-	var zero V
-	if !v.started {
-		return zero, false
-	}
-	i := vectorIndex(k) - v.base
-	if i < 0 || i >= int64(len(v.slots)) || !v.slots[i].present {
-		return zero, false
-	}
-	return v.slots[i].val, true
-}
+func (v *Vector[V]) Get(vw colblock.View, k []colblock.Code) (V, bool) { return v.Get1(vw, k[0]) }
 
-// GetByValue is the single-column-key point lookup: the array index comes
-// straight from the key value, with no key tuple and no allocation.
-func (v *Vector[V]) GetByValue(key value.Value) (V, bool) {
+// Get1 is the point lookup: the array index comes straight from the key
+// word.
+func (v *Vector[V]) Get1(_ colblock.View, k colblock.Code) (V, bool) {
+	if i := v.slot(k); i >= 0 && v.slots[i].present {
+		return v.slots[i].val, true
+	}
 	var zero V
-	if !v.started || key.Kind() != value.Int {
-		return zero, false
-	}
-	i := key.Int() - v.base
-	if i < 0 || i >= int64(len(v.slots)) || !v.slots[i].present {
-		return zero, false
-	}
-	return v.slots[i].val, true
+	return zero, false
 }
 
 // Put inserts or replaces the value for k, growing the array as needed. It
-// panics if the span of observed keys exceeds vectorMaxSpan, mirroring a
-// decomposition whose vector edge is unusable for the workload.
-func (v *Vector[V]) Put(k relation.Tuple, v2 V) {
-	key := vectorIndex(k)
+// panics if k is not an integer or the span of observed keys exceeds
+// vectorMaxSpan, mirroring a decomposition whose vector edge is unusable for
+// the workload.
+func (v *Vector[V]) Put(vw colblock.View, k []colblock.Code, v2 V) {
+	key, ok := vectorIndex(k[0])
+	if !ok {
+		panic(fmt.Sprintf("dstruct: vector key must be a small integer, got %v", vw.Decode(k[0])))
+	}
 	if !v.started {
 		v.base = key
-		v.col = k.Bindings()[0].Col
 		v.slots = make([]vectorSlot[V], 1)
 		v.started = true
 	}
@@ -124,49 +130,90 @@ func (v *Vector[V]) Put(k relation.Tuple, v2 V) {
 // shares it. The grow paths allocate fresh arrays and need no copy.
 func (v *Vector[V]) ownSlots() {
 	if v.shared {
-		v.slots = append([]vectorSlot[V](nil), v.slots...)
+		v.slots = slices.Clone(v.slots)
 		v.shared = false
 	}
 }
 
 // Delete removes k. The array never shrinks; slots are cheap.
-func (v *Vector[V]) Delete(k relation.Tuple) bool {
-	if !v.started {
-		return false
-	}
-	i := vectorIndex(k) - v.base
-	if i < 0 || i >= int64(len(v.slots)) || !v.slots[i].present {
-		return false
+func (v *Vector[V]) Delete(_ colblock.View, k []colblock.Code) (V, bool) {
+	var zero V
+	i := v.slot(k[0])
+	if i < 0 || !v.slots[i].present {
+		return zero, false
 	}
 	v.ownSlots()
-	var zero V
-	v.slots[i] = vectorSlot[V]{val: zero}
+	val := v.slots[i].val
+	v.slots[i] = vectorSlot[V]{}
 	v.n--
-	return true
+	return val, true
 }
 
 // Clone returns an independent vector sharing the slot array with the
 // receiver; whichever side writes first copies it.
 //
 //relvet:role=clone
-func (v *Vector[V]) Clone() Map[V] {
+func (v *Vector[V]) Clone() Words[V] {
 	v.shared = true
 	c := *v
 	return &c
 }
 
-// Range visits present entries in ascending key order. Vector cannot
-// reconstruct the original key column name from the index alone, so it
-// remembers keys implicitly: it re-synthesizes the key tuple from the stored
-// column of the first Put. To keep that exact, Vector stores the column name
-// at first use.
-func (v *Vector[V]) Range(f func(k relation.Tuple, v V) bool) {
-	for i := range v.slots {
+// keyOf is slot i's key word.
+func (v *Vector[V]) keyOf(i int) colblock.Code { return colblock.Code(uint64(v.base+int64(i)) << 1) }
+
+// Range visits present entries in ascending key order.
+func (v *Vector[V]) Range(f func(k []colblock.Code, v V) bool) {
+	v.RangeBetween(colblock.View{}, nil, nil, f)
+}
+
+// RangeBetween visits the slots in [lo, hi] directly by index.
+func (v *Vector[V]) RangeBetween(_ colblock.View, lo, hi *value.Value, f func(k []colblock.Code, v2 V) bool) {
+	from, to := 0, len(v.slots)-1
+	last := v.base + int64(to)
+	if lo != nil {
+		// Every string orders after every integer key.
+		if lo.Kind() != value.Int || lo.Int() > last {
+			return
+		}
+		if lo.Int() > v.base {
+			from = int(lo.Int() - v.base)
+		}
+	}
+	if hi != nil && hi.Kind() == value.Int {
+		if hi.Int() < v.base {
+			return
+		}
+		if hi.Int() < last {
+			to = int(hi.Int() - v.base)
+		}
+	}
+	var kb [1]colblock.Code
+	for i := from; i <= to; i++ {
 		if v.slots[i].present {
-			k := relation.NewTuple(relation.BindInt(v.col, v.base+int64(i)))
-			if !f(k, v.slots[i].val) {
+			kb[0] = v.keyOf(i)
+			if !f(kb[:], v.slots[i].val) {
 				return
 			}
 		}
+	}
+}
+
+// AppendEntries appends present slots in ascending key order (Range order).
+func (v *Vector[V]) AppendEntries(ks []colblock.Code, vs []V) ([]colblock.Code, []V) {
+	for i := range v.slots {
+		if v.slots[i].present {
+			ks = append(ks, v.keyOf(i))
+			vs = append(vs, v.slots[i].val)
+		}
+	}
+	return ks, vs
+}
+
+// Footprint counts the slot array as entries.
+func (v *Vector[V]) Footprint() Footprint {
+	return Footprint{
+		Entries:  AllocSize(cap(v.slots) * sizeOf[vectorSlot[V]]()),
+		Overhead: AllocSize(sizeOf[Vector[V]]()),
 	}
 }

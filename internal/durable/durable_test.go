@@ -2,6 +2,8 @@ package durable_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,8 +11,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/decomp"
+	"repro/internal/dstruct"
 	"repro/internal/durable"
 	"repro/internal/faultinject"
+	"repro/internal/fd"
 	"repro/internal/obs"
 	"repro/internal/paperex"
 	"repro/internal/relation"
@@ -508,5 +513,84 @@ func TestCheckpointLargeTable(t *testing.T) {
 	got, err := d.Query(ts[len(ts)-1].Project(relation.NewCols("local", "foreign")), []string{"packets", "bytes"})
 	if err != nil || len(got) != 1 || !got[0].Equal(ts[len(ts)-1].Project(relation.NewCols("bytes", "packets"))) {
 		t.Fatalf("last flow after recovery = %v, %v", got, err)
+	}
+}
+
+// TestReopenDirectoryWrittenBeforeWordStorage reopens a directory the commit
+// before the word representation wrote (testdata/written-by-f0c2296: 40
+// inserts, a checkpoint, 20 more inserts, 10 retags and 5 removes, over a
+// relation with string columns and integers too wide for an inline code).
+// The WAL, snapshot and manifest formats carry boxed values and did not
+// change, so the recovered state is the history's, and the reopened engine
+// keeps logging into the same directory.
+func TestReopenDirectoryWrittenBeforeWordStorage(t *testing.T) {
+	spec := &core.Spec{
+		Name: "tagged",
+		Columns: []core.ColDef{
+			{Name: "grp", Type: core.IntCol},
+			{Name: "name", Type: core.StringCol},
+			{Name: "tag", Type: core.StringCol},
+			{Name: "n", Type: core.IntCol},
+		},
+		FDs: fd.NewSet(fd.FD{From: relation.NewCols("name"), To: relation.NewCols("grp", "tag", "n")}),
+	}
+	dcmp := decomp.MustNew([]decomp.Binding{
+		decomp.Let("leaf", []string{"grp", "name"}, []string{"tag", "n"}, decomp.U("tag", "n")),
+		decomp.Let("b", []string{"grp"}, []string{"name", "tag", "n"}, decomp.M(dstruct.AVLKind, "leaf", "name")),
+		decomp.Let("root", nil, []string{"grp", "name", "tag", "n"}, decomp.M(dstruct.HTableKind, "b", "grp")),
+	}, "root")
+	dir := t.TempDir()
+	files, err := os.ReadDir("testdata/written-by-f0c2296")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join("testdata/written-by-f0c2296", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	name := func(i int) relation.Tuple {
+		return relation.NewTuple(relation.BindString("name", fmt.Sprintf("name-%03d", i)))
+	}
+	want := relation.Empty(spec.Cols())
+	for i := 0; i < 60; i++ {
+		grp := int64(i % 5)
+		if i%7 == 0 {
+			grp = 1<<62 + int64(i)
+		}
+		_ = want.Insert(name(i).Merge(relation.NewTuple(relation.BindInt("grp", grp),
+			relation.BindString("tag", fmt.Sprintf("tag-%d", i%4)), relation.BindInt("n", int64(i)))))
+	}
+	for i := 0; i < 60; i += 6 {
+		want.Update(name(i), relation.NewTuple(relation.BindString("tag", "retagged")))
+	}
+	for i := 5; i < 60; i += 11 {
+		want.Remove(name(i))
+	}
+	for round := 0; round < 2; round++ {
+		d, err := durable.Open(dir, spec, dcmp, durable.Options{Policy: wal.SyncAlways})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := state(t, d); !eqStates(got, want.All()) {
+			t.Fatalf("round %d: recovered %d tuples, the history holds %d:\n got %v\nwant %v", round, len(got), want.Len(), got, want.All())
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		// Keep writing: the next round recovers the old log plus this.
+		extra := name(100 + round).Merge(relation.NewTuple(relation.BindInt("grp", math.MinInt64),
+			relation.BindString("tag", "appended"), relation.BindInt("n", int64(round))))
+		if err := d.Insert(extra); err != nil {
+			t.Fatal(err)
+		}
+		_ = want.Insert(extra)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -20,7 +20,7 @@ func (in *Instance) alphaNode(n *Node, memo map[*Node]*relation.Relation) *relat
 	if r, ok := memo[n]; ok {
 		return r
 	}
-	r := in.alphaPrim(in.dcmp.Var(n.Var).Def, n, memo)
+	r := in.alphaPrim(in.dcmp.Var(in.VarOf(n)).Def, n, memo)
 	memo[n] = r
 	return r
 }

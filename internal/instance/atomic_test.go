@@ -8,6 +8,7 @@ package instance
 import (
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/decomp"
 	"repro/internal/dstruct"
 	"repro/internal/faultinject"
@@ -17,7 +18,7 @@ import (
 )
 
 // TestPlanRejectsConflictBeforeWriting is the torn-insert regression test.
-// The decomposition gives w two unit slots (c at slot 0, d at slot 1) behind
+// The decomposition gives w two units (c at word 0, d at word 1) behind
 // one shared node, so a conflicting insert used to write the first unit
 // before detecting the conflict on the second, leaving a torn node. The
 // planning pass must now reject the insert without touching either slot.
@@ -36,17 +37,17 @@ func TestPlanRejectsConflictBeforeWriting(t *testing.T) {
 	if ok, err := in.Insert(tup(1, 2, 3)); err != nil || !ok {
 		t.Fatalf("seed insert: ok=%v err=%v", ok, err)
 	}
-	w := mustChild(t, in.root, 0, relation.NewTuple(relation.BindInt("a", 1)))
+	w := mustChild(t, in, in.root, 0, 1)
 
 	// Manufacture the state the old code could be caught in: the c unit
 	// empty, the d unit populated. A conflicting insert must leave the c
 	// slot empty instead of filling it on the way to the d conflict.
-	w.slots[0].unit = relation.NewTuple()
+	w.words[0] = colblock.Unset
 	if ok, err := in.Insert(tup(1, 2, 9)); err == nil {
 		t.Fatalf("conflicting insert accepted (ok=%v)", ok)
 	}
-	if w.slots[0].unit.Len() != 0 {
-		t.Fatalf("planning wrote unit c = %v before detecting the d conflict", w.slots[0].unit)
+	if w.words[0] != colblock.Unset {
+		t.Fatalf("planning wrote unit c = %x before detecting the d conflict", w.words[0])
 	}
 }
 

@@ -3,6 +3,7 @@ package instance
 import (
 	"fmt"
 
+	"repro/internal/colblock"
 	"repro/internal/obs"
 	"repro/internal/relation"
 )
@@ -25,24 +26,29 @@ func (in *Instance) Insert(t relation.Tuple) (bool, error) {
 	if !t.Dom().Equal(in.dcmp.Cols()) {
 		return false, fmt.Errorf("instance: insert of %v into relation over %v", t, in.dcmp.Cols())
 	}
-	if in.Contains(t) {
-		return false, nil
+	if in.find(t) {
+		if in.contains() {
+			return false, nil
+		}
+	} else {
+		in.encode(t)
 	}
 	if err := in.planInsert(t); err != nil {
 		return false, err
 	}
-	if err := in.applyInsert(t); err != nil {
+	if err := in.applyInsert(); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// planInsert is the read-only planning pass: find or create the node for
-// each variable, root first, locating existing nodes through any incoming
-// map edge from an already-located parent (§4.4's example does exactly this
-// for the shared node w), and record every unit and edge write the apply
-// pass must perform. Nodes allocated here are garbage if the plan is
-// rejected — they are not linked into the instance.
+// planInsert is the read-only planning pass over the tuple scr.codes holds
+// (t itself is only for error messages): find or create the node for each
+// variable, root first, locating existing nodes through any incoming map
+// edge from an already-located parent (§4.4's example does exactly this for
+// the shared node w), and record every unit and edge write the apply pass
+// must perform. Nodes allocated here are garbage if the plan is rejected —
+// they are not linked into the instance.
 func (in *Instance) planInsert(t relation.Tuple) (err error) {
 	if in.met != nil {
 		in.met.MutValidates.Add(1)
@@ -59,26 +65,18 @@ func (in *Instance) planInsert(t relation.Tuple) (err error) {
 		if i == 0 {
 			n = in.root
 		} else {
-			for _, ue := range w.in {
+			for j := range w.in {
+				ue := &w.in[j]
 				if scr.fresh[ue.parent] {
 					continue // a node allocated by this plan has empty maps
 				}
-				pn := scr.nodes[ue.parent]
-				var child *Node
-				var ok bool
-				if ue.col != "" {
-					v, _ := t.Get(ue.col)
-					child, ok = pn.slots[ue.slot].m.GetByValue(v)
-				} else {
-					child, ok = pn.slots[ue.slot].m.Get(t.Project(ue.e.Key))
-				}
-				if ok {
+				if child, ok := in.lookup(scr.nodes[ue.parent], ue.slot, ue.keyPos); ok {
 					n = child
 					break
 				}
 			}
 			if n == nil {
-				n = in.newNode(in.updWalk[i].name)
+				n = in.newNode(i)
 				fresh = true
 			}
 		}
@@ -86,47 +84,48 @@ func (in *Instance) planInsert(t relation.Tuple) (err error) {
 		scr.fresh[i] = fresh
 		// Plan unit writes; an existing node whose unit disagrees with t
 		// means the insert would violate the functional dependencies.
-		for _, uu := range w.units {
-			want := t.Project(uu.u.Cols)
-			if fresh {
-				scr.units = append(scr.units, unitWrite{wi: i, slot: uu.slot, val: want})
+		for j := range w.units {
+			uu := &w.units[j]
+			if !fresh && n.words[uu.off] != colblock.Unset {
+				for k, p := range uu.pos {
+					if n.words[uu.off+k] != scr.codes[p] {
+						return fmt.Errorf("instance: insert of %v violates the functional dependencies: node %s already holds %v", t, w.name, n.UnitAt(in, uu.u))
+					}
+				}
 				continue
 			}
-			got := n.slots[uu.slot].unit
-			switch {
-			case got.Len() == 0:
-				scr.units = append(scr.units, unitWrite{wi: i, slot: uu.slot, val: want, logUndo: true})
-			case !got.Equal(want):
-				return fmt.Errorf("instance: insert of %v violates the functional dependencies: node %s already holds %v", t, in.updWalk[i].name, got)
+			uw := unitWrite{wi: i, off: uu.off, src: len(scr.wbuf), n: len(uu.pos), logUndo: !fresh}
+			for _, p := range uu.pos {
+				scr.wbuf = append(scr.wbuf, scr.codes[p])
 			}
+			scr.units = append(scr.units, uw)
 		}
 	}
 	// Plan the map-edge links, bumping the child's reference count for each
 	// new entry; an existing entry pointing at a different node is an FD
 	// violation, caught here before anything is written.
-	for _, le := range in.linkEdges {
-		parent, child := scr.nodes[le.parent], scr.nodes[le.target]
-		k := t.Project(le.e.Key)
+	for i := range in.linkEdges {
+		le := &in.linkEdges[i]
 		if !scr.fresh[le.parent] {
-			if existing, ok := parent.slots[le.slot].m.Get(k); ok {
-				if existing != child {
-					return fmt.Errorf("instance: insert of %v violates the functional dependencies: edge %s→%s key %v points elsewhere", t, le.e.Parent, le.e.Target, k)
+			if existing, ok := in.lookup(scr.nodes[le.parent], le.slot, le.keyPos); ok {
+				if existing != scr.nodes[le.target] {
+					return fmt.Errorf("instance: insert of %v violates the functional dependencies: edge %s→%s key %v points elsewhere", t, le.e.Parent, le.e.Target, t.Project(le.e.Key))
 				}
 				continue
 			}
 		}
-		scr.links = append(scr.links, linkWrite{pi: le.parent, slot: le.slot, key: k, ci: le.target})
+		scr.links = append(scr.links, linkWrite{pi: le.parent, slot: le.slot, ci: le.target, key: le.keyPos})
 	}
 	return nil
 }
 
-// applyInsert executes the planned writes for t. Unit writes into
-// pre-existing nodes are logged for undo; writes into nodes this plan
-// allocated are not (an unlinked node is garbage either way). Each link is
-// logged so rollback unlinks it and drops the reference it added. On a cow
-// fork the undo log is skipped entirely — the spine is cloned up front and
-// a failed apply abandons the whole fork instead of rolling back.
-func (in *Instance) applyInsert(t relation.Tuple) (err error) {
+// applyInsert executes the planned writes. Unit writes into pre-existing
+// nodes are logged for undo; writes into nodes this plan allocated are not
+// (an unlinked node is garbage either way). Each link is logged so rollback
+// unlinks it and drops the reference it added. On a cow fork the undo log is
+// skipped entirely — the spine is cloned up front and a failed apply
+// abandons the whole fork instead of rolling back.
+func (in *Instance) applyInsert() (err error) {
 	if in.met != nil {
 		in.met.MutApplies.Add(1)
 	}
@@ -139,22 +138,12 @@ func (in *Instance) applyInsert(t relation.Tuple) (err error) {
 	in.undo.reset()
 	defer in.containApply()
 	if in.cow {
-		if ferr := in.cowSpine(t); ferr != nil {
+		if ferr := in.cowSpine(); ferr != nil {
 			return ferr
 		}
 	}
-	for i := range in.scr.units {
-		uw := &in.scr.units[i]
-		n := in.scr.nodes[uw.wi]
-		if in.fi != nil {
-			if ferr := in.fi.Point("instance.insert.unit", true); ferr != nil {
-				return in.abort(ferr)
-			}
-		}
-		if uw.logUndo && !in.cow {
-			in.undo.pushUnit(n, uw.slot, n.slots[uw.slot].unit)
-		}
-		n.slots[uw.slot].unit = uw.val
+	if ferr := in.writeUnits("instance.insert.unit"); ferr != nil {
+		return ferr
 	}
 	for i := range in.scr.links {
 		lw := &in.scr.links[i]
@@ -164,10 +153,11 @@ func (in *Instance) applyInsert(t relation.Tuple) (err error) {
 				return in.abort(ferr)
 			}
 		}
-		parent.slots[lw.slot].m.Put(lw.key, child)
+		key := in.scr.keyAt(lw.key)
+		parent.maps[lw.slot].Put(in.view, key, child)
 		child.refs++
 		if !in.cow {
-			in.undo.pushUnlink(parent, lw.slot, lw.key, child)
+			in.undo.pushUnlink(parent, lw.slot, key, child)
 		}
 	}
 	if in.fi != nil {
@@ -177,5 +167,26 @@ func (in *Instance) applyInsert(t relation.Tuple) (err error) {
 	}
 	in.count++
 	in.undo.reset()
+	return nil
+}
+
+// writeUnits executes the planned unit writes, each behind the injection
+// point site, saving the words it overwrites in the undo log where the plan
+// asks for it (never on a cow fork, whose nodes are private clones).
+func (in *Instance) writeUnits(site string) error {
+	for i := range in.scr.units {
+		uw := &in.scr.units[i]
+		n := in.scr.nodes[uw.wi]
+		if in.fi != nil {
+			if ferr := in.fi.Point(site, true); ferr != nil {
+				return in.abort(ferr)
+			}
+		}
+		dst := n.words[uw.off : uw.off+uw.n]
+		if uw.logUndo && !in.cow {
+			in.undo.pushUnit(n, uw.off, dst)
+		}
+		copy(dst, in.scr.wbuf[uw.src:uw.src+uw.n])
+	}
 	return nil
 }

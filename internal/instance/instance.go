@@ -14,23 +14,28 @@ package instance
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/colblock"
 	"repro/internal/decomp"
 	"repro/internal/dstruct"
 	"repro/internal/faultinject"
 	"repro/internal/fd"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 // A Node is one object of a decomposition instance: the instance v_t of a
-// decomposition variable v for one valuation t of v's bound columns. Its
-// slots hold the data of the variable's definition: one tuple per unit
-// primitive and one data structure per map primitive.
+// decomposition variable v for one valuation t of v's bound columns. It holds
+// the data of the variable's definition as code words of the instance's
+// dictionary lineage: the columns of its unit primitives back to back in
+// words, at offsets the variable's layout fixes, and one container per map
+// primitive in maps. The variable is named by its index in the instance's
+// root-first order, so a node carries no strings and no boxed values.
 type Node struct {
-	Var   string
-	slots []slot
-	refs  int // number of parent map entries pointing at this node
+	vi   int32
+	refs int32 // number of parent map entries pointing at this node
 
 	// epoch is the instance version that allocated or cloned this node.
 	// Copy-on-write applies (see cowSpine) skip nodes whose epoch matches
@@ -38,17 +43,18 @@ type Node struct {
 	// may be mutated in place, so a multi-tuple operation clones each spine
 	// node at most once. Always 0 outside versioned instances.
 	epoch uint64
+
+	words []colblock.Code
+	maps  []dstruct.Words[*Node]
 }
 
-type slot struct {
-	unit relation.Tuple
-	m    dstruct.Map[*Node]
-}
-
-// layout maps the primitives of one variable's definition to slot indices.
+// layout is where one variable's primitives live in its nodes, in preorder
+// of the definition: the units' columns back to back in the nWords unit
+// words (unitSlots has each unit's offset) and edge i's container at maps[i].
 type layout struct {
-	prims []decomp.Primitive       // units and map edges, preorder
-	index map[decomp.Primitive]int // primitive → slot
+	name   string
+	nWords int
+	edges  []*decomp.MapEdge
 }
 
 // An Instance is a decomposition instance of a particular decomposition.
@@ -56,9 +62,21 @@ type Instance struct {
 	dcmp    *decomp.Decomp
 	fds     fd.Set
 	root    *Node
-	layouts map[string]*layout
+	layouts []layout        // by walk index (root first)
 	fullCut map[string]bool // the cut (X, Y) for the full column set; Y = true
 	count   int
+
+	// dict interns the values that do not fit a code word inline — one table
+	// for the whole lineage of versions forked from this instance — and view
+	// is this version's window onto it: everything interned up to the
+	// version's last mutation. Readers of a published version decode through
+	// view only; the writer refreshes it after interning (encode).
+	dict *colblock.Dict
+	view colblock.View
+
+	// cols is the relation's columns in order: the positions a mutation's
+	// encoded tuple (mutScratch.codes) is indexed by.
+	cols []string
 
 	// inPlaceBlocked is the union of all map-edge key columns and all
 	// variables' bound columns: an update may run in place iff it touches
@@ -66,17 +84,21 @@ type Instance struct {
 	// on the hot update path instead of a walk over the decomposition.
 	inPlaceBlocked relation.Cols
 
-	// edgeSlots and unitSlots flatten the per-variable layouts into one
-	// primitive → slot index map each (a primitive belongs to exactly one
-	// variable), so MapAt and UnitAt are a single map lookup.
+	// edgeSlots maps a map edge to its container's index in its variable's
+	// nodes and unitSlots a unit to its word offset (a primitive belongs to
+	// exactly one variable), so MapAt and UnitAt are a single map lookup.
 	edgeSlots map[*decomp.MapEdge]int
 	unitSlots map[*decomp.Unit]int
 
-	// updWalk is the precomputed node-location walk of UpdateInPlace: the
-	// bindings in root-first order with their in-edges (resolved to parent
-	// walk positions and slot indices) and unit slots, so the per-operation
-	// walk allocates nothing and recomputes nothing.
+	// updWalk is the precomputed node-location walk of the two-phase
+	// mutations: the bindings in root-first order with their in-edges
+	// (resolved to parent walk positions, container indices and the
+	// positions of their key columns in cols) and units, so the
+	// per-operation walk allocates nothing and recomputes nothing.
 	updWalk []updVar
+
+	// match is the containment walk (Contains) compiled against the layout.
+	match *matchOp
 
 	// edgeKeyCols is the union of all map-edge key columns: a tuple binding
 	// all of them can drive the UpdateInPlace walk on its own, without being
@@ -92,9 +114,10 @@ type Instance struct {
 	rmBreaks  []linkEdge
 	rmXvars   []int
 
-	// scr and undo are reusable per-mutation buffers: scr holds the writes
-	// the planning pass computed, undo the compensations of the apply pass.
-	// Mutations are serialized by the engine tiers, so one of each suffices.
+	// scr and undo are reusable per-mutation buffers: scr holds the encoded
+	// tuple and the writes the planning pass computed, undo the
+	// compensations of the apply pass. Mutations are serialized by the engine
+	// tiers, so one of each suffices.
 	scr  mutScratch
 	undo undoLog
 
@@ -128,11 +151,13 @@ type Instance struct {
 }
 
 // linkEdge is one map edge resolved against the walk: the walk indices of
-// its parent and target variables and the map's slot in the parent node.
+// its parent and target variables, the container's index in the parent node
+// and where the key's columns sit in an encoded tuple.
 type linkEdge struct {
 	parent int
 	target int
 	slot   int
+	keyPos []int
 	e      *decomp.MapEdge
 }
 
@@ -142,27 +167,33 @@ type linkEdge struct {
 // between planning and writing, and index-based plans follow the
 // replacement for free.
 type unitWrite struct {
-	wi      int // walk index of the node written
-	slot    int
-	val     relation.Tuple
-	logUndo bool // existing node: log the previous unit for rollback
+	wi      int  // walk index of the node written
+	off, n  int  // the words written: n of them from off on
+	src     int  // the new words are scr.wbuf[src : src+n]
+	logUndo bool // existing node: log the previous words for rollback
 }
 
 type linkWrite struct {
 	pi   int // walk index of the parent node holding the map
 	slot int
-	key  relation.Tuple
-	ci   int // walk index of the child the entry points at
+	ci   int   // walk index of the child the entry points at
+	key  []int // positions of the key's columns in scr.codes
 }
 
-// mutScratch is the reusable planning buffer: nodes and fresh are indexed by
-// walk position (nodes[i] is the located or allocated node of variable i,
+// mutScratch is the reusable planning buffer. codes is the caller's tuple
+// encoded once, by column position; every key and unit of the mutation is
+// taken from it by precomputed position. nodes and fresh are indexed by walk
+// position (nodes[i] is the located or allocated node of variable i,
 // fresh[i] whether this plan allocated it), units and links the writes in
-// apply order.
+// apply order, wbuf the words the unit writes carry, and key the scratch a
+// lookup's key words are gathered into.
 type mutScratch struct {
+	codes []colblock.Code
+	key   []colblock.Code
 	nodes []*Node
 	fresh []bool
 	units []unitWrite
+	wbuf  []colblock.Code
 	links []linkWrite
 }
 
@@ -178,32 +209,47 @@ func (s *mutScratch) reset(n int) {
 		s.fresh[i] = false
 	}
 	s.units = s.units[:0]
+	s.wbuf = s.wbuf[:0]
 	s.links = s.links[:0]
 }
 
+// lookup finds the child of n, in container slot, under the key the encoded
+// tuple holds at the column positions pos.
+func (in *Instance) lookup(n *Node, slot int, pos []int) (*Node, bool) {
+	if len(pos) == 1 {
+		return n.maps[slot].Get1(in.view, in.scr.codes[pos[0]])
+	}
+	return n.maps[slot].Get(in.view, in.scr.keyAt(pos))
+}
+
+// keyAt gathers the codes at the column positions pos into the key scratch.
+func (s *mutScratch) keyAt(pos []int) []colblock.Code {
+	k := s.key[:0]
+	for _, p := range pos {
+		k = append(k, s.codes[p])
+	}
+	return k
+}
+
 // New implements dempty: it creates an instance representing the empty
-// relation. The decomposition should already have been checked adequate for
-// the caller's columns and FDs; New only needs the FDs (for cuts).
+// relation, with a dictionary of its own. The decomposition should already
+// have been checked adequate for the caller's columns and FDs; New only
+// needs the FDs (for cuts).
 func New(d *decomp.Decomp, fds fd.Set) *Instance {
 	inst := &Instance{
 		dcmp:         d,
 		fds:          fds,
-		layouts:      make(map[string]*layout, len(d.Bindings())),
 		fullCut:      d.Cut(fds, d.Cols()),
+		dict:         colblock.NewDict(),
+		cols:         d.Cols().Names(),
+		edgeSlots:    make(map[*decomp.MapEdge]int),
+		unitSlots:    make(map[*decomp.Unit]int),
 		fi:           faultinject.Active(),
 		CleanupEmpty: true,
 	}
-	for _, b := range d.Bindings() {
-		l := &layout{index: make(map[decomp.Primitive]int)}
-		decomp.WalkPrims(b.Def, func(p decomp.Primitive) {
-			switch p.(type) {
-			case *decomp.Unit, *decomp.MapEdge:
-				l.index[p] = len(l.prims)
-				l.prims = append(l.prims, p)
-			}
-		})
-		inst.layouts[b.Var] = l
-	}
+	inst.view = inst.dict.View()
+	inst.scr.codes = make([]colblock.Code, len(inst.cols))
+	inst.scr.key = make([]colblock.Code, 0, len(inst.cols))
 	for _, e := range d.Edges() {
 		inst.edgeKeyCols = inst.edgeKeyCols.Union(e.Key)
 	}
@@ -211,21 +257,9 @@ func New(d *decomp.Decomp, fds fd.Set) *Instance {
 	for _, b := range d.Bindings() {
 		inst.inPlaceBlocked = inst.inPlaceBlocked.Union(b.Bound)
 	}
-	inst.edgeSlots = make(map[*decomp.MapEdge]int)
-	inst.unitSlots = make(map[*decomp.Unit]int)
-	for v, l := range inst.layouts {
-		_ = v
-		for p, i := range l.index {
-			switch p := p.(type) {
-			case *decomp.MapEdge:
-				inst.edgeSlots[p] = i
-			case *decomp.Unit:
-				inst.unitSlots[p] = i
-			}
-		}
-	}
-	inst.buildUpdWalk()
-	inst.root = inst.newNode(d.Root())
+	inst.buildWalk()
+	inst.match = inst.compileMatch(d.RootBinding().Def, map[string]*matchOp{})
+	inst.root = inst.newNode(0)
 	return inst
 }
 
@@ -234,47 +268,70 @@ func New(d *decomp.Decomp, fds fd.Set) *Instance {
 type updVar struct {
 	name  string    // the variable, for error messages
 	in    []updEdge // in-edges to try when locating this variable's node
-	units []updUnit // unit slots of this variable
+	units []updUnit // units of this variable
 }
 
 type updEdge struct {
 	parent int // walk index of the edge's parent variable
-	slot   int // the map's slot in the parent node
+	slot   int // the container's index in the parent node
 	e      *decomp.MapEdge
-	col    string // sole key column when the key is single-column, else ""
+	keyPos []int // positions of the key's columns in an encoded tuple
 }
 
 type updUnit struct {
-	slot int
-	u    *decomp.Unit
+	off int   // the unit's first word in the node
+	pos []int // positions of the unit's columns in an encoded tuple
+	u   *decomp.Unit
 }
 
-func (in *Instance) buildUpdWalk() {
+// positions resolves column names to their positions in in.cols.
+func (in *Instance) positions(c relation.Cols) []int {
+	pos := make([]int, 0, c.Len())
+	for _, name := range c.Names() {
+		i, _ := slices.BinarySearch(in.cols, name)
+		pos = append(pos, i)
+	}
+	return pos
+}
+
+// buildWalk lays out every variable's nodes and precomputes the mutation
+// walk. Layout is a pure function of the decomposition (primitives in
+// preorder, variables root first), so an index resolved against one instance
+// is valid for every instance of the same decomposition.
+func (in *Instance) buildWalk() {
 	topo := in.dcmp.TopoDown()
 	idx := make(map[string]int, len(topo))
-	for i, b := range topo {
-		idx[b.Var] = i
-	}
+	in.layouts = make([]layout, len(topo))
 	in.updWalk = make([]updVar, len(topo))
 	for i, b := range topo {
-		w := &in.updWalk[i]
-		w.name = b.Var
-		for _, e := range in.dcmp.InEdges(b.Var) {
-			ue := updEdge{parent: idx[e.Parent], slot: in.edgeSlots[e], e: e}
-			if e.Key.Len() == 1 {
-				ue.col = e.Key.Names()[0]
+		idx[b.Var] = i
+		l, w := &in.layouts[i], &in.updWalk[i]
+		l.name, w.name = b.Var, b.Var
+		decomp.WalkPrims(b.Def, func(p decomp.Primitive) {
+			switch p := p.(type) {
+			case *decomp.Unit:
+				in.unitSlots[p] = l.nWords
+				if !p.Cols.IsEmpty() { // an empty unit has no word to write or compare
+					w.units = append(w.units, updUnit{off: l.nWords, pos: in.positions(p.Cols), u: p})
+				}
+				l.nWords += p.Cols.Len()
+			case *decomp.MapEdge:
+				in.edgeSlots[p] = len(l.edges)
+				l.edges = append(l.edges, p)
 			}
-			w.in = append(w.in, ue)
-		}
-		for _, u := range in.dcmp.UnitsOf(b.Var) {
-			w.units = append(w.units, updUnit{slot: in.unitSlots[u], u: u})
+		})
+	}
+	for i, b := range topo {
+		w := &in.updWalk[i]
+		for _, e := range in.dcmp.InEdges(b.Var) {
+			w.in = append(w.in, updEdge{parent: idx[e.Parent], slot: in.edgeSlots[e], e: e, keyPos: in.positions(e.Key)})
 		}
 		if !in.fullCut[b.Var] {
 			in.rmXvars = append(in.rmXvars, i)
 		}
 	}
 	for _, e := range in.dcmp.Edges() {
-		le := linkEdge{parent: idx[e.Parent], target: idx[e.Target], slot: in.edgeSlots[e], e: e}
+		le := linkEdge{parent: idx[e.Parent], target: idx[e.Target], slot: in.edgeSlots[e], keyPos: in.positions(e.Key), e: e}
 		in.linkEdges = append(in.linkEdges, le)
 		if !in.fullCut[e.Parent] && in.fullCut[e.Target] {
 			in.rmBreaks = append(in.rmBreaks, le)
@@ -310,95 +367,195 @@ func (in *Instance) Root() *Node { return in.root }
 // Len returns the number of tuples represented.
 func (in *Instance) Len() int { return in.count }
 
-func (in *Instance) newNode(v string) *Node {
-	l := in.layouts[v]
-	n := &Node{Var: v, slots: make([]slot, len(l.prims)), epoch: in.ver}
-	for i, p := range l.prims {
-		if e, ok := p.(*decomp.MapEdge); ok {
-			n.slots[i].m = dstruct.New[*Node](e.DS)
+// newNode allocates a node of the walk's vi-th variable: every unit word
+// Unset, every container empty.
+func (in *Instance) newNode(vi int) *Node {
+	l := &in.layouts[vi]
+	n := &Node{vi: int32(vi), epoch: in.ver}
+	if l.nWords > 0 {
+		n.words = make([]colblock.Code, l.nWords)
+		for i := range n.words {
+			n.words[i] = colblock.Unset
+		}
+	}
+	if len(l.edges) > 0 {
+		n.maps = make([]dstruct.Words[*Node], len(l.edges))
+		for i, e := range l.edges {
+			n.maps[i] = dstruct.NewWords[*Node](e.DS, e.Key.Len())
 		}
 	}
 	return n
 }
 
-// MapAt returns the data structure of node n for map edge e. It panics if e
-// is not a primitive of n's variable; plans are validated before execution.
+// View returns this version's view of the lineage's dictionary: what the
+// codes of the instance's nodes and containers decode through.
+func (in *Instance) View() colblock.View { return in.view }
+
+// VarOf returns the decomposition variable n is an instance of.
+func (in *Instance) VarOf(n *Node) string { return in.layouts[n.vi].name }
+
+// Words returns the node's unit columns as stored: the unit SlotOfUnit
+// resolved to offset off holds its columns, in column order, from words[off]
+// on, each colblock.Unset until a mutation has filled the unit. The caller
+// must not modify them.
+func (n *Node) Words() []colblock.Code { return n.words }
+
+// Map returns the container at an index resolved by SlotOfEdge.
+func (n *Node) Map(i int) dstruct.Words[*Node] { return n.maps[i] }
+
+// MapAt returns the data structure of node n for map edge e as a map from
+// key tuples, boxing per call; the storage paths use Map. It panics if e is
+// not a primitive of n's variable; plans are validated before execution.
 func (n *Node) MapAt(in *Instance, e *decomp.MapEdge) dstruct.Map[*Node] {
-	return n.slots[in.edgeSlots[e]].m
+	return dstruct.Boxed(n.maps[in.edgeSlots[e]], e.Key.Names(), in.dict, &in.view)
 }
 
-// UnitAt returns the tuple of node n for unit primitive u.
+// UnitAt returns the tuple of node n for unit primitive u, boxed from the
+// node's words: the unit's full tuple, or the columns written so far — none,
+// for a root unit before the first insert.
 func (n *Node) UnitAt(in *Instance, u *decomp.Unit) relation.Tuple {
-	return n.slots[in.unitSlots[u]].unit
+	return in.boxUnit(n.words[in.unitSlots[u]:], u)
 }
 
-// SlotOfEdge resolves map edge e to its slot index, for compiled query
-// programs that capture the index once instead of re-resolving the edge on
-// every row. Slot layout is a pure function of the decomposition (New walks
-// primitives in the same preorder for every instance), so an index resolved
-// against one instance is valid for every instance of the same decomposition
-// — which is what lets shards share one compiled program.
+// boxUnit boxes the leading words of w as a tuple over u's columns, skipping
+// Unset ones.
+func (in *Instance) boxUnit(w []colblock.Code, u *decomp.Unit) relation.Tuple {
+	names := u.Cols.Names()
+	vals := make([]value.Value, 0, len(names))
+	for i := range names {
+		if w[i] != colblock.Unset {
+			vals = append(vals, in.view.Decode(w[i]))
+		}
+	}
+	switch len(vals) {
+	case len(names):
+		return relation.SortedTuple(names, vals)
+	case 0:
+		return relation.Tuple{}
+	}
+	set := make([]string, 0, len(vals))
+	for i, name := range names {
+		if w[i] != colblock.Unset {
+			set = append(set, name)
+		}
+	}
+	return relation.SortedTuple(set, vals)
+}
+
+// SlotOfEdge resolves map edge e to the index of its container in its
+// variable's nodes (Node.Map), for query programs that capture the index
+// once instead of re-resolving the edge on every row. Layout is a pure
+// function of the decomposition, so an index resolved against one instance
+// is valid for every instance of the same decomposition — which is what lets
+// shards share one compiled program.
 func (in *Instance) SlotOfEdge(e *decomp.MapEdge) (int, bool) {
 	i, ok := in.edgeSlots[e]
 	return i, ok
 }
 
-// SlotOfUnit resolves unit primitive u to its slot index; see SlotOfEdge for
-// the cross-instance validity guarantee.
+// SlotOfUnit resolves unit primitive u to the offset of its first column in
+// its variable's nodes (Node.Words); see SlotOfEdge for the cross-instance
+// validity guarantee.
 func (in *Instance) SlotOfUnit(u *decomp.Unit) (int, bool) {
 	i, ok := in.unitSlots[u]
 	return i, ok
 }
 
-// MapAtSlot returns the data structure at a slot index resolved by
-// SlotOfEdge — MapAt without the per-call edge→slot map lookup.
-func (n *Node) MapAtSlot(i int) dstruct.Map[*Node] { return n.slots[i].m }
-
-// UnitAtSlot returns the unit tuple at a slot index resolved by SlotOfUnit.
-func (n *Node) UnitAtSlot(i int) relation.Tuple { return n.slots[i].unit }
-
 // Refs returns the node's reference count (incoming edge instances); the
 // root is held alive by the instance itself.
-func (n *Node) Refs() int { return n.refs }
+func (n *Node) Refs() int { return int(n.refs) }
+
+// find encodes the full tuple t into scr.codes without interning and
+// reports whether every value has a code. A value with none was never
+// stored, so no tuple holding it is represented.
+func (in *Instance) find(t relation.Tuple) bool {
+	for i := range in.scr.codes {
+		c, ok := in.view.Find(t.ValueAt(i))
+		if !ok {
+			return false
+		}
+		in.scr.codes[i] = c
+	}
+	return true
+}
+
+// encode encodes the full tuple t into scr.codes, interning the values that
+// need it, and moves the instance's view past them.
+func (in *Instance) encode(t relation.Tuple) {
+	for i := range in.scr.codes {
+		in.scr.codes[i] = in.code(t.ValueAt(i))
+	}
+}
+
+// code returns v's code, interning it when it has none.
+func (in *Instance) code(v value.Value) colblock.Code {
+	c, ok := colblock.EncodeInline(v)
+	if !ok {
+		c = in.dict.Encode(v)
+		in.view = in.dict.View()
+	}
+	return c
+}
 
 // Contains reports whether the full tuple t is represented. It navigates
 // the decomposition's own data structures: every map on the way is keyed by
-// columns of t, so the walk is pure lookups.
+// columns of t, so the walk is pure lookups. It encodes t into the mutation
+// scratch, so like the mutations it belongs to the instance's one writer.
 func (in *Instance) Contains(t relation.Tuple) bool {
-	return in.matchesPrim(in.dcmp.RootBinding().Def, in.root, t)
+	return t.Dom().Equal(in.dcmp.Cols()) && in.find(t) && in.contains()
 }
 
-// matchesPrim reports whether the sub-instance rooted at (p, n) represents a
-// tuple consistent with the (possibly partial) tuple s, checking only what s
-// constrains.
-func (in *Instance) matchesPrim(p decomp.Primitive, n *Node, s relation.Tuple) bool {
+// matchOp is one primitive of the containment walk, compiled once per
+// instance: a unit compares its words against the encoded tuple at pos, an
+// edge looks the key at pos up in container slot and continues at the
+// target's definition (sub), a join checks both sides.
+type matchOp struct {
+	slot     int // word offset (unit) or container index (edge)
+	pos      []int
+	sub      *matchOp // edge: the target variable's definition
+	lhs, rhs *matchOp // join
+}
+
+// compileMatch compiles the definition p; defs memoizes shared variables.
+func (in *Instance) compileMatch(p decomp.Primitive, defs map[string]*matchOp) *matchOp {
 	switch p := p.(type) {
 	case *decomp.Unit:
-		return n.UnitAt(in, p).Matches(s)
+		return &matchOp{slot: in.unitSlots[p], pos: in.positions(p.Cols)}
 	case *decomp.MapEdge:
-		m := n.MapAt(in, p)
-		if p.Key.SubsetOf(s.Dom()) {
-			child, ok := m.Get(s.Project(p.Key))
-			if !ok {
-				return false
-			}
-			return in.matchesPrim(in.dcmp.Var(p.Target).Def, child, s)
+		sub, ok := defs[p.Target]
+		if !ok {
+			sub = in.compileMatch(in.dcmp.Var(p.Target).Def, defs)
+			defs[p.Target] = sub
 		}
-		found := false
-		m.Range(func(k relation.Tuple, child *Node) bool {
-			if k.Matches(s) && in.matchesPrim(in.dcmp.Var(p.Target).Def, child, s.Merge(k)) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
+		return &matchOp{slot: in.edgeSlots[p], pos: in.positions(p.Key), sub: sub}
 	case *decomp.Join:
-		// Each side's projection onto s's columns is determined by the FDs
-		// (adequacy), so checking the sides independently is exact.
-		return in.matchesPrim(p.Left, n, s) && in.matchesPrim(p.Right, n, s)
+		return &matchOp{lhs: in.compileMatch(p.Left, defs), rhs: in.compileMatch(p.Right, defs)}
 	default:
 		panic(fmt.Sprintf("instance: unknown primitive %T", p))
+	}
+}
+
+// contains is Contains of the tuple scr.codes holds.
+func (in *Instance) contains() bool { return in.matches(in.match, in.root) }
+
+// matches reports whether the sub-instance rooted at (op, n) represents the
+// encoded tuple.
+func (in *Instance) matches(op *matchOp, n *Node) bool {
+	switch {
+	case op.lhs != nil:
+		// Each side's projection onto the tuple's columns is determined by the
+		// FDs (adequacy), so checking the sides independently is exact.
+		return in.matches(op.lhs, n) && in.matches(op.rhs, n)
+	case op.sub != nil:
+		child, ok := in.lookup(n, op.slot, op.pos)
+		return ok && in.matches(op.sub, child)
+	default:
+		for i, pos := range op.pos {
+			if n.words[op.slot+i] != in.scr.codes[pos] {
+				return false
+			}
+		}
+		return true
 	}
 }
 
@@ -406,7 +563,7 @@ func (in *Instance) matchesPrim(p decomp.Primitive, n *Node, s relation.Tuple) b
 // relation: some map in every required position is empty. A unit is never
 // empty; a join is empty if either side is.
 func (in *Instance) isEmptyNode(n *Node) bool {
-	return in.isEmptyPrim(in.dcmp.Var(n.Var).Def, n)
+	return in.isEmptyPrim(in.dcmp.Var(in.VarOf(n)).Def, n)
 }
 
 func (in *Instance) isEmptyPrim(p decomp.Primitive, n *Node) bool {
@@ -414,7 +571,7 @@ func (in *Instance) isEmptyPrim(p decomp.Primitive, n *Node) bool {
 	case *decomp.Unit:
 		return false
 	case *decomp.MapEdge:
-		return n.MapAt(in, p).Len() == 0
+		return n.maps[in.edgeSlots[p]].Len() == 0
 	case *decomp.Join:
 		return in.isEmptyPrim(p.Left, n) || in.isEmptyPrim(p.Right, n)
 	default:

@@ -3,6 +3,7 @@ package instance
 import (
 	"fmt"
 
+	"repro/internal/colblock"
 	"repro/internal/obs"
 	"repro/internal/relation"
 )
@@ -21,19 +22,20 @@ import (
 // It reports whether t was present. A non-nil error means the removal was
 // rolled back; the instance is unchanged unless the error wraps ErrTorn.
 func (in *Instance) RemoveTuple(t relation.Tuple) (bool, error) {
-	if !t.Dom().Equal(in.dcmp.Cols()) || !in.Contains(t) {
+	if !in.Contains(t) {
 		return false, nil
 	}
 	if err := in.planRemove(t); err != nil {
 		return false, err
 	}
-	if err := in.applyRemove(t); err != nil {
+	if err := in.applyRemove(); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// planRemove locates the instance of every variable above the cut (X). Edges
+// planRemove locates the instance of every variable above the cut (X) for
+// the tuple scr.codes holds (t itself is only for error messages). Edges
 // never point from Y back into X, so X nodes are reachable through X-only
 // paths, all of whose map keys are bound by t.
 func (in *Instance) planRemove(t relation.Tuple) (err error) {
@@ -50,36 +52,37 @@ func (in *Instance) planRemove(t relation.Tuple) (err error) {
 			scr.nodes[0] = in.root
 			continue
 		}
-		w := &in.updWalk[i]
-		var n *Node
-		for _, ue := range w.in {
-			pn := scr.nodes[ue.parent]
-			var child *Node
-			var ok bool
-			if ue.col != "" {
-				v, _ := t.Get(ue.col)
-				child, ok = pn.slots[ue.slot].m.GetByValue(v)
-			} else {
-				child, ok = pn.slots[ue.slot].m.Get(t.Project(ue.e.Key))
-			}
-			if ok {
-				n = child
-				break
-			}
-		}
+		n := in.locate(i)
 		if n == nil {
 			// Contains(t) held, so every X node must be reachable; a miss
 			// means the instance was already inconsistent. Surface it as an
 			// error rather than a panic through the caller's lock.
-			return fmt.Errorf("instance: node %s not found while removing %v", w.name, t)
+			return fmt.Errorf("instance: node %s not found while removing %v", in.updWalk[i].name, t)
 		}
 		scr.nodes[i] = n
 	}
 	return nil
 }
 
+// locate finds the node of the walk's i-th variable for the encoded tuple
+// through the first in-edge, from an already located parent, that holds it;
+// nil when none does.
+func (in *Instance) locate(i int) *Node {
+	w := &in.updWalk[i]
+	for j := range w.in {
+		ue := &w.in[j]
+		if child, ok := in.lookup(in.scr.nodes[ue.parent], ue.slot, ue.keyPos); ok {
+			return child
+		}
+	}
+	return nil
+}
+
 // applyRemove executes the removal from the plan, logging compensations.
-func (in *Instance) applyRemove(t relation.Tuple) (err error) {
+// Each in-edge entry is found and unlinked by one Delete, which hands back
+// the child it pointed at: the apply pass scans a list edge once, not three
+// times.
+func (in *Instance) applyRemove() (err error) {
 	if in.met != nil {
 		in.met.MutApplies.Add(1)
 	}
@@ -89,7 +92,7 @@ func (in *Instance) applyRemove(t relation.Tuple) (err error) {
 	in.undo.reset()
 	defer in.containApply()
 	if in.cow {
-		if ferr := in.cowSpine(t); ferr != nil {
+		if ferr := in.cowSpine(); ferr != nil {
 			return ferr
 		}
 	}
@@ -100,21 +103,18 @@ func (in *Instance) applyRemove(t relation.Tuple) (err error) {
 	// makes it unreachable from this version, and the predecessor version
 	// still reaches it untouched — the GC reclaims it when the predecessor
 	// is dropped.
-	for _, le := range in.rmBreaks {
+	for i := range in.rmBreaks {
+		le := &in.rmBreaks[i]
 		parent := scr.nodes[le.parent]
-		m := parent.slots[le.slot].m
-		k := t.Project(le.e.Key)
 		if in.fi != nil {
 			if ferr := in.fi.Point("instance.remove.break", true); ferr != nil {
 				return in.abort(ferr)
 			}
 		}
-		if child, ok := m.Get(k); ok {
-			m.Delete(k)
-			if !in.cow {
-				in.undo.pushRelink(parent, le.slot, k, child)
-				in.release(child)
-			}
+		k := scr.keyAt(le.keyPos)
+		if child, ok := parent.maps[le.slot].Delete(in.view, k); ok && !in.cow {
+			in.undo.pushRelink(parent, le.slot, k, child)
+			in.release(child)
 		}
 	}
 
@@ -126,22 +126,31 @@ func (in *Instance) applyRemove(t relation.Tuple) (err error) {
 			if i == 0 || !in.isEmptyNode(scr.nodes[i]) {
 				continue
 			}
-			for _, ue := range in.updWalk[i].in {
+			for j := range in.updWalk[i].in {
+				ue := &in.updWalk[i].in[j]
 				pn := scr.nodes[ue.parent]
-				m := pn.slots[ue.slot].m
-				k := t.Project(ue.e.Key)
-				if child, ok := m.Get(k); ok && child == scr.nodes[i] {
-					if in.fi != nil {
-						if ferr := in.fi.Point("instance.remove.cleanup", true); ferr != nil {
-							return in.abort(ferr)
-						}
+				if in.fi != nil {
+					if ferr := in.fi.Point("instance.remove.cleanup", true); ferr != nil {
+						return in.abort(ferr)
 					}
-					m.Delete(k)
-					child.refs--
-					if !in.cow {
-						in.undo.pushRef(child)
-						in.undo.pushRelink(pn, ue.slot, k, child)
-					}
+				}
+				k := scr.keyAt(ue.keyPos)
+				child, ok := pn.maps[ue.slot].Delete(in.view, k)
+				if !ok {
+					continue
+				}
+				if !in.cow {
+					in.undo.pushRelink(pn, ue.slot, k, child)
+				}
+				if child != scr.nodes[i] {
+					// Every in-edge of a located node leads to it under the
+					// tuple's key; anything else is an instance that was
+					// already inconsistent.
+					return in.abort(fmt.Errorf("instance: edge %s→%s reaches a different %s node than its other in-edges", ue.e.Parent, ue.e.Target, in.updWalk[i].name))
+				}
+				child.refs--
+				if !in.cow {
+					in.undo.pushRef(child)
 				}
 			}
 		}
@@ -168,13 +177,11 @@ func (in *Instance) release(n *Node) {
 	if n.refs > 0 {
 		return
 	}
-	for i := range n.slots {
-		if m := n.slots[i].m; m != nil {
-			m.Range(func(_ relation.Tuple, child *Node) bool {
-				in.release(child)
-				return true
-			})
-		}
+	for _, m := range n.maps {
+		m.Range(func(_ []colblock.Code, child *Node) bool {
+			in.release(child)
+			return true
+		})
 	}
 }
 
@@ -206,14 +213,17 @@ func (in *Instance) UpdateInPlace(t, u relation.Tuple) (bool, error) {
 	if err := in.planUpdate(t, u); err != nil {
 		return false, err
 	}
-	if err := in.applyUpdate(t); err != nil {
+	if err := in.applyUpdate(); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
 // planUpdate locates the node of every variable and computes the merged unit
-// values without writing anything.
+// words without writing anything. The locator's codes go into scr.codes by
+// column position — Unset where t binds nothing, which the walk never reads:
+// it reads edge-key positions only — and u's codes over them, interned here:
+// an update's values are new to the dictionary as often as an insert's.
 func (in *Instance) planUpdate(t, u relation.Tuple) (err error) {
 	if in.met != nil {
 		in.met.MutValidates.Add(1)
@@ -224,51 +234,51 @@ func (in *Instance) planUpdate(t, u relation.Tuple) (err error) {
 	scr := &in.scr
 	scr.reset(len(in.updWalk))
 	udom := u.Dom()
+	for i, col := range in.cols {
+		scr.codes[i] = colblock.Unset
+		if v, ok := u.Get(col); ok {
+			scr.codes[i] = in.code(v)
+		} else if v, ok := t.Get(col); ok {
+			c, found := in.view.Find(v)
+			if !found { // a value without a code is stored nowhere
+				return fmt.Errorf("instance: no tuple matching %v found while updating", t)
+			}
+			scr.codes[i] = c
+		}
+	}
 	for i := range in.updWalk {
 		w := &in.updWalk[i]
-		var n *Node
-		if i == 0 {
-			n = in.root
-		} else {
-			for _, ue := range w.in {
-				pn := scr.nodes[ue.parent]
-				var child *Node
-				var ok bool
-				if ue.col != "" {
-					v, _ := t.Get(ue.col)
-					child, ok = pn.slots[ue.slot].m.GetByValue(v)
-				} else {
-					child, ok = pn.slots[ue.slot].m.Get(t.Project(ue.e.Key))
-				}
-				if ok {
-					n = child
-					break
-				}
-			}
-			if n == nil {
+		n := in.root
+		if i > 0 {
+			if n = in.locate(i); n == nil {
 				return fmt.Errorf("instance: node %s not found while updating %v", w.name, t)
 			}
 		}
 		scr.nodes[i] = n
-		for _, uu := range w.units {
-			switch {
-			case uu.u.Cols.Equal(udom):
-				// The update binds exactly this unit's columns: the merged
-				// unit is u itself (right bias), no merge or projection.
-				scr.units = append(scr.units, unitWrite{wi: i, slot: uu.slot, val: u, logUndo: true})
-			case uu.u.Cols.Intersects(udom):
-				merged := n.slots[uu.slot].unit.Merge(u.Project(uu.u.Cols))
-				scr.units = append(scr.units, unitWrite{wi: i, slot: uu.slot, val: merged, logUndo: true})
+		for j := range w.units {
+			uu := &w.units[j]
+			if !uu.u.Cols.Intersects(udom) {
+				continue
 			}
+			// The merged unit: u's word where the update binds the column
+			// (right bias), the stored word elsewhere.
+			uw := unitWrite{wi: i, off: uu.off, src: len(scr.wbuf), n: len(uu.pos), logUndo: true}
+			for k, p := range uu.pos {
+				c := n.words[uu.off+k]
+				if udom.Has(in.cols[p]) {
+					c = scr.codes[p]
+				}
+				scr.wbuf = append(scr.wbuf, c)
+			}
+			scr.units = append(scr.units, uw)
 		}
 	}
 	return nil
 }
 
-// applyUpdate writes the planned unit values for the tuple located by t,
-// logging the previous tuples (or cloning the spine instead, on a cow
-// fork).
-func (in *Instance) applyUpdate(t relation.Tuple) (err error) {
+// applyUpdate writes the planned unit words, logging the previous ones (or
+// cloning the spine instead, on a cow fork).
+func (in *Instance) applyUpdate() (err error) {
 	if in.met != nil {
 		in.met.MutApplies.Add(1)
 	}
@@ -278,22 +288,12 @@ func (in *Instance) applyUpdate(t relation.Tuple) (err error) {
 	in.undo.reset()
 	defer in.containApply()
 	if in.cow {
-		if ferr := in.cowSpine(t); ferr != nil {
+		if ferr := in.cowSpine(); ferr != nil {
 			return ferr
 		}
 	}
-	for i := range in.scr.units {
-		uw := &in.scr.units[i]
-		n := in.scr.nodes[uw.wi]
-		if in.fi != nil {
-			if ferr := in.fi.Point("instance.update.unit", true); ferr != nil {
-				return in.abort(ferr)
-			}
-		}
-		if !in.cow {
-			in.undo.pushUnit(n, uw.slot, n.slots[uw.slot].unit)
-		}
-		n.slots[uw.slot].unit = uw.val
+	if ferr := in.writeUnits("instance.update.unit"); ferr != nil {
+		return ferr
 	}
 	in.undo.reset()
 	return nil

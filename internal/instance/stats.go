@@ -1,6 +1,11 @@
 package instance
 
-import "repro/internal/relation"
+import (
+	"unsafe"
+
+	"repro/internal/colblock"
+	"repro/internal/dstruct"
+)
 
 // EdgeStat aggregates profiling counts for one map edge of the
 // decomposition across a whole instance: how many parent node instances
@@ -33,13 +38,12 @@ func (in *Instance) EdgeStats() map[int]EdgeStat {
 			return
 		}
 		seen[n] = true
-		for _, e := range in.dcmp.EdgesOf(n.Var) {
-			m := n.MapAt(in, e)
+		for i, e := range in.layouts[n.vi].edges {
 			s := stats[e.ID]
 			s.Parents++
-			s.Entries += m.Len()
+			s.Entries += n.maps[i].Len()
 			stats[e.ID] = s
-			m.Range(func(_ relation.Tuple, child *Node) bool {
+			n.maps[i].Range(func(_ []colblock.Code, child *Node) bool {
 				visit(child)
 				return true
 			})
@@ -60,8 +64,8 @@ func (in *Instance) NodeCount() int {
 			return
 		}
 		seen[n] = true
-		for _, e := range in.dcmp.EdgesOf(n.Var) {
-			n.MapAt(in, e).Range(func(_ relation.Tuple, child *Node) bool {
+		for _, m := range n.maps {
+			m.Range(func(_ []colblock.Code, child *Node) bool {
 				visit(child)
 				return true
 			})
@@ -69,4 +73,54 @@ func (in *Instance) NodeCount() int {
 	}
 	visit(in.root)
 	return len(seen)
+}
+
+// Stats is the heap an instance holds, by what holds it, in bytes as the
+// allocator hands them out (dstruct.AllocSize): counts of objects times
+// their sizes, so the split can be read without a heap profile and sums to
+// what a heap measurement of the instance sees.
+type Stats struct {
+	Tuples int // tuples represented
+	Nodes  int // reachable node instances
+
+	NodeHeaders        int // the nodes themselves and their container arrays
+	UnitWords          int // the nodes' unit columns
+	ContainerEntries   int // what holds key words and child pointers (dstruct.Footprint.Entries)
+	ContainerOverhead  int // container headers, bucket arrays, chunk directories, towers
+	Dictionary         int // the lineage's interned values and their index
+	DictionaryInterned int // values interned over the lineage's life; none is ever reclaimed
+}
+
+// Bytes is the sum of the categories.
+func (s Stats) Bytes() int {
+	return s.NodeHeaders + s.UnitWords + s.ContainerEntries + s.ContainerOverhead + s.Dictionary
+}
+
+// Stats walks the instance and accounts for its resident heap. A shared
+// node is counted once. The dictionary is the lineage's, so it is counted in
+// full whichever version is asked.
+func (in *Instance) Stats() Stats {
+	st := Stats{Tuples: in.count, Dictionary: in.dict.Bytes(), DictionaryInterned: in.dict.Len()}
+	seen := make(map[*Node]bool)
+	var visit func(n *Node)
+	visit = func(n *Node) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		st.Nodes++
+		st.NodeHeaders += dstruct.AllocSize(int(unsafe.Sizeof(*n))) + dstruct.AllocSize(cap(n.maps)*int(unsafe.Sizeof(n.maps[0])))
+		st.UnitWords += dstruct.AllocSize(cap(n.words) * int(unsafe.Sizeof(n.words[0])))
+		for _, m := range n.maps {
+			fp := m.Footprint()
+			st.ContainerEntries += fp.Entries
+			st.ContainerOverhead += fp.Overhead
+			m.Range(func(_ []colblock.Code, child *Node) bool {
+				visit(child)
+				return true
+			})
+		}
+	}
+	visit(in.root)
+	return st
 }

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/colblock"
 	"repro/internal/obs"
-	"repro/internal/relation"
 )
 
 // ErrTorn reports the one failure mode the engine cannot mask: a mutation
@@ -22,55 +22,72 @@ func (in *Instance) Torn() bool { return in.torn }
 type undoKind uint8
 
 const (
-	undoUnit   undoKind = iota // restore a unit slot's previous tuple
+	undoUnit   undoKind = iota // restore a unit's previous words
 	undoUnlink                 // delete a map entry the mutation added, dropping its ref
 	undoRelink                 // re-add a map entry the mutation deleted
 	undoRef                    // re-increment a reference count the mutation dropped
 )
 
 // An undoEntry is one compensating action. For undoUnit and undoRef, n is
-// the node whose slot or refcount changes; for the edge kinds it is the
-// parent node holding the map.
+// the node whose words or refcount change; for the edge kinds it is the
+// parent node holding the map. The words an entry restores — a unit's
+// previous columns, a map entry's key — are cnt words of the log's pooled
+// buffer from woff on.
 type undoEntry struct {
 	kind  undoKind
 	n     *Node
-	slot  int
-	unit  relation.Tuple
-	key   relation.Tuple
+	slot  int // undoUnit: first word restored; edge kinds: container index
+	woff  int
+	cnt   int
 	child *Node
 }
 
 // An undoLog records compensating actions for the writes of one mutation's
 // apply phase, in apply order. Replaying it in reverse restores the exact
-// pre-mutation node graph: every unit slot, map entry, and reference count.
+// pre-mutation node graph: every unit word, map entry, and reference count.
 // (Iteration order inside a map that had an entry deleted and re-added may
 // differ; α and well-formedness are unaffected.)
 type undoLog struct {
 	entries []undoEntry
+	words   []colblock.Code
 }
 
-func (u *undoLog) reset() { u.entries = u.entries[:0] }
-
-func (u *undoLog) pushUnit(n *Node, slot int, prev relation.Tuple) {
-	u.entries = append(u.entries, undoEntry{kind: undoUnit, n: n, slot: slot, unit: prev})
+func (u *undoLog) reset() {
+	u.entries = u.entries[:0]
+	u.words = u.words[:0]
 }
 
-func (u *undoLog) pushUnlink(parent *Node, slot int, key relation.Tuple, child *Node) {
-	u.entries = append(u.entries, undoEntry{kind: undoUnlink, n: parent, slot: slot, key: key, child: child})
+// save copies w into the pooled buffer and returns where.
+func (u *undoLog) save(w []colblock.Code) (woff, cnt int) {
+	woff = len(u.words)
+	u.words = append(u.words, w...)
+	return woff, len(w)
 }
 
-func (u *undoLog) pushRelink(parent *Node, slot int, key relation.Tuple, child *Node) {
-	u.entries = append(u.entries, undoEntry{kind: undoRelink, n: parent, slot: slot, key: key, child: child})
+func (u *undoLog) pushUnit(n *Node, off int, prev []colblock.Code) {
+	woff, cnt := u.save(prev)
+	u.entries = append(u.entries, undoEntry{kind: undoUnit, n: n, slot: off, woff: woff, cnt: cnt})
+}
+
+func (u *undoLog) pushUnlink(parent *Node, slot int, key []colblock.Code, child *Node) {
+	woff, cnt := u.save(key)
+	u.entries = append(u.entries, undoEntry{kind: undoUnlink, n: parent, slot: slot, woff: woff, cnt: cnt, child: child})
+}
+
+func (u *undoLog) pushRelink(parent *Node, slot int, key []colblock.Code, child *Node) {
+	woff, cnt := u.save(key)
+	u.entries = append(u.entries, undoEntry{kind: undoRelink, n: parent, slot: slot, woff: woff, cnt: cnt, child: child})
 }
 
 func (u *undoLog) pushRef(n *Node) {
 	u.entries = append(u.entries, undoEntry{kind: undoRef, n: n})
 }
 
-// rollback replays the log in reverse and clears it. A panic during replay
-// (a failing data structure, or an injected double fault) is caught and
-// returned as an error; the caller marks the instance torn.
-func (u *undoLog) rollback() (err error) {
+// rollback replays the log in reverse and clears it; vw is the view the
+// mutation's keys were encoded under. A panic during replay (a failing data
+// structure, or an injected double fault) is caught and returned as an
+// error; the caller marks the instance torn.
+func (u *undoLog) rollback(vw colblock.View) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("instance: panic while rolling back: %v", p)
@@ -78,19 +95,20 @@ func (u *undoLog) rollback() (err error) {
 	}()
 	for i := len(u.entries) - 1; i >= 0; i-- {
 		e := &u.entries[i]
+		w := u.words[e.woff : e.woff+e.cnt]
 		switch e.kind {
 		case undoUnit:
-			e.n.slots[e.slot].unit = e.unit
+			copy(e.n.words[e.slot:], w)
 		case undoUnlink:
-			e.n.slots[e.slot].m.Delete(e.key)
+			e.n.maps[e.slot].Delete(vw, w)
 			e.child.refs--
 		case undoRelink:
-			e.n.slots[e.slot].m.Put(e.key, e.child)
+			e.n.maps[e.slot].Put(vw, w, e.child)
 		case undoRef:
 			e.n.refs++
 		}
 	}
-	u.entries = u.entries[:0]
+	u.reset()
 	return nil
 }
 
@@ -119,7 +137,7 @@ func (in *Instance) rollbackCounted() error {
 	if in.met != nil {
 		in.met.MutRollbacks.Add(1)
 	}
-	rerr := in.undo.rollback()
+	rerr := in.undo.rollback(in.view)
 	if in.tr != nil {
 		in.tr.Event(obs.Event{Kind: obs.EvUndoReplay, Rows: n, Err: rerr})
 	}

@@ -13,20 +13,27 @@ package instance
 // callback mutate the relation it is iterating without deadlock.
 
 import (
-	"repro/internal/relation"
+	"slices"
+
+	"repro/internal/dstruct"
 )
 
 // BeginVersion forks an unpublished successor version of the instance. The
-// fork shares the entire node graph, the layouts, and the per-mutation
-// scratch buffers with its predecessor (writers are serialized by the
-// engine, and a published predecessor never mutates again, so sharing the
-// scratch is safe); its mutations run copy-on-write.
+// fork shares the entire node graph, the layouts, the dictionary and the
+// per-mutation scratch buffers with its predecessor (writers are serialized
+// by the engine, and a published predecessor never mutates again, so sharing
+// the scratch is safe); its mutations run copy-on-write. The fork's view
+// starts at the whole dictionary — what the predecessor saw plus whatever an
+// abandoned fork interned since — and follows the fork's own interning;
+// the predecessor's view, like everything else readers of it touch, never
+// moves again.
 //
 //relvet:role=fork
 func (in *Instance) BeginVersion() *Instance {
 	c := *in
 	c.cow = true
 	c.ver = in.ver + 1
+	c.view = in.dict.View()
 	return &c
 }
 
@@ -38,24 +45,23 @@ func (in *Instance) Version() uint64 { return in.ver }
 // made by BeginVersion, false on directly-mutated instances.
 func (in *Instance) COW() bool { return in.cow }
 
-// cowNode clones one node: units are copied (tuples are immutable), maps
-// are forked with dstruct.Clone (shared substructure, copied lazily on
-// write), and the clone is stamped with the mutating version's epoch.
+// cowNode clones one node: the unit words are copied with it — the clone's
+// are about to be written, the original's belong to a published version —
+// maps are forked with Clone (shared substructure, copied lazily on write),
+// and the clone is stamped with the mutating version's epoch.
 //
 //relvet:role=clone
 func (in *Instance) cowNode(n *Node) *Node {
-	c := &Node{Var: n.Var, refs: n.refs, epoch: in.ver, slots: make([]slot, len(n.slots))}
-	maps := 0
-	for i := range n.slots {
-		c.slots[i].unit = n.slots[i].unit
-		if m := n.slots[i].m; m != nil {
-			c.slots[i].m = m.Clone()
-			maps++
+	c := &Node{vi: n.vi, refs: n.refs, epoch: in.ver, words: slices.Clone(n.words)}
+	if len(n.maps) > 0 {
+		c.maps = make([]dstruct.Words[*Node], len(n.maps))
+		for i, m := range n.maps {
+			c.maps[i] = m.Clone()
 		}
 	}
 	if in.met != nil {
 		in.met.CowNodeClones.Add(1)
-		in.met.CowMapClones.Add(uint64(maps))
+		in.met.CowMapClones.Add(uint64(len(n.maps)))
 	}
 	return c
 }
@@ -64,14 +70,14 @@ func (in *Instance) cowNode(n *Node) *Node {
 // replaces each located, still-shared node of the mutation plan (the
 // "spine" — root first, so parents are cloned before their children) with
 // a private clone and redirects every in-edge entry of already-cloned
-// parents from the shared node to the clone. t is the tuple driving the
-// mutation; it binds every map-edge key on the spine, which is what lets
-// the redirect find the parent entries without a scan. After cowSpine the
-// plan's walk indices resolve to the clones, so the apply writes touch no
-// node the predecessor version can reach.
+// parents from the shared node to the clone. The encoded tuple driving the
+// mutation (scr.codes) binds every map-edge key on the spine, which is what
+// lets the redirect find the parent entries without a scan. After cowSpine
+// the plan's walk indices resolve to the clones, so the apply writes touch
+// no node the predecessor version can reach.
 //
 //relvet:role=clone
-func (in *Instance) cowSpine(t relation.Tuple) error {
+func (in *Instance) cowSpine() error {
 	scr := &in.scr
 	for i := range scr.nodes {
 		n := scr.nodes[i]
@@ -89,19 +95,19 @@ func (in *Instance) cowSpine(t relation.Tuple) error {
 			in.root = c
 			continue
 		}
-		for _, ue := range in.updWalk[i].in {
+		for j := range in.updWalk[i].in {
+			ue := &in.updWalk[i].in[j]
 			pn := scr.nodes[ue.parent]
 			if pn == nil {
 				continue
 			}
-			k := t.Project(ue.e.Key)
-			if old, ok := pn.slots[ue.slot].m.Get(k); ok && old == n {
+			if old, ok := in.lookup(pn, ue.slot, ue.keyPos); ok && old == n {
 				if in.fi != nil {
 					if ferr := in.fi.Point("instance.cow.link", true); ferr != nil {
 						return in.abort(ferr)
 					}
 				}
-				pn.slots[ue.slot].m.Put(k, c)
+				pn.maps[ue.slot].Put(in.view, scr.keyAt(ue.keyPos), c)
 			}
 		}
 	}

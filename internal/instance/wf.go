@@ -3,8 +3,10 @@ package instance
 import (
 	"fmt"
 
+	"repro/internal/colblock"
 	"repro/internal/decomp"
 	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 // CheckWF implements the well-formedness judgment of Figure 5,
@@ -28,8 +30,8 @@ func (in *Instance) CheckWF() error {
 	// Implementation invariant: stored reference counts equal the number of
 	// incoming edge instances among reachable nodes.
 	for n, want := range c.refs {
-		if n.refs != want {
-			return fmt.Errorf("instance: node %s/%v has refcount %d, want %d", n.Var, c.bound[n], n.refs, want)
+		if n.Refs() != want {
+			return fmt.Errorf("instance: node %s/%v has refcount %d, want %d", c.in.VarOf(n), c.bound[n], n.refs, want)
 		}
 	}
 	if in.root.refs != 0 {
@@ -52,18 +54,18 @@ type wfChecker struct {
 // checker requires each observed valuation to be a fragment of B and all
 // observed fragments to agree.
 func (c *wfChecker) checkNode(n *Node, bt relation.Tuple) error {
-	b := c.in.dcmp.Var(n.Var)
-	if b == nil {
-		return fmt.Errorf("instance: node refers to unknown variable %q", n.Var)
+	if int(n.vi) >= len(c.in.layouts) {
+		return fmt.Errorf("instance: node refers to unknown variable #%d", n.vi)
 	}
+	b := c.in.dcmp.Var(c.in.VarOf(n))
 	if !bt.Dom().SubsetOf(b.Bound) {
-		return fmt.Errorf("instance: node %s reached with bound valuation %v, want a fragment of %v", n.Var, bt, b.Bound)
+		return fmt.Errorf("instance: node %s reached with bound valuation %v, want a fragment of %v", c.in.VarOf(n), bt, b.Bound)
 	}
 	if prev, seen := c.bound[n]; seen {
 		// A shared node must be reached with consistent valuations through
 		// every path (this is what rule AMAP's A ⊇ B ∪ C guarantees).
 		if !prev.Matches(bt) {
-			return fmt.Errorf("instance: shared node %s reached with valuations %v and %v", n.Var, prev, bt)
+			return fmt.Errorf("instance: shared node %s reached with valuations %v and %v", c.in.VarOf(n), prev, bt)
 		}
 		c.bound[n] = prev.Merge(bt)
 		return nil
@@ -75,28 +77,41 @@ func (c *wfChecker) checkNode(n *Node, bt relation.Tuple) error {
 func (c *wfChecker) checkPrim(p decomp.Primitive, n *Node, bt relation.Tuple) error {
 	switch p := p.(type) {
 	case *decomp.Unit:
-		// Rule WFUNIT: dom t = C.
+		// Rule WFUNIT: dom t = C, every column a word the dictionary decodes.
+		off := c.in.unitSlots[p]
+		for _, w := range n.words[off : off+p.Cols.Len()] {
+			if w != colblock.Unset && !c.in.view.Valid(w) {
+				return fmt.Errorf("instance: unit of %s holds a word %x its dictionary cannot decode", c.in.VarOf(n), w)
+			}
+		}
 		if u := n.UnitAt(c.in, p); !u.Dom().Equal(p.Cols) {
-			return fmt.Errorf("instance: unit of %s holds %v, want columns %v", n.Var, u, p.Cols)
+			return fmt.Errorf("instance: unit of %s holds %v, want columns %v", c.in.VarOf(n), u, p.Cols)
 		}
 		return nil
 	case *decomp.MapEdge:
-		// Rule WFMAP: every key tuple has the key columns, matches the
-		// child's relation, and the child is well-formed.
+		// Rule WFMAP: every key binds the key columns — in words: arity of
+		// them, each one this version's dictionary can decode — and matches
+		// the child's relation, and the child is well-formed.
 		var err error
-		n.MapAt(c.in, p).Range(func(k relation.Tuple, child *Node) bool {
+		names := p.Key.Names()
+		n.maps[c.in.edgeSlots[p]].Range(func(kw []colblock.Code, child *Node) bool {
 			c.refs[child]++
-			if !k.Dom().Equal(p.Key) {
-				err = fmt.Errorf("instance: edge %s→%s has key %v, want columns %v", n.Var, p.Target, k, p.Key)
-				return false
+			vals := make([]value.Value, len(kw))
+			for i, w := range kw {
+				if w == colblock.Unset || !c.in.view.Valid(w) {
+					err = fmt.Errorf("instance: edge %s→%s has key %x, want columns %v", c.in.VarOf(n), p.Target, kw, p.Key)
+					return false
+				}
+				vals[i] = c.in.view.Decode(w)
 			}
+			k := relation.SortedTuple(names, vals)
 			if err = c.checkNode(child, bt.Merge(k).Project(c.in.dcmp.Var(p.Target).Bound)); err != nil {
 				return false
 			}
 			childRel := c.alpha(child)
 			for _, tup := range childRel.All() {
 				if !tup.Matches(k) {
-					err = fmt.Errorf("instance: edge %s→%s key %v does not match child tuple %v", n.Var, p.Target, k, tup)
+					err = fmt.Errorf("instance: edge %s→%s key %v does not match child tuple %v", c.in.VarOf(n), p.Target, k, tup)
 					return false
 				}
 			}
@@ -117,7 +132,7 @@ func (c *wfChecker) checkPrim(p decomp.Primitive, n *Node, bt relation.Tuple) er
 		pl := relation.Project(l, r.Cols())
 		pr := relation.Project(r, l.Cols())
 		if !pl.Equal(pr) {
-			return fmt.Errorf("instance: join in %s has dangling tuples: %v vs %v", n.Var, pl, pr)
+			return fmt.Errorf("instance: join in %s has dangling tuples: %v vs %v", c.in.VarOf(n), pl, pr)
 		}
 		return nil
 	default:

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/paperex"
 	"repro/internal/relation"
 )
@@ -19,10 +20,10 @@ import (
 // wfFixture builds the scheduler instance holding (1,1,S,7) and (1,2,R,4)
 // and returns it together with the shared unit node w for (ns=1, pid=1).
 //
-// Slot layout (preorder of each definition): the root x has the ns-keyed
-// hash table to y at slot 0 and the state-keyed vector to z at slot 1; y has
-// its pid-keyed hash table to w at slot 0; z its (ns,pid)-keyed list to w at
-// slot 0; w its cpu unit at slot 0.
+// Layout (preorder of each definition): the root x has the ns-keyed hash
+// table to y as map 0 and the state-keyed vector to z as map 1; y has its
+// pid-keyed hash table to w as map 0; z its (ns,pid)-keyed list to w as map
+// 0; w its cpu unit at word 0.
 func wfFixture(t *testing.T) (*Instance, *Node) {
 	t.Helper()
 	in := New(paperex.SchedulerDecomp(), paperex.SchedulerFDs())
@@ -37,16 +38,25 @@ func wfFixture(t *testing.T) (*Instance, *Node) {
 	if err := in.CheckWF(); err != nil {
 		t.Fatalf("fixture not well-formed: %v", err)
 	}
-	y := mustChild(t, in.root, 0, relation.NewTuple(relation.BindInt("ns", 1)))
-	w := mustChild(t, y, 0, relation.NewTuple(relation.BindInt("pid", 1)))
+	y := mustChild(t, in, in.root, 0, 1)
+	w := mustChild(t, in, y, 0, 1)
 	return in, w
 }
 
-func mustChild(t *testing.T, n *Node, slot int, key relation.Tuple) *Node {
+// codes is the key holding the given integers.
+func codes(vs ...int64) []colblock.Code {
+	k := make([]colblock.Code, len(vs))
+	for i, v := range vs {
+		k[i], _ = colblock.InlineInt(v)
+	}
+	return k
+}
+
+func mustChild(t *testing.T, in *Instance, n *Node, slot int, key ...int64) *Node {
 	t.Helper()
-	c, ok := n.slots[slot].m.Get(key)
+	c, ok := n.maps[slot].Get(in.view, codes(key...))
 	if !ok {
-		t.Fatalf("no child of %s at slot %d for key %v", n.Var, slot, key)
+		t.Fatalf("no child of %s in map %d for key %v", in.VarOf(n), slot, key)
 	}
 	return c
 }
@@ -74,24 +84,24 @@ func TestCheckWFDetectsCorruption(t *testing.T) {
 		{
 			name: "unit disagrees with its declared columns",
 			corrupt: func(t *testing.T, in *Instance, w *Node) {
-				w.slots[0].unit = relation.NewTuple(relation.BindInt("bogus", 7))
+				w.words[0] = colblock.Unset // the cpu unit binds nothing
 			},
 			want: "unit of w holds",
 		},
 		{
 			name: "dangling edge with a wrong-domain key",
 			corrupt: func(t *testing.T, in *Instance, w *Node) {
-				y := mustChild(t, in.root, 0, relation.NewTuple(relation.BindInt("ns", 1)))
-				y.slots[0].m.Put(relation.NewTuple(relation.BindInt("bogus", 9)), w)
-				w.refs++ // keep the refcount consistent so the key domain is the violation
+				y := mustChild(t, in, in.root, 0, 1)
+				y.maps[0].Put(in.view, []colblock.Code{colblock.Unset}, w) // a key that binds no pid
+				w.refs++                                                   // keep the refcount consistent so the key domain is the violation
 			},
 			want: "edge y→w has key",
 		},
 		{
 			name: "dangling edge reaching a shared node with the wrong valuation",
 			corrupt: func(t *testing.T, in *Instance, w *Node) {
-				y := mustChild(t, in.root, 0, relation.NewTuple(relation.BindInt("ns", 1)))
-				y.slots[0].m.Put(relation.NewTuple(relation.BindInt("pid", 9)), w)
+				y := mustChild(t, in, in.root, 0, 1)
+				y.maps[0].Put(in.view, codes(9), w)
 				w.refs++
 			},
 			want: "shared node w reached with valuations",
@@ -99,9 +109,8 @@ func TestCheckWFDetectsCorruption(t *testing.T) {
 		{
 			name: "join side missing a tuple (dangling join)",
 			corrupt: func(t *testing.T, in *Instance, w *Node) {
-				z := mustChild(t, in.root, 1, relation.NewTuple(relation.BindInt("state", paperex.StateS)))
-				z.slots[0].m.Delete(relation.NewTuple(
-					relation.BindInt("ns", 1), relation.BindInt("pid", 1)))
+				z := mustChild(t, in, in.root, 1, paperex.StateS)
+				z.maps[0].Delete(in.view, codes(1, 1))
 				w.refs-- // the deleted entry held one of w's references
 			},
 			want: "has dangling tuples",

@@ -35,17 +35,20 @@ import (
 // extracts only the entries in range, and wherever else the column becomes
 // bound a filter stage compacts the frontier right behind the binding stage.
 //
-// Values live as colblock.Codes (ints inline, strings interned per
-// execution), so equality filters are word compares and projection dedup is
-// a word-wise key. The closure tier remains the oracle and the fallback:
-// CompileBatch rejects exactly what Compile rejects, and a stage that meets
-// a shape the batch tier does not model (a partial root unit, a short scan
-// key) bails out at run time before emitting anything, letting the engine
-// re-run the query on the closure tier with no duplicated results.
+// The frontier's columns hold the same colblock.Codes the instance stores —
+// a node's unit words, a container's key words — so the scan, seek, probe and
+// filter stages append and compare stored words directly: nothing is encoded
+// on the way in except the pattern, once per run, and nothing is decoded
+// before a row is known to be part of the answer. The closure tier remains
+// the oracle and the fallback: CompileBatch rejects exactly what Compile
+// rejects, and a stage that meets a shape the batch tier does not model (a
+// unit nothing has been written to yet) bails out at run time before
+// emitting anything, letting the engine re-run the query on the closure tier
+// with no duplicated results.
 
 // A BatchProgram is a vectorized query plan: a linear stage pipeline over a
 // columnar frontier. Like Program it is immutable after CompileBatch and
-// safe for concurrent use; per-execution state (blocks, dictionary, result)
+// safe for concurrent use; per-execution state (blocks, scratch, result)
 // lives in a pooled batchState.
 type BatchProgram struct {
 	stages []bstage
@@ -57,10 +60,8 @@ type BatchProgram struct {
 	maxKey int // widest multi-column lookup key
 
 	// A range program (CompileBatchRange) constrains rangeCol to the bounds
-	// each RunRange supplies; rangeKey is the column as the one-column key
-	// domain of a level keyed by it. Both are empty for an equality program.
+	// each RunRange supplies; it is empty for an equality program.
 	rangeCol string
-	rangeKey []string
 
 	pool sync.Pool
 }
@@ -120,34 +121,32 @@ func sizedNodes(s []*instance.Node, n int) []*instance.Node {
 }
 
 // batchState is the pooled per-execution state of a BatchProgram: the two
-// frontiers stages ping-pong between, the interning dictionary, scratch for
-// bulk extraction and lookup keys, and the embedded result handle — so a
-// steady-state Run→EachTuple→Release cycle allocates nothing.
+// frontiers stages ping-pong between, the view of the instance's dictionary
+// the run decodes through, scratch for bulk extraction and lookup keys, and
+// the embedded result handle — so a steady-state Run→EachTuple→Release cycle
+// allocates nothing.
 type batchState struct {
 	p        *BatchProgram
-	dict     *colblock.Dict
+	vw       colblock.View
 	cur, nxt *frontier
 
-	eks     []relation.Tuple // bulk-extraction scratch: keys
-	ens     []*instance.Node // bulk-extraction scratch: children
-	keyVals []value.Value    // multi-column lookup key scratch
+	eks []colblock.Code  // bulk-extraction scratch: key words, one key after another
+	ens []*instance.Node // bulk-extraction scratch: children
 
 	// Inverted-probe scratch (lookup stages): when a run of frontier rows
 	// all probe one linear-scan map, buildProbe extracts its entries once
-	// into eks/ens, encodes their key codes row-major into pbuf, and
-	// indexes them in the open-addressed table ptab (entry index + 1, 0 is
-	// empty) — turning O(rows×entries) tuple compares into O(rows+entries)
-	// word work. kc is the per-row probe key for multi-column lookups.
-	pbuf []colblock.Code
+	// into eks/ens and indexes the key words in the open-addressed table
+	// ptab (entry index + 1, 0 is empty) — turning O(rows×entries) word
+	// compares into O(rows+entries). kc is the per-row probe key for
+	// multi-column lookups.
 	ptab []int32
 	kc   []colblock.Code
 
 	// A range program's bounds for this run (RunRange): rg is what the
-	// filter stages test, lo and hi are the same bounds as single-column key
-	// tuples over bnd for ranged extraction (the zero tuple is unbounded).
+	// filter stages test, lo and hi point at the same bounds for ranged
+	// extraction (nil is unbounded).
 	rg     Range
-	lo, hi relation.Tuple
-	bnd    [2]value.Value
+	lo, hi *value.Value
 
 	// Collect scratch (distinctRows): the output columns gathered once, and
 	// the surviving row indices. The dedup table itself is ptab.
@@ -176,8 +175,9 @@ type bcompiler struct {
 	prog     *BatchProgram
 	err      error
 
-	reads []readAt   // register reads, per stage, for liveness analysis
-	keeps []liveKeep // keep-lists to fill once the last read of each register is known
+	reads  []readAt    // register reads, per stage, for liveness analysis
+	keeps  []liveKeep  // keep-lists to fill once the last read of each register is known
+	prunes []livePrune // bind-lists to cut down to the registers somebody reads
 }
 
 // readAt records that the stage at index stage reads register reg.
@@ -192,6 +192,24 @@ type liveKeep struct {
 	stage int
 	live  int
 	keep  *[]int
+}
+
+// livePrune is the same decision for the registers a stage binds: a unit or
+// key column no later stage reads and the output does not project need not
+// be materialized, so CompileBatch drops it from the stage's bind-list. A
+// fused unit left with nothing to bind and nothing to check is then not
+// read at all — it contributes no column and constrains no row, so even an
+// unwritten one changes nothing about the answer.
+type livePrune struct {
+	stage int
+	binds *[]regPos
+}
+
+// pruneFor registers binds, the bind-list of the stage about to be appended,
+// for the liveness fixup. The stage must read the list through the variable
+// it passes here.
+func (c *bcompiler) pruneFor(binds *[]regPos) {
+	c.prunes = append(c.prunes, livePrune{stage: len(c.prog.stages), binds: binds})
 }
 
 // readReg records a register read by the stage about to be appended.
@@ -272,7 +290,6 @@ func compileBatch(in *instance.Instance, op Op, input, output relation.Cols, ran
 		if _, ok := c.reg[rangeCol]; !ok {
 			return nil, fmt.Errorf("plan: batch plan %s never binds range column %q", op, rangeCol)
 		}
-		p.rangeKey = []string{rangeCol}
 	}
 	p.reg = c.names
 	p.cols = output
@@ -306,6 +323,9 @@ func compileBatch(in *instance.Instance, op Op, input, output relation.Cols, ran
 			}
 		}
 		*lk.keep = keep
+	}
+	for _, lp := range c.prunes {
+		*lp.binds = slices.DeleteFunc(slices.Clone(*lp.binds), func(bp regPos) bool { return lastRead[bp.reg] <= lp.stage })
 	}
 	p.pool.New = func() any { return p.newBatchState() }
 	return p, nil
@@ -345,79 +365,53 @@ func (c *bcompiler) emit(op Op, prim decomp.Primitive) {
 	}
 }
 
-// encode is Dict.Encode with the inline-integer fast path hoisted into the
-// caller, so the common case costs two branches and a shift. The hottest
-// sweeps open-code colblock.EncodeInline instead: encode itself exceeds the
-// inlining budget (the Dict.Encode fallback call), and a non-inlined call
-// copies the 32-byte Value argument per row.
-func encode(d *colblock.Dict, v value.Value) colblock.Code {
-	if c, ok := colblock.EncodeInline(v); ok {
-		return c
-	}
-	return d.Encode(v)
-}
-
-// find is Dict.Find with the same inlined fast path.
-func find(d *colblock.Dict, v value.Value) (colblock.Code, bool) {
-	if c, ok := colblock.EncodeInline(v); ok {
-		return c, true
-	}
-	return d.Find(v)
-}
-
 // emitUnit lowers a qunit to an in-place filter/compact stage: check the
-// statically bound columns word-wise, bind the fresh ones, and compact
-// survivors to the front of the frontier. Partial unit tuples (a root unit
-// before the first insert) bail to the closure tier's name-based slow path.
-// The no-check shape — a unit none of whose columns is pre-bound, the usual
-// case — skips the compaction bookkeeping entirely: every row survives.
+// statically bound columns word against word, bind the fresh ones by copying
+// the node's words, and compact survivors to the front of the frontier. A
+// unit nothing has been written to (a root unit before the first insert)
+// bails to the closure tier's name-based slow path. The no-check shape — a
+// unit none of whose columns is pre-bound, the usual case — skips the
+// compaction bookkeeping entirely: every row survives.
 func (c *bcompiler) emitUnit(op *Unit) {
-	slot, ok := c.in.SlotOfUnit(op.U)
+	off, ok := c.in.SlotOfUnit(op.U)
 	if !ok {
 		c.fail("plan: unit primitive not in decomposition")
 		return
 	}
+	if op.U.Cols.IsEmpty() {
+		return // nothing to check, bind or find unwritten
+	}
 	live := len(c.names)
 	checks, binds := c.unitRegs(op.U)
-	nCols := op.U.Cols.Len()
 	jn := append([]int(nil), c.jnActive...)
 	for _, cp := range checks {
 		c.readReg(cp.reg)
 	}
+	all := binds // what constrain sees: liveness prunes binds itself
+	c.pruneFor(&binds)
 	if len(checks) == 0 {
 		c.prog.stages = append(c.prog.stages, func(st *batchState) bool {
+			if len(binds) == 0 {
+				return true
+			}
 			f := st.cur
 			cols := f.blk.Cols
 			n := f.blk.N
-			dict := st.dict
-			if len(binds) == 1 {
-				bp := binds[0]
-				col := sizedCodes(cols[bp.reg], n)
-				cols[bp.reg] = col
-				for i := 0; i < n; i++ {
-					ut := f.node[i].UnitAtSlot(slot)
-					if ut.Len() != nCols {
-						return false // partial unit: the closure tier owns this shape
-					}
-					col[i] = encode(dict, ut.ValueAt(bp.pos))
-				}
-				return true
-			}
 			for _, bp := range binds {
 				cols[bp.reg] = sizedCodes(cols[bp.reg], n)
 			}
 			for i := 0; i < n; i++ {
-				ut := f.node[i].UnitAtSlot(slot)
-				if ut.Len() != nCols {
-					return false
+				w := f.node[i].Words()[off:]
+				if w[0] == colblock.Unset {
+					return false // unwritten unit: the closure tier owns this shape
 				}
 				for _, bp := range binds {
-					cols[bp.reg][i] = encode(dict, ut.ValueAt(bp.pos))
+					cols[bp.reg][i] = w[bp.pos]
 				}
 			}
 			return true
 		})
-		c.constrain(binds)
+		c.constrain(all)
 		return
 	}
 	keep := c.keepFor(live)
@@ -425,7 +419,6 @@ func (c *bcompiler) emitUnit(op *Unit) {
 		f := st.cur
 		cols := f.blk.Cols
 		n := f.blk.N
-		dict := st.dict
 		kp := *keep
 		for _, bp := range binds {
 			cols[bp.reg] = sizedCodes(cols[bp.reg], n)
@@ -433,18 +426,17 @@ func (c *bcompiler) emitUnit(op *Unit) {
 		w := 0
 	rows:
 		for i := 0; i < n; i++ {
-			ut := f.node[i].UnitAtSlot(slot)
-			if ut.Len() != nCols {
+			uw := f.node[i].Words()[off:]
+			if uw[0] == colblock.Unset {
 				return false
 			}
 			for _, cp := range checks {
-				code, ok := find(dict, ut.ValueAt(cp.pos))
-				if !ok || code != cols[cp.reg][i] {
+				if uw[cp.pos] != cols[cp.reg][i] {
 					continue rows
 				}
 			}
 			for _, bp := range binds {
-				cols[bp.reg][w] = encode(dict, ut.ValueAt(bp.pos))
+				cols[bp.reg][w] = uw[bp.pos]
 			}
 			if w != i {
 				for _, r := range kp {
@@ -463,7 +455,7 @@ func (c *bcompiler) emitUnit(op *Unit) {
 		f.truncate(w, kp, jn)
 		return true
 	})
-	c.constrain(binds)
+	c.constrain(all)
 }
 
 // constrain appends a range program's filter stage when binds — the
@@ -487,7 +479,7 @@ func (c *bcompiler) constrain(binds []regPos) {
 		kp := *keep
 		w := 0
 		for i := 0; i < n; i++ {
-			if !st.rg.Contains(st.dict.Decode(key[i])) {
+			if !st.rg.Contains(st.vw.Decode(key[i])) {
 				continue
 			}
 			if w != i {
@@ -532,15 +524,11 @@ const (
 	probeMinEntries = 8
 )
 
-// FNV-1a over key codes, word-at-a-time; buildProbe and the probeGet
-// variants must agree on this fold.
-const (
-	probeSeed  uint64 = 14695981039346656037
-	probePrime uint64 = 1099511628211
-)
-
 // resetTab returns the pooled open-addressed table ptab emptied and sized
 // for n entries at load factor ≤ ½ (a power of two, so a mask wraps it).
+// Every table built in it — buildProbe's, distinctRows' — hashes with
+// colblock's one fold, whose finish is what lets consecutive inline keys
+// reach both parities of the slots.
 func (st *batchState) resetTab(n int) []int32 {
 	size := 16
 	for size < 2*n {
@@ -555,32 +543,16 @@ func (st *batchState) resetTab(n int) []int32 {
 	return st.ptab
 }
 
-// buildProbe extracts the map at node's slot into the pooled probe table:
-// entry key codes row-major (nKey wide) in pbuf, and an open-addressed index
-// over them (load factor ≤ ½) in ptab. Key codes come from the interning
-// dictionary, so equal values hold equal codes on both sides of a probe.
-// Entries whose key tuple does not have exactly nKey columns are skipped —
-// a well-formed probe could never match them — and collisions terminate
-// because map keys are unique. Like the scan stages, this trusts the
-// structure to key the level by exactly the edge's key columns, so only
-// positional codes are compared, never column names.
-func (st *batchState) buildProbe(node *instance.Node, slot, nKey int) {
-	st.eks, st.ens = node.AppendMapEntries(slot, st.eks[:0], st.ens[:0])
-	nE := len(st.eks)
-	st.pbuf = sizedCodes(st.pbuf, nE*nKey)
-	mask := uint64(len(st.resetTab(nE)) - 1)
-	for e := 0; e < nE; e++ {
-		k := st.eks[e]
-		if k.Len() != nKey {
-			continue
-		}
-		h := probeSeed
-		for j := 0; j < nKey; j++ {
-			code := encode(st.dict, k.ValueAt(j))
-			st.pbuf[e*nKey+j] = code
-			h = (h ^ uint64(code)) * probePrime
-		}
-		idx := h & mask
+// buildProbe extracts the container m into the pooled probe table: its key
+// words, nKey per entry, in eks with the children beside them in ens, and an
+// open-addressed index over the entries (load factor ≤ ½) in ptab. The words
+// are the ones the frontier's registers hold, so a probe compares them as
+// they are; collisions terminate because map keys are unique.
+func (st *batchState) buildProbe(m dstruct.Words[*instance.Node], nKey int) {
+	st.eks, st.ens = m.AppendEntries(st.eks[:0], st.ens[:0])
+	mask := uint64(len(st.resetTab(len(st.ens))) - 1)
+	for e := range st.ens {
+		idx := colblock.Hash(st.eks[e*nKey:(e+1)*nKey]) & mask
 		for st.ptab[idx] != 0 {
 			idx = (idx + 1) & mask
 		}
@@ -591,14 +563,13 @@ func (st *batchState) buildProbe(node *instance.Node, slot, nKey int) {
 // probeGet1 answers a single-column probe against the table buildProbe
 // built with nKey = 1.
 func (st *batchState) probeGet1(c colblock.Code) (*instance.Node, bool) {
-	h := (probeSeed ^ uint64(c)) * probePrime
 	mask := uint64(len(st.ptab) - 1)
-	for idx := h & mask; ; idx = (idx + 1) & mask {
+	for idx := colblock.Hash1(c) & mask; ; idx = (idx + 1) & mask {
 		t := st.ptab[idx]
 		if t == 0 {
 			return nil, false
 		}
-		if e := int(t) - 1; st.pbuf[e] == c {
+		if e := int(t) - 1; st.eks[e] == c {
 			return st.ens[e], true
 		}
 	}
@@ -607,38 +578,30 @@ func (st *batchState) probeGet1(c colblock.Code) (*instance.Node, bool) {
 // probeGet answers a multi-column probe (key codes in edge-key column
 // order) against the table buildProbe built with nKey = len(kc).
 func (st *batchState) probeGet(kc []colblock.Code) (*instance.Node, bool) {
-	h := probeSeed
-	for _, c := range kc {
-		h = (h ^ uint64(c)) * probePrime
-	}
 	nKey := len(kc)
 	mask := uint64(len(st.ptab) - 1)
-outer:
-	for idx := h & mask; ; idx = (idx + 1) & mask {
+	for idx := colblock.Hash(kc) & mask; ; idx = (idx + 1) & mask {
 		t := st.ptab[idx]
 		if t == 0 {
 			return nil, false
 		}
-		e := int(t) - 1
-		for j := 0; j < nKey; j++ {
-			if st.pbuf[e*nKey+j] != kc[j] {
-				continue outer
-			}
+		if e := int(t) - 1; slices.Equal(st.eks[e*nKey:(e+1)*nKey], kc) {
+			return st.ens[e], true
 		}
-		return st.ens[e], true
 	}
 }
 
-// emitLookup lowers a qlookup to a batch probe: decode each surviving row's
-// key registers, probe the row's map level, and compact hits (with their
-// child nodes) in place. Lookups bind nothing, so the live set is unchanged.
+// emitLookup lowers a qlookup to a batch probe: look each surviving row's
+// key registers — stored words already — up in the row's map level, and
+// compact hits (with their child nodes) in place. Lookups bind nothing, so
+// the live set is unchanged.
 //
 // The row loop runs over runs of rows sharing one node — after a join
 // reload the whole frontier is typically a single run — and when a run's
 // map is a linear-scan structure large enough to clear the inversion
 // thresholds, the stage probes batch-at-a-time: extract and index the
 // entries once (buildProbe), then answer each row by hashed word compares
-// instead of an O(entries) tuple-equality walk per row.
+// instead of an O(entries) scan per row.
 func (c *bcompiler) emitLookup(op *Lookup) {
 	e := op.Edge
 	slot, ok := c.in.SlotOfEdge(e)
@@ -676,10 +639,10 @@ func (c *bcompiler) emitLookup(op *Lookup) {
 				for run < n && f.node[run] == node {
 					run++
 				}
-				m := node.MapAtSlot(slot)
+				m := node.Map(slot)
 				if kind := m.Kind(); (kind == dstruct.DListKind || kind == dstruct.SListKind) &&
 					run-i >= probeMinRun && m.Len() >= probeMinEntries {
-					st.buildProbe(node, slot, 1)
+					st.buildProbe(m, 1)
 					for ; i < run; i++ {
 						child, ok := st.probeGet1(key[i])
 						if !ok {
@@ -699,7 +662,7 @@ func (c *bcompiler) emitLookup(op *Lookup) {
 					continue
 				}
 				for ; i < run; i++ {
-					child, ok := m.GetByValue(st.dict.Decode(key[i]))
+					child, ok := m.Get1(st.vw, key[i])
 					if !ok {
 						continue
 					}
@@ -727,7 +690,7 @@ func (c *bcompiler) emitLookup(op *Lookup) {
 			f := st.cur
 			cols := f.blk.Cols
 			n := f.blk.N
-			kv := st.keyVals[:nKey]
+			kc := st.kc[:nKey]
 			kp := *keep
 			w := 0
 			for i := 0; i < n; {
@@ -736,11 +699,10 @@ func (c *bcompiler) emitLookup(op *Lookup) {
 				for run < n && f.node[run] == node {
 					run++
 				}
-				m := node.MapAtSlot(slot)
+				m := node.Map(slot)
 				if kind := m.Kind(); (kind == dstruct.DListKind || kind == dstruct.SListKind) &&
 					run-i >= probeMinRun && m.Len() >= probeMinEntries {
-					st.buildProbe(node, slot, nKey)
-					kc := st.kc[:nKey]
+					st.buildProbe(m, nKey)
 					for ; i < run; i++ {
 						for j, r := range regs {
 							kc[j] = cols[r][i]
@@ -764,9 +726,9 @@ func (c *bcompiler) emitLookup(op *Lookup) {
 				}
 				for ; i < run; i++ {
 					for j, r := range regs {
-						kv[j] = st.dict.Decode(cols[r][i])
+						kc[j] = cols[r][i]
 					}
-					child, ok := m.Get(relation.SortedTuple(names, kv))
+					child, ok := m.Get(st.vw, kc)
 					if !ok {
 						continue
 					}
@@ -790,19 +752,18 @@ func (c *bcompiler) emitLookup(op *Lookup) {
 }
 
 // emitScan lowers a qscan to a fan-out stage: bulk-extract each surviving
-// row's map level into scratch, filter entries against the statically bound
-// key columns word-wise, and append survivors — copied live registers,
-// freshly bound key columns, child node, active join nodes — to the next
-// frontier column-wise. The frontiers then swap. A key tuple shorter than
-// the edge's full key (never produced by the built-in structures) bails to
-// the closure tier's name-based slow path.
+// row's map level into scratch — key words one key after another, children
+// beside them — filter entries against the statically bound key columns word
+// against word, and append survivors — copied live registers, freshly bound
+// key columns, child node, active join nodes — to the next frontier
+// column-wise. The frontiers then swap.
 //
 // Two fusion rules apply. When the scan's subplan is a bare qunit — the
 // tail shape of almost every Figure-7 plan — the unit's checks and binds
 // run inside the fan-out loop over the freshly extracted children, saving a
 // whole frontier pass (fused scan→filter→project). And when the scan has no
-// key checks, the fan-out runs column-at-a-time: one encoding sweep per
-// bound key column, one replication sweep per live register, one bulk node
+// key checks, the fan-out runs column-at-a-time: one strided copy per bound
+// key column, one replication sweep per live register, one bulk node
 // append — sweeps over dense arrays instead of an interleaved row loop.
 func (c *bcompiler) emitScan(op *Scan) {
 	e := op.Edge
@@ -836,20 +797,23 @@ func (c *bcompiler) emitScan(op *Scan) {
 	for _, cp := range checks {
 		c.readReg(cp.reg)
 	}
-	if sub, isUnit := op.Sub.(*Unit); isUnit {
-		uslot, ok := c.in.SlotOfUnit(sub.U)
+	sub, isUnit := op.Sub.(*Unit)
+	if isUnit && sub.U.Cols.IsEmpty() {
+		isUnit = false // nothing to fuse; emitUnit emits no stage for it either
+	}
+	if isUnit {
+		uoff, ok := c.in.SlotOfUnit(sub.U)
 		if !ok {
 			c.fail("plan: unit primitive not in decomposition")
 			return
 		}
 		uchecks, ubinds := c.unitRegs(sub.U)
-		unCols := sub.U.Cols.Len()
 		// A unit check column bound by this scan's own key binds has no
-		// frontier column yet — its value for the row is in the key tuple, so
-		// the check compares the two tuples' values directly.
+		// frontier column yet — its value for the row is in the key, so the
+		// check compares the unit's word with the key's.
 		var ufchecks []regPos // against a pre-stage frontier column
 		type posPair struct{ upos, kpos int }
-		var ukchecks []posPair // against this row's key tuple
+		var ukchecks []posPair // against this entry's key words
 		for _, cp := range uchecks {
 			if cp.reg < live {
 				ufchecks = append(ufchecks, cp)
@@ -866,194 +830,84 @@ func (c *bcompiler) emitScan(op *Scan) {
 			c.readReg(cp.reg)
 		}
 		keep := c.keepFor(live)
+		uall := ubinds // what constrain sees: liveness prunes binds and ubinds themselves
+		c.pruneFor(&binds)
+		c.pruneFor(&ubinds)
 		if len(checks) == 0 && len(ufchecks) == 0 && len(ukchecks) == 0 {
 			// Every entry survives, so the fused stage runs column-at-a-time:
-			// one encoding sweep per bound key column (arity check folded into
-			// the first), one sweep over the children for the unit columns,
-			// fill sweeps for the live registers, and a bulk node append. The
-			// single-bind cases — the overwhelmingly common plan shape — keep
-			// the column in a register-resident local across the sweep.
-			bind1 := len(binds) == 1
-			ubind1 := len(ubinds) == 1
-			var bp0, ubp0 regPos
-			if bind1 {
-				bp0 = binds[0]
-			}
-			if ubind1 {
-				ubp0 = ubinds[0]
-			}
+			// one strided copy per bound key column, one sweep over the
+			// children for the bound unit columns, fill sweeps for the live
+			// registers, and a bulk node append.
 			c.prog.stages = append(c.prog.stages, func(st *batchState) bool {
 				f, g := st.cur, st.nxt
-				cols := f.blk.Cols
 				gc := g.blk.Cols
-				n := f.blk.N
-				dict := st.dict
 				kp := *keep
-				for _, r := range kp {
-					gc[r] = gc[r][:0]
-				}
-				for _, bp := range binds {
-					gc[bp.reg] = gc[bp.reg][:0]
-				}
-				for _, bp := range ubinds {
-					gc[bp.reg] = gc[bp.reg][:0]
-				}
-				g.node = g.node[:0]
-				for _, j := range jn {
-					g.jn[j] = g.jn[j][:0]
-				}
-				for i := 0; i < n; i++ {
-					st.extract(f.node[i], slot, ranged)
-					eks, ens := st.eks, st.ens
-					m := len(eks)
-					switch {
-					case bind1:
-						col := gc[bp0.reg]
-						for e := 0; e < m; e++ {
-							if eks[e].Len() != nKey {
-								return false // short key: closure tier owns this shape
-							}
-							code, ok := colblock.EncodeInline(eks[e].ValueAt(bp0.pos))
-							if !ok {
-								code = dict.Encode(eks[e].ValueAt(bp0.pos))
-							}
-							col = append(col, code)
-						}
-						gc[bp0.reg] = col
-					case len(binds) == 0:
-						for e := 0; e < m; e++ {
-							if eks[e].Len() != nKey {
-								return false
-							}
-						}
-					default:
-						for bi, bp := range binds {
-							col := gc[bp.reg]
-							for e := 0; e < m; e++ {
-								if bi == 0 && eks[e].Len() != nKey {
-									return false
-								}
-								col = append(col, encode(dict, eks[e].ValueAt(bp.pos)))
-							}
-							gc[bp.reg] = col
-						}
-					}
-					switch {
-					case ubind1:
-						col := gc[ubp0.reg]
-						for e := 0; e < m; e++ {
-							ut := ens[e].UnitAtSlot(uslot)
-							if ut.Len() != unCols {
-								return false // partial unit: closure tier owns this shape
-							}
-							code, ok := colblock.EncodeInline(ut.ValueAt(ubp0.pos))
-							if !ok {
-								code = dict.Encode(ut.ValueAt(ubp0.pos))
-							}
-							col = append(col, code)
-						}
-						gc[ubp0.reg] = col
-					case len(ubinds) == 0:
-						for e := 0; e < m; e++ {
-							if ens[e].UnitAtSlot(uslot).Len() != unCols {
-								return false
-							}
-						}
-					default:
-						for e := 0; e < m; e++ {
-							ut := ens[e].UnitAtSlot(uslot)
-							if ut.Len() != unCols {
-								return false
+				g.reset(kp, jn, binds, ubinds)
+				for i, n := 0, f.blk.N; i < n; i++ {
+					st.extract(f.node[i].Map(slot), ranged)
+					g.bindKeys(binds, st.eks, nKey)
+					if len(ubinds) > 0 {
+						for _, child := range st.ens {
+							uw := child.Words()[uoff:]
+							if uw[0] == colblock.Unset {
+								return false // unwritten unit: closure tier owns this shape
 							}
 							for _, bp := range ubinds {
-								gc[bp.reg] = append(gc[bp.reg], encode(dict, ut.ValueAt(bp.pos)))
+								gc[bp.reg] = append(gc[bp.reg], uw[bp.pos])
 							}
 						}
 					}
-					for _, r := range kp {
-						v := cols[r][i]
-						col := gc[r]
-						for e := 0; e < m; e++ {
-							col = append(col, v)
-						}
-						gc[r] = col
-					}
-					g.node = append(g.node, ens...)
-					for _, j := range jn {
-						v := f.jn[j][i]
-						col := g.jn[j]
-						for e := 0; e < m; e++ {
-							col = append(col, v)
-						}
-						g.jn[j] = col
-					}
+					g.fanOut(f, i, kp, jn, st.ens)
 				}
 				g.blk.N = len(g.node)
 				st.cur, st.nxt = g, f
 				return true
 			})
 			c.constrain(filter)
-			c.constrain(ubinds)
+			c.constrain(uall)
 			return
 		}
+		unitChecked := len(ufchecks) > 0 || len(ukchecks) > 0
 		c.prog.stages = append(c.prog.stages, func(st *batchState) bool {
 			f, g := st.cur, st.nxt
 			cols := f.blk.Cols
 			gc := g.blk.Cols
-			n := f.blk.N
-			dict := st.dict
 			kp := *keep
-			for _, r := range kp {
-				gc[r] = gc[r][:0]
-			}
-			for _, bp := range binds {
-				gc[bp.reg] = gc[bp.reg][:0]
-			}
-			for _, bp := range ubinds {
-				gc[bp.reg] = gc[bp.reg][:0]
-			}
-			g.node = g.node[:0]
-			for _, j := range jn {
-				g.jn[j] = g.jn[j][:0]
-			}
-			for i := 0; i < n; i++ {
-				st.extract(f.node[i], slot, ranged)
+			g.reset(kp, jn, binds, ubinds)
+			for i, n := 0, f.blk.N; i < n; i++ {
+				st.extract(f.node[i].Map(slot), ranged)
 			entries:
-				for e := range st.eks {
-					k := st.eks[e]
-					if k.Len() != nKey {
-						return false // short key: the closure tier owns this shape
-					}
+				for e, child := range st.ens {
+					k := st.eks[e*nKey : (e+1)*nKey]
 					for _, cp := range checks {
-						code, ok := find(dict, k.ValueAt(cp.pos))
-						if !ok || code != cols[cp.reg][i] {
+						if k[cp.pos] != cols[cp.reg][i] {
 							continue entries
 						}
 					}
-					child := st.ens[e]
-					ut := child.UnitAtSlot(uslot)
-					if ut.Len() != unCols {
-						return false // partial unit: the closure tier owns this shape
-					}
-					for _, cp := range ufchecks {
-						code, ok := find(dict, ut.ValueAt(cp.pos))
-						if !ok || code != cols[cp.reg][i] {
-							continue entries
+					if unitChecked || len(ubinds) > 0 {
+						uw := child.Words()[uoff:]
+						if uw[0] == colblock.Unset {
+							return false // unwritten unit: the closure tier owns this shape
 						}
-					}
-					for _, pp := range ukchecks {
-						if ut.ValueAt(pp.upos) != k.ValueAt(pp.kpos) {
-							continue entries
+						for _, cp := range ufchecks {
+							if uw[cp.pos] != cols[cp.reg][i] {
+								continue entries
+							}
+						}
+						for _, pp := range ukchecks {
+							if uw[pp.upos] != k[pp.kpos] {
+								continue entries
+							}
+						}
+						for _, bp := range ubinds {
+							gc[bp.reg] = append(gc[bp.reg], uw[bp.pos])
 						}
 					}
 					for _, r := range kp {
 						gc[r] = append(gc[r], cols[r][i])
 					}
 					for _, bp := range binds {
-						gc[bp.reg] = append(gc[bp.reg], encode(dict, k.ValueAt(bp.pos)))
-					}
-					for _, bp := range ubinds {
-						gc[bp.reg] = append(gc[bp.reg], encode(dict, ut.ValueAt(bp.pos)))
+						gc[bp.reg] = append(gc[bp.reg], k[bp.pos])
 					}
 					g.node = append(g.node, child)
 					for _, j := range jn {
@@ -1066,72 +920,20 @@ func (c *bcompiler) emitScan(op *Scan) {
 			return true
 		})
 		c.constrain(filter)
-		c.constrain(ubinds)
+		c.constrain(uall)
 		return
 	}
 	keep := c.keepFor(live)
+	c.pruneFor(&binds)
 	if len(checks) == 0 {
 		c.prog.stages = append(c.prog.stages, func(st *batchState) bool {
 			f, g := st.cur, st.nxt
-			cols := f.blk.Cols
-			gc := g.blk.Cols
-			n := f.blk.N
-			dict := st.dict
 			kp := *keep
-			for _, r := range kp {
-				gc[r] = gc[r][:0]
-			}
-			for _, bp := range binds {
-				gc[bp.reg] = gc[bp.reg][:0]
-			}
-			g.node = g.node[:0]
-			for _, j := range jn {
-				g.jn[j] = g.jn[j][:0]
-			}
-			for i := 0; i < n; i++ {
-				st.extract(f.node[i], slot, ranged)
-				m := len(st.eks)
-				if len(binds) == 0 {
-					for e := range st.eks {
-						if st.eks[e].Len() != nKey {
-							return false
-						}
-					}
-				}
-				for bi, bp := range binds {
-					col := gc[bp.reg]
-					if bi == 0 {
-						for e := 0; e < m; e++ {
-							k := st.eks[e]
-							if k.Len() != nKey {
-								return false
-							}
-							col = append(col, encode(dict, k.ValueAt(bp.pos)))
-						}
-					} else {
-						for e := 0; e < m; e++ {
-							col = append(col, encode(dict, st.eks[e].ValueAt(bp.pos)))
-						}
-					}
-					gc[bp.reg] = col
-				}
-				for _, r := range kp {
-					v := cols[r][i]
-					col := gc[r]
-					for e := 0; e < m; e++ {
-						col = append(col, v)
-					}
-					gc[r] = col
-				}
-				g.node = append(g.node, st.ens...)
-				for _, j := range jn {
-					v := f.jn[j][i]
-					col := g.jn[j]
-					for e := 0; e < m; e++ {
-						col = append(col, v)
-					}
-					g.jn[j] = col
-				}
+			g.reset(kp, jn, binds, nil)
+			for i, n := 0, f.blk.N; i < n; i++ {
+				st.extract(f.node[i].Map(slot), ranged)
+				g.bindKeys(binds, st.eks, nKey)
+				g.fanOut(f, i, kp, jn, st.ens)
 			}
 			g.blk.N = len(g.node)
 			st.cur, st.nxt = g, f
@@ -1145,30 +947,15 @@ func (c *bcompiler) emitScan(op *Scan) {
 		f, g := st.cur, st.nxt
 		cols := f.blk.Cols
 		gc := g.blk.Cols
-		n := f.blk.N
-		dict := st.dict
 		kp := *keep
-		for _, r := range kp {
-			gc[r] = gc[r][:0]
-		}
-		for _, bp := range binds {
-			gc[bp.reg] = gc[bp.reg][:0]
-		}
-		g.node = g.node[:0]
-		for _, j := range jn {
-			g.jn[j] = g.jn[j][:0]
-		}
-		for i := 0; i < n; i++ {
-			st.extract(f.node[i], slot, ranged)
+		g.reset(kp, jn, binds, nil)
+		for i, n := 0, f.blk.N; i < n; i++ {
+			st.extract(f.node[i].Map(slot), ranged)
 		entries:
-			for e := range st.eks {
-				k := st.eks[e]
-				if k.Len() != nKey {
-					return false
-				}
+			for e, child := range st.ens {
+				k := st.eks[e*nKey : (e+1)*nKey]
 				for _, cp := range checks {
-					code, ok := find(dict, k.ValueAt(cp.pos))
-					if !ok || code != cols[cp.reg][i] {
+					if k[cp.pos] != cols[cp.reg][i] {
 						continue entries
 					}
 				}
@@ -1176,9 +963,9 @@ func (c *bcompiler) emitScan(op *Scan) {
 					gc[r] = append(gc[r], cols[r][i])
 				}
 				for _, bp := range binds {
-					gc[bp.reg] = append(gc[bp.reg], encode(dict, k.ValueAt(bp.pos)))
+					gc[bp.reg] = append(gc[bp.reg], k[bp.pos])
 				}
-				g.node = append(g.node, st.ens[e])
+				g.node = append(g.node, child)
 				for _, j := range jn {
 					g.jn[j] = append(g.jn[j], f.jn[j][i])
 				}
@@ -1192,15 +979,69 @@ func (c *bcompiler) emitScan(op *Scan) {
 	c.emit(op.Sub, c.d.Var(e.Target).Def)
 }
 
+// reset empties the columns a fan-out stage is about to fill: the kept
+// registers, the ones its key and fused unit bind, the nodes and the active
+// join columns.
+func (g *frontier) reset(kp, jn []int, binds, ubinds []regPos) {
+	for _, r := range kp {
+		g.blk.Cols[r] = g.blk.Cols[r][:0]
+	}
+	for _, bp := range binds {
+		g.blk.Cols[bp.reg] = g.blk.Cols[bp.reg][:0]
+	}
+	for _, bp := range ubinds {
+		g.blk.Cols[bp.reg] = g.blk.Cols[bp.reg][:0]
+	}
+	g.node = g.node[:0]
+	for _, j := range jn {
+		g.jn[j] = g.jn[j][:0]
+	}
+}
+
+// bindKeys appends, for every bound key column, that column's word of each
+// extracted key: one strided copy per column.
+func (g *frontier) bindKeys(binds []regPos, eks []colblock.Code, nKey int) {
+	for _, bp := range binds {
+		col := g.blk.Cols[bp.reg]
+		for k := bp.pos; k < len(eks); k += nKey {
+			col = append(col, eks[k])
+		}
+		g.blk.Cols[bp.reg] = col
+	}
+}
+
+// fanOut appends the extracted children and, once per child, row i's kept
+// registers and join nodes: the part of a check-free fan-out that does not
+// look at the entries.
+func (g *frontier) fanOut(f *frontier, i int, kp, jn []int, ens []*instance.Node) {
+	for _, r := range kp {
+		v := f.blk.Cols[r][i]
+		col := g.blk.Cols[r]
+		for range ens {
+			col = append(col, v)
+		}
+		g.blk.Cols[r] = col
+	}
+	g.node = append(g.node, ens...)
+	for _, j := range jn {
+		v := f.jn[j][i]
+		col := g.jn[j]
+		for range ens {
+			col = append(col, v)
+		}
+		g.jn[j] = col
+	}
+}
+
 // extract bulk-extracts the map level a scan stage fans out over into the
 // eks/ens scratch: every entry, or for a ranged scan only those whose key
 // lies within the run's bounds.
-func (st *batchState) extract(n *instance.Node, slot int, ranged bool) {
+func (st *batchState) extract(m dstruct.Words[*instance.Node], ranged bool) {
 	if ranged {
-		st.eks, st.ens = n.AppendMapEntriesBetween(slot, st.lo, st.hi, st.eks[:0], st.ens[:0])
+		st.eks, st.ens = dstruct.AppendEntriesBetween(m, st.vw, st.lo, st.hi, st.eks[:0], st.ens[:0])
 		return
 	}
-	st.eks, st.ens = n.AppendMapEntries(slot, st.eks[:0], st.ens[:0])
+	st.eks, st.ens = m.AppendEntries(st.eks[:0], st.ens[:0])
 }
 
 // emitJoin linearizes a qjoin: a save stage records each row's node in join
@@ -1237,13 +1078,11 @@ func (c *bcompiler) emitJoin(op *Join, j *decomp.Join) {
 
 func (p *BatchProgram) newBatchState() *batchState {
 	st := &batchState{
-		p:    p,
-		dict: colblock.NewDict(),
-		cur:  newFrontier(len(p.reg), p.nJoin),
-		nxt:  newFrontier(len(p.reg), p.nJoin),
+		p:   p,
+		cur: newFrontier(len(p.reg), p.nJoin),
+		nxt: newFrontier(len(p.reg), p.nJoin),
 	}
 	if p.maxKey > 0 {
-		st.keyVals = make([]value.Value, p.maxKey)
 		st.kc = make([]colblock.Code, p.maxKey)
 	}
 	st.viewVals = make([]value.Value, len(p.out))
@@ -1256,9 +1095,9 @@ func (p *BatchProgram) getBatchState() *batchState {
 }
 
 func (p *BatchProgram) putBatchState(st *batchState) {
-	st.dict.Recycle()
-	// Drop node and tuple references so a pooled state does not pin freed
+	// Drop node references and the view so a pooled state does not pin freed
 	// instance subtrees; lengths are rebuilt from scratch by the next run.
+	st.vw = colblock.View{}
 	clear(st.cur.node)
 	clear(st.nxt.node)
 	for _, col := range st.cur.jn {
@@ -1268,7 +1107,6 @@ func (p *BatchProgram) putBatchState(st *batchState) {
 		clear(col)
 	}
 	clear(st.ens)
-	clear(st.eks)
 	p.pool.Put(st)
 }
 
@@ -1297,28 +1135,33 @@ func (p *BatchProgram) RunRange(in *instance.Instance, s relation.Tuple, rg Rang
 		panic(fmt.Sprintf("plan: batch program for range column %q run with range column %q", p.rangeCol, rg.Col))
 	}
 	st := p.getBatchState()
-	st.rg, st.lo, st.hi = rg, relation.Tuple{}, relation.Tuple{}
+	st.vw = in.View()
+	st.rg, st.lo, st.hi = rg, nil, nil
 	if rg.HasLo {
-		st.bnd[0] = rg.Lo
-		st.lo = relation.SortedTuple(p.rangeKey, st.bnd[0:1])
+		st.lo = &st.rg.Lo
 	}
 	if rg.HasHi {
-		st.bnd[1] = rg.Hi
-		st.hi = relation.SortedTuple(p.rangeKey, st.bnd[1:2])
+		st.hi = &st.rg.Hi
 	}
+	// The pattern is looked up once per run. A value the dictionary has
+	// never interned is stored nowhere, so the answer is empty.
 	f := st.cur
-	for r := 0; r < p.nIn; r++ {
-		f.blk.Cols[r] = append(f.blk.Cols[r][:0], st.dict.Encode(s.ValueAt(r)))
-	}
 	f.node = append(f.node[:0], in.Root())
 	f.blk.N = 1
+	for r := 0; r < p.nIn; r++ {
+		c, ok := st.vw.Find(s.ValueAt(r))
+		if !ok {
+			f.blk.N = 0
+		}
+		f.blk.Cols[r] = append(f.blk.Cols[r][:0], c)
+	}
 	for _, stage := range p.stages {
+		if st.cur.blk.N == 0 {
+			break // empty frontier: every later stage preserves emptiness
+		}
 		if !stage(st) {
 			p.putBatchState(st)
 			return nil, false
-		}
-		if st.cur.blk.N == 0 {
-			break // empty frontier: every later stage preserves emptiness
 		}
 	}
 	st.res.st = st
@@ -1341,7 +1184,7 @@ func (r *BatchResult) NumCols() int { return len(r.st.p.out) }
 
 // Col returns output column j (in OutCols order) as raw codes, one per
 // result row. It aliases the execution state: the slice is valid until
-// Release, and codes decode through Dict. This is the zero-copy consumption
+// Release, and codes decode through View. This is the zero-copy consumption
 // path — aggregations sweep the column words directly instead of
 // materializing tuples through EachTuple.
 func (r *BatchResult) Col(j int) []colblock.Code {
@@ -1349,9 +1192,9 @@ func (r *BatchResult) Col(j int) []colblock.Code {
 	return st.cur.blk.Cols[st.p.out[j]][:st.cur.blk.N]
 }
 
-// Dict returns the dictionary the result's codes decode through, valid
-// until Release.
-func (r *BatchResult) Dict() *colblock.Dict { return r.st.dict }
+// View returns the dictionary view the result's codes decode through: the
+// one of the instance version the program ran against.
+func (r *BatchResult) View() colblock.View { return r.st.vw }
 
 // EachTuple calls f with the projection of each result row, duplicates
 // included, stopping early when f returns false; it reports whether the
@@ -1365,7 +1208,7 @@ func (r *BatchResult) EachTuple(f func(relation.Tuple) bool) bool {
 	n := st.cur.blk.N
 	for i := 0; i < n; i++ {
 		for j, reg := range p.out {
-			st.viewVals[j] = st.dict.Decode(cols[reg][i])
+			st.viewVals[j] = st.vw.Decode(cols[reg][i])
 		}
 		if !f(st.view) {
 			return false
@@ -1416,7 +1259,7 @@ func (st *batchState) emitRows(rows []int32, f func(relation.Tuple) bool) bool {
 		vals := slab[:k:k]
 		slab = slab[k:]
 		for j, reg := range p.out {
-			vals[j] = st.dict.Decode(cols[reg][row])
+			vals[j] = st.vw.Decode(cols[reg][row])
 		}
 		if !f(relation.SortedTuple(names, vals)) {
 			return false
@@ -1428,7 +1271,7 @@ func (st *batchState) emitRows(rows []int32, f func(relation.Tuple) bool) bool {
 // distinctRows returns the frontier rows that survive projection dedup —
 // the first row of every distinct combination of output codes, in frontier
 // order. Rows are deduplicated on their code words (equal codes ⟺ equal
-// values within one execution's dictionary) in an open-addressed table of
+// values within one dictionary lineage) in an open-addressed table of
 // row indices, the buildProbe discipline: row index + 1 per slot, 0 empty,
 // load factor ≤ ½. Every stage has run by now, so the table is the lookup
 // stages' own ptab, reset here; nothing is allocated once the pooled state
@@ -1447,15 +1290,12 @@ func (st *batchState) distinctRows() []int32 {
 	rows := st.rows[:0]
 	mask := uint64(len(tab) - 1)
 	for i := 0; i < n; i++ {
-		h := probeSeed
+		h := colblock.HashInit
 		for _, col := range out {
-			h = (h ^ uint64(col[i])) * probePrime
+			h = colblock.HashAdd(h, col[i])
 		}
-		// The multiplicative fold leaves its entropy in the high bits (the low
-		// bit of an inline code is the constant tag); bring it down to the mask.
-		h ^= h >> 32
 	probe:
-		for idx := h & mask; ; idx = (idx + 1) & mask {
+		for idx := colblock.HashEnd(h) & mask; ; idx = (idx + 1) & mask {
 			t := tab[idx]
 			if t == 0 {
 				tab[idx] = int32(i + 1)
@@ -1479,7 +1319,7 @@ func (st *batchState) distinctRows() []int32 {
 // order (relation.SortTuples') — the batch counterpart of Program.Collect.
 // Dedup and order are operators over the result's own code words: rows are
 // deduplicated by distinctRows, the surviving row indices are sorted by
-// comparing codes column by column (Dict.Compare — an integer compare unless
+// comparing codes column by column (View.Compare — an integer compare unless
 // a string or a 64-bit integer is involved), and only then does a survivor
 // become a tuple, through the same slab carving EachRow uses. A duplicate
 // costs a hash and a word compare, a kept row one slab share, and nothing
@@ -1490,11 +1330,11 @@ func (r *BatchResult) Collect() []relation.Tuple {
 	if len(rows) == 0 {
 		return []relation.Tuple{}
 	}
-	out, dict := st.outc, st.dict
+	out, vw := st.outc, st.vw
 	slices.SortFunc(rows, func(a, b int32) int {
 		for _, col := range out {
 			if ca, cb := col[a], col[b]; ca != cb {
-				return dict.Compare(ca, cb)
+				return vw.Compare(ca, cb)
 			}
 		}
 		return 0

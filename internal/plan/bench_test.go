@@ -241,7 +241,7 @@ func benchBatch(b *testing.B, in *instance.Instance, cand *plan.Candidate, input
 // sumBatch decodes and sums every output cell of br.
 func sumBatch(br *plan.BatchResult) int64 {
 	var sum int64
-	d := br.Dict()
+	d := br.View()
 	for j := 0; j < br.NumCols(); j++ {
 		for _, c := range br.Col(j) {
 			i, _ := d.Decode(c).AsInt()

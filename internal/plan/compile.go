@@ -59,6 +59,7 @@ type cfn func(st *progState, n *instance.Node) bool
 // a query in steady state reuses registers, scan callbacks, and key scratch
 // without allocating.
 type progState struct {
+	in        *instance.Instance // the instance of this run: what boxes a node's words
 	regs      []value.Value
 	scanFns   []func(k relation.Tuple, child *instance.Node) bool
 	joinNodes []*instance.Node
@@ -109,7 +110,6 @@ type regPos struct {
 // callbacks are built from it when a progState is created, then reused for
 // every invocation of the scan.
 type scanDesc struct {
-	slot   int
 	nKey   int
 	names  []string // key column names, sorted
 	static []bool   // static boundness per key column (true → check)
@@ -122,7 +122,6 @@ type scanDesc struct {
 // unitDesc describes the leaf comparison/binding of one qunit for the
 // name-based slow path.
 type unitDesc struct {
-	slot   int
 	names  []string
 	static []bool
 	regs   []int
@@ -225,12 +224,12 @@ func (c *compiler) compile(op Op, prim decomp.Primitive, cont func(st *progState
 }
 
 func (c *compiler) compileUnit(op *Unit, cont func(st *progState) bool) cfn {
-	slot, ok := c.in.SlotOfUnit(op.U)
-	if !ok {
+	u := op.U
+	if _, ok := c.in.SlotOfUnit(u); !ok {
 		return c.fail("plan: unit primitive not in decomposition")
 	}
-	names := op.U.Cols.Names()
-	d := &unitDesc{slot: slot, names: names, cont: cont}
+	names := u.Cols.Names()
+	d := &unitDesc{names: names, cont: cont}
 	var checks, binds []regPos
 	for i, col := range names {
 		r := c.regOf(col)
@@ -245,7 +244,7 @@ func (c *compiler) compileUnit(op *Unit, cont func(st *progState) bool) cfn {
 	}
 	nCols := len(names)
 	return func(st *progState, n *instance.Node) bool {
-		ut := n.UnitAtSlot(slot)
+		ut := n.UnitAt(st.in, u)
 		if st.nUnset == 0 && ut.Len() == nCols {
 			for _, cp := range checks {
 				if ut.ValueAt(cp.pos) != st.regs[cp.reg] {
@@ -292,8 +291,7 @@ func unitSlow(st *progState, d *unitDesc, ut relation.Tuple) bool {
 
 func (c *compiler) compileLookup(op *Lookup, cont func(st *progState) bool) cfn {
 	e := op.Edge
-	slot, ok := c.in.SlotOfEdge(e)
-	if !ok {
+	if _, ok := c.in.SlotOfEdge(e); !ok {
 		return c.fail("plan: lookup edge not in decomposition")
 	}
 	names := e.Key.Names()
@@ -311,7 +309,7 @@ func (c *compiler) compileLookup(op *Lookup, cont func(st *progState) bool) cfn 
 			if st.nUnset != 0 && st.unset[r] {
 				return true // the interpreter's partial key misses
 			}
-			child, ok := n.MapAtSlot(slot).GetByValue(st.regs[r])
+			child, ok := n.MapAt(st.in, e).GetByValue(st.regs[r])
 			if !ok {
 				return true
 			}
@@ -328,7 +326,7 @@ func (c *compiler) compileLookup(op *Lookup, cont func(st *progState) bool) cfn 
 			}
 			kv[i] = st.regs[r]
 		}
-		child, ok := n.MapAtSlot(slot).Get(relation.SortedTuple(names, kv))
+		child, ok := n.MapAt(st.in, e).Get(relation.SortedTuple(names, kv))
 		if !ok {
 			return true
 		}
@@ -338,12 +336,11 @@ func (c *compiler) compileLookup(op *Lookup, cont func(st *progState) bool) cfn 
 
 func (c *compiler) compileScan(op *Scan, cont func(st *progState) bool) cfn {
 	e := op.Edge
-	slot, ok := c.in.SlotOfEdge(e)
-	if !ok {
+	if _, ok := c.in.SlotOfEdge(e); !ok {
 		return c.fail("plan: scan edge not in decomposition")
 	}
 	names := e.Key.Names()
-	sd := &scanDesc{slot: slot, nKey: len(names), names: names}
+	sd := &scanDesc{nKey: len(names), names: names}
 	for i, col := range names {
 		r := c.regOf(col)
 		sd.regs = append(sd.regs, r)
@@ -359,7 +356,7 @@ func (c *compiler) compileScan(op *Scan, cont func(st *progState) bool) cfn {
 	id := len(c.prog.scans)
 	c.prog.scans = append(c.prog.scans, sd)
 	return func(st *progState, n *instance.Node) bool {
-		n.MapAtSlot(slot).Range(st.scanFns[id])
+		n.MapAt(st.in, e).Range(st.scanFns[id])
 		return !st.stopped
 	}
 }
@@ -482,6 +479,7 @@ func (p *Program) getState() *progState {
 }
 
 func (p *Program) putState(st *progState) {
+	st.in = nil
 	st.emit = nil
 	st.userF = nil
 	for i := range st.joinNodes {
@@ -493,14 +491,15 @@ func (p *Program) putState(st *progState) {
 // run loads the input pattern into the registers and executes the program.
 // s must bind exactly the input columns the program was compiled for; the
 // engine guarantees this because the plan-cache signature is s's domain.
-func (p *Program) run(st *progState, root *instance.Node, s relation.Tuple) bool {
+func (p *Program) run(st *progState, in *instance.Instance, s relation.Tuple) bool {
 	if s.Len() != p.nIn {
 		panic(fmt.Sprintf("plan: compiled program for %d input columns run with pattern %v", p.nIn, s))
 	}
+	st.in = in
 	for i := 0; i < p.nIn; i++ {
 		st.regs[i] = s.ValueAt(i)
 	}
-	return p.root(st, root)
+	return p.root(st, in.Root())
 }
 
 // OutCols returns the output columns the program projects onto.
@@ -552,7 +551,7 @@ func (p *Program) Collect(in *instance.Instance, s relation.Tuple, hint int) []r
 		}
 		return true
 	}
-	p.run(st, in.Root(), s)
+	p.run(st, in, s)
 	relation.SortTuples(res)
 	return res
 }
@@ -575,7 +574,7 @@ func (p *Program) Stream(in *instance.Instance, s relation.Tuple, f func(relatio
 		}
 		return f(relation.SortedTuple(outNames, vals))
 	}
-	return p.run(st, in.Root(), s)
+	return p.run(st, in, s)
 }
 
 // StreamView is Stream without the allocations: f receives a view tuple
@@ -589,7 +588,7 @@ func (p *Program) StreamView(in *instance.Instance, s relation.Tuple, f func(rel
 	defer p.putState(st)
 	st.userF = f
 	st.emit = st.emitView
-	return p.run(st, in.Root(), s)
+	return p.run(st, in, s)
 }
 
 // emitPartial materializes the projection when some output registers are

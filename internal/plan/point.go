@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"repro/internal/colblock"
 	"repro/internal/decomp"
 	"repro/internal/instance"
 	"repro/internal/relation"
@@ -20,7 +21,7 @@ type PointPlan struct {
 
 // pointStep is one qlookup of the descent. When the edge's key is a single
 // column the step carries its name, and Get goes through the data structure's
-// GetByValue fast path — one value fetched from the constraint, no key tuple
+// one-word lookup — one value fetched from the constraint and encoded, no key
 // materialized.
 type pointStep struct {
 	e   *decomp.MapEdge
@@ -57,21 +58,25 @@ func CompilePoint(op Op) *PointPlan {
 // semantically identical to Exec with an emit that stops after the first
 // result: the result tuple of that execution is s ▷ unit. Every map key on
 // the way must be bound by s — guaranteed when the plan was built for input
-// columns dom(s), as the validity judgment requires exactly that.
+// columns dom(s), as the validity judgment requires exactly that. The
+// descent runs on the stored words: each key value is looked up in the
+// instance's dictionary once (a value it has never seen ends the descent)
+// and only the leaf unit is boxed.
 func (p *PointPlan) Get(in *instance.Instance, s relation.Tuple) (relation.Tuple, bool) {
+	vw := in.View()
 	n := in.Root()
 	for i := range p.steps {
 		st := &p.steps[i]
+		slot, _ := in.SlotOfEdge(st.e)
 		var child *instance.Node
-		var ok bool
+		ok := false
 		if st.col != "" {
 			v, bound := s.Get(st.col)
-			if !bound {
-				return relation.Tuple{}, false
+			if c, found := vw.Find(v); bound && found {
+				child, ok = n.Map(slot).Get1(vw, c)
 			}
-			child, ok = n.MapAt(in, st.e).GetByValue(v)
-		} else {
-			child, ok = n.MapAt(in, st.e).Get(s.Project(st.e.Key))
+		} else if kc, found := findKey(vw, s, st.e.Key.Names()); found {
+			child, ok = n.Map(slot).Get(vw, kc)
 		}
 		if !ok {
 			return relation.Tuple{}, false
@@ -83,4 +88,19 @@ func (p *PointPlan) Get(in *instance.Instance, s relation.Tuple) (relation.Tuple
 		return relation.Tuple{}, false
 	}
 	return u, true
+}
+
+// findKey looks the values s binds to names up in the dictionary view; ok is
+// false when s leaves a name unbound or a value has no code.
+func findKey(vw colblock.View, s relation.Tuple, names []string) ([]colblock.Code, bool) {
+	kc := make([]colblock.Code, len(names))
+	for i, name := range names {
+		v, bound := s.Get(name)
+		c, found := vw.Find(v)
+		if !bound || !found {
+			return nil, false
+		}
+		kc[i] = c
+	}
+	return kc, true
 }

@@ -2,7 +2,8 @@ package vet
 
 // The relvet 2xx plane: engine-invariant analyzers that check the
 // engine's own source (internal/core, internal/instance,
-// internal/dstruct, internal/durable, internal/wal) rather than client
+// internal/dstruct, internal/colblock, internal/durable, internal/wal)
+// rather than client
 // code. Where the 1xx analyzers are intraprocedural pattern checks,
 // these lean on the interprocedural layer in internal/analysis —
 // per-function summaries, a call graph, and the //relvet:role
@@ -13,9 +14,12 @@ package vet
 //	relvet200  the role-annotation contract itself (unknown or
 //	           misplaced //relvet:role markers)
 //	relvet201  published versions are immutable outside fork/clone/
-//	           config roles (COW write discipline)
+//	           config roles (COW write discipline), and a clone copies
+//	           the word arrays it is about to write instead of aliasing
+//	           its source's
 //	relvet202  nothing reachable from a role=read entry point may
-//	           lock or write engine state (lock-free read purity)
+//	           lock or write engine state, or enter a role=writer
+//	           function (lock-free read purity)
 //	relvet203  wal.Append dominates the publish on durable mutation
 //	           paths; error paths must not publish
 //	relvet204  the published atomic.Pointer is stored only at
@@ -54,6 +58,7 @@ func EnginePackages() []string {
 		"./internal/core",
 		"./internal/instance",
 		"./internal/dstruct",
+		"./internal/colblock",
 		"./internal/durable",
 		"./internal/wal",
 	}
@@ -66,11 +71,11 @@ func EngineCodes() []lint.Info {
 			Summary:   "unknown, duplicate, or misplaced //relvet:role annotation",
 			Grounding: "the 2xx analyzers trust role annotations to name the sanctioned fork/clone/publish/config/read/cachefill functions; a typo would silently widen or narrow an invariant"},
 		{Code: CodeCowWrite, Severity: diag.Error,
-			Summary:   "field store into a published relation version outside a fork/clone/config role",
-			Grounding: "the MVCC contract (PR 7): published versions are immutable; writers mutate only unpublished COW forks (beginVersion/cowSpine/dstruct clones), so a store through a published pointer races every lock-free reader"},
+			Summary:   "field store into a published relation version outside a fork/clone/config role, or a clone that aliases its source's slice",
+			Grounding: "the MVCC contract (PR 7): published versions are immutable; writers mutate only unpublished COW forks (beginVersion/cowSpine/dstruct clones), so a store through a published pointer races every lock-free reader — and a clone that shares its source's word array makes the fork's first unit write exactly such a store"},
 		{Code: CodeLockFreeRead, Severity: diag.Error,
-			Summary:   "snapshot read path acquires a mutex or writes engine state",
-			Grounding: "the lock-free read contract (static twin of mvcc_lockfree_test.go): Query/QueryFunc/QueryRange/Len/ExplainQuery load a published version and must complete even with every writer mutex held by someone else; only role=cachefill may take a non-cell lock"},
+			Summary:   "snapshot read path acquires a mutex, writes engine state or enters a writer-side function",
+			Grounding: "the lock-free read contract (static twin of mvcc_lockfree_test.go): Query/QueryFunc/QueryRange/Len/ExplainQuery load a published version and must complete even with every writer mutex held by someone else; only role=cachefill may take a non-cell lock. The lineage dictionary is append-only shared state with one writer: readers decode through the header their version captured (colblock.View), never through the role=writer methods that read or grow the live table"},
 		{Code: CodeWalOrder, Severity: diag.Error,
 			Summary:   "publish not dominated by wal.Append, publish on the append-error path, or discarded append error",
 			Grounding: "the WAL-before-publish rule (PR 8): a version may reach readers only after its delta is durable to policy; a hoisted or error-path publish lets a crash lose acknowledged state"},
@@ -144,6 +149,9 @@ var CowWrite = &analysis.Analyzer{
 func runCowWrite(pass *analysis.Pass) {
 	prog := pass.Prog
 	for _, fn := range prog.FuncsOf(pass.Pkg) {
+		if fn.Role == analysis.RoleClone {
+			reportAliasedSlices(pass, fn)
+		}
 		if analysis.RoleExemptsMutation(fn.Role) {
 			continue // fork/clone/config/cachefill bodies are the sanctioned mutators
 		}
@@ -190,6 +198,52 @@ func runCowWrite(pass *analysis.Pass) {
 	}
 }
 
+// reportAliasedSlices flags, inside a role=clone function, a slice field of
+// the copy being built that is set to a slice of the source's — a field
+// assignment or a composite-literal field whose value is a plain reference
+// chain rooted at a parameter. The copy would share the source's backing
+// array, and the writes the clone exists to absorb would land in it. A
+// struct copied whole (c := *n) shares deliberately, under a flag or token
+// the structure checks before writing, and is not this pattern.
+func reportAliasedSlices(pass *analysis.Pass, fn *analysis.FuncInfo) {
+	eval := pass.Prog.Eval(fn)
+	aliases := func(e ast.Expr) bool {
+		switch unparenExpr(e).(type) {
+		case *ast.SelectorExpr, *ast.IndexExpr:
+		default:
+			return false // a call (slices.Clone, append, make) builds a fresh array
+		}
+		if _, ok := pass.Pkg.Info.TypeOf(e).Underlying().(*types.Slice); !ok {
+			return false
+		}
+		idx, _ := eval(e)
+		return idx >= 0
+	}
+	report := func(pos token.Pos, e ast.Expr) {
+		pass.Reportf(pos, "clone aliases its source's slice %s: the copy's first write would land in the array a published version still reads; copy it in the clone (slices.Clone)", types.ExprString(e))
+	}
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) != len(n.Rhs) {
+				return true
+			}
+			for i, lhs := range n.Lhs {
+				if _, isField := unparenExpr(lhs).(*ast.SelectorExpr); isField && aliases(n.Rhs[i]) {
+					report(n.Rhs[i].Pos(), n.Rhs[i])
+				}
+			}
+		case *ast.CompositeLit:
+			for _, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok && aliases(kv.Value) {
+					report(kv.Value.Pos(), kv.Value)
+				}
+			}
+		}
+		return true
+	})
+}
+
 // storeBase returns the base expression of a reference-chain store
 // target (x in x.f, x[i], *x); plain identifier assignments rebind and
 // are not stores.
@@ -212,8 +266,9 @@ func storeBase(lhs ast.Expr) (ast.Expr, bool) {
 // LockFreeRead walks the call graph from every role=read entry point
 // and flags, anywhere in the closure: a mutex acquisition (cell-struct
 // mutexes unconditionally; others unless the acquiring function holds
-// role=cachefill) and any store into engine-state-typed parameters —
-// the static twin of holding all writer locks while running every read.
+// role=cachefill), any store into engine-state-typed parameters, and
+// any role=writer function — the static twin of holding all writer
+// locks while running every read.
 var LockFreeRead = &analysis.Analyzer{
 	Name:     "lockfreeread",
 	Doc:      "locks or engine-state writes reachable from snapshot read entry points",
@@ -234,6 +289,10 @@ func runLockFreeRead(pass *analysis.Pass) {
 			fi := prog.Funcs[key]
 			if fi == nil {
 				continue
+			}
+			if fi.Role == analysis.RoleWriter && !reported[fi.Decl.Pos()] {
+				reported[fi.Decl.Pos()] = true
+				pass.Reportf(fi.Decl.Pos(), "writer-side function %s reached on the lock-free read path %s: it touches state only the single writer may (readers go through the header their version captured)", fi.Name, prog.PathTo(parent, key))
 			}
 			for _, lk := range fi.Locks {
 				if !lk.Cell && fi.Role == analysis.RoleCacheFill {

@@ -3,6 +3,7 @@
 package relvet201
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -90,3 +91,50 @@ func nearMissLocal() {
 func nearMissRead(b *box) int {
 	return view(b).Len() // reading published state is the point of MVCC
 }
+
+// node is an instance node in the engine's shape: unit columns as words,
+// children behind a slice.
+type node struct {
+	words []uint64
+	kids  []*node
+	epoch uint64
+}
+
+// cowNodeAliased clones a node for a fork but shares the source's word
+// array: the fork's first unit write would land in the published node.
+//
+//relvet:role=clone
+func cowNodeAliased(n *node, epoch uint64) *node {
+	return &node{words: n.words, kids: slices.Clone(n.kids), epoch: epoch} // want relvet201
+}
+
+// cowNodeLate forgets the copy on the assignment path.
+//
+//relvet:role=clone
+func cowNodeLate(n *node, epoch uint64) *node {
+	c := &node{epoch: epoch}
+	c.words = n.words // want relvet201
+	c.kids = append([]*node(nil), n.kids...)
+	return c
+}
+
+// cowNode copies the words with the node, the engine's cowNode shape.
+//
+//relvet:role=clone
+func cowNode(n *node, epoch uint64) *node {
+	return &node{words: slices.Clone(n.words), kids: slices.Clone(n.kids), epoch: epoch}
+}
+
+// shareWhole copies the struct whole, the dstruct Clone shape: sharing
+// under a flag the structure checks before it writes is not aliasing a
+// field into a fresh copy.
+//
+//relvet:role=clone
+func shareWhole(n *node) *node {
+	c := *n
+	return &c
+}
+
+// rebind is no clone: what an unannotated function does with its own
+// values is not this rule's business.
+func rebind(n *node) *node { return &node{words: n.words} }

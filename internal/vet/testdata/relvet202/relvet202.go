@@ -101,3 +101,58 @@ func mutate(c *cell, r *core.Relation) {
 
 //relvet:role=read
 func lenPure(c *cell) int { return c.cur.Load().Len() }
+
+// table is an append-only interning table in the shape of the lineage
+// dictionary: one writer appends, readers hold the header they captured.
+type table struct{ vals []string }
+
+// header is what a version captures of the table.
+type header struct{ vals []string }
+
+// intern appends on the writer's side.
+//
+//relvet:role=writer
+func (t *table) intern(s string) int { // want relvet202
+	t.vals = append(t.vals, s)
+	return len(t.vals) - 1
+}
+
+// live reads the growing header: safe for the writer only.
+//
+//relvet:role=writer
+func (t *table) live() header { return header{t.vals} } // want relvet202
+
+func (h header) decode(i int) string { return h.vals[i] }
+
+// versioned is a published version's reader-side state: the table for its
+// writer, the captured header for everyone else.
+type versioned struct {
+	c   cell
+	tab *table
+	hdr header
+}
+
+//relvet:role=read
+func decodeInterning(v *versioned, s string) string {
+	return v.hdr.decode(v.tab.intern(s)) // a read that interns
+}
+
+//relvet:role=read
+func decodeLive(v *versioned, i int) string {
+	return liveHeader(v).decode(i) // a read through the header the writer is growing
+}
+
+func liveHeader(v *versioned) header { return v.tab.live() }
+
+//relvet:role=read
+func decodeCaptured(v *versioned, i int) string {
+	return v.hdr.decode(i) // near miss: the header captured at publication
+}
+
+// commit interns on the writer's side of the protocol, off every read
+// closure — not a finding.
+func commit(v *versioned, s string) {
+	v.c.wmu.Lock()
+	defer v.c.wmu.Unlock()
+	v.hdr = header{v.tab.vals[:v.tab.intern(s)+1]}
+}
