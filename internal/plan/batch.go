@@ -97,9 +97,9 @@ func (f *frontier) truncate(w int, regs []int, jn []int) {
 	for _, r := range regs {
 		f.blk.Cols[r] = f.blk.Cols[r][:w]
 	}
-	f.node = f.node[:w]
+	f.node = cutNodes(f.node, w)
 	for _, j := range jn {
-		f.jn[j] = f.jn[j][:w]
+		f.jn[j] = cutNodes(f.jn[j], w)
 	}
 	f.blk.N = w
 }
@@ -118,6 +118,15 @@ func sizedNodes(s []*instance.Node, n int) []*instance.Node {
 		return make([]*instance.Node, n, colblock.CeilRows(n))
 	}
 	return s[:n]
+}
+
+// cutNodes returns s cut to its first w nodes with the rest set to nil. No
+// node slice of a batchState keeps a node behind its length: a pooled state
+// outlives the instance it last ran on (sync.Pool holds it for two more
+// collections), and one stale root there keeps every node of that instance.
+func cutNodes(s []*instance.Node, w int) []*instance.Node {
+	clear(s[w:])
+	return s[:w]
 }
 
 // batchState is the pooled per-execution state of a BatchProgram: the two
@@ -549,7 +558,7 @@ func (st *batchState) resetTab(n int) []int32 {
 // are the ones the frontier's registers hold, so a probe compares them as
 // they are; collisions terminate because map keys are unique.
 func (st *batchState) buildProbe(m dstruct.Words[*instance.Node], nKey int) {
-	st.eks, st.ens = m.AppendEntries(st.eks[:0], st.ens[:0])
+	st.setEntries(m.AppendEntries(st.eks[:0], st.ens[:0]))
 	mask := uint64(len(st.resetTab(len(st.ens))) - 1)
 	for e := range st.ens {
 		idx := colblock.Hash(st.eks[e*nKey:(e+1)*nKey]) & mask
@@ -992,9 +1001,9 @@ func (g *frontier) reset(kp, jn []int, binds, ubinds []regPos) {
 	for _, bp := range ubinds {
 		g.blk.Cols[bp.reg] = g.blk.Cols[bp.reg][:0]
 	}
-	g.node = g.node[:0]
+	g.node = cutNodes(g.node, 0)
 	for _, j := range jn {
-		g.jn[j] = g.jn[j][:0]
+		g.jn[j] = cutNodes(g.jn[j], 0)
 	}
 }
 
@@ -1038,10 +1047,20 @@ func (g *frontier) fanOut(f *frontier, i int, kp, jn []int, ens []*instance.Node
 // lies within the run's bounds.
 func (st *batchState) extract(m dstruct.Words[*instance.Node], ranged bool) {
 	if ranged {
-		st.eks, st.ens = dstruct.AppendEntriesBetween(m, st.vw, st.lo, st.hi, st.eks[:0], st.ens[:0])
+		st.setEntries(dstruct.AppendEntriesBetween(m, st.vw, st.lo, st.hi, st.eks[:0], st.ens[:0]))
 		return
 	}
-	st.eks, st.ens = m.AppendEntries(st.eks[:0], st.ens[:0])
+	st.setEntries(m.AppendEntries(st.eks[:0], st.ens[:0]))
+}
+
+// setEntries installs an extraction made over st.eks[:0] and st.ens[:0]. A
+// shorter one than the last was written in place, and what it left of the
+// last one's children goes (cutNodes says why).
+func (st *batchState) setEntries(eks []colblock.Code, ens []*instance.Node) {
+	if n := len(ens); n < len(st.ens) {
+		clear(st.ens[n:])
+	}
+	st.eks, st.ens = eks, ens
 }
 
 // emitJoin linearizes a qjoin: a save stage records each row's node in join

@@ -6,6 +6,8 @@ import (
 	"repro/internal/colblock"
 	"repro/internal/dstruct"
 	"repro/internal/instance"
+	"repro/internal/paperex"
+	"repro/internal/relation"
 )
 
 // TestProbeTableSpreadsConsecutiveKeys builds the lookup stages' inverted
@@ -56,5 +58,77 @@ func TestProbeTableSpreadsConsecutiveKeys(t *testing.T) {
 	absent, _ := colblock.InlineInt(n + 7)
 	if _, ok := st.probeGet1(absent); ok {
 		t.Fatal("probeGet1 found a key the list does not hold")
+	}
+}
+
+// TestReleasedStateHoldsNoNodes runs every batch program of both corpus
+// fixtures on a hit and then on a miss and looks at the state each run gives
+// back to the pool: no node slice may hold a node anywhere in its capacity.
+// A lookup that misses cuts the frontier to zero rows with the root behind
+// the slice's length, and a root left there keeps a closed relation's every
+// node alive for as long as sync.Pool keeps the state (two collections):
+// long enough to double the collector's heap goal and move every timing of
+// a process that opens relations one after the other.
+func TestReleasedStateHoldsNoNodes(t *testing.T) {
+	fixtures := []struct {
+		in  *instance.Instance
+		gen func(a, b, c, d int64) relation.Tuple
+	}{
+		{instance.New(paperex.SchedulerDecomp(), paperex.SchedulerFDs()),
+			func(a, b, c, d int64) relation.Tuple { return paperex.SchedulerTuple(a, b, paperex.StateR+c%2, d) }},
+		{instance.New(paperex.GraphDecomp5(), paperex.GraphFDs()),
+			func(a, b, c, _ int64) relation.Tuple { return paperex.EdgeTuple(a, b, c) }},
+	}
+	for _, fx := range fixtures {
+		in := fx.in
+		for i := int64(0); i < 24; i++ {
+			if _, err := in.Insert(fx.gen(i%3, i, i%2, i%5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hit, miss := fx.gen(1, 4, 0, 4), fx.gen(77, 78, 1, 79)
+		pl := NewPlanner(in.Decomp(), in.FDs(), MeasuredStats(in))
+		names := in.Decomp().Cols().Names()
+		checked := 0
+		for mask := 0; mask < 1<<len(names); mask++ {
+			var sub []string
+			for i, n := range names {
+				if mask&(1<<i) != 0 {
+					sub = append(sub, n)
+				}
+			}
+			input := relation.NewCols(sub...)
+			for _, cand := range pl.All(input) {
+				out, err := Check(in.Decomp(), in.FDs(), cand.Op, input)
+				if err != nil {
+					continue
+				}
+				bp, err := CompileBatch(in, cand.Op, input, out)
+				if err != nil {
+					t.Fatalf("plan %s: %v", cand.Op, err)
+				}
+				for _, pat := range []relation.Tuple{hit.Project(input), miss.Project(input)} {
+					br, ok := bp.Run(in, pat)
+					if !ok {
+						t.Fatalf("plan %s bailed", cand.Op)
+					}
+					st := br.st
+					br.Release()
+					slices := [][]*instance.Node{st.cur.node, st.nxt.node, st.ens}
+					slices = append(append(slices, st.cur.jn...), st.nxt.jn...)
+					for _, s := range slices {
+						for i, n := range s[:cap(s)] {
+							if n != nil {
+								t.Fatalf("plan %s on %v: a released state holds a node at %d of %d (length %d)", cand.Op, pat, i, cap(s), len(s))
+							}
+						}
+					}
+					checked++
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatal("no batch program was run")
+		}
 	}
 }
