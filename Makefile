@@ -118,11 +118,15 @@ bench:
 # an object per row means set-valued reads are boxing tuples before they
 # know which ones survive again (ablation 13) — and on the word-keyed lookup
 # rows (ListFindWords*, HTableGetWord, ListSmall/get), which must read 0: a
-# lookup that allocates is boxing a key again (ablation 14).
+# lookup that allocates is boxing a key again (ablation 14). The last leg is
+# one durable.Open of a 30k-commit flows log (BenchmarkOpenReplay): the
+# recovery path's quick local loop — run it at -benchtime 10x or more to
+# read replays/s, B/op and allocs/op off it.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '(Scan|Enumerate|Join|Collect)(Interpreted|Compiled|Vectorized)$$|Range(Interpreted|Vectorized)$$|CollectDupVectorized$$' -benchmem -benchtime 10x ./internal/plan
 	$(GO) test -run '^$$' -bench 'MVCC' -benchtime 10x .
 	$(GO) test -run '^$$' -bench 'ListFirstWriteAfterClone|ListSmall|ListFindWords(64|512)|HTableGetWord' -benchmem -benchtime 10x ./internal/dstruct
+	$(GO) test -run '^$$' -bench 'OpenReplay' -benchmem -benchtime 1x ./internal/durable
 
 # The repo's benchmark (bench/, BENCHMARK.json) is a nested module that
 # root `go build/vet/test ./...` does not see, so an engine API change can

@@ -339,7 +339,9 @@ func (c *cell) removeBatch(pats []relation.Tuple) (int, error) {
 // A CommitSource hands an applier its records one at a time: ok is false
 // once it has none left, and an error ends the replay. Pulling, rather than
 // taking a slice, lets the caller's kill-point fire before each record and
-// keeps the records from being materialized or pinned as a batch.
+// keeps the records from being materialized or pinned as a batch: recovery
+// pulls them from a wal.Scanner, which decodes each log record only when it
+// is asked for it, and a follower from its connection.
 type CommitSource func() (c wal.Commit, ok bool, err error)
 
 // oneCommit is the source of the single record c.

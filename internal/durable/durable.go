@@ -13,16 +13,19 @@
 //	<dir>/shard-NNN/...       sharded tier: one cell directory per shard
 //
 // Recovery. Open loads each cell's highest-numbered valid snapshot (if
-// any), scans its log — discarding a torn tail, failing loudly on
-// mid-log corruption — and replays the snapshot and the records it does
-// not cover through the engine's normal copy-on-write publish path
-// (core.ReplayCell, cell by cell), all on one fork per cell: nothing can
-// read the engine before Open returns, so the intermediate versions
-// would have no observer, and a recovered cell is at version 1 however
-// long its log was. Replaying through the COW path is a correctness
-// property, not a convenience: a fault mid-replay drops an unpublished
-// fork, so a failed recovery leaves no torn or poisoned state behind and
-// Open can simply be retried.
+// any) and replays it, then the log records it does not cover, through
+// the engine's normal copy-on-write publish path (core.ReplayCell, cell by
+// cell), all on one fork per cell: nothing can read the engine before Open
+// returns, so the intermediate versions would have no observer, and a
+// recovered cell is at version 1 however long its log was. The log is
+// scanned in the same pass (wal.Scanner): each record is decoded and
+// checked when the replay asks for it, a torn tail is discarded, and
+// mid-log corruption ends the replay with an error wrapping wal.ErrCorrupt
+// after the records before it were applied to the fork. Replaying through
+// the COW path is a correctness property, not a convenience: a fault or
+// corruption mid-replay drops an unpublished fork, so a failed recovery
+// publishes nothing, writes nothing to the cell's directory, leaves no
+// torn or poisoned state behind, and Open can simply be retried.
 //
 // The log records logical deltas (full tuples), so recovery is
 // representation-independent: a directory written under one
@@ -254,11 +257,14 @@ func closeLogs(logs []*wal.Log) {
 	}
 }
 
-// recoverCell rebuilds one cell: pick the highest valid snapshot, scan
-// the log, hand the snapshot (as the delta that inserts its tuples) and then
-// the uncovered records to the supplied COW-path applier as one batch, and
-// reopen the log for appending. Returns the open log; any error leaves
-// nothing to clean up (the log is the last thing opened).
+// recoverCell rebuilds one cell: pick the highest valid snapshot, open a
+// scanner on the log, hand the snapshot (as the delta that inserts its
+// tuples) and then the log records it does not cover, decoded one at a time
+// as the applier asks for them, to the supplied COW-path applier as one
+// batch, and reopen the log for appending. Damage the scan reaches after
+// some records were applied fails the applier's batch, which drops its
+// unpublished fork. Returns the open log; any error leaves nothing to clean
+// up (the log is the last thing opened).
 func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(core.CommitSource) error) (*wal.Log, error) {
 	fi := faultinject.Active()
 	logPath := filepath.Join(cellDir, logName)
@@ -268,7 +274,7 @@ func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(co
 		return nil, err
 	}
 
-	scan, err := wal.ReadLog(logPath)
+	scanner, err := wal.NewScanner(logPath)
 	switch {
 	case errors.Is(err, os.ErrNotExist) || errors.Is(err, wal.ErrNoHeader):
 		if hasSnap {
@@ -276,12 +282,12 @@ func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(co
 			// header; a snapshot without one means the log was lost.
 			return nil, fmt.Errorf("durable: %s has checkpoint %s but no usable log: %w", cellDir, filepath.Base(snapPath), err)
 		}
-		scan = nil
+		scanner = nil
 	case err != nil:
 		return nil, err
 	default:
-		if hasSnap && scan.BaseSeq > snapSeq+1 {
-			return nil, fmt.Errorf("durable: log %s starts at record %d but checkpoint covers only through %d: records lost", logPath, scan.BaseSeq, snapSeq)
+		if base := scanner.Scan().BaseSeq; hasSnap && base > snapSeq+1 {
+			return nil, fmt.Errorf("durable: log %s starts at record %d but checkpoint covers only through %d: records lost", logPath, base, snapSeq)
 		}
 	}
 
@@ -296,31 +302,28 @@ func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(co
 		}
 		snap = wal.Commit{Seq: seq, Inserted: ts}
 	}
-	// The tail: the scanned records the snapshot does not cover.
-	var tail []wal.Commit
-	if scan != nil {
-		tail = scan.Commits
-		for len(tail) > 0 && tail[0].Seq <= snapSeq {
-			tail = tail[1:]
-		}
-	}
 
-	// The batch is the snapshot (record -1), then the tail, with the recovery
-	// kill-point before every record.
-	next := 0
-	if hasSnap {
-		next = -1
-	}
+	// The batch is the snapshot, then the log records it does not cover (the
+	// tail), with the recovery kill-point before every record.
+	replays := 0
 	err = apply(func() (c wal.Commit, ok bool, err error) {
 		switch {
-		case next < 0:
-			c = snap
-		case next < len(tail):
-			c = tail[next]
-		default:
+		case hasSnap:
+			c, hasSnap = snap, false
+			snap = wal.Commit{} // the batch is its last reference
+		case scanner == nil:
 			return c, false, nil
+		default:
+			for {
+				if c, ok, err = scanner.Next(); err != nil || !ok {
+					return c, false, err
+				}
+				if c.Seq > snapSeq {
+					break
+				}
+			}
+			replays++
 		}
-		next++
 		if fi != nil {
 			if err := fi.Point("recovery.apply", true); err != nil {
 				return c, false, err
@@ -331,15 +334,13 @@ func recoverCell(cellDir string, cfg wal.Config, met *obs.Metrics, apply func(co
 	if err != nil {
 		return nil, err
 	}
-	if met != nil {
-		met.RecoveryReplays.Add(uint64(len(tail)))
-		if scan != nil {
-			met.RecoveryDiscards.Add(uint64(scan.Discarded))
-		}
-	}
-
-	if scan == nil {
+	if scanner == nil {
 		return wal.Create(logPath, snapSeq+1, cfg)
+	}
+	scan := scanner.Scan()
+	if met != nil {
+		met.RecoveryReplays.Add(uint64(replays))
+		met.RecoveryDiscards.Add(uint64(scan.Discarded))
 	}
 	return wal.OpenForAppend(logPath, scan, cfg)
 }

@@ -1,8 +1,11 @@
 package durable_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -201,6 +204,79 @@ func TestMidLogCorruptionFailsOpen(t *testing.T) {
 	if _, err := durable.Open(dir, schedSpec(), paperex.SchedulerDecomp(), durable.Options{}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
+}
+
+// TestMidLogCorruptionBehindValidPrefix: recovery streams the log into
+// the replay, so damage in record k+1 is found after records 1..k were
+// applied to the unpublished fork. Open must still fail with ErrCorrupt
+// and leave every byte of the directory as it was; once the log is cut
+// back at the damage, a retry recovers exactly the acknowledged prefix.
+func TestMidLogCorruptionBehindValidPrefix(t *testing.T) {
+	const n, k = 10, 6
+	dir := t.TempDir()
+	d := open(t, dir, durable.Options{Create: true})
+	var states [][]relation.Tuple
+	for i := int64(0); i < n; i++ {
+		if err := d.Insert(paperex.SchedulerTuple(i%4, i, i%2, i*2)); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, state(t, d))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "wal.log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frames follow the 16-byte header as [len uint32][crc uint32][payload].
+	off := 16
+	for range k {
+		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+	}
+	data[off+8+1] ^= 0xff // inside record k+1's payload
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+	if _, err := durable.Open(dir, schedSpec(), paperex.SchedulerDecomp(), durable.Options{}); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+	if after := dirBytes(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatal("a failed recovery changed the directory")
+	}
+
+	if err := os.Truncate(path, int64(off)); err != nil {
+		t.Fatal(err)
+	}
+	met := &obs.Metrics{}
+	d2 := open(t, dir, durable.Options{Metrics: met})
+	defer d2.Close()
+	if got := state(t, d2); !eqStates(got, states[k-1]) {
+		t.Fatalf("recovered %d tuples, want the %d of the first %d records", len(got), len(states[k-1]), k)
+	}
+	if snap := met.Snapshot(); snap.RecoveryReplays != k || snap.RecoveryDiscards != 0 {
+		t.Fatalf("recovery.replays = %d, recovery.discards = %d, want %d and 0", snap.RecoveryReplays, snap.RecoveryDiscards, k)
+	}
+}
+
+// dirBytes reads every file under dir, by path relative to it.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(p string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(p)
+		files[strings.TrimPrefix(p, dir)] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestCheckpointBoundsReplay: after a checkpoint, recovery replays only
@@ -593,4 +669,65 @@ func TestReopenDirectoryWrittenBeforeWordStorage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkOpenReplay times recovery end to end: one durable.Open of a
+// directory whose log holds 30k flows commits — inserts, counter updates
+// and removes — and no checkpoint, so every record is decoded and replayed.
+// Run with -benchmem: the bytes and objects per Open are the decode and
+// replay path's own.
+func BenchmarkOpenReplay(b *testing.B) {
+	const commits = 30000
+	dir := b.TempDir()
+	spec, dcmp := ipcap.FlowSpec(), ipcap.DefaultFlowDecomp()
+	d, err := durable.Open(dir, spec, dcmp, durable.Options{Create: true, Policy: wal.SyncOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	flow := func(i int64) relation.Tuple {
+		return relation.NewTuple(relation.BindInt("local", i%200), relation.BindInt("foreign", i))
+	}
+	stats := func(packets int64) relation.Tuple {
+		return relation.NewTuple(relation.BindInt("packets", packets), relation.BindInt("bytes", 64*packets))
+	}
+	// Every insert is a new flow; an update or remove of a flow already
+	// removed changes nothing and logs nothing, so count the records.
+	next := int64(0)
+	for i, logged := int64(0), 0; logged < commits; i++ {
+		n := 1
+		switch {
+		case i%10 < 7 || next < 10:
+			err = d.Insert(flow(next).Merge(stats(1)))
+			next++
+		case i%10 < 9:
+			n, err = d.Update(flow(next-1-i%next), stats(i))
+		default:
+			n, err = d.Remove(flow(next - 1 - (i*7)%next))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		logged += n
+	}
+	want := d.Len()
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		d, err := durable.Open(dir, spec, dcmp, durable.Options{Policy: wal.SyncOff})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if d.Len() != want {
+			b.Fatalf("recovered %d flows, want %d", d.Len(), want)
+		}
+		b.StopTimer()
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(commits)*float64(b.N)/b.Elapsed().Seconds(), "replays/s")
 }

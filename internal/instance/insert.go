@@ -15,7 +15,9 @@ import (
 // the planned writes, recording compensating actions in the undo log so that
 // a failure mid-apply (an injected fault or a panicking data structure)
 // restores the instance exactly. It reports whether the relation changed
-// (false if t was already present).
+// (false if t was already present). The plan is the containment check: a
+// tuple whose plan writes nothing is already represented, so no separate
+// walk looks for it first.
 //
 // The caller is responsible for FD preservation (Lemma 4(a) requires
 // ∆ ⊨ r ∪ {t}); the engine in package core checks it. Insert still detects
@@ -26,14 +28,8 @@ func (in *Instance) Insert(t relation.Tuple) (bool, error) {
 	if !t.Dom().Equal(in.dcmp.Cols()) {
 		return false, fmt.Errorf("instance: insert of %v into relation over %v", t, in.dcmp.Cols())
 	}
-	if in.find(t) {
-		if in.contains() {
-			return false, nil
-		}
-	} else {
-		in.encode(t)
-	}
-	if err := in.planInsert(t); err != nil {
+	in.encode(t)
+	if changes, err := in.planInsert(t); err != nil || !changes {
 		return false, err
 	}
 	if err := in.applyInsert(); err != nil {
@@ -43,39 +39,44 @@ func (in *Instance) Insert(t relation.Tuple) (bool, error) {
 }
 
 // planInsert is the read-only planning pass over the tuple scr.codes holds
-// (t itself is only for error messages): find or create the node for each
-// variable, root first, locating existing nodes through any incoming map
-// edge from an already-located parent (§4.4's example does exactly this for
-// the shared node w), and record every unit and edge write the apply pass
-// must perform. Nodes allocated here are garbage if the plan is rejected —
-// they are not linked into the instance.
-func (in *Instance) planInsert(t relation.Tuple) (err error) {
+// (t itself is only for error messages). It reports whether the plan writes
+// anything: a plan without a write is a tuple already present, which is no
+// mutation to validate and is not counted as one.
+func (in *Instance) planInsert(t relation.Tuple) (bool, error) {
+	err := in.walkInsert(t)
+	if err == nil && len(in.scr.units) == 0 && len(in.scr.links) == 0 {
+		return false, nil
+	}
+	in.validated("insert", err)
+	return true, err
+}
+
+// validated accounts one planning pass of the mutation op that ended in
+// err.
+func (in *Instance) validated(op string, err error) {
 	if in.met != nil {
 		in.met.MutValidates.Add(1)
 	}
 	if in.tr != nil {
-		defer func() { in.tr.Event(obs.Event{Kind: obs.EvMutValidate, Op: "insert", Err: err}) }()
+		in.tr.Event(obs.Event{Kind: obs.EvMutValidate, Op: op, Err: err})
 	}
+}
+
+// walkInsert finds or creates the node for each variable, root first,
+// locating existing nodes through any incoming map edge from an
+// already-located parent (§4.4's example does exactly this for the shared
+// node w), and records every unit and edge write the apply pass must
+// perform. Nodes allocated here are garbage if the plan is rejected — they
+// are not linked into the instance.
+func (in *Instance) walkInsert(t relation.Tuple) error {
 	scr := &in.scr
-	scr.reset(len(in.updWalk))
+	scr.reset(len(in.updWalk), len(in.linkEdges))
 	for i := range in.updWalk {
 		w := &in.updWalk[i]
-		var n *Node
+		n := in.root
 		fresh := false
-		if i == 0 {
-			n = in.root
-		} else {
-			for j := range w.in {
-				ue := &w.in[j]
-				if scr.fresh[ue.parent] {
-					continue // a node allocated by this plan has empty maps
-				}
-				if child, ok := in.lookup(scr.nodes[ue.parent], ue.slot, ue.keyPos); ok {
-					n = child
-					break
-				}
-			}
-			if n == nil {
+		if i > 0 {
+			if n = in.locate(i); n == nil {
 				n = in.newNode(i)
 				fresh = true
 			}
@@ -103,16 +104,15 @@ func (in *Instance) planInsert(t relation.Tuple) (err error) {
 	}
 	// Plan the map-edge links, bumping the child's reference count for each
 	// new entry; an existing entry pointing at a different node is an FD
-	// violation, caught here before anything is written.
-	for i := range in.linkEdges {
-		le := &in.linkEdges[i]
-		if !scr.fresh[le.parent] {
-			if existing, ok := in.lookup(scr.nodes[le.parent], le.slot, le.keyPos); ok {
-				if existing != scr.nodes[le.target] {
-					return fmt.Errorf("instance: insert of %v violates the functional dependencies: edge %s→%s key %v points elsewhere", t, le.e.Parent, le.e.Target, t.Project(le.e.Key))
-				}
-				continue
+	// violation, caught here before anything is written. The edges the walk
+	// above already searched answer from the memo.
+	for k := range in.linkEdges {
+		le := &in.linkEdges[k]
+		if existing := in.child(k); existing != nil {
+			if existing != scr.nodes[le.target] {
+				return fmt.Errorf("instance: insert of %v violates the functional dependencies: edge %s→%s key %v points elsewhere", t, le.e.Parent, le.e.Target, t.Project(le.e.Key))
 			}
+			continue
 		}
 		scr.links = append(scr.links, linkWrite{pi: le.parent, slot: le.slot, ci: le.target, key: le.keyPos})
 	}

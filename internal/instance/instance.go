@@ -62,8 +62,7 @@ type Instance struct {
 	dcmp    *decomp.Decomp
 	fds     fd.Set
 	root    *Node
-	layouts []layout        // by walk index (root first)
-	fullCut map[string]bool // the cut (X, Y) for the full column set; Y = true
+	layouts []layout // by walk index (root first)
 	count   int
 
 	// dict interns the values that do not fit a code word inline — one table
@@ -91,14 +90,10 @@ type Instance struct {
 	unitSlots map[*decomp.Unit]int
 
 	// updWalk is the precomputed node-location walk of the two-phase
-	// mutations: the bindings in root-first order with their in-edges
-	// (resolved to parent walk positions, container indices and the
-	// positions of their key columns in cols) and units, so the
-	// per-operation walk allocates nothing and recomputes nothing.
+	// mutations and of Contains: the bindings in root-first order with their
+	// in-edges (indices into linkEdges) and units, so the per-operation walk
+	// allocates nothing and recomputes nothing.
 	updWalk []updVar
-
-	// match is the containment walk (Contains) compiled against the layout.
-	match *matchOp
 
 	// edgeKeyCols is the union of all map-edge key columns: a tuple binding
 	// all of them can drive the UpdateInPlace walk on its own, without being
@@ -106,9 +101,10 @@ type Instance struct {
 	edgeKeyCols relation.Cols
 
 	// linkEdges is every map edge resolved to walk indices and slots, in
-	// d.Edges() order; rmBreaks is its subset crossing the full-column cut
-	// (parent above, target below) and rmXvars the walk indices above the
-	// cut, in topological order. All three are precomputed so the two-phase
+	// d.Edges() order (the index a plan's edge memo, mutScratch.edges, is
+	// kept by); rmBreaks is its subset crossing the full-column cut (parent
+	// above, target below) and rmXvars the walk indices above the cut, in
+	// topological order. All three are precomputed so the two-phase
 	// mutations neither allocate per-variable maps nor re-resolve edges.
 	linkEdges []linkEdge
 	rmBreaks  []linkEdge
@@ -184,30 +180,39 @@ type linkWrite struct {
 // encoded once, by column position; every key and unit of the mutation is
 // taken from it by precomputed position. nodes and fresh are indexed by walk
 // position (nodes[i] is the located or allocated node of variable i,
-// fresh[i] whether this plan allocated it), units and links the writes in
-// apply order, wbuf the words the unit writes carry, and key the scratch a
-// lookup's key words are gathered into.
+// fresh[i] whether this plan allocated it), edges by linkEdges index (the
+// memo of child), units and links the writes in apply order, wbuf the words
+// the unit writes carry, and key the scratch a lookup's key words are
+// gathered into.
 type mutScratch struct {
 	codes []colblock.Code
 	key   []colblock.Code
 	nodes []*Node
 	fresh []bool
+	edges []*Node
 	units []unitWrite
 	wbuf  []colblock.Code
 	links []linkWrite
 }
 
-func (s *mutScratch) reset(n int) {
-	if cap(s.nodes) < n {
-		s.nodes = make([]*Node, n)
-		s.fresh = make([]bool, n)
+// noEdge is the edge memo's answer for a parent holding no entry under the
+// tuple's key; nil means not looked up yet. It is never linked anywhere.
+var noEdge = &Node{}
+
+func (s *mutScratch) reset(nVars, nEdges int) {
+	if cap(s.nodes) < nVars {
+		s.nodes = make([]*Node, nVars)
+		s.fresh = make([]bool, nVars)
 	}
-	s.nodes = s.nodes[:n]
-	s.fresh = s.fresh[:n]
-	for i := range s.nodes {
-		s.nodes[i] = nil
-		s.fresh[i] = false
+	s.nodes = s.nodes[:nVars]
+	s.fresh = s.fresh[:nVars]
+	clear(s.nodes)
+	clear(s.fresh)
+	if cap(s.edges) < nEdges {
+		s.edges = make([]*Node, nEdges)
 	}
+	s.edges = s.edges[:nEdges]
+	clear(s.edges)
 	s.units = s.units[:0]
 	s.wbuf = s.wbuf[:0]
 	s.links = s.links[:0]
@@ -220,6 +225,43 @@ func (in *Instance) lookup(n *Node, slot int, pos []int) (*Node, bool) {
 		return n.maps[slot].Get1(in.view, in.scr.codes[pos[0]])
 	}
 	return n.maps[slot].Get(in.view, in.scr.keyAt(pos))
+}
+
+// child returns the node linkEdges[k]'s container in the plan's parent node
+// holds under the encoded tuple's key, nil when it holds none; a parent the
+// plan allocated holds nothing. Each edge's container is searched at most
+// once per plan: the answer is kept in scr.edges, so the walk that locates
+// the nodes, the link or containment checks after it and cowSpine's redirect
+// share one search.
+func (in *Instance) child(k int) *Node {
+	scr := &in.scr
+	c := scr.edges[k]
+	if c == nil {
+		le := &in.linkEdges[k]
+		c = noEdge
+		if !scr.fresh[le.parent] {
+			if n, ok := in.lookup(scr.nodes[le.parent], le.slot, le.keyPos); ok {
+				c = n
+			}
+		}
+		scr.edges[k] = c
+	}
+	if c == noEdge {
+		return nil
+	}
+	return c
+}
+
+// locate finds the node of the walk's i-th variable for the encoded tuple
+// through the first in-edge, from an already located parent, that holds it;
+// nil when none does.
+func (in *Instance) locate(i int) *Node {
+	for _, k := range in.updWalk[i].in {
+		if c := in.child(k); c != nil {
+			return c
+		}
+	}
+	return nil
 }
 
 // keyAt gathers the codes at the column positions pos into the key scratch.
@@ -239,7 +281,6 @@ func New(d *decomp.Decomp, fds fd.Set) *Instance {
 	inst := &Instance{
 		dcmp:         d,
 		fds:          fds,
-		fullCut:      d.Cut(fds, d.Cols()),
 		dict:         colblock.NewDict(),
 		cols:         d.Cols().Names(),
 		edgeSlots:    make(map[*decomp.MapEdge]int),
@@ -257,25 +298,18 @@ func New(d *decomp.Decomp, fds fd.Set) *Instance {
 	for _, b := range d.Bindings() {
 		inst.inPlaceBlocked = inst.inPlaceBlocked.Union(b.Bound)
 	}
-	inst.buildWalk()
-	inst.match = inst.compileMatch(d.RootBinding().Def, map[string]*matchOp{})
+	inst.buildWalk(d.Cut(fds, d.Cols()))
 	inst.root = inst.newNode(0)
 	return inst
 }
 
 // updVar is one step of the precomputed node-location walk shared by the
-// two-phase mutations (Insert, RemoveTuple, UpdateInPlace).
+// two-phase mutations (Insert, RemoveTuple, UpdateInPlace) and Contains.
 type updVar struct {
 	name  string    // the variable, for error messages
-	in    []updEdge // in-edges to try when locating this variable's node
+	in    []int     // in-edges to try when locating this variable's node, as linkEdges indices
 	units []updUnit // units of this variable
-}
-
-type updEdge struct {
-	parent int // walk index of the edge's parent variable
-	slot   int // the container's index in the parent node
-	e      *decomp.MapEdge
-	keyPos []int // positions of the key's columns in an encoded tuple
+	below bool      // below the full-column cut: a removal writes no node of it
 }
 
 type updUnit struct {
@@ -295,10 +329,11 @@ func (in *Instance) positions(c relation.Cols) []int {
 }
 
 // buildWalk lays out every variable's nodes and precomputes the mutation
-// walk. Layout is a pure function of the decomposition (primitives in
-// preorder, variables root first), so an index resolved against one instance
-// is valid for every instance of the same decomposition.
-func (in *Instance) buildWalk() {
+// walk against the full-column cut (Y = true). Layout is a pure function of
+// the decomposition (primitives in preorder, variables root first), so an
+// index resolved against one instance is valid for every instance of the
+// same decomposition.
+func (in *Instance) buildWalk(fullCut map[string]bool) {
 	topo := in.dcmp.TopoDown()
 	idx := make(map[string]int, len(topo))
 	in.layouts = make([]layout, len(topo))
@@ -321,20 +356,23 @@ func (in *Instance) buildWalk() {
 			}
 		})
 	}
+	edgeIdx := make(map[*decomp.MapEdge]int)
+	for k, e := range in.dcmp.Edges() {
+		edgeIdx[e] = k
+		le := linkEdge{parent: idx[e.Parent], target: idx[e.Target], slot: in.edgeSlots[e], keyPos: in.positions(e.Key), e: e}
+		in.linkEdges = append(in.linkEdges, le)
+		if !fullCut[e.Parent] && fullCut[e.Target] {
+			in.rmBreaks = append(in.rmBreaks, le)
+		}
+	}
 	for i, b := range topo {
 		w := &in.updWalk[i]
 		for _, e := range in.dcmp.InEdges(b.Var) {
-			w.in = append(w.in, updEdge{parent: idx[e.Parent], slot: in.edgeSlots[e], e: e, keyPos: in.positions(e.Key)})
+			w.in = append(w.in, edgeIdx[e])
 		}
-		if !in.fullCut[b.Var] {
+		w.below = fullCut[b.Var]
+		if !w.below {
 			in.rmXvars = append(in.rmXvars, i)
-		}
-	}
-	for _, e := range in.dcmp.Edges() {
-		le := linkEdge{parent: idx[e.Parent], target: idx[e.Target], slot: in.edgeSlots[e], keyPos: in.positions(e.Key), e: e}
-		in.linkEdges = append(in.linkEdges, le)
-		if !in.fullCut[e.Parent] && in.fullCut[e.Target] {
-			in.rmBreaks = append(in.rmBreaks, le)
 		}
 	}
 }
@@ -500,63 +538,46 @@ func (in *Instance) code(v value.Value) colblock.Code {
 // Contains reports whether the full tuple t is represented. It navigates
 // the decomposition's own data structures: every map on the way is keyed by
 // columns of t, so the walk is pure lookups. It encodes t into the mutation
-// scratch, so like the mutations it belongs to the instance's one writer.
+// scratch and leaves its walk there as RemoveTuple's plan, so like the
+// mutations it belongs to the instance's one writer.
 func (in *Instance) Contains(t relation.Tuple) bool {
-	return t.Dom().Equal(in.dcmp.Cols()) && in.find(t) && in.contains()
+	return t.Dom().Equal(in.dcmp.Cols()) && in.find(t) && in.present()
 }
 
-// matchOp is one primitive of the containment walk, compiled once per
-// instance: a unit compares its words against the encoded tuple at pos, an
-// edge looks the key at pos up in container slot and continues at the
-// target's definition (sub), a join checks both sides.
-type matchOp struct {
-	slot     int // word offset (unit) or container index (edge)
-	pos      []int
-	sub      *matchOp // edge: the target variable's definition
-	lhs, rhs *matchOp // join
-}
-
-// compileMatch compiles the definition p; defs memoizes shared variables.
-func (in *Instance) compileMatch(p decomp.Primitive, defs map[string]*matchOp) *matchOp {
-	switch p := p.(type) {
-	case *decomp.Unit:
-		return &matchOp{slot: in.unitSlots[p], pos: in.positions(p.Cols)}
-	case *decomp.MapEdge:
-		sub, ok := defs[p.Target]
-		if !ok {
-			sub = in.compileMatch(in.dcmp.Var(p.Target).Def, defs)
-			defs[p.Target] = sub
-		}
-		return &matchOp{slot: in.edgeSlots[p], pos: in.positions(p.Key), sub: sub}
-	case *decomp.Join:
-		return &matchOp{lhs: in.compileMatch(p.Left, defs), rhs: in.compileMatch(p.Right, defs)}
-	default:
-		panic(fmt.Sprintf("instance: unknown primitive %T", p))
-	}
-}
-
-// contains is Contains of the tuple scr.codes holds.
-func (in *Instance) contains() bool { return in.matches(in.match, in.root) }
-
-// matches reports whether the sub-instance rooted at (op, n) represents the
-// encoded tuple.
-func (in *Instance) matches(op *matchOp, n *Node) bool {
-	switch {
-	case op.lhs != nil:
-		// Each side's projection onto the tuple's columns is determined by the
-		// FDs (adequacy), so checking the sides independently is exact.
-		return in.matches(op.lhs, n) && in.matches(op.rhs, n)
-	case op.sub != nil:
-		child, ok := in.lookup(n, op.slot, op.pos)
-		return ok && in.matches(op.sub, child)
-	default:
-		for i, pos := range op.pos {
-			if n.words[op.slot+i] != in.scr.codes[pos] {
+// present is the containment walk over the tuple scr.codes holds: it
+// locates the node of every variable, root first, compares each node's units
+// with the tuple and checks that every edge leads to the node located for
+// its target. Each side of a join is determined by the tuple's columns
+// (adequacy), so checking every edge this way is exact. Every container on
+// the way is searched once, and the answers stay in the edge memo for the
+// removal that follows.
+func (in *Instance) present() bool {
+	scr := &in.scr
+	scr.reset(len(in.updWalk), len(in.linkEdges))
+	for i := range in.updWalk {
+		w := &in.updWalk[i]
+		n := in.root
+		if i > 0 {
+			if n = in.locate(i); n == nil {
 				return false
 			}
 		}
-		return true
+		scr.nodes[i] = n
+		for j := range w.units {
+			uu := &w.units[j]
+			for k, p := range uu.pos {
+				if n.words[uu.off+k] != scr.codes[p] {
+					return false
+				}
+			}
+		}
 	}
+	for k := range in.linkEdges {
+		if in.child(k) != scr.nodes[in.linkEdges[k].target] {
+			return false
+		}
+	}
+	return true
 }
 
 // isEmptyNode reports whether node n currently represents the empty

@@ -10,9 +10,10 @@ import (
 
 // RemoveTuple implements the per-tuple core of dremove (§4.5) for a full
 // tuple t, in the same validate-then-apply form as Insert: the planning pass
-// locates the instance of every variable above the full-column cut (X, Y)
-// without writing anything; the apply pass breaks every edge instance
-// crossing the cut (under which every node below represents exactly t),
+// is the containment walk (Contains), which locates the instance of every
+// variable and checks every edge without writing anything, and keeps the
+// nodes above the full-column cut (X, Y); the apply pass breaks every edge
+// instance crossing the cut (under which every node below represents exactly t),
 // frees the unreachable nodes below it, and (optionally, see CleanupEmpty)
 // deallocates maps above the cut that became empty — logging every write in
 // the undo log so a mid-apply failure restores the instance. Pattern-level
@@ -25,57 +26,25 @@ func (in *Instance) RemoveTuple(t relation.Tuple) (bool, error) {
 	if !in.Contains(t) {
 		return false, nil
 	}
-	if err := in.planRemove(t); err != nil {
-		return false, err
-	}
+	in.planRemove()
 	if err := in.applyRemove(); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// planRemove locates the instance of every variable above the cut (X) for
-// the tuple scr.codes holds (t itself is only for error messages). Edges
-// never point from Y back into X, so X nodes are reachable through X-only
-// paths, all of whose map keys are bound by t.
-func (in *Instance) planRemove(t relation.Tuple) (err error) {
-	if in.met != nil {
-		in.met.MutValidates.Add(1)
-	}
-	if in.tr != nil {
-		defer func() { in.tr.Event(obs.Event{Kind: obs.EvMutValidate, Op: "remove", Err: err}) }()
-	}
-	scr := &in.scr
-	scr.reset(len(in.updWalk))
-	for _, i := range in.rmXvars {
-		if i == 0 {
-			scr.nodes[0] = in.root
-			continue
-		}
-		n := in.locate(i)
-		if n == nil {
-			// Contains(t) held, so every X node must be reachable; a miss
-			// means the instance was already inconsistent. Surface it as an
-			// error rather than a panic through the caller's lock.
-			return fmt.Errorf("instance: node %s not found while removing %v", in.updWalk[i].name, t)
-		}
-		scr.nodes[i] = n
-	}
-	return nil
-}
-
-// locate finds the node of the walk's i-th variable for the encoded tuple
-// through the first in-edge, from an already located parent, that holds it;
-// nil when none does.
-func (in *Instance) locate(i int) *Node {
-	w := &in.updWalk[i]
-	for j := range w.in {
-		ue := &w.in[j]
-		if child, ok := in.lookup(in.scr.nodes[ue.parent], ue.slot, ue.keyPos); ok {
-			return child
+// planRemove turns the walk Contains just made into the removal's plan: it
+// keeps the located nodes above the cut (X), the spine the apply writes and
+// all cowSpine may clone, and drops those below it. The apply reaches the
+// nodes below only through the crossing edges it breaks, and a clone of
+// one would be unlinked as soon as it was made.
+func (in *Instance) planRemove() {
+	in.validated("remove", nil)
+	for i := range in.updWalk {
+		if in.updWalk[i].below {
+			in.scr.nodes[i] = nil
 		}
 	}
-	return nil
 }
 
 // applyRemove executes the removal from the plan, logging compensations.
@@ -126,8 +95,8 @@ func (in *Instance) applyRemove() (err error) {
 			if i == 0 || !in.isEmptyNode(scr.nodes[i]) {
 				continue
 			}
-			for j := range in.updWalk[i].in {
-				ue := &in.updWalk[i].in[j]
+			for _, k := range in.updWalk[i].in {
+				ue := &in.linkEdges[k]
 				pn := scr.nodes[ue.parent]
 				if in.fi != nil {
 					if ferr := in.fi.Point("instance.remove.cleanup", true); ferr != nil {
@@ -225,14 +194,9 @@ func (in *Instance) UpdateInPlace(t, u relation.Tuple) (bool, error) {
 // it reads edge-key positions only — and u's codes over them, interned here:
 // an update's values are new to the dictionary as often as an insert's.
 func (in *Instance) planUpdate(t, u relation.Tuple) (err error) {
-	if in.met != nil {
-		in.met.MutValidates.Add(1)
-	}
-	if in.tr != nil {
-		defer func() { in.tr.Event(obs.Event{Kind: obs.EvMutValidate, Op: "update", Err: err}) }()
-	}
+	defer func() { in.validated("update", err) }()
 	scr := &in.scr
-	scr.reset(len(in.updWalk))
+	scr.reset(len(in.updWalk), len(in.linkEdges))
 	udom := u.Dom()
 	for i, col := range in.cols {
 		scr.codes[i] = colblock.Unset

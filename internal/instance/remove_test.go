@@ -2,6 +2,7 @@ package instance
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/colblock"
 	"repro/internal/decomp"
@@ -33,35 +34,21 @@ func (c countingWords) Delete(vw colblock.View, k []colblock.Code) (*Node, bool)
 	return c.Words.Delete(vw, k)
 }
 
-// TestRemoveLooksEachInEdgeUpOnce pins the remove path's search count on the
-// scheduler decomposition, whose z→w edge is a list: planning locates each
-// node above the cut through one in-edge lookup, and the apply pass unlinks
-// each in-edge entry with one Delete that hands back the child — no Get
-// before it. Per removed tuple that is at most two lookups on any one
-// container, plan and apply together (it was a Get in the plan, then a Get
-// and a Delete in the apply: three scans of the same list).
-func TestRemoveLooksEachInEdgeUpOnce(t *testing.T) {
-	in := New(paperex.SchedulerDecomp(), paperex.SchedulerFDs())
-	for pid := int64(1); pid <= 40; pid++ {
-		if ok, err := in.Insert(paperex.SchedulerTuple(1, pid, pid%2, pid)); err != nil || !ok {
-			t.Fatalf("insert %d: %v, %v", pid, ok, err)
-		}
-	}
-	// Wrap every container in place; nodes are visited before their children
-	// are reached through the wrapped maps.
-	counts := map[string]*int{}
+// countLookups wraps every container reachable from the root in a
+// countingWords, one counter per edge named parent→target, and returns the
+// counters. Calling it again wraps the containers nodes allocated since.
+func countLookups(in *Instance, counts map[string]*int) {
 	var wrap func(n *Node)
 	wrap = func(n *Node) {
 		for i, m := range n.maps {
-			if _, done := m.(countingWords); done {
-				continue
+			if _, done := m.(countingWords); !done {
+				e := in.layouts[n.vi].edges[i]
+				name := e.Parent + "→" + e.Target
+				if counts[name] == nil {
+					counts[name] = new(int)
+				}
+				n.maps[i] = countingWords{m, counts[name]}
 			}
-			e := in.layouts[n.vi].edges[i]
-			name := e.Parent + "→" + e.Target
-			if counts[name] == nil {
-				counts[name] = new(int)
-			}
-			n.maps[i] = countingWords{m, counts[name]}
 			m.Range(func(_ []colblock.Code, child *Node) bool {
 				wrap(child)
 				return true
@@ -69,6 +56,32 @@ func TestRemoveLooksEachInEdgeUpOnce(t *testing.T) {
 		}
 	}
 	wrap(in.root)
+}
+
+func zeroCounts(counts map[string]*int) {
+	for _, c := range counts {
+		*c = 0
+	}
+}
+
+// TestRemoveLooksEachInEdgeUpOnce pins the remove path's search count on the
+// scheduler decomposition, whose z→w edge is a list. RemoveTuple's one walk
+// is both the containment check and the plan: it searches every edge's
+// container once, and the apply pass unlinks each crossing edge's entry with
+// one Delete that hands back the child — no Get before it. Per removed tuple
+// that is at most two lookups on any one container, check, plan and apply
+// together, and exactly two on z→w (the check and the Delete). It was a
+// containment walk, a Get in the plan and a Delete: three scans of the same
+// list.
+func TestRemoveLooksEachInEdgeUpOnce(t *testing.T) {
+	in := New(paperex.SchedulerDecomp(), paperex.SchedulerFDs())
+	for pid := int64(1); pid <= 40; pid++ {
+		if ok, err := in.Insert(paperex.SchedulerTuple(1, pid, pid%2, pid)); err != nil || !ok {
+			t.Fatalf("insert %d: %v, %v", pid, ok, err)
+		}
+	}
+	counts := map[string]*int{}
+	countLookups(in, counts)
 	for _, tc := range []struct {
 		name string
 		pid  int64
@@ -77,25 +90,17 @@ func TestRemoveLooksEachInEdgeUpOnce(t *testing.T) {
 		{"another", 20},
 	} {
 		victim := paperex.SchedulerTuple(1, tc.pid, tc.pid%2, tc.pid)
-		if !in.Contains(victim) {
-			t.Fatalf("%s: fixture lost %v", tc.name, victim)
-		}
-		for _, c := range counts {
-			*c = 0
-		}
-		if err := in.planRemove(victim); err != nil {
-			t.Fatal(err)
-		}
-		if err := in.applyRemove(); err != nil {
-			t.Fatal(err)
+		zeroCounts(counts)
+		if ok, err := in.RemoveTuple(victim); err != nil || !ok {
+			t.Fatalf("%s: remove: %v, %v", tc.name, ok, err)
 		}
 		for edge, c := range counts {
 			if *c > 2 {
 				t.Errorf("%s: %d lookups on %s containers for one removed tuple, want at most 2", tc.name, *c, edge)
 			}
 		}
-		if got := *counts["z→w"]; got != 1 {
-			t.Errorf("%s: the list edge z→w was searched %d times by plan and apply, want once (the Delete)", tc.name, got)
+		if got := *counts["z→w"]; got != 2 {
+			t.Errorf("%s: the list edge z→w was searched %d times, want twice (the check and the Delete)", tc.name, got)
 		}
 		if in.Contains(victim) {
 			t.Fatalf("%s: %v still present", tc.name, victim)
@@ -103,6 +108,67 @@ func TestRemoveLooksEachInEdgeUpOnce(t *testing.T) {
 	}
 	if err := in.CheckWF(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsertLooksEachEdgeUpOnce pins the insert path's search count: the
+// plan's walk and its link phase share one search per edge, and the plan
+// is the duplicate check, so inserting a tuple — new, sharing nodes with
+// stored ones, or already present — searches each container at most once.
+// On the scheduler decomposition the z→w list was scanned twice per insert
+// (the walk located w through y→w first, then the link phase looked z→w up
+// again), and three times for a duplicate.
+func TestInsertLooksEachEdgeUpOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   *Instance
+		tup  func(i int64) relation.Tuple
+	}{
+		{"processes", New(paperex.SchedulerDecomp(), paperex.SchedulerFDs()), func(i int64) relation.Tuple {
+			return paperex.SchedulerTuple(i%3, i, i%2, i)
+		}},
+		{"graphedges", New(paperex.GraphDecomp5(), paperex.GraphFDs()), func(i int64) relation.Tuple {
+			return paperex.EdgeTuple(i%5, i%7, i)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := tc.in
+			counts := map[string]*int{}
+			check := func(what string, i int64, want bool) {
+				countLookups(in, counts)
+				zeroCounts(counts)
+				if ok, err := in.Insert(tc.tup(i)); err != nil || ok != want {
+					t.Fatalf("%s %d: %v, %v", what, i, ok, err)
+				}
+				for edge, c := range counts {
+					if *c > 1 {
+						t.Errorf("%s %d: %d lookups on %s containers, want at most 1", what, i, *c, edge)
+					}
+				}
+			}
+			for i := int64(0); i < 30; i++ {
+				check("insert", i, true)
+			}
+			for i := int64(0); i < 30; i += 7 {
+				check("duplicate", i, false)
+			}
+			if in.Len() != 30 {
+				t.Fatalf("Len %d after 30 inserts", in.Len())
+			}
+			if err := in.CheckWF(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestInstanceFitsItsSizeClass: BeginVersion copies an Instance per fork,
+// and with the allocator's 8-byte header the struct must stay within the
+// 640-byte size class; the next class up is 704 bytes, a tenth more per
+// write on the MVCC tiers.
+func TestInstanceFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Instance{}); got > 632 {
+		t.Fatalf("Instance is %d bytes, want at most 632", got)
 	}
 }
 

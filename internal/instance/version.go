@@ -72,7 +72,8 @@ func (in *Instance) cowNode(n *Node) *Node {
 // a private clone and redirects every in-edge entry of already-cloned
 // parents from the shared node to the clone. The encoded tuple driving the
 // mutation (scr.codes) binds every map-edge key on the spine, which is what
-// lets the redirect find the parent entries without a scan. After cowSpine
+// lets the redirect find the parent entries without a scan, and the entries
+// the plan's walk already found answer from its memo (child). After cowSpine
 // the plan's walk indices resolve to the clones, so the apply writes touch
 // no node the predecessor version can reach.
 //
@@ -95,20 +96,19 @@ func (in *Instance) cowSpine() error {
 			in.root = c
 			continue
 		}
-		for j := range in.updWalk[i].in {
-			ue := &in.updWalk[i].in[j]
+		for _, k := range in.updWalk[i].in {
+			ue := &in.linkEdges[k]
 			pn := scr.nodes[ue.parent]
-			if pn == nil {
+			if pn == nil || in.child(k) != n {
 				continue
 			}
-			if old, ok := in.lookup(pn, ue.slot, ue.keyPos); ok && old == n {
-				if in.fi != nil {
-					if ferr := in.fi.Point("instance.cow.link", true); ferr != nil {
-						return in.abort(ferr)
-					}
+			if in.fi != nil {
+				if ferr := in.fi.Point("instance.cow.link", true); ferr != nil {
+					return in.abort(ferr)
 				}
-				pn.maps[ue.slot].Put(in.view, scr.keyAt(ue.keyPos), c)
 			}
+			pn.maps[ue.slot].Put(in.view, scr.keyAt(ue.keyPos), c)
+			scr.edges[k] = c
 		}
 	}
 	return nil

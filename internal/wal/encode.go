@@ -217,10 +217,19 @@ func (d *decoder) lookup(id uint64) (string, error) {
 	return d.dict[id], nil
 }
 
-func (d *decoder) readTuple(r *byteReader) (relation.Tuple, error) {
+// readTuple decodes one tuple, its values carved from *slab; rest is how
+// many tuples of the list are left, this one included, so that an empty
+// slab is refilled with room for all of them at this tuple's width.
+func (d *decoder) readTuple(r *byteReader, slab *[]value.Value, rest uint64) (relation.Tuple, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return relation.Tuple{}, err
+	}
+	// Every value takes at least three bytes (column id, tag, value), which
+	// bounds both this tuple and the values still to come.
+	left := uint64(len(r.b)-r.off) / 3
+	if n > left {
+		return relation.Tuple{}, fmt.Errorf("%w: tuple of %d columns runs past payload end", ErrCorrupt, n)
 	}
 	// cols and ids alias the remembered column set until an id departs from
 	// it; from there on they are this tuple's own, and become the set the
@@ -230,7 +239,12 @@ func (d *decoder) readTuple(r *byteReader) (relation.Tuple, error) {
 	if !shared {
 		cols, ids = make([]string, n), make([]uint64, n)
 	}
-	vals := make([]value.Value, n)
+	s := *slab
+	if uint64(cap(s)-len(s)) < n {
+		s = make([]value.Value, 0, min(n*rest, left))
+	}
+	vals := s[len(s) : len(s)+int(n) : len(s)+int(n)]
+	*slab = s[:len(s)+int(n)]
 	for i := uint64(0); i < n; i++ {
 		id, err := r.uvarint()
 		if err != nil {
@@ -280,14 +294,20 @@ func (d *decoder) readTuple(r *byteReader) (relation.Tuple, error) {
 	return relation.SortedTuple(cols, vals), nil
 }
 
+// readTuples decodes a tuple list. The values of all its tuples share one
+// allocation (a tuple aliases its part of it), not one per tuple.
 func (d *decoder) readTuples(r *byteReader) ([]relation.Tuple, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
+	if n > uint64(len(r.b)-r.off) {
+		return nil, fmt.Errorf("%w: %d tuples run past payload end", ErrCorrupt, n)
+	}
 	ts := make([]relation.Tuple, 0, n)
+	var slab []value.Value
 	for i := uint64(0); i < n; i++ {
-		t, err := d.readTuple(r)
+		t, err := d.readTuple(r, &slab, n-i)
 		if err != nil {
 			return nil, err
 		}

@@ -77,7 +77,8 @@ func Create(path string, baseSeq uint64, cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// OpenForAppend reopens an existing log for writing after a ReadLog scan:
+// OpenForAppend reopens an existing log for writing after a scan (a
+// drained Scanner's Scan, or ReadLog's):
 // the file is truncated back to the scan's last valid frame (discarding
 // any torn tail), the interning dictionary resumes from the scan's state,
 // and the next append carries the scan's next sequence number.
@@ -428,10 +429,11 @@ func (l *Log) Close() error {
 }
 
 // A Scan is the result of reading a log file: the decoded commits in
-// order, the interning dictionary state after the last valid record (to
-// seed OpenForAppend), the end offset of the last valid frame, and how
-// many torn trailing frames were discarded (0 or 1 — a crash tears at
-// most the final append).
+// order (ReadLog's; a Scanner hands them out one at a time instead), the
+// interning dictionary state after the last valid record (to seed
+// OpenForAppend), the end offset of the last valid frame, and how many
+// torn trailing frames were discarded (0 or 1 — a crash tears at most the
+// final append).
 type Scan struct {
 	BaseSeq   uint64
 	NextSeq   uint64
@@ -446,10 +448,25 @@ type Scan struct {
 // during initial creation); with committed data around it is corruption.
 var ErrNoHeader = fmt.Errorf("%w: file shorter than the log header", ErrCorrupt)
 
-// ReadLog reads and verifies a log file. Torn trailing records are
-// dropped (see the package comment for the discrimination rule); any
-// other damage returns an error wrapping ErrCorrupt.
-func ReadLog(path string) (*Scan, error) {
+// A Scanner reads and verifies a log file one record at a time: Next
+// decodes the next frame only when it is asked for, so a reader that
+// applies each record before asking for the next holds one decoded record,
+// not the log. Torn trailing records are dropped (see the package comment
+// for the discrimination rule); any other damage is an error wrapping
+// ErrCorrupt, which Next returns when the scan reaches it — after handing
+// out every record before it.
+type Scanner struct {
+	path string
+	data []byte
+	off  int
+	dec  decoder
+	sc   Scan
+	err  error // sticky: the damage the scan stopped at
+}
+
+// NewScanner reads the log file at path and checks its header; Next
+// decodes the records.
+func NewScanner(path string) (*Scanner, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -463,48 +480,97 @@ func ReadLog(path string) (*Scan, error) {
 	if v := binary.LittleEndian.Uint32(data[4:]); v != logVersion {
 		return nil, fmt.Errorf("wal: %s has format version %d, this build reads %d", path, v, logVersion)
 	}
-	sc := &Scan{
-		BaseSeq:   binary.LittleEndian.Uint64(data[8:]),
-		ValidSize: logHdrSize,
+	base := binary.LittleEndian.Uint64(data[8:])
+	return &Scanner{
+		path: path,
+		data: data,
+		off:  logHdrSize,
+		sc:   Scan{BaseSeq: base, NextSeq: base, ValidSize: logHdrSize},
+	}, nil
+}
+
+// Next decodes the next record, checking its CRC and that its sequence
+// number follows the previous one's. ok is false once the valid records
+// are exhausted (a torn tail, if any, is counted in Scan().Discarded); an
+// error ends the scan, and every later call returns it again. Next has the
+// shape of a core.CommitSource, so a Scanner feeds a replay directly.
+func (s *Scanner) Next() (c Commit, ok bool, err error) {
+	if s.err != nil || s.off >= len(s.data) {
+		return Commit{}, false, s.err
 	}
-	sc.NextSeq = sc.BaseSeq
-	dec := &decoder{}
-	off := logHdrSize
-	for off < len(data) {
-		rem := len(data) - off
-		if rem < frameHdrSize {
-			sc.Discarded++
-			break
+	data, off := s.data, s.off
+	rem := len(data) - off
+	if rem < frameHdrSize {
+		return s.tear()
+	}
+	plen := int(binary.LittleEndian.Uint32(data[off:]))
+	want := binary.LittleEndian.Uint32(data[off+4:])
+	if plen > rem-frameHdrSize {
+		return s.tear()
+	}
+	end := off + frameHdrSize + plen
+	payload := data[off+frameHdrSize : end]
+	if crc32.Checksum(payload, castagnoli) != want {
+		if end == len(data) {
+			// The frame extends exactly to EOF: a torn final write.
+			return s.tear()
 		}
-		plen := int(binary.LittleEndian.Uint32(data[off:]))
-		want := binary.LittleEndian.Uint32(data[off+4:])
-		if plen > rem-frameHdrSize {
-			sc.Discarded++
-			break
-		}
-		payload := data[off+frameHdrSize : off+frameHdrSize+plen]
-		if crc32.Checksum(payload, castagnoli) != want {
-			if off+frameHdrSize+plen == len(data) {
-				// The frame extends exactly to EOF: a torn final write.
-				sc.Discarded++
-				break
-			}
-			return nil, fmt.Errorf("%w: CRC mismatch at offset %d of %s with %d bytes following — in-place corruption, not a torn tail",
-				ErrCorrupt, off, path, len(data)-(off+frameHdrSize+plen))
-		}
-		c, err := dec.readCommit(payload)
+		return s.fail(fmt.Errorf("%w: CRC mismatch at offset %d of %s with %d bytes following — in-place corruption, not a torn tail",
+			ErrCorrupt, off, s.path, len(data)-end))
+	}
+	if c, err = s.dec.readCommit(payload); err != nil {
+		return s.fail(fmt.Errorf("record at offset %d of %s: %w", off, s.path, err))
+	}
+	if c.Seq != s.sc.NextSeq {
+		return s.fail(fmt.Errorf("%w: sequence gap at offset %d of %s: record %d where %d expected",
+			ErrCorrupt, off, s.path, c.Seq, s.sc.NextSeq))
+	}
+	s.sc.NextSeq++
+	s.off = end
+	s.sc.ValidSize = int64(end)
+	return c, true, nil
+}
+
+// tear discards the rest of the file as one torn final frame.
+func (s *Scanner) tear() (Commit, bool, error) {
+	s.sc.Discarded++
+	s.off = len(s.data)
+	return Commit{}, false, nil
+}
+
+func (s *Scanner) fail(err error) (Commit, bool, error) {
+	s.err = err
+	return Commit{}, false, err
+}
+
+// Scan returns the state after the records Next has handed out — once
+// Next has returned ok false without an error, the end state OpenForAppend
+// resumes from. Its Commits is nil.
+func (s *Scanner) Scan() *Scan {
+	sc := s.sc
+	sc.Dict = s.dec.dict
+	return &sc
+}
+
+// ReadLog reads and verifies a whole log file: a Scanner drained, with
+// every record it handed out kept in Scan.Commits.
+func ReadLog(path string) (*Scan, error) {
+	s, err := NewScanner(path)
+	if err != nil {
+		return nil, err
+	}
+	var commits []Commit
+	for {
+		c, ok, err := s.Next()
 		if err != nil {
-			return nil, fmt.Errorf("record at offset %d of %s: %w", off, path, err)
+			return nil, err
 		}
-		if c.Seq != sc.NextSeq {
-			return nil, fmt.Errorf("%w: sequence gap at offset %d of %s: record %d where %d expected",
-				ErrCorrupt, off, path, c.Seq, sc.NextSeq)
+		if !ok {
+			break
 		}
-		sc.Commits = append(sc.Commits, c)
-		sc.NextSeq++
-		off += frameHdrSize + plen
-		sc.ValidSize = int64(off)
+		commits = append(commits, c)
 	}
-	sc.Dict = dec.dict
+	sc := s.Scan()
+	sc.Commits = commits
 	return sc, nil
 }
