@@ -121,12 +121,14 @@ bench:
 # lookup that allocates is boxing a key again (ablation 14). The last leg is
 # one durable.Open of a 30k-commit flows log (BenchmarkOpenReplay): the
 # recovery path's quick local loop — run it at -benchtime 10x or more to
-# read replays/s, B/op and allocs/op off it.
+# read replays/s, B/op and allocs/op off it — and one update through a
+# logged cell (BenchmarkDurableCommit), the commit path's: run it at
+# -benchtime 100000x to read ns/op, B/op and allocs/op per commit.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '(Scan|Enumerate|Join|Collect)(Interpreted|Compiled|Vectorized)$$|Range(Interpreted|Vectorized)$$|CollectDupVectorized$$' -benchmem -benchtime 10x ./internal/plan
 	$(GO) test -run '^$$' -bench 'MVCC' -benchtime 10x .
 	$(GO) test -run '^$$' -bench 'ListFirstWriteAfterClone|ListSmall|ListFindWords(64|512)|HTableGetWord' -benchmem -benchtime 10x ./internal/dstruct
-	$(GO) test -run '^$$' -bench 'OpenReplay' -benchmem -benchtime 1x ./internal/durable
+	$(GO) test -run '^$$' -bench 'OpenReplay|DurableCommit' -benchmem -benchtime 1x ./internal/durable
 
 # The repo's benchmark (bench/, BENCHMARK.json) is a nested module that
 # root `go build/vet/test ./...` does not see, so an engine API change can

@@ -526,11 +526,22 @@ func (p *Program) buildTypeSets() {
 		}
 	}
 	// Close over containment: a struct holding engine state (directly,
-	// by pointer, or by slice/array element) is engine state.
+	// by pointer, or by slice/array element) is engine state. So is a
+	// struct that engine state embeds (directly or by pointer): its fields
+	// are promoted fields of the outer struct, and a method of the embedded
+	// type writes them for the outer one.
 	for changed := true; changed; {
 		changed = false
 		for _, n := range all {
 			if p.engineState[n.name] {
+				for i := 0; i < n.st.NumFields(); i++ {
+					if f := n.st.Field(i); f.Embedded() {
+						if name := stripPtr(f.Type()).String(); !p.engineState[name] {
+							p.engineState[name] = true
+							changed = true
+						}
+					}
+				}
 				continue
 			}
 			for i := 0; i < n.st.NumFields(); i++ {

@@ -57,21 +57,60 @@ type layout struct {
 	edges  []*decomp.MapEdge
 }
 
-// An Instance is a decomposition instance of a particular decomposition.
+// An Instance is one version of a decomposition instance of a particular
+// decomposition: the node graph's root, the tuple count and the view onto
+// the dictionary, over the lineage every version forked from the same New
+// shares. A fork (BeginVersion) copies this header only.
 type Instance struct {
+	*lineage
+
+	root  *Node
+	count int
+
+	// view is this version's window onto the lineage's dictionary:
+	// everything interned up to the version's last mutation. Readers of a
+	// published version decode through view only; the writer refreshes it
+	// after interning (encode).
+	view colblock.View
+
+	// ver and cow are the multi-version state. BeginVersion forks an
+	// unpublished successor with cow set: its apply phases clone every
+	// pre-existing node they would write (cowSpine) instead of logging undo
+	// entries, so a failure simply abandons the fork and the predecessor —
+	// still published, never touched — stays live. ver counts forks along
+	// the lineage and stamps Node.epoch.
+	ver uint64
+	cow bool
+
+	// torn records a failed rollback (see Torn).
+	torn bool
+
+	// CleanupEmpty controls whether removal deallocates maps that become
+	// empty (§4.5: "Our implementation deallocates empty maps to minimize
+	// space consumption"). It is a flag so the design choice can be
+	// ablated; leaving garbage nodes behind never affects the represented
+	// relation, only memory.
+	CleanupEmpty bool
+
+	// met and tr are the observability hooks (see SetObs): the two-phase
+	// mutation counters and span events of package obs. Both nil by
+	// default — the disabled cost is one nil check per phase.
+	met *obs.Metrics
+	tr  obs.Tracer
+}
+
+// lineage is what every version forked from one New shares and no fork
+// changes: the decomposition and its precomputed tables, the dictionary,
+// the fault plane, and the single writer's scratch buffers.
+type lineage struct {
 	dcmp    *decomp.Decomp
 	fds     fd.Set
-	root    *Node
 	layouts []layout // by walk index (root first)
-	count   int
 
 	// dict interns the values that do not fit a code word inline — one table
-	// for the whole lineage of versions forked from this instance — and view
-	// is this version's window onto it: everything interned up to the
-	// version's last mutation. Readers of a published version decode through
-	// view only; the writer refreshes it after interning (encode).
+	// for the whole lineage of versions; each version reads it through its
+	// own view.
 	dict *colblock.Dict
-	view colblock.View
 
 	// cols is the relation's columns in order: the positions a mutation's
 	// encoded tuple (mutScratch.codes) is indexed by.
@@ -113,37 +152,13 @@ type Instance struct {
 	// scr and undo are reusable per-mutation buffers: scr holds the encoded
 	// tuple and the writes the planning pass computed, undo the
 	// compensations of the apply pass. Mutations are serialized by the engine
-	// tiers, so one of each suffices.
+	// tiers across every version of the lineage, so one of each suffices.
 	scr  mutScratch
 	undo undoLog
 
 	// fi is the fault-injection plane captured at construction time, nil in
-	// every production configuration; torn records a failed rollback (see
-	// Torn).
-	fi   *faultinject.Plane
-	torn bool
-
-	// ver and cow are the multi-version state. BeginVersion forks an
-	// unpublished successor with cow set: its apply phases clone every
-	// pre-existing node they would write (cowSpine) instead of logging undo
-	// entries, so a failure simply abandons the fork and the predecessor —
-	// still published, never touched — stays live. ver counts forks along
-	// the lineage and stamps Node.epoch.
-	ver uint64
-	cow bool
-
-	// met and tr are the observability hooks (see SetObs): the two-phase
-	// mutation counters and span events of package obs. Both nil by
-	// default — the disabled cost is one nil check per phase.
-	met *obs.Metrics
-	tr  obs.Tracer
-
-	// CleanupEmpty controls whether removal deallocates maps that become
-	// empty (§4.5: "Our implementation deallocates empty maps to minimize
-	// space consumption"). It is a flag so the design choice can be
-	// ablated; leaving garbage nodes behind never affects the represented
-	// relation, only memory.
-	CleanupEmpty bool
+	// every production configuration.
+	fi *faultinject.Plane
 }
 
 // linkEdge is one map edge resolved against the walk: the walk indices of
@@ -279,13 +294,15 @@ func (s *mutScratch) keyAt(pos []int) []colblock.Code {
 // needs the FDs (for cuts).
 func New(d *decomp.Decomp, fds fd.Set) *Instance {
 	inst := &Instance{
-		dcmp:         d,
-		fds:          fds,
-		dict:         colblock.NewDict(),
-		cols:         d.Cols().Names(),
-		edgeSlots:    make(map[*decomp.MapEdge]int),
-		unitSlots:    make(map[*decomp.Unit]int),
-		fi:           faultinject.Active(),
+		lineage: &lineage{
+			dcmp:      d,
+			fds:       fds,
+			dict:      colblock.NewDict(),
+			cols:      d.Cols().Names(),
+			edgeSlots: make(map[*decomp.MapEdge]int),
+			unitSlots: make(map[*decomp.Unit]int),
+			fi:        faultinject.Active(),
+		},
 		CleanupEmpty: true,
 	}
 	inst.view = inst.dict.View()

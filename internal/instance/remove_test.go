@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -162,13 +163,36 @@ func TestInsertLooksEachEdgeUpOnce(t *testing.T) {
 	}
 }
 
-// TestInstanceFitsItsSizeClass: BeginVersion copies an Instance per fork,
-// and with the allocator's 8-byte header the struct must stay within the
-// 640-byte size class; the next class up is 704 bytes, a tenth more per
-// write on the MVCC tiers.
-func TestInstanceFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Instance{}); got > 632 {
-		t.Fatalf("Instance is %d bytes, want at most 632", got)
+// TestForkIsAHeader: BeginVersion runs once per write on the MVCC tiers and
+// copies the Instance it forks. Everything no fork changes lives in the
+// lineage the copy points at, so the copy is a header that fits the 112-byte
+// size class and the fork is that one allocation.
+func TestForkIsAHeader(t *testing.T) {
+	if got := unsafe.Sizeof(Instance{}); got > 112 {
+		t.Fatalf("Instance is %d bytes, want at most 112", got)
+	} else {
+		t.Logf("Instance is %d bytes", got)
+	}
+	in := New(paperex.SchedulerDecomp(), paperex.SchedulerFDs())
+	fork := in.BeginVersion()
+	if fork.lineage != in.lineage || fork.ver != in.ver+1 || !fork.cow {
+		t.Fatalf("fork does not share its predecessor's lineage, or is not its successor")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { fork = in.BeginVersion() }); allocs != 1 {
+		t.Fatalf("BeginVersion makes %.0f allocations, want 1", allocs)
+	}
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		fork = in.BeginVersion()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / n; b > 112 {
+		t.Fatalf("BeginVersion allocates %d bytes, want at most 112", b)
 	}
 }
 

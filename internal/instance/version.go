@@ -19,14 +19,15 @@ import (
 )
 
 // BeginVersion forks an unpublished successor version of the instance. The
-// fork shares the entire node graph, the layouts, the dictionary and the
-// per-mutation scratch buffers with its predecessor (writers are serialized
-// by the engine, and a published predecessor never mutates again, so sharing
-// the scratch is safe); its mutations run copy-on-write. The fork's view
-// starts at the whole dictionary — what the predecessor saw plus whatever an
-// abandoned fork interned since — and follows the fork's own interning;
-// the predecessor's view, like everything else readers of it touch, never
-// moves again.
+// fork is a new header — root, count, view, version stamp and flags — over
+// the same lineage: the layouts, the dictionary and the per-mutation scratch
+// buffers are shared by pointer, not copied (writers are serialized by the
+// engine, and a published predecessor never mutates again, so sharing the
+// scratch is safe). The fork shares the entire node graph too; its
+// mutations run copy-on-write. The fork's view starts at the whole
+// dictionary — what the predecessor saw plus whatever an abandoned fork
+// interned since — and follows the fork's own interning; the predecessor's
+// view, like everything else readers of it touch, never moves again.
 //
 //relvet:role=fork
 func (in *Instance) BeginVersion() *Instance {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/colblock"
 	"repro/internal/core"
 	"repro/internal/relation"
 )
@@ -147,6 +148,43 @@ func liveHeader(v *versioned) header { return v.tab.live() }
 //relvet:role=read
 func decodeCaptured(v *versioned, i int) string {
 	return v.hdr.decode(i) // near miss: the header captured at publication
+}
+
+// lineage mirrors what every version of an instance shares by pointer and
+// no fork copies: here the single writer's mutation scratch.
+type lineage struct{ scr []int }
+
+// reset rewinds the scratch for the next mutation.
+func (l *lineage) reset() {
+	l.scr = l.scr[:0] // want relvet202
+}
+
+// scratchLen only reads the scratch.
+func (l *lineage) scratchLen() int { return len(l.scr) }
+
+// fork mirrors an instance header: per-version state (here the dictionary
+// its readers decode through) over the embedded lineage, whose fields and
+// methods it promotes.
+type fork struct {
+	*lineage
+	dict *colblock.Dict
+}
+
+//relvet:role=read
+func lenScribbling(f *fork) int {
+	f.scr = append(f.scr, 0) // want relvet202
+	return len(f.scr)
+}
+
+//relvet:role=read
+func lenResetting(f *fork) int {
+	f.reset() // the write is in the promoted method, flagged there
+	return f.scratchLen()
+}
+
+//relvet:role=read
+func lenOfScratch(f *fork) int {
+	return f.scratchLen() + len(f.scr) // near miss: reads through the lineage only
 }
 
 // commit interns on the writer's side of the protocol, off every read

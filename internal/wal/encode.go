@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -42,6 +43,13 @@ type encoder struct {
 	next    uint64
 	pending []string
 	scratch []byte
+
+	// The column names of the tuple encoded last, and their ids. Every tuple
+	// of a relation carries the same sorted columns, so a tuple whose names
+	// match takes its column ids from here instead of interning each name
+	// again; the decoder's cols/colIDs are the mirror image.
+	cols   []string
+	colIDs []uint64
 }
 
 func newEncoder() *encoder {
@@ -73,20 +81,33 @@ func (e *encoder) intern(s string) uint64 {
 func (e *encoder) commit() { e.pending = e.pending[:0] }
 
 // abort rolls back the pending entries: the record carrying them was not
-// written (or was erased by truncation after a failed write).
+// written (or was erased by truncation after a failed write). The column-id
+// cache goes with them: its ids may name the entries just rolled back.
 func (e *encoder) abort() {
 	for _, s := range e.pending {
 		delete(e.dict, s)
 	}
 	e.next -= uint64(len(e.pending))
 	e.pending = e.pending[:0]
+	e.cols, e.colIDs = e.cols[:0], e.colIDs[:0]
 }
 
+// appendTuple encodes t as its column count, then column id, value tag and
+// value per column. On a column set the cache misses, names and values are
+// interned in column order, so the ids and dictionary sections are the
+// same bytes whether the cache hits or not.
 func (e *encoder) appendTuple(b []byte, t relation.Tuple) []byte {
 	names := t.Dom().Names()
+	hit := slices.Equal(names, e.cols)
+	if !hit {
+		e.cols, e.colIDs = append(e.cols[:0], names...), e.colIDs[:0]
+	}
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for i, col := range names {
-		b = binary.AppendUvarint(b, e.intern(col))
+		if !hit {
+			e.colIDs = append(e.colIDs, e.intern(col))
+		}
+		b = binary.AppendUvarint(b, e.colIDs[i])
 		v := t.ValueAt(i)
 		if v.Kind() == value.String {
 			b = append(b, tagStr)

@@ -212,24 +212,11 @@ func (l *Log) Append(c Commit) error {
 		}
 	}
 	c.Seq = l.nextSeq
-	payload := l.enc.appendCommit(l.buf[:0], c)
-	l.buf = payload
-	var hdr [frameHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
+	frame := sealFrame(l.enc.appendCommit(beginFrame(l.buf), c))
+	l.buf = frame
 	start := l.size
 	l.wedged = true // cleared on every orderly exit; a panic leaves it set
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return l.repair(start, err)
-	}
-	if l.fi != nil {
-		// A panic here models a crash after the frame header hit the file:
-		// the classic torn record recovery must discard.
-		if err := l.fi.Point("wal.append.frame", true); err != nil {
-			return l.repair(start, err)
-		}
-	}
-	if _, err := l.f.Write(payload); err != nil {
+	if err := l.writeFrame(frame); err != nil {
 		return l.repair(start, err)
 	}
 	if l.fi != nil {
@@ -251,15 +238,49 @@ func (l *Log) Append(c Commit) error {
 			return l.repair(start, err)
 		}
 	}
-	l.size = start + frameHdrSize + int64(len(payload))
+	l.size = start + int64(len(frame))
 	l.nextSeq++
 	l.enc.commit()
 	l.wedged = false
 	if m := l.cfg.Metrics; m != nil {
 		m.WalAppends.Add(1)
-		m.WalBytes.Add(uint64(frameHdrSize + len(payload)))
+		m.WalBytes.Add(uint64(len(frame)))
 	}
 	return nil
+}
+
+// beginFrame empties b and reserves the frame header's bytes at its start:
+// the payload is encoded behind them, and sealFrame fills them in, so a
+// frame reaches the file in one write.
+func beginFrame(b []byte) []byte { return append(b[:0], make([]byte, frameHdrSize)...) }
+
+// sealFrame fills in the header of a frame beginFrame started: the length
+// and CRC32C of the payload behind it.
+func sealFrame(frame []byte) []byte {
+	payload := frame[frameHdrSize:]
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+	return frame
+}
+
+// writeFrame writes one frame with one write. Under a fault plane it writes
+// the header and the payload separately with the wal.append.frame point
+// between them, so a crash can still tear a frame exactly there.
+func (l *Log) writeFrame(frame []byte) error {
+	if l.fi == nil {
+		_, err := l.f.Write(frame)
+		return err
+	}
+	if _, err := l.f.Write(frame[:frameHdrSize]); err != nil {
+		return err
+	}
+	// A panic here models a crash after the frame header hit the file: the
+	// classic torn record recovery must discard.
+	if err := l.fi.Point("wal.append.frame", true); err != nil {
+		return err
+	}
+	_, err := l.f.Write(frame[frameHdrSize:])
+	return err
 }
 
 // repair unwinds a failed append: the interning dictionary forgets the

@@ -66,19 +66,12 @@ func WriteSnapshot(path string, seq uint64, tuples []relation.Tuple, met *obs.Me
 				return abort(err)
 			}
 		}
-		payload := enc.appendChunk(buf[:0], tuples[off:end])
-		buf = payload
+		buf = sealFrame(enc.appendChunk(beginFrame(buf), tuples[off:end]))
 		enc.commit()
-		var fh [frameHdrSize]byte
-		binary.LittleEndian.PutUint32(fh[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(fh[4:], crc32.Checksum(payload, castagnoli))
-		if _, err := f.Write(fh[:]); err != nil {
+		if _, err := f.Write(buf); err != nil {
 			return abort(err)
 		}
-		if _, err := f.Write(payload); err != nil {
-			return abort(err)
-		}
-		written += frameHdrSize + int64(len(payload))
+		written += int64(len(buf))
 	}
 	if fi != nil {
 		if err := fi.Point("ckpt.sync", true); err != nil {

@@ -1,13 +1,17 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/relation"
 )
@@ -555,5 +559,149 @@ func TestScannerStopsAtMidLogDamage(t *testing.T) {
 	}
 	if _, err := readLog(t, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadLog: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestAbortForgetsColumnIDs: the encoder takes a tuple's column ids from
+// the tuple before it when their names match. A failed append rolls back
+// the dictionary entries that first named those columns, so the remembered
+// ids must go too: the retry must define the columns again, or its record
+// names dictionary entries that were never written.
+func TestAbortForgetsColumnIDs(t *testing.T) {
+	p := faultinject.NewPlane()
+	faultinject.Install(p)
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := Create(path, 1, Config{Policy: SyncOff})
+	faultinject.Uninstall()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Commit{Inserted: []relation.Tuple{tup(bi("k", 1), bi("n", 2))}}
+	p.Reset()
+	p.Arm(3, faultinject.Error) // begin, frame, payload: fail after the whole frame hit the file
+	if err := l.Append(c); err == nil {
+		t.Fatal("armed append succeeded")
+	}
+	if f := p.Fired(); len(f) != 1 || f[0].Site != "wal.append.payload" {
+		t.Fatalf("fired %v, want one fault at wal.append.payload", f)
+	}
+	if err := l.Append(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := readLog(t, path)
+	if err != nil {
+		t.Fatalf("log after a rolled-back append: %v", err)
+	}
+	if len(sc.Commits) != 1 || sc.Commits[0].Seq != 1 || !eqTuples(sc.Commits[0].Inserted, c.Inserted) {
+		t.Fatalf("log after a rolled-back append holds %+v, want the retried record", sc.Commits)
+	}
+}
+
+// TestStreamEncoderAlternatesColumnSets: tuples over two column sets, one
+// after the other inside a payload and across payloads, each take their
+// own column ids whichever set the tuple before them had.
+func TestStreamEncoderAlternatesColumnSets(t *testing.T) {
+	ab := func(i int64) relation.Tuple { return tup(bi("a", i), bs("b", "x")) }
+	cde := func(i int64) relation.Tuple { return tup(bi("c", i), bi("d", -i), bs("e", "y")) }
+	enc, dec := NewStreamEncoder(), NewStreamDecoder()
+	for i := int64(0); i < 4; i++ {
+		c := Commit{Seq: uint64(i + 1), Removed: []relation.Tuple{ab(i), cde(i)}, Inserted: []relation.Tuple{cde(i + 1), cde(i + 2), ab(i + 1)}}
+		got, err := dec.ReadCommit(enc.AppendCommit(nil, c))
+		if err != nil || got.Seq != c.Seq || !eqTuples(got.Removed, c.Removed) || !eqTuples(got.Inserted, c.Inserted) {
+			t.Fatalf("commit %d: %+v, %v", i, got, err)
+		}
+		chunk := []relation.Tuple{ab(i), ab(i + 1), cde(i), ab(i + 2)}
+		back, err := dec.ReadChunk(enc.AppendChunk(nil, chunk))
+		if err != nil || !eqTuples(back, chunk) {
+			t.Fatalf("chunk %d: %v, %v", i, back, err)
+		}
+	}
+}
+
+// TestAppendAllocatesNothing: once a record's strings are interned, an
+// append reuses the log's frame buffer and the encoder's scratch and
+// column ids, and writes the frame with one call.
+func TestAppendAllocatesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := Create(path, 1, Config{Policy: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c := Commit{
+		Removed:  []relation.Tuple{tup(bi("local", 3), bi("foreign", 9), bi("packets", 1), bs("state", "open"))},
+		Inserted: []relation.Tuple{tup(bi("local", 3), bi("foreign", 9), bi("packets", 2), bs("state", "open"))},
+	}
+	if err := l.Append(c); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := l.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an append of interned strings allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestFramesAreHeaderThenPayload: the log file is its header and then, per
+// record, the payload's length and CRC followed by the payload — byte for
+// byte what a separate encoder makes of the same commits, and what the
+// scanner reads back.
+func TestFramesAreHeaderThenPayload(t *testing.T) {
+	const n = 50
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := Create(path, 7, Config{Policy: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, logHdrSize)
+	copy(want, logMagic)
+	binary.LittleEndian.PutUint32(want[4:], logVersion)
+	binary.LittleEndian.PutUint64(want[8:], 7)
+	enc := newEncoder()
+	var commits []Commit
+	for i := range n {
+		c := Commit{Inserted: []relation.Tuple{tup(bi("k", int64(i)), bs("v", fmt.Sprint("s", i%5)))}}
+		if i%3 == 0 {
+			c.Removed = []relation.Tuple{tup(bi("k", int64(i-1)), bi("w", int64(i)))}
+		}
+		if err := l.Append(c); err != nil {
+			t.Fatal(err)
+		}
+		c.Seq = uint64(7 + i)
+		commits = append(commits, c)
+		payload := enc.appendCommit(nil, c)
+		enc.commit()
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(payload)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(payload, castagnoli))
+		want = append(want, payload...)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("log file is %d bytes, the frames of its commits %d, and they differ", len(got), len(want))
+	}
+	sc, err := readLog(t, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.ValidSize != int64(len(want)) || len(sc.Commits) != n {
+		t.Fatalf("scan ends at %d with %d records, want %d and %d", sc.ValidSize, len(sc.Commits), len(want), n)
+	}
+	for i, c := range sc.Commits {
+		w := commits[i]
+		if c.Seq != w.Seq || !eqTuples(c.Removed, w.Removed) || !eqTuples(c.Inserted, w.Inserted) {
+			t.Fatalf("record %d: %+v, want %+v", i, c, w)
+		}
 	}
 }
