@@ -44,13 +44,15 @@ bin/relvet: $(shell find cmd/relvet internal -name '*.go' -not -path '*/testdata
 # corpus) — the properties that must hold before anything touching the
 # compiled or vectorized tiers merges — and the concurrent fault-injection
 # schedule, whose containment paths (fan-out recover, lock release on
-# contained panics) are what -race is for.
+# contained panics) are what -race is for; and the containers' clone and
+# first-write tests, which must hold under the detector too.
 ci-race: vet build race
 	$(GO) test -race -count 2 -run 'Differential|Vectorized' ./internal/plan ./internal/core
 	$(GO) test -race -count 2 -run 'Concurrent|Randomized' ./internal/faultinject/harness -faultseeds $(FAULTSEEDS)
 	$(GO) test -race -count 1 -run 'ExhaustiveWALSharded|WALRecovery' ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'PartitionPrefix|ReplResubscribe|ReplCatchUpBatch|SnapshotCutIsExact|CloseRacesPin' ./internal/repl ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'EngineCorpus|EngineCleanOnModule' ./internal/vet
+	$(GO) test -race -count 1 -run 'Clone|FirstWrite' ./internal/dstruct
 
 # The vectorized-tier gate: the randomized corpus differential (every plan
 # in the corpus executed on the interpreter, the closure tier, and the
@@ -127,7 +129,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '(Scan|Enumerate|Join|Collect)(Interpreted|Compiled|Vectorized)$$|Range(Interpreted|Vectorized)$$|CollectDupVectorized$$' -benchmem -benchtime 10x ./internal/plan
 	$(GO) test -run '^$$' -bench 'MVCC' -benchtime 10x .
-	$(GO) test -run '^$$' -bench 'ListFirstWriteAfterClone|ListSmall|ListFindWords(64|512)|HTableGetWord' -benchmem -benchtime 10x ./internal/dstruct
+	$(GO) test -run '^$$' -bench 'ListFirstWriteAfterClone|ListSmall|ListFindWords(64|512)|HTableGetWord|HTableFirstWriteAfterClone' -benchmem -benchtime 10x ./internal/dstruct
 	$(GO) test -run '^$$' -bench 'OpenReplay|DurableCommit' -benchmem -benchtime 1x ./internal/durable
 
 # The repo's benchmark (bench/, BENCHMARK.json) is a nested module that

@@ -36,6 +36,30 @@ func BenchmarkListFirstWriteAfterClone(b *testing.B) {
 	}
 }
 
+// BenchmarkHTableFirstWriteAfterClone is the same commit on a hash-table
+// edge: fork, remove one entry, add one. With -benchmem it shows the cost
+// following the bucket directory (one 16-byte entry per htChunk buckets)
+// plus the chunks written, not the bucket count. `make bench-smoke` runs it.
+func BenchmarkHTableFirstWriteAfterClone(b *testing.B) {
+	var vw colblock.View
+	for _, n := range []int64{128, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			m := NewWords[int](HTableKind, 1)
+			for i := int64(0); i < n; i++ {
+				m.Put(vw, code1(i), int(i))
+			}
+			del, put := code1(n/2), code1(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := m.Clone()
+				c.Delete(vw, del)
+				c.Put(vw, put, i)
+			}
+		})
+	}
+}
+
 // BenchmarkListSmall is the other side of the chunked layout: the
 // three-entry lists a graph decomposition is made of, which never clone and
 // only pay the directory hop. build allocates and fills one; get looks up

@@ -158,12 +158,16 @@ func sameContents(t *testing.T, kind Kind, label string, m Map[int], want *refMa
 }
 
 // cloneSpans returns the key-range scales the clone tests run kind at: every
-// kind at 1, and the list kinds also at a scale whose key range fills ten
+// kind at 1, the list kinds also at a scale whose key range fills ten
 // chunks, so directory copies, chunk copies, merges and dropped chunks all
-// happen with clones alive.
+// happen with clones alive, and the hash table at one whose copies grow to
+// 16 chunks of buckets and shrink back under clones.
 func cloneSpans(kind Kind) []int64 {
-	if slices.Contains(listKinds, kind) {
+	switch {
+	case slices.Contains(listKinds, kind):
 		return []int64{1, 10 * listChunkCap / 64}
+	case kind == HTableKind:
+		return []int64{1, 16 * htChunk / 64}
 	}
 	return []int64{1}
 }
@@ -326,6 +330,191 @@ func TestListFirstWriteAfterCloneIsCheap(t *testing.T) {
 			t.Errorf("%s: clone + delete + put allocates %.0f B at 4096 entries (%.0f B at 512), want about a %.0f B directory and two %.0f B chunks", kind, large, small, dir, chunk)
 		}
 	}
+}
+
+// firstWriteCost measures what a clone of a kind table of n entries plus
+// the first delete and the first put on the clone allocate: objects and
+// bytes per run.
+func firstWriteCost(kind Kind, n int64) (allocs, bytes float64) {
+	var vw colblock.View
+	m := NewWords[int](kind, 1)
+	for i := int64(0); i < n; i++ {
+		m.Put(vw, code1(i), int(i))
+	}
+	del, put := code1(n/2), code1(n)
+	op := func() {
+		c := m.Clone()
+		c.Delete(vw, del)
+		c.Put(vw, put, 0)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return testing.AllocsPerRun(runs, op), float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestHTableFirstWriteAfterCloneIsCheap pins what the chunked bucket
+// directory is for: a clone plus the first delete and the first put on it
+// copy the directory (one entry per htChunk buckets), the one or two chunks
+// written and the chains changed, not the bucket array: at 4096 entries a
+// 4 KB directory and two 128-byte chunks, where a flat array moves 32 KB.
+func TestHTableFirstWriteAfterCloneIsCheap(t *testing.T) {
+	allocs, bytes := firstWriteCost(HTableKind, 4096)
+	if raceEnabled {
+		t.Skipf("race detector: %.0f objects, %.0f B not asserted", allocs, bytes)
+	}
+	if allocs > 8 {
+		t.Errorf("clone + delete + put on 4096 entries allocates %.0f objects, want at most 8", allocs)
+	}
+	if bytes > 8<<10 {
+		t.Errorf("clone + delete + put on 4096 entries allocates %.0f B, want at most 8 KB", bytes)
+	}
+}
+
+// htableOf returns the hash table under a stand-alone Map.
+func htableOf(m Map[int]) *HTable[int] { return wordsOf(m).(*HTable[int]) }
+
+// TestHTableOwnershipTransitions pins each copy-on-write transition of the
+// chunked bucket directory, checking every live copy against its oracle
+// after each step and the directory entries for what the step copied.
+func TestHTableOwnershipTransitions(t *testing.T) {
+	build := func(n int64) (Map[int], *refMap) {
+		m, o := New[int](HTableKind), newRefMap()
+		for i := int64(0); i < n; i++ {
+			m.Put(key1(i), int(i))
+			o.put(i, int(i))
+		}
+		return m, o
+	}
+	// keyAt returns the first key from `from` on whose bucket in h satisfies
+	// ok and which o holds, or, if present is false, does not hold.
+	keyAt := func(h *HTable[int], o *refMap, from int64, present bool, ok func(b uint) bool) int64 {
+		for k := from; ; k++ {
+			if _, in := o.vals[k]; in == present && ok(h.bucket(colblock.Hash(code1(k)))) {
+				return k
+			}
+		}
+	}
+	same := func(t *testing.T, label string, ms []Map[int], os []*refMap) {
+		t.Helper()
+		for i := range ms {
+			sameContents(t, HTableKind, fmt.Sprintf("%s/copy %d", label, i), ms[i], os[i])
+		}
+	}
+	bit := func(b uint) uint16 { return 1 << (b % htChunk) }
+
+	t.Run("put into an unowned chunk", func(t *testing.T) {
+		m, o := build(200) // 256 buckets in 16 chunks
+		c, co := m.Clone(), o.clone()
+		h, hc := htableOf(m), htableOf(c)
+		k0 := keyAt(h, o, 0, true, func(b uint) bool { return b/htChunk == 0 })
+		m.Delete(key1(k0))
+		o.delete(k0)
+		k := keyAt(h, o, 200, false, func(b uint) bool { return b/htChunk != 0 && h.head(b) != nil })
+		b := h.bucket(colblock.Hash(code1(k)))
+		if d := h.dir[b/htChunk]; d.own || d.mine != 0 {
+			t.Fatalf("chunk %d owned before its first write: own %v mine %#x", b/htChunk, d.own, d.mine)
+		}
+		sibChunk, sibHead := hc.dir[b/htChunk].c, hc.head(b)
+		m.Put(key1(k), -1)
+		o.put(k, -1)
+		if d := h.dir[b/htChunk]; !d.own || d.mine&bit(b) != 0 || d.c == sibChunk {
+			t.Fatalf("put copied chunk %v, chain %v", d.c != sibChunk, d.mine&bit(b) != 0)
+		}
+		if h.head(b).next != sibHead {
+			t.Fatal("linking in front copied the shared chain")
+		}
+		if hc.dir[b/htChunk].c != sibChunk || hc.head(b) != sibHead {
+			t.Fatal("put moved the sibling's chunk or chain")
+		}
+		same(t, "after put", []Map[int]{m, c}, []*refMap{o, co})
+
+		// Overwriting a key of that chain copies the chain, whole.
+		j := keyAt(h, o, 0, true, func(b2 uint) bool { return b2 == b })
+		m.Put(key1(j), -2)
+		o.put(j, -2)
+		if h.dir[b/htChunk].mine&bit(b) == 0 || h.head(b).next == sibHead {
+			t.Fatal("overwrite in a shared chain did not copy the chain")
+		}
+		same(t, "after overwrite", []Map[int]{m, c}, []*refMap{o, co})
+	})
+
+	t.Run("delete empties a shared chain", func(t *testing.T) {
+		m, o := build(200)
+		h := htableOf(m)
+		k := keyAt(h, o, 0, true, func(b uint) bool { return h.head(b) != nil && h.head(b).next == nil })
+		b := h.bucket(colblock.Hash(code1(k)))
+		c, co := m.Clone(), o.clone()
+		hc := htableOf(c)
+		c.Delete(key1(k))
+		co.delete(k)
+		if hc.head(b) != nil || h.head(b) == nil {
+			t.Fatalf("delete of a one-node shared chain: clone's bucket %v, receiver's %v", hc.head(b), h.head(b))
+		}
+		same(t, "after delete", []Map[int]{m, c}, []*refMap{o, co})
+		m.Put(key1(k), -1)
+		o.put(k, -1)
+		j := keyAt(hc, co, 200, false, func(b2 uint) bool { return b2 == b })
+		c.Put(key1(j), -2)
+		co.put(j, -2)
+		same(t, "after refill", []Map[int]{m, c}, []*refMap{o, co})
+	})
+
+	t.Run("grow while the directory is shared", func(t *testing.T) {
+		// 128 keys in the low 64 of 128 buckets: the table is full, the
+		// next insert grows it, and the chains it splits are two long on
+		// average, so a relink in place would cut the clone's chains.
+		m, o := New[int](HTableKind), newRefMap()
+		for k := int64(0); len(o.vals) < 128; k++ {
+			if colblock.Hash(code1(k))%128 < 64 {
+				m.Put(key1(k), int(k))
+				o.put(k, int(k))
+			}
+		}
+		c, co := m.Clone(), o.clone()
+		h, hc := htableOf(m), htableOf(c)
+		m.Put(key1(-1), -1)
+		o.put(-1, -1)
+		if len(h.dir) != 16 || len(hc.dir) != 8 || h.shared || !hc.shared {
+			t.Fatalf("after grow: %d and %d chunks, shared %v and %v; want 16 and 8, false and true", len(h.dir), len(hc.dir), h.shared, hc.shared)
+		}
+		same(t, "after grow", []Map[int]{m, c}, []*refMap{o, co})
+		for i := int64(0); i < 64; i++ {
+			m.Delete(key1(2 * i))
+			o.delete(2 * i)
+			c.Put(key1(2*i), -int(i))
+			co.put(2*i, -int(i))
+		}
+		same(t, "after churn", []Map[int]{m, c}, []*refMap{o, co})
+	})
+
+	t.Run("clone of a copied directory", func(t *testing.T) {
+		m, o := build(200)
+		c1, o1 := m.Clone(), o.clone()
+		h := htableOf(m)
+		m.Delete(key1(0)) // m copies the directory and owns a chunk
+		o.delete(0)
+		b := h.bucket(colblock.Hash(code1(0)))
+		if !h.dir[b/htChunk].own || h.shared {
+			t.Fatal("delete did not take the directory and chunk")
+		}
+		c2, o2 := m.Clone(), o.clone()
+		k := keyAt(h, o, 0, true, func(b2 uint) bool { return b2/htChunk == b/htChunk })
+		m.Put(key1(k), -1) // m's chunk is shared again: copied again
+		o.put(k, -1)
+		if h.dir[b/htChunk].c == htableOf(c2).dir[b/htChunk].c {
+			t.Fatal("write to a chunk the clone shares landed in place")
+		}
+		c2.Put(key1(1000), 1000)
+		o2.put(1000, 1000)
+		c2.Delete(key1(k))
+		o2.delete(k)
+		same(t, "after writes", []Map[int]{m, c1, c2}, []*refMap{o, o1, o2})
+	})
 }
 
 // TestCloneKeepsCapabilities checks that clones remain usable through the
