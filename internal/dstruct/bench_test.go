@@ -15,24 +15,28 @@ var listKinds = []Kind{DListKind, SListKind}
 // follows the list's length (an eager clone: one object per entry) or its
 // chunk directory. `make bench-smoke` runs it.
 func BenchmarkListFirstWriteAfterClone(b *testing.B) {
-	var vw colblock.View
 	for _, kind := range listKinds {
 		for _, n := range []int64{64, 512, 4096} {
-			b.Run(fmt.Sprintf("%s/%d", kind, n), func(b *testing.B) {
-				m := NewWords[int](kind, 1)
-				for i := int64(0); i < n; i++ {
-					m.Put(vw, code1(i), int(i))
-				}
-				del, put := code1(n/2), code1(n)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c := m.Clone()
-					c.Delete(vw, del)
-					c.Put(vw, put, i)
-				}
-			})
+			b.Run(fmt.Sprintf("%s/%d", kind, n), func(b *testing.B) { benchFirstWriteAfterClone(b, kind, n) })
 		}
+	}
+}
+
+// benchFirstWriteAfterClone times a clone of a kind container of n entries
+// plus the first delete and the first put on the clone.
+func benchFirstWriteAfterClone(b *testing.B, kind Kind, n int64) {
+	var vw colblock.View
+	m := NewWords[int](kind, 1)
+	for i := int64(0); i < n; i++ {
+		m.Put(vw, code1(i), int(i))
+	}
+	del, put := code1(n/2), code1(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := m.Clone()
+		c.Delete(vw, del)
+		c.Put(vw, put, i)
 	}
 }
 
@@ -41,22 +45,8 @@ func BenchmarkListFirstWriteAfterClone(b *testing.B) {
 // following the bucket directory (one 16-byte entry per htChunk buckets)
 // plus the chunks written, not the bucket count. `make bench-smoke` runs it.
 func BenchmarkHTableFirstWriteAfterClone(b *testing.B) {
-	var vw colblock.View
 	for _, n := range []int64{128, 4096} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			m := NewWords[int](HTableKind, 1)
-			for i := int64(0); i < n; i++ {
-				m.Put(vw, code1(i), int(i))
-			}
-			del, put := code1(n/2), code1(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := m.Clone()
-				c.Delete(vw, del)
-				c.Put(vw, put, i)
-			}
-		})
+		b.Run(fmt.Sprint(n), func(b *testing.B) { benchFirstWriteAfterClone(b, HTableKind, n) })
 	}
 }
 

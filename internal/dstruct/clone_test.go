@@ -291,47 +291,6 @@ func TestCloneChainsDifferential(t *testing.T) {
 	}
 }
 
-// TestListFirstWriteAfterCloneIsCheap pins what the chunked list body is
-// for: a clone plus the first delete and the first insert on it allocate a
-// handful of objects however long the list is, and bytes that grow with the
-// chunk directory (n/listChunkCap headers), not with the entries: at 4096
-// entries the two directory copies plus the two chunks written, nowhere near
-// the 64 KB of key words and values an eager copy would move.
-func TestListFirstWriteAfterCloneIsCheap(t *testing.T) {
-	for _, kind := range listKinds {
-		cost := func(n int64) (allocs, bytes float64) {
-			var vw colblock.View
-			m := NewWords[int](kind, 1)
-			for i := int64(0); i < n; i++ {
-				m.Put(vw, code1(i), int(i))
-			}
-			del, put := code1(n/2), code1(n)
-			op := func() {
-				c := m.Clone()
-				c.Delete(vw, del)
-				c.Put(vw, put, 0)
-			}
-			const runs = 200
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				op()
-			}
-			runtime.ReadMemStats(&after)
-			return testing.AllocsPerRun(runs, op), float64(after.TotalAlloc-before.TotalAlloc) / runs
-		}
-		_, small := cost(512)
-		allocs, large := cost(4096)
-		if allocs > 8 {
-			t.Errorf("%s: clone + delete + put on 4096 entries allocates %.0f objects, want at most 8", kind, allocs)
-		}
-		dir := float64(4096 / listChunkCap * sizeOf[listChunk[int]]())
-		if chunk := float64(2 * listChunkCap * 16); large > 1.5*(dir+2*chunk) || large >= 8*small {
-			t.Errorf("%s: clone + delete + put allocates %.0f B at 4096 entries (%.0f B at 512), want about a %.0f B directory and two %.0f B chunks", kind, large, small, dir, chunk)
-		}
-	}
-}
-
 // firstWriteCost measures what a clone of a kind table of n entries plus
 // the first delete and the first put on the clone allocate: objects and
 // bytes per run.
@@ -355,6 +314,26 @@ func firstWriteCost(kind Kind, n int64) (allocs, bytes float64) {
 	}
 	runtime.ReadMemStats(&after)
 	return testing.AllocsPerRun(runs, op), float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestListFirstWriteAfterCloneIsCheap pins what the chunked list body is
+// for: a clone plus the first delete and the first insert on it allocate a
+// handful of objects however long the list is, and bytes that grow with the
+// chunk directory (n/listChunkCap headers), not with the entries: at 4096
+// entries the two directory copies plus the two chunks written, nowhere near
+// the 64 KB of key words and values an eager copy would move.
+func TestListFirstWriteAfterCloneIsCheap(t *testing.T) {
+	for _, kind := range listKinds {
+		_, small := firstWriteCost(kind, 512)
+		allocs, large := firstWriteCost(kind, 4096)
+		if allocs > 8 {
+			t.Errorf("%s: clone + delete + put on 4096 entries allocates %.0f objects, want at most 8", kind, allocs)
+		}
+		dir := float64(4096 / listChunkCap * sizeOf[listChunk[int]]())
+		if chunk := float64(2 * listChunkCap * 16); large > 1.5*(dir+2*chunk) || large >= 8*small {
+			t.Errorf("%s: clone + delete + put allocates %.0f B at 4096 entries (%.0f B at 512), want about a %.0f B directory and two %.0f B chunks", kind, large, small, dir, chunk)
+		}
+	}
 }
 
 // TestHTableFirstWriteAfterCloneIsCheap pins what the chunked bucket

@@ -26,11 +26,13 @@ const listFirstCap = 4
 // beside the array of values, so lookup and delete-by-key are a scan over
 // dense words; insertion appends to the last chunk.
 //
-// Copy-on-write state follows HTable's discipline. A chunk is writable in
-// place iff its owner token is the list's; Clone hands both sides fresh
-// tokens and marks the directory shared, so the first write of either side
-// copies the directory plus the one chunk it changes and leaves every other
-// chunk shared. Before any Clone all tokens are nil, nil == nil, and writes
+// Copy-on-write state has HTable's shape, a shared directory over chunks
+// that each side copies the first time it writes them, with an owner token
+// per chunk where HTable keeps a flag in the directory entry. A chunk is
+// writable in place iff its owner token is the list's; Clone hands both
+// sides fresh tokens and marks the directory shared, so the first write of
+// either side copies the directory plus the one chunk it changes and leaves
+// every other chunk shared. Before any Clone all tokens are nil, nil == nil, and writes
 // mutate in place at no extra cost. Readers (Get, Range, AppendEntries) never
 // touch the tokens or the flag, so a frozen version may be read while it is
 // being cloned.
