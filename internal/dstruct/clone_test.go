@@ -161,7 +161,7 @@ func sameContents(t *testing.T, kind Kind, label string, m Map[int], want *refMa
 // kind at 1, the list kinds also at a scale whose key range fills ten
 // chunks, so directory copies, chunk copies, merges and dropped chunks all
 // happen with clones alive, and the hash table at one whose copies grow to
-// 16 chunks of buckets and shrink back under clones.
+// 16 chunks of buckets, then empty and refill, under clones.
 func cloneSpans(kind Kind) []int64 {
 	switch {
 	case slices.Contains(listKinds, kind):

@@ -2,6 +2,7 @@
 
 package dstruct
 
-// raceEnabled reports whether the race detector is active; under it the
-// allocation counts an allocation test asserts are not the program's own.
+// raceEnabled reports whether the race detector is active; allocation
+// tests do not assert their counts under it, since they measure the
+// instrumented build rather than the one that ships.
 const raceEnabled = false
