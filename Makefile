@@ -45,14 +45,15 @@ bin/relvet: $(shell find cmd/relvet internal -name '*.go' -not -path '*/testdata
 # compiled or vectorized tiers merges — and the concurrent fault-injection
 # schedule, whose containment paths (fan-out recover, lock release on
 # contained panics) are what -race is for; and the containers' clone and
-# first-write tests, which must hold under the detector too.
+# first-write tests and the hash table's own, which must hold under the
+# detector too.
 ci-race: vet build race
 	$(GO) test -race -count 2 -run 'Differential|Vectorized' ./internal/plan ./internal/core
 	$(GO) test -race -count 2 -run 'Concurrent|Randomized' ./internal/faultinject/harness -faultseeds $(FAULTSEEDS)
 	$(GO) test -race -count 1 -run 'ExhaustiveWALSharded|WALRecovery' ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'PartitionPrefix|ReplResubscribe|ReplCatchUpBatch|SnapshotCutIsExact|CloseRacesPin' ./internal/repl ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'EngineCorpus|EngineCleanOnModule' ./internal/vet
-	$(GO) test -race -count 1 -run 'Clone|FirstWrite' ./internal/dstruct
+	$(GO) test -race -count 1 -run 'Clone|FirstWrite|HTable' ./internal/dstruct
 
 # The vectorized-tier gate: the randomized corpus differential (every plan
 # in the corpus executed on the interpreter, the closure tier, and the
@@ -63,7 +64,7 @@ test-vec:
 
 # The representation's budget: live heap per stored tuple for the three
 # benchmark decompositions at 20k tuples on the bare tier, held to a ceiling
-# 10% above what the word representation measured, and Instance.Stats —
+# 10% above what the representation last measured, and Instance.Stats —
 # resident bytes by category, from counts × sizes — held to within 15% of
 # that heap. -v prints the per-category table.
 heap-budget:

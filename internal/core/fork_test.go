@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // TestForkAllocatesTwoHeaders: the MVCC tiers fork the relation once per
@@ -11,7 +13,7 @@ import (
 // with the version it forks.
 func TestForkAllocatesTwoHeaders(t *testing.T) {
 	r := newSchedInternal(t)
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	var fork *Relation

@@ -42,8 +42,8 @@ func benchFirstWriteAfterClone(b *testing.B, kind Kind, n int64) {
 
 // BenchmarkHTableFirstWriteAfterClone is the same commit on a hash-table
 // edge: fork, remove one entry, add one. With -benchmem it shows the cost
-// following the bucket directory (one 16-byte entry per htChunk buckets)
-// plus the chunks written, not the bucket count. `make bench-smoke` runs it.
+// following the group directory (8 bytes a group) plus the one or two
+// 288-byte groups written, not the entry count. `make bench-smoke` runs it.
 func BenchmarkHTableFirstWriteAfterClone(b *testing.B) {
 	for _, n := range []int64{128, 4096} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) { benchFirstWriteAfterClone(b, HTableKind, n) })
@@ -107,8 +107,8 @@ func BenchmarkListFindWords64(b *testing.B)  { benchListFindWords(b, 64) }
 func BenchmarkListFindWords512(b *testing.B) { benchListFindWords(b, 512) }
 
 // BenchmarkHTableGetWord is the single-column point lookup every hashed edge
-// of the benchmark's decompositions answers: one word hashed, one chain
-// walked, nothing allocated.
+// of the benchmark's decompositions answers: one word hashed, one group's
+// control words matched, nothing allocated.
 func BenchmarkHTableGetWord(b *testing.B) {
 	var vw colblock.View
 	const n = 1 << 14

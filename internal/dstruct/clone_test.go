@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/colblock"
+	"repro/internal/race"
 	"repro/internal/relation"
 )
 
@@ -161,13 +162,13 @@ func sameContents(t *testing.T, kind Kind, label string, m Map[int], want *refMa
 // kind at 1, the list kinds also at a scale whose key range fills ten
 // chunks, so directory copies, chunk copies, merges and dropped chunks all
 // happen with clones alive, and the hash table at one whose copies grow to
-// 16 chunks of buckets, then empty and refill, under clones.
+// 16 groups and more, then empty and refill, under clones.
 func cloneSpans(kind Kind) []int64 {
 	switch {
 	case slices.Contains(listKinds, kind):
 		return []int64{1, 10 * listChunkCap / 64}
 	case kind == HTableKind:
-		return []int64{1, 16 * htChunk / 64}
+		return []int64{1, 16 * htSlots / 64}
 	}
 	return []int64{1}
 }
@@ -336,14 +337,14 @@ func TestListFirstWriteAfterCloneIsCheap(t *testing.T) {
 	}
 }
 
-// TestHTableFirstWriteAfterCloneIsCheap pins what the chunked bucket
-// directory is for: a clone plus the first delete and the first put on it
-// copy the directory (one entry per htChunk buckets), the one or two chunks
-// written and the chains changed, not the bucket array: at 4096 entries a
-// 4 KB directory and two 128-byte chunks, where a flat array moves 32 KB.
+// TestHTableFirstWriteAfterCloneIsCheap pins what the group directory is
+// for: a clone plus the first delete and the first put on it copy the
+// directory (8 bytes a group) and the one or two groups written, not the
+// table: at 4096 entries a 4 KB directory and two 288-byte groups, where an
+// eager copy moves every group.
 func TestHTableFirstWriteAfterCloneIsCheap(t *testing.T) {
 	allocs, bytes := firstWriteCost(HTableKind, 4096)
-	if raceEnabled {
+	if race.Enabled {
 		t.Skipf("race detector: %.0f objects, %.0f B not asserted", allocs, bytes)
 	}
 	if allocs > 8 {
@@ -357,9 +358,45 @@ func TestHTableFirstWriteAfterCloneIsCheap(t *testing.T) {
 // htableOf returns the hash table under a stand-alone Map.
 func htableOf(m Map[int]) *HTable[int] { return wordsOf(m).(*HTable[int]) }
 
+// homeOf is the group key k's probe starts at in h.
+func homeOf(h *HTable[int], k int64) uint {
+	return uint(colblock.Hash(code1(k))>>7) & uint(len(h.dir)-1)
+}
+
+// slotOfKey returns the group index and slot holding k in h, failing if
+// none does.
+func slotOfKey(t *testing.T, h *HTable[int], k int64) (uint, int) {
+	t.Helper()
+	gi, s := h.find(colblock.Hash(code1(k)), code1(k))
+	if s < 0 {
+		t.Fatalf("key %d not in the table", k)
+	}
+	return gi, s
+}
+
+// groupsDiffer returns the indexes at which two same-length directories
+// hold different groups.
+func groupsDiffer(a, b []*htGroup[int]) []int {
+	var d []int
+	for i := range a {
+		if a[i] != b[i] {
+			d = append(d, i)
+		}
+	}
+	return d
+}
+
+// TestHTableSizes pins the two objects a first write copies to their size
+// classes: the 48-byte header every Clone copies and the 288-byte group.
+func TestHTableSizes(t *testing.T) {
+	if h, g := sizeOf[HTable[*int]](), sizeOf[htGroup[*int]](); h != 48 || g != 288 || AllocSize(g) != g {
+		t.Errorf("header %d B, group %d B (allocated %d); want 48 and 288", h, g, AllocSize(g))
+	}
+}
+
 // TestHTableOwnershipTransitions pins each copy-on-write transition of the
-// chunked bucket directory, checking every live copy against its oracle
-// after each step and the directory entries for what the step copied.
+// group directory, checking every live copy against its oracle after each
+// step and the directories for what the step copied.
 func TestHTableOwnershipTransitions(t *testing.T) {
 	build := func(n int64) (Map[int], *refMap) {
 		m, o := New[int](HTableKind), newRefMap()
@@ -369,97 +406,131 @@ func TestHTableOwnershipTransitions(t *testing.T) {
 		}
 		return m, o
 	}
-	// keyAt returns the first key from `from` on whose bucket in h satisfies
-	// ok and which o holds, or, if present is false, does not hold.
-	keyAt := func(h *HTable[int], o *refMap, from int64, present bool, ok func(b uint) bool) int64 {
-		for k := from; ; k++ {
-			if _, in := o.vals[k]; in == present && ok(h.bucket(colblock.Hash(code1(k)))) {
-				return k
-			}
-		}
-	}
 	same := func(t *testing.T, label string, ms []Map[int], os []*refMap) {
 		t.Helper()
 		for i := range ms {
 			sameContents(t, HTableKind, fmt.Sprintf("%s/copy %d", label, i), ms[i], os[i])
 		}
 	}
-	bit := func(b uint) uint16 { return 1 << (b % htChunk) }
 
-	t.Run("put into an unowned chunk", func(t *testing.T) {
-		m, o := build(200) // 256 buckets in 16 chunks
+	t.Run("overwrite copies exactly one group", func(t *testing.T) {
+		m, o := build(200) // 16 groups
 		c, co := m.Clone(), o.clone()
 		h, hc := htableOf(m), htableOf(c)
-		k0 := keyAt(h, o, 0, true, func(b uint) bool { return b/htChunk == 0 })
-		m.Delete(key1(k0))
-		o.delete(k0)
-		k := keyAt(h, o, 200, false, func(b uint) bool { return b/htChunk != 0 && h.head(b) != nil })
-		b := h.bucket(colblock.Hash(code1(k)))
-		if d := h.dir[b/htChunk]; d.own || d.mine != 0 {
-			t.Fatalf("chunk %d owned before its first write: own %v mine %#x", b/htChunk, d.own, d.mine)
+		sib := slices.Clone(hc.dir)
+		gi, s := slotOfKey(t, h, 7)
+		m.Put(key1(7), -1)
+		o.put(7, -1)
+		if d := groupsDiffer(h.dir, sib); len(d) != 1 || d[0] != int(gi) {
+			t.Fatalf("overwrite in group %d copied groups %v", gi, d)
 		}
-		sibChunk, sibHead := hc.dir[b/htChunk].c, hc.head(b)
-		m.Put(key1(k), -1)
-		o.put(k, -1)
-		if d := h.dir[b/htChunk]; !d.own || d.mine&bit(b) != 0 || d.c == sibChunk {
-			t.Fatalf("put copied chunk %v, chain %v", d.c != sibChunk, d.mine&bit(b) != 0)
+		if h.shared || &h.dir[0] == &hc.dir[0] || h.dir[gi].epoch != h.epoch {
+			t.Fatal("overwrite did not take the directory and stamp its group copy")
 		}
-		if h.head(b).next != sibHead {
-			t.Fatal("linking in front copied the shared chain")
-		}
-		if hc.dir[b/htChunk].c != sibChunk || hc.head(b) != sibHead {
-			t.Fatal("put moved the sibling's chunk or chain")
-		}
-		same(t, "after put", []Map[int]{m, c}, []*refMap{o, co})
-
-		// Overwriting a key of that chain copies the chain, whole.
-		j := keyAt(h, o, 0, true, func(b2 uint) bool { return b2 == b })
-		m.Put(key1(j), -2)
-		o.put(j, -2)
-		if h.dir[b/htChunk].mine&bit(b) == 0 || h.head(b).next == sibHead {
-			t.Fatal("overwrite in a shared chain did not copy the chain")
+		if d := groupsDiffer(hc.dir, sib); len(d) != 0 || hc.dir[gi].v[s] != 7 {
+			t.Fatalf("overwrite moved the sibling's groups %v", d)
 		}
 		same(t, "after overwrite", []Map[int]{m, c}, []*refMap{o, co})
+
+		// A second write to that group lands in place; one to another group
+		// copies that one only.
+		g := h.dir[gi]
+		for k := int64(0); k < 200; k++ {
+			if gk, _ := slotOfKey(t, h, k); gk == gi && k != 7 {
+				m.Put(key1(k), -2)
+				o.put(k, -2)
+				break
+			}
+		}
+		if h.dir[gi] != g {
+			t.Fatal("a write to a group the table owns copied it again")
+		}
+		k := int64(0)
+		for gk, _ := slotOfKey(t, h, k); gk == gi; gk, _ = slotOfKey(t, h, k) {
+			k++
+		}
+		m.Delete(key1(k))
+		o.delete(k)
+		if d := groupsDiffer(h.dir, sib); len(d) != 2 {
+			t.Fatalf("two writes to two groups left groups %v copied", d)
+		}
+		same(t, "after second group", []Map[int]{m, c}, []*refMap{o, co})
 	})
 
-	t.Run("delete empties a shared chain", func(t *testing.T) {
-		m, o := build(200)
+	t.Run("delete leaves a tombstone in a full shared group", func(t *testing.T) {
+		// 16 keys homed at group 0 of 2 fill it, and the 17th, homed there
+		// too, probes past it to group 1.
+		m, o := build(15) // the 15th insert makes it two groups
 		h := htableOf(m)
-		k := keyAt(h, o, 0, true, func(b uint) bool { return h.head(b) != nil && h.head(b).next == nil })
-		b := h.bucket(colblock.Hash(code1(k)))
+		var keys []int64
+		for k := int64(0); len(keys) < 17; k++ {
+			if homeOf(h, k) != 0 {
+				if _, in := o.vals[k]; in {
+					m.Delete(key1(k))
+					o.delete(k)
+				}
+				continue
+			}
+			keys = append(keys, k)
+			m.Put(key1(k), int(k))
+			o.put(k, int(k))
+		}
+		if gi, _ := slotOfKey(t, h, keys[16]); len(h.dir) != 2 || h.dir[0].hasEmpty() || gi != 1 {
+			t.Fatalf("setup: %d groups, group 0 full %v, overflow key in group %d", len(h.dir), !h.dir[0].hasEmpty(), gi)
+		}
 		c, co := m.Clone(), o.clone()
 		hc := htableOf(c)
-		c.Delete(key1(k))
-		co.delete(k)
-		if hc.head(b) != nil || h.head(b) == nil {
-			t.Fatalf("delete of a one-node shared chain: clone's bucket %v, receiver's %v", hc.head(b), h.head(b))
+		used := hc.used
+		_, s := slotOfKey(t, hc, keys[3])
+		c.Delete(key1(keys[3]))
+		co.delete(keys[3])
+		if hc.dir[0].ctrlAt(s) != ctrlDeleted || hc.used != used || h.dir[0].ctrlAt(s) == ctrlDeleted {
+			t.Fatalf("delete in a full shared group: clone's slot %#x, used %d→%d, receiver's slot %#x", hc.dir[0].ctrlAt(s), used, hc.used, h.dir[0].ctrlAt(s))
+		}
+		if _, ok := c.Get(key1(keys[16])); !ok {
+			t.Fatal("the key past the tombstone is lost")
 		}
 		same(t, "after delete", []Map[int]{m, c}, []*refMap{o, co})
-		m.Put(key1(k), -1)
-		o.put(k, -1)
-		j := keyAt(hc, co, 200, false, func(b2 uint) bool { return b2 == b })
-		c.Put(key1(j), -2)
-		co.put(j, -2)
+
+		// A key homed at group 0 reuses the tombstone; a delete in a group
+		// with an empty slot leaves it empty.
+		k := keys[16] + 1
+		for homeOf(hc, k) != 0 {
+			k++
+		}
+		c.Put(key1(k), -1)
+		co.put(k, -1)
+		if gi, s2 := slotOfKey(t, hc, k); gi != 0 || s2 != s || hc.used != used {
+			t.Fatalf("insert past a tombstone went to group %d slot %d (tombstone at slot %d), used %d→%d", gi, s2, s, used, hc.used)
+		}
+		gi, s := slotOfKey(t, hc, keys[16])
+		c.Delete(key1(keys[16]))
+		co.delete(keys[16])
+		if hc.dir[gi].ctrlAt(s) != ctrlEmpty || hc.used != used-1 {
+			t.Fatalf("delete in a group with room: slot %#x, used %d→%d", hc.dir[gi].ctrlAt(s), used, hc.used)
+		}
 		same(t, "after refill", []Map[int]{m, c}, []*refMap{o, co})
 	})
 
 	t.Run("grow while the directory is shared", func(t *testing.T) {
-		// 128 keys in the low 64 of 128 buckets: the table is full, the
-		// next insert grows it, and the chains it splits are two long on
-		// average, so a relink in place would cut the clone's chains.
-		m, o := New[int](HTableKind), newRefMap()
-		for k := int64(0); len(o.vals) < 128; k++ {
-			if colblock.Hash(code1(k))%128 < 64 {
-				m.Put(key1(k), int(k))
-				o.put(k, int(k))
-			}
-		}
+		// 112 keys fill 8 groups to 7/8: the next insert rehashes into 16
+		// fresh groups, reading the groups the clone shares.
+		m, o := build(112)
 		c, co := m.Clone(), o.clone()
 		h, hc := htableOf(m), htableOf(c)
+		sib := slices.Clone(hc.dir)
 		m.Put(key1(-1), -1)
 		o.put(-1, -1)
 		if len(h.dir) != 16 || len(hc.dir) != 8 || h.shared || !hc.shared {
-			t.Fatalf("after grow: %d and %d chunks, shared %v and %v; want 16 and 8, false and true", len(h.dir), len(hc.dir), h.shared, hc.shared)
+			t.Fatalf("after grow: %d and %d groups, shared %v and %v; want 16 and 8, false and true", len(h.dir), len(hc.dir), h.shared, hc.shared)
+		}
+		for i, g := range h.dir {
+			if g.epoch != h.epoch || slices.Contains(sib, g) {
+				t.Fatalf("group %d after grow is not the table's own", i)
+			}
+		}
+		if d := groupsDiffer(hc.dir, sib); len(d) != 0 {
+			t.Fatalf("grow moved the sibling's groups %v", d)
 		}
 		same(t, "after grow", []Map[int]{m, c}, []*refMap{o, co})
 		for i := int64(0); i < 64; i++ {
@@ -475,18 +546,24 @@ func TestHTableOwnershipTransitions(t *testing.T) {
 		m, o := build(200)
 		c1, o1 := m.Clone(), o.clone()
 		h := htableOf(m)
-		m.Delete(key1(0)) // m copies the directory and owns a chunk
+		gi, _ := slotOfKey(t, h, 0)
+		m.Delete(key1(0)) // m copies the directory and owns a group
 		o.delete(0)
-		b := h.bucket(colblock.Hash(code1(0)))
-		if !h.dir[b/htChunk].own || h.shared {
-			t.Fatal("delete did not take the directory and chunk")
+		if h.dir[gi].epoch != h.epoch || h.shared {
+			t.Fatal("delete did not take the directory and group")
 		}
 		c2, o2 := m.Clone(), o.clone()
-		k := keyAt(h, o, 0, true, func(b2 uint) bool { return b2/htChunk == b/htChunk })
-		m.Put(key1(k), -1) // m's chunk is shared again: copied again
+		if h.dir[gi].epoch == h.epoch {
+			t.Fatal("a clone left the receiver owning a group it shares")
+		}
+		k := int64(1)
+		for gk, _ := slotOfKey(t, h, k); gk != gi; gk, _ = slotOfKey(t, h, k) {
+			k++
+		}
+		m.Put(key1(k), -1) // m's group is shared again: copied again
 		o.put(k, -1)
-		if h.dir[b/htChunk].c == htableOf(c2).dir[b/htChunk].c {
-			t.Fatal("write to a chunk the clone shares landed in place")
+		if h.dir[gi] == htableOf(c2).dir[gi] || len(groupsDiffer(h.dir, htableOf(c2).dir)) != 1 {
+			t.Fatal("write to a group the clone shares landed in place")
 		}
 		c2.Put(key1(1000), 1000)
 		o2.put(1000, 1000)
@@ -494,6 +571,205 @@ func TestHTableOwnershipTransitions(t *testing.T) {
 		o2.delete(k)
 		same(t, "after writes", []Map[int]{m, c1, c2}, []*refMap{o, o1, o2})
 	})
+}
+
+// TestHTableTombstoneChurn holds the table's size under deletes and
+// re-inserts: at a constant number of entries, 100 rounds of churn never
+// grow the directory, and tombstones that fill the table are cleared by a
+// rehash at the same size — here on a clone, whose receiver keeps its
+// tombstones and contents.
+func TestHTableTombstoneChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m, o := New[int](HTableKind), newRefMap()
+	for i := int64(0); i < 200; i++ {
+		m.Put(key1(i), int(i))
+		o.put(i, int(i))
+	}
+	for i := int64(0); i < 200; i += 2 {
+		m.Delete(key1(i))
+		o.delete(i)
+	}
+	h := htableOf(m)
+	next := int64(200)
+	for round := 0; round < 100; round++ {
+		for i := 0; i < 20; i++ {
+			k := o.order[rng.Intn(len(o.order))]
+			m.Delete(key1(k))
+			o.delete(k)
+			m.Put(key1(next), round)
+			o.put(next, round)
+			next++
+		}
+		if len(h.dir) != 16 {
+			t.Fatalf("round %d: %d groups at %d entries, want 16", round, len(h.dir), h.n)
+		}
+		sameContents(t, HTableKind, fmt.Sprintf("round %d", round), m, o)
+	}
+
+	// An emptied table of 16 groups: 112 keys homed at group 0 fill the
+	// seven groups of its probe sequence, and deleting them leaves 112
+	// tombstones.
+	m, o = New[int](HTableKind), newRefMap()
+	for i := int64(0); i < 113; i++ {
+		m.Put(key1(i), 0)
+	}
+	for i := int64(0); i < 113; i++ {
+		m.Delete(key1(i))
+	}
+	if h = htableOf(m); len(h.dir) != 16 || h.used != 0 {
+		t.Fatalf("setup: %d tombstones in %d groups, want none in 16", h.used, len(h.dir))
+	}
+	next = 113
+	var homed []int64
+	chain := map[uint]bool{}
+	for k := next; len(homed) < 112; k++ {
+		if homeOf(h, k) == 0 {
+			m.Put(key1(k), 0)
+			homed = append(homed, k)
+			gi, _ := slotOfKey(t, h, k)
+			chain[gi] = true
+		}
+	}
+	for _, k := range homed {
+		m.Delete(key1(k))
+	}
+	if h.n != 0 || h.used != 112 {
+		t.Fatalf("setup: %d entries and %d tombstones, want 0 and 112", h.n, h.used-h.n)
+	}
+	// 112 keys homed at the other groups, round robin, land in empty
+	// slots: the table is at 7/8 with half of it tombstones.
+	var others []uint
+	for g := uint(0); g < 16; g++ {
+		if !chain[g] {
+			others = append(others, g)
+		}
+	}
+	k := homed[len(homed)-1] + 1
+	put := func(m Map[int]) {
+		for homeOf(h, k) != others[len(o.vals)%len(others)] {
+			k++
+		}
+		m.Put(key1(k), int(k))
+		o.put(k, int(k))
+	}
+	for len(o.vals) < 112 {
+		put(m)
+	}
+	if h.used != 224 || len(h.dir) != 16 {
+		t.Fatalf("setup: %d slots in use of %d groups, want 224 of 16", h.used, len(h.dir))
+	}
+	c, co := m.Clone(), o.clone()
+	hc, before := htableOf(c), slices.Clone(h.dir)
+	o = co
+	put(c)
+	if len(hc.dir) != 16 || hc.used != hc.n || hc.shared {
+		t.Fatalf("insert at 7/8 with 112 entries: %d groups, %d tombstones, shared %v; want a same-size rehash", len(hc.dir), hc.used-hc.n, hc.shared)
+	}
+	if len(groupsDiffer(h.dir, before)) != 0 || h.used != 224 {
+		t.Fatal("the clone's rehash changed the receiver")
+	}
+	sameContents(t, HTableKind, "after same-size rehash", c, co)
+}
+
+// TestHTableDeleteDuringRangeOnClone deletes the entry being visited, and
+// now and then one not yet visited, during Range on a table just cloned, so
+// the first delete copies the directory under the walk: every entry is
+// visited once unless deleted first, and the receiver keeps all of them.
+func TestHTableDeleteDuringRangeOnClone(t *testing.T) {
+	m, o := New[int](HTableKind), newRefMap()
+	for i := int64(0); i < 300; i++ {
+		m.Put(key1(i), int(i))
+		o.put(i, int(i))
+	}
+	c := m.Clone()
+	ks, _ := wordsOf(c).AppendEntries(nil, nil)
+	order := make([]int64, len(ks))
+	for i, w := range ks {
+		order[i] = colblock.View{}.Decode(w).Int()
+	}
+	var visited []int64
+	skipped := map[int64]bool{}
+	c.Range(func(k relation.Tuple, _ int) bool {
+		key := k.ValueAt(0).Int()
+		if skipped[key] {
+			t.Fatalf("key %d visited after it was deleted", key)
+		}
+		visited = append(visited, key)
+		c.Delete(k)
+		if next := slices.Index(order, key) + 1; len(visited)%7 == 0 && next < len(order) {
+			c.Delete(key1(order[next]))
+			skipped[order[next]] = true
+		}
+		return true
+	})
+	want := slices.DeleteFunc(slices.Clone(order), func(k int64) bool { return skipped[k] })
+	if !slices.Equal(visited, want) || c.Len() != 0 {
+		t.Fatalf("Range visited %d entries (want %d), %d left", len(visited), len(want), c.Len())
+	}
+	sameContents(t, HTableKind, "receiver", m, o)
+}
+
+// TestHTableArity2Differential drives a table of two-word keys against the
+// oracle through inserts, overwrites, deletes, rehashes and clones: the
+// trailing words live in a per-group array each group copy duplicates.
+func TestHTableArity2Differential(t *testing.T) {
+	var vw colblock.View
+	word2 := func(k int64) []colblock.Code { return append(code1(k%13), code1(k/13)...) }
+	diff := func(w Words[int], o *refMap) string {
+		n := 0
+		bad := ""
+		w.Range(func(kw []colblock.Code, v int) bool {
+			k := vw.Decode(kw[0]).Int() + 13*vw.Decode(kw[1]).Int()
+			if want, ok := o.vals[k]; !ok || want != v {
+				bad = fmt.Sprintf("key %d = %d, want %d (present %v)", k, v, want, ok)
+				return false
+			}
+			n++
+			return true
+		})
+		if bad == "" && (n != len(o.vals) || w.Len() != n) {
+			bad = fmt.Sprintf("%d entries (Len %d), want %d", n, w.Len(), len(o.vals))
+		}
+		for k, v := range o.vals {
+			if got, ok := w.Get(vw, word2(k)); bad == "" && (!ok || got != v) {
+				bad = fmt.Sprintf("Get(%d) = %d, %v, want %d", k, got, ok, v)
+			}
+		}
+		return bad
+	}
+	rng := rand.New(rand.NewSource(11))
+	type pair struct {
+		w Words[int]
+		o *refMap
+	}
+	live := []*pair{{NewWords[int](HTableKind, 2), newRefMap()}}
+	for step := 0; step < 3000; step++ {
+		p := live[rng.Intn(len(live))]
+		switch op := rng.Intn(10); {
+		case op < 6:
+			k, v := int64(rng.Intn(400)), rng.Intn(1<<20)
+			p.w.Put(vw, word2(k), v)
+			p.o.put(k, v)
+		case op < 9:
+			k := int64(rng.Intn(400))
+			_, del := p.w.Delete(vw, word2(k))
+			if want := p.o.delete(k); del != want {
+				t.Fatalf("step %d: Delete = %v, oracle %v", step, del, want)
+			}
+		default:
+			c := &pair{p.w.Clone(), p.o.clone()}
+			if len(live) < 6 {
+				live = append(live, c)
+			} else {
+				live[rng.Intn(len(live))] = c
+			}
+		}
+		for i, p := range live {
+			if d := diff(p.w, p.o); d != "" {
+				t.Fatalf("step %d copy %d: %s", step, i, d)
+			}
+		}
+	}
 }
 
 // TestCloneKeepsCapabilities checks that clones remain usable through the

@@ -17,7 +17,7 @@ func LookupCost(k Kind, n float64) float64 {
 	case DListKind, SListKind:
 		return n / 2 // expected scan length
 	case HTableKind:
-		return 2 // hash + expected O(1) chain
+		return 2 // hash + the home group, rarely a second
 	case AVLKind, SortedArrKind, SkipListKind:
 		return math.Log2(n) + 1
 	case VectorKind:

@@ -11,9 +11,9 @@
 // The set of structures mirrors the paper's library: unordered lists in the
 // doubly-linked (insertion order) and singly-linked (newest first) roles —
 // one chunked copy-on-write body under both, removal by key, no intrusive
-// handles — chained hash tables, AVL trees (the ordered
-// std::map/boost::intrusive::set role), vectors, and sorted arrays. All are
-// implemented here from scratch on stdlib only.
+// handles — open-addressed hash tables in groups of sixteen slots, AVL
+// trees (the ordered std::map/boost::intrusive::set role), vectors, and
+// sorted arrays. All are implemented here from scratch on stdlib only.
 package dstruct
 
 import (
@@ -31,7 +31,7 @@ type Kind string
 const (
 	DListKind     Kind = "dlist"     // unordered list, iterates in insertion order
 	SListKind     Kind = "slist"     // unordered list, iterates newest first
-	HTableKind    Kind = "htable"    // chained hash table
+	HTableKind    Kind = "htable"    // open-addressed hash table, 16-slot groups
 	AVLKind       Kind = "avl"       // AVL tree, ordered iteration
 	VectorKind    Kind = "vector"    // dense array over small integer keys
 	SortedArrKind Kind = "sortedarr" // sorted array, binary search
@@ -77,7 +77,7 @@ func (k Kind) IntKeyedOnly() bool { return k == VectorKind }
 // passed in are not retained.
 //
 // Range visits entries until the callback returns false; the iteration order
-// is insertion order for dlist, newest first for slist, bucket order for
+// is insertion order for dlist, newest first for slist, group order for
 // hash tables, and key order for ordered structures. The key slice handed to
 // the callback is valid until the callback returns or changes the map.
 type Words[V any] interface {
@@ -105,7 +105,7 @@ type Words[V any] interface {
 	// after the call never changes what the other side observes. Every
 	// structure but the skip list shares substructure with its clone and
 	// copies lazily on the first write to each shared piece (a tree path, a
-	// bucket chain, a list chunk, a whole array), so Clone itself is O(1);
+	// hash-table group, a list chunk, a whole array), so Clone itself is O(1);
 	// the skip list copies eagerly. The clone is the same concrete
 	// kind as the receiver, preserving the optional WordRanger. Clone is the
 	// primitive under copy-on-write versioning (instance.BeginVersion): a
@@ -120,9 +120,10 @@ type Words[V any] interface {
 
 // A Footprint is a container's resident heap in bytes, as allocated (rounded
 // to the allocator's size classes): Entries is what holds key words and
-// values — list chunks, sorted arrays, vector slots, chain and tree nodes,
-// whose links are part of the node — and Overhead is everything else: the
-// container header, bucket arrays, chunk directories and skip-list towers.
+// values — list chunks, hash-table groups, sorted arrays, vector slots and
+// tree nodes, whose links are part of the node — and Overhead is everything
+// else: the container header, group and chunk directories and skip-list
+// towers.
 type Footprint struct {
 	Entries, Overhead int
 }

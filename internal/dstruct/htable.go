@@ -1,66 +1,143 @@
 package dstruct
 
 import (
+	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/colblock"
 )
 
-// HTable is a separately-chained hash table over a word mix of the key's
-// codes (colblock.Hash). It doubles when the load factor reaches 1, so Get,
-// Put, and Delete are expected O(1). A node holds its key's words, not a
-// hash of them: rehashing a word on the rare doubling is cheaper than
-// carrying eight more bytes per entry. Bucket b is slot b%htChunk of chunk
-// b/htChunk of a directory of chunks.
+// HTable is an open-addressed hash table over a word mix of the key's codes
+// (colblock.Hash), in groups of htSlots slots. A key's hash picks its first
+// group (the bits above the low seven) and a control byte tag (the low
+// seven); a lookup probes groups in triangular order, compares the tag
+// against a group's sixteen control bytes a word at a time and the key
+// words only where a tag matches, and stops at the first group with an
+// empty slot. Entries live in the groups themselves, so an insert
+// allocates nothing until the table rehashes. At most 7/8 of the slots are
+// in use, tombstones counted, so Get, Put and Delete are expected O(1).
+//
+// A group is also the copy-on-write unit. After Clone both tables share the
+// directory and every group (shared), and each takes a fresh epoch. The
+// first write copies the directory, 8 bytes a group; a group is copied the
+// first time one of its slots changes and the copy is stamped with the
+// writer's epoch, so a group whose epoch is the table's is the table's own.
+// A table never cloned, or rehashed since, owns every group and writes in
+// place at no extra cost.
 type HTable[V any] struct {
-	dir   []htDir[V]
-	n     int
-	arity int32
-
-	// Copy-on-write state. After Clone the directory, every chunk and every
-	// chain are shared between both tables (shared). The first write copies
-	// the directory with every own and mine flag clear; a chunk is copied the
-	// first time one of its slots changes, and a chain is copied, whole, the
-	// first time a write would change one of its nodes. A table never
-	// cloned, or regrown since, owns every chunk and chain and writes in
-	// place at no extra cost.
+	dir    []*htGroup[V]
+	epoch  uint64
+	n      int32 // live entries
+	used   int32 // live entries plus tombstones
+	arity  int32
 	shared bool
 }
 
-// htChunk is the number of buckets per chunk. It trades the two copies a
-// version's first write pays: the directory (one 16-byte entry per chunk)
-// against the one chunk the write lands in (htChunk slot pointers).
-const htChunk = 16
+// htSlots is the number of slots per group: two control words of eight
+// bytes each.
+const htSlots = 16
 
-// htDir is a directory entry: a chunk of bucket slots, whether this table
-// may write them (own), and the slots whose chains it owns (mine, a bit each).
-type htDir[V any] struct {
-	c    *[htChunk]*htNode[V]
-	own  bool
-	mine uint16
+// An htGroup is sixteen slots and their control bytes. Slot s's control
+// byte is byte s%8 of ctrl[s/8]: ctrlEmpty, ctrlDeleted (a tombstone), or
+// the low seven bits of the hash of the key the slot holds. A key's first
+// word is k[s]; a key of more than one word keeps the rest in rest, at
+// (arity-1)*s.
+type htGroup[V any] struct {
+	ctrl  [2]uint64
+	epoch uint64
+	k     [htSlots]colblock.Code
+	v     [htSlots]V
+	rest  *[]colblock.Code
 }
 
-type htNode[V any] struct {
-	key  nodeKey
-	val  V
-	next *htNode[V]
+// Control bytes, and the per-byte constants of the word-at-a-time matches.
+const (
+	ctrlEmpty   = 0x80
+	ctrlDeleted = 0xFE
+	ctrlLSB     = 0x0101010101010101
+	ctrlMSB     = 0x8080808080808080
+)
+
+// The match functions take a control word and return its matching slots as
+// the high bit of their byte: bits.TrailingZeros64(m)/8 is the first one.
+//
+// matchH2 matches the full slots tagged h2. It may also report a full slot
+// next to a real match (a borrow across bytes); the key comparison that
+// follows every match rejects it.
+func matchH2(w, h2 uint64) uint64 {
+	v := w ^ ctrlLSB*h2
+	return (v - ctrlLSB) &^ v & ctrlMSB
 }
 
-const htInitialBuckets = htChunk
+// matchEmpty matches the empty slots: the high bit set and bit 1, which a
+// tombstone has, clear.
+func matchEmpty(w uint64) uint64 { return w &^ (w << 6) & ctrlMSB }
+
+// matchFree matches the empty slots and the tombstones.
+func matchFree(w uint64) uint64 { return w & ctrlMSB }
+
+// matchFull matches the slots that hold an entry.
+func matchFull(w uint64) uint64 { return ^w & ctrlMSB }
+
+// slotOf is the slot of control word w's first match in m.
+func slotOf(w int, m uint64) int { return (w*8 + bits.TrailingZeros64(m)>>3) & (htSlots - 1) }
+
+// hasEmpty reports whether the group has an empty slot: where a probe stops.
+func (g *htGroup[V]) hasEmpty() bool { return matchEmpty(g.ctrl[0])|matchEmpty(g.ctrl[1]) != 0 }
+
+// setCtrl sets slot s's control byte to c.
+func (g *htGroup[V]) setCtrl(s int, c uint64) {
+	sh := uint(s%8) * 8
+	g.ctrl[s/8] = g.ctrl[s/8]&^(0xFF<<sh) | c<<sh
+}
+
+// ctrlAt returns slot s's control byte.
+func (g *htGroup[V]) ctrlAt(s int) uint64 { return g.ctrl[s/8] >> (uint(s%8) * 8) & 0xFF }
+
+// restAt returns the a words after the first of slot s's key.
+func (g *htGroup[V]) restAt(s, a int) []colblock.Code {
+	if g.rest == nil {
+		return nil
+	}
+	return (*g.rest)[s*a : s*a+a]
+}
+
+// keyEq reports whether slot s holds the key k.
+func (g *htGroup[V]) keyEq(s int, k []colblock.Code) bool {
+	return g.k[s] == k[0] && slices.Equal(g.restAt(s, len(k)-1), k[1:])
+}
+
+// set fills slot s with the key k0, rest and the value v, tagged h2.
+func (g *htGroup[V]) set(s int, h2 uint64, k0 colblock.Code, rest []colblock.Code, v V) {
+	g.setCtrl(s, h2)
+	g.k[s], g.v[s] = k0, v
+	if len(rest) > 0 {
+		copy((*g.rest)[s*len(rest):], rest)
+	}
+}
+
+// htEpochs hands out the epochs Clone stamps tables with. A new table's
+// epoch is 0: it shares no group with any table until it is cloned.
+var htEpochs atomic.Uint64
 
 // NewHTable returns an empty hash table for keys of arity words.
 func NewHTable[V any](arity int) *HTable[V] {
-	return &HTable[V]{dir: newHTDir[V](htInitialBuckets / htChunk), arity: int32(arity)}
+	h := &HTable[V]{arity: int32(arity)}
+	h.dir = []*htGroup[V]{h.newGroup()}
+	return h
 }
 
-// newHTDir returns n empty owned chunks, each its own object: chunks cut
-// from one block would keep all of it alive after a clone copied the rest.
-func newHTDir[V any](n int) []htDir[V] {
-	dir := make([]htDir[V], n)
-	for i := range dir {
-		dir[i] = htDir[V]{c: new([htChunk]*htNode[V]), own: true, mine: 1<<htChunk - 1}
+// newGroup returns an empty group of the table's own. Each is its own
+// object: groups cut from one block would keep all of it alive after a
+// clone copied the rest.
+func (h *HTable[V]) newGroup() *htGroup[V] {
+	g := &htGroup[V]{ctrl: [2]uint64{ctrlMSB, ctrlMSB}, epoch: h.epoch}
+	if h.arity > 1 {
+		rest := make([]colblock.Code, htSlots*int(h.arity-1))
+		g.rest = &rest
 	}
-	return dir
+	return g
 }
 
 // Kind returns HTableKind.
@@ -70,204 +147,254 @@ func (h *HTable[V]) Kind() Kind { return HTableKind }
 func (h *HTable[V]) Arity() int { return int(h.arity) }
 
 // Len returns the number of entries.
-func (h *HTable[V]) Len() int { return h.n }
+func (h *HTable[V]) Len() int { return int(h.n) }
 
-func (h *HTable[V]) bucket(hash uint64) uint {
-	return uint(hash) & uint(len(h.dir)*htChunk-1)
+// find returns the group index and slot holding k, whose hash is hash, or
+// a slot of -1.
+func (h *HTable[V]) find(hash uint64, k []colblock.Code) (uint, int) {
+	mask := uint(len(h.dir) - 1)
+	gi := uint(hash>>7) & mask
+	for i := uint(1); ; i++ {
+		g := h.dir[gi]
+		for w, c := range g.ctrl {
+			for m := matchH2(c, hash&0x7F); m != 0; m &= m - 1 {
+				if s := slotOf(w, m); g.keyEq(s, k) {
+					return gi, s
+				}
+			}
+		}
+		if g.hasEmpty() {
+			return 0, -1
+		}
+		gi = (gi + i) & mask
+	}
 }
-
-// head returns bucket b's chain.
-func (h *HTable[V]) head(b uint) *htNode[V] { return h.dir[b/htChunk].c[b%htChunk] }
 
 // Get returns the value for k.
 func (h *HTable[V]) Get(_ colblock.View, k []colblock.Code) (V, bool) {
-	for n := h.head(h.bucket(colblock.Hash(k))); n != nil; n = n.next {
-		if n.key.eq(k) {
-			return n.val, true
-		}
+	if gi, s := h.find(colblock.Hash(k), k); s >= 0 {
+		return h.dir[gi].v[s], true
 	}
 	var zero V
 	return zero, false
 }
 
 // Get1 is the single-column-key point lookup: one word hashed, one word
-// compared per chain node.
+// compared per tag match.
 func (h *HTable[V]) Get1(_ colblock.View, k colblock.Code) (V, bool) {
-	for n := h.head(h.bucket(colblock.Hash1(k))); n != nil; n = n.next {
-		if n.key.k0 == k {
-			return n.val, true
+	hash := colblock.Hash1(k)
+	mask := uint(len(h.dir) - 1)
+	gi := uint(hash>>7) & mask
+	for i := uint(1); ; i++ {
+		g := h.dir[gi]
+		for w, c := range g.ctrl {
+			for m := matchH2(c, hash&0x7F); m != 0; m &= m - 1 {
+				if s := slotOf(w, m); g.k[s] == k {
+					return g.v[s], true
+				}
+			}
 		}
+		if g.hasEmpty() {
+			break
+		}
+		gi = (gi + i) & mask
 	}
 	var zero V
 	return zero, false
 }
 
-// ownSlot makes bucket b's slot writable, copying the directory if a clone
-// still shares it and the chunk if this table does not own it yet, and
-// returns the slot's directory entry.
-func (h *HTable[V]) ownSlot(b uint) *htDir[V] {
+// own makes group gi writable, copying the directory if a clone still
+// shares it and the group if another epoch stamped it, and returns it.
+func (h *HTable[V]) own(gi uint) *htGroup[V] {
 	if h.shared {
-		dir := make([]htDir[V], len(h.dir))
-		for i, d := range h.dir {
-			dir[i].c = d.c
+		h.dir, h.shared = slices.Clone(h.dir), false
+	}
+	g := h.dir[gi]
+	if g.epoch != h.epoch {
+		c := *g
+		c.epoch = h.epoch
+		if g.rest != nil {
+			rest := slices.Clone(*g.rest)
+			c.rest = &rest
 		}
-		h.dir, h.shared = dir, false
+		g = &c
+		h.dir[gi] = g
 	}
-	d := &h.dir[b/htChunk]
-	if !d.own {
-		c := *d.c
-		d.c, d.own = &c, true
-	}
-	return d
+	return g
 }
 
-// ownBucket makes bucket b's slot and every node of its chain mutable by
-// this table — a chain still shared is copied — and returns the slot.
-// Chains average a single node (the table doubles at load factor 1), so
-// this copies O(1) nodes in expectation.
-func (h *HTable[V]) ownBucket(b uint) **htNode[V] {
-	d := h.ownSlot(b)
-	if bit := uint16(1) << (b % htChunk); d.mine&bit == 0 {
-		for p := &d.c[b%htChunk]; *p != nil; p = &(*p).next {
-			c := **p
-			*p = &c
-		}
-		d.mine |= bit
-	}
-	return &d.c[b%htChunk]
-}
-
-// Put inserts or replaces the value for k.
+// Put inserts or replaces the value for k. One probe both looks for k and
+// remembers the first free slot on the way, where an absent k goes.
 func (h *HTable[V]) Put(_ colblock.View, k []colblock.Code, v V) {
-	b := h.bucket(colblock.Hash(k))
-	for n := h.head(b); n != nil; n = n.next {
-		if n.key.eq(k) {
-			for m := *h.ownBucket(b); ; m = m.next { // the copy holds k too
-				if m.key.eq(k) {
-					m.val = v
+	hash := colblock.Hash(k)
+	mask := uint(len(h.dir) - 1)
+	gi := uint(hash>>7) & mask
+	fg, fs := uint(0), -1
+	for i := uint(1); ; i++ {
+		g := h.dir[gi]
+		for w, c := range g.ctrl {
+			for m := matchH2(c, hash&0x7F); m != 0; m &= m - 1 {
+				if s := slotOf(w, m); g.keyEq(s, k) {
+					h.own(gi).v[s] = v
 					return
 				}
 			}
+			if m := matchFree(c); fs < 0 && m != 0 {
+				fg, fs = gi, slotOf(w, m)
+			}
 		}
+		if g.hasEmpty() {
+			break
+		}
+		gi = (gi + i) & mask
 	}
-	if h.n >= len(h.dir)*htChunk {
-		h.grow()
-		b = h.bucket(colblock.Hash(k))
+	if h.dir[fg].ctrlAt(fs) == ctrlEmpty { // a tombstone reused adds no load
+		if int(h.used) >= len(h.dir)*htSlots*7/8 {
+			h.rehash()
+			fg, fs = h.firstFree(hash)
+		}
+		h.used++
 	}
-	// Linking in front changes no node of the chain, shared or not.
-	p := &h.ownSlot(b).c[b%htChunk]
-	*p = &htNode[V]{key: makeNodeKey(k), val: v, next: *p}
+	h.own(fg).set(fs, hash&0x7F, k[0], k[1:], v)
 	h.n++
 }
 
-// grow doubles the buckets into fresh chunks. Relinking mutates next
-// pointers, so the nodes of a chain this table does not own are copied as
-// they move over; afterwards every chunk and chain is the table's. A
-// directory still shared with a clone is read, never copied.
-func (h *HTable[V]) grow() {
+// firstFree returns the group index and slot of the first free slot on
+// hash's probe sequence: where rehash puts a key it knows is absent.
+func (h *HTable[V]) firstFree(hash uint64) (uint, int) {
+	mask := uint(len(h.dir) - 1)
+	gi := uint(hash>>7) & mask
+	for i := uint(1); ; i++ {
+		for w, c := range h.dir[gi].ctrl {
+			if m := matchFree(c); m != 0 {
+				return gi, slotOf(w, m)
+			}
+		}
+		gi = (gi + i) & mask
+	}
+}
+
+// rehash rebuilds the table into fresh groups, at the same size when at
+// most 7/16 of the slots are live (the rest of the load was tombstones),
+// doubled otherwise. Groups still shared with a clone are read, never
+// written, and afterwards every group is the table's.
+func (h *HTable[V]) rehash() {
 	old := h.dir
-	h.dir = newHTDir[V](2 * len(old))
-	for _, d := range old {
-		for s, n := range d.c {
-			mine := !h.shared && d.mine&(1<<s) != 0
-			for n != nil {
-				next := n.next
-				m := n
-				if !mine {
-					c := *n
-					m = &c
-				}
-				b := h.bucket(m.key.hash())
-				p := &h.dir[b/htChunk].c[b%htChunk]
-				m.next, *p = *p, m
-				n = next
+	n := len(old)
+	if int(h.n) > n*htSlots*7/16 {
+		n *= 2
+	}
+	h.dir = make([]*htGroup[V], n)
+	for i := range h.dir {
+		h.dir[i] = h.newGroup()
+	}
+	h.shared, h.used = false, h.n
+	a := int(h.arity - 1)
+	kb := make([]colblock.Code, 0, h.arity)
+	for _, g := range old {
+		for w, c := range g.ctrl {
+			for m := matchFull(c); m != 0; m &= m - 1 {
+				s := slotOf(w, m)
+				kb = append(append(kb[:0], g.k[s]), g.restAt(s, a)...)
+				hash := colblock.Hash(kb)
+				gi, fs := h.firstFree(hash)
+				h.dir[gi].set(fs, hash&0x7F, kb[0], kb[1:], g.v[s])
 			}
 		}
 	}
-	h.shared = false
 }
 
-// Delete removes k.
+// Delete removes k. The slot becomes empty if its group still has an empty
+// slot — no probe passes such a group, so none needs the slot marked —
+// and a tombstone otherwise.
 func (h *HTable[V]) Delete(_ colblock.View, k []colblock.Code) (V, bool) {
-	b := h.bucket(colblock.Hash(k))
-	n := h.head(b)
-	for n != nil && !n.key.eq(k) {
-		n = n.next
-	}
-	if n == nil {
+	gi, s := h.find(colblock.Hash(k), k)
+	if s < 0 {
 		var zero V
 		return zero, false
 	}
-	// Unlinking the head changes no node; unlinking a later one changes the
-	// node in front of it, so the chain is copied first.
-	p := &h.ownSlot(b).c[b%htChunk]
-	if *p != n {
-		p = h.ownBucket(b)
+	g := h.own(gi)
+	v := g.v[s]
+	if g.hasEmpty() {
+		g.setCtrl(s, ctrlEmpty)
+		h.used--
+	} else {
+		g.setCtrl(s, ctrlDeleted)
 	}
-	for !(*p).key.eq(k) {
-		p = &(*p).next
-	}
-	n = *p
-	*p = n.next
+	var zero V
+	g.v[s] = zero
 	h.n--
-	return n.val, true
+	return v, true
 }
 
-// Clone returns an independent table sharing the directory, every chunk and
-// every chain node with the receiver; both sides copy what they later write.
+// Clone returns an independent table sharing the directory and every group
+// with the receiver; both sides take fresh epochs and copy what they later
+// write.
 //
 //relvet:role=clone
 func (h *HTable[V]) Clone() Words[V] {
-	h.shared = true
+	e := htEpochs.Add(2)
+	h.shared, h.epoch = true, e-1
 	c := *h
+	c.epoch = e
 	return &c
 }
 
-// Range visits entries in bucket order. Entries may be deleted during
-// iteration; entries inserted during iteration may or may not be visited.
+// Range visits entries in group order. Entries may be deleted during
+// iteration, the one visited included, and a deleted entry is not visited
+// afterwards: the walk follows a write's copy of the directory. Entries
+// inserted during iteration may or may not be visited, and an insert that
+// rehashes the table may make the walk repeat or miss others.
 func (h *HTable[V]) Range(f func(k []colblock.Code, v V) bool) {
-	kb := make([]colblock.Code, 0, h.arity)
-	for _, d := range h.dir {
-		for _, head := range d.c {
-			for n := head; n != nil; {
-				next := n.next
-				if !f(n.key.appendTo(kb[:0]), n.val) {
+	kb := make([]colblock.Code, h.arity)
+	a := len(kb) - 1
+	dir := h.dir
+	for gi := range dir {
+		for w := range 2 {
+			for m := matchFull(dir[gi].ctrl[w]); m != 0; m &= m - 1 {
+				if len(h.dir) == len(dir) {
+					dir = h.dir
+				}
+				g, s := dir[gi], slotOf(w, m)
+				if g.ctrlAt(s)&ctrlEmpty != 0 {
+					continue
+				}
+				kb[0] = g.k[s]
+				copy(kb[1:], g.restAt(s, a))
+				if !f(kb, g.v[s]) {
 					return
 				}
-				n = next
 			}
 		}
 	}
 }
 
-// AppendEntries appends entries in bucket order (Range order).
+// AppendEntries appends entries in group order (Range order).
 func (h *HTable[V]) AppendEntries(ks []colblock.Code, vs []V) ([]colblock.Code, []V) {
-	ks, vs = slices.Grow(ks, h.n*int(h.arity)), slices.Grow(vs, h.n)
-	for _, d := range h.dir {
-		for _, head := range d.c {
-			for n := head; n != nil; n = n.next {
-				ks = n.key.appendTo(ks)
-				vs = append(vs, n.val)
+	ks, vs = slices.Grow(ks, int(h.n)*int(h.arity)), slices.Grow(vs, int(h.n))
+	a := int(h.arity - 1)
+	for _, g := range h.dir {
+		for w, c := range g.ctrl {
+			for m := matchFull(c); m != 0; m &= m - 1 {
+				s := slotOf(w, m)
+				ks = append(append(ks, g.k[s]), g.restAt(s, a)...)
+				vs = append(vs, g.v[s])
 			}
 		}
 	}
 	return ks, vs
 }
 
-// Footprint counts chain nodes as entries and the header, directory and
-// chunks as overhead.
+// Footprint counts groups, with the trailing key words of wide keys, as
+// entries and the header and directory as overhead.
 func (h *HTable[V]) Footprint() Footprint {
 	fp := Footprint{
-		Entries:  h.n * AllocSize(sizeOf[htNode[V]]()),
-		Overhead: AllocSize(sizeOf[HTable[V]]()) + AllocSize(cap(h.dir)*sizeOf[htDir[V]]()) + len(h.dir)*AllocSize(htChunk*wordBytes),
+		Entries:  len(h.dir) * AllocSize(sizeOf[htGroup[V]]()),
+		Overhead: AllocSize(sizeOf[HTable[V]]()) + AllocSize(cap(h.dir)*wordBytes),
 	}
 	if h.arity > 1 {
-		for _, d := range h.dir {
-			for _, head := range d.c {
-				for n := head; n != nil; n = n.next {
-					fp.Entries += n.key.bytes()
-				}
-			}
+		for _, g := range h.dir {
+			fp.Entries += AllocSize(3*wordBytes) + codesBytes(*g.rest)
 		}
 	}
 	return fp

@@ -6,10 +6,10 @@ import (
 	"repro/internal/colblock"
 )
 
-// nodeKey is a key as the node-shaped bodies (hash chains, tree and
-// skip-list nodes) hold it: the first word inline and, for the rare key of
-// more than one column, the remaining words behind one pointer — so the
-// single-column key every common edge has costs its node one word.
+// nodeKey is a key as the node-shaped bodies (tree and skip-list nodes)
+// hold it: the first word inline and, for the rare key of more than one
+// column, the remaining words behind one pointer — so the single-column key
+// every common edge has costs its node one word.
 type nodeKey struct {
 	k0   colblock.Code
 	rest *[]colblock.Code
@@ -37,18 +37,6 @@ func (nk *nodeKey) eq(k []colblock.Code) bool {
 		}
 	}
 	return true
-}
-
-// hash is colblock.Hash of the key's words.
-func (nk *nodeKey) hash() uint64 {
-	if nk.rest == nil {
-		return colblock.Hash1(nk.k0)
-	}
-	h := colblock.HashAdd(colblock.HashInit, nk.k0)
-	for _, c := range *nk.rest {
-		h = colblock.HashAdd(h, c)
-	}
-	return colblock.HashEnd(h)
 }
 
 // cmpTo orders k against the key, as the values they encode order.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dstruct"
 	"repro/internal/fd"
 	"repro/internal/paperex"
+	"repro/internal/race"
 	"repro/internal/relation"
 )
 
@@ -178,7 +179,7 @@ func TestForkIsAHeader(t *testing.T) {
 	if fork.lineage != in.lineage || fork.ver != in.ver+1 || !fork.cow {
 		t.Fatalf("fork does not share its predecessor's lineage, or is not its successor")
 	}
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { fork = in.BeginVersion() }); allocs != 1 {

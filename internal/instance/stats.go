@@ -28,21 +28,27 @@ func (s EdgeStat) Fanout() float64 {
 
 // EdgeStats profiles the instance, returning per-edge statistics keyed by
 // edge ID. This is the "recorded as part of a profiling run" option of
-// §4.3.
+// §4.3. The walk does not enter a node whose variable has no edges — a leaf
+// has nothing to profile — and remembers only the nodes more than one map
+// entry points at: any other is reached once.
 func (in *Instance) EdgeStats() map[int]EdgeStat {
-	stats := make(map[int]EdgeStat, len(in.dcmp.Edges()))
+	counts := make([]EdgeStat, len(in.dcmp.Edges())) // by edge ID
 	seen := make(map[*Node]bool)
 	var visit func(n *Node)
 	visit = func(n *Node) {
-		if seen[n] {
+		edges := in.layouts[n.vi].edges
+		if len(edges) == 0 {
 			return
 		}
-		seen[n] = true
-		for i, e := range in.layouts[n.vi].edges {
-			s := stats[e.ID]
-			s.Parents++
-			s.Entries += n.maps[i].Len()
-			stats[e.ID] = s
+		if n.refs > 1 {
+			if seen[n] {
+				return
+			}
+			seen[n] = true
+		}
+		for i, e := range edges {
+			counts[e.ID].Parents++
+			counts[e.ID].Entries += n.maps[i].Len()
 			n.maps[i].Range(func(_ []colblock.Code, child *Node) bool {
 				visit(child)
 				return true
@@ -50,6 +56,12 @@ func (in *Instance) EdgeStats() map[int]EdgeStat {
 		}
 	}
 	visit(in.root)
+	stats := make(map[int]EdgeStat, len(counts))
+	for id, s := range counts {
+		if s.Parents > 0 {
+			stats[id] = s
+		}
+	}
 	return stats
 }
 
@@ -86,7 +98,7 @@ type Stats struct {
 	NodeHeaders        int // the nodes themselves and their container arrays
 	UnitWords          int // the nodes' unit columns
 	ContainerEntries   int // what holds key words and child pointers (dstruct.Footprint.Entries)
-	ContainerOverhead  int // container headers, bucket arrays, chunk directories, towers
+	ContainerOverhead  int // container headers, group and chunk directories, towers
 	Dictionary         int // the lineage's interned values and their index
 	DictionaryInterned int // values interned over the lineage's life; none is ever reclaimed
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/instance"
 	"repro/internal/paperex"
 	"repro/internal/plan"
+	"repro/internal/race"
 	"repro/internal/relation"
 )
 
@@ -279,7 +280,7 @@ func TestVectorizedEachRowSlabs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool randomly drops items under the race detector")
 	}
 	in := instance.New(paperex.SchedulerDecomp(), paperex.SchedulerFDs())
@@ -338,7 +339,7 @@ func TestVectorizedSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool randomly drops items under the race detector")
 	}
 	type shape struct {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/instance"
 	"repro/internal/paperex"
 	"repro/internal/plan"
+	"repro/internal/race"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -98,7 +99,7 @@ func TestCollectAllocationCeiling(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool randomly drops items under the race detector")
 	}
 	in := benchGraph(t, 128, 120)

@@ -28,22 +28,25 @@ type Binding struct {
 
 // NewTuple builds a tuple from bindings. It panics if the same column is
 // bound twice; tuple construction with duplicate columns is always a
-// programming error.
+// programming error. A tuple has a handful of columns, so the bindings are
+// insertion-sorted straight into the tuple's slices.
 func NewTuple(bs ...Binding) Tuple {
 	if len(bs) == 0 {
 		return Tuple{}
 	}
-	sorted := make([]Binding, len(bs))
-	copy(sorted, bs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Col < sorted[j].Col })
-	cols := make([]string, len(sorted))
-	vals := make([]value.Value, len(sorted))
-	for i, b := range sorted {
-		if i > 0 && b.Col == sorted[i-1].Col {
-			panic(fmt.Sprintf("relation: duplicate column %q in tuple", b.Col))
+	cols := make([]string, len(bs))
+	vals := make([]value.Value, len(bs))
+	for i, b := range bs {
+		j := i
+		for ; j > 0 && cols[j-1] > b.Col; j-- {
+			cols[j], vals[j] = cols[j-1], vals[j-1]
 		}
-		cols[i] = b.Col
-		vals[i] = b.Val
+		cols[j], vals[j] = b.Col, b.Val
+	}
+	for i := 1; i < len(cols); i++ {
+		if cols[i] == cols[i-1] {
+			panic(fmt.Sprintf("relation: duplicate column %q in tuple", cols[i]))
+		}
 	}
 	return Tuple{cols: cols, vals: vals}
 }

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -44,6 +46,40 @@ func TestTupleDuplicateColumnPanics(t *testing.T) {
 		}
 	}()
 	NewTuple(BindInt("a", 1), BindInt("a", 2))
+}
+
+// TestNewTupleMatchesSortSlice checks NewTuple's insertion sort against
+// sort.Slice on random permutations of 0 to 8 bindings, and that a
+// duplicated column panics wherever in the permutation it lands.
+func TestNewTupleMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	names := []string{"a", "b", "cpu", "dst", "ns", "pid", "src", "state"}
+	for n := 0; n <= len(names); n++ {
+		for trial := 0; trial < 50; trial++ {
+			bs := make([]Binding, n)
+			for i, c := range rng.Perm(len(names))[:n] {
+				bs[i] = BindInt(names[c], int64(rng.Intn(100)))
+			}
+			want := slices.Clone(bs)
+			sort.Slice(want, func(i, j int) bool { return want[i].Col < want[j].Col })
+			if got := NewTuple(bs...).Bindings(); !slices.Equal(got, want) {
+				t.Fatalf("NewTuple(%v) = %v, want %v", bs, got, want)
+			}
+			if n == 0 {
+				continue
+			}
+			dup := append(slices.Clone(bs), BindInt(bs[rng.Intn(n)].Col, -1))
+			rng.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("NewTuple(%v) with a duplicated column did not panic", dup)
+					}
+				}()
+				NewTuple(dup...)
+			}()
+		}
+	}
 }
 
 func TestMustGetPanics(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/race"
 	"repro/internal/relation"
 	"repro/internal/systems/ipcap"
 	"repro/internal/wal"
@@ -89,7 +90,7 @@ func TestTapCostIsIndependentOfTableSize(t *testing.T) {
 	small, large := measure(1<<10), measure(1<<14)
 	t.Logf("update through a published relation: %v allocs, best %v at 1k; %v allocs, best %v at 16k",
 		small.allocs, small.best, large.allocs, large.best)
-	if small.allocs != large.allocs && !raceEnabled {
+	if small.allocs != large.allocs && !race.Enabled {
 		t.Errorf("allocations per update: %v at 1k tuples, %v at 16k", small.allocs, large.allocs)
 	}
 	if large.best > 3*small.best {
@@ -201,7 +202,7 @@ func TestRetainedWindowSlides(t *testing.T) {
 	for ; n < commits; n++ {
 		updateHot(t, d, n)
 	}
-	if late := perCommit(); late != early && !raceEnabled {
+	if late := perCommit(); late != early && !race.Enabled {
 		t.Errorf("allocations per commit: %v after %d commits, %v after %d", early, 4*retain, late, commits)
 	}
 
