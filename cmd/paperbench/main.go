@@ -175,14 +175,14 @@ func parity(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %-11s %-13s %-11s %-10s %s\n", "system", "hand(s)", "interp(s)", "relc(s)", "relc/hand", "behaviour")
+	fmt.Printf("%-10s %-11s %-11s %-11s %-10s %-12s %s\n", "system", "hand(s)", "engine(s)", "relc(s)", "relc/hand", "engine/relc", "behaviour")
 	for _, r := range rows {
 		agree := "identical"
 		if !r.Agree {
 			agree = "DIVERGED"
 		}
-		fmt.Printf("%-10s %-11.4f %-13.4f %-11.4f %-10.2f %s\n",
-			r.System, r.HandSecs, r.SynthSecs, r.GenSecs, r.GenSecs/r.HandSecs, agree)
+		fmt.Printf("%-10s %-11.4f %-11.4f %-11.4f %-10.2f %-12.2f %s\n",
+			r.System, r.HandSecs, r.SynthSecs, r.GenSecs, r.GenSecs/r.HandSecs, r.SynthSecs/r.GenSecs, agree)
 	}
 	fmt.Println()
 	return nil

@@ -265,6 +265,18 @@ func (vw View) Compare(a, b Code) int {
 	return value.Compare(vw.Decode(a), vw.Decode(b))
 }
 
+// CompareAcross is Compare for two codes of different lineages: a as va
+// decodes it, b as vb does. An inline integer means the same in every
+// dictionary, so two of them still compare as words; a dictionary reference
+// on either side decodes through its own view, never the other's — equal
+// references of two dictionaries may name different values.
+func CompareAcross(va View, a Code, vb View, b Code) int {
+	if (a|b)&dictTag == 0 {
+		return cmp.Compare(int64(a), int64(b))
+	}
+	return value.Compare(va.Decode(a), vb.Decode(b))
+}
+
 // CompareKeys orders two keys of one arity word by word.
 func (vw View) CompareKeys(a, b []Code) int {
 	for i, c := range a {

@@ -69,6 +69,27 @@ func TestDictStrings(t *testing.T) {
 // TestViewIsAPrefix: a view captured before later interning decodes what it
 // covered, misses what came after — even though the table it shares now
 // holds it — and never changes length.
+// TestCompareAcross: two dictionaries that interned the same values in
+// opposite orders give them swapped codes. Comparing a code of one against
+// a code of the other orders the values themselves, for every pair of
+// strings, wide integers and inline integers.
+func TestCompareAcross(t *testing.T) {
+	vals := []value.Value{value.OfString("a"), value.OfString("b"), value.OfInt(math.MaxInt64), value.OfInt(math.MinInt64), value.OfInt(-3), value.OfInt(5)}
+	da, db := NewDict(), NewDict()
+	for i := range vals {
+		da.Encode(vals[i])
+		db.Encode(vals[len(vals)-1-i])
+	}
+	va, vb := da.View(), db.View()
+	for _, x := range vals {
+		for _, y := range vals {
+			if got, want := CompareAcross(va, da.Encode(x), vb, db.Encode(y)), value.Compare(x, y); got != want {
+				t.Errorf("CompareAcross(%v, %v) = %d, want %d", x, y, got, want)
+			}
+		}
+	}
+}
+
 func TestViewIsAPrefix(t *testing.T) {
 	d := NewDict()
 	a := d.Encode(value.OfString("a"))

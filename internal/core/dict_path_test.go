@@ -87,122 +87,156 @@ func sameSorted(t *testing.T, what string, got, want []relation.Tuple) {
 	}
 }
 
+// dictEngine is what the dictionary differential drives: the bare tier, and
+// a sharded engine whose cells each intern under codes of their own.
+type dictEngine interface {
+	Spec() *core.Spec
+	Len() int
+	Insert(t relation.Tuple) error
+	Update(s, u relation.Tuple) (int, error)
+	Remove(s relation.Tuple) (int, error)
+	All() ([]relation.Tuple, error)
+	Query(s relation.Tuple, out []string) ([]relation.Tuple, error)
+	QueryRange(s relation.Tuple, col string, lo, hi *value.Value, out []string) ([]relation.Tuple, error)
+	CheckInvariants() error
+}
+
 // TestDictionaryPathDifferential runs one random history of inserts, in-place
 // updates, updates that move a tuple (remove + insert), pattern removes,
 // queries and range queries against the relation oracle, on every container
-// kind holding dictionary-coded keys and units.
+// kind holding dictionary-coded keys and units. It runs on a bare relation
+// and on four cells sharded by name. There, patterns on grp, on tag or on
+// nothing fan out, and the cells have interned the same strings and wide
+// integers under different codes: merging their answers must compare each
+// cell's codes through that cell's own dictionary. Two workers hand the
+// cells' held results over from pool goroutines.
 func TestDictionaryPathDifferential(t *testing.T) {
 	all := dictSpec().Cols()
+	engines := map[string]func(d *decomp.Decomp) (dictEngine, error){
+		"relation": func(d *decomp.Decomp) (dictEngine, error) { return core.New(dictSpec(), d) },
+		"sharded": func(d *decomp.Decomp) (dictEngine, error) {
+			return core.NewSharded(dictSpec(), d, core.ShardOptions{ShardKey: []string{"name"}, Shards: 4, Workers: 2})
+		},
+	}
 	for name, d := range dictDecomps() {
 		t.Run(name, func(t *testing.T) {
-			rnd := rand.New(rand.NewSource(11))
-			r, err := core.New(dictSpec(), d)
+			for eng, build := range engines {
+				t.Run(eng, func(t *testing.T) {
+					r, err := build(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dictHistory(t, rand.New(rand.NewSource(11)), r, relation.Empty(all))
+				})
+			}
+		})
+	}
+}
+
+// dictHistory drives r and oracle through the same random history, checking
+// them against each other as it goes.
+
+func dictHistory(t *testing.T, rnd *rand.Rand, r dictEngine, oracle *relation.Relation) {
+	byName := func() relation.Tuple {
+		return relation.NewTuple(relation.BindString("name", fmt.Sprintf("name-%02d", rnd.Intn(48))))
+	}
+	for step := 0; step < 600; step++ {
+		switch op := rnd.Intn(10); {
+		case op < 4:
+			tup := dictTuple(rnd)
+			if !r.Spec().FDs.HoldsOnInsert(oracle, tup) {
+				continue
+			}
+			_ = oracle.Insert(tup)
+			if err := r.Insert(tup); err != nil {
+				t.Fatalf("step %d insert %v: %v", step, tup, err)
+			}
+		case op < 6: // unit columns only: written in place
+			s := byName()
+			u := relation.NewTuple(relation.BindString("tag", fmt.Sprintf("tag-%d", rnd.Intn(9))))
+			if rnd.Intn(2) == 0 {
+				u = u.Merge(relation.NewTuple(relation.BindInt("n", int64(rnd.Intn(20)))))
+			}
+			n, err := r.Update(s, u)
+			if want := oracle.Update(s, u); err != nil || n != want {
+				t.Fatalf("step %d update %v set %v: %d, %v; oracle %d", step, s, u, n, err, want)
+			}
+		case op < 7: // a key column: the tuple moves
+			s := byName()
+			u := relation.NewTuple(relation.BindInt("grp", dictGrps[rnd.Intn(len(dictGrps))]))
+			n, err := r.Update(s, u)
+			if want := oracle.Update(s, u); err != nil || n != want {
+				t.Fatalf("step %d update %v set %v: %d, %v; oracle %d", step, s, u, n, err, want)
+			}
+		default:
+			s := byName()
+			if rnd.Intn(3) == 0 {
+				s = relation.NewTuple(relation.BindInt("grp", dictGrps[rnd.Intn(len(dictGrps))]),
+					relation.BindString("tag", fmt.Sprintf("tag-%d", rnd.Intn(5))))
+			}
+			n, err := r.Remove(s)
+			if want := oracle.Remove(s); err != nil || n != want {
+				t.Fatalf("step %d remove %v: %d, %v; oracle %d", step, s, n, err, want)
+			}
+		}
+		if r.Len() != oracle.Len() {
+			t.Fatalf("step %d: Len %d, oracle %d", step, r.Len(), oracle.Len())
+		}
+		if step%20 != 0 {
+			continue
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		got, err := r.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSorted(t, fmt.Sprintf("step %d All", step), got, oracle.All())
+		for _, q := range []struct {
+			s   relation.Tuple
+			out []string
+		}{
+			{relation.NewTuple(relation.BindInt("grp", dictGrps[rnd.Intn(len(dictGrps))])), []string{"name", "n"}},
+			{relation.NewTuple(relation.BindString("tag", fmt.Sprintf("tag-%d", rnd.Intn(5)))), []string{"grp"}},
+			{byName(), []string{"grp", "slot", "tag"}},
+			{relation.NewTuple(), []string{"tag", "grp"}},
+		} {
+			got, err := r.Query(q.s, q.out)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := relation.Empty(all)
-			byName := func() relation.Tuple {
-				return relation.NewTuple(relation.BindString("name", fmt.Sprintf("name-%02d", rnd.Intn(48))))
+			sameSorted(t, fmt.Sprintf("step %d Query %v → %v", step, q.s, q.out), got, oracle.Query(q.s, relation.NewCols(q.out...)))
+		}
+		// Range queries: bounds that are stored values, values the
+		// dictionary has never seen, and the widest integers.
+		str := func(s string) *value.Value { v := value.OfString(s); return &v }
+		for _, q := range []struct {
+			col    string
+			lo, hi *value.Value
+		}{
+			{"name", str(fmt.Sprintf("name-%02d", rnd.Intn(48))), str("name-3~never-stored")},
+			{"name", str("a"), nil},
+			{"grp", vp(3), vp(1<<62 + 5)},
+			{"grp", vp(math.MinInt64), vp(2)},
+			{"grp", vp(1 << 62), nil},
+			{"tag", nil, str("tag-2")},
+			{"n", vp(5), vp(12)},
+		} {
+			out := []string{"name", "grp", q.col}
+			got, err := r.QueryRange(relation.NewTuple(), q.col, q.lo, q.hi, out)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for step := 0; step < 600; step++ {
-				switch op := rnd.Intn(10); {
-				case op < 4:
-					tup := dictTuple(rnd)
-					if !r.Spec().FDs.HoldsOnInsert(oracle, tup) {
-						continue
-					}
-					_ = oracle.Insert(tup)
-					if err := r.Insert(tup); err != nil {
-						t.Fatalf("step %d insert %v: %v", step, tup, err)
-					}
-				case op < 6: // unit columns only: written in place
-					s := byName()
-					u := relation.NewTuple(relation.BindString("tag", fmt.Sprintf("tag-%d", rnd.Intn(9))))
-					if rnd.Intn(2) == 0 {
-						u = u.Merge(relation.NewTuple(relation.BindInt("n", int64(rnd.Intn(20)))))
-					}
-					n, err := r.Update(s, u)
-					if want := oracle.Update(s, u); err != nil || n != want {
-						t.Fatalf("step %d update %v set %v: %d, %v; oracle %d", step, s, u, n, err, want)
-					}
-				case op < 7: // a key column: the tuple moves
-					s := byName()
-					u := relation.NewTuple(relation.BindInt("grp", dictGrps[rnd.Intn(len(dictGrps))]))
-					n, err := r.Update(s, u)
-					if want := oracle.Update(s, u); err != nil || n != want {
-						t.Fatalf("step %d update %v set %v: %d, %v; oracle %d", step, s, u, n, err, want)
-					}
-				default:
-					s := byName()
-					if rnd.Intn(3) == 0 {
-						s = relation.NewTuple(relation.BindInt("grp", dictGrps[rnd.Intn(len(dictGrps))]),
-							relation.BindString("tag", fmt.Sprintf("tag-%d", rnd.Intn(5))))
-					}
-					n, err := r.Remove(s)
-					if want := oracle.Remove(s); err != nil || n != want {
-						t.Fatalf("step %d remove %v: %d, %v; oracle %d", step, s, n, err, want)
-					}
-				}
-				if r.Len() != oracle.Len() {
-					t.Fatalf("step %d: Len %d, oracle %d", step, r.Len(), oracle.Len())
-				}
-				if step%20 != 0 {
-					continue
-				}
-				if err := r.CheckInvariants(); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				got, err := r.All()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameSorted(t, fmt.Sprintf("step %d All", step), got, oracle.All())
-				for _, q := range []struct {
-					s   relation.Tuple
-					out []string
-				}{
-					{relation.NewTuple(relation.BindInt("grp", dictGrps[rnd.Intn(len(dictGrps))])), []string{"name", "n"}},
-					{relation.NewTuple(relation.BindString("tag", fmt.Sprintf("tag-%d", rnd.Intn(5)))), []string{"grp"}},
-					{byName(), []string{"grp", "slot", "tag"}},
-					{relation.NewTuple(), []string{"tag", "grp"}},
-				} {
-					got, err := r.Query(q.s, q.out)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameSorted(t, fmt.Sprintf("step %d Query %v → %v", step, q.s, q.out), got, oracle.Query(q.s, relation.NewCols(q.out...)))
-				}
-				// Range queries: bounds that are stored values, values the
-				// dictionary has never seen, and the widest integers.
-				str := func(s string) *value.Value { v := value.OfString(s); return &v }
-				for _, q := range []struct {
-					col    string
-					lo, hi *value.Value
-				}{
-					{"name", str(fmt.Sprintf("name-%02d", rnd.Intn(48))), str("name-3~never-stored")},
-					{"name", str("a"), nil},
-					{"grp", vp(3), vp(1<<62 + 5)},
-					{"grp", vp(math.MinInt64), vp(2)},
-					{"grp", vp(1 << 62), nil},
-					{"tag", nil, str("tag-2")},
-					{"n", vp(5), vp(12)},
-				} {
-					out := []string{"name", "grp", q.col}
-					got, err := r.QueryRange(relation.NewTuple(), q.col, q.lo, q.hi, out)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var want []relation.Tuple
-					for _, tup := range oracle.Query(relation.NewTuple(), relation.NewCols(out...)) {
-						v := tup.MustGet(q.col)
-						if (q.lo == nil || value.Compare(v, *q.lo) >= 0) && (q.hi == nil || value.Compare(v, *q.hi) <= 0) {
-							want = append(want, tup)
-						}
-					}
-					sameSorted(t, fmt.Sprintf("step %d QueryRange %s", step, q.col), got, want)
+			var want []relation.Tuple
+			for _, tup := range oracle.Query(relation.NewTuple(), relation.NewCols(out...)) {
+				v := tup.MustGet(q.col)
+				if (q.lo == nil || value.Compare(v, *q.lo) >= 0) && (q.hi == nil || value.Compare(v, *q.hi) <= 0) {
+					want = append(want, tup)
 				}
 			}
-		})
+			sameSorted(t, fmt.Sprintf("step %d QueryRange %s", step, q.col), got, want)
+		}
 	}
 }
 

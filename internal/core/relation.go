@@ -326,26 +326,37 @@ func (r *Relation) insert(t relation.Tuple) (changed bool, err error) {
 // the paper's generated iterators.
 //
 //relvet:role=read
-func (r *Relation) Query(s relation.Tuple, out []string) (res []relation.Tuple, err error) {
+func (r *Relation) Query(s relation.Tuple, out []string) ([]relation.Tuple, error) {
+	p, err := r.query(s, out, false)
+	return p.Rows, err
+}
+
+// query is Query's body. With hold set, a completed batch run is not boxed:
+// it is reduced to its sorted distinct code rows and handed back unreleased
+// as p.Res, for a fan-out to merge with the other cells' parts (plan.Merge)
+// and release. Every other tier, and every run without hold, collects boxed
+// rows into p.Rows. The part lives with the caller, never on the shared
+// snapshot.
+func (r *Relation) query(s relation.Tuple, out []string, hold bool) (p plan.Part, err error) {
 	defer containRead("query", &err)
 	if r.metrics != nil {
 		r.metrics.QueryCollect.Add(1)
 	}
 	if err := r.spec.CheckTuple(s, false); err != nil {
-		return nil, err
+		return p, err
 	}
 	outCols := r.plans.outCols(out)
 	if !outCols.SubsetOf(r.spec.Cols()) {
-		return nil, fmt.Errorf("core: query output %v not in relation columns", outCols)
+		return p, fmt.Errorf("core: query output %v not in relation columns", outCols)
 	}
 	cand, err := r.planFor(s.Dom(), outCols)
 	if err != nil {
-		return nil, err
+		return p, err
 	}
 	if tr := r.tracer; tr != nil {
 		start := time.Now()
 		defer func() {
-			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: "query", Detail: cand.Op.String(), Rows: len(res), Dur: time.Since(start)})
+			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: "query", Detail: cand.Op.String(), Rows: p.Len(), Dur: time.Since(start)})
 		}()
 	}
 	// Vectorized tier first: a completed batch run produces the same
@@ -356,9 +367,7 @@ func (r *Relation) Query(s relation.Tuple, out []string) (res []relation.Tuple, 
 			if r.metrics != nil {
 				r.metrics.ExecVectorized.Add(1)
 			}
-			res = br.Collect()
-			br.Release()
-			return res, nil
+			return collectBatch(br, hold), nil
 		}
 		if r.metrics != nil {
 			r.metrics.VecFallbacks.Add(1)
@@ -366,9 +375,24 @@ func (r *Relation) Query(s relation.Tuple, out []string) (res []relation.Tuple, 
 	}
 	r.countExec(cand)
 	if cand.Prog != nil {
-		return cand.Prog.Collect(r.inst, s, cand.EstimatedRows()), nil
+		p.Rows = cand.Prog.Collect(r.inst, s, cand.EstimatedRows())
+	} else {
+		p.Rows = plan.CollectSized(r.inst, cand.Op, s, outCols, cand.EstimatedRows())
 	}
-	return plan.CollectSized(r.inst, cand.Op, s, outCols, cand.EstimatedRows()), nil
+	return p, nil
+}
+
+// collectBatch is the set-valued answer of a completed batch run: held —
+// sorted and de-duplicated on its code words, unreleased — or boxed and
+// released.
+func collectBatch(br *plan.BatchResult, hold bool) plan.Part {
+	if hold {
+		br.SortDistinct()
+		return plan.Part{Res: br}
+	}
+	rows := br.Collect()
+	br.Release()
+	return plan.Part{Rows: rows}
 }
 
 // countExec records which execution tier a plan ran on: the compiled
@@ -480,16 +504,22 @@ func (r *Relation) stream(cand *plan.Candidate, s relation.Tuple, f func(relatio
 // Results are de-duplicated and deterministic, like Query.
 //
 //relvet:role=read
-func (r *Relation) QueryRange(s relation.Tuple, col string, lo, hi *value.Value, out []string) (res []relation.Tuple, rerr error) {
+func (r *Relation) QueryRange(s relation.Tuple, col string, lo, hi *value.Value, out []string) ([]relation.Tuple, error) {
+	p, err := r.queryRange(s, col, lo, hi, out, false)
+	return p.Rows, err
+}
+
+// queryRange is QueryRange's body; hold is query's.
+func (r *Relation) queryRange(s relation.Tuple, col string, lo, hi *value.Value, out []string, hold bool) (p plan.Part, rerr error) {
 	defer containRead("query-range", &rerr)
 	if r.metrics != nil {
 		r.metrics.QueryRange.Add(1)
 	}
 	cand, outCols, err := r.rangePlan(s, col, out)
 	if err != nil {
-		return nil, err
+		return p, err
 	}
-	return r.execRange(cand, s, rangeOf(col, lo, hi), outCols, nil), nil
+	return r.execRange(cand, s, rangeOf(col, lo, hi), outCols, nil, hold), nil
 }
 
 // QueryRangeFunc is the streaming form of QueryRange: no de-duplication,
@@ -503,7 +533,7 @@ func (r *Relation) QueryRangeFunc(s relation.Tuple, col string, lo, hi *value.Va
 	if err != nil {
 		return err
 	}
-	r.execRange(cand, s, rangeOf(col, lo, hi), outCols, f)
+	r.execRange(cand, s, rangeOf(col, lo, hi), outCols, f, false)
 	return nil
 }
 
@@ -545,9 +575,10 @@ func (r *Relation) rangePlan(s relation.Tuple, col string, out []string) (*plan.
 // batch program compiled for the column, then the interpreter
 // (plan.ExecRange) when there is none or it bailed, having emitted nothing
 // — and counts the tier that ran. With f nil it returns the de-duplicated,
-// sorted result set (QueryRange); otherwise it streams π_out row by row to
-// f, each row in memory of its own (QueryRangeFunc), and returns nil.
-func (r *Relation) execRange(cand *plan.Candidate, s relation.Tuple, rg plan.Range, out relation.Cols, f func(relation.Tuple) bool) (res []relation.Tuple) {
+// sorted result set (QueryRange), held as query holds it; otherwise it
+// streams π_out row by row to f, each row in memory of its own
+// (QueryRangeFunc), and returns an empty part.
+func (r *Relation) execRange(cand *plan.Candidate, s relation.Tuple, rg plan.Range, out relation.Cols, f func(relation.Tuple) bool, hold bool) (p plan.Part) {
 	if tr := r.tracer; tr != nil {
 		rows := 0
 		if inner := f; inner != nil {
@@ -556,7 +587,7 @@ func (r *Relation) execRange(cand *plan.Candidate, s relation.Tuple, rg plan.Ran
 		start := time.Now()
 		defer func() {
 			// Rows streamed to f, or — collecting — rows returned, as for Query.
-			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: "query-range", Detail: cand.Op.String(), Rows: rows + len(res), Dur: time.Since(start)})
+			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: "query-range", Detail: cand.Op.String(), Rows: rows + p.Len(), Dur: time.Since(start)})
 		}()
 	}
 	if cand.Batch != nil {
@@ -565,12 +596,11 @@ func (r *Relation) execRange(cand *plan.Candidate, s relation.Tuple, rg plan.Ran
 				r.metrics.ExecVectorized.Add(1)
 			}
 			if f == nil {
-				res = br.Collect()
-			} else {
-				br.EachRow(f)
+				return collectBatch(br, hold)
 			}
+			br.EachRow(f)
 			br.Release()
-			return res
+			return p
 		}
 		if r.metrics != nil {
 			r.metrics.VecFallbacks.Add(1)
@@ -580,12 +610,13 @@ func (r *Relation) execRange(cand *plan.Candidate, s relation.Tuple, rg plan.Ran
 		r.metrics.ExecInterpreted.Add(1)
 	}
 	if f == nil {
-		return plan.CollectFunc(func(emit func(relation.Tuple) bool) {
+		p.Rows = plan.CollectFunc(func(emit func(relation.Tuple) bool) {
 			plan.ExecRange(r.inst, cand.Op, s, rg, emit)
 		}, out, cand.EstimatedRows())
+		return p
 	}
 	plan.ExecRange(r.inst, cand.Op, s, rg, func(t relation.Tuple) bool { return f(t.Project(out)) })
-	return nil
+	return p
 }
 
 // Remove implements remove r s: it removes every tuple extending s and

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -226,8 +227,9 @@ func (sr *ShardedRelation) Update(s, u relation.Tuple) (int, error) {
 // read one shard's snapshot; when the shard key is FD-certified such a
 // pattern is a superkey, so at most one tuple matches and the dedup map
 // and sort are skipped entirely (the point-query fast path). Other
-// patterns fan out in parallel over the shards' snapshots and merge the
-// per-shard sorted results deterministically.
+// patterns fan out in parallel over the shards' snapshots: each shard's
+// answer stays sorted, de-duplicated code rows, and the merge boxes each
+// result row once (plan.Merge).
 //
 //relvet:role=read
 func (sr *ShardedRelation) Query(pat relation.Tuple, out []string) ([]relation.Tuple, error) {
@@ -239,16 +241,12 @@ func (sr *ShardedRelation) Query(pat relation.Tuple, out []string) ([]relation.T
 		}
 		return r.Query(pat, out)
 	}
-	parts := make([][]relation.Tuple, len(sr.shards))
-	err := sr.fanOut(func(i int, sh *cell) error {
-		res, err := sh.snapshot().Query(pat, out)
-		parts[i] = res
+	parts := make([]plan.Part, len(sr.shards))
+	err := sr.fanOut(func(i int, sh *cell) (err error) {
+		parts[i], err = sh.snapshot().query(pat, out, true)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeSorted(parts), nil
+	return merged(parts, err)
 }
 
 // QueryFunc streams π_C of matching tuples like Relation.QueryFunc: no
@@ -290,8 +288,7 @@ func (sr *ShardedRelation) QueryFunc(pat relation.Tuple, out []string, f func(re
 }
 
 // QueryRange implements the order-based query, lock-free: routed patterns
-// read one shard's snapshot, others fan out and merge the per-shard
-// sorted results.
+// read one shard's snapshot, others fan out and merge like Query.
 //
 //relvet:role=read
 func (sr *ShardedRelation) QueryRange(pat relation.Tuple, col string, lo, hi *value.Value, out []string) ([]relation.Tuple, error) {
@@ -299,16 +296,25 @@ func (sr *ShardedRelation) QueryRange(pat relation.Tuple, col string, lo, hi *va
 		sr.routed()
 		return sr.shards[i].snapshot().QueryRange(pat, col, lo, hi, out)
 	}
-	parts := make([][]relation.Tuple, len(sr.shards))
-	err := sr.fanOut(func(i int, sh *cell) error {
-		res, err := sh.snapshot().QueryRange(pat, col, lo, hi, out)
-		parts[i] = res
+	parts := make([]plan.Part, len(sr.shards))
+	err := sr.fanOut(func(i int, sh *cell) (err error) {
+		parts[i], err = sh.snapshot().queryRange(pat, col, lo, hi, out, true)
 		return err
 	})
+	return merged(parts, err)
+}
+
+// merged is the answer of a set-valued fan-out whose cells left their parts
+// in parts: one sorted, de-duplicated result, each row boxed once
+// (plan.Merge). On error it releases every held part instead.
+func merged(parts []plan.Part, err error) ([]relation.Tuple, error) {
 	if err != nil {
+		for _, p := range parts {
+			p.Release()
+		}
 		return nil, err
 	}
-	return mergeSorted(parts), nil
+	return plan.Merge(parts), nil
 }
 
 // InsertBatch inserts many tuples, grouping them by shard and applying

@@ -96,13 +96,14 @@ func RunSchedulerBench(r *core.Relation, ops []workload.SchedulerOp) (float64, i
 
 // ParityResult compares the three variants of one case-study system on the
 // same workload (§6.2: "For each system, the relational and non-relational
-// versions had equivalent performance"): hand-coded, the interpreted engine
-// (core.Relation), and relc-generated code — the last being the paper's
-// deployment mode and the fair performance comparison.
+// versions had equivalent performance"): hand-coded, the dynamic engine
+// (core.Relation, on whichever execution tier its plans run), and
+// relc-generated code — the last being the paper's deployment mode and the
+// fair performance comparison.
 type ParityResult struct {
 	System    string
 	HandSecs  float64
-	SynthSecs float64 // interpreted engine
+	SynthSecs float64 // dynamic engine
 	GenSecs   float64 // relc-generated code
 	Agree     bool    // behaviour identical across all variants
 }

@@ -157,10 +157,12 @@ type batchState struct {
 	rg     Range
 	lo, hi *value.Value
 
-	// Collect scratch (distinctRows): the output columns gathered once, and
-	// the surviving row indices. The dedup table itself is ptab.
-	outc [][]colblock.Code
-	rows []int32
+	// Result scratch: the output columns gathered once (outCols), and the
+	// surviving row indices (distinctRows), sorted once sorted is set
+	// (sortedRows). The dedup table itself is ptab.
+	outc   [][]colblock.Code
+	rows   []int32
+	sorted bool
 
 	// EachTuple's zero-alloc view, prebound like progState.emitView.
 	viewVals []value.Value
@@ -1156,6 +1158,7 @@ func (p *BatchProgram) RunRange(in *instance.Instance, s relation.Tuple, rg Rang
 	st := p.getBatchState()
 	st.vw = in.View()
 	st.rg, st.lo, st.hi = rg, nil, nil
+	st.sorted = false
 	if rg.HasLo {
 		st.lo = &st.rg.Lo
 	}
@@ -1236,51 +1239,68 @@ func (r *BatchResult) EachTuple(f func(relation.Tuple) bool) bool {
 	return true
 }
 
-// rowSlab is how many values emitRows allocates at a time: 512 bytes, the
+// rowSlab is how many values a boxer allocates at a time: 512 bytes, the
 // most the allocator hands out without a header of its own, and every
 // multiple of a value's 32 bytes up to there is a size class, so a slab
 // rounds up to nothing. Larger would save few allocations more and let a
 // row the caller retains keep more of its neighbours alive.
 const rowSlab = 16
 
+// A boxer gives code rows tuples of their own. How many rows are left to
+// box is known, or bounded, before the first is boxed, so their values are
+// carved from one allocation per rowSlab values rather than one per row:
+// the same bytes, and no more than the rows need. It is the one
+// materialization of the tier, under EachRow, Collect and Merge. Each of
+// them decodes a row into the values next carves in its own loop: next
+// inlines, a method that also decoded would not, and a call per row costs
+// a streamed 1,000-row read a fifth more.
+type boxer struct {
+	names   []string
+	perSlab int
+	slab    []value.Value
+}
+
+func newBoxer(cols relation.Cols) boxer {
+	k := cols.Len()
+	return boxer{names: cols.Names(), perSlab: max(rowSlab/max(k, 1), 1) * k}
+}
+
+// next carves k values for the next row. left bounds the rows still to
+// box, this one included: it sizes the last slab.
+func (b *boxer) next(k, left int) []value.Value {
+	if len(b.slab) < k {
+		b.slab = make([]value.Value, min(left*k, b.perSlab))
+	}
+	vals := b.slab[:k:k]
+	b.slab = b.slab[k:]
+	return vals
+}
+
+// outCols gathers the result's output columns, in OutCols order and cut to
+// its rows, into st.outc.
+func (st *batchState) outCols() [][]colblock.Code {
+	n := st.cur.blk.N
+	out := st.outc[:0]
+	for _, reg := range st.p.out {
+		out = append(out, st.cur.blk.Cols[reg][:n])
+	}
+	st.outc = out
+	return out
+}
+
 // EachRow is EachTuple for a callback that keeps what it is given: every
 // row is a tuple of its own, not a view.
 func (r *BatchResult) EachRow(f func(relation.Tuple) bool) bool {
-	return r.st.emitRows(nil, f)
-}
-
-// emitRows hands f one tuple of its own per selected frontier row — the
-// rows listed, in that order, or every row when rows is nil — stopping
-// early when f returns false. The row count is known before the first row
-// is emitted, so the rows' values are carved from one allocation per
-// rowSlab values rather than one per row: the same bytes, and no more than
-// the rows need. It is the one materialization loop of the tier, under
-// EachRow and Collect.
-func (st *batchState) emitRows(rows []int32, f func(relation.Tuple) bool) bool {
-	p := st.p
-	cols := st.cur.blk.Cols
+	st := r.st
+	out := st.outCols()
 	n := st.cur.blk.N
-	if rows != nil {
-		n = len(rows)
-	}
-	names := p.cols.Names()
-	k := len(p.out)
-	perSlab := max(rowSlab/max(k, 1), 1) * k
-	var slab []value.Value
+	b := newBoxer(st.p.cols)
 	for i := 0; i < n; i++ {
-		row := i
-		if rows != nil {
-			row = int(rows[i])
+		vals := b.next(len(out), n-i)
+		for j, col := range out {
+			vals[j] = st.vw.Decode(col[i])
 		}
-		if len(slab) < k {
-			slab = make([]value.Value, min((n-i)*k, perSlab))
-		}
-		vals := slab[:k:k]
-		slab = slab[k:]
-		for j, reg := range p.out {
-			vals[j] = st.vw.Decode(cols[reg][row])
-		}
-		if !f(relation.SortedTuple(names, vals)) {
+		if !f(relation.SortedTuple(b.names, vals)) {
 			return false
 		}
 	}
@@ -1297,11 +1317,7 @@ func (st *batchState) emitRows(rows []int32, f func(relation.Tuple) bool) bool {
 // has seen a result this large.
 func (st *batchState) distinctRows() []int32 {
 	n := st.cur.blk.N
-	out := st.outc[:0]
-	for _, reg := range st.p.out {
-		out = append(out, st.cur.blk.Cols[reg][:n])
-	}
-	st.outc = out
+	out := st.outCols()
 	tab := st.resetTab(n)
 	if cap(st.rows) < n {
 		st.rows = make([]int32, 0, colblock.CeilRows(n))
@@ -1334,21 +1350,17 @@ func (st *batchState) distinctRows() []int32 {
 	return rows
 }
 
-// Collect gathers the projected results de-duplicated and in canonical
-// order (relation.SortTuples') — the batch counterpart of Program.Collect.
-// Dedup and order are operators over the result's own code words: rows are
-// deduplicated by distinctRows, the surviving row indices are sorted by
-// comparing codes column by column (View.Compare — an integer compare unless
-// a string or a 64-bit integer is involved), and only then does a survivor
-// become a tuple, through the same slab carving EachRow uses. A duplicate
-// costs a hash and a word compare, a kept row one slab share, and nothing
-// is boxed before it is known to be part of the answer.
-func (r *BatchResult) Collect() []relation.Tuple {
-	st := r.st
-	rows := st.distinctRows()
-	if len(rows) == 0 {
-		return []relation.Tuple{}
+// sortedRows reduces the result to its answer set, still as code words:
+// the rows distinctRows keeps, sorted by comparing their output codes
+// column by column (View.Compare — an integer compare unless a string or a
+// 64-bit integer is involved) into canonical order (relation.SortTuples').
+// A duplicate costs a hash and a word compare, and nothing is boxed. The
+// first call does the work; later ones return the same rows.
+func (st *batchState) sortedRows() []int32 {
+	if st.sorted {
+		return st.rows
 	}
+	rows := st.distinctRows()
 	out, vw := st.outc, st.vw
 	slices.SortFunc(rows, func(a, b int32) int {
 		for _, col := range out {
@@ -1358,11 +1370,180 @@ func (r *BatchResult) Collect() []relation.Tuple {
 		}
 		return 0
 	})
-	res := make([]relation.Tuple, 0, len(rows))
-	st.emitRows(rows, func(t relation.Tuple) bool {
-		res = append(res, t)
-		return true
-	})
+	st.sorted = true
+	return rows
+}
+
+// SortDistinct reduces the result to its de-duplicated rows in canonical
+// order, without boxing any, and returns how many there are. A fan-out
+// calls it on each cell's result where the cell ran, then hands the held
+// results to Merge.
+func (r *BatchResult) SortDistinct() int { return len(r.st.sortedRows()) }
+
+// Collect gathers the projected results de-duplicated and in canonical
+// order — the batch counterpart of Program.Collect: the sorted survivors
+// (sortedRows), each boxed once, straight into the result.
+func (r *BatchResult) Collect() []relation.Tuple {
+	st := r.st
+	rows := st.sortedRows()
+	res := make([]relation.Tuple, len(rows))
+	b := newBoxer(st.p.cols)
+	for i, row := range rows {
+		vals := b.next(len(st.outc), len(rows)-i)
+		for j, col := range st.outc {
+			vals[j] = st.vw.Decode(col[row])
+		}
+		res[i] = relation.SortedTuple(b.names, vals)
+	}
+	return res
+}
+
+// A Part is one cell's share of a fanned-out set-valued query: the same
+// plan's answer over one decomposition instance, de-duplicated and in
+// canonical order. Either it is a held batch result (Res), whose rows are
+// still code words of its own instance's dictionary, or it is rows a tier
+// without code rows has already collected (Rows).
+type Part struct {
+	Res  *BatchResult
+	Rows []relation.Tuple
+}
+
+// Len returns the part's row count: a held result's distinct rows.
+func (p Part) Len() int {
+	if p.Res != nil {
+		return len(p.Res.st.sortedRows())
+	}
+	return len(p.Rows)
+}
+
+// Release releases a held result; boxed rows hold nothing.
+func (p Part) Release() {
+	if p.Res != nil {
+		p.Res.Release()
+	}
+}
+
+// A mergeHead is one non-empty part's cursor in Merge: row rows[i] of a
+// held result's output columns out, decoded through vw, or boxed row
+// tups[i].
+type mergeHead struct {
+	held bool
+	vw   colblock.View
+	out  [][]colblock.Code
+	rows []int32
+	tups []relation.Tuple
+	i, n int
+}
+
+// compare orders the current rows of two heads on their k columns. Codes
+// of two held results compare across their dictionaries (CompareAcross); a
+// code against a boxed value decodes through its own view.
+func (a *mergeHead) compare(b *mergeHead, k int) int {
+	for j := 0; j < k; j++ {
+		var c int
+		switch {
+		case a.held && b.held:
+			c = colblock.CompareAcross(a.vw, a.out[j][a.rows[a.i]], b.vw, b.out[j][b.rows[b.i]])
+		case a.held:
+			c = a.vw.CompareValue(a.out[j][a.rows[a.i]], b.tups[b.i].ValueAt(j))
+		case b.held:
+			c = -b.vw.CompareValue(b.out[j][b.rows[b.i]], a.tups[a.i].ValueAt(j))
+		default:
+			c = value.Compare(a.tups[a.i].ValueAt(j), b.tups[b.i].ValueAt(j))
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// equals reports whether the head's current row is t.
+func (h *mergeHead) equals(t relation.Tuple, k int) bool {
+	for j := 0; j < k; j++ {
+		if h.held {
+			if h.vw.CompareValue(h.out[j][h.rows[h.i]], t.ValueAt(j)) != 0 {
+				return false
+			}
+		} else if h.tups[h.i].ValueAt(j) != t.ValueAt(j) {
+			return false
+		}
+	}
+	return true
+}
+
+// Merge merges the parts of one fanned-out query — the same plan run over
+// several cells, each part sorted and de-duplicated — into the query's
+// answer, sorted and de-duplicated, every row a tuple of its own. It
+// releases every held result; the parts must not be used after.
+//
+// The same full tuple lives in one cell only, but projections of different
+// tuples can collide across cells, so rows equal across parts collapse to
+// one. The output is ascending, so a duplicate — wherever it sat in its
+// part — is exactly a row equal to the one emitted last. A held result's
+// rows stay code words until they win the merge, and are then boxed once,
+// straight into the result; a duplicate is never boxed. The part count is a
+// cell count, so a linear scan for the minimum head beats a heap.
+func Merge(parts []Part) []relation.Tuple {
+	defer func() {
+		for _, p := range parts {
+			p.Release()
+		}
+	}()
+	var buf [16]mergeHead
+	heads := buf[:0]
+	var b boxer
+	k, total, left := 0, 0, 0
+	for _, p := range parts {
+		h := mergeHead{tups: p.Rows, n: len(p.Rows)}
+		if p.Res != nil {
+			st := p.Res.st
+			h.held, h.vw, h.rows = true, st.vw, st.sortedRows()
+			h.out, h.n = st.outc, len(h.rows)
+			b, k = newBoxer(st.p.cols), len(st.p.out)
+			left += h.n
+		} else if h.n > 0 {
+			k = p.Rows[0].Len()
+		}
+		if h.n > 0 {
+			heads = append(heads, h)
+			total += h.n
+		}
+	}
+	if len(heads) == 1 && !heads[0].held {
+		return heads[0].tups
+	}
+	res := make([]relation.Tuple, 0, total)
+	last := -1 // the head res's last row came from, while it has not moved
+	for len(heads) > 0 {
+		m := 0
+		for i := 1; i < len(heads); i++ {
+			if heads[i].compare(&heads[m], k) < 0 {
+				m = i
+			}
+		}
+		h := &heads[m]
+		if n := len(res); n == 0 || m == last || !h.equals(res[n-1], k) {
+			if h.held {
+				vals, row := b.next(k, left), h.rows[h.i]
+				for j, col := range h.out {
+					vals[j] = h.vw.Decode(col[row])
+				}
+				res = append(res, relation.SortedTuple(b.names, vals))
+			} else {
+				res = append(res, h.tups[h.i])
+			}
+			last = m
+		}
+		if h.held {
+			left--
+		}
+		if h.i++; h.i == h.n {
+			heads[m] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+			last = -1
+		}
+	}
 	return res
 }
 

@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -152,5 +153,65 @@ func TestCollectAllocationCeiling(t *testing.T) {
 	queryRange()
 	if allocs := testing.AllocsPerRun(50, queryRange); rows != 240 || allocs > 56 {
 		t.Errorf("a range collecting %d rows × 2 columns allocates %.1f objects, want 240 rows in at most 56", rows, allocs)
+	}
+}
+
+// TestMergeParts merges the answers of four instances of one plan — three
+// held batch results and one part of boxed rows, plus two empty parts —
+// into the interpreter's answer over their union. Each instance interned
+// the same strings and wide integers in its own order, so equal codes of
+// two instances name different values: a held row must decode through its
+// own instance's view, and order against a boxed row as its value does.
+func TestMergeParts(t *testing.T) {
+	vals := []value.Value{
+		value.OfString("b"), value.OfString(""), value.OfString("ab"), value.OfString("a"),
+		value.OfInt(3), value.OfInt(-7), value.OfInt(1 << 62), value.OfInt(math.MinInt64),
+	}
+	rnd := rand.New(rand.NewSource(5))
+	all := cols("src", "dst", "weight")
+	union := relation.Empty(all)
+	var cells []*instance.Instance
+	for range 4 {
+		in := instance.New(paperex.GraphDecomp1(), paperex.GraphFDs())
+		for _, i := range rnd.Perm(len(vals)) {
+			for _, j := range rnd.Perm(len(vals))[:3] {
+				// The weight is a function of the pair, so an edge two
+				// cells both hold is one tuple of the union.
+				tup := relation.NewTuple(relation.Bind("src", vals[i]), relation.Bind("dst", vals[j]),
+					relation.Bind("weight", vals[(i*3+j)%len(vals)]))
+				if _, err := in.Insert(tup); err != nil {
+					t.Fatal(err)
+				}
+				_ = union.Insert(tup)
+			}
+		}
+		cells = append(cells, in)
+	}
+	for _, output := range []relation.Cols{cols("src"), cols("weight"), cols("dst", "src"), all} {
+		parts := []plan.Part{{}, {Rows: []relation.Tuple{}}}
+		for i, in := range cells {
+			cand, err := plan.NewPlanner(in.Decomp(), in.FDs(), nil).Best(cols(), output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == len(cells)-1 {
+				parts = append(parts, plan.Part{Rows: plan.Collect(in, cand.Op, relation.NewTuple(), output)})
+				continue
+			}
+			bp, err := plan.CompileBatch(in, cand.Op, cols(), output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br, ok := bp.Run(in, relation.NewTuple())
+			if !ok {
+				t.Fatal("batch run bailed")
+			}
+			parts = append(parts, plan.Part{Res: br})
+		}
+		want := union.Query(relation.NewTuple(), output)
+		relation.SortTuples(want)
+		if got := plan.Merge(parts); !slices.EqualFunc(got, want, relation.Tuple.Equal) {
+			t.Errorf("output %v:\n merged %v\n  union %v", output, got, want)
+		}
 	}
 }
