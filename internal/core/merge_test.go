@@ -4,13 +4,15 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/relation"
 )
 
 // TestMergeSorted: parts are sorted and internally de-duplicated, but a
 // projection can put the same tuple in several of them — at the heads, or
 // deep in the tails behind values only one part has. Each value comes out
-// once, in order, whichever parts held it.
+// once, in order, whichever parts held it. The parts here are boxed rows,
+// as a cell without code rows answers; TestFanOutMerge covers held ones.
 func TestMergeSorted(t *testing.T) {
 	part := func(vs ...int64) []relation.Tuple {
 		names := []string{"a", "b"}
@@ -32,9 +34,13 @@ func TestMergeSorted(t *testing.T) {
 		{"equal tails", [][]relation.Tuple{part(1, 25, 99), part(2, 25, 98, 99), part(3, 99)}, part(1, 2, 3, 25, 98, 99)},
 		{"all equal", [][]relation.Tuple{part(7, 8), part(7, 8), part(7, 8)}, part(7, 8)},
 	} {
-		got := mergeSorted(c.parts)
-		if got == nil || !slices.EqualFunc(got, c.want, relation.Tuple.Equal) {
-			t.Errorf("%s: merged %v, want %v", c.name, got, c.want)
+		parts := make([]plan.Part, len(c.parts))
+		for i, rows := range c.parts {
+			parts[i] = plan.Part{Rows: rows}
+		}
+		got, err := merged(parts, nil)
+		if err != nil || got == nil || !slices.EqualFunc(got, c.want, relation.Tuple.Equal) {
+			t.Errorf("%s: merged %v (%v), want %v", c.name, got, err, c.want)
 		}
 	}
 }
