@@ -46,7 +46,10 @@ bin/relvet: $(shell find cmd/relvet internal -name '*.go' -not -path '*/testdata
 # schedule, whose containment paths (fan-out recover, lock release on
 # contained panics) are what -race is for; and the containers' clone and
 # first-write tests and the hash table's own, which must hold under the
-# detector too.
+# detector too. The instance package runs whole under it because -race turns
+# on -d=checkptr: a node is one object whose unit words and containers are
+# addressed from its header with unsafe.Add, and checkptr faults any such
+# pointer that leaves the node's object.
 ci-race: vet build race
 	$(GO) test -race -count 2 -run 'Differential|Vectorized' ./internal/plan ./internal/core
 	$(GO) test -race -count 2 -run 'Concurrent|Randomized' ./internal/faultinject/harness -faultseeds $(FAULTSEEDS)
@@ -54,6 +57,7 @@ ci-race: vet build race
 	$(GO) test -race -count 1 -run 'PartitionPrefix|ReplResubscribe|ReplCatchUpBatch|SnapshotCutIsExact|CloseRacesPin' ./internal/repl ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'EngineCorpus|EngineCleanOnModule' ./internal/vet
 	$(GO) test -race -count 1 -run 'Clone|FirstWrite|HTable' ./internal/dstruct
+	$(GO) test -race -count 1 ./internal/instance
 
 # The vectorized-tier gate: the randomized corpus differential (every plan
 # in the corpus executed on the interpreter, the closure tier, and the

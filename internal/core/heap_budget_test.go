@@ -26,7 +26,7 @@ func heapAlloc() uint64 {
 // TestBytesPerTupleBudget holds the representation to a budget: for each of
 // the benchmark's three decompositions, built at budgetTuples tuples on the
 // bare tier, the live heap per tuple must stay under a ceiling set 10% above
-// what the representation measured when its hash tables became groups, and
+// what the representation measured when a node became one object, and
 // Instance.Stats — counts of objects times their allocated sizes — must
 // account for that heap to within 15%. A representation regression fails here, in tier 1, with the
 // category that grew in the log, instead of waiting for a benchmark run.
@@ -59,11 +59,11 @@ func TestBytesPerTupleBudget(t *testing.T) {
 	for _, tc := range []struct {
 		file, rel, decomp string
 		tuples            []relation.Tuple
-		ceiling           float64 // bytes per tuple: 112.4, 224.9 and 130.3 measured (128.8, 233.5 and 147.5 with chained hash tables, 354, 541 and 451 boxed), plus 10%
+		ceiling           float64 // bytes per tuple: 63.9, 151.3 and 82.0 measured (112.4, 224.9 and 130.3 with 64-byte node headers, 128.8, 233.5 and 147.5 with chained hash tables, 354, 541 and 451 boxed), plus 10%
 	}{
-		{"flows.rel", "flows", "flows", ints([]string{"local", "foreign", "packets", "bytes"}, flows), 124},
-		{"graphedges.rel", "graphedges", "graphedges", ints([]string{"src", "dst", "weight"}, edges), 247},
-		{"scheduler.rel", "processes", "processes", ints([]string{"ns", "pid", "state", "cpu"}, procs), 143},
+		{"flows.rel", "flows", "flows", ints([]string{"local", "foreign", "packets", "bytes"}, flows), 71},
+		{"graphedges.rel", "graphedges", "graphedges", ints([]string{"src", "dst", "weight"}, edges), 167},
+		{"scheduler.rel", "processes", "processes", ints([]string{"ns", "pid", "state", "cpu"}, procs), 91},
 	} {
 		src, err := os.ReadFile("../../spec/" + tc.file)
 		if err != nil {

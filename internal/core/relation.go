@@ -48,7 +48,8 @@ type Relation struct {
 
 // New checks the specification, verifies the decomposition is adequate for
 // it (Figure 6), verifies data-structure key typing (a vector edge needs a
-// single integer key column), and returns an empty relation.
+// single integer key column) and that every variable fits a node
+// (instance.CheckShape), and returns an empty relation.
 func New(spec *Spec, d *decomp.Decomp) (*Relation, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -65,6 +66,9 @@ func New(spec *Spec, d *decomp.Decomp) (*Relation, error) {
 				return nil, fmt.Errorf("core: edge %s→%s uses a %s over non-integer column %q", e.Parent, e.Target, e.DS, k)
 			}
 		}
+	}
+	if err := instance.CheckShape(d); err != nil {
+		return nil, err
 	}
 	r := &Relation{
 		spec:  spec,

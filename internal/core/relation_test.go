@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/dstruct"
+	"repro/internal/fd"
 	"repro/internal/paperex"
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -83,6 +85,24 @@ func TestNewRejectsInadequate(t *testing.T) {
 	}, "x")
 	if _, err := core.New(schedSpec(), d); err == nil {
 		t.Errorf("inadequate decomposition accepted")
+	}
+}
+
+func TestNewRejectsOverWideUnit(t *testing.T) {
+	// A leaf holding 256 columns: one more than a node header counts.
+	spec := &core.Spec{Name: "wide", Columns: []core.ColDef{{Name: "k", Type: core.IntCol}}}
+	var cols []string
+	for i := 0; i < 256; i++ {
+		cols = append(cols, fmt.Sprintf("c%03d", i))
+		spec.Columns = append(spec.Columns, core.ColDef{Name: cols[i], Type: core.IntCol})
+	}
+	spec.FDs = fd.NewSet(fd.FD{From: relation.NewCols("k"), To: relation.NewCols(cols...)})
+	d := decomp.MustNew([]decomp.Binding{
+		decomp.Let("w", []string{"k"}, cols, decomp.U(cols...)),
+		decomp.Let("x", nil, append([]string{"k"}, cols...), decomp.M(dstruct.HTableKind, "w", "k")),
+	}, "x")
+	if _, err := core.New(spec, d); err == nil || !strings.Contains(err.Error(), "256 unit columns") {
+		t.Errorf("256-column unit: %v", err)
 	}
 }
 

@@ -42,12 +42,12 @@ func TestPlanRejectsConflictBeforeWriting(t *testing.T) {
 	// Manufacture the state the old code could be caught in: the c unit
 	// empty, the d unit populated. A conflicting insert must leave the c
 	// slot empty instead of filling it on the way to the d conflict.
-	w.words[0] = colblock.Unset
+	w.words()[0] = colblock.Unset
 	if ok, err := in.Insert(tup(1, 2, 9)); err == nil {
 		t.Fatalf("conflicting insert accepted (ok=%v)", ok)
 	}
-	if w.words[0] != colblock.Unset {
-		t.Fatalf("planning wrote unit c = %x before detecting the d conflict", w.words[0])
+	if w.words()[0] != colblock.Unset {
+		t.Fatalf("planning wrote unit c = %x before detecting the d conflict", w.words()[0])
 	}
 }
 

@@ -85,11 +85,12 @@ func (in *Instance) walkInsert(t relation.Tuple) error {
 		scr.fresh[i] = fresh
 		// Plan unit writes; an existing node whose unit disagrees with t
 		// means the insert would violate the functional dependencies.
+		words := n.words()
 		for j := range w.units {
 			uu := &w.units[j]
-			if !fresh && n.words[uu.off] != colblock.Unset {
+			if !fresh && words[uu.off] != colblock.Unset {
 				for k, p := range uu.pos {
-					if n.words[uu.off+k] != scr.codes[p] {
+					if words[uu.off+k] != scr.codes[p] {
 						return fmt.Errorf("instance: insert of %v violates the functional dependencies: node %s already holds %v", t, w.name, n.UnitAt(in, uu.u))
 					}
 				}
@@ -154,7 +155,7 @@ func (in *Instance) applyInsert() (err error) {
 			}
 		}
 		key := in.scr.keyAt(lw.key)
-		parent.maps[lw.slot].Put(in.view, key, child)
+		parent.Map(lw.slot).Put(in.view, key, child)
 		child.refs++
 		if !in.cow {
 			in.undo.pushUnlink(parent, lw.slot, key, child)
@@ -182,7 +183,7 @@ func (in *Instance) writeUnits(site string) error {
 				return in.abort(ferr)
 			}
 		}
-		dst := n.words[uw.off : uw.off+uw.n]
+		dst := n.words()[uw.off : uw.off+uw.n]
 		if uw.logUndo && !in.cow {
 			in.undo.pushUnit(n, uw.off, dst)
 		}

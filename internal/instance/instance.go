@@ -14,7 +14,10 @@ package instance
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
+	"unsafe"
 
 	"repro/internal/colblock"
 	"repro/internal/decomp"
@@ -29,13 +32,22 @@ import (
 // A Node is one object of a decomposition instance: the instance v_t of a
 // decomposition variable v for one valuation t of v's bound columns. It holds
 // the data of the variable's definition as code words of the instance's
-// dictionary lineage: the columns of its unit primitives back to back in
-// words, at offsets the variable's layout fixes, and one container per map
-// primitive in maps. The variable is named by its index in the instance's
-// root-first order, so a node carries no strings and no boxed values.
+// dictionary lineage: the columns of its unit primitives back to back, at
+// offsets the variable's layout fixes, and one container per map primitive.
+// The variable is named by its index in the instance's root-first order, so
+// a node carries no strings and no boxed values.
+//
+// Node is only the object's 16-byte header. Every node is allocated
+// (allocNode) as one object of its variable's shape, layout.typ: the header,
+// then nw unit words, then nm containers — the Go counterpart of the class
+// a generated package declares per variable. Words and Map address the tail
+// from the header's counts, so a node is one heap object with no slice
+// header in it, and a clone cannot share its source's words.
 type Node struct {
-	vi   int32
-	refs int32 // number of parent map entries pointing at this node
+	vi   uint16 // the variable's walk index
+	nw   uint8  // unit words after the header
+	nm   uint8  // containers after the unit words
+	refs int32  // number of parent map entries pointing at this node
 
 	// epoch is the instance version that allocated or cloned this node.
 	// Copy-on-write applies (see cowSpine) skip nodes whose epoch matches
@@ -43,18 +55,62 @@ type Node struct {
 	// may be mutated in place, so a multi-tuple operation clones each spine
 	// node at most once. Always 0 outside versioned instances.
 	epoch uint64
+}
 
-	words []colblock.Code
-	maps  []dstruct.Words[*Node]
+// nodeHeader is the size of Node, the offset of a node's first unit word.
+const nodeHeader = unsafe.Sizeof(Node{})
+
+// wordSize is the size of one unit word in a node's tail.
+const wordSize = unsafe.Sizeof(colblock.Code(0))
+
+// The limits the header's counts put on a decomposition (CheckShape).
+const (
+	maxVars  = math.MaxUint16
+	maxWords = math.MaxUint8
+	maxMaps  = math.MaxUint8
+)
+
+// words returns the node's unit words, nil for a variable without any, so
+// no pointer is ever formed past the end of the object.
+func (n *Node) words() []colblock.Code {
+	if n.nw == 0 {
+		return nil
+	}
+	return unsafe.Slice((*colblock.Code)(unsafe.Add(unsafe.Pointer(n), nodeHeader)), n.nw)
+}
+
+// maps returns the node's containers, nil for a variable without map edges.
+func (n *Node) maps() []dstruct.Words[*Node] {
+	if n.nm == 0 {
+		return nil
+	}
+	return unsafe.Slice((*dstruct.Words[*Node])(unsafe.Add(unsafe.Pointer(n), nodeHeader+uintptr(n.nw)*wordSize)), n.nm)
 }
 
 // layout is where one variable's primitives live in its nodes, in preorder
 // of the definition: the units' columns back to back in the nWords unit
 // words (unitSlots has each unit's offset) and edge i's container at maps[i].
+// typ is the shape of the variable's node objects: the header, then
+// [nWords]colblock.Code, then [len(edges)]dstruct.Words[*Node].
 type layout struct {
 	name   string
 	nWords int
 	edges  []*decomp.MapEdge
+	typ    reflect.Type
+}
+
+// nodeType builds the shape of a node with nw unit words and nm containers.
+// A zero-length tail field is left out: a struct ending in one is padded so
+// that the field's address stays inside the object.
+func nodeType(nw, nm int) reflect.Type {
+	fields := []reflect.StructField{{Name: "H", Type: reflect.TypeFor[Node]()}}
+	if nw > 0 {
+		fields = append(fields, reflect.StructField{Name: "W", Type: reflect.ArrayOf(nw, reflect.TypeFor[colblock.Code]())})
+	}
+	if nm > 0 {
+		fields = append(fields, reflect.StructField{Name: "M", Type: reflect.ArrayOf(nm, reflect.TypeFor[dstruct.Words[*Node]]())})
+	}
+	return reflect.StructOf(fields)
 }
 
 // An Instance is one version of a decomposition instance of a particular
@@ -237,9 +293,9 @@ func (s *mutScratch) reset(nVars, nEdges int) {
 // tuple holds at the column positions pos.
 func (in *Instance) lookup(n *Node, slot int, pos []int) (*Node, bool) {
 	if len(pos) == 1 {
-		return n.maps[slot].Get1(in.view, in.scr.codes[pos[0]])
+		return n.Map(slot).Get1(in.view, in.scr.codes[pos[0]])
 	}
-	return n.maps[slot].Get(in.view, in.scr.keyAt(pos))
+	return n.Map(slot).Get(in.view, in.scr.keyAt(pos))
 }
 
 // child returns the node linkEdges[k]'s container in the plan's parent node
@@ -288,11 +344,41 @@ func (s *mutScratch) keyAt(pos []int) []colblock.Code {
 	return k
 }
 
+// CheckShape reports whether every variable of d fits a node header: at most
+// 255 unit columns and 255 map edges per variable, at most 65,535 variables.
+func CheckShape(d *decomp.Decomp) error {
+	if n := len(d.Bindings()); n > maxVars {
+		return fmt.Errorf("instance: decomposition has %d variables, a node header holds at most %d", n, maxVars)
+	}
+	for _, b := range d.Bindings() {
+		words, maps := 0, 0
+		decomp.WalkPrims(b.Def, func(p decomp.Primitive) {
+			switch p := p.(type) {
+			case *decomp.Unit:
+				words += p.Cols.Len()
+			case *decomp.MapEdge:
+				maps++
+			}
+		})
+		if words > maxWords {
+			return fmt.Errorf("instance: variable %s has %d unit columns, a node holds at most %d", b.Var, words, maxWords)
+		}
+		if maps > maxMaps {
+			return fmt.Errorf("instance: variable %s has %d map edges, a node holds at most %d", b.Var, maps, maxMaps)
+		}
+	}
+	return nil
+}
+
 // New implements dempty: it creates an instance representing the empty
 // relation, with a dictionary of its own. The decomposition should already
-// have been checked adequate for the caller's columns and FDs; New only
-// needs the FDs (for cuts).
+// have been checked adequate for the caller's columns and FDs, and its shape
+// with CheckShape — New panics on a shape the node header cannot hold; New
+// only needs the FDs (for cuts).
 func New(d *decomp.Decomp, fds fd.Set) *Instance {
+	if err := CheckShape(d); err != nil {
+		panic(err)
+	}
 	inst := &Instance{
 		lineage: &lineage{
 			dcmp:      d,
@@ -372,6 +458,7 @@ func (in *Instance) buildWalk(fullCut map[string]bool) {
 				l.edges = append(l.edges, p)
 			}
 		})
+		l.typ = nodeType(l.nWords, len(l.edges))
 	}
 	edgeIdx := make(map[*decomp.MapEdge]int)
 	for k, e := range in.dcmp.Edges() {
@@ -422,22 +509,26 @@ func (in *Instance) Root() *Node { return in.root }
 // Len returns the number of tuples represented.
 func (in *Instance) Len() int { return in.count }
 
+// allocNode allocates a zeroed node of the walk's vi-th variable, stamped
+// with the instance's version: the one allocation site of nodes.
+func (in *Instance) allocNode(vi int) *Node {
+	l := &in.layouts[vi]
+	n := (*Node)(reflect.New(l.typ).UnsafePointer())
+	n.vi, n.nw, n.nm, n.epoch = uint16(vi), uint8(l.nWords), uint8(len(l.edges)), in.ver
+	return n
+}
+
 // newNode allocates a node of the walk's vi-th variable: every unit word
 // Unset, every container empty.
 func (in *Instance) newNode(vi int) *Node {
-	l := &in.layouts[vi]
-	n := &Node{vi: int32(vi), epoch: in.ver}
-	if l.nWords > 0 {
-		n.words = make([]colblock.Code, l.nWords)
-		for i := range n.words {
-			n.words[i] = colblock.Unset
-		}
+	n := in.allocNode(vi)
+	w := n.words()
+	for i := range w {
+		w[i] = colblock.Unset
 	}
-	if len(l.edges) > 0 {
-		n.maps = make([]dstruct.Words[*Node], len(l.edges))
-		for i, e := range l.edges {
-			n.maps[i] = dstruct.NewWords[*Node](e.DS, e.Key.Len())
-		}
+	ms := n.maps()
+	for i, e := range in.layouts[vi].edges {
+		ms[i] = dstruct.NewWords[*Node](e.DS, e.Key.Len())
 	}
 	return n
 }
@@ -452,24 +543,24 @@ func (in *Instance) VarOf(n *Node) string { return in.layouts[n.vi].name }
 // Words returns the node's unit columns as stored: the unit SlotOfUnit
 // resolved to offset off holds its columns, in column order, from words[off]
 // on, each colblock.Unset until a mutation has filled the unit. The caller
-// must not modify them.
-func (n *Node) Words() []colblock.Code { return n.words }
+// must not modify them. It is nil for a variable without unit columns.
+func (n *Node) Words() []colblock.Code { return n.words() }
 
 // Map returns the container at an index resolved by SlotOfEdge.
-func (n *Node) Map(i int) dstruct.Words[*Node] { return n.maps[i] }
+func (n *Node) Map(i int) dstruct.Words[*Node] { return n.maps()[i] }
 
 // MapAt returns the data structure of node n for map edge e as a map from
 // key tuples, boxing per call; the storage paths use Map. It panics if e is
 // not a primitive of n's variable; plans are validated before execution.
 func (n *Node) MapAt(in *Instance, e *decomp.MapEdge) dstruct.Map[*Node] {
-	return dstruct.Boxed(n.maps[in.edgeSlots[e]], e.Key.Names(), in.dict, &in.view)
+	return dstruct.Boxed(n.Map(in.edgeSlots[e]), e.Key.Names(), in.dict, &in.view)
 }
 
 // UnitAt returns the tuple of node n for unit primitive u, boxed from the
 // node's words: the unit's full tuple, or the columns written so far — none,
 // for a root unit before the first insert.
 func (n *Node) UnitAt(in *Instance, u *decomp.Unit) relation.Tuple {
-	return in.boxUnit(n.words[in.unitSlots[u]:], u)
+	return in.boxUnit(n.words()[in.unitSlots[u]:], u)
 }
 
 // boxUnit boxes the leading words of w as a tuple over u's columns, skipping
@@ -580,10 +671,11 @@ func (in *Instance) present() bool {
 			}
 		}
 		scr.nodes[i] = n
+		words := n.words()
 		for j := range w.units {
 			uu := &w.units[j]
 			for k, p := range uu.pos {
-				if n.words[uu.off+k] != scr.codes[p] {
+				if words[uu.off+k] != scr.codes[p] {
 					return false
 				}
 			}
@@ -609,7 +701,7 @@ func (in *Instance) isEmptyPrim(p decomp.Primitive, n *Node) bool {
 	case *decomp.Unit:
 		return false
 	case *decomp.MapEdge:
-		return n.maps[in.edgeSlots[p]].Len() == 0
+		return n.Map(in.edgeSlots[p]).Len() == 0
 	case *decomp.Join:
 		return in.isEmptyPrim(p.Left, n) || in.isEmptyPrim(p.Right, n)
 	default:

@@ -81,7 +81,7 @@ func (in *Instance) applyRemove() (err error) {
 			}
 		}
 		k := scr.keyAt(le.keyPos)
-		if child, ok := parent.maps[le.slot].Delete(in.view, k); ok && !in.cow {
+		if child, ok := parent.Map(le.slot).Delete(in.view, k); ok && !in.cow {
 			in.undo.pushRelink(parent, le.slot, k, child)
 			in.release(child)
 		}
@@ -104,7 +104,7 @@ func (in *Instance) applyRemove() (err error) {
 					}
 				}
 				k := scr.keyAt(ue.keyPos)
-				child, ok := pn.maps[ue.slot].Delete(in.view, k)
+				child, ok := pn.Map(ue.slot).Delete(in.view, k)
 				if !ok {
 					continue
 				}
@@ -146,7 +146,7 @@ func (in *Instance) release(n *Node) {
 	if n.refs > 0 {
 		return
 	}
-	for _, m := range n.maps {
+	for _, m := range n.maps() {
 		m.Range(func(_ []colblock.Code, child *Node) bool {
 			in.release(child)
 			return true
@@ -219,6 +219,7 @@ func (in *Instance) planUpdate(t, u relation.Tuple) (err error) {
 			}
 		}
 		scr.nodes[i] = n
+		words := n.words()
 		for j := range w.units {
 			uu := &w.units[j]
 			if !uu.u.Cols.Intersects(udom) {
@@ -228,7 +229,7 @@ func (in *Instance) planUpdate(t, u relation.Tuple) (err error) {
 			// (right bias), the stored word elsewhere.
 			uw := unitWrite{wi: i, off: uu.off, src: len(scr.wbuf), n: len(uu.pos), logUndo: true}
 			for k, p := range uu.pos {
-				c := n.words[uu.off+k]
+				c := words[uu.off+k]
 				if udom.Has(in.cols[p]) {
 					c = scr.codes[p]
 				}

@@ -42,14 +42,14 @@ func (c countingWords) Delete(vw colblock.View, k []colblock.Code) (*Node, bool)
 func countLookups(in *Instance, counts map[string]*int) {
 	var wrap func(n *Node)
 	wrap = func(n *Node) {
-		for i, m := range n.maps {
+		for i, m := range n.maps() {
 			if _, done := m.(countingWords); !done {
 				e := in.layouts[n.vi].edges[i]
 				name := e.Parent + "→" + e.Target
 				if counts[name] == nil {
 					counts[name] = new(int)
 				}
-				n.maps[i] = countingWords{m, counts[name]}
+				n.maps()[i] = countingWords{m, counts[name]}
 			}
 			m.Range(func(_ []colblock.Code, child *Node) bool {
 				wrap(child)

@@ -1,8 +1,6 @@
 package instance
 
 import (
-	"unsafe"
-
 	"repro/internal/colblock"
 	"repro/internal/dstruct"
 )
@@ -48,8 +46,9 @@ func (in *Instance) EdgeStats() map[int]EdgeStat {
 		}
 		for i, e := range edges {
 			counts[e.ID].Parents++
-			counts[e.ID].Entries += n.maps[i].Len()
-			n.maps[i].Range(func(_ []colblock.Code, child *Node) bool {
+			m := n.Map(i)
+			counts[e.ID].Entries += m.Len()
+			m.Range(func(_ []colblock.Code, child *Node) bool {
 				visit(child)
 				return true
 			})
@@ -76,7 +75,7 @@ func (in *Instance) NodeCount() int {
 			return
 		}
 		seen[n] = true
-		for _, m := range n.maps {
+		for _, m := range n.maps() {
 			m.Range(func(_ []colblock.Code, child *Node) bool {
 				visit(child)
 				return true
@@ -95,8 +94,8 @@ type Stats struct {
 	Tuples int // tuples represented
 	Nodes  int // reachable node instances
 
-	NodeHeaders        int // the nodes themselves and their container arrays
-	UnitWords          int // the nodes' unit columns
+	NodeHeaders        int // the node objects but their unit words: headers, containers' interface words, size-class slack
+	UnitWords          int // the nodes' unit columns, held in the node objects
 	ContainerEntries   int // what holds key words and child pointers (dstruct.Footprint.Entries)
 	ContainerOverhead  int // container headers, group and chunk directories, towers
 	Dictionary         int // the lineage's interned values and their index
@@ -121,9 +120,10 @@ func (in *Instance) Stats() Stats {
 		}
 		seen[n] = true
 		st.Nodes++
-		st.NodeHeaders += dstruct.AllocSize(int(unsafe.Sizeof(*n))) + dstruct.AllocSize(cap(n.maps)*int(unsafe.Sizeof(n.maps[0])))
-		st.UnitWords += dstruct.AllocSize(cap(n.words) * int(unsafe.Sizeof(n.words[0])))
-		for _, m := range n.maps {
+		words := int(n.nw) * int(wordSize)
+		st.NodeHeaders += dstruct.AllocSize(int(in.layouts[n.vi].typ.Size())) - words
+		st.UnitWords += words
+		for _, m := range n.maps() {
 			fp := m.Footprint()
 			st.ContainerEntries += fp.Entries
 			st.ContainerOverhead += fp.Overhead

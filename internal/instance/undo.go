@@ -98,12 +98,12 @@ func (u *undoLog) rollback(vw colblock.View) (err error) {
 		w := u.words[e.woff : e.woff+e.cnt]
 		switch e.kind {
 		case undoUnit:
-			copy(e.n.words[e.slot:], w)
+			copy(e.n.words()[e.slot:], w)
 		case undoUnlink:
-			e.n.maps[e.slot].Delete(vw, w)
+			e.n.Map(e.slot).Delete(vw, w)
 			e.child.refs--
 		case undoRelink:
-			e.n.maps[e.slot].Put(vw, w, e.child)
+			e.n.Map(e.slot).Put(vw, w, e.child)
 		case undoRef:
 			e.n.refs++
 		}

@@ -12,12 +12,6 @@ package instance
 // tracking or reader registration, which is what lets a streaming query
 // callback mutate the relation it is iterating without deadlock.
 
-import (
-	"slices"
-
-	"repro/internal/dstruct"
-)
-
 // BeginVersion forks an unpublished successor version of the instance. The
 // fork is a new header — root, count, view, version stamp and flags — over
 // the same lineage: the layouts, the dictionary and the per-mutation scratch
@@ -46,23 +40,24 @@ func (in *Instance) Version() uint64 { return in.ver }
 // made by BeginVersion, false on directly-mutated instances.
 func (in *Instance) COW() bool { return in.cow }
 
-// cowNode clones one node: the unit words are copied with it — the clone's
-// are about to be written, the original's belong to a published version —
-// maps are forked with Clone (shared substructure, copied lazily on write),
-// and the clone is stamped with the mutating version's epoch.
+// cowNode clones one node into a new object of its variable's shape: the
+// unit words are copied with it — the clone's are about to be written, the
+// original's belong to a published version — maps are forked with Clone
+// (shared substructure, copied lazily on write), and the clone is stamped
+// with the mutating version's epoch.
 //
 //relvet:role=clone
 func (in *Instance) cowNode(n *Node) *Node {
-	c := &Node{vi: n.vi, refs: n.refs, epoch: in.ver, words: slices.Clone(n.words)}
-	if len(n.maps) > 0 {
-		c.maps = make([]dstruct.Words[*Node], len(n.maps))
-		for i, m := range n.maps {
-			c.maps[i] = m.Clone()
-		}
+	c := in.allocNode(int(n.vi))
+	c.refs = n.refs
+	copy(c.words(), n.words())
+	cm := c.maps()
+	for i, m := range n.maps() {
+		cm[i] = m.Clone()
 	}
 	if in.met != nil {
 		in.met.CowNodeClones.Add(1)
-		in.met.CowMapClones.Add(uint64(len(n.maps)))
+		in.met.CowMapClones.Add(uint64(n.nm))
 	}
 	return c
 }
@@ -108,7 +103,7 @@ func (in *Instance) cowSpine() error {
 					return in.abort(ferr)
 				}
 			}
-			pn.maps[ue.slot].Put(in.view, scr.keyAt(ue.keyPos), c)
+			pn.Map(ue.slot).Put(in.view, scr.keyAt(ue.keyPos), c)
 			scr.edges[k] = c
 		}
 	}

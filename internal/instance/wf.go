@@ -79,7 +79,7 @@ func (c *wfChecker) checkPrim(p decomp.Primitive, n *Node, bt relation.Tuple) er
 	case *decomp.Unit:
 		// Rule WFUNIT: dom t = C, every column a word the dictionary decodes.
 		off := c.in.unitSlots[p]
-		for _, w := range n.words[off : off+p.Cols.Len()] {
+		for _, w := range n.words()[off : off+p.Cols.Len()] {
 			if w != colblock.Unset && !c.in.view.Valid(w) {
 				return fmt.Errorf("instance: unit of %s holds a word %x its dictionary cannot decode", c.in.VarOf(n), w)
 			}
@@ -94,7 +94,7 @@ func (c *wfChecker) checkPrim(p decomp.Primitive, n *Node, bt relation.Tuple) er
 		// the child's relation, and the child is well-formed.
 		var err error
 		names := p.Key.Names()
-		n.maps[c.in.edgeSlots[p]].Range(func(kw []colblock.Code, child *Node) bool {
+		n.Map(c.in.edgeSlots[p]).Range(func(kw []colblock.Code, child *Node) bool {
 			c.refs[child]++
 			vals := make([]value.Value, len(kw))
 			for i, w := range kw {

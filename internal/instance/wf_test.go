@@ -54,7 +54,7 @@ func codes(vs ...int64) []colblock.Code {
 
 func mustChild(t *testing.T, in *Instance, n *Node, slot int, key ...int64) *Node {
 	t.Helper()
-	c, ok := n.maps[slot].Get(in.view, codes(key...))
+	c, ok := n.Map(slot).Get(in.view, codes(key...))
 	if !ok {
 		t.Fatalf("no child of %s in map %d for key %v", in.VarOf(n), slot, key)
 	}
@@ -84,7 +84,7 @@ func TestCheckWFDetectsCorruption(t *testing.T) {
 		{
 			name: "unit disagrees with its declared columns",
 			corrupt: func(t *testing.T, in *Instance, w *Node) {
-				w.words[0] = colblock.Unset // the cpu unit binds nothing
+				w.words()[0] = colblock.Unset // the cpu unit binds nothing
 			},
 			want: "unit of w holds",
 		},
@@ -92,8 +92,8 @@ func TestCheckWFDetectsCorruption(t *testing.T) {
 			name: "dangling edge with a wrong-domain key",
 			corrupt: func(t *testing.T, in *Instance, w *Node) {
 				y := mustChild(t, in, in.root, 0, 1)
-				y.maps[0].Put(in.view, []colblock.Code{colblock.Unset}, w) // a key that binds no pid
-				w.refs++                                                   // keep the refcount consistent so the key domain is the violation
+				y.Map(0).Put(in.view, []colblock.Code{colblock.Unset}, w) // a key that binds no pid
+				w.refs++                                                  // keep the refcount consistent so the key domain is the violation
 			},
 			want: "edge y→w has key",
 		},
@@ -101,7 +101,7 @@ func TestCheckWFDetectsCorruption(t *testing.T) {
 			name: "dangling edge reaching a shared node with the wrong valuation",
 			corrupt: func(t *testing.T, in *Instance, w *Node) {
 				y := mustChild(t, in, in.root, 0, 1)
-				y.maps[0].Put(in.view, codes(9), w)
+				y.Map(0).Put(in.view, codes(9), w)
 				w.refs++
 			},
 			want: "shared node w reached with valuations",
@@ -110,7 +110,7 @@ func TestCheckWFDetectsCorruption(t *testing.T) {
 			name: "join side missing a tuple (dangling join)",
 			corrupt: func(t *testing.T, in *Instance, w *Node) {
 				z := mustChild(t, in, in.root, 1, paperex.StateS)
-				z.maps[0].Delete(in.view, codes(1, 1))
+				z.Map(0).Delete(in.view, codes(1, 1))
 				w.refs-- // the deleted entry held one of w's references
 			},
 			want: "has dangling tuples",

@@ -7,7 +7,7 @@
 # may name what a later PR deleted), PAPERS.md and SNIPPETS.md (retrieved
 # text), and bench/ (frozen by BENCHMARK.json).
 #
-# It also fails when DESIGN.md outgrows its size ceiling, 1,794 lines: the
+# It also fails when DESIGN.md outgrows its size ceiling, 1,767 lines: the
 # length it had when the ceiling was set, so the document can only shrink.
 # The target is 800 lines (ROADMAP item 8); lower the ceiling as it shrinks.
 set -euo pipefail
@@ -41,7 +41,7 @@ check 'make target' "$targets" '`make [a-z0-9-]+'
 # of a Go doc comment.
 check 'paperbench subcommand' "$subcommands" '(`|run \./cmd/|^//	)paperbench [a-z][a-z0-9]*'
 
-design_ceiling=1794
+design_ceiling=1767
 if (( $(wc -l <DESIGN.md) > design_ceiling )); then
 	echo "docs-check: DESIGN.md has $(wc -l <DESIGN.md) lines, over its ceiling of $design_ceiling"
 	fail=1
