@@ -56,7 +56,7 @@ ci-race: vet build race
 	$(GO) test -race -count 1 -run 'ExhaustiveWALSharded|WALRecovery' ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'PartitionPrefix|ReplResubscribe|ReplCatchUpBatch|SnapshotCutIsExact|CloseRacesPin' ./internal/repl ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'EngineCorpus|EngineCleanOnModule' ./internal/vet
-	$(GO) test -race -count 1 -run 'Clone|FirstWrite|HTable' ./internal/dstruct
+	$(GO) test -race -count 1 -run 'Clone|FirstWrite|HTable|List' ./internal/dstruct
 	$(GO) test -race -count 1 ./internal/instance
 
 # The vectorized-tier gate: the randomized corpus differential (every plan
@@ -123,9 +123,11 @@ bench:
 # which must not grow with the list's length (DESIGN.md ablation 11), on
 # the Collect*/Range*Vectorized rows, which must stay a handful per call —
 # an object per row means set-valued reads are boxing tuples before they
-# know which ones survive again (ablation 13) — and on the word-keyed lookup
-# rows (ListFindWords*, HTableGetWord, ListSmall/get), which must read 0: a
-# lookup that allocates is boxing a key again (ablation 14). The last leg is
+# know which ones survive again (ablation 13) — on the word-keyed lookup
+# rows (ListFindWords*, HTableGetWord, ListSmall/*/get), which must read 0: a
+# lookup that allocates is boxing a key again (ablation 14) — and on the
+# ListSmall/*/build rows, 1 at 3 and 4 entries (the list is its header) and
+# 4 at 5 (promoted; ablation 19). The last leg is
 # one durable.Open of a 30k-commit flows log (BenchmarkOpenReplay): the
 # recovery path's quick local loop — run it at -benchtime 10x or more to
 # read replays/s, B/op and allocs/op off it — and one update through a

@@ -50,36 +50,43 @@ func BenchmarkHTableFirstWriteAfterClone(b *testing.B) {
 	}
 }
 
-// BenchmarkListSmall is the other side of the chunked layout: the
-// three-entry lists a graph decomposition is made of, which never clone and
-// only pay the directory hop. build allocates and fills one; get looks up
-// its keys in turn.
+// BenchmarkListSmall is the other side of the chunked layout: the lists of
+// one to four entries a graph decomposition is made of, which live in their
+// header and never clone. At 3 and 4 entries a list is that one object; at
+// 5 the fifth Put has promoted it to a directory and a chunk, so the rows
+// show both sides of the boundary. build allocates and fills one; get
+// looks up its keys in turn.
 func BenchmarkListSmall(b *testing.B) {
 	var vw colblock.View
-	keys := [][]colblock.Code{code1(0), code1(1), code1(2)}
 	for _, kind := range listKinds {
-		b.Run(string(kind)+"/build", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+		for _, n := range []int64{3, 4, 5} {
+			keys := make([][]colblock.Code, n)
+			for i := range keys {
+				keys[i] = code1(int64(i))
+			}
+			b.Run(fmt.Sprintf("%s/%d/build", kind, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m := NewWords[int](kind, 1)
+					for j, k := range keys {
+						m.Put(vw, k, j)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/%d/get", kind, n), func(b *testing.B) {
 				m := NewWords[int](kind, 1)
 				for j, k := range keys {
 					m.Put(vw, k, j)
 				}
-			}
-		})
-		b.Run(string(kind)+"/get", func(b *testing.B) {
-			m := NewWords[int](kind, 1)
-			for j, k := range keys {
-				m.Put(vw, k, j)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := m.Get(vw, keys[i%len(keys)]); !ok {
-					b.Fatal("key missing")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, ok := m.Get(vw, keys[i%len(keys)]); !ok {
+						b.Fatal("key missing")
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

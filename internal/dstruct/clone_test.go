@@ -132,16 +132,8 @@ func wordsDict(m Map[int]) *colblock.Dict {
 	return nil
 }
 
-// listOf returns the chunked body of a list kind, nil for any other.
-func listOf(m Map[int]) *list[int] {
-	switch l := wordsOf(m).(type) {
-	case *DList[int]:
-		return &l.list
-	case *SList[int]:
-		return &l.list
-	}
-	return nil
-}
+// listOf returns the body of a list kind, nil for any other.
+func listOf(m Map[int]) *list[int] { return bareList(wordsOf(m)) }
 
 // diffContents runs per live copy per step of the differential; its buffers
 // are reused across calls.
@@ -158,19 +150,23 @@ func sameContents(t *testing.T, kind Kind, label string, m Map[int], want *refMa
 	}
 }
 
-// cloneSpans returns the key-range scales the clone tests run kind at: every
-// kind at 1, the list kinds also at a scale whose key range fills ten
-// chunks, so directory copies, chunk copies, merges and dropped chunks all
-// happen with clones alive, and the hash table at one whose copies grow to
-// 16 groups and more, then empty and refill, under clones.
+// cloneSpans returns the key-range scales the clone tests run kind at, in
+// sixteenths: every kind at 16 (the base key range), the list kinds also at
+// 1 and 2, whose key ranges keep lists crossing the four-entry boundary of
+// the header under live clones — built small and promoted on both sides of
+// a Clone, copies cycling between none and seven entries and demoted by the
+// Clones taken of them — and at one whose key range fills ten chunks, so
+// directory copies, chunk copies, merges and dropped chunks all happen with
+// clones alive, and the hash table at one whose copies grow to 16 groups
+// and more, then empty and refill, under clones.
 func cloneSpans(kind Kind) []int64 {
 	switch {
 	case slices.Contains(listKinds, kind):
-		return []int64{1, 10 * listChunkCap / 64}
+		return []int64{1, 2, 16, 16 * 10 * listChunkCap / 64}
 	case kind == HTableKind:
-		return []int64{1, 16 * htSlots / 64}
+		return []int64{16, 16 * 16 * htSlots / 64}
 	}
-	return []int64{1}
+	return []int64{16}
 }
 
 // TestCloneIndependence mutates the receiver after cloning and the clone
@@ -179,8 +175,9 @@ func cloneSpans(kind Kind) []int64 {
 func TestCloneIndependence(t *testing.T) {
 	for _, kind := range AllKinds() {
 		for _, s := range cloneSpans(kind) {
+			sc := func(x int64) int64 { return x * s / 16 }
 			m := New[int](kind)
-			for i := int64(0); i < 64*s; i++ {
+			for i := int64(0); i < sc(64); i++ {
 				m.Put(key1(i), int(i))
 			}
 			before := refOf(m)
@@ -193,23 +190,23 @@ func TestCloneIndependence(t *testing.T) {
 
 			// Mutate the receiver: overwrites, deletes, and inserts that force
 			// structural churn (growth, rebalancing) over shared nodes.
-			for i := int64(0); i < 32*s; i++ {
+			for i := int64(0); i < sc(32); i++ {
 				m.Put(key1(i), int(1000+i))
 			}
-			for i := 32 * s; i < 48*s; i++ {
+			for i := sc(32); i < sc(48); i++ {
 				m.Delete(key1(i))
 			}
-			for i := 64 * s; i < 160*s; i++ {
+			for i := sc(64); i < sc(160); i++ {
 				m.Put(key1(i), int(i))
 			}
 			sameContents(t, kind, "clone/after-receiver-writes", c, before)
 
 			// Mutate the clone; the receiver's state must hold too.
 			afterRecv := refOf(m)
-			for i := 48 * s; i < 64*s; i++ {
+			for i := sc(48); i < sc(64); i++ {
 				c.Delete(key1(i))
 			}
-			for i := 200 * s; i < 264*s; i++ {
+			for i := sc(200); i < sc(264); i++ {
 				c.Put(key1(i), int(i))
 			}
 			c.Put(key1(0), -1)
@@ -219,10 +216,12 @@ func TestCloneIndependence(t *testing.T) {
 			if v, ok := c.Get(key1(0)); !ok || v != -1 {
 				t.Fatalf("%s: clone lost its own overwrite: %d %v", kind, v, ok)
 			}
-			if v, ok := c.GetByValue(key1(263 * s).ValueAt(0)); !ok || v != int(263*s) {
-				t.Fatalf("%s: clone lost its last insert under GetByValue: %d %v", kind, v, ok)
+			if last := sc(264) - 1; last > 0 {
+				if v, ok := c.GetByValue(key1(last).ValueAt(0)); !ok || v != int(last) {
+					t.Fatalf("%s: clone lost its last insert under GetByValue: %d %v", kind, v, ok)
+				}
 			}
-			if _, ok := c.Get(key1(50 * s)); ok {
+			if _, ok := c.Get(key1(sc(50))); ok && sc(50) > 0 {
 				t.Fatalf("%s: clone still holds a key it deleted", kind)
 			}
 		}
@@ -236,8 +235,9 @@ func TestCloneIndependence(t *testing.T) {
 // range, and a delete-heavy one, until it is nearly empty, so structures
 // both grow and thin out while shared (lists fill chunks, then merge and
 // drop them); once eight copies are live a new clone replaces a random one,
-// so copies keep being re-shared to the end. A step is s operations at
-// scale s, which takes a copy through several such cycles at either scale.
+// so copies keep being re-shared to the end. A step is s/16 operations (at
+// least one) at scale s, which takes a copy through several such cycles at
+// any scale.
 func TestCloneChainsDifferential(t *testing.T) {
 	for _, kind := range AllKinds() {
 		for _, s := range cloneSpans(kind) {
@@ -247,9 +247,9 @@ func TestCloneChainsDifferential(t *testing.T) {
 				o         *refMap
 				shrinking bool
 			}
-			span := int(100 * s)
+			span, per := int(100*s/16), max(s/16, 1)
 			live := []*pair{{m: New[int](kind), o: newRefMap()}}
-			for step := 0; step < int(2000*s); step++ {
+			for step := 0; step < int(2000*s/16); step++ {
 				p := live[rng.Intn(len(live))]
 				switch n := len(p.o.order); {
 				case n >= 3*span/5:
@@ -259,13 +259,13 @@ func TestCloneChainsDifferential(t *testing.T) {
 				}
 				switch op := rng.Intn(10); {
 				case op < 2, !p.shrinking && op < 6:
-					for i := int64(0); i < s; i++ {
+					for i := int64(0); i < per; i++ {
 						k, v := int64(rng.Intn(span)), rng.Intn(1<<20)
 						p.m.Put(key1(k), v)
 						p.o.put(k, v)
 					}
 				case op < 8:
-					for i := int64(0); i < s; i++ {
+					for i := int64(0); i < per; i++ {
 						k := int64(rng.Intn(span))
 						if len(p.o.order) > 0 && rng.Intn(4) > 0 {
 							k = p.o.order[rng.Intn(len(p.o.order))]

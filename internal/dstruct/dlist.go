@@ -14,35 +14,51 @@ import (
 // entries.
 const listChunkCap = 32
 
-// listFirstCap is the capacity a list's first chunk starts with. Most lists
-// a decomposition builds hold a handful of entries, so the first chunk
-// starts small and doubles; later chunks are allocated full.
+// listFirstCap is the least capacity a list's first chunk starts with; a
+// list promoted from its header takes room for twice the entries it held.
+// The first chunk doubles from there; later chunks are allocated full.
 const listFirstCap = 4
 
+// listSmall is how many key words a list holds in its header before it has
+// a chunk directory: four entries at arity one, two at arity two, one at
+// arity three or four, none above. The lists a graph decomposition hangs off
+// every node hold one to four entries, and four words make such a list one
+// 112-byte object; eight would make the header 176 bytes, what the header,
+// directory and first chunk cost together before.
+const listSmall = 4
+
 // list is the body DList and SList share: an unordered sequence of key/value
-// entries kept in insertion order in chunks of at most listChunkCap entries,
+// entries kept in insertion order. A small list (dir == nil) holds at most
+// listSmall/arity entries in its header, keys strided in sk exactly as in a
+// chunk, values in sv. The Put that overflows them promotes the list: its
+// entries move into a first chunk and sv is cleared, so the header pins no
+// value. Past that, entries live in chunks of at most listChunkCap entries
 // with a directory of chunk headers over them. A chunk holds its keys
 // strided — arity words per entry, back to back in one pointer-free array —
 // beside the array of values, so lookup and delete-by-key are a scan over
-// dense words; insertion appends to the last chunk.
+// dense words; insertion appends to the last chunk. Delete never demotes a
+// list in place; a Clone demotes its copy (see clone).
 //
-// Copy-on-write state has HTable's shape, a shared directory over chunks
-// that each side copies the first time it writes them, with an owner token
-// per chunk where HTable keeps a flag in the directory entry. A chunk is
-// writable in place iff its owner token is the list's; Clone hands both
+// A small list shares nothing: Clone copies it with the header. A chunked
+// list's copy-on-write state has HTable's shape, a shared directory over
+// chunks that each side copies the first time it writes them, with an owner
+// token per chunk where HTable keeps a flag in the directory entry. A chunk
+// is writable in place iff its owner token is the list's; Clone hands both
 // sides fresh tokens and marks the directory shared, so the first write of
 // either side copies the directory plus the one chunk it changes and leaves
-// every other chunk shared. Before any Clone all tokens are nil, nil == nil, and writes
-// mutate in place at no extra cost. Readers (Get, Range, AppendEntries) never
-// touch the tokens or the flag, so a frozen version may be read while it is
-// being cloned.
+// every other chunk shared. Before any Clone all tokens are nil, nil == nil,
+// and writes mutate in place at no extra cost. Readers (Get, Range,
+// AppendEntries) never touch the tokens or the flag, so a frozen version may
+// be read while it is being cloned.
 //
 // Directory invariants (checkInvariant): no chunk is empty, and every
 // adjacent pair of chunks holds more than listChunkCap/2 entries together —
 // Delete merges a pair that no longer does — so the directory is never
 // longer than 4·n/listChunkCap + 2 however the list is churned. A directory
 // that changes shape is replaced, never shifted in place, whether or not a
-// Clone shares it: a Range in progress may keep the one it started on.
+// Clone shares it: a Range in progress may keep the one it started on. A
+// directory emptied by Delete is an empty slice, never nil: the list stays
+// chunked.
 type list[V any] struct {
 	dir []listChunk[V]
 	n   int
@@ -50,14 +66,17 @@ type list[V any] struct {
 	owner     *listOwner
 	arity     int32
 	sharedDir bool // dir's backing array is shared with a Clone
+
+	sk [listSmall]colblock.Code
+	sv [listSmall]V
 }
 
 type listOwner struct{ _ byte }
 
 // listChunk is a directory slot: len(vals) entries, entry i's key in
-// keys[i*arity:(i+1)*arity]. Chunks live in the directory by value: the
-// lists a graph decomposition builds average under four entries, and a
-// pointer hop per chunk costs those more than the wider directory copy costs
+// keys[i*arity:(i+1)*arity]. Chunks live in the directory by value: a list
+// only has a directory once it outgrows its header, and a pointer hop per
+// chunk would cost its lookups more than the wider directory copy costs
 // long lists.
 type listChunk[V any] struct {
 	keys  []colblock.Code
@@ -71,7 +90,21 @@ func (l *list[V]) Arity() int { return int(l.arity) }
 // Len returns the number of entries.
 func (l *list[V]) Len() int { return l.n }
 
-// find returns the chunk and offset of k's entry, or -1.
+// findSmall returns the ordinal of k's entry in a small list, or -1.
+func (l *list[V]) findSmall(k []colblock.Code) int {
+	if l.arity == 1 {
+		return slices.Index(l.sk[:l.n], k[0])
+	}
+	a := int(l.arity)
+	for i := range l.n {
+		if off := i * a; l.sk[off] == k[0] && slices.Equal(l.sk[off+1:off+a], k[1:]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// find returns the chunk and offset of k's entry in a chunked list, or -1.
 func (l *list[V]) find(k []colblock.Code) (int, int) {
 	if l.arity == 1 {
 		return l.find1(k[0])
@@ -102,7 +135,11 @@ func (l *list[V]) find1(k colblock.Code) (int, int) {
 
 // Get returns the value for k.
 func (l *list[V]) Get(_ colblock.View, k []colblock.Code) (V, bool) {
-	if ci, i := l.find(k); ci >= 0 {
+	if l.dir == nil {
+		if i := l.findSmall(k); i >= 0 {
+			return l.sv[i], true
+		}
+	} else if ci, i := l.find(k); ci >= 0 {
 		return l.dir[ci].vals[i], true
 	}
 	var zero V
@@ -112,7 +149,11 @@ func (l *list[V]) Get(_ colblock.View, k []colblock.Code) (V, bool) {
 // Get1 is the single-column-key point lookup: a linear scan over the key
 // words.
 func (l *list[V]) Get1(_ colblock.View, k colblock.Code) (V, bool) {
-	if ci, i := l.find1(k); ci >= 0 {
+	if l.dir == nil {
+		if i := slices.Index(l.sk[:l.n], k); i >= 0 {
+			return l.sv[i], true
+		}
+	} else if ci, i := l.find1(k); ci >= 0 {
 		return l.dir[ci].vals[i], true
 	}
 	var zero V
@@ -168,7 +209,19 @@ func (l *list[V]) ownChunk(ci int) *listChunk[V] {
 // Put inserts or replaces the value for k; a new key goes after every
 // existing entry, a replaced one keeps its position.
 func (l *list[V]) Put(_ colblock.View, k []colblock.Code, v V) {
-	if ci, i := l.find(k); ci >= 0 {
+	if l.dir == nil {
+		if i := l.findSmall(k); i >= 0 {
+			l.sv[i] = v
+			return
+		}
+		if a := int(l.arity); (l.n+1)*a <= listSmall {
+			copy(l.sk[l.n*a:], k)
+			l.sv[l.n] = v
+			l.n++
+			return
+		}
+		l.promote()
+	} else if ci, i := l.find(k); ci >= 0 {
 		l.ownChunk(ci).vals[i] = v
 		return
 	}
@@ -194,11 +247,35 @@ func (l *list[V]) Put(_ colblock.View, k []colblock.Code, v V) {
 	c.keys, c.vals = append(c.keys, k...), append(c.vals, v)
 }
 
-// Delete removes k by scanning for it.
+// promote moves a small list's entries into a first chunk with room for
+// twice as many (listFirstCap at least) and clears sv, so the header pins
+// no value the list no longer holds there.
+func (l *list[V]) promote() {
+	c := l.newChunk(max(2*l.n, listFirstCap))
+	c.keys = append(c.keys, l.sk[:l.n*int(l.arity)]...)
+	c.vals = append(c.vals, l.sv[:l.n]...)
+	l.sv = [listSmall]V{}
+	l.dir = []listChunk[V]{c}
+}
+
+// Delete removes k by scanning for it. A small list closes the gap in its
+// header.
 func (l *list[V]) Delete(_ colblock.View, k []colblock.Code) (V, bool) {
+	var zero V
+	if l.dir == nil {
+		i := l.findSmall(k)
+		if i < 0 {
+			return zero, false
+		}
+		a, val := int(l.arity), l.sv[i]
+		copy(l.sk[i*a:], l.sk[(i+1)*a:l.n*a])
+		copy(l.sv[i:], l.sv[i+1:l.n])
+		l.n--
+		l.sv[l.n] = zero
+		return val, true
+	}
 	ci, i := l.find(k)
 	if ci < 0 {
-		var zero V
 		return zero, false
 	}
 	a := int(l.arity)
@@ -248,7 +325,8 @@ func (l *list[V]) Delete(_ colblock.View, k []colblock.Code) (V, bool) {
 	}
 	// The directory changes shape: it is replaced, and a merged chunk is a
 	// fresh pair of arrays, so whoever still holds the old directory (a
-	// clone, a Range in progress) sees it exactly as it was.
+	// clone, a Range in progress) sees it exactly as it was. make never
+	// returns nil, so a list emptied here stays chunked.
 	dir := append(make([]listChunk[V], 0, len(l.dir)-1), l.dir[:lo]...)
 	if merged != nil {
 		dir = append(dir, *merged)
@@ -257,12 +335,27 @@ func (l *list[V]) Delete(_ colblock.View, k []colblock.Code) (V, bool) {
 	return val, true
 }
 
-// clone returns an independent list sharing the directory and every chunk
-// with the receiver; both sides take fresh owner tokens, so each copies the
-// directory and the chunks it later writes.
+// clone returns an independent list. A small list is copied with its
+// header. A chunked list that fits in a header is copied into a small one,
+// the receiver untouched. Any longer list shares the directory and every
+// chunk with the receiver; both sides take fresh owner tokens, so each
+// copies the directory and the chunks it later writes.
 //
 //relvet:role=clone
 func (l *list[V]) clone() list[V] {
+	if l.dir == nil {
+		return *l
+	}
+	a := int(l.arity)
+	if l.n*a <= listSmall {
+		c := list[V]{n: l.n, arity: l.arity}
+		i := 0
+		for ci := range l.dir {
+			copy(c.sk[i*a:], l.dir[ci].keys)
+			i += copy(c.sv[i:], l.dir[ci].vals)
+		}
+		return c
+	}
 	l.owner = new(listOwner)
 	l.sharedDir = true
 	c := *l
@@ -270,15 +363,47 @@ func (l *list[V]) clone() list[V] {
 	return c
 }
 
+// entry returns the key words and value at ordinal i of a small list.
+func (l *list[V]) entry(i int) ([]colblock.Code, V) {
+	a := int(l.arity)
+	return l.sk[i*a : (i+1)*a : (i+1)*a], l.sv[i]
+}
+
+// listAt returns the chunk and offset of the entry with ordinal pos in dir;
+// past the last entry the chunk is len(dir).
+func listAt[V any](dir []listChunk[V], pos int) (int, int) {
+	ci := 0
+	for ci < len(dir) && pos >= len(dir[ci].vals) {
+		pos -= len(dir[ci].vals)
+		ci++
+	}
+	return ci, pos
+}
+
 // rangeForward visits entries oldest-first. The callback may delete the
-// entry being visited, which moves every later entry (a shift within the
-// chunk, a merge, a dropped chunk): a change in Len says so, and the walk
-// finds its place again in the live directory by counting — the deleted
-// entry's successor has the ordinal the deleted entry had.
+// entry being visited, which moves every later entry (a shift in the header
+// or within the chunk, a merge, a dropped chunk): a change in Len says so,
+// and the walk finds its place again by counting — the deleted entry's
+// successor has the ordinal the deleted entry had. A small list is walked
+// on its live header; an insert that promotes it moves the walk to the
+// directory at the same ordinal.
 func (l *list[V]) rangeForward(f func(k []colblock.Code, v V) bool) {
+	pos := 0
+	for l.dir == nil {
+		if pos >= l.n {
+			return
+		}
+		n := l.n
+		if !f(l.entry(pos)) {
+			return
+		}
+		if l.n >= n { // a delete moved the successor to pos
+			pos++
+		}
+	}
 	a := int(l.arity)
 	dir, n := l.dir, l.n
-	for ci, i, pos := 0, 0, 0; ci < len(dir); {
+	for ci, i := listAt(dir, pos); ci < len(dir); {
 		c := &dir[ci]
 		if i >= len(c.vals) {
 			ci, i = ci+1, 0
@@ -295,30 +420,50 @@ func (l *list[V]) rangeForward(f func(k []colblock.Code, v V) bool) {
 			pos++
 		}
 		dir, n = l.dir, l.n
-		for ci, i = 0, pos; ci < len(dir) && i >= len(dir[ci].vals); ci++ {
-			i -= len(dir[ci].vals)
-		}
+		ci, i = listAt(dir, pos)
 	}
 }
 
-// rangeBackward visits entries newest-first on the directory it started
-// with. Deleting the visited entry only moves entries already visited, and
-// Delete never reshapes a directory in place.
+// rangeBackward visits entries newest-first. Deleting the visited entry
+// only moves entries already visited, so a small list is walked down its
+// live header, and a chunked one on the directory the walk reached it with:
+// Delete never reshapes a directory in place. An insert that promotes a
+// small list leaves every older entry at its ordinal, in the first chunk.
 func (l *list[V]) rangeBackward(f func(k []colblock.Code, v V) bool) {
+	pos := l.n - 1
+	for ; l.dir == nil; pos-- {
+		if pos < 0 {
+			return
+		}
+		if !f(l.entry(pos)) {
+			return
+		}
+	}
+	if pos < 0 {
+		return
+	}
 	a := int(l.arity)
 	dir := l.dir
-	for ci := len(dir) - 1; ci >= 0; ci-- {
+	ci, i := listAt(dir, pos)
+	for ; ci >= 0; ci-- {
 		c := &dir[ci]
-		for i := len(c.vals) - 1; i >= 0; i-- {
+		for ; i >= 0; i-- {
 			if !f(c.keys[i*a:(i+1)*a:(i+1)*a], c.vals[i]) {
 				return
 			}
 		}
+		if ci > 0 {
+			i = len(dir[ci-1].vals) - 1
+		}
 	}
 }
 
-// checkInvariant verifies the directory invariants; used by tests.
+// checkInvariant verifies that a small list fits its header and that a
+// chunked one keeps the directory invariants; used by tests.
 func (l *list[V]) checkInvariant() bool {
+	if l.dir == nil {
+		return l.n >= 0 && l.n*int(l.arity) <= listSmall && l.owner == nil && !l.sharedDir
+	}
 	n := 0
 	for ci, c := range l.dir {
 		if len(c.vals) == 0 || len(c.vals) > listChunkCap || len(c.keys) != len(c.vals)*int(l.arity) {
@@ -332,10 +477,17 @@ func (l *list[V]) checkInvariant() bool {
 	return n == l.n && len(l.dir) <= 4*l.n/listChunkCap+2
 }
 
-// Footprint counts the chunks' key and value arrays as entries and the
-// header and chunk directory as overhead.
+// Footprint counts the header as overhead, except that a small list's
+// inline arrays are its entries; a chunked list's entries are its chunks'
+// key and value arrays, and its chunk directory is overhead too.
 func (l *list[V]) Footprint() Footprint {
-	fp := Footprint{Overhead: AllocSize(sizeOf[list[V]]()) + AllocSize(cap(l.dir)*sizeOf[listChunk[V]]())}
+	fp := Footprint{Overhead: AllocSize(sizeOf[list[V]]())}
+	if l.dir == nil {
+		inline := listSmall * (wordBytes + sizeOf[V]())
+		fp.Entries, fp.Overhead = inline, fp.Overhead-inline
+		return fp
+	}
+	fp.Overhead += AllocSize(cap(l.dir) * sizeOf[listChunk[V]]())
 	for i := range l.dir {
 		fp.Entries += codesBytes(l.dir[i].keys) + AllocSize(cap(l.dir[i].vals)*sizeOf[V]())
 	}
@@ -345,7 +497,8 @@ func (l *list[V]) Footprint() Footprint {
 // DList is the doubly-linked-list role of the paper's library (the container
 // every process of a state hangs off in Figure 2): an unordered list that
 // iterates in insertion order. Lookup and delete-by-key are O(n), insertion
-// is O(1), and Clone is O(1) — see list for the chunked copy-on-write body.
+// is O(1), and Clone is O(1) — see list for the header a small list lives
+// in and the chunked copy-on-write body of a longer one.
 type DList[V any] struct{ list[V] }
 
 // NewDList returns an empty list iterating in insertion order.
@@ -354,7 +507,8 @@ func NewDList[V any](arity int) *DList[V] { return &DList[V]{list[V]{arity: int3
 // Kind returns DListKind.
 func (l *DList[V]) Kind() Kind { return DListKind }
 
-// Clone returns an independent list sharing every chunk with the receiver.
+// Clone returns an independent list: a copy of a list that fits in a header,
+// otherwise one sharing every chunk with the receiver.
 //
 //relvet:role=clone
 func (l *DList[V]) Clone() Words[V] { return &DList[V]{l.list.clone()} }
@@ -365,6 +519,9 @@ func (l *DList[V]) Range(f func(k []colblock.Code, v V) bool) { l.rangeForward(f
 
 // AppendEntries appends entries in insertion order (Range order).
 func (l *DList[V]) AppendEntries(ks []colblock.Code, vs []V) ([]colblock.Code, []V) {
+	if l.dir == nil {
+		return append(ks, l.sk[:l.n*int(l.arity)]...), append(vs, l.sv[:l.n]...)
+	}
 	for ci := range l.dir {
 		ks = append(ks, l.dir[ci].keys...)
 		vs = append(vs, l.dir[ci].vals...)
@@ -383,7 +540,8 @@ func NewSList[V any](arity int) *SList[V] { return &SList[V]{list[V]{arity: int3
 // Kind returns SListKind.
 func (l *SList[V]) Kind() Kind { return SListKind }
 
-// Clone returns an independent list sharing every chunk with the receiver.
+// Clone returns an independent list: a copy of a list that fits in a header,
+// otherwise one sharing every chunk with the receiver.
 //
 //relvet:role=clone
 func (l *SList[V]) Clone() Words[V] { return &SList[V]{l.list.clone()} }
@@ -394,6 +552,13 @@ func (l *SList[V]) Range(f func(k []colblock.Code, v V) bool) { l.rangeBackward(
 
 // AppendEntries appends entries newest-first (Range order).
 func (l *SList[V]) AppendEntries(ks []colblock.Code, vs []V) ([]colblock.Code, []V) {
+	if l.dir == nil {
+		for i := l.n - 1; i >= 0; i-- {
+			k, v := l.entry(i)
+			ks, vs = append(ks, k...), append(vs, v)
+		}
+		return ks, vs
+	}
 	a := int(l.arity)
 	for ci := len(l.dir) - 1; ci >= 0; ci-- {
 		c := &l.dir[ci]
