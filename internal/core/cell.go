@@ -6,10 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/decomp"
-	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -23,119 +20,25 @@ import (
 // is no rollback to run and nothing to poison; superseded versions are
 // reclaimed by the garbage collector once the last reader lets go.
 //
-// Every tier is built from cells: a SyncRelation is one, a
-// ShardedRelation is a router over many, and a DurableRelation is either
-// with a write-ahead log attached to each cell. Live mutations, crash
-// recovery and follower apply all run the bodies below, so the atomicity
-// and WAL-ordering arguments are made once, in commit.
-//
-// The padding keeps neighbouring shards' write-path state off one cache
-// line.
+// Every tier is the engine body over cells (see engine). Live mutations,
+// crash recovery and follower apply all run the bodies below, so the
+// atomicity and WAL-ordering arguments are made once, in commit. The
+// padding keeps neighbouring shards' write-path state off one cache line.
 type cell struct {
 	wmu sync.Mutex               // serializes writers; readers never touch it
 	cur atomic.Pointer[Relation] // the published immutable version
 
-	// Durability is a property of the cell, off while log is nil. All three
+	// Durability is a property of the cell, off while log is nil. Both
 	// fields are guarded by wmu.
-	log    *wal.Log   // deltas are appended here before their version publishes
-	sink   CommitSink // acknowledged-delta tap (see SetCommitSink)
-	closed bool       // Close ran: the log takes no more records
+	log  *wal.Log   // deltas are appended here before their version publishes
+	sink CommitSink // acknowledged-delta tap (see SetCommitSink)
+
+	// closed is the ErrClosed fence: Close sets it under wmu, write bodies
+	// check it under wmu before they fork, and reads check it where they
+	// load their version (load), without a lock.
+	closed atomic.Bool
 
 	_ [24]byte
-}
-
-// Engine is the one relational interface every concurrent tier presents —
-// SyncRelation, ShardedRelation, and DurableRelation over either — and
-// the only thing the layers above (DurableRelation, durable.Open,
-// repl.Follower) know about the engine underneath them: the paper's
-// insert/remove/update/query operations plus the observability hooks and
-// the replay entry point. All implementations are cells underneath, which
-// is what the unexported method pins.
-type Engine interface {
-	Spec() *Spec
-
-	Insert(t relation.Tuple) error
-	InsertBatch(ts []relation.Tuple) error
-	Remove(pat relation.Tuple) (int, error)
-	Update(pat, u relation.Tuple) (int, error)
-
-	Query(pat relation.Tuple, out []string) ([]relation.Tuple, error)
-	QueryFunc(pat relation.Tuple, out []string, f func(relation.Tuple) bool) error
-	QueryRange(pat relation.Tuple, col string, lo, hi *value.Value, out []string) ([]relation.Tuple, error)
-	Len() int
-	All() ([]relation.Tuple, error)
-
-	CheckInvariants() error
-	ExplainQuery(input, output []string) (*QueryExplain, error)
-
-	// SetMetrics and SetTracer attach the observability sinks. Like the
-	// other configuration knobs, attach before the engine is shared; version
-	// forks inherit the sinks. The tracer receives events from concurrent
-	// readers and must be safe for concurrent use.
-	SetMetrics(m *obs.Metrics)
-	SetTracer(t obs.Tracer)
-	Metrics() *obs.Metrics
-
-	// ApplyCommits replays the logical deltas src hands over — tuples that
-	// need not be partitioned for this engine's layout — strictly: every
-	// removed tuple must be stored and every inserted tuple must be new. A
-	// checkpoint or bootstrap chunk is the delta {Inserted: tuples}.
-	//
-	// Records are pulled one at a time and consecutive records that route
-	// whole to the same cell share one fork and one publish, so a reader
-	// sees the state move from one exact prefix of the stream to a longer
-	// one and never anything in between; where a run ends is decided by the
-	// records, not by the caller (a record that splits across cells is
-	// applied on its own, atomically per cell). src runs with the open
-	// run's cell locked and its fork unpublished: it may read the engine,
-	// not write it. Any error — src's or a record that does not replay —
-	// drops the open fork whole, and published says how many leading
-	// records are visible to readers all the same; a panic in src
-	// propagates after the same drop. A logged cell (DurableRelation)
-	// forks, logs and publishes every record on its own: a shared fork
-	// there would put records on the log whose version never published.
-	ApplyCommits(src CommitSource) (published int, err error)
-
-	// ApplyCommit is ApplyCommits for the one record c.
-	ApplyCommit(c wal.Commit) error
-
-	// NumCells is the number of MVCC cells underneath: 1 for a
-	// SyncRelation, the shard count for a ShardedRelation.
-	NumCells() int
-	cellAt(i int) *cell
-}
-
-// NewEngine builds the MVCC engine a shard layout describes: a
-// ShardedRelation partitioned on opts.ShardKey when one is given (Shards
-// defaults to DefaultShards), a single-cell SyncRelation for the zero
-// options. A shard count without a shard key describes neither and is
-// rejected rather than quietly served from one cell.
-func NewEngine(spec *Spec, d *decomp.Decomp, opts ShardOptions) (Engine, error) {
-	if len(opts.ShardKey) > 0 {
-		sr, err := NewSharded(spec, d, opts)
-		if err != nil {
-			return nil, err
-		}
-		return sr, nil
-	}
-	if opts.Shards > 0 {
-		return nil, fmt.Errorf("core: %d shards requested without a shard key", opts.Shards)
-	}
-	r, err := New(spec, d)
-	if err != nil {
-		return nil, err
-	}
-	return NewSync(r), nil
-}
-
-// SetCheckFDs toggles per-mutation FD validation on every cell of e. Like
-// the other configuration knobs it belongs to the pre-share window: call it
-// before the engine is visible to concurrent readers, since version forks
-// inherit the flag from the version they copy.
-func SetCheckFDs(e Engine, on bool) {
-	for i := 0; i < e.NumCells(); i++ {
-		e.cellAt(i).config(func(r *Relation) { r.CheckFDs = on })
-	}
 }
 
 // errUnlogged rejects a write body that changed a logged cell without
@@ -148,14 +51,40 @@ var errUnlogged = errors.New("core: operation cannot be write-ahead logged; use 
 //relvet:role=publish
 func (c *cell) init(r *Relation) { c.cur.Store(r) }
 
-// snapshot loads the published version for one read operation, counting
-// the acquisition.
-func (c *cell) snapshot() *Relation {
-	r := c.cur.Load()
-	if r.metrics != nil {
+// load returns the published version for one operation, or false once the
+// cell's log is closed (the caller reports ErrClosed).
+func (c *cell) load() (*Relation, bool) {
+	if c.closed.Load() {
+		return nil, false
+	}
+	return c.cur.Load(), true
+}
+
+// snapshot is load for one query, counting the acquisition.
+func (c *cell) snapshot() (*Relation, bool) {
+	r, ok := c.load()
+	if ok && r.metrics != nil {
 		r.metrics.SnapReads.Add(1)
 	}
-	return r
+	return r, ok
+}
+
+// fence is the write side's ErrClosed check: write bodies run it under wmu
+// before they fork, and an empty batch runs it on its own.
+func (c *cell) fence() error {
+	if c.closed.Load() {
+		return ErrClosed
+	}
+	return nil
+}
+
+// fork begins the next version for one write operation, with wmu held, or
+// fails with ErrClosed once the cell's log is closed.
+func (c *cell) fork() (*Relation, error) {
+	if err := c.fence(); err != nil {
+		return nil, err
+	}
+	return c.cur.Load().beginVersion(), nil
 }
 
 // config applies a configuration knob to the published version under the
@@ -190,12 +119,9 @@ func (c *cell) config(set func(*Relation)) {
 //relvet:role=publish
 func (c *cell) commit(next *Relation, changed bool, delta wal.Commit, err error) error {
 	if err == nil && changed && c.log != nil {
-		switch {
-		case c.closed:
-			err = ErrClosed
-		case len(delta.Removed)+len(delta.Inserted) == 0:
+		if len(delta.Removed)+len(delta.Inserted) == 0 {
 			err = errUnlogged
-		default:
+		} else {
 			err = c.log.Append(delta)
 		}
 	}
@@ -225,7 +151,10 @@ func (c *cell) commit(next *Relation, changed bool, delta wal.Commit, err error)
 func (c *cell) insert(t relation.Tuple) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	next := c.cur.Load().beginVersion()
+	next, err := c.fork()
+	if err != nil {
+		return err
+	}
 	changed, err := next.insert(t)
 	var delta wal.Commit
 	if changed && c.log != nil {
@@ -240,7 +169,10 @@ func (c *cell) insert(t relation.Tuple) error {
 func (c *cell) remove(pat relation.Tuple) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	next := c.cur.Load().beginVersion()
+	next, err := c.fork()
+	if err != nil {
+		return 0, err
+	}
 	removed, err := next.remove(pat)
 	if err := c.commit(next, len(removed) > 0, wal.Commit{Removed: removed}, err); err != nil {
 		return 0, err
@@ -258,11 +190,13 @@ func (c *cell) remove(pat relation.Tuple) (int, error) {
 func (c *cell) update(pat, u relation.Tuple, point bool) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	next := c.cur.Load().beginVersion()
+	next, err := c.fork()
+	if err != nil {
+		return 0, err
+	}
 	var (
 		n     int
 		delta wal.Commit
-		err   error
 	)
 	if point && c.log == nil {
 		n, err = next.updatePoint(pat, u)
@@ -289,11 +223,14 @@ func (c *cell) update(pat, u relation.Tuple, point bool) (int, error) {
 // that actually changed the relation are logged.
 func (c *cell) insertBatch(ts []relation.Tuple) error {
 	if len(ts) == 0 {
-		return nil
+		return c.fence()
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	next := c.cur.Load().beginVersion()
+	next, err := c.fork()
+	if err != nil {
+		return err
+	}
 	var delta wal.Commit
 	changed := false
 	for _, t := range ts {
@@ -317,7 +254,10 @@ func (c *cell) removeBatch(pats []relation.Tuple) (int, error) {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	next := c.cur.Load().beginVersion()
+	next, err := c.fork()
+	if err != nil {
+		return 0, err
+	}
 	var delta wal.Commit
 	n := 0
 	for _, pat := range pats {
@@ -377,6 +317,9 @@ func oneCommit(c wal.Commit) CommitSource {
 func (c *cell) apply(src CommitSource) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if err := c.fence(); err != nil {
+		return 0, err
+	}
 	var (
 		published int
 		next      *Relation // the open fork; nil between versions
@@ -439,19 +382,4 @@ func replayOnto(next *Relation, d wal.Commit) error {
 		}
 	}
 	return nil
-}
-
-// explain reports the published version's explanation of a query shape,
-// stamped with the version it ran against. Lock-free like the query paths
-// it describes; plan promotion inside the cache has its own
-// synchronization.
-func (c *cell) explain(input, output []string) (*QueryExplain, error) {
-	r := c.cur.Load()
-	e, err := r.ExplainQuery(input, output)
-	if err != nil {
-		return nil, err
-	}
-	e.Snapshot = true
-	e.SnapshotVersion = r.Version()
-	return e, nil
 }

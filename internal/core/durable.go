@@ -6,19 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 
-	"repro/internal/obs"
-	"repro/internal/relation"
-	"repro/internal/value"
 	"repro/internal/wal"
 )
 
 // ErrClosed is returned by every operation on a DurableRelation that can
-// report an error, after Close. Queries fail too (only Len still
-// answers): a closed relation's logs no longer record
-// writes, so continuing to serve reads would hide the missing durability
-// from a caller holding the handle across the close.
+// report an error, after Close, and by the same operations on the engine it
+// wraps. Queries fail too (only Len still answers): a closed relation's
+// logs no longer record writes, so continuing to serve reads would hide the
+// missing durability from a caller holding the handle across the close.
 var ErrClosed = errors.New("core: durable relation is closed")
 
 // DurableRelation is the persistence tier: an MVCC engine (SyncRelation
@@ -43,14 +39,12 @@ var ErrClosed = errors.New("core: durable relation is closed")
 // writer mutex — per-shard group commit, no global ordering. Cross-shard
 // operations (fan-out removes, batches) are atomic per shard, exactly as
 // loud as the underlying tier documents, and recovery rebuilds each shard
-// cell from its own snapshot+log pair.
-//
-// Every method below is the engine's own behind an ErrClosed check:
-// queries run lock-free against published snapshots, same plans, same
-// cache, same metrics.
+// cell from its own snapshot+log pair. The query and mutation surface is
+// the wrapped engine's own body; DurableRelation adds the lifecycle below.
+// SetMetrics reaches the engine only; the logs count into the sink they
+// were opened with (wal.Config.Metrics; durable.Open passes the same one).
 type DurableRelation struct {
-	eng    Engine // its cells carry the logs: cellAt(i).log is cell i's
-	closed atomic.Bool
+	*engine // the wrapped engine's body: its cells carry the logs
 }
 
 // NewDurable attaches one write-ahead log per cell to an MVCC engine — one
@@ -58,21 +52,22 @@ type DurableRelation struct {
 // and returns the durable handle to it. The engine's current published
 // state must already be covered by the logs' snapshot/record history
 // (freshly built engines with fresh logs trivially are; recovered ones are
-// by construction in durable.Open). The logs belong to the cells, so a
-// write through the engine itself is logged just the same; what only the
-// returned handle provides is the lifecycle — Checkpoint, Sync, Close and
-// the ErrClosed fence — so keep to the handle from here on.
+// by construction in durable.Open). The logs, the durable EXPLAIN tag and
+// the ErrClosed fence belong to the cells, so the engine behaves like the
+// handle; only the handle has the lifecycle — keep to it from here on.
 func NewDurable(eng Engine, logs []*wal.Log) (*DurableRelation, error) {
-	if len(logs) != eng.NumCells() {
-		return nil, fmt.Errorf("core: durable relation needs one log per cell: %d logs for %d cells", len(logs), eng.NumCells())
+	e := eng.body()
+	if len(logs) != len(e.cells) {
+		return nil, fmt.Errorf("core: durable relation needs one log per cell: %d logs for %d cells", len(logs), len(e.cells))
 	}
 	for i, log := range logs {
-		c := eng.cellAt(i)
-		c.wmu.Lock()
-		c.log = log
-		c.wmu.Unlock()
+		c := &e.cells[i]
+		c.config(func(r *Relation) {
+			c.log = log
+			r.durable = true
+		})
 	}
-	return &DurableRelation{eng: eng}, nil
+	return &DurableRelation{e}, nil
 }
 
 // A CommitSink observes every acknowledged delta of a DurableRelation,
@@ -94,15 +89,15 @@ type CommitSink func(c wal.Commit)
 // such a stream continues from. Installing a tap on a closed relation
 // fails with ErrClosed; removing one always succeeds.
 func (d *DurableRelation) SetCommitSink(sink CommitSink) error {
-	if sink != nil && d.closed.Load() {
-		return ErrClosed
-	}
-	d.fenced(func() {
-		for i := range d.NumCells() {
-			d.cellAt(i).sink = sink
+	err := d.fenced(func() {
+		for i := range d.cells {
+			d.cells[i].sink = sink
 		}
 	})
-	return nil
+	if sink == nil {
+		return nil // Close has removed it already
+	}
+	return err
 }
 
 // Pin returns every cell's published version as of one instant of the
@@ -116,200 +111,46 @@ func (d *DurableRelation) SetCommitSink(sink CommitSink) error {
 // lock-free for as long as it likes while writers carry on. at runs with
 // the cell mutexes held: it must be brief and must not call back into the
 // relation.
-func (d *DurableRelation) Pin(at func()) ([]*Relation, error) {
-	if d.closed.Load() {
-		return nil, ErrClosed
-	}
-	versions := make([]*Relation, d.NumCells())
-	d.fenced(func() {
+func (d *DurableRelation) Pin(at func()) (versions []*Relation, err error) {
+	err = d.fenced(func() {
+		versions = make([]*Relation, len(d.cells))
 		for i := range versions {
-			versions[i] = d.cellAt(i).cur.Load()
+			versions[i] = d.cells[i].cur.Load()
 		}
 		at()
 	})
-	return versions, nil
+	return versions, err
 }
 
 // fenced runs f with every cell's writer mutex held, taken in index order:
-// no write is in flight anywhere in the relation while f runs.
-func (d *DurableRelation) fenced(f func()) {
-	for i := range d.NumCells() {
-		c := d.cellAt(i)
+// no write is in flight anywhere in the relation while f runs. On a closed
+// relation it runs nothing and returns ErrClosed.
+func (d *DurableRelation) fenced(f func()) error {
+	for i := range d.cells {
+		c := &d.cells[i]
 		c.wmu.Lock()
 		defer c.wmu.Unlock()
 	}
+	if err := d.cells[0].fence(); err != nil {
+		return err
+	}
 	f()
+	return nil
 }
-
-// Spec returns the relational specification.
-func (d *DurableRelation) Spec() *Spec { return d.eng.Spec() }
-
-// NumCells returns the number of independently logged cells: 1 for the
-// sync tier, the shard count for the sharded tier.
-func (d *DurableRelation) NumCells() int { return d.eng.NumCells() }
 
 // Log exposes cell i's write-ahead log for tests and tooling.
-func (d *DurableRelation) Log(i int) *wal.Log { return d.cellAt(i).log }
-
-func (d *DurableRelation) cellAt(i int) *cell { return d.eng.cellAt(i) }
-
-// Metrics returns the engine's metrics sink, or nil.
-func (d *DurableRelation) Metrics() *obs.Metrics { return d.eng.Metrics() }
-
-// SetMetrics attaches a metrics sink to the engine. The write-ahead logs
-// keep counting into the sink they were opened with (wal.Config.Metrics);
-// durable.Open hands both the same one.
-func (d *DurableRelation) SetMetrics(m *obs.Metrics) { d.eng.SetMetrics(m) }
-
-// SetTracer attaches a span-event tracer to the engine.
-func (d *DurableRelation) SetTracer(t obs.Tracer) { d.eng.SetTracer(t) }
-
-// Insert implements insert r t, durably: fork, mutate copy-on-write, log
-// the delta, publish. A no-op insert (tuple already present) logs
-// nothing.
-func (d *DurableRelation) Insert(t relation.Tuple) error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
-	return d.eng.Insert(t)
-}
-
-// InsertBatch inserts many tuples with one version fork and one log
-// record per touched cell: N inserts cost one commit (and one fsync under
-// SyncAlways) per cell instead of N. Only the tuples that actually
-// changed the relation are logged. Per-cell atomicity matches the
-// sharded tier: a failing cell drops its fork and logs nothing, without
-// disturbing its peers.
-func (d *DurableRelation) InsertBatch(ts []relation.Tuple) error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
-	return d.eng.InsertBatch(ts)
-}
-
-// Remove implements remove r s, durably. Every removed tuple is logged in
-// full. On the sharded tier a pattern binding the shard key removes (and
-// logs) on one shard; any other pattern fans out and each shard logs its
-// own removals on its own log.
-func (d *DurableRelation) Remove(pat relation.Tuple) (int, error) {
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
-	return d.eng.Remove(pat)
-}
-
-// Update implements the keyed dupdate, durably: the delta logged is the
-// full stored tuple replaced and the full merged tuple now stored.
-func (d *DurableRelation) Update(pat, u relation.Tuple) (int, error) {
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
-	return d.eng.Update(pat, u)
-}
-
-// ApplyCommits replays the records src hands over, durably: each strict
-// apply is logged like any other write. Unlike the unlogged engines it
-// never shares a fork between records — every applied record is one log
-// record and one published version, so the log never holds a record whose
-// version a later failure in the same run dropped.
-func (d *DurableRelation) ApplyCommits(src CommitSource) (int, error) {
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
-	return d.eng.ApplyCommits(src)
-}
-
-// ApplyCommit replays one logical delta, durably.
-func (d *DurableRelation) ApplyCommit(c wal.Commit) error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
-	return d.eng.ApplyCommit(c)
-}
-
-// Query implements query r s C against the engine's published snapshots,
-// lock-free.
-//
-//relvet:role=read
-func (d *DurableRelation) Query(pat relation.Tuple, out []string) ([]relation.Tuple, error) {
-	if d.closed.Load() {
-		return nil, ErrClosed
-	}
-	return d.eng.Query(pat, out)
-}
-
-// QueryFunc streams results from the engine, lock-free.
-//
-//relvet:role=read
-func (d *DurableRelation) QueryFunc(pat relation.Tuple, out []string, f func(relation.Tuple) bool) error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
-	return d.eng.QueryFunc(pat, out, f)
-}
-
-// QueryRange implements the order-based query against the engine.
-//
-//relvet:role=read
-func (d *DurableRelation) QueryRange(pat relation.Tuple, col string, lo, hi *value.Value, out []string) ([]relation.Tuple, error) {
-	if d.closed.Load() {
-		return nil, ErrClosed
-	}
-	return d.eng.QueryRange(pat, col, lo, hi, out)
-}
-
-// Len returns the tuple count of the published state. It is the one
-// operation that still answers after Close: it cannot report an error.
-//
-//relvet:role=read
-func (d *DurableRelation) Len() int { return d.eng.Len() }
-
-// All returns every tuple in deterministic order.
-//
-//relvet:role=read
-func (d *DurableRelation) All() ([]relation.Tuple, error) {
-	if d.closed.Load() {
-		return nil, ErrClosed
-	}
-	return d.eng.All()
-}
-
-// CheckInvariants verifies the engine's published state.
-func (d *DurableRelation) CheckInvariants() error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
-	return d.eng.CheckInvariants()
-}
-
-// ExplainQuery reports the engine's explanation with the durable tag:
-// the shape's plan, cache and routing provenance are unchanged by logging
-// (queries never touch the log), but the tag records that writes to this
-// relation are write-ahead logged.
-//
-//relvet:role=read
-func (d *DurableRelation) ExplainQuery(input, output []string) (*QueryExplain, error) {
-	if d.closed.Load() {
-		return nil, ErrClosed
-	}
-	e, err := d.eng.ExplainQuery(input, output)
-	if err != nil {
-		return nil, err
-	}
-	e.Durable = true
-	return e, nil
-}
+func (d *DurableRelation) Log(i int) *wal.Log { return d.cells[i].log }
 
 // Sync forces every cell's log to stable storage. Under wal.SyncInterval
 // this is the caller's explicit commit barrier: when Sync returns nil,
 // every previously acknowledged write is durable.
 func (d *DurableRelation) Sync() error {
-	if d.closed.Load() {
-		return ErrClosed
+	if err := d.cells[0].fence(); err != nil {
+		return err
 	}
 	var first error
-	for i := range d.NumCells() {
-		if err := d.Log(i).Sync(); err != nil && first == nil {
+	for i := range d.cells {
+		if err := d.cells[i].log.Sync(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -328,11 +169,8 @@ func (d *DurableRelation) Sync() error {
 // A failed snapshot write leaves the cell exactly as it was — old log
 // intact, old snapshots intact — so Checkpoint is always safe to retry.
 func (d *DurableRelation) Checkpoint() error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
-	for i := range d.NumCells() {
-		if err := d.cellAt(i).checkpoint(); err != nil {
+	for i := range d.cells {
+		if err := d.cells[i].checkpoint(); err != nil {
 			return fmt.Errorf("cell %d: %w", i, err)
 		}
 	}
@@ -344,8 +182,8 @@ func (d *DurableRelation) Checkpoint() error {
 func (c *cell) checkpoint() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.closed {
-		return ErrClosed
+	if err := c.fence(); err != nil {
+		return err
 	}
 	seq := c.log.LastSeq()
 	r := c.cur.Load()
@@ -406,23 +244,25 @@ func gcSnapshots(dir string, keep uint64) {
 	}
 }
 
-// Close flushes and closes every cell's log and marks the relation
-// closed; every later operation returns ErrClosed. Acquiring each cell's
-// writer mutex fences in-flight writers: once Close holds the mutex, no
-// writer can be between its log append and its publish.
+// Close flushes and closes every cell's log, removes the commit tap and
+// marks every cell closed; every later operation that can report an error
+// returns ErrClosed, on the handle and on the engine it wraps alike. Close
+// holds every cell's writer mutex, which fences in-flight writers: none can
+// be between its log append and its publish.
 func (d *DurableRelation) Close() error {
-	if d.closed.Swap(true) {
-		return ErrClosed
-	}
 	var first error
-	for i := range d.NumCells() {
-		c := d.cellAt(i)
-		c.wmu.Lock()
-		c.closed = true
-		if err := c.log.Close(); err != nil && first == nil {
-			first = err
+	err := d.fenced(func() {
+		for i := range d.cells {
+			c := &d.cells[i]
+			c.closed.Store(true)
+			c.sink = nil
+			if err := c.log.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
-		c.wmu.Unlock()
+	})
+	if err != nil {
+		return err
 	}
 	return first
 }
@@ -435,11 +275,11 @@ func (d *DurableRelation) Close() error {
 // cell i (they came from its own files, and CheckInvariants verifies routing
 // after recovery).
 func ReplayCell(e Engine, i int, src CommitSource) (int, error) {
-	return e.cellAt(i).apply(src)
+	return e.body().cells[i].apply(src)
 }
 
 // ReplayShardCommit is ReplayCell for the one record c.
-func ReplayShardCommit(e Engine, i int, c wal.Commit) error { return e.cellAt(i).applyOne(c) }
+func ReplayShardCommit(e Engine, i int, c wal.Commit) error { return e.body().cells[i].applyOne(c) }
 
 // ReplayShardedCommit is sr.ApplyCommit(c): the routed replay of a delta
 // that is not pre-partitioned for sr's layout.

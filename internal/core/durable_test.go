@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,6 +19,13 @@ import (
 // newDurableSync builds a fresh durable scheduler relation logging to
 // dir/wal.log under the given fsync policy.
 func newDurableSync(t *testing.T, dir string, policy wal.SyncPolicy) *core.DurableRelation {
+	d, _ := newDurableSyncEngine(t, dir, policy)
+	return d
+}
+
+// newDurableSyncEngine is newDurableSync returning also the engine the log
+// was attached to.
+func newDurableSyncEngine(t *testing.T, dir string, policy wal.SyncPolicy) (*core.DurableRelation, *core.SyncRelation) {
 	t.Helper()
 	log, err := wal.Create(filepath.Join(dir, "wal.log"), 1, wal.Config{Policy: policy})
 	if err != nil {
@@ -25,12 +33,13 @@ func newDurableSync(t *testing.T, dir string, policy wal.SyncPolicy) *core.Durab
 	}
 	r := core.MustNew(schedSpec(), paperex.SchedulerDecomp())
 	r.CheckFDs = true
-	d, err := core.NewDurable(core.NewSync(r), []*wal.Log{log})
+	s := core.NewSync(r)
+	d, err := core.NewDurable(s, []*wal.Log{log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	return d
+	return d, s
 }
 
 // newDurableSharded builds a fresh durable scheduler relation sharded on
@@ -395,69 +404,145 @@ func TestDurableShardedLogsPerShard(t *testing.T) {
 }
 
 // TestDurableClosed verifies every surface of both tiers reports
-// ErrClosed after Close.
+// ErrClosed after Close: the engine operations on the durable handle and
+// on the engine handed to NewDurable alike (the fence is in the cells),
+// and the lifecycle on the handle. A reflection pass holds the table to
+// the handle's method set, so a new error-returning method cannot skip
+// the fence unnoticed.
 func TestDurableClosed(t *testing.T) {
 	key := relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", 1))
 	tup := paperex.SchedulerTuple(1, 2, 0, 0)
-	ops := []struct {
-		name string
-		run  func(d *core.DurableRelation) error
-	}{
-		{"Close", func(d *core.DurableRelation) error { return d.Close() }},
-		{"Insert", func(d *core.DurableRelation) error { return d.Insert(tup) }},
-		{"InsertBatch", func(d *core.DurableRelation) error { return d.InsertBatch([]relation.Tuple{tup}) }},
-		{"Remove", func(d *core.DurableRelation) error { _, err := d.Remove(key); return err }},
-		{"Remove fan-out", func(d *core.DurableRelation) error { _, err := d.Remove(relation.NewTuple()); return err }},
-		{"Update", func(d *core.DurableRelation) error {
-			_, err := d.Update(key, relation.NewTuple(relation.BindInt("cpu", 1)))
-			return err
-		}},
-		{"ApplyCommit", func(d *core.DurableRelation) error {
-			return d.ApplyCommit(wal.Commit{Inserted: []relation.Tuple{tup}})
-		}},
-		{"Query", func(d *core.DurableRelation) error {
-			_, err := d.Query(relation.NewTuple(), []string{"ns"})
-			return err
-		}},
-		{"QueryFunc", func(d *core.DurableRelation) error {
-			return d.QueryFunc(relation.NewTuple(), []string{"ns"}, func(relation.Tuple) bool { return true })
-		}},
-		{"QueryRange", func(d *core.DurableRelation) error {
-			_, err := d.QueryRange(relation.NewTuple(), "cpu", nil, nil, []string{"ns"})
-			return err
-		}},
-		{"All", func(d *core.DurableRelation) error { _, err := d.All(); return err }},
-		{"CheckInvariants", func(d *core.DurableRelation) error { return d.CheckInvariants() }},
-		{"ExplainQuery", func(d *core.DurableRelation) error {
-			_, err := d.ExplainQuery([]string{"ns", "pid"}, []string{"cpu"})
-			return err
-		}},
-		{"Checkpoint", func(d *core.DurableRelation) error { return d.Checkpoint() }},
-		{"Sync", func(d *core.DurableRelation) error { return d.Sync() }},
+	type op[T any] struct {
+		method string // the method the op calls, for the reflection check
+		name   string
+		run    func(T) error
 	}
+	engineOps := []op[core.Engine]{
+		{"Insert", "Insert", func(e core.Engine) error { return e.Insert(tup) }},
+		{"InsertBatch", "InsertBatch", func(e core.Engine) error { return e.InsertBatch([]relation.Tuple{tup}) }},
+		{"InsertBatch", "InsertBatch empty", func(e core.Engine) error { return e.InsertBatch(nil) }},
+		{"Remove", "Remove", func(e core.Engine) error { _, err := e.Remove(key); return err }},
+		{"Remove", "Remove fan-out", func(e core.Engine) error { _, err := e.Remove(relation.NewTuple()); return err }},
+		{"Update", "Update", func(e core.Engine) error {
+			_, err := e.Update(key, relation.NewTuple(relation.BindInt("cpu", 1)))
+			return err
+		}},
+		{"ApplyCommit", "ApplyCommit", func(e core.Engine) error {
+			return e.ApplyCommit(wal.Commit{Inserted: []relation.Tuple{tup}})
+		}},
+		{"ApplyCommits", "ApplyCommits", func(e core.Engine) error {
+			done := false
+			_, err := e.ApplyCommits(func() (wal.Commit, bool, error) {
+				if done {
+					return wal.Commit{}, false, nil
+				}
+				done = true
+				return wal.Commit{Inserted: []relation.Tuple{tup}}, true, nil
+			})
+			return err
+		}},
+		{"ApplyCommits", "ApplyCommits empty", func(e core.Engine) error {
+			_, err := e.ApplyCommits(func() (wal.Commit, bool, error) { return wal.Commit{}, false, nil })
+			return err
+		}},
+		{"Query", "Query", func(e core.Engine) error {
+			_, err := e.Query(relation.NewTuple(), []string{"ns"})
+			return err
+		}},
+		{"Query", "Query routed", func(e core.Engine) error {
+			_, err := e.Query(key, []string{"cpu"})
+			return err
+		}},
+		{"QueryFunc", "QueryFunc", func(e core.Engine) error {
+			return e.QueryFunc(relation.NewTuple(), []string{"ns"}, func(relation.Tuple) bool { return true })
+		}},
+		{"QueryRange", "QueryRange", func(e core.Engine) error {
+			_, err := e.QueryRange(relation.NewTuple(), "cpu", nil, nil, []string{"ns"})
+			return err
+		}},
+		{"All", "All", func(e core.Engine) error { _, err := e.All(); return err }},
+		{"CheckInvariants", "CheckInvariants", func(e core.Engine) error { return e.CheckInvariants() }},
+		{"ExplainQuery", "ExplainQuery", func(e core.Engine) error {
+			_, err := e.ExplainQuery([]string{"ns", "pid"}, []string{"cpu"})
+			return err
+		}},
+	}
+	lifecycle := []op[*core.DurableRelation]{
+		{"Close", "Close", func(d *core.DurableRelation) error { return d.Close() }},
+		{"Checkpoint", "Checkpoint", func(d *core.DurableRelation) error { return d.Checkpoint() }},
+		{"Sync", "Sync", func(d *core.DurableRelation) error { return d.Sync() }},
+		{"Pin", "Pin", func(d *core.DurableRelation) error {
+			_, err := d.Pin(func() { t.Error("Pin ran its callback on a closed relation") })
+			return err
+		}},
+		{"SetCommitSink", "SetCommitSink", func(d *core.DurableRelation) error {
+			return d.SetCommitSink(func(wal.Commit) {})
+		}},
+	}
+	// exempt are the error-returning calls that must still succeed after
+	// Close.
+	exempt := []op[*core.DurableRelation]{
+		{"SetCommitSink", "SetCommitSink(nil)", func(d *core.DurableRelation) error { return d.SetCommitSink(nil) }},
+	}
+
+	listed := map[string]bool{}
+	for _, o := range engineOps {
+		listed[o.method] = true
+	}
+	for _, o := range append(lifecycle, exempt...) {
+		listed[o.method] = true
+	}
+	errType := reflect.TypeFor[error]()
+	dt := reflect.TypeFor[*core.DurableRelation]()
+	for i := range dt.NumMethod() {
+		m := dt.Method(i)
+		for j := range m.Type.NumOut() {
+			if m.Type.Out(j) == errType && !listed[m.Name] {
+				t.Errorf("DurableRelation.%s returns an error but is in neither the closed-ops table nor the exemptions", m.Name)
+			}
+		}
+	}
+
 	tiers := []struct {
 		name string
-		open func(t *testing.T) *core.DurableRelation
+		open func(t *testing.T) (*core.DurableRelation, core.Engine)
 	}{
-		{"1 cell", func(t *testing.T) *core.DurableRelation { return newDurableSync(t, t.TempDir(), wal.SyncOff) }},
-		{"4 cells", func(t *testing.T) *core.DurableRelation {
-			d, _ := newDurableSharded(t, t.TempDir(), 4, wal.SyncOff)
-			return d
+		{"1 cell", func(t *testing.T) (*core.DurableRelation, core.Engine) {
+			return newDurableSyncEngine(t, t.TempDir(), wal.SyncOff)
+		}},
+		{"4 cells", func(t *testing.T) (*core.DurableRelation, core.Engine) {
+			return newDurableSharded(t, t.TempDir(), 4, wal.SyncOff)
 		}},
 	}
 	for _, tier := range tiers {
 		t.Run(tier.name, func(t *testing.T) {
-			d := tier.open(t)
+			d, eng := tier.open(t)
 			if err := d.Insert(paperex.SchedulerTuple(1, 1, 0, 0)); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for _, op := range ops {
-				if err := op.run(d); !errors.Is(err, core.ErrClosed) {
-					t.Errorf("%s after close: %v", op.name, err)
+			for _, o := range engineOps {
+				if err := o.run(d); !errors.Is(err, core.ErrClosed) {
+					t.Errorf("%s after close: %v", o.name, err)
 				}
+				if err := o.run(eng); !errors.Is(err, core.ErrClosed) {
+					t.Errorf("%s through the wrapped engine after close: %v", o.name, err)
+				}
+			}
+			for _, o := range lifecycle {
+				if err := o.run(d); !errors.Is(err, core.ErrClosed) {
+					t.Errorf("%s after close: %v", o.name, err)
+				}
+			}
+			for _, o := range exempt {
+				if err := o.run(d); err != nil {
+					t.Errorf("%s after close: %v", o.name, err)
+				}
+			}
+			if got := eng.Len(); got != 1 {
+				t.Errorf("Len after close = %d, want 1", got)
 			}
 		})
 	}

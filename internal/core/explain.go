@@ -41,8 +41,8 @@ type QueryExplain struct {
 	Routing string
 	Shards  int // fan-out width; 0 for single-tier explains
 
-	// Durable is set by the durable tier: writes to the relation are
-	// write-ahead logged. Query execution itself is untouched by logging.
+	// Durable is set on a relation whose writes are write-ahead logged
+	// (NewDurable). Query execution itself is untouched by logging.
 	Durable bool
 
 	// Snapshot is set by the MVCC tiers (SyncRelation, ShardedRelation):
@@ -121,6 +121,7 @@ func (r *Relation) ExplainQuery(input, output []string) (*QueryExplain, error) {
 		Compiled:   cand.Prog != nil,
 		Point:      cand.Point != nil,
 		Vectorized: cand.Batch != nil,
+		Durable:    r.durable,
 	}, nil
 }
 
@@ -133,25 +134,4 @@ func (r *Relation) planCached(input, output relation.Cols) bool {
 	buf = output.AppendKey(buf)
 	_, ok := r.plans.get(string(buf))
 	return ok
-}
-
-// ExplainQuery reports how the sharded tier executes the shape: the plan
-// provenance from shard 0 (all shards share one plan cache, so the chosen
-// plan and its compilation state are shard-independent, and the snapshot
-// version is shard 0's) plus the routing decision the input's columns
-// produce.
-//
-//relvet:role=read
-func (sr *ShardedRelation) ExplainQuery(input, output []string) (*QueryExplain, error) {
-	e, err := sr.shards[0].explain(input, output)
-	if err != nil {
-		return nil, err
-	}
-	if sr.ro.key.SubsetOf(relation.NewCols(input...)) {
-		e.Routing = "routed"
-	} else {
-		e.Routing = "fan-out"
-		e.Shards = len(sr.shards)
-	}
-	return e, nil
 }

@@ -63,8 +63,8 @@ func TestReadsAreLockFree(t *testing.T) {
 				}
 			}
 			for i := range e.NumCells() {
-				e.cellAt(i).wmu.Lock()
-				defer e.cellAt(i).wmu.Unlock()
+				e.body().cells[i].wmu.Lock()
+				defer e.body().cells[i].wmu.Unlock()
 			}
 
 			done := make(chan struct{})
@@ -95,7 +95,7 @@ func TestReadsAreLockFree(t *testing.T) {
 				if _, err := e.ExplainQuery([]string{"state"}, []string{"pid"}); err != nil {
 					t.Errorf("explain: %v", err)
 				}
-				if s, ok := e.(*SyncRelation); ok && (s.Snapshot() == nil || s.Version() == 0) {
+				if s, ok := e.(*SyncRelation); ok && (s.Snapshot() == nil || s.Snapshot().Version() == 0) {
 					t.Errorf("snapshot/version unavailable")
 				}
 			}()

@@ -38,6 +38,10 @@ type Relation struct {
 	// see ErrPoisoned. Only written under the owning tier's write lock.
 	poisoned bool
 
+	// durable marks a version whose writes are write-ahead logged: NewDurable
+	// sets it when it attaches the logs, and ExplainQuery reports it.
+	durable bool
+
 	// metrics and tracer are the observability hooks (SetMetrics,
 	// SetTracer). Both nil by default; the disabled cost is one nil check
 	// per counted site. The exact counter semantics are documented on

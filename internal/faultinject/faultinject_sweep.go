@@ -90,6 +90,7 @@ type Regime[S any] struct {
 // fault did not fire.
 func Sweep[S any](t T, p *Plane, r Regime[S]) {
 	t.Helper()
+	start := time.Now()
 	s := r.Fresh()
 	p.Reset()
 	p.Trace(true)
@@ -145,7 +146,7 @@ func Sweep[S any](t T, p *Plane, r Regime[S]) {
 	if attempts == 0 {
 		t.Fatalf("no armable step among %d points (sites %q, modes %v)", len(pts), r.Sites, modes)
 	}
-	t.Logf("faultinject sweep: %d points / %d armed attempts", len(pts), attempts)
+	t.Logf("faultinject sweep: %d points / %d armed attempts in %v", len(pts), attempts, time.Since(start).Round(time.Millisecond))
 }
 
 // Contain runs f, converting a panic into (error, panicked=true).

@@ -400,7 +400,7 @@ func ExhaustCOW(t *testing.T, p *faultinject.Plane, c Case) {
 				Fresh: func() subject {
 					s := core.NewSync(c.build(t))
 					pre := s.Snapshot()
-					return subject{s, pre, s.Version(), pre.Instance().Relation()}
+					return subject{s, pre, pre.Version(), pre.Instance().Relation()}
 				},
 				Action:  func(sub subject) error { return mu.Run(sub.s) },
 				Require: []string{"instance.cow."},
@@ -413,7 +413,7 @@ func ExhaustCOW(t *testing.T, p *faultinject.Plane, c Case) {
 					if got := s.Snapshot(); got != pre {
 						t.Fatalf("step %d/%v: failed %s published a new version", step, mode, mu.Name)
 					}
-					if got := s.Version(); got != sub.preVer {
+					if got := s.Snapshot().Version(); got != sub.preVer {
 						t.Fatalf("step %d/%v: version advanced %d -> %d across failed %s", step, mode, sub.preVer, got, mu.Name)
 					}
 					if s.Snapshot().Poisoned() {
