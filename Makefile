@@ -86,13 +86,17 @@ faultinject:
 # fuzz-smoke replays the committed corpus and runs a short randomized
 # burst (part of `make ci`); `make fuzz` soaks for longer — new inputs it
 # finds land in the build cache, promote keepers into
-# internal/durable/testdata/fuzz/FuzzRecovery.
+# internal/durable/testdata/fuzz/FuzzRecovery. fuzz-smoke does the same
+# for FuzzCommitPayload, the replication commit payload's decode ∘ encode
+# = id and its refusal of cut or damaged payloads.
 fuzz:
 	$(GO) test -count 1 -run '^FuzzRecovery$$' -fuzz 'FuzzRecovery' -fuzztime 60s ./internal/durable
 
 fuzz-smoke:
 	$(GO) test -count 1 -run '^FuzzRecovery$$' ./internal/durable
 	$(GO) test -count 1 -run '^FuzzRecovery$$' -fuzz 'FuzzRecovery' -fuzztime 5s ./internal/durable
+	$(GO) test -count 1 -run '^FuzzCommitPayload$$' ./internal/wal
+	$(GO) test -count 1 -run '^FuzzCommitPayload$$' -fuzz 'FuzzCommitPayload' -fuzztime 5s ./internal/wal
 
 vet:
 	$(GO) vet ./...
@@ -151,11 +155,15 @@ bench-build:
 # checkout, the way a performance claim has to be measured (choosing-metrics
 # section 8): `make bench-pairs BASE=<rev> W=<workload> N=10` exports BASE
 # into the git-ignored bench/out/ (git archive: a plain directory, no
-# worktree to prune), runs `bench/run.sh --workload W --seed i --seconds 28
-# --trace 0` on both sides for i = 1..N, alternating which side goes first,
-# merges each side's result files (jq) and prints `bench compare old new`.
-# About a minute per pair; run it for every workload the change's code runs
-# in, and again if a cell comes back unresolved.
+# worktree to prune), builds both sides' benchmark binaries once, before the
+# first pair, and runs each with `--workload W --seed i --seconds 28 --trace
+# 0` for i = 1..N, alternating which side goes first. An edit to the working
+# tree during the series therefore cannot reach its later runs; the new
+# side's `git rev-parse HEAD` and a hash of `git diff HEAD` at build time are
+# written to bench/out/pairs/W-new.tree. It then merges each side's result
+# files (jq) and prints `bench compare old new`. About a minute per pair;
+# run it for every workload the change's code runs in, and again if a cell
+# comes back unresolved.
 BASE ?= HEAD~1
 W ?= flows-commit
 N ?= 10
@@ -163,18 +171,23 @@ bench-pairs:
 	@set -e; rev=$$(git rev-parse --short $(BASE)); base=bench/out/base-$$rev; \
 	if [ ! -d $$base ]; then mkdir -p $$base; git archive $(BASE) | tar -x -C $$base; fi; \
 	out=$$PWD/bench/out/pairs; mkdir -p $$out; rm -f $$out/$(W)-old-*.json $$out/$(W)-new-*.json; \
+	for dir in $$base/bench bench; do \
+		(cd $$dir && mkdir -p out/gocache out/gotmp && \
+			GOCACHE=$$PWD/out/gocache GOTMPDIR=$$PWD/out/gotmp $(GO) build -o out/pairs-bench .); \
+	done; \
+	{ git rev-parse HEAD; git diff HEAD | sha256sum | cut -d' ' -f1; } > $$out/$(W)-new.tree; \
 	for i in $$(seq 1 $(N)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="old new"; else order="new old"; fi; \
 		for side in $$order; do \
-			if [ $$side = old ]; then run=$$base/bench/run.sh; else run=bench/run.sh; fi; \
+			if [ $$side = old ]; then dir=$$base/bench; else dir=bench; fi; \
 			echo "pair $$i/$(N): $$side" >&2; \
-			bash $$run --workload $(W) --seed $$i --seconds 28 --trace 0 -o $$out/$(W)-$$side-$$i.json >/dev/null; \
+			(cd $$dir && ./out/pairs-bench --workload $(W) --seed $$i --seconds 28 --trace 0 -o $$out/$(W)-$$side-$$i.json >/dev/null); \
 		done; \
 	done; \
 	for side in old new; do \
 		jq -s '{env: .[0].env, runs: (map(.runs) | add)}' $$out/$(W)-$$side-*.json > $$out/$(W)-$$side.json; \
 	done; \
-	cd bench && ./out/bench compare out/pairs/$(W)-old.json out/pairs/$(W)-new.json
+	cd bench && ./out/pairs-bench compare out/pairs/$(W)-old.json out/pairs/$(W)-new.json
 
 # Read-mostly throughput of the MVCC snapshot tiers (SyncRelation,
 # ShardedRelation) against an RWMutex-wrapped single relation — the

@@ -587,6 +587,9 @@ func (p *Program) Eval(fn *FuncInfo) func(e ast.Expr) (paramIdx int, published b
 	}
 }
 
+// errorType is the universe error type.
+var errorType = types.Universe.Lookup("error").Type()
+
 func (p *Program) computeBindings(fn *FuncInfo) *bindings {
 	b := &bindings{paramOf: make(map[types.Object]int), pub: make(map[types.Object]bool)}
 	for i, v := range fn.params {
@@ -637,12 +640,15 @@ func (p *Program) computeBindings(fn *FuncInfo) *bindings {
 					}
 				} else if len(n.Rhs) == 1 {
 					// Tuple assignment from a call: taint pointerish
-					// results when the callee returns published state.
+					// results when the callee returns published state. An
+					// error result is the call's status, not the state:
+					// tainting it would make every function that passes
+					// the error on look like an accessor of the state.
 					if call, ok := unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 						if _, pub := p.evalExpr(fn, b, call); pub {
 							for _, lhs := range n.Lhs {
 								if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-									if Pointerish(info.TypeOf(id)) {
+									if t := info.TypeOf(id); Pointerish(t) && !types.Identical(t, errorType) {
 										obj := info.Defs[id]
 										if obj == nil {
 											obj = info.Uses[id]

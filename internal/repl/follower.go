@@ -68,7 +68,10 @@ type Follower struct {
 	opts FollowerOptions
 	met  *obs.Metrics
 	fi   *faultinject.Plane
-	cols []string
+	cols []string // the hello signature
+	// sorted is the relation's column names in sorted order, the order a
+	// commit frame's payload holds each tuple's values in.
+	sorted []string
 
 	// engine is the replica: a SyncRelation or ShardedRelation behind the
 	// one Engine interface. The pointer swaps atomically when a snapshot
@@ -97,14 +100,15 @@ type Follower struct {
 // until Close.
 func NewFollower(spec *core.Spec, dial Dialer, opts FollowerOptions) (*Follower, error) {
 	f := &Follower{
-		spec: spec,
-		dial: dial,
-		opts: opts,
-		met:  opts.Metrics,
-		fi:   faultinject.Active(),
-		cols: spec.Signature(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		spec:   spec,
+		dial:   dial,
+		opts:   opts,
+		met:    opts.Metrics,
+		fi:     faultinject.Active(),
+		cols:   spec.Signature(),
+		sorted: spec.Cols().Names(),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	if f.opts.Backoff <= 0 {
 		f.opts.Backoff = 5 * time.Millisecond
@@ -234,7 +238,7 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 	if err := fr.writeFrame(appendHello(nil, h)); err != nil {
 		return err
 	}
-	dec := wal.NewStreamDecoder()
+	dec := wal.NewStreamDecoder() // snapshot chunks; commit frames are self-contained
 
 	// Snapshot bootstrap state: the pending engine fills chunk by chunk,
 	// invisible to readers until snapEnd publishes it with one pointer
@@ -306,7 +310,7 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 			if pending != nil {
 				return fmt.Errorf("%w: commit during a snapshot", ErrBadFrame)
 			}
-			if err := f.applyCommits(fr, dec, payload); err != nil {
+			if err := f.applyCommits(fr, payload); err != nil {
 				return err
 			}
 
@@ -325,7 +329,7 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 // any of them — an injected panic included, contained here so the applier
 // can report — drops the unpublished records, and Applied advances over
 // exactly the ones the applier published.
-func (f *Follower) applyCommits(fr *framer, dec *wal.StreamDecoder, payload []byte) error {
+func (f *Follower) applyCommits(fr *framer, payload []byte) error {
 	applied := f.applied.Load()
 	pulled, head := uint64(0), uint64(0)
 	src := func() (c wal.Commit, ok bool, err error) {
@@ -342,17 +346,18 @@ func (f *Follower) applyCommits(fr *framer, dec *wal.StreamDecoder, payload []by
 				return c, false, err
 			}
 		}
-		h, rest, err := parseCommitHead(payload)
+		h, seq, rest, err := parseCommit(payload)
 		payload = nil
 		if err != nil {
 			return c, false, err
 		}
-		if c, err = dec.ReadCommit(rest); err != nil {
+		if seq != applied+pulled+1 {
+			return c, false, fmt.Errorf("repl: sequence gap: applied %d, publisher sent %d", applied+pulled, seq)
+		}
+		if c, err = wal.ReadCommitPayload(rest, f.sorted); err != nil {
 			return c, false, err
 		}
-		if c.Seq != applied+pulled+1 {
-			return c, false, fmt.Errorf("repl: sequence gap: applied %d, publisher sent %d", applied+pulled, c.Seq)
-		}
+		c.Seq = seq
 		if f.fi != nil {
 			if err := f.fi.Point("repl.apply", true); err != nil {
 				return c, false, err

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -20,6 +21,12 @@ var ErrPublisherClosed = errors.New("repl: publisher is closed")
 // snapChunkTuples is how many tuples one snapshot-chunk frame carries,
 // matching the WAL's snapshot writer.
 const snapChunkTuples = 4096
+
+// windowBlock is the size of the blocks the retained window keeps its
+// payloads in. A block fills front to back and no record spans two, so
+// growing the window never copies what it already holds; a record larger
+// than a block gets a block of its own.
+const windowBlock = 64 << 10
 
 // DefaultRetain is how many acknowledged records a Publisher keeps in
 // memory for follower catch-up before compacting; a follower needing an
@@ -56,22 +63,41 @@ type PublisherOptions struct {
 type Publisher struct {
 	d    *core.DurableRelation
 	name string
-	cols []string
-	met  *obs.Metrics
+	cols []string // the hello signature
+	// sorted is the relation's column names in sorted order: the order a
+	// retained payload holds each tuple's values in.
+	sorted []string
+	met    *obs.Metrics
 
 	mu   sync.Mutex
 	cond *sync.Cond
 	head uint64 // sequence of the newest acknowledged record
 	base uint64 // the window holds sequences base+1 .. head
-	// records[lo:] is the retained window. Compaction advances lo one
-	// record per commit and slides the window back to the front of the
-	// slice once the dead prefix is as long as the window, so a commit
-	// costs O(1) amortised however large the window is.
-	records []wal.Commit
+	// The retained window holds each record as the payload it is sent in
+	// (wal.AppendCommitPayload), back to back in an arena of blocks
+	// addressed by offsets that only grow: record i runs from offs[i] to
+	// offs[i+1], the newest one to end. offs[lo:] are the retained
+	// records. Compaction advances lo one record per commit, drops each
+	// block once no retained record lies in it (keeping one as spare, for
+	// the next block) and slides offs back to the front of its slice once
+	// the dead prefix is as long as the window, so a commit costs O(1)
+	// amortised however large the window is and, once the window is full,
+	// allocates nothing.
+	blocks  []block // oldest first, covering blocks[0].base .. end
+	end     int
+	spare   []byte
+	scratch []byte // the payload being encoded
+	offs    []int
 	lo      int
 	retain  int
 	conns   map[io.Closer]struct{}
 	closed  bool
+}
+
+// block is one block of the window's arena; b[0] is at offset base.
+type block struct {
+	base int
+	b    []byte
 }
 
 // NewPublisher attaches a publisher to d. The returned publisher owns
@@ -89,6 +115,7 @@ func NewPublisher(d *core.DurableRelation, opts PublisherOptions) (*Publisher, e
 		d:      d,
 		name:   spec.Name,
 		cols:   spec.Signature(),
+		sorted: spec.Cols().Names(),
 		met:    opts.Metrics,
 		retain: opts.Retain,
 		conns:  make(map[io.Closer]struct{}),
@@ -110,8 +137,9 @@ func NewPublisher(d *core.DurableRelation, opts PublisherOptions) (*Publisher, e
 // onCommit is the core.CommitSink: it runs on the writer's critical path
 // with the mutating cell's writer mutex held, so per cell it observes
 // deltas in WAL order; the publisher mutex serializes cells into the one
-// replication stream. It stamps the sequence number, appends to the
-// retained window and wakes the sessions; it touches no stored tuple.
+// replication stream. It stamps the sequence number, encodes the delta once
+// onto the end of the retained window and wakes the sessions; it touches
+// no stored tuple and keeps none of the writer's.
 func (p *Publisher) onCommit(c wal.Commit) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -119,20 +147,59 @@ func (p *Publisher) onCommit(c wal.Commit) {
 		return
 	}
 	p.head++
-	c.Seq = p.head
-	p.records = append(p.records, c)
-	if len(p.records)-p.lo > p.retain {
-		p.records[p.lo] = wal.Commit{} // let the dropped delta's tuples go
+	p.scratch = wal.AppendCommitPayload(p.scratch[:0], c)
+	p.keep(p.scratch)
+	if cap(p.scratch) > windowBlock {
+		p.scratch = nil // a bulk load's buffer is not worth keeping
+	}
+	if len(p.offs)-p.lo > p.retain {
 		p.lo++
 		p.base++
+		for len(p.blocks) > 1 && p.blocks[1].base <= p.offs[p.lo] {
+			if cap(p.blocks[0].b) == windowBlock {
+				p.spare = p.blocks[0].b[:0]
+			}
+			n := copy(p.blocks, p.blocks[1:])
+			p.blocks[n] = block{}
+			p.blocks = p.blocks[:n]
+		}
 		if p.lo >= p.retain {
-			n := copy(p.records, p.records[p.lo:])
-			clear(p.records[n:])
-			p.records = p.records[:n]
+			p.offs = p.offs[:copy(p.offs, p.offs[p.lo:])]
 			p.lo = 0
 		}
 	}
 	p.cond.Broadcast()
+}
+
+// keep appends a record's payload to the window, in the newest block if it
+// fits there and in a new one if not.
+func (p *Publisher) keep(payload []byte) {
+	n := len(p.blocks)
+	if n == 0 || cap(p.blocks[n-1].b)-len(p.blocks[n-1].b) < len(payload) {
+		b := p.spare
+		if b == nil || len(payload) > windowBlock {
+			b = make([]byte, 0, max(windowBlock, len(payload)))
+		} else {
+			p.spare = nil
+		}
+		p.blocks = append(p.blocks, block{base: p.end, b: b})
+		n++
+	}
+	p.blocks[n-1].b = append(p.blocks[n-1].b, payload...)
+	p.offs = append(p.offs, p.end)
+	p.end += len(payload)
+}
+
+// record returns retained record i's payload (an index into offs, not a
+// sequence number). Callers hold mu.
+func (p *Publisher) record(i int) []byte {
+	start, end := p.offs[i], p.end
+	if i+1 < len(p.offs) {
+		end = p.offs[i+1]
+	}
+	k := sort.Search(len(p.blocks), func(k int) bool { return p.blocks[k].base > start }) - 1
+	b := p.blocks[k]
+	return b.b[start-b.base : end-b.base]
 }
 
 // Head returns the sequence number of the newest acknowledged record.
@@ -143,12 +210,23 @@ func (p *Publisher) Head() uint64 {
 }
 
 // History returns the retained record window: every kept record, whose
-// sequences run base+1 through Head. Tests use it as the oracle of
-// acknowledged history; set Retain high enough that nothing compacts.
-func (p *Publisher) History() (base uint64, records []wal.Commit) {
+// sequences run base+1 through Head, decoded from the bytes it is kept
+// and sent in. Tests use it as the oracle of acknowledged history; set
+// Retain high enough that nothing compacts.
+func (p *Publisher) History() (base uint64, commits []wal.Commit) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.base, append([]wal.Commit(nil), p.records[p.lo:]...)
+	commits = make([]wal.Commit, 0, len(p.offs)-p.lo)
+	for i := p.lo; i < len(p.offs); i++ {
+		seq := p.base + 1 + uint64(i-p.lo)
+		c, err := wal.ReadCommitPayload(p.record(i), p.sorted)
+		if err != nil {
+			panic(fmt.Sprintf("repl: retained record %d does not decode: %v", seq, err))
+		}
+		c.Seq = seq
+		commits = append(commits, c)
+	}
+	return p.base, commits
 }
 
 // Serve accepts subscriptions from ln until the listener or the
@@ -243,7 +321,6 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 	}
 
 	go watch()
-	enc := wal.NewStreamEncoder()
 	next := h.resume
 	if h.resume <= base {
 		// Resume point compacted away (or fresh follower): bootstrap from
@@ -261,15 +338,19 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 		if err != nil {
 			return refuse(err.Error())
 		}
-		if err := p.sendSnapshot(f, enc, snapSeq, versions); err != nil {
+		if err := p.sendSnapshot(f, snapSeq, versions); err != nil {
 			return err
 		}
 		next = snapSeq + 1
 	}
 
 	// The send loop: stream every record from next on, waiting for new
-	// acknowledgements when caught up.
-	var scratch []byte
+	// acknowledgements when caught up. Each pass copies about one write's
+	// worth of retained payloads out under the lock and frames them
+	// outside it, so a long catch-up goes out in several passes.
+	var raw []byte // payloads of the records next, next+1, ...
+	var ends []int // ends[k] is where record next+k's payload ends in raw
+	var hdr []byte
 	for {
 		p.mu.Lock()
 		for !p.closed && !dead && next > p.head {
@@ -290,32 +371,31 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 			p.mu.Unlock()
 			return refuse(fmt.Sprintf("resume %d compacted away (history starts at %d): follower too slow, resubscribe for a snapshot", next, base+1))
 		}
-		batch := append([]wal.Commit(nil), p.records[p.lo+int(next-p.base-1):]...)
+		raw, ends = raw[:0], ends[:0]
+		for i := p.lo + int(next-p.base-1); i < len(p.offs) && len(raw) < maxWriteBuf; i++ {
+			raw = append(raw, p.record(i)...)
+			ends = append(ends, len(raw))
+		}
 		head := p.head
 		p.mu.Unlock()
 
-		// The whole batch goes out in one Write (a long catch-up in several
-		// of maxWriteBuf), so a follower that is behind finds many frames
-		// per read.
-		sent := 0
-		for i, c := range batch {
-			scratch = appendCommitMsg(scratch[:0], head)
-			scratch = enc.AppendCommit(scratch, c)
-			if err := f.appendFrame(scratch); err != nil {
+		// The pass goes out in one Write, so a follower that is behind
+		// finds many frames per read.
+		start := 0
+		for k, end := range ends {
+			hdr = appendCommitHdr(hdr[:0], head, next+uint64(k))
+			if err := f.appendFrame(hdr, raw[start:end]); err != nil {
 				return err
 			}
-			if len(f.wbuf) < maxWriteBuf && i < len(batch)-1 {
-				continue
-			}
-			if err := f.flush(); err != nil {
-				return err
-			}
-			if p.met != nil {
-				p.met.ReplRecords.Add(uint64(i + 1 - sent))
-			}
-			sent = i + 1
+			start = end
 		}
-		next += uint64(len(batch))
+		if err := f.flush(); err != nil {
+			return err
+		}
+		if p.met != nil {
+			p.met.ReplRecords.Add(uint64(len(ends)))
+		}
+		next += uint64(len(ends))
 	}
 }
 
@@ -323,8 +403,9 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 // covering sequences ≤ seq. Each version is scanned through the lock-free
 // read path straight into chunk frames, so the send holds one chunk of
 // tuples at a time and no lock at all: a follower that reads slowly slows
-// only its own session.
-func (p *Publisher) sendSnapshot(f *framer, enc *wal.StreamEncoder, seq uint64, versions []*core.Relation) error {
+// only its own session. Chunks go out in the wal stream codec, whose
+// dictionary interns column names and strings across the snapshot.
+func (p *Publisher) sendSnapshot(f *framer, seq uint64, versions []*core.Relation) error {
 	total := 0
 	for _, v := range versions {
 		total += v.Len()
@@ -332,8 +413,8 @@ func (p *Publisher) sendSnapshot(f *framer, enc *wal.StreamEncoder, seq uint64, 
 	if err := f.writeFrame(appendSnapBegin(nil, seq, uint64(total))); err != nil {
 		return err
 	}
-	cols := p.d.Spec().Cols().Names()
 	chunk := make([]relation.Tuple, 0, min(total, snapChunkTuples))
+	enc := wal.NewStreamEncoder()
 	var scratch []byte
 	flush := func() error {
 		scratch = append(scratch[:0], msgSnapChunk)
@@ -343,7 +424,7 @@ func (p *Publisher) sendSnapshot(f *framer, enc *wal.StreamEncoder, seq uint64, 
 	}
 	for _, v := range versions {
 		var werr error
-		err := v.QueryFunc(relation.NewTuple(), cols, func(t relation.Tuple) bool {
+		err := v.QueryFunc(relation.NewTuple(), p.sorted, func(t relation.Tuple) bool {
 			chunk = append(chunk, t)
 			if len(chunk) == snapChunkTuples {
 				werr = flush()

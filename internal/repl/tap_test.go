@@ -1,7 +1,11 @@
 package repl
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -171,53 +175,202 @@ func TestWriterNotBlockedByParkedBootstrap(t *testing.T) {
 	if payload[0] != msgCommit {
 		t.Fatalf("message after the snapshot 0x%02x, want commit", payload[0])
 	}
-	_, rest, err := parseCommitHead(payload)
+	_, seq, rest, err := parseCommit(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := dec.ReadCommit(rest)
+	c, err := wal.ReadCommitPayload(rest, ipcap.FlowSpec().Cols().Names())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Seq != snapSeq+1 || len(c.Inserted) != 1 || len(c.Removed) != 0 {
-		t.Fatalf("first tail record = %+v, want the insert at sequence %d", c, snapSeq+1)
+	if seq != snapSeq+1 || len(c.Inserted) != 1 || len(c.Removed) != 0 || !c.Inserted[0].Equal(flow(65, 1, 1)) {
+		t.Fatalf("first tail record = %d %+v, want the insert at sequence %d", seq, c, snapSeq+1)
 	}
 }
 
 // TestRetainedWindowSlides pins the window layout: however many commits
 // have passed, History is exactly the last Retain records, and appending to
-// a full window allocates nothing — it neither grows nor recopies it.
+// a full window allocates nothing — it neither grows nor recopies it. The
+// small window lives in one block; the large one spans several, and slides
+// across many more, so a block dropped or reused while a retained record
+// still lies in it shows up as a record that is not the commit made.
 func TestRetainedWindowSlides(t *testing.T) {
-	const retain, commits = 8, 10000
+	for _, tc := range []struct{ retain, commits int64 }{{8, 10000}, {6000, 36000}} {
+		t.Run(fmt.Sprintf("retain=%d", tc.retain), func(t *testing.T) {
+			retain, commits := tc.retain, tc.commits
+			d := openFlows(t, 1<<10)
+			p := newTestPublisher(t, d, PublisherOptions{Retain: int(retain)})
+			n := int64(0)
+			perCommit := func() float64 {
+				return testing.AllocsPerRun(100, func() { updateHot(t, d, n); n++ })
+			}
+			for ; n < 4*retain; n++ {
+				updateHot(t, d, n)
+			}
+			early := perCommit()
+			for ; n < commits; n++ {
+				updateHot(t, d, n)
+			}
+			if late := perCommit(); late != early && !race.Enabled {
+				t.Errorf("allocations per commit: %v after %d commits, %v after %d", early, 4*retain, late, commits)
+			}
+
+			head := p.Head()
+			base, records := p.History()
+			if base != head-uint64(retain) || len(records) != int(retain) {
+				t.Fatalf("History: base %d with %d records at head %d; want base %d with %d", base, len(records), head, head-uint64(retain), retain)
+			}
+			for i, c := range records {
+				if want := base + 1 + uint64(i); c.Seq != want {
+					t.Fatalf("records[%d].Seq = %d, want %d", i, c.Seq, want)
+				}
+				// The attach epoch is sequence 1, so update n is sequence n+2.
+				if len(c.Inserted) != 1 || c.Inserted[0].MustGet("packets").Int() != int64(c.Seq)-2 {
+					t.Fatalf("records[%d] (sequence %d) = %+v, not the update committed at that sequence", i, c.Seq, c)
+				}
+			}
+		})
+	}
+}
+
+// TestWindowKeepsEveryRetainedRecord drives the window with deltas from one
+// tuple to more than a block, and checks as it goes that History is exactly
+// the last Retain of them: whichever blocks are opened, dropped or reused,
+// no retained record's bytes are overwritten.
+func TestWindowKeepsEveryRetainedRecord(t *testing.T) {
+	const retain = 40
+	p := newTestPublisher(t, openFlows(t, 64), PublisherOptions{Retain: retain})
+	rng := rand.New(rand.NewSource(1))
+	var fed []wal.Commit
+	for i := range 600 {
+		n := 1 + rng.Intn(8)
+		if rng.Intn(10) == 0 {
+			n = 500 + rng.Intn(6000) // up to about 90 KB, past a block
+		}
+		c := wal.Commit{Inserted: make([]relation.Tuple, n)}
+		for j := range c.Inserted {
+			c.Inserted[j] = flow(int64(i), int64(j), rng.Int63n(1<<40))
+		}
+		p.onCommit(c)
+		fed = append(fed, c)
+		if i%7 != 0 {
+			continue
+		}
+		base, records := p.History()
+		want := fed[max(len(fed)-retain, 0):]
+		if int(base) != 1+len(fed)-len(want) || len(records) != len(want) {
+			t.Fatalf("after %d commits History holds %d records from base %d", len(fed), len(records), base)
+		}
+		for k, c := range records {
+			if !sameTuples(c.Inserted, want[k].Inserted) || len(c.Removed) != 0 {
+				t.Fatalf("after %d commits, sequence %d is not the delta committed", len(fed), c.Seq)
+			}
+		}
+	}
+}
+
+// TestCommitFrameIsTheRetainedRecord: a session ships each record as the
+// bytes the window keeps for it, behind the frame's own header — nothing is
+// re-encoded per session — and those bytes decode to the delta committed.
+// The first record is larger than a window block, so the records after it
+// start a block of their own.
+func TestCommitFrameIsTheRetainedRecord(t *testing.T) {
 	d := openFlows(t, 1<<10)
-	p := newTestPublisher(t, d, PublisherOptions{Retain: retain})
-	n := int64(0)
-	perCommit := func() float64 {
-		return testing.AllocsPerRun(100, func() { updateHot(t, d, n); n++ })
+	p := newTestPublisher(t, d, PublisherOptions{})
+	bulk := make([]relation.Tuple, 6000)
+	for i := range bulk {
+		bulk[i] = flow(int64(100+i%50), int64(i), int64(i))
 	}
-	for ; n < 4*retain; n++ {
+	if err := d.InsertBatch(bulk); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.retained(2)); n <= windowBlock {
+		t.Fatalf("bulk record is %d bytes, want more than a block (%d)", n, windowBlock)
+	}
+	for n := int64(0); n < 40; n++ {
 		updateHot(t, d, n)
 	}
-	early := perCommit()
-	for ; n < commits; n++ {
-		updateHot(t, d, n)
+	if err := d.Insert(flow(65, 1, -1<<40)); err != nil {
+		t.Fatal(err)
 	}
-	if late := perCommit(); late != early && !race.Enabled {
-		t.Errorf("allocations per commit: %v after %d commits, %v after %d", early, 4*retain, late, commits)
+	host2, err := d.Remove(relation.NewTuple(relation.BindInt("local", 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, history := p.History()
+	head := p.Head()
+	if base != 1 || uint64(len(history)) != head-1 {
+		t.Fatalf("History: base %d with %d records at head %d", base, len(history), head)
 	}
 
-	head := p.Head()
-	base, records := p.History()
-	if base != head-retain || len(records) != retain {
-		t.Fatalf("History: base %d with %d records at head %d; want base %d with %d", base, len(records), head, head-retain, retain)
+	client, server := net.Pipe()
+	defer client.Close()
+	go p.Handle(server)
+	fr := newFramer(client, nil, false, false)
+	// Resume 2 is inside the window: the session goes straight to the tail.
+	h := hello{version: protocolVersion, resume: 2, name: "flows", cols: ipcap.FlowSpec().Signature()}
+	if err := fr.writeFrame(appendHello(nil, h)); err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range records {
-		if want := base + 1 + uint64(i); c.Seq != want {
-			t.Fatalf("records[%d].Seq = %d, want %d", i, c.Seq, want)
+	cols := ipcap.FlowSpec().Cols().Names()
+	for want := uint64(2); want <= head; want++ {
+		payload, err := fr.readFrame()
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The attach epoch is sequence 1, so update n is sequence n+2.
-		if len(c.Inserted) != 1 || c.Inserted[0].MustGet("packets").Int() != int64(c.Seq)-2 {
-			t.Fatalf("records[%d] (sequence %d) = %+v, not the update committed at that sequence", i, c.Seq, c)
+		if payload[0] != msgCommit {
+			t.Fatalf("message 0x%02x, want commit", payload[0])
 		}
+		gotHead, seq, rest, err := parseCommit(payload)
+		if err != nil || seq != want || gotHead != head {
+			t.Fatalf("commit frame: head %d, sequence %d, %v; want head %d, sequence %d", gotHead, seq, err, head, want)
+		}
+		if kept := p.retained(seq); !bytes.Equal(rest, kept) {
+			t.Fatalf("sequence %d: frame carries %x, the window keeps %x", seq, rest, kept)
+		}
+		c, err := wal.ReadCommitPayload(rest, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := history[seq-2]; !sameTuples(c.Removed, w.Removed) || !sameTuples(c.Inserted, w.Inserted) {
+			t.Fatalf("sequence %d decodes to %+v, History holds %+v", seq, c, w)
+		}
+	}
+	if last := history[len(history)-1]; len(last.Removed) != host2 || len(last.Inserted) != 0 {
+		t.Fatalf("last record removes %d and inserts %d tuples, want host 2's flows", len(last.Removed), len(last.Inserted))
+	}
+}
+
+func sameTuples(a, b []relation.Tuple) bool {
+	return slices.EqualFunc(a, b, relation.Tuple.Equal)
+}
+
+// TestWindowHoldsPayloadBytes: the window keeps a committed batch as its
+// encoded bytes — a tag and a varint per column — not the writer's boxed
+// tuples, which cost several times as much.
+func TestWindowHoldsPayloadBytes(t *testing.T) {
+	const tuples = 4096
+	d, err := durable.Open(t.TempDir(), ipcap.FlowSpec(), ipcap.DefaultFlowDecomp(),
+		durable.Options{Create: true, Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	p := newTestPublisher(t, d, PublisherOptions{Retain: 2})
+	ts := make([]relation.Tuple, tuples)
+	for i := range ts {
+		ts[i] = flow(int64(1+i%64), int64(1+i/64), int64(i))
+	}
+	if err := d.InsertBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	_, records := p.History()
+	if len(records) != 1 || !sameTuples(records[0].Inserted, ts) {
+		t.Fatalf("History holds %d records, want the batch", len(records))
+	}
+	per := float64(p.windowBytes()) / tuples
+	t.Logf("window: %.1f B per tuple of a %d-tuple batch", per, tuples)
+	if per > 24 {
+		t.Fatalf("window holds %.1f B per tuple of a %d-tuple batch, want at most 24", per, tuples)
 	}
 }

@@ -27,13 +27,16 @@
 //	                tuple count follows
 //	0x12 snapChunk  one wal stream-encoded tuple chunk
 //	0x13 snapEnd    snapshot complete
-//	0x14 commit     head sequence (for lag), then one wal stream-encoded
-//	                commit record carrying its own sequence
+//	0x14 commit     head sequence (for lag), the record's sequence, then
+//	                its wal.AppendCommitPayload payload
 //	0x15 error      terminal refusal with a message
 //
-// Tuple payloads reuse the WAL's stream codec (wal.StreamEncoder /
-// StreamDecoder): per-connection incremental string interning shared by
-// snapshot chunks and commit records, reset on reconnect.
+// Snapshot chunks use the WAL's stream codec (wal.StreamEncoder /
+// StreamDecoder): per-connection incremental string interning, reset on
+// reconnect. A commit payload is positional and self-contained — values in
+// the relation's sorted column order, strings inline, no dictionary — so
+// the publisher encodes each acknowledged delta once, in its commit sink,
+// retains those bytes, and every session sends them as they are.
 //
 // # Consistency contract
 //
@@ -74,7 +77,7 @@ const (
 )
 
 // protocolVersion is carried in hello; either side refuses a mismatch.
-const protocolVersion = 1
+const protocolVersion = 2
 
 // maxFrame bounds a frame's payload. A length prefix beyond it means a
 // corrupt or hostile stream, not a large record; the session dies rather
@@ -133,26 +136,29 @@ func newFramer(rw io.ReadWriter, met *obs.Metrics, countRead, countWrite bool) *
 // writeFrame frames payload and writes it, with anything appendFrame left
 // pending before it, in one call.
 func (f *framer) writeFrame(payload []byte) error {
-	if err := f.appendFrame(payload); err != nil {
+	if err := f.appendFrame(payload, nil); err != nil {
 		return err
 	}
 	return f.flush()
 }
 
-// appendFrame frames payload behind the frames already pending, for flush to
-// write. The injection point fires before the frame joins them, modelling a
-// send that never reached the wire; an injected error (or panic, contained
-// by the session) kills the connection with the pending frames unsent, and
-// the follower's catch-up takes over.
-func (f *framer) appendFrame(payload []byte) error {
+// appendFrame frames the payload hdr followed by body behind the frames
+// already pending, for flush to write; the two parts let a commit frame
+// carry a retained record as it is, behind its own header. The injection
+// point fires before the frame joins them, modelling a send that never
+// reached the wire; an injected error (or panic, contained by the session)
+// kills the connection with the pending frames unsent, and the follower's
+// catch-up takes over.
+func (f *framer) appendFrame(hdr, body []byte) error {
 	if f.fi != nil {
 		if err := f.fi.Point("repl.send", true); err != nil {
 			return err
 		}
 	}
-	f.wbuf = binary.LittleEndian.AppendUint32(f.wbuf, uint32(len(payload)))
-	f.wbuf = binary.LittleEndian.AppendUint32(f.wbuf, crc32.Checksum(payload, castagnoli))
-	f.wbuf = append(f.wbuf, payload...)
+	f.wbuf = binary.LittleEndian.AppendUint32(f.wbuf, uint32(len(hdr)+len(body)))
+	f.wbuf = binary.LittleEndian.AppendUint32(f.wbuf, crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, body))
+	f.wbuf = append(f.wbuf, hdr...)
+	f.wbuf = append(f.wbuf, body...)
 	return nil
 }
 
@@ -318,19 +324,26 @@ func parseSnapBegin(payload []byte) (seq, tuples uint64, err error) {
 	return seq, tuples, r.done()
 }
 
-func appendCommitMsg(b []byte, head uint64) []byte {
+// appendCommitHdr appends what a commit frame carries ahead of its record's
+// payload: the type, the head sequence (for lag) and the record's own
+// sequence.
+func appendCommitHdr(b []byte, head, seq uint64) []byte {
 	b = append(b, msgCommit)
-	return binary.AppendUvarint(b, head)
+	b = binary.AppendUvarint(b, head)
+	return binary.AppendUvarint(b, seq)
 }
 
-// parseCommitHead splits a commit message into the head sequence and the
-// wal-encoded commit payload that follows it.
-func parseCommitHead(payload []byte) (head uint64, rest []byte, err error) {
-	head, n := binary.Uvarint(payload[1:])
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: truncated head sequence", ErrBadFrame)
+// parseCommit splits a commit frame into the head sequence, the record's
+// sequence and its wal.AppendCommitPayload payload.
+func parseCommit(payload []byte) (head, seq uint64, rest []byte, err error) {
+	r := &wireReader{b: payload[1:]}
+	if head, err = r.uvarint(); err != nil {
+		return 0, 0, nil, err
 	}
-	return head, payload[1+n:], nil
+	if seq, err = r.uvarint(); err != nil {
+		return 0, 0, nil, err
+	}
+	return head, seq, r.b[r.off:], nil
 }
 
 func appendErrorMsg(b []byte, msg string) []byte {

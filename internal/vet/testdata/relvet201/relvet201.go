@@ -73,6 +73,36 @@ func triggerAlias(b *box) {
 	ref(view(b)).CheckFDs = true // want relvet201
 }
 
+// load returns the published version and a status, the engine's cell.load
+// shape.
+func load(b *box) (*core.Relation, error) { return b.cur.Load(), nil }
+
+// explain returns a fresh relation; the error it passes on is load's
+// status, which does not make it an accessor of the published version.
+func explain(b *box) (*core.Relation, error) {
+	r, err := load(b)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Relation{CheckFDs: r.CheckFDs}, nil
+}
+
+func triggerTuple(b *box) {
+	r, err := load(b)
+	if err != nil {
+		return
+	}
+	r.CheckFDs = true // want relvet201
+}
+
+func nearMissTupleErr(b *box) {
+	r, err := explain(b)
+	if err != nil {
+		return
+	}
+	r.CheckFDs = true // explain's own relation, never published
+}
+
 func nearMissFork(b *box) {
 	f := fork(b) // a fork-role result is unpublished until installed
 	f.CheckFDs = true

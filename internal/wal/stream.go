@@ -4,7 +4,9 @@ import "repro/internal/relation"
 
 // Stream codec: the log-file record encoding (incremental string
 // interning, varint tuples — see encode.go) exported for byte streams
-// that are not files, i.e. the replication wire protocol. A
+// that are not files: the replication wire's snapshot chunks, and the
+// benchmark's encode probe. (A replicated commit travels as a
+// self-contained payload instead; see commitpayload.go.) A
 // StreamEncoder/StreamDecoder pair shares one interning dictionary for
 // the lifetime of the stream, exactly as a log file's appends share the
 // file's dictionary: the first payload using a string carries it in
@@ -53,14 +55,9 @@ func NewStreamDecoder() *StreamDecoder {
 	return &StreamDecoder{}
 }
 
-// ReadCommit decodes one commit payload. Failures wrap ErrCorrupt: the
-// framing CRC already held, so a bad payload means the stream is
+// ReadChunk decodes one snapshot-chunk payload. Failures wrap ErrCorrupt:
+// the framing CRC already held, so a bad payload means the stream is
 // corrupt, not torn.
-func (d *StreamDecoder) ReadCommit(payload []byte) (Commit, error) {
-	return d.dec.readCommit(payload)
-}
-
-// ReadChunk decodes one snapshot-chunk payload.
 func (d *StreamDecoder) ReadChunk(payload []byte) ([]relation.Tuple, error) {
 	return d.dec.readChunk(payload)
 }

@@ -108,7 +108,7 @@ func TestDecodeSharesColumnNames(t *testing.T) {
 	}
 	// The column set carries over from payload to payload of one stream.
 	c := Commit{Seq: 4, Removed: mixed[:1], Inserted: mixed[3:5]}
-	rc, err := dec.ReadCommit(enc.AppendCommit(nil, c))
+	rc, err := dec.dec.readCommit(enc.AppendCommit(nil, c))
 	if err != nil || !eqTuples(rc.Removed, c.Removed) || !eqTuples(rc.Inserted, c.Inserted) {
 		t.Fatalf("commit after chunk: %+v, %v", rc, err)
 	}
@@ -609,7 +609,7 @@ func TestStreamEncoderAlternatesColumnSets(t *testing.T) {
 	enc, dec := NewStreamEncoder(), NewStreamDecoder()
 	for i := int64(0); i < 4; i++ {
 		c := Commit{Seq: uint64(i + 1), Removed: []relation.Tuple{ab(i), cde(i)}, Inserted: []relation.Tuple{cde(i + 1), cde(i + 2), ab(i + 1)}}
-		got, err := dec.ReadCommit(enc.AppendCommit(nil, c))
+		got, err := dec.dec.readCommit(enc.AppendCommit(nil, c))
 		if err != nil || got.Seq != c.Seq || !eqTuples(got.Removed, c.Removed) || !eqTuples(got.Inserted, c.Inserted) {
 			t.Fatalf("commit %d: %+v, %v", i, got, err)
 		}
