@@ -20,11 +20,15 @@ ci: vet build race test-vec heap-budget faultinject lint lint-engine fuzz-smoke 
 # gofmt-idempotent and analyzer-clean). relvet is built once into bin/
 # rather than `go run` three times. All legs must exit 0 on a healthy
 # checkout; zero standing suppressions — enforced by
-# TestNoStandingSuppressions in internal/vet.
+# TestNoStandingSuppressions in internal/vet. The last line keeps the
+# read ladder at two rungs (batch program, then interpreter): outside tests
+# only the frozen benchmark probe may still compile a closure program.
 lint: bin/relvet
 	$(GO) run ./cmd/relc -lint spec/*.rel
 	bin/relvet ./...
 	bin/relvet -gen spec/*.rel
+	@if git grep -nE 'plan\.Compile\(|cand\.Prog|PlanCompiled' -- '*.go' ':!*_test.go' | grep -v '^bench/probes\.go:'; then \
+		echo 'lint: a closure program is back outside bench/probes.go'; exit 1; fi
 
 # The engine-invariant plane (relvet2xx): the interprocedural analyzers
 # turned inward on internal/core, instance, dstruct, colblock, durable, and

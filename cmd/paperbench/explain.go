@@ -3,8 +3,8 @@ package main
 // The explain subcommand: for each corpus relation, print how the engine
 // executes its characteristic query shapes — the chosen Figure 7 plan, the
 // §4.3 cost and cardinality estimates per node, the execution tier
-// (compiled closure program, point-access path, or interpreter), and for
-// the flows relation the sharded tier's routing decision. This is the
+// (point-access path, batch program, or the interpreter a shape without one
+// runs on), and for the flows relation the sharded tier's routing decision. This is the
 // same core.ExplainQuery surface applications get at runtime.
 
 import (

@@ -26,8 +26,8 @@ func fillSched(t *testing.T, insert func(relation.Tuple) error, n int) []relatio
 	return tuples
 }
 
-// TestCompiledConcurrentReaders hammers one compiled program from many
-// goroutines: pooled execution states must never be shared between
+// TestCompiledConcurrentReaders hammers one shape's shared batch program from
+// many goroutines: its pooled execution states must never be shared between
 // concurrent runs (run with -race).
 func TestCompiledConcurrentReaders(t *testing.T) {
 	r := core.NewSync(newSched(t))

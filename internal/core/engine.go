@@ -234,7 +234,7 @@ func (e *engine) Query(pat relation.Tuple, out []string) ([]relation.Tuple, erro
 		if !ok {
 			return ErrClosed
 		}
-		parts[i], err = r.query(pat, out, true)
+		parts[i], err = r.query(pat, out, collectHeld)
 		return err
 	})
 	return merged(parts, err)
@@ -303,7 +303,7 @@ func (e *engine) QueryRange(pat relation.Tuple, col string, lo, hi *value.Value,
 		if !ok {
 			return ErrClosed
 		}
-		parts[i], err = r.queryRange(pat, col, lo, hi, out, true)
+		parts[i], err = r.queryRange(pat, col, lo, hi, out, collectHeld)
 		return err
 	})
 	return merged(parts, err)

@@ -1,14 +1,12 @@
 package core
 
 // The engine-level executor oracle. Nothing selects an execution tier any
-// more — dispatch is point → vectorized → closure on bail → interpreter —
-// so the tiers the dispatch order shadows (the closure tier runs only when a
-// batch program bails, which no relation core.New accepts can provoke) are
-// held to the interpreter here, directly: for every (decomposition, shape)
-// pair the test takes the candidate the engine itself promoted
+// more — dispatch is point → vectorized → interpreter on bail — so the tiers
+// are held to the interpreter here, directly: for every (decomposition,
+// shape) pair the test takes the candidate the engine itself promoted
 // (PlanCandidate) and compares plan.Exec on cand.Op — the Figure 7
-// interpreter, the reference — with cand.Prog, cand.Batch and the engines'
-// own Query/QueryFunc. Range queries sit in the same table (checkRangeTiers):
+// interpreter, the reference — with cand.Batch and the engines' own
+// Query/QueryFunc. Range queries sit in the same table (checkRangeTiers):
 // the range candidate's batch program and the engines' QueryRange and
 // QueryRangeFunc against plan.ExecRange and the relational oracle.
 
@@ -112,21 +110,11 @@ func checkTiers(t *testing.T, r *Relation, engines map[string]tierEngine, oracle
 		}
 	}
 
-	if cand.Prog == nil {
-		t.Fatalf("%v → %v plan %s: promoted without a closure program", in, out, cand.Op)
+	if cand.Batch == nil {
+		t.Fatalf("%v → %v plan %s: promoted without a batch program", in, out, cand.Op)
 	}
 	var rows []relation.Tuple
-	cand.Prog.Stream(r.inst, pat, func(tp relation.Tuple) bool {
-		rows = append(rows, tp)
-		return true
-	})
-	check("closure", cand.Prog.Collect(r.inst, pat, 0), rows)
-
-	if cand.Batch == nil {
-		t.Fatalf("%v → %v plan %s: closure tier compiled but batch tier did not", in, out, cand.Op)
-	}
 	if br, ok := cand.Batch.Run(r.inst, pat); ok {
-		rows = nil
 		br.EachTuple(func(tp relation.Tuple) bool {
 			rows = append(rows, tp.Project(outCols))
 			return true
@@ -570,7 +558,7 @@ func TestExecutorOracle(t *testing.T) {
 	}
 	// The parent's knob-flipping differentials covered 13 (decomposition,
 	// shape) pairs; this table must never cover fewer.
-	t.Logf("%d (decomposition, shape) pairs compared on interpreter, closure, vectorized and three engines", pairs)
+	t.Logf("%d (decomposition, shape) pairs compared on interpreter, vectorized and three engines", pairs)
 	if pairs < 13 {
 		t.Fatalf("oracle table shrank to %d pairs", pairs)
 	}

@@ -3,8 +3,8 @@ package core
 // The EXPLAIN surface: every engine tier can report, for a query shape,
 // which plan it would run and with what provenance — the §4.3 cost
 // estimate the planner chose it by, whether the shape was already in the
-// plan cache, which execution tier it runs on (closure program, point
-// plan, or the Figure 7 interpreter), and, for the sharded tier, whether
+// plan cache, which execution tier it runs on (point plan, batch program,
+// or the Figure 7 interpreter), and, for the sharded tier, whether
 // the shape routes to one shard or fans out. cmd/relc -explain and
 // cmd/paperbench explain render it for the spec corpus.
 
@@ -26,14 +26,13 @@ type QueryExplain struct {
 	Cost    float64 // §4.3 whole-plan cost estimate
 	EstRows int     // planner's row estimate (clamped like execution's)
 
-	Cached   bool // the shape was in the plan cache before this call
-	Compiled bool // runs as a compiled closure program
-	Point    bool // has a compiled point-access path (superkey patterns)
+	Cached bool // the shape was in the plan cache before this call
+	Point  bool // has a compiled point-access path (superkey patterns)
 
 	// Vectorized reports that the shape lowered to a batch program and the
-	// relation will try it first; the closure program remains the fallback
-	// for executions that bail out at run time (Metrics.VecFallbacks counts
-	// those).
+	// relation will try it first; the interpreter finishes executions that
+	// bail out at run time (Metrics.VecFallbacks counts those) and runs a
+	// shape that did not lower.
 	Vectorized bool
 
 	// Routing is set only by the sharded tier: "routed" when the input
@@ -71,9 +70,6 @@ func (e *QueryExplain) String() string {
 	var tags []string
 	if e.Cached {
 		tags = append(tags, "cached")
-	}
-	if e.Compiled {
-		tags = append(tags, "compiled")
 	}
 	if e.Vectorized {
 		tags = append(tags, "vectorized")
@@ -118,7 +114,6 @@ func (r *Relation) ExplainQuery(input, output []string) (*QueryExplain, error) {
 		Cost:       cand.Cost,
 		EstRows:    cand.EstimatedRows(),
 		Cached:     cached,
-		Compiled:   cand.Prog != nil,
 		Point:      cand.Point != nil,
 		Vectorized: cand.Batch != nil,
 		Durable:    r.durable,

@@ -27,7 +27,7 @@ var schedAllCols = []string{"ns", "pid", "state", "cpu"}
 
 // obsOracle accumulates the counter deltas the obs contract promises. The
 // probe relation (no metrics attached) shares the spec and decomposition,
-// so its plan candidates expose the same compiled/point provenance every
+// so its plan candidates expose the same batch/point provenance every
 // tier under test resolves.
 type obsOracle struct {
 	t      *testing.T
@@ -50,7 +50,7 @@ func newObsOracle(t *testing.T) *obsOracle {
 // a fan-out over n shards: the shards share one singleflight cache, so a
 // new shape is planned exactly once and the other n-1 callers count as
 // hits whether they waited in flight or hit the published entry.
-func (o *obsOracle) lookup(in, out []string, n uint64) (compiled, point, vec bool) {
+func (o *obsOracle) lookup(in, out []string, n uint64) (point, vec bool) {
 	o.t.Helper()
 	cand, err := o.probe.PlanCandidate(in, out)
 	if err != nil {
@@ -58,53 +58,49 @@ func (o *obsOracle) lookup(in, out []string, n uint64) (compiled, point, vec boo
 	}
 	key := strings.Join(relation.NewCols(in...).Names(), ",") + "|" +
 		strings.Join(relation.NewCols(out...).Names(), ",")
+	o.promote(key, cand.Batch != nil, n)
+	return cand.Point != nil, cand.Batch != nil
+}
+
+// promote accounts n lookups of the shape whose cache signature is key, the
+// first of which promotes it. One rule for equality and range shapes: a
+// promotion counts PlanVectorized when the shape lowered to a batch program
+// and PlanFallbacks when it did not.
+func (o *obsOracle) promote(key string, vec bool, n uint64) {
 	if o.shapes[key] {
 		o.exp.PlanCacheHits += n
-	} else {
-		o.shapes[key] = true
-		o.exp.PlanCacheMisses++
-		o.exp.PlanCacheHits += n - 1
-		if cand.Prog != nil {
-			o.exp.PlanCompiled++
-			if cand.Batch != nil {
-				o.exp.PlanVectorized++
-			}
-		} else {
-			o.exp.PlanFallbacks++
-		}
+		return
 	}
-	return cand.Prog != nil, cand.Point != nil, cand.Batch != nil
+	o.shapes[key] = true
+	o.exp.PlanCacheMisses++
+	o.exp.PlanCacheHits += n - 1
+	if vec {
+		o.exp.PlanVectorized++
+	} else {
+		o.exp.PlanFallbacks++
+	}
 }
 
 // rangeQuery accounts one QueryRange of a shape: a range shape is a cache
-// entry of its own (the signature includes the column), promoted with a
-// batch program and no closure form — PlanVectorized alone — and, on the
-// scheduler, never bailing: every execution is a vectorized one.
+// entry of its own (the signature includes the column). Every range shape
+// of the scheduler lowers to a batch program that never bails (the executor
+// oracle pins both), so its one execution is a vectorized one.
 func (o *obsOracle) rangeQuery(in, out []string, col string) {
 	key := strings.Join(relation.NewCols(in...).Names(), ",") + "|" +
 		strings.Join(relation.NewCols(out...).Names(), ",") + "|" + col
-	if o.shapes[key] {
-		o.exp.PlanCacheHits++
-	} else {
-		o.shapes[key] = true
-		o.exp.PlanCacheMisses++
-		o.exp.PlanVectorized++
-	}
+	o.promote(key, true, 1)
 	o.exp.QueryRange++
-	o.exp.ExecVectorized++
+	o.exec(true, 1)
 }
 
-// exec accounts n executions through the one dispatch ladder below the
-// point plan (Query, QueryFunc and queryPoint's fallback alike): the batch
-// program when the shape vectorized (none of the scheduler's shapes bail at
-// run time), else the closure program, else the interpreter.
-func (o *obsOracle) exec(compiled, vec bool, n uint64) {
-	switch {
-	case vec:
+// exec accounts n executions through the one read ladder below the point
+// plan (Query, QueryFunc, QueryRange and queryPoint's fallback alike): the
+// batch program when the shape vectorized (none of the scheduler's shapes
+// bail at run time), else the interpreter.
+func (o *obsOracle) exec(vec bool, n uint64) {
+	if vec {
 		o.exp.ExecVectorized += n
-	case compiled:
-		o.exp.ExecCompiled += n
-	default:
+	} else {
 		o.exp.ExecInterpreted += n
 	}
 }
@@ -187,8 +183,8 @@ func driveSingleTier(t *testing.T, rnd *rand.Rand, api singleTierAPI, o *obsOrac
 		}
 		o.exp.Removes++
 		o.snapPublish(stored)
-		c, _, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
-		o.exec(c, v, 1)
+		_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+		o.exec(v, 1)
 		want := 0
 		if stored {
 			want = 1
@@ -204,8 +200,8 @@ func driveSingleTier(t *testing.T, rnd *rand.Rand, api singleTierAPI, o *obsOrac
 		}
 		o.exp.QueryCollect++
 		o.snapRead(1)
-		c, _, v := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
-		o.exec(c, v, 1)
+		_, v := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
+		o.exec(v, 1)
 	case 4: // streaming query by state
 		pat := relation.NewTuple(relation.BindInt("state", tup.MustGet("state").Int()))
 		if err := api.QueryFunc(pat, []string{"ns", "pid"}, func(relation.Tuple) bool { return true }); err != nil {
@@ -213,8 +209,8 @@ func driveSingleTier(t *testing.T, rnd *rand.Rand, api singleTierAPI, o *obsOrac
 		}
 		o.exp.QueryStream++
 		o.snapRead(1)
-		c, _, v := o.lookup([]string{"state"}, []string{"ns", "pid"}, 1)
-		o.exec(c, v, 1)
+		_, v := o.lookup([]string{"state"}, []string{"ns", "pid"}, 1)
+		o.exec(v, 1)
 	case 5: // range query over cpu
 		lo, hi := value.OfInt(2), value.OfInt(6)
 		if _, err := api.QueryRange(relation.NewTuple(), "cpu", &lo, &hi, []string{"ns", "pid"}); err != nil {
@@ -230,8 +226,8 @@ func driveSingleTier(t *testing.T, rnd *rand.Rand, api singleTierAPI, o *obsOrac
 		}
 		o.exp.Updates++
 		o.snapPublish(stored)
-		c, _, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
-		o.exec(c, v, 1)
+		_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+		o.exec(v, 1)
 		want := 0
 		if stored {
 			want = 1
@@ -336,7 +332,7 @@ func TestObsDifferentialSharded(t *testing.T) {
 	// compiled point plan (the plan is a join, which the point compiler
 	// declines); updatePoint and Upsert therefore take their interpreter
 	// fallbacks. Fail loudly if the planner ever learns to point-compile it.
-	if _, point, _ := o.lookup([]string{"ns", "pid"}, schedAllCols, 0); point {
+	if point, _ := o.lookup([]string{"ns", "pid"}, schedAllCols, 0); point {
 		t.Fatal("scheduler {ns,pid}->all gained a point plan; the sharded oracle below must be extended")
 	}
 	o.shapes = map[string]bool{} // forget the probe-only lookup
@@ -346,8 +342,8 @@ func TestObsDifferentialSharded(t *testing.T) {
 	// of the same {ns,pid}->all shape inside the generic update, one plan
 	// execution to find the match, and the usual phases when it exists.
 	updateFallback := func(stored bool) {
-		c, _, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
-		o.exec(c, v, 1)
+		_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+		o.exec(v, 1)
 		if stored {
 			if o.canInPlaceCPU() {
 				o.phases(1)
@@ -383,8 +379,8 @@ func TestObsDifferentialSharded(t *testing.T) {
 			o.exp.RoutedOps++
 			o.exp.Removes++
 			o.snapPublish(stored)
-			c, _, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
-			o.exec(c, v, 1)
+			_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+			o.exec(v, 1)
 			want := 0
 			if stored {
 				want = 1
@@ -401,11 +397,11 @@ func TestObsDifferentialSharded(t *testing.T) {
 			o.exp.RoutedOps++
 			o.exp.QueryPoint++
 			o.snapRead(1)
-			c, point, v := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
+			point, v := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
 			if point {
 				o.exp.ExecPoint++
 			} else {
-				o.exec(c, v, 1)
+				o.exec(v, 1)
 			}
 		case 4: // fan-out query by state
 			pat := relation.NewTuple(relation.BindInt("state", tup.MustGet("state").Int()))
@@ -415,8 +411,8 @@ func TestObsDifferentialSharded(t *testing.T) {
 			o.exp.FanOuts++
 			o.exp.QueryCollect += shards
 			o.snapRead(shards)
-			c, _, v := o.lookup([]string{"state"}, []string{"ns", "pid"}, shards)
-			o.exec(c, v, shards)
+			_, v := o.lookup([]string{"state"}, []string{"ns", "pid"}, shards)
+			o.exec(v, shards)
 		case 5: // broadcast streaming query
 			if err := sr.QueryFunc(relation.NewTuple(), schedAllCols, func(relation.Tuple) bool { return true }); err != nil {
 				t.Fatalf("query func: %v", err)
@@ -424,8 +420,8 @@ func TestObsDifferentialSharded(t *testing.T) {
 			o.exp.FanOuts++
 			o.exp.QueryStream += shards
 			o.snapRead(shards)
-			c, _, v := o.lookup(nil, schedAllCols, shards)
-			o.exec(c, v, shards)
+			_, v := o.lookup(nil, schedAllCols, shards)
+			o.exec(v, shards)
 		case 6: // routed keyed update (updatePoint, interpreter fallback)
 			u := relation.NewTuple(relation.BindInt("cpu", int64(rnd.Intn(8))))
 			n, err := sr.Update(keyPat(tup), u)
@@ -470,8 +466,8 @@ func TestObsDifferentialSharded(t *testing.T) {
 			// publishes.
 			o.snapPublish(true)
 			o.exp.QueryPoint++
-			c, _, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
-			o.exec(c, v, 1) // point read falls to the streaming ladder (no point plan)
+			_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+			o.exec(v, 1) // point read falls to the streaming ladder (no point plan)
 			u := relation.NewTuple(relation.BindInt("cpu", newCPU))
 			if !stored {
 				o.exp.Inserts++

@@ -198,43 +198,7 @@ func (r *Relation) planShape(input, output relation.Cols, rangeCol string) (*pla
 		if r.metrics != nil {
 			r.metrics.PlanCacheMisses.Add(1)
 		}
-		if rangeCol != "" {
-			return r.promoteRange(input, output, rangeCol)
-		}
-		c, err := r.planner.Best(input, output)
-		if err != nil {
-			return nil, err
-		}
-		// Promotion into the cache is when a plan earns compilation: the
-		// planning cost is already being paid once per shape, so the (small)
-		// compile cost rides along, and every later hit runs the program.
-		// Slot indices are a pure function of the decomposition, so the
-		// program compiled against this instance is valid for every shard
-		// sharing the cache. A plan the compiler cannot lower keeps Prog nil
-		// and runs interpreted — the interpreter stays the oracle.
-		prog, perr := plan.Compile(r.inst, c.Op, input, output)
-		if perr == nil {
-			c.Prog = prog
-			if r.metrics != nil {
-				r.metrics.PlanCompiled.Add(1)
-			}
-			// The vectorized form rides the same promotion: CompileBatch
-			// accepts exactly the plans Compile accepts, and like Prog the
-			// batch program binds only decomposition slot indices, so it
-			// is valid for every shard sharing the cache.
-			if bp, berr := plan.CompileBatch(r.inst, c.Op, input, output); berr == nil {
-				c.Batch = bp
-				if r.metrics != nil {
-					r.metrics.PlanVectorized.Add(1)
-				}
-			}
-		} else if r.metrics != nil {
-			r.metrics.PlanFallbacks.Add(1)
-		}
-		if r.tracer != nil {
-			r.tracer.Event(obs.Event{Kind: obs.EvPlanCompile, Detail: c.Op.String(), Err: perr})
-		}
-		return c, nil
+		return r.promote(input, output, rangeCol)
 	})
 	// A caller that neither hit the fast path nor ran the callback waited on
 	// a concurrent planner invocation for the same shape — a hit, by the
@@ -246,21 +210,31 @@ func (r *Relation) planShape(input, output relation.Cols, rangeCol string) (*pla
 	return c, err
 }
 
-// promoteRange plans and compiles a range shape for the cache. The plan is
-// the cheapest one binding output ∪ {col}; its batch program projects onto
-// output alone. There is no closure form of a range query — the executor of
-// last resort is the interpreter (plan.ExecRange) — so the promotion counts
-// PlanVectorized and neither PlanCompiled nor PlanFallbacks.
-func (r *Relation) promoteRange(input, output relation.Cols, col string) (*plan.Candidate, error) {
-	c, err := r.planner.Best(input, output.Union(relation.NewCols(col)))
+// promote plans and lowers a shape for the cache. The plan is the cheapest
+// one binding output plus the range column, if there is one; its batch
+// program projects onto output alone. Promotion is when a plan earns its
+// program: the planning cost is paid once per shape, the (small) compile
+// cost rides along, and every later hit runs the program. The program binds
+// only decomposition slot indices, so the one compiled against this
+// instance is valid for every version and shard sharing the cache. A plan
+// the batch compiler cannot lower keeps Batch nil (PlanFallbacks) and runs
+// on the interpreter, which stays the oracle.
+func (r *Relation) promote(input, output relation.Cols, rangeCol string) (*plan.Candidate, error) {
+	bind := output
+	if rangeCol != "" {
+		bind = output.Union(relation.NewCols(rangeCol))
+	}
+	c, err := r.planner.Best(input, bind)
 	if err != nil {
 		return nil, err
 	}
-	bp, berr := plan.CompileBatchRange(r.inst, c.Op, input, output, col)
-	if berr == nil {
-		c.Batch = bp
-		if r.metrics != nil {
+	bp, berr := plan.CompileBatchRange(r.inst, c.Op, input, output, rangeCol)
+	c.Batch = bp // nil when the plan did not lower
+	if r.metrics != nil {
+		if bp != nil {
 			r.metrics.PlanVectorized.Add(1)
+		} else {
+			r.metrics.PlanFallbacks.Add(1)
 		}
 	}
 	if r.tracer != nil {
@@ -283,7 +257,7 @@ func (r *Relation) PlanDescription(input, output []string) (string, error) {
 // query binding exactly the input columns and projecting the output
 // columns, from the plan cache (planning, compiling and promoting the shape
 // on first use). It exposes the promotion state for tests and diagnostics;
-// cand.Prog == nil means the shape runs on the interpreter.
+// cand.Batch == nil means the shape runs on the interpreter.
 func (r *Relation) PlanCandidate(input, output []string) (*plan.Candidate, error) {
 	return r.planFor(relation.NewCols(input...), relation.NewCols(output...))
 }
@@ -335,17 +309,14 @@ func (r *Relation) insert(t relation.Tuple) (changed bool, err error) {
 //
 //relvet:role=read
 func (r *Relation) Query(s relation.Tuple, out []string) ([]relation.Tuple, error) {
-	p, err := r.query(s, out, false)
+	p, err := r.query(s, out, collectBoxed)
 	return p.Rows, err
 }
 
-// query is Query's body. With hold set, a completed batch run is not boxed:
-// it is reduced to its sorted distinct code rows and handed back unreleased
-// as p.Res, for a fan-out to merge with the other cells' parts (plan.Merge)
-// and release. Every other tier, and every run without hold, collects boxed
-// rows into p.Rows. The part lives with the caller, never on the shared
-// snapshot.
-func (r *Relation) query(s relation.Tuple, out []string, hold bool) (p plan.Part, err error) {
+// query is Query's body; m is collectBoxed, or collectHeld for a fan-out
+// that merges the cells' parts itself. The part lives with the caller,
+// never on the shared snapshot.
+func (r *Relation) query(s relation.Tuple, out []string, m readMode) (p plan.Part, err error) {
 	defer containRead("query", &err)
 	if r.metrics != nil {
 		r.metrics.QueryCollect.Add(1)
@@ -361,60 +332,7 @@ func (r *Relation) query(s relation.Tuple, out []string, hold bool) (p plan.Part
 	if err != nil {
 		return p, err
 	}
-	if tr := r.tracer; tr != nil {
-		start := time.Now()
-		defer func() {
-			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: "query", Detail: cand.Op.String(), Rows: p.Len(), Dur: time.Since(start)})
-		}()
-	}
-	// Vectorized tier first: a completed batch run produces the same
-	// deduplicated, sorted result set; a bailout falls through to the
-	// closure tier having emitted nothing (stages bail before emitting).
-	if cand.Batch != nil {
-		if br, ok := cand.Batch.Run(r.inst, s); ok {
-			if r.metrics != nil {
-				r.metrics.ExecVectorized.Add(1)
-			}
-			return collectBatch(br, hold), nil
-		}
-		if r.metrics != nil {
-			r.metrics.VecFallbacks.Add(1)
-		}
-	}
-	r.countExec(cand)
-	if cand.Prog != nil {
-		p.Rows = cand.Prog.Collect(r.inst, s, cand.EstimatedRows())
-	} else {
-		p.Rows = plan.CollectSized(r.inst, cand.Op, s, outCols, cand.EstimatedRows())
-	}
-	return p, nil
-}
-
-// collectBatch is the set-valued answer of a completed batch run: held —
-// sorted and de-duplicated on its code words, unreleased — or boxed and
-// released.
-func collectBatch(br *plan.BatchResult, hold bool) plan.Part {
-	if hold {
-		br.SortDistinct()
-		return plan.Part{Res: br}
-	}
-	rows := br.Collect()
-	br.Release()
-	return plan.Part{Rows: rows}
-}
-
-// countExec records which execution tier a plan ran on: the compiled
-// closure program or the Figure 7 interpreter. Point-plan executions are
-// counted by the sharded tier's queryPoint, the only caller of that tier.
-func (r *Relation) countExec(cand *plan.Candidate) {
-	if r.metrics == nil {
-		return
-	}
-	if cand.Prog != nil {
-		r.metrics.ExecCompiled.Add(1)
-	} else {
-		r.metrics.ExecInterpreted.Add(1)
-	}
+	return r.run(cand, s, plan.Range{}, outCols, m, nil), nil
 }
 
 // QueryFunc implements the streaming query of the paper's generated
@@ -436,72 +354,106 @@ func (r *Relation) QueryFunc(s relation.Tuple, out []string, f func(relation.Tup
 	if err != nil {
 		return err
 	}
-	r.stream(cand, s, f, &outCols)
+	r.run(cand, s, plan.Range{}, outCols, streamOwned, f)
 	return nil
 }
 
 // queryFunc streams matching tuples to f. The tuples f sees bind at least
 // the columns of out but may be transient views — every internal caller
 // projects (which copies) before retaining; the public QueryFunc, whose
-// caller may retain, asks stream for rows of its own instead.
+// caller may retain, asks run for rows of their own instead.
 func (r *Relation) queryFunc(s relation.Tuple, out relation.Cols, f func(relation.Tuple) bool) error {
 	cand, err := r.planFor(s.Dom(), out)
 	if err != nil {
 		return err
 	}
-	r.stream(cand, s, f, nil)
+	r.run(cand, s, plan.Range{}, out, streamViews, f)
 	return nil
 }
 
-// stream runs cand for s on the streaming dispatch ladder — vectorized,
-// closure program on a bail, interpreter — the one order every streaming
-// query takes once its plan is chosen (queryPoint tries the point plan
-// first and then comes here). With keep nil, f may be handed transient
-// views. Otherwise cand was planned for the output *keep and f may retain
-// what it gets: each row is π_keep in memory of its own — projected row by
-// row on the closure and interpreter tiers, carved from one allocation per
-// slab of rows on the vectorized tier, which knows its row count up front.
-func (r *Relation) stream(cand *plan.Candidate, s relation.Tuple, f func(relation.Tuple) bool, keep *relation.Cols) {
+// A readMode is how run hands back the rows a plan produces.
+type readMode uint8
+
+const (
+	// collectBoxed returns the de-duplicated, sorted result set in p.Rows.
+	collectBoxed readMode = iota
+	// collectHeld is collectBoxed except that a completed batch run is not
+	// boxed: it is reduced to its sorted distinct code rows and handed back
+	// unreleased as p.Res, for a fan-out to merge with the other cells'
+	// parts (plan.Merge) and release.
+	collectHeld
+	// streamOwned streams π_out to f, each row in memory of its own: carved
+	// from one allocation per slab of rows on the vectorized tier, which
+	// knows its row count up front, projected row by row on the interpreter.
+	streamOwned
+	// streamViews streams to f tuples binding at least out, which may be
+	// transient views: f projects (which copies) before retaining.
+	streamViews
+)
+
+// run executes a planned shape for s on the one read ladder every cached
+// shape takes — the batch program, then the Figure 7 interpreter when there
+// is none or the run bailed — and counts the tier that ran. A bailed run has
+// emitted nothing, so the interpreter never duplicates rows, and the batch
+// emission order matches the interpreter's (the differential tests in
+// package plan hold both to it). rg bounds a range shape's column and is
+// zero for an equality shape, which the interpreter then runs exactly as
+// plan.Exec does. m says whether the rows are collected or streamed to f;
+// queryPoint alone tries a point plan before coming here.
+func (r *Relation) run(cand *plan.Candidate, s relation.Tuple, rg plan.Range, out relation.Cols, m readMode, f func(relation.Tuple) bool) (p plan.Part) {
 	if tr := r.tracer; tr != nil {
+		op := "query"
+		if rg.Col != "" {
+			op = "query-range"
+		}
 		rows := 0
-		inner := f
-		f = func(t relation.Tuple) bool { rows++; return inner(t) }
+		if inner := f; inner != nil {
+			f = func(t relation.Tuple) bool { rows++; return inner(t) }
+		}
 		start := time.Now()
 		defer func() {
-			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: "query", Detail: cand.Op.String(), Rows: rows, Dur: time.Since(start)})
+			// Rows streamed to f, or — collecting — rows returned.
+			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: op, Detail: cand.Op.String(), Rows: rows + p.Len(), Dur: time.Since(start)})
 		}()
 	}
-	// Vectorized tier first. A batch program bails before emitting, so a
-	// fallback re-run on the closure tier never duplicates rows, and the
-	// batch emission order matches the closure tier's exactly (the
-	// differential tests in package plan hold both tiers to it).
 	if cand.Batch != nil {
-		if br, ok := cand.Batch.Run(r.inst, s); ok {
+		if br, ok := cand.Batch.RunRange(r.inst, s, rg); ok {
 			if r.metrics != nil {
 				r.metrics.ExecVectorized.Add(1)
 			}
-			if keep != nil {
+			switch m {
+			case collectHeld:
+				br.SortDistinct()
+				return plan.Part{Res: br}
+			case collectBoxed:
+				p.Rows = br.Collect()
+			case streamOwned:
 				br.EachRow(f)
-			} else {
+			case streamViews:
 				br.EachTuple(f)
 			}
 			br.Release()
-			return
+			return p
 		}
 		if r.metrics != nil {
 			r.metrics.VecFallbacks.Add(1)
 		}
 	}
-	if keep != nil {
-		inner := f
-		f = func(t relation.Tuple) bool { return inner(t.Project(*keep)) }
+	if r.metrics != nil {
+		r.metrics.ExecInterpreted.Add(1)
 	}
-	r.countExec(cand)
-	if cand.Prog != nil {
-		cand.Prog.StreamView(r.inst, s, f)
-		return
+	switch m {
+	case collectBoxed, collectHeld:
+		p.Rows = plan.CollectFunc(func(emit func(relation.Tuple) bool) {
+			plan.ExecRange(r.inst, cand.Op, s, rg, emit)
+		}, out, cand.EstimatedRows())
+	case streamOwned:
+		g := f
+		plan.ExecRange(r.inst, cand.Op, s, rg, func(t relation.Tuple) bool { return g(t.Project(out)) })
+	case streamViews:
+		plan.ExecRange(r.inst, cand.Op, s, rg, f)
 	}
-	plan.Exec(r.inst, cand.Op, s, f)
+	return p
 }
 
 // QueryRange implements the order-based query extension (§2 of the paper
@@ -513,12 +465,12 @@ func (r *Relation) stream(cand *plan.Candidate, s relation.Tuple, f func(relatio
 //
 //relvet:role=read
 func (r *Relation) QueryRange(s relation.Tuple, col string, lo, hi *value.Value, out []string) ([]relation.Tuple, error) {
-	p, err := r.queryRange(s, col, lo, hi, out, false)
+	p, err := r.queryRange(s, col, lo, hi, out, collectBoxed)
 	return p.Rows, err
 }
 
-// queryRange is QueryRange's body; hold is query's.
-func (r *Relation) queryRange(s relation.Tuple, col string, lo, hi *value.Value, out []string, hold bool) (p plan.Part, rerr error) {
+// queryRange is QueryRange's body; m is query's.
+func (r *Relation) queryRange(s relation.Tuple, col string, lo, hi *value.Value, out []string, m readMode) (p plan.Part, rerr error) {
 	defer containRead("query-range", &rerr)
 	if r.metrics != nil {
 		r.metrics.QueryRange.Add(1)
@@ -527,7 +479,7 @@ func (r *Relation) queryRange(s relation.Tuple, col string, lo, hi *value.Value,
 	if err != nil {
 		return p, err
 	}
-	return r.execRange(cand, s, rangeOf(col, lo, hi), outCols, nil, hold), nil
+	return r.run(cand, s, rangeOf(col, lo, hi), outCols, m, nil), nil
 }
 
 // QueryRangeFunc is the streaming form of QueryRange: no de-duplication,
@@ -541,7 +493,7 @@ func (r *Relation) QueryRangeFunc(s relation.Tuple, col string, lo, hi *value.Va
 	if err != nil {
 		return err
 	}
-	r.execRange(cand, s, rangeOf(col, lo, hi), outCols, f, false)
+	r.run(cand, s, rangeOf(col, lo, hi), outCols, streamOwned, f)
 	return nil
 }
 
@@ -577,54 +529,6 @@ func (r *Relation) rangePlan(s relation.Tuple, col string, out []string) (*plan.
 		return nil, relation.Cols{}, err
 	}
 	return cand, outCols, nil
-}
-
-// execRange runs a planned range query on the range dispatch ladder — the
-// batch program compiled for the column, then the interpreter
-// (plan.ExecRange) when there is none or it bailed, having emitted nothing
-// — and counts the tier that ran. With f nil it returns the de-duplicated,
-// sorted result set (QueryRange), held as query holds it; otherwise it
-// streams π_out row by row to f, each row in memory of its own
-// (QueryRangeFunc), and returns an empty part.
-func (r *Relation) execRange(cand *plan.Candidate, s relation.Tuple, rg plan.Range, out relation.Cols, f func(relation.Tuple) bool, hold bool) (p plan.Part) {
-	if tr := r.tracer; tr != nil {
-		rows := 0
-		if inner := f; inner != nil {
-			f = func(t relation.Tuple) bool { rows++; return inner(t) }
-		}
-		start := time.Now()
-		defer func() {
-			// Rows streamed to f, or — collecting — rows returned, as for Query.
-			tr.Event(obs.Event{Kind: obs.EvPlanExec, Op: "query-range", Detail: cand.Op.String(), Rows: rows + p.Len(), Dur: time.Since(start)})
-		}()
-	}
-	if cand.Batch != nil {
-		if br, ok := cand.Batch.RunRange(r.inst, s, rg); ok {
-			if r.metrics != nil {
-				r.metrics.ExecVectorized.Add(1)
-			}
-			if f == nil {
-				return collectBatch(br, hold)
-			}
-			br.EachRow(f)
-			br.Release()
-			return p
-		}
-		if r.metrics != nil {
-			r.metrics.VecFallbacks.Add(1)
-		}
-	}
-	if r.metrics != nil {
-		r.metrics.ExecInterpreted.Add(1)
-	}
-	if f == nil {
-		p.Rows = plan.CollectFunc(func(emit func(relation.Tuple) bool) {
-			plan.ExecRange(r.inst, cand.Op, s, rg, emit)
-		}, out, cand.EstimatedRows())
-		return p
-	}
-	plan.ExecRange(r.inst, cand.Op, s, rg, func(t relation.Tuple) bool { return f(t.Project(out)) })
-	return p
 }
 
 // Remove implements remove r s: it removes every tuple extending s and

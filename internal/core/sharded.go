@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"repro/internal/decomp"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/wal"
 )
@@ -232,7 +233,7 @@ func (sr *ShardedRelation) Exclusive(pat relation.Tuple, f func(*Relation) error
 // one tuple extends the pattern, so the dedup map, canonical-key encoding,
 // and sort are all skipped. When the chosen plan compiled to a PointPlan the
 // whole query runs as a flat map descent; otherwise the streaming ladder
-// (Relation.stream) runs with an early stop. ShardedRelation uses it for
+// (Relation.run) runs with an early stop. ShardedRelation uses it for
 // routed queries once construction has certified the shard key as a key.
 func (r *Relation) queryPoint(s relation.Tuple, out []string) (res []relation.Tuple, err error) {
 	defer containRead("query", &err)
@@ -269,10 +270,10 @@ func (r *Relation) queryPoint(s relation.Tuple, out []string) (res []relation.Tu
 			return []relation.Tuple{res}, nil
 		}
 	}
-	r.stream(cand, s, func(t relation.Tuple) bool {
+	r.run(cand, s, plan.Range{}, outCols, streamViews, func(t relation.Tuple) bool {
 		res = append(res, t.Project(outCols))
 		return false // a superkey pattern matches at most one tuple
-	}, nil)
+	})
 	return res, nil
 }
 

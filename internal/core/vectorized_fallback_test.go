@@ -8,9 +8,9 @@ package core
 // engine-level fallback accounting anyway, this test hand-builds the one
 // decomposition whose batch program compiles but always bails: a root that
 // is a single (never-written, hence partial) unit. core.New rejects that
-// shape as inadequate for the empty relation, but the closure and
-// interpreter tiers still agree on its degenerate semantics, which is all
-// the fallback differential needs.
+// shape as inadequate for the empty relation, but the interpreter still
+// answers its degenerate semantics, which is all the fallback differential
+// needs.
 
 import (
 	"testing"
@@ -48,9 +48,9 @@ func newUnitRootRelation() *Relation {
 
 // TestVectorizedFallbackProvenance: the bailing shape still explains as
 // vectorized (bailout is a run-time event, not a compile-time one), every
-// query counts one VecFallbacks plus one row-tier execution, the pooled
+// query counts one VecFallbacks plus one interpreted execution, the pooled
 // state stays reusable across bails, and the answer the fallback produces
-// matches the interpreter's and the closure program's (checkTiers).
+// matches the interpreter's (checkTiers).
 func TestVectorizedFallbackProvenance(t *testing.T) {
 	r := newUnitRootRelation()
 	m := &obs.Metrics{}
@@ -75,13 +75,13 @@ func TestVectorizedFallbackProvenance(t *testing.T) {
 	if s.VecFallbacks != 6 || s.ExecVectorized != 0 {
 		t.Fatalf("fallback accounting: %s", s.String())
 	}
-	if s.ExecCompiled != 6 || s.ExecInterpreted != 0 {
-		t.Fatalf("bailed queries must re-run on the closure tier: %s", s.String())
+	if s.ExecInterpreted != 6 || s.ExecCompiled != 0 {
+		t.Fatalf("bailed queries must re-run on the interpreter: %s", s.String())
 	}
 
-	// A range query has no closure form: its batch program bails the same
-	// way and the interpreter (plan.ExecRange), the executor of last resort,
-	// finishes it — once per call, whether collected or streamed.
+	// A range query takes the same ladder: its batch program bails the same
+	// way and the interpreter (plan.ExecRange) finishes it — once per call,
+	// whether collected or streamed.
 	lo := value.OfInt(0)
 	if _, err := r.QueryRange(relation.NewTuple(), "a", &lo, nil, []string{"b"}); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestVectorizedFallbackProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = m.Snapshot()
-	if s.VecFallbacks != 8 || s.ExecVectorized != 0 || s.ExecInterpreted != 2 || s.ExecCompiled != 6 {
+	if s.VecFallbacks != 8 || s.ExecVectorized != 0 || s.ExecInterpreted != 8 || s.ExecCompiled != 0 {
 		t.Fatalf("range fallback accounting: %s", s.String())
 	}
 }

@@ -43,8 +43,8 @@ func TestVectorizedQueryProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Compiled || !ex.Vectorized {
-		t.Fatalf("explain: compiled=%v vectorized=%v, want both", ex.Compiled, ex.Vectorized)
+	if !ex.Vectorized {
+		t.Fatal("explain: vectorized=false, want true")
 	}
 	if !strings.Contains(ex.String(), "vectorized") {
 		t.Fatalf("explain text lacks the vectorized tag:\n%s", ex)

@@ -165,8 +165,8 @@ func newBare[V any](k Kind, arity int) Words[V] {
 }
 
 // A Map is a Words container seen from outside the storage layer: keys are
-// tuples, boxed and unboxed on every call. The interpreter and closure
-// execution tiers, the abstraction function and well-formedness check, the
+// tuples, boxed and unboxed on every call. The interpreter, the closure
+// program the benchmark still times, the abstraction function and well-formedness check, the
 // container probes of the benchmark and most tests speak it; nothing on a
 // mutation or vectorized read path does.
 //

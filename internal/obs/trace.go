@@ -16,7 +16,7 @@ type EventKind uint8
 // undo replay is the rollback of a cut mutation that failed mid-apply.
 const (
 	// EvPlanCompile: a plan was promoted into the plan cache and lowered
-	// (or declined) by the closure compiler. Detail holds the plan in the
+	// (or declined) by the batch compiler. Detail holds the plan in the
 	// paper's notation; Err the compile error on a fallback.
 	EvPlanCompile EventKind = iota
 	// EvPlanExec: one plan execution. Op names the API operation, Detail

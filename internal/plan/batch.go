@@ -255,9 +255,8 @@ func (c *bcompiler) fail(format string, args ...any) {
 
 // CompileBatch lowers op — a plan valid for input columns input — into a
 // BatchProgram producing the projection onto output. It accepts exactly the
-// plans Compile accepts and returns an error otherwise; the engine only
-// attempts it after Compile succeeded, keeping the closure tier as the
-// fallback for both compile-time rejection and run-time bailout.
+// plans Compile accepts and returns an error otherwise; the engine runs the
+// interpreter on a shape it rejects and on a run that bails.
 func CompileBatch(in *instance.Instance, op Op, input, output relation.Cols) (*BatchProgram, error) {
 	return compileBatch(in, op, input, output, "")
 }

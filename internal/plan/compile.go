@@ -30,6 +30,12 @@ import (
 // The interpreter remains the semantic oracle: a Program is only ever an
 // optimization, and the differential tests in compile_test.go run every plan
 // of the corpus both ways.
+//
+// The engine no longer runs a Program: a cached shape runs its batch
+// program (batch.go), then the interpreter. This file stays only because
+// the frozen benchmark times plan.exec_compiled_us with Compile and
+// StreamView; it goes, with its tests and benchmarks, when those probes
+// retire.
 
 // A Program is a compiled query plan: closures pre-bound to slot indices and
 // register positions, executable against any instance of the decomposition

@@ -83,7 +83,7 @@ func execOp(in *instance.Instance, op Op, prim decomp.Primitive, n *instance.Nod
 // out, de-duplicated and in deterministic order — the query operation's
 // π_C semantics. The dedup map and result slice are pre-sized with the
 // planner's default-statistics row estimate for op; callers that know better
-// (the engine caches the chosen candidate's estimate) use CollectSized.
+// (a cached candidate's estimate) use CollectSized.
 func Collect(in *instance.Instance, op Op, s relation.Tuple, out relation.Cols) []relation.Tuple {
 	return CollectSized(in, op, s, out, EstimateRows(in.Decomp(), op))
 }

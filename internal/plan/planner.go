@@ -76,18 +76,12 @@ type Candidate struct {
 	// at most one result per constraint. Nil otherwise.
 	Point *PointPlan
 
-	// Prog is the general compiled form of Op (see Compile): a closure
-	// program handling every operator shape, including scans and joins. It
-	// is not set by Best — the engine compiles it lazily when it caches the
-	// candidate, because compilation needs an instance and the output
-	// columns. Nil means "use the interpreter".
-	Prog *Program
-
-	// Batch is the vectorized form of Op (see CompileBatch), set alongside
-	// Prog when the engine promotes the candidate with vectorization
-	// enabled. A batch program may still bail out at run time, so Batch is
-	// an optimization over Prog, never a replacement: the engine re-runs a
-	// bailed query on Prog (or the interpreter).
+	// Batch is the vectorized form of Op (see CompileBatchRange). It is not
+	// set by Best — the engine compiles it when it caches the candidate,
+	// because compilation needs an instance and the output columns. Nil
+	// means "use the interpreter". A batch program may still bail out at
+	// run time, so Batch is an optimization over the interpreter, never a
+	// replacement: the engine re-runs a bailed query on the interpreter.
 	Batch *BatchProgram
 }
 

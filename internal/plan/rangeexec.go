@@ -57,7 +57,13 @@ func (rg *Range) hiTuple() relation.Tuple {
 //
 // Scans over a map edge keyed exactly by rg.Col use the container's ordered
 // RangeBetween when it implements dstruct.Ranger, turning the filter into a
-// seek; other operators filter as the column becomes bound.
+// seek; other operators filter as the column becomes bound. A zero Range
+// (no column) constrains nothing: ExecRange is then exactly Exec.
 func ExecRange(in *instance.Instance, op Op, s relation.Tuple, rg Range, emit func(relation.Tuple) bool) {
-	execOp(in, op, in.Decomp().RootBinding().Def, in.Root(), s, &rg, emit)
+	var c *Range // copied only here, so an unconstrained run allocates no Range
+	if rg.Col != "" {
+		c = new(Range)
+		*c = rg
+	}
+	execOp(in, op, in.Decomp().RootBinding().Def, in.Root(), s, c, emit)
 }

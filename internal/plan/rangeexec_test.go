@@ -117,6 +117,9 @@ func TestExecRangeEdgeCases(t *testing.T) {
 		{"empty-reversed", plan.Range{Col: "dst", Lo: value.OfInt(5), HasLo: true, Hi: value.OfInt(2), HasHi: true}},
 		{"below-all", plan.Range{Col: "dst", Lo: value.OfInt(-10), HasLo: true, Hi: value.OfInt(-5), HasHi: true}},
 		{"above-all", plan.Range{Col: "dst", Lo: value.OfInt(100), HasLo: true}},
+		// No column constrains nothing: ExecRange must equal Exec (the
+		// oracle filters nothing), as the engine's equality shapes rely on.
+		{"zero", plan.Range{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,9 +2,12 @@ package repl
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +25,10 @@ import (
 // strict apply, which drops a fork on the replica engine: SnapDrops on the
 // follower's metrics must stay zero. Writers own disjoint key ranges, so the
 // union of their private oracles is the oracle of the acknowledged history
-// whatever order the cells committed in. Run under -race by `make ci-race`.
+// whatever order the cells committed in. The writers stop at a deadline, and
+// as soon as a session on either end panics (the cutter names the panic), so
+// a broken session fails the test instead of running to go test's timeout.
+// Run under -race by `make ci-race`.
 func TestSnapshotCutIsExact(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		t.Run(fmt.Sprintf("cells=%d", max(shards, 1)), func(t *testing.T) { cutIsExact(t, shards) })
@@ -39,6 +45,19 @@ func cutIsExact(t *testing.T, shards int) {
 	d := openPrimary(t, shards)
 	p := newTestPublisher(t, d, PublisherOptions{Retain: 2})
 
+	// InProcDialer, keeping what Handle returns: a publisher session that
+	// panics looks like a dropped link to its follower, so it is named here.
+	var pubPanic atomic.Pointer[error]
+	dial := func() (io.ReadWriteCloser, error) {
+		client, server := net.Pipe()
+		go func() {
+			if err := p.Handle(server); isSessionPanic(err) {
+				pubPanic.CompareAndSwap(nil, &err)
+			}
+		}()
+		return client, nil
+	}
+
 	type replica struct {
 		f   *Follower
 		met *obs.Metrics
@@ -51,7 +70,7 @@ func cutIsExact(t *testing.T, shards int) {
 	}
 	var replicas []replica
 	for _, opts := range layouts {
-		r := replica{met: &obs.Metrics{}, cd: &cutDialer{inner: InProcDialer(p)}}
+		r := replica{met: &obs.Metrics{}, cd: &cutDialer{inner: dial}}
 		opts.Metrics, opts.Backoff = r.met, 100*time.Microsecond
 		r.f = newTestFollower(t, schedSpec(), r.cd.dial, opts)
 		replicas = append(replicas, r)
@@ -66,9 +85,11 @@ func cutIsExact(t *testing.T, shards int) {
 		return true
 	}
 
+	deadline := time.Now().Add(waitTimeout)
+	var abort atomic.Bool // a session panicked: the writers stop
 	stop := make(chan struct{})
 	var bg sync.WaitGroup
-	for _, r := range replicas {
+	for i, r := range replicas {
 		bg.Add(2)
 		// The cutter severs the link whenever the replica has made some
 		// progress, so sessions are long enough to stream a tail over the
@@ -84,8 +105,17 @@ func cutIsExact(t *testing.T, shards int) {
 					case <-time.After(100 * time.Microsecond):
 					}
 				}
-				if err := r.f.Err(); err != nil && strings.Contains(err.Error(), "sequence gap") {
+				err := r.f.Err()
+				if err != nil && strings.Contains(err.Error(), "sequence gap") {
 					t.Errorf("follower session saw %v", err)
+				}
+				if pe := pubPanic.Load(); pe != nil && !isSessionPanic(err) {
+					err = *pe
+				}
+				if isSessionPanic(err) {
+					t.Errorf("follower %d: %v", i, err)
+					abort.Store(true)
+					return
 				}
 				r.cd.cut()
 			}
@@ -118,7 +148,7 @@ func cutIsExact(t *testing.T, shards int) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(int64(w) + 1))
 			ns, own := int64(w)+1, oracles[w]
-			for i := 0; i < maxOps && !exercised(); i++ {
+			for i := 0; i < maxOps && !exercised() && !abort.Load() && time.Now().Before(deadline); i++ {
 				pid := rnd.Int63n(pids) + 1
 				key := relation.NewTuple(relation.BindInt("ns", ns), relation.BindInt("pid", pid))
 				stored := own.Query(key, schedSpec().Cols())
@@ -150,6 +180,14 @@ func cutIsExact(t *testing.T, shards int) {
 	wg.Wait()
 	close(stop)
 	bg.Wait()
+	if !exercised() && !t.Failed() {
+		for i, r := range replicas {
+			t.Errorf("follower %d: %d bootstraps when the writers stopped (last session error: %v)", i, r.met.ReplSnapshots.Load(), r.f.Err())
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
 
 	want := relation.Empty(schedSpec().Cols())
 	for _, own := range oracles {
@@ -178,6 +216,12 @@ func cutIsExact(t *testing.T, shards int) {
 		snapshots += m.ReplSnapshots
 	}
 	t.Logf("%d acknowledged records, %d mid-traffic bootstraps", p.Head()-1, snapshots)
+}
+
+// isSessionPanic reports whether err is a contained session panic, on the
+// publisher's side or the follower's.
+func isSessionPanic(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "session panic")
 }
 
 // TestCloseRacesPin: Close takes the cell fence (to detach the sink) and
