@@ -20,15 +20,21 @@ ci: vet build race test-vec heap-budget faultinject lint lint-engine fuzz-smoke 
 # gofmt-idempotent and analyzer-clean). relvet is built once into bin/
 # rather than `go run` three times. All legs must exit 0 on a healthy
 # checkout; zero standing suppressions — enforced by
-# TestNoStandingSuppressions in internal/vet. The last line keeps the
-# read ladder at two rungs (batch program, then interpreter): outside tests
-# only the frozen benchmark probe may still compile a closure program.
+# TestNoStandingSuppressions in internal/vet. The grep keeps the read
+# ladder at two rungs (batch program, then interpreter): outside tests only
+# the frozen benchmark probe may still compile a closure program. The last
+# line holds the API to its callers: every exported name or method of a
+# non-main package is used by non-test code in this module or in bench/,
+# or by a test of another package (interface methods and generated files
+# are exempt), so an export only its own tests call is deleted, unexported
+# or moved into those tests.
 lint: bin/relvet
 	$(GO) run ./cmd/relc -lint spec/*.rel
 	bin/relvet ./...
 	bin/relvet -gen spec/*.rel
 	@if git grep -nE 'plan\.Compile\(|cand\.Prog|PlanCompiled' -- '*.go' ':!*_test.go' | grep -v '^bench/probes\.go:'; then \
 		echo 'lint: a closure program is back outside bench/probes.go'; exit 1; fi
+	$(GO) test -count 1 -run '^TestEveryExportHasACaller$$' ./internal/vet
 
 # The engine-invariant plane (relvet2xx): the interprocedural analyzers
 # turned inward on internal/core, instance, dstruct, colblock, durable, and

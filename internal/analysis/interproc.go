@@ -233,9 +233,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	return p
 }
 
-// FuncOf returns the summary for a declaration in the program, or nil.
-func (p *Program) FuncOf(decl *ast.FuncDecl) *FuncInfo { return p.byDecl[decl] }
-
 // FuncsOf returns the package's functions in source order.
 func (p *Program) FuncsOf(pkg *Package) []*FuncInfo {
 	var out []*FuncInfo

@@ -33,6 +33,7 @@ type listEntry struct {
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
+	ImportMap  map[string]string
 }
 
 // Load lists the packages matching patterns, parses their sources, and
@@ -45,11 +46,14 @@ type listEntry struct {
 // Patterns follow `go list` syntax (./..., repro/internal/core, an
 // explicit ./testdata/... directory). Wildcards skip testdata directories
 // exactly as the go tool does; name testdata packages explicitly to load
-// them.
+// them. A leading -test is handed to go list too: each matched package
+// with tests then also loads as its test variant (its _test.go files
+// beside its own) and as its external _test package, each importing
+// through go list's ImportMap.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly",
+		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,ImportMap",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -90,9 +94,21 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, t := range targets {
+		conf := types.Config{Importer: imp}
+		if t.ImportMap != nil {
+			conf.Importer = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+				if p, ok := t.ImportMap[path]; ok {
+					path = p
+				}
+				return lookup(path)
+			})
+		}
 		var files []*ast.File
 		for _, name := range t.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
+			if !filepath.IsAbs(name) { // a test main lives in the build cache
+				name = filepath.Join(t.Dir, name)
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("parse %s: %v", name, err)
 			}
@@ -106,7 +122,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Implicits:  map[ast.Node]types.Object{},
 			Scopes:     map[ast.Node]*types.Scope{},
 		}
-		conf := types.Config{Importer: imp}
 		tpkg, err := conf.Check(t.ImportPath, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("typecheck %s: %v", t.ImportPath, err)

@@ -222,9 +222,6 @@ type View struct {
 	d    *Dict
 }
 
-// Len returns the number of interned values the view covers.
-func (vw View) Len() int { return len(vw.vals) }
-
 // Valid reports whether c is a word this view can decode.
 func (vw View) Valid(c Code) bool {
 	return c&dictTag == 0 || c>>1 < Code(len(vw.vals))
@@ -333,11 +330,8 @@ func NewBlock(nCols int) *Block {
 	return &Block{Cols: make([][]Code, nCols)}
 }
 
-// Rows returns the row count.
-func (b *Block) Rows() int { return b.N }
-
-// Reset empties every column, keeping capacity.
-func (b *Block) Reset() {
+// reset empties every column, keeping capacity.
+func (b *Block) reset() {
 	for i := range b.Cols {
 		b.Cols[i] = b.Cols[i][:0]
 	}

@@ -98,8 +98,8 @@ func TestViewIsAPrefix(t *testing.T) {
 	for i := 0; i < 5000; i++ { // reallocates the value table and the index many times over
 		later = append(later, d.Encode(value.OfString(fmt.Sprintf("s%d", i))))
 	}
-	if vw.Len() != 1 || d.Len() != 5001 {
-		t.Fatalf("view covers %d values, table %d; want 1 and 5001", vw.Len(), d.Len())
+	if len(vw.vals) != 1 || d.Len() != 5001 {
+		t.Fatalf("view covers %d values, table %d; want 1 and 5001", len(vw.vals), d.Len())
 	}
 	if got := vw.Decode(a); got.Str() != "a" {
 		t.Fatalf("view decodes %v", got)
@@ -139,16 +139,16 @@ func TestViewReadersRaceTheWriter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for vw := range views {
-				for j := 0; j < vw.Len(); j += 1 + vw.Len()/64 {
+				for j := 0; j < len(vw.vals); j += 1 + len(vw.vals)/64 {
 					want := value.OfString(fmt.Sprintf("s%d", j))
 					c, ok := vw.Find(want)
 					if !ok || vw.Decode(c) != want {
-						t.Errorf("view of %d values: Find(%v) = %d, %v", vw.Len(), want, c, ok)
+						t.Errorf("view of %d values: Find(%v) = %d, %v", len(vw.vals), want, c, ok)
 						return
 					}
 				}
-				if _, ok := vw.Find(value.OfString(fmt.Sprintf("s%d", vw.Len()))); ok {
-					t.Errorf("view of %d values found the next one", vw.Len())
+				if _, ok := vw.Find(value.OfString(fmt.Sprintf("s%d", len(vw.vals)))); ok {
+					t.Errorf("view of %d values found the next one", len(vw.vals))
 					return
 				}
 			}
@@ -199,17 +199,17 @@ func TestHashSpreadsConsecutiveInlineKeys(t *testing.T) {
 
 func TestBlockReset(t *testing.T) {
 	b := NewBlock(3)
-	if len(b.Cols) != 3 || b.Rows() != 0 {
-		t.Fatalf("NewBlock: %d cols, %d rows", len(b.Cols), b.Rows())
+	if len(b.Cols) != 3 || b.N != 0 {
+		t.Fatalf("NewBlock: %d cols, %d rows", len(b.Cols), b.N)
 	}
 	for i := range b.Cols {
 		b.Cols[i] = append(b.Cols[i], 1, 2, 3)
 	}
 	b.N = 3
 	before := cap(b.Cols[0])
-	b.Reset()
-	if b.Rows() != 0 {
-		t.Fatal("Reset kept rows")
+	b.reset()
+	if b.N != 0 {
+		t.Fatal("reset kept rows")
 	}
 	for i := range b.Cols {
 		if len(b.Cols[i]) != 0 {

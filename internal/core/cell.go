@@ -42,8 +42,8 @@ type cell struct {
 }
 
 // errUnlogged rejects a write body that changed a logged cell without
-// reporting what it changed (Upsert and Exclusive run caller code on the
-// fork and have no delta to log).
+// reporting what it changed (Upsert runs caller code on the fork and has
+// no delta to log).
 var errUnlogged = errors.New("core: operation cannot be write-ahead logged; use Insert, Remove or Update on a durable relation")
 
 // init publishes r as the cell's version 0, before the cell is shared.
@@ -244,36 +244,6 @@ func (c *cell) insertBatch(ts []relation.Tuple) error {
 		}
 	}
 	return c.commit(next, changed, delta, nil)
-}
-
-// removeBatch removes by many patterns on one fork, atomically, and
-// returns the number of tuples removed.
-func (c *cell) removeBatch(pats []relation.Tuple) (int, error) {
-	if len(pats) == 0 {
-		return 0, nil
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	next, err := c.fork()
-	if err != nil {
-		return 0, err
-	}
-	var delta wal.Commit
-	n := 0
-	for _, pat := range pats {
-		removed, err := next.remove(pat)
-		if err != nil {
-			return 0, c.commit(next, false, delta, err)
-		}
-		n += len(removed)
-		if c.log != nil {
-			delta.Removed = append(delta.Removed, removed...)
-		}
-	}
-	if err := c.commit(next, n > 0, delta, nil); err != nil {
-		return 0, err
-	}
-	return n, nil
 }
 
 // A CommitSource hands an applier its records one at a time: ok is false

@@ -370,7 +370,7 @@ func TestDurableShardedLogsPerShard(t *testing.T) {
 	}
 
 	// Replay each shard's log into a fresh sharded engine.
-	sr2 := core.MustNewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
+	sr2 := mustNewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
 		ShardKey: []string{"ns", "pid"},
 		Shards:   shards,
 		Workers:  1,
@@ -599,9 +599,9 @@ func TestDurableAppendErrorDropsFork(t *testing.T) {
 }
 
 // TestDurableRefusesUnloggableWrites verifies the commit path's guard: the
-// write bodies that run caller code on the fork (Upsert, Exclusive) have no
-// delta to log, so on a logged cell they drop their fork instead of
-// publishing state the log does not contain.
+// write body that runs caller code on the fork (Upsert) has no delta to
+// log, so on a logged cell it drops its fork instead of publishing state
+// the log does not contain.
 func TestDurableRefusesUnloggableWrites(t *testing.T) {
 	d, sr := newDurableSharded(t, t.TempDir(), 4, wal.SyncOff)
 	if err := d.Insert(paperex.SchedulerTuple(1, 1, 0, 5)); err != nil {
@@ -612,9 +612,6 @@ func TestDurableRefusesUnloggableWrites(t *testing.T) {
 	bump := relation.NewTuple(relation.BindInt("cpu", 6))
 	if err := sr.Upsert(key, func(relation.Tuple, bool) (relation.Tuple, error) { return bump, nil }); err == nil {
 		t.Error("Upsert published an unlogged version on a durable engine")
-	}
-	if err := sr.Exclusive(key, func(r *core.Relation) error { _, err := r.Update(key, bump); return err }); err == nil {
-		t.Error("Exclusive published an unlogged version on a durable engine")
 	}
 	if got := durAll(t, d); !eqStates(got, before) {
 		t.Fatalf("refused writes changed the published state: %v", got)

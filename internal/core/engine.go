@@ -17,12 +17,13 @@ import (
 // SyncRelation, ShardedRelation, and DurableRelation over either — and
 // the only thing the layers above (DurableRelation, durable.Open,
 // repl.Follower) know about the engine underneath them: the paper's
-// insert/remove/update/query operations plus the observability hooks and
-// the replay entry point. Every implementation is the one engine body
-// underneath, which is what the unexported method pins.
+// insert/remove/update/query operations plus the metrics hook and the
+// replay entry point. Every implementation is the one engine body
+// underneath, which is what the unexported method pins. A method is on
+// the interface only if a layer above calls it through an Engine or a
+// tier-differential test drives every tier through it; Spec, SetTracer
+// and Metrics are the concrete types' own.
 type Engine interface {
-	Spec() *Spec
-
 	Insert(t relation.Tuple) error
 	InsertBatch(ts []relation.Tuple) error
 	Remove(pat relation.Tuple) (int, error)
@@ -37,13 +38,9 @@ type Engine interface {
 	CheckInvariants() error
 	ExplainQuery(input, output []string) (*QueryExplain, error)
 
-	// SetMetrics and SetTracer attach the observability sinks. Like the
-	// other configuration knobs, attach before the engine is shared; version
-	// forks inherit the sinks. The tracer receives events from concurrent
-	// readers and must be safe for concurrent use.
+	// SetMetrics attaches the metrics sink. Like the other configuration
+	// knobs, attach before the engine is shared; version forks inherit it.
 	SetMetrics(m *obs.Metrics)
-	SetTracer(t obs.Tracer)
-	Metrics() *obs.Metrics
 
 	// ApplyCommits replays the logical deltas src hands over — tuples that
 	// need not be partitioned for this engine's layout — strictly: every
@@ -149,8 +146,10 @@ func (e *engine) SetMetrics(m *obs.Metrics) {
 	e.config(func(r *Relation) { r.SetMetrics(m) })
 }
 
-// SetTracer attaches one tracer to every cell. The tracer receives events
-// from fan-out workers concurrently.
+// SetTracer attaches one tracer to every cell, before the engine is
+// shared; version forks inherit it. The tracer receives events from
+// fan-out workers and concurrent readers, so it must be safe for
+// concurrent use.
 func (e *engine) SetTracer(t obs.Tracer) {
 	e.config(func(r *Relation) { r.SetTracer(t) })
 }

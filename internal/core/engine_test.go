@@ -21,7 +21,7 @@ import (
 // neither for a no-op — on every tier alike.
 func TestEveryTierCommitsThroughOneCell(t *testing.T) {
 	sharded := func(shards int) *core.ShardedRelation {
-		sr := core.MustNewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
+		sr := mustNewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
 			ShardKey: []string{"ns", "pid"},
 			Shards:   shards,
 			Workers:  1,

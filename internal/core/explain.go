@@ -22,7 +22,7 @@ type QueryExplain struct {
 	Output   []string // columns the query produces
 
 	Plan    string  // chosen plan in the paper's Figure 7 notation
-	Tree    string  // plan.Explain tree: per-node cost/row annotations
+	Tree    string  // Planner.Explain tree: per-node cost/row annotations
 	Cost    float64 // §4.3 whole-plan cost estimate
 	EstRows int     // planner's row estimate (clamped like execution's)
 

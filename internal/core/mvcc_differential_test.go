@@ -89,7 +89,7 @@ func TestSyncMutateFromStreamingCallbackDifferential(t *testing.T) {
 }
 
 func TestShardedMutateFromStreamingCallbackDifferential(t *testing.T) {
-	sr := core.MustNewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
+	sr := mustNewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
 		ShardKey: []string{"ns", "pid"},
 		Shards:   4,
 		Workers:  1,
@@ -397,7 +397,7 @@ func TestSyncPinnedSnapshotsUnderListChurnDifferential(t *testing.T) {
 // is a value some writer actually wrote (no torn tuples) while exercising
 // the fan-out path under -race.
 func TestShardedConcurrentDifferential(t *testing.T) {
-	sr := core.MustNewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
+	sr := mustNewSharded(schedSpec(), paperex.SchedulerDecomp(), core.ShardOptions{
 		ShardKey: []string{"ns", "pid"},
 		Shards:   4,
 		Workers:  4,

@@ -149,9 +149,6 @@ func (r *Relation) SetTracer(t obs.Tracer) {
 	r.inst.SetObs(r.metrics, t)
 }
 
-// Metrics returns the attached metrics sink, or nil.
-func (r *Relation) Metrics() *obs.Metrics { return r.metrics }
-
 // Reprofile replaces the planner's statistics with fanouts measured from
 // the current instance (§4.3's profiling option) and clears the plan cache.
 func (r *Relation) Reprofile() {

@@ -38,21 +38,3 @@ func (ro *router) mustRoute(t relation.Tuple) (int, error) {
 	}
 	return i, nil
 }
-
-// group partitions ops across shards for a batched mutation: routed ops go
-// to their owning shard's list, unrouted patterns (broadcast) go to every
-// shard. The returned lists preserve each shard's relative op order, so a
-// batch built from a per-key-ordered log applies in order per key.
-func (ro *router) group(ops []relation.Tuple) [][]relation.Tuple {
-	groups := make([][]relation.Tuple, ro.shards)
-	for _, op := range ops {
-		if i, ok := ro.route(op); ok {
-			groups[i] = append(groups[i], op)
-			continue
-		}
-		for i := range groups {
-			groups[i] = append(groups[i], op)
-		}
-	}
-	return groups
-}

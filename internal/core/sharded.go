@@ -98,19 +98,6 @@ func NewSharded(spec *Spec, d *decomp.Decomp, opts ShardOptions) (*ShardedRelati
 	return sr, nil
 }
 
-// MustNewSharded is NewSharded for statically known-good configurations; it
-// panics on error. Use in examples and fixtures only.
-func MustNewSharded(spec *Spec, d *decomp.Decomp, opts ShardOptions) *ShardedRelation {
-	sr, err := NewSharded(spec, d, opts)
-	if err != nil {
-		panic(err)
-	}
-	return sr
-}
-
-// ShardKey returns the column subset tuples are partitioned on.
-func (sr *ShardedRelation) ShardKey() relation.Cols { return sr.ro.key }
-
 // NumShards returns the partition count.
 func (sr *ShardedRelation) NumShards() int { return len(sr.cells) }
 
@@ -123,20 +110,6 @@ func (sr *ShardedRelation) NumShards() int { return len(sr.cells) }
 //
 //relvet:role=read
 func (sr *ShardedRelation) Shard(i int) *Relation { return sr.cells[i].cur.Load() }
-
-// RemoveBatch removes by many patterns with one version fork per touched
-// shard. Patterns binding the shard key go only to their shard; broadcast
-// patterns run on every shard. It returns the total number of tuples
-// removed. Like InsertBatch, each shard's group is atomic: a shard whose
-// group fails drops its fork and contributes zero to the count, without
-// disturbing the other shards' groups.
-func (sr *ShardedRelation) RemoveBatch(pats []relation.Tuple) (int, error) {
-	if len(pats) == 0 {
-		return 0, nil
-	}
-	groups := sr.ro.group(pats)
-	return sr.fanOutSum(func(i int, sh *cell) (int, error) { return sh.removeBatch(groups[i]) })
-}
 
 // Upsert atomically reads the tuple matching the routed pattern pat and
 // inserts or updates it: f receives the current tuple (zero when absent)
@@ -198,35 +171,6 @@ func (sr *ShardedRelation) Upsert(pat relation.Tuple, f func(cur relation.Tuple,
 		n, err = next.Update(pat, u)
 	}
 	return sh.commit(next, n > 0, wal.Commit{}, err)
-}
-
-// Exclusive runs f on a private fork of the shard owning pat's shard-key
-// valuation, with that shard's writers excluded, giving atomic
-// read-modify-write sequences (a counter upsert, say) without a global
-// lock. The fork publishes as a single version when f returns nil and is
-// dropped entirely when f returns an error or panics — the whole block is
-// atomic even across several mutations, and concurrent readers never
-// observe its intermediate states. pat must bind the whole shard key, and
-// f must only touch tuples sharing pat's shard-key valuation — tuples
-// routed to other shards are invisible to it.
-func (sr *ShardedRelation) Exclusive(pat relation.Tuple, f func(*Relation) error) error {
-	i, err := sr.ro.mustRoute(pat)
-	if err != nil {
-		return err
-	}
-	sr.routed()
-	sh := &sr.cells[i]
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
-	next, err := sh.fork()
-	if err != nil {
-		return err
-	}
-	run := func() (ferr error) {
-		defer containRead("exclusive", &ferr)
-		return f(next)
-	}
-	return sh.commit(next, true, wal.Commit{}, run())
 }
 
 // queryPoint is Relation.Query specialized to superkey patterns: at most

@@ -7,10 +7,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/decomp"
 	"repro/internal/paperex"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
+
+// mustNewSharded is core.NewSharded for fixtures known to be valid.
+func mustNewSharded(spec *core.Spec, d *decomp.Decomp, opts core.ShardOptions) *core.ShardedRelation {
+	sr, err := core.NewSharded(spec, d, opts)
+	if err != nil {
+		panic(err)
+	}
+	return sr
+}
 
 func newShardedSched(t *testing.T, opts core.ShardOptions) *core.ShardedRelation {
 	t.Helper()
@@ -45,9 +55,6 @@ func TestNewShardedValidation(t *testing.T) {
 	}
 	if sr.NumShards() != 4 {
 		t.Errorf("NumShards = %d, want 4", sr.NumShards())
-	}
-	if got := sr.ShardKey(); !got.Equal(relation.NewCols("ns", "pid")) {
-		t.Errorf("ShardKey = %v", got)
 	}
 }
 
@@ -170,19 +177,26 @@ func TestShardedBatches(t *testing.T) {
 		pats = append(pats, relation.NewTuple(relation.BindInt("ns", pid%5), relation.BindInt("pid", pid)))
 	}
 	pats = append(pats, relation.NewTuple(relation.BindInt("ns", 4)))
-	n, err := sr.RemoveBatch(pats)
-	if err != nil {
-		t.Fatal(err)
+	n := 0
+	for _, pat := range pats {
+		k, err := sr.Remove(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += k
 	}
 	// pids 0..99 leave 100 tuples; ns=4 then holds pids 104,109,...,199.
 	if want := 100 + 20; n != want {
-		t.Errorf("RemoveBatch removed %d, want %d", n, want)
+		t.Errorf("removed %d, want %d", n, want)
 	}
 	if err := sr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestShardedExclusiveUpsert runs a counter upsert from eight writers on
+// one key: each read-modify-write excludes the shard's other writers, so
+// no increment is lost.
 func TestShardedExclusiveUpsert(t *testing.T) {
 	sr := newShardedSched(t, core.ShardOptions{Shards: 4})
 	key := relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", 1))
@@ -193,19 +207,11 @@ func TestShardedExclusiveUpsert(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				err := sr.Exclusive(key, func(r *core.Relation) error {
-					cur := int64(-1)
-					if err := r.QueryFunc(key, []string{"cpu"}, func(t relation.Tuple) bool {
-						cur = t.MustGet("cpu").Int()
-						return false
-					}); err != nil {
-						return err
+				err := sr.Upsert(key, func(cur relation.Tuple, found bool) (relation.Tuple, error) {
+					if !found {
+						return relation.NewTuple(relation.BindInt("state", 0), relation.BindInt("cpu", 1)), nil
 					}
-					if cur < 0 {
-						return r.Insert(paperex.SchedulerTuple(1, 1, 0, 1))
-					}
-					_, err := r.Update(key, relation.NewTuple(relation.BindInt("cpu", cur+1)))
-					return err
+					return relation.NewTuple(relation.BindInt("cpu", cur.MustGet("cpu").Int()+1)), nil
 				})
 				if err != nil {
 					t.Error(err)

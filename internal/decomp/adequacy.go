@@ -144,12 +144,6 @@ func (d *Decomp) adequatePrim(b *Binding, p Primitive, fds fd.Set) (relation.Col
 // edgeName renders an edge's node label for diagnostics.
 func edgeName(parent, target string) string { return parent + "→" + target }
 
-// IsAdequate reports whether the decomposition is adequate for relations
-// with the given columns and FDs.
-func (d *Decomp) IsAdequate(cols relation.Cols, fds fd.Set) bool {
-	return d.CheckAdequate(cols, fds) == nil
-}
-
 // Cut computes the decomposition cut of §4.5 for a removal or update whose
 // pattern binds the columns C: the partition (X, Y) of the variables where
 // Y holds every variable whose instances can only ever be part of the

@@ -108,11 +108,6 @@ func Errorf(pos Pos, code Code, node, format string, args ...any) Diagnostic {
 	return Diagnostic{Pos: pos, Code: code, Severity: Error, Node: node, Message: fmt.Sprintf(format, args...)}
 }
 
-// Warningf builds a warning-severity diagnostic.
-func Warningf(pos Pos, code Code, node, format string, args ...any) Diagnostic {
-	return Diagnostic{Pos: pos, Code: code, Severity: Warning, Node: node, Message: fmt.Sprintf(format, args...)}
-}
-
 // Sort orders diagnostics for stable output: by file, position, severity,
 // then code and message.
 func Sort(ds []Diagnostic) {
@@ -135,16 +130,6 @@ func Sort(ds []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// HasErrors reports whether any diagnostic has Error severity.
-func HasErrors(ds []Diagnostic) bool {
-	for _, d := range ds {
-		if d.Severity == Error {
-			return true
-		}
-	}
-	return false
 }
 
 // Filter returns the diagnostics whose codes are not in the suppressed

@@ -297,32 +297,6 @@ func appendAVL[V any](n *avlNode[V], ks []colblock.Code, vs []V) ([]colblock.Cod
 	return appendAVL(n.right, ks, vs)
 }
 
-// Min returns the smallest key and its value, for ordered-extension queries.
-func (t *AVL[V]) Min() ([]colblock.Code, V, bool) {
-	if t.root == nil {
-		var zero V
-		return nil, zero, false
-	}
-	n := t.root
-	for n.left != nil {
-		n = n.left
-	}
-	return n.key.appendTo(nil), n.val, true
-}
-
-// Max returns the largest key and its value.
-func (t *AVL[V]) Max() ([]colblock.Code, V, bool) {
-	if t.root == nil {
-		var zero V
-		return nil, zero, false
-	}
-	n := t.root
-	for n.right != nil {
-		n = n.right
-	}
-	return n.key.appendTo(nil), n.val, true
-}
-
 // Clone returns an independent tree sharing every node with the receiver.
 // Both sides take fresh owner tokens, so each copies its own write paths
 // from the shared structure on demand (persistent-tree path copying).

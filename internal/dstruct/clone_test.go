@@ -173,7 +173,7 @@ func cloneSpans(kind Kind) []int64 {
 // after cloning, in both directions, and checks neither side observes the
 // other's writes.
 func TestCloneIndependence(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range allKinds() {
 		for _, s := range cloneSpans(kind) {
 			sc := func(x int64) int64 { return x * s / 16 }
 			m := New[int](kind)
@@ -239,7 +239,7 @@ func TestCloneIndependence(t *testing.T) {
 // least one) at scale s, which takes a copy through several such cycles at
 // any scale.
 func TestCloneChainsDifferential(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range allKinds() {
 		for _, s := range cloneSpans(kind) {
 			rng := rand.New(rand.NewSource(7))
 			type pair struct {
@@ -775,7 +775,7 @@ func TestHTableArity2Differential(t *testing.T) {
 // TestCloneKeepsCapabilities checks that clones remain usable through the
 // optional fast-path interfaces plan execution discovers by type assertion.
 func TestCloneKeepsCapabilities(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range allKinds() {
 		m := New[int](kind)
 		for i := int64(0); i < 16; i++ {
 			m.Put(key1(i), int(i))

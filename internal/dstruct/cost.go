@@ -27,21 +27,6 @@ func LookupCost(k Kind, n float64) float64 {
 	}
 }
 
-// ScanCost returns the cost of iterating all n entries of a structure of
-// kind k: the per-entry visit cost times n, with pointer-chasing structures
-// slightly more expensive per entry than dense ones.
-func ScanCost(k Kind, n float64) float64 {
-	if n < 1 {
-		n = 1
-	}
-	switch k {
-	case VectorKind, SortedArrKind:
-		return n
-	default:
-		return 2 * n
-	}
-}
-
 // InsertCost returns the cost of inserting into a structure holding n
 // entries. Lists are O(1); ordered structures pay a lookup; sorted arrays
 // additionally shift.

@@ -39,12 +39,6 @@ const (
 	SkipListKind  Kind = "skiplist"  // probabilistic ordered map
 )
 
-// AllKinds lists every Kind, in a stable order used by the autotuner when it
-// enumerates data-structure assignments.
-func AllKinds() []Kind {
-	return []Kind{DListKind, SListKind, HTableKind, AVLKind, VectorKind, SortedArrKind, SkipListKind}
-}
-
 // Valid reports whether k names a known structure.
 func (k Kind) Valid() bool {
 	switch k {

@@ -27,12 +27,17 @@ func strKey(s string) relation.Tuple { return relation.NewTuple(relation.BindStr
 
 // kindsFor returns the kinds usable with the keys produced by keyGen. The
 // vector only accepts single integer columns.
+// allKinds lists every Kind.
+func allKinds() []Kind {
+	return []Kind{DListKind, SListKind, HTableKind, AVLKind, VectorKind, SortedArrKind, SkipListKind}
+}
+
 func kindsFor(intSingle bool) []Kind {
 	if intSingle {
-		return AllKinds()
+		return allKinds()
 	}
 	var ks []Kind
-	for _, k := range AllKinds() {
+	for _, k := range allKinds() {
 		if !k.IntKeyedOnly() {
 			ks = append(ks, k)
 		}
@@ -41,7 +46,7 @@ func kindsFor(intSingle bool) []Kind {
 }
 
 func TestEmptyMaps(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range allKinds() {
 		m := New[int](kind)
 		if m.Len() != 0 {
 			t.Errorf("%s: empty Len = %d", kind, m.Len())
@@ -63,7 +68,7 @@ func TestEmptyMaps(t *testing.T) {
 }
 
 func TestPutGetDelete(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range allKinds() {
 		m := New[string](kind)
 		m.Put(key1(1), "one")
 		m.Put(key1(2), "two")
@@ -145,7 +150,7 @@ func TestLookupsInternNothing(t *testing.T) {
 // TestAgainstReference drives every structure with a random operation
 // sequence and compares against a plain Go map oracle after each step.
 func TestAgainstReference(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range allKinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(42))
 			m := New[int](kind)
@@ -194,7 +199,7 @@ func TestAgainstReference(t *testing.T) {
 }
 
 func TestOrderedIteration(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range allKinds() {
 		if !kind.Ordered() {
 			continue
 		}
@@ -218,7 +223,7 @@ func TestOrderedIteration(t *testing.T) {
 }
 
 func TestRangeEarlyStop(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range allKinds() {
 		m := New[int](kind)
 		for i := int64(0); i < 10; i++ {
 			m.Put(key1(i), int(i))
@@ -372,22 +377,6 @@ func TestAVLInvariantUnderChurn(t *testing.T) {
 	}
 }
 
-func TestAVLMinMax(t *testing.T) {
-	tr := NewAVL[int](1)
-	if _, _, ok := tr.Min(); ok {
-		t.Errorf("Min on empty reported ok")
-	}
-	for _, v := range []int64{5, 1, 9, 3} {
-		tr.Put(colblock.View{}, code1(v), int(v))
-	}
-	if k, _, _ := tr.Min(); k[0] != code1(1)[0] {
-		t.Errorf("Min = %v", k)
-	}
-	if k, _, _ := tr.Max(); k[0] != code1(9)[0] {
-		t.Errorf("Max = %v", k)
-	}
-}
-
 func TestVectorNegativeAndGrowth(t *testing.T) {
 	v := New[int](VectorKind)
 	v.Put(key1(10), 1)
@@ -456,8 +445,8 @@ func TestCostModelShapes(t *testing.T) {
 		t.Errorf("hash lookup cheaper than vector")
 	}
 	// Costs are defined (>0) at n = 0 for every kind.
-	for _, k := range AllKinds() {
-		for _, f := range []func(Kind, float64) float64{LookupCost, ScanCost, InsertCost, DeleteCost} {
+	for _, k := range allKinds() {
+		for _, f := range []func(Kind, float64) float64{LookupCost, InsertCost, DeleteCost} {
 			if c := f(k, 0); c <= 0 {
 				t.Errorf("%s: zero-size cost = %v", k, c)
 			}

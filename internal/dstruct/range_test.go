@@ -130,7 +130,7 @@ func TestAppendEntriesBetween(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	var vw colblock.View
 	bound := func(v int64) *value.Value { b := value.OfInt(v); return &b }
-	for _, kind := range AllKinds() {
+	for _, kind := range allKinds() {
 		m := NewWords[int](kind, 1)
 		for i := 0; i < 120; i++ {
 			k := int64(rnd.Intn(90))

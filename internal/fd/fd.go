@@ -48,9 +48,6 @@ func (s Set) Add(f FD) Set {
 // returned slice.
 func (s Set) All() []FD { return s.fds }
 
-// Len returns the number of dependencies.
-func (s Set) Len() int { return len(s.fds) }
-
 // Closure computes the attribute closure A⁺ of the column set a under the
 // dependencies of s: the largest set B with s ⊢fd a → B. It runs the
 // standard fixed-point algorithm.
@@ -80,21 +77,6 @@ func (s Set) Implies(from, to relation.Cols) bool {
 
 // ImpliesFD reports whether s implies the dependency f.
 func (s Set) ImpliesFD(f FD) bool { return s.Implies(f.From, f.To) }
-
-// Equivalent reports whether s and o imply exactly the same dependencies.
-func (s Set) Equivalent(o Set) bool {
-	for _, f := range s.fds {
-		if !o.ImpliesFD(f) {
-			return false
-		}
-	}
-	for _, f := range o.fds {
-		if !s.ImpliesFD(f) {
-			return false
-		}
-	}
-	return true
-}
 
 // Holds reports r ⊨fd s: every dependency of s holds on the concrete
 // relation r (§2 "Functional Dependencies"). For each dependency From → To
@@ -146,11 +128,10 @@ func (s Set) HoldsOnInsert(r *relation.Relation, t relation.Tuple) bool {
 // under s: s ⊢fd k → cols.
 func (s Set) IsKey(k, cols relation.Cols) bool { return s.Implies(k, cols) }
 
-// Canonical returns an equivalent set in a canonical form: every dependency
+// canonical returns an equivalent set in a canonical form: every dependency
 // is split to single-column right-hand sides, trivial dependencies are
 // dropped, redundant dependencies are removed, and the result is sorted.
-// Canonical covers give decompositions and planners a stable view of ∆.
-func (s Set) Canonical() Set {
+func (s Set) canonical() Set {
 	// Split right-hand sides and drop trivial parts.
 	var split []FD
 	for _, f := range s.fds {

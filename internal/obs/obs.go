@@ -107,7 +107,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -374,18 +373,6 @@ func (s Snapshot) String() string {
 	return string(b)
 }
 
-// Publish registers the metrics under name on the process-wide expvar
-// registry, so the standard /debug/vars endpoint serves the live snapshot
-// as JSON. expvar panics on duplicate names; Publish turns that into an
-// error (expvar offers no unpublish, so tests reuse distinct names).
-func (m *Metrics) Publish(name string) error {
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("obs: expvar name %q already published", name)
-	}
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
-	return nil
-}
-
 // HistBuckets is the number of exponential latency buckets: bucket 0 holds
 // durations under 1µs and bucket i durations in [2^(i-1), 2^i) µs, so the
 // top bucket starts at 2^(HistBuckets-2) µs ≈ 17min and catches everything
@@ -420,15 +407,6 @@ func bucketOf(d time.Duration) int {
 		return HistBuckets - 1
 	}
 	return b
-}
-
-// BucketBound returns the exclusive upper bound of bucket i; the top
-// bucket is unbounded and reports the largest representable duration.
-func BucketBound(i int) time.Duration {
-	if i >= HistBuckets-1 {
-		return time.Duration(1<<63 - 1)
-	}
-	return time.Duration(1<<uint(i)) * time.Microsecond
 }
 
 // Snapshot copies the histogram counters.

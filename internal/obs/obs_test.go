@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"strings"
 	"sync"
@@ -47,6 +45,15 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
+// bucketBound is the exclusive upper bound of bucket i; the top bucket
+// is unbounded and reports the largest representable duration.
+func bucketBound(i int) time.Duration {
+	if i >= HistBuckets-1 {
+		return time.Duration(1<<63 - 1)
+	}
+	return time.Duration(1<<uint(i)) * time.Microsecond
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	cases := []struct {
 		d      time.Duration
@@ -80,10 +87,10 @@ func TestHistogramBuckets(t *testing.T) {
 	// Every observation must land below its bucket's upper bound and (for
 	// bucket > 0) at or above the previous bound.
 	for _, c := range cases {
-		if c.d >= BucketBound(c.bucket) {
-			t.Errorf("duration %v >= bound %v of its bucket %d", c.d, BucketBound(c.bucket), c.bucket)
+		if c.d >= bucketBound(c.bucket) {
+			t.Errorf("duration %v >= bound %v of its bucket %d", c.d, bucketBound(c.bucket), c.bucket)
 		}
-		if c.bucket > 0 && c.bucket < HistBuckets-1 && c.d < BucketBound(c.bucket-1) {
+		if c.bucket > 0 && c.bucket < HistBuckets-1 && c.d < bucketBound(c.bucket-1) {
 			t.Errorf("duration %v below lower bound of bucket %d", c.d, c.bucket)
 		}
 	}
@@ -116,29 +123,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestPublish(t *testing.T) {
-	var m Metrics
-	m.Updates.Add(4)
-	const name = "obs_test_publish"
-	if err := m.Publish(name); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
-	if err := m.Publish(name); err == nil {
-		t.Fatal("duplicate publish did not error")
-	}
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatal("published var not found")
-	}
-	var got Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &got); err != nil {
-		t.Fatalf("published value is not JSON: %v\n%s", err, v.String())
-	}
-	if got.Updates != 4 {
-		t.Fatalf("published Updates = %d, want 4", got.Updates)
-	}
-}
-
 func TestRingTracerWraparound(t *testing.T) {
 	tr := NewRingTracer(3)
 	for i := 0; i < 5; i++ {
@@ -152,13 +136,6 @@ func TestRingTracerWraparound(t *testing.T) {
 		if e.Rows != i+2 {
 			t.Errorf("event %d rows = %d, want %d (oldest-first order)", i, e.Rows, i+2)
 		}
-	}
-	if tr.Total() != 5 {
-		t.Fatalf("total = %d, want 5", tr.Total())
-	}
-	tr.Reset()
-	if len(tr.Events()) != 0 || tr.Total() != 0 {
-		t.Fatal("reset did not clear the ring")
 	}
 }
 

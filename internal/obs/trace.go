@@ -99,11 +99,10 @@ type Tracer interface {
 // events in a ring buffer. It is the intended tool for tests and for
 // post-mortem "what did the engine just do" inspection.
 type RingTracer struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	full  bool
-	total uint64
+	mu   sync.Mutex
+	buf  []Event
+	next int
+	full bool
 }
 
 // NewRingTracer returns a tracer retaining the last capacity events
@@ -124,7 +123,6 @@ func (t *RingTracer) Event(e Event) {
 		t.next = 0
 		t.full = true
 	}
-	t.total++
 	t.mu.Unlock()
 }
 
@@ -139,21 +137,6 @@ func (t *RingTracer) Events() []Event {
 	out = append(out, t.buf[t.next:]...)
 	out = append(out, t.buf[:t.next]...)
 	return out
-}
-
-// Total returns how many events were ever recorded, including evicted
-// ones.
-func (t *RingTracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Reset discards all retained events.
-func (t *RingTracer) Reset() {
-	t.mu.Lock()
-	t.next, t.full, t.total = 0, false, 0
-	t.mu.Unlock()
 }
 
 // String is the text exporter: the retained events, one per line, oldest

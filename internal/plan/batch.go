@@ -1130,9 +1130,6 @@ func (p *BatchProgram) putBatchState(st *batchState) {
 	p.pool.Put(st)
 }
 
-// OutCols returns the output columns the program projects onto.
-func (p *BatchProgram) OutCols() relation.Cols { return p.cols }
-
 // Run executes the program against in with input pattern s, which must bind
 // exactly the input columns the program was compiled for (the plan-cache
 // signature guarantees this, as for Program). It returns (result, true) on
@@ -1196,26 +1193,6 @@ func (p *BatchProgram) RunRange(in *instance.Instance, s relation.Tuple, rg Rang
 type BatchResult struct {
 	st *batchState
 }
-
-// Rows returns the number of results, duplicates included.
-func (r *BatchResult) Rows() int { return r.st.cur.blk.N }
-
-// NumCols returns the arity of the projection — len(OutCols of the program).
-func (r *BatchResult) NumCols() int { return len(r.st.p.out) }
-
-// Col returns output column j (in OutCols order) as raw codes, one per
-// result row. It aliases the execution state: the slice is valid until
-// Release, and codes decode through View. This is the zero-copy consumption
-// path — aggregations sweep the column words directly instead of
-// materializing tuples through EachTuple.
-func (r *BatchResult) Col(j int) []colblock.Code {
-	st := r.st
-	return st.cur.blk.Cols[st.p.out[j]][:st.cur.blk.N]
-}
-
-// View returns the dictionary view the result's codes decode through: the
-// one of the instance version the program ran against.
-func (r *BatchResult) View() colblock.View { return r.st.vw }
 
 // EachTuple calls f with the projection of each result row, duplicates
 // included, stopping early when f returns false; it reports whether the
@@ -1380,8 +1357,8 @@ func (st *batchState) sortedRows() []int32 {
 func (r *BatchResult) SortDistinct() int { return len(r.st.sortedRows()) }
 
 // Collect gathers the projected results de-duplicated and in canonical
-// order — the batch counterpart of Program.Collect: the sorted survivors
-// (sortedRows), each boxed once, straight into the result.
+// order: the sorted survivors (sortedRows), each boxed once, straight into
+// the result.
 func (r *BatchResult) Collect() []relation.Tuple {
 	st := r.st
 	rows := st.sortedRows()

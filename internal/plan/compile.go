@@ -508,81 +508,6 @@ func (p *Program) run(st *progState, in *instance.Instance, s relation.Tuple) bo
 	return p.root(st, in.Root())
 }
 
-// OutCols returns the output columns the program projects onto.
-func (p *Program) OutCols() relation.Cols { return p.cols }
-
-// Collect executes the program and gathers π_out of the results,
-// de-duplicated and in deterministic order — the compiled counterpart of
-// CollectSized, with the projection and dedup fused into the emit path. The
-// cardinality hint sizes the dedup map and result slice once, exactly like
-// the interpreted path. Rows that duplicate an earlier projection cost no
-// allocation: the dedup key is encoded straight from the registers into a
-// reused scratch buffer.
-func (p *Program) Collect(in *instance.Instance, s relation.Tuple, hint int) []relation.Tuple {
-	if hint < 0 {
-		hint = 0
-	}
-	st := p.getState()
-	defer p.putState(st)
-	seen := make(map[string]struct{}, hint)
-	res := make([]relation.Tuple, 0, hint)
-	outNames := p.cols.Names()
-	var buf []byte
-	st.emit = func() bool {
-		if st.nUnset != 0 {
-			// Partial-unit slow path: materialize the present columns only
-			// (the interpreter's projection drops missing columns) and key
-			// the dedup on the full cols+vals encoding. The 0xFE/0xFF
-			// prefixes keep the two key spaces disjoint.
-			t := p.emitPartial(st)
-			buf = append(buf[:0], 0xFE)
-			buf = t.AppendKey(buf)
-			if _, ok := seen[string(buf)]; !ok {
-				seen[string(buf)] = struct{}{}
-				res = append(res, t)
-			}
-			return true
-		}
-		buf = append(buf[:0], 0xFF)
-		for _, r := range p.out {
-			buf = st.regs[r].AppendEncode(buf)
-		}
-		if _, ok := seen[string(buf)]; !ok {
-			seen[string(buf)] = struct{}{}
-			vals := make([]value.Value, len(p.out))
-			for i, r := range p.out {
-				vals[i] = st.regs[r]
-			}
-			res = append(res, relation.SortedTuple(outNames, vals))
-		}
-		return true
-	}
-	p.run(st, in, s)
-	relation.SortTuples(res)
-	return res
-}
-
-// Stream executes the program and calls f with a fresh projected tuple per
-// result, duplicates included, stopping when f returns false — the compiled
-// counterpart of Exec composed with per-row projection. It reports whether
-// the traversal ran to completion.
-func (p *Program) Stream(in *instance.Instance, s relation.Tuple, f func(relation.Tuple) bool) bool {
-	st := p.getState()
-	defer p.putState(st)
-	outNames := p.cols.Names()
-	st.emit = func() bool {
-		if st.nUnset != 0 {
-			return f(p.emitPartial(st))
-		}
-		vals := make([]value.Value, len(p.out))
-		for i, r := range p.out {
-			vals[i] = st.regs[r]
-		}
-		return f(relation.SortedTuple(outNames, vals))
-	}
-	return p.run(st, in, s)
-}
-
 // StreamView is Stream without the allocations: f receives a view tuple
 // backed by a scratch buffer that is overwritten by the next result and must
 // not be retained — project or copy it first (Project copies). The whole

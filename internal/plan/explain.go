@@ -5,22 +5,15 @@ import (
 	"strings"
 
 	"repro/internal/decomp"
-	"repro/internal/dstruct"
-	"repro/internal/fd"
 )
 
 // Explain renders op as an indented Figure-7 plan tree with the §4.3 cost
-// estimates annotated per node, under the default (unprofiled) statistics.
-// Each line is one operator; its cost and rows columns are the estimator's
-// values for the subtree rooted there, so the root line carries the
-// whole-plan estimate the planner compared candidates by, and a scan's
-// multiplicative blow-up is visible at the node that causes it.
-func Explain(d *decomp.Decomp, op Op) string {
-	return NewPlanner(d, fd.Set{}, nil).Explain(op)
-}
-
-// Explain renders op under this planner's statistics (profiled planners
-// annotate with measured fanouts). See the package-level Explain.
+// estimates annotated per node, under this planner's statistics (profiled
+// planners annotate with measured fanouts). Each line is one operator; its
+// cost and rows columns are the estimator's values for the subtree rooted
+// there, so the root line carries the whole-plan estimate the planner
+// compared candidates by, and a scan's multiplicative blow-up is visible at
+// the node that causes it.
 func (pl *Planner) Explain(op Op) string {
 	var b strings.Builder
 	pl.explainNode(&b, op, pl.d.RootBinding().Def, 0, "")
@@ -93,10 +86,4 @@ func opEdge(op Op) *decomp.MapEdge {
 		return op.Edge
 	}
 	return nil
-}
-
-// LookupCostOf exposes the per-node lookup cost m_ψ(lookup, fan) the
-// estimator charges for an edge, for callers rendering cost breakdowns.
-func (pl *Planner) LookupCostOf(e *decomp.MapEdge) float64 {
-	return dstruct.LookupCost(e.DS, pl.stats.Fanout(e))
 }

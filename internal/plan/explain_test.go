@@ -192,17 +192,3 @@ func TestExplainRootMatchesEstimate(t *testing.T) {
 		}
 	}
 }
-
-// TestExplainDefaultStats checks the package-level Explain (no planner)
-// agrees with an unprofiled planner's rendering.
-func TestExplainDefaultStats(t *testing.T) {
-	c := explainCorpus()[0]
-	pl := plan.NewPlanner(c.d, c.fds, nil)
-	cand, err := pl.Best(relation.NewCols("ns", "pid"), relation.NewCols("cpu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := plan.Explain(c.d, cand.Op), pl.Explain(cand.Op); got != want {
-		t.Errorf("plan.Explain = %q, planner Explain = %q", got, want)
-	}
-}

@@ -105,3 +105,11 @@ func (o *Join) String() string {
 	}
 	return fmt.Sprintf("qjoin(%s, %s, %s)", q1, q2, o.First)
 }
+
+// sideOf is the primitive on side s of join j.
+func sideOf(j *decomp.Join, s Side) decomp.Primitive {
+	if s == Left {
+		return j.Left
+	}
+	return j.Right
+}

@@ -230,14 +230,6 @@ func EstimateRows(d *decomp.Decomp, op Op) int {
 	return c.EstimatedRows()
 }
 
-// Estimate recomputes the cost of an existing plan under the planner's
-// current statistics. It mirrors the estimator used during enumeration and
-// is exposed for the ablation benchmarks.
-func (pl *Planner) Estimate(op Op) float64 {
-	cost, _ := pl.estimate(op, pl.d.RootBinding().Def)
-	return cost
-}
-
 func (pl *Planner) estimate(op Op, prim decomp.Primitive) (cost, rows float64) {
 	switch op := op.(type) {
 	case *Unit:

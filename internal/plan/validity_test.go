@@ -12,7 +12,8 @@ import (
 // Γˆ, dˆ, A ⊢∆ q, B: it checks that plan op correctly answers queries over
 // decomposition d when the input tuple binds the columns input, and returns
 // the columns B the plan binds in its output tuples. A valid plan's
-// execution satisfies Lemma 2 (exercised as a property test).
+// execution satisfies Lemma 2 (exercised as a property test). The engine
+// never calls it: the tests hold every plan the planner enumerates to it.
 //
 // On top of the figure's rules, Check requires A ⊆ B at the root: every
 // input column must be re-verified somewhere in the plan — as a lookup key,
@@ -108,13 +109,6 @@ func checkOp(d *decomp.Decomp, fds fd.Set, op Op, prim decomp.Primitive, a relat
 	default:
 		return relation.Cols{}, fmt.Errorf("plan: unknown operator %T", op)
 	}
-}
-
-func sideOf(j *decomp.Join, s Side) decomp.Primitive {
-	if s == Left {
-		return j.Left
-	}
-	return j.Right
 }
 
 func primName(p decomp.Primitive) string {

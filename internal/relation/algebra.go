@@ -4,50 +4,14 @@ package relation
 // These operate on the oracle representation and are used by the abstraction
 // function of decomposition instances and by tests.
 
-// Union returns r ∪ o. Both relations must have identical columns.
-func Union(r, o *Relation) *Relation {
-	out := r.Clone()
-	out.UnionWith(o)
-	return out
-}
-
-// UnionWith is the in-place union r ← !r ∪ o, at a cost proportional to o
-// alone: the accumulator for a union of many parts, where folding with
-// Union would copy the growing left operand once per part.
+// UnionWith is the in-place union r ← r ∪ o, at a cost proportional to o
+// alone: the accumulator for a union of many parts. Both relations must
+// have identical columns.
 func (r *Relation) UnionWith(o *Relation) {
 	mustSameCols(r, o)
 	for k, t := range o.tuples {
 		r.tuples[k] = t
 	}
-}
-
-// Intersect returns r ∩ o.
-func Intersect(r, o *Relation) *Relation {
-	mustSameCols(r, o)
-	out := Empty(r.cols)
-	for k, t := range r.tuples {
-		if _, ok := o.tuples[k]; ok {
-			out.tuples[k] = t
-		}
-	}
-	return out
-}
-
-// Diff returns r \ o.
-func Diff(r, o *Relation) *Relation {
-	mustSameCols(r, o)
-	out := Empty(r.cols)
-	for k, t := range r.tuples {
-		if _, ok := o.tuples[k]; !ok {
-			out.tuples[k] = t
-		}
-	}
-	return out
-}
-
-// SymDiff returns r ⊖ o, the symmetric difference.
-func SymDiff(r, o *Relation) *Relation {
-	return Union(Diff(r, o), Diff(o, r))
 }
 
 // Project returns π_C(r).

@@ -140,22 +140,6 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestAlgebra(t *testing.T) {
 	r := paperRelation()
-	s := FromTuples(schedCols,
-		schedTuple(1, 1, "S", 7),
-		schedTuple(9, 9, "R", 1),
-	)
-	if got := Union(r, s).Len(); got != 4 {
-		t.Errorf("Union len = %d", got)
-	}
-	if got := Intersect(r, s).Len(); got != 1 {
-		t.Errorf("Intersect len = %d", got)
-	}
-	if got := Diff(r, s).Len(); got != 2 {
-		t.Errorf("Diff len = %d", got)
-	}
-	if got := SymDiff(r, s).Len(); got != 3 {
-		t.Errorf("SymDiff len = %d", got)
-	}
 	p := Project(r, NewCols("state"))
 	if p.Len() != 2 {
 		t.Errorf("Project len = %d", p.Len())
@@ -200,8 +184,10 @@ func TestJoinProjectIdentity(t *testing.T) {
 	b := NewCols("ns", "pid", "state")
 	c := NewCols("ns", "pid", "cpu")
 	j := Join(Project(r, b), Project(r, c))
-	if Diff(r, j).Len() != 0 {
-		t.Errorf("r not contained in join of its projections")
+	for _, tup := range r.All() {
+		if !j.Contains(tup) {
+			t.Errorf("r not contained in join of its projections: %v missing", tup)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import "repro/internal/value"
 
 // HashShard returns a stable 64-bit hash of t's values on the columns of
 // key, in key's (sorted) column order, and reports whether t binds every
-// key column. It hashes the same byte stream AppendValuesKey would encode
+// key column. It hashes the same byte stream appendValuesKey would encode
 // for the projection π_key(t), but without materializing the projection or
 // the encoding — shard routing must not allocate per operation.
 //
@@ -24,19 +24,4 @@ func (t Tuple) HashShard(key Cols) (uint64, bool) {
 		h = t.vals[i].HashInto(h)
 	}
 	return h, true
-}
-
-// BindsAll reports whether t binds every column of c: the routing
-// precondition for keyed operations on a sharded engine.
-func (t Tuple) BindsAll(c Cols) bool {
-	i := 0
-	for _, name := range c.names {
-		for i < len(t.cols) && t.cols[i] < name {
-			i++
-		}
-		if i == len(t.cols) || t.cols[i] != name {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -133,23 +132,6 @@ func (t Tuple) Project(c Cols) Tuple {
 	return Tuple{cols: cols, vals: vals}
 }
 
-// ProjectStrict is Project for callers that require every column of C to be
-// bound: it returns an error naming the first unbound column instead of
-// silently dropping it (as Project does) or panicking (as MustGet does).
-// The engine's mutation paths use it so a malformed caller tuple surfaces as
-// an error through the API rather than a panic through a tier's lock.
-func (t Tuple) ProjectStrict(c Cols) (Tuple, error) {
-	p := t.Project(c)
-	if p.Len() != c.Len() {
-		for _, name := range c.Names() {
-			if !t.Dom().Has(name) {
-				return Tuple{}, fmt.Errorf("relation: column %q unbound in tuple %v", name, t)
-			}
-		}
-	}
-	return p, nil
-}
-
 // Extends reports t ⊇ s: t binds every column of s to the same value.
 func (t Tuple) Extends(s Tuple) bool {
 	i := 0
@@ -262,11 +244,6 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
-// EqualValues reports whether t and u hold the same values position by
-// position, without comparing column names. It equals Equal for tuples of
-// one domain — the keys of a single map — and is cheaper there.
-func (t Tuple) EqualValues(u Tuple) bool { return slices.Equal(t.vals, u.vals) }
-
 // keySize returns the exact encoded length of Key(), so buffers can be
 // allocated once instead of grown.
 func (t Tuple) keySize() int {
@@ -277,7 +254,7 @@ func (t Tuple) keySize() int {
 	return n
 }
 
-// valuesKeySize returns the exact encoded length of ValuesKey().
+// valuesKeySize returns the exact encoded length of appendValuesKey's output.
 func (t Tuple) valuesKeySize() int {
 	n := 0
 	for _, v := range t.vals {
@@ -311,10 +288,11 @@ func (t Tuple) Key() string {
 	return string(b)
 }
 
-// AppendValuesKey appends the values-only encoding of t (see ValuesKey) to
-// b and returns the extended slice; the scratch-buffer contract matches
-// AppendKey.
-func (t Tuple) AppendValuesKey(b []byte) []byte {
+// appendValuesKey appends an injective encoding of only the values of t, in
+// column order, to b and returns the extended slice; the scratch-buffer
+// contract matches AppendKey. It keys a data structure when the column set
+// is fixed by context (all keys in one map share a domain).
+func (t Tuple) appendValuesKey(b []byte) []byte {
 	if need := len(b) + t.valuesKeySize(); cap(b) < need {
 		nb := make([]byte, len(b), need)
 		copy(nb, b)
@@ -324,14 +302,6 @@ func (t Tuple) AppendValuesKey(b []byte) []byte {
 		b = v.AppendEncode(b)
 	}
 	return b
-}
-
-// ValuesKey returns an injective encoding of only the values of t, in column
-// order. It is used as a data-structure key when the column set is fixed by
-// context (all keys in one map share a domain).
-func (t Tuple) ValuesKey() string {
-	b := t.AppendValuesKey(make([]byte, 0, t.valuesKeySize()))
-	return string(b)
 }
 
 // Compare totally orders tuples with equal domains by comparing values in

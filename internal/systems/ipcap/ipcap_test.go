@@ -168,16 +168,13 @@ func TestShardedFlowTableConcurrent(t *testing.T) {
 		}
 	}
 
-	// Batched drop clears the table shard-group by shard-group.
-	keys := make([]ipcap.FlowKey, 0, len(want))
 	for k := range want {
-		keys = append(keys, k)
-	}
-	if err := sharded.DropBatch(keys); err != nil {
-		t.Fatal(err)
+		if err := sharded.Drop(k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if sharded.Len() != 0 {
-		t.Errorf("%d flows left after DropBatch", sharded.Len())
+		t.Errorf("%d flows left after Drop", sharded.Len())
 	}
 }
 

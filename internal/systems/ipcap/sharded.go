@@ -75,17 +75,5 @@ func (t *ShardedFlowTable) Drop(key FlowKey) error {
 	return err
 }
 
-// DropBatch removes many flows, grouped by shard with one lock acquisition
-// per touched shard — the flush path of a daemon logs and drops thousands
-// of flows at once.
-func (t *ShardedFlowTable) DropBatch(keys []FlowKey) error {
-	pats := make([]relation.Tuple, len(keys))
-	for i, k := range keys {
-		pats[i] = flowPattern(k)
-	}
-	_, err := t.rel.RemoveBatch(pats)
-	return err
-}
-
 // Len returns the number of live flows.
 func (t *ShardedFlowTable) Len() int { return t.rel.Len() }

@@ -30,9 +30,6 @@ func WrapRelation(rel *core.Relation) *SynthFlowTable {
 	return &SynthFlowTable{rel: rel}
 }
 
-// Relation exposes the underlying relation for tests and tuning.
-func (t *SynthFlowTable) Relation() *core.Relation { return t.rel }
-
 func flowPattern(key FlowKey) relation.Tuple {
 	return relation.NewTuple(
 		relation.BindInt("local", int64(key.Local)),

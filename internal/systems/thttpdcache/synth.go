@@ -21,9 +21,6 @@ func NewSynthCache(d *decomp.Decomp) (*SynthCache, error) {
 	return &SynthCache{rel: rel}, nil
 }
 
-// Relation exposes the underlying relation for tests and tuning.
-func (c *SynthCache) Relation() *core.Relation { return c.rel }
-
 // Lookup returns the cached mapping for a path.
 func (c *SynthCache) Lookup(path string) (Mapping, bool) {
 	var m Mapping

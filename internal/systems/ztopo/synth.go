@@ -23,9 +23,6 @@ func NewSynthTileIndex(d *decomp.Decomp) (*SynthTileIndex, error) {
 	return &SynthTileIndex{rel: rel}, nil
 }
 
-// Relation exposes the underlying relation for tests and tuning.
-func (x *SynthTileIndex) Relation() *core.Relation { return x.rel }
-
 func tilePattern(id int64) relation.Tuple {
 	return relation.NewTuple(relation.BindInt("tile", id))
 }

@@ -118,6 +118,3 @@ func (v *Viewer) oldest(state int64) (TileMeta, bool) {
 	})
 	return best, found
 }
-
-// CachedBytes reports the bytes accounted in memory and on disk.
-func (v *Viewer) CachedBytes() (mem, disk int64) { return v.memBytes, v.dskBytes }

@@ -104,9 +104,6 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Less reports whether a orders strictly before b.
-func Less(a, b Value) bool { return Compare(a, b) < 0 }
-
 // String renders the value for diagnostics: integers as decimal, strings
 // quoted.
 func (v Value) String() string {
@@ -144,12 +141,6 @@ func (v Value) EncodedSize() int {
 	return 5 + len(v.s)
 }
 
-// EncodeKey returns the binary encoding of v as a string suitable for use as
-// a Go map key.
-func (v Value) EncodeKey() string {
-	return string(v.AppendEncode(make([]byte, 0, 16)))
-}
-
 // HashInto folds v's encoding into a running FNV-1a hash h without
 // allocating; seed with HashSeed. Feeding the same value sequence always
 // yields the same hash, so it can key shard routing.
@@ -181,25 +172,3 @@ func (v Value) HashInto(h uint64) uint64 {
 
 // HashSeed is the FNV-1a offset basis used to start a HashInto chain.
 const HashSeed uint64 = 14695981039346656037
-
-// Hash returns a 64-bit FNV-1a hash of the value's encoding.
-func (v Value) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	if v.kind == Int {
-		u := uint64(v.i)
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (u >> shift) & 0xff
-			h *= prime
-		}
-		return h
-	}
-	for i := 0; i < len(v.s); i++ {
-		h ^= uint64(v.s[i])
-		h *= prime
-	}
-	return h ^ 0x5bd1e995 // separate int/string hash domains
-}

@@ -32,15 +32,15 @@ func nearMiss(r *core.Relation, t relation.Tuple) error {
 // discarding it hides every tuple's outcome at once.
 func batchTrigger(sr *core.ShardedRelation, ts []relation.Tuple) {
 	go sr.InsertBatch(ts)    // want relvet101
-	defer sr.RemoveBatch(ts) // want relvet101
-	sr.RemoveBatch(ts)       // want relvet101
+	defer sr.InsertBatch(ts) // want relvet101
+	sr.Remove(ts[0])         // want relvet101
 }
 
 func batchNearMiss(sr *core.ShardedRelation, ts []relation.Tuple) error {
 	if err := sr.InsertBatch(ts); err != nil {
 		return err
 	}
-	removed, err := sr.RemoveBatch(ts)
+	removed, err := sr.Remove(ts[0])
 	_ = removed
 	return err
 }

@@ -80,7 +80,7 @@ var relTypeNames = map[string]bool{
 }
 
 // mutPrefixes match mutation method names on those types, both the core
-// set (Insert, Remove, Update, Upsert, InsertBatch, RemoveBatch) and the
+// set (Insert, Remove, Update, Upsert, InsertBatch) and the
 // generated variants (RemoveByNs, UpdateByNsPidSetState, …).
 var mutPrefixes = []string{"Insert", "Remove", "Update", "Upsert"}
 

@@ -162,13 +162,6 @@ func (l *Log) groupCommit() {
 	}
 }
 
-// NextSeq returns the sequence number the next append will carry.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
 // LastSeq returns the sequence number of the last appended record
 // (NextSeq-1; baseSeq-1 when the log is empty).
 func (l *Log) LastSeq() uint64 {

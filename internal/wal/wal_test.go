@@ -343,8 +343,8 @@ func TestRotateTruncatesAndRebase(t *testing.T) {
 	if err := l.Rotate(5); err != nil {
 		t.Fatal(err)
 	}
-	if l.NextSeq() != 5 {
-		t.Fatalf("nextSeq after rotate: %d", l.NextSeq())
+	if l.nextSeq != 5 {
+		t.Fatalf("nextSeq after rotate: %d", l.nextSeq)
 	}
 	if err := l.Append(Commit{Inserted: []relation.Tuple{tup(bi("k", 100))}}); err != nil {
 		t.Fatal(err)

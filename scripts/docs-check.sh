@@ -7,9 +7,10 @@
 # may name what a later PR deleted), PAPERS.md and SNIPPETS.md (retrieved
 # text), and bench/ (frozen by BENCHMARK.json).
 #
-# It also fails when DESIGN.md outgrows its size ceiling, 1,730 lines: the
-# length it had when the ceiling was set, so the document can only shrink.
-# The target is 800 lines (ROADMAP item 8); lower the ceiling as it shrinks.
+# It also fails when DESIGN.md outgrows its size ceiling, design_ceiling
+# below: the length it had when the ceiling was last set, so the document
+# can only shrink. The target is 800 lines (ROADMAP item 8); lower the
+# ceiling as it shrinks.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
