@@ -52,7 +52,9 @@ bin/relvet: $(shell find cmd/relvet internal -name '*.go' -not -path '*/testdata
 # The race gate plus an explicit rerun of the execution-tier differential
 # tests (plan-level and engine-level, including the randomized vectorized
 # corpus) — the properties that must hold before anything touching the
-# compiled or vectorized tiers merges — and the concurrent fault-injection
+# compiled or vectorized tiers merges — with the streamed-row test, whose
+# copies of pooled views must survive the pool's reuse (its allocation
+# count skips itself under the detector); the concurrent fault-injection
 # schedule, whose containment paths (fan-out recover, lock release on
 # contained panics) are what -race is for; and the containers' clone and
 # first-write tests and the hash table's own, which must hold under the
@@ -61,7 +63,7 @@ bin/relvet: $(shell find cmd/relvet internal -name '*.go' -not -path '*/testdata
 # addressed from its header with unsafe.Add, and checkptr faults any such
 # pointer that leaves the node's object.
 ci-race: vet build race
-	$(GO) test -race -count 2 -run 'Differential|Vectorized' ./internal/plan ./internal/core
+	$(GO) test -race -count 2 -run 'Differential|Vectorized|QueryFuncRowsAreViews' ./internal/plan ./internal/core
 	$(GO) test -race -count 2 -run 'Concurrent|Randomized' ./internal/faultinject/harness -faultseeds $(FAULTSEEDS)
 	$(GO) test -race -count 1 -run 'ExhaustiveWALSharded|WALRecovery' ./internal/faultinject/harness
 	$(GO) test -race -count 1 -run 'PartitionPrefix|ReplResubscribe|ReplCatchUpBatch|SnapshotCutIsExact|CloseRacesPin' ./internal/repl ./internal/faultinject/harness

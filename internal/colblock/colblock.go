@@ -329,11 +329,3 @@ type Block struct {
 func NewBlock(nCols int) *Block {
 	return &Block{Cols: make([][]Code, nCols)}
 }
-
-// reset empties every column, keeping capacity.
-func (b *Block) reset() {
-	for i := range b.Cols {
-		b.Cols[i] = b.Cols[i][:0]
-	}
-	b.N = 0
-}

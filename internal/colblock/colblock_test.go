@@ -197,30 +197,6 @@ func TestHashSpreadsConsecutiveInlineKeys(t *testing.T) {
 	}
 }
 
-func TestBlockReset(t *testing.T) {
-	b := NewBlock(3)
-	if len(b.Cols) != 3 || b.N != 0 {
-		t.Fatalf("NewBlock: %d cols, %d rows", len(b.Cols), b.N)
-	}
-	for i := range b.Cols {
-		b.Cols[i] = append(b.Cols[i], 1, 2, 3)
-	}
-	b.N = 3
-	before := cap(b.Cols[0])
-	b.reset()
-	if b.N != 0 {
-		t.Fatal("reset kept rows")
-	}
-	for i := range b.Cols {
-		if len(b.Cols[i]) != 0 {
-			t.Fatalf("col %d not emptied", i)
-		}
-	}
-	if cap(b.Cols[0]) != before {
-		t.Fatal("Reset must keep capacity")
-	}
-}
-
 func TestCeilRows(t *testing.T) {
 	cases := map[int]int{
 		0:              MorselRows,

@@ -240,11 +240,13 @@ func (e *engine) Query(pat relation.Tuple, out []string) ([]relation.Tuple, erro
 }
 
 // QueryFunc streams π_C of matching tuples like Relation.QueryFunc: no
-// de-duplication, cell-by-cell order. A routed pattern streams one cell's
-// snapshot; otherwise cells stream sequentially, each pinned as the stream
-// reaches it. The iteration holds no lock, so the callback may mutate the
-// engine freely: a cell already pinned keeps streaming its version, and a
-// cell visited later is pinned at whatever version is current then.
+// de-duplication, cell-by-cell order, and each row a view valid only until
+// f returns (copy one to keep it with t.Project(t.Dom())). A routed pattern
+// streams one cell's snapshot; otherwise cells stream sequentially, each
+// pinned as the stream reaches it. The iteration holds no lock, so the
+// callback may mutate the engine freely: a cell already pinned keeps
+// streaming its version, and a cell visited later is pinned at whatever
+// version is current then.
 //
 //relvet:role=read
 func (e *engine) QueryFunc(pat relation.Tuple, out []string, f func(relation.Tuple) bool) error {

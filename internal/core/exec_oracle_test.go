@@ -132,7 +132,7 @@ func checkTiers(t *testing.T, r *Relation, engines map[string]tierEngine, oracle
 		}
 		rows = nil
 		if err := e.QueryFunc(pat, out, func(tp relation.Tuple) bool {
-			rows = append(rows, tp)
+			rows = append(rows, tp.Project(tp.Dom()))
 			return true
 		}); err != nil {
 			t.Fatalf("%s QueryFunc(%v, %v): %v", name, pat, out, err)
@@ -208,7 +208,7 @@ func checkRangeTiers(t *testing.T, r *Relation, engines map[string]tierEngine, o
 		var rows []relation.Tuple
 		for _, snap := range snapshotsOf(e) {
 			if err := snap.QueryRangeFunc(pat, col, lo, hi, out, func(tp relation.Tuple) bool {
-				rows = append(rows, tp)
+				rows = append(rows, tp.Project(tp.Dom()))
 				return true
 			}); err != nil {
 				t.Fatalf("%s QueryRangeFunc(%v, %s, %v): %v", name, pat, col, out, err)

@@ -335,7 +335,11 @@ func (r *Relation) query(s relation.Tuple, out []string, m readMode) (p plan.Par
 // QueryFunc implements the streaming query of the paper's generated
 // iterators: f is called with π_C(t) for each matching tuple t, stopping if
 // f returns false. Like the paper's constant-space query execution it does
-// not eliminate duplicate projections.
+// not eliminate duplicate projections, and on the batch tier a streamed
+// row costs no allocation: the tuple f is handed is valid only until f
+// returns, like bufio.Scanner.Bytes. A caller that keeps a row copies it
+// with t.Project(t.Dom()); values taken out of it (ValueAt, MustGet) are
+// the caller's.
 //
 //relvet:role=read
 func (r *Relation) QueryFunc(s relation.Tuple, out []string, f func(relation.Tuple) bool) (err error) {
@@ -351,14 +355,13 @@ func (r *Relation) QueryFunc(s relation.Tuple, out []string, f func(relation.Tup
 	if err != nil {
 		return err
 	}
-	r.run(cand, s, plan.Range{}, outCols, streamOwned, f)
+	r.run(cand, s, plan.Range{}, outCols, streamProjected, f)
 	return nil
 }
 
 // queryFunc streams matching tuples to f. The tuples f sees bind at least
-// the columns of out but may be transient views — every internal caller
-// projects (which copies) before retaining; the public QueryFunc, whose
-// caller may retain, asks run for rows of their own instead.
+// the columns of out, where the public QueryFunc's bind exactly out; both
+// are views valid until f returns.
 func (r *Relation) queryFunc(s relation.Tuple, out relation.Cols, f func(relation.Tuple) bool) error {
 	cand, err := r.planFor(s.Dom(), out)
 	if err != nil {
@@ -379,12 +382,12 @@ const (
 	// unreleased as p.Res, for a fan-out to merge with the other cells'
 	// parts (plan.Merge) and release.
 	collectHeld
-	// streamOwned streams π_out to f, each row in memory of its own: carved
-	// from one allocation per slab of rows on the vectorized tier, which
-	// knows its row count up front, projected row by row on the interpreter.
-	streamOwned
-	// streamViews streams to f tuples binding at least out, which may be
-	// transient views: f projects (which copies) before retaining.
+	// streamProjected streams exactly π_out to f, each row a view valid
+	// until f returns: the batch tier's pooled view, which boxes nothing,
+	// or the interpreter's per-row projection.
+	streamProjected
+	// streamViews streams to f tuples binding at least out, views too: the
+	// interpreter hands over its bindings unprojected.
 	streamViews
 )
 
@@ -424,9 +427,7 @@ func (r *Relation) run(cand *plan.Candidate, s relation.Tuple, rg plan.Range, ou
 				return plan.Part{Res: br}
 			case collectBoxed:
 				p.Rows = br.Collect()
-			case streamOwned:
-				br.EachRow(f)
-			case streamViews:
+			case streamProjected, streamViews:
 				br.EachTuple(f)
 			}
 			br.Release()
@@ -444,7 +445,7 @@ func (r *Relation) run(cand *plan.Candidate, s relation.Tuple, rg plan.Range, ou
 		p.Rows = plan.CollectFunc(func(emit func(relation.Tuple) bool) {
 			plan.ExecRange(r.inst, cand.Op, s, rg, emit)
 		}, out, cand.EstimatedRows())
-	case streamOwned:
+	case streamProjected:
 		g := f
 		plan.ExecRange(r.inst, cand.Op, s, rg, func(t relation.Tuple) bool { return g(t.Project(out)) })
 	case streamViews:
@@ -480,7 +481,7 @@ func (r *Relation) queryRange(s relation.Tuple, col string, lo, hi *value.Value,
 }
 
 // QueryRangeFunc is the streaming form of QueryRange: no de-duplication,
-// and like QueryFunc's, the rows f is handed are the caller's to keep.
+// and like QueryFunc's, the row f is handed is valid only until f returns.
 func (r *Relation) QueryRangeFunc(s relation.Tuple, col string, lo, hi *value.Value, out []string, f func(relation.Tuple) bool) (rerr error) {
 	defer containRead("query-range", &rerr)
 	if r.metrics != nil {
@@ -490,7 +491,7 @@ func (r *Relation) QueryRangeFunc(s relation.Tuple, col string, lo, hi *value.Va
 	if err != nil {
 		return err
 	}
-	r.run(cand, s, rangeOf(col, lo, hi), outCols, streamOwned, f)
+	r.run(cand, s, rangeOf(col, lo, hi), outCols, streamProjected, f)
 	return nil
 }
 

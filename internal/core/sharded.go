@@ -150,7 +150,7 @@ func (sr *ShardedRelation) Upsert(pat relation.Tuple, f func(cur relation.Tuple,
 		}
 	} else {
 		if err := next.QueryFunc(pat, cols, func(t relation.Tuple) bool {
-			cur, found = t, true
+			cur, found = t.Project(t.Dom()), true
 			return false
 		}); err != nil {
 			return err

@@ -230,6 +230,37 @@ func TestShardedExclusiveUpsert(t *testing.T) {
 	}
 }
 
+// TestShardedUpsertRowIsTheCallersToKeep: on a shard key that is not a
+// key, Upsert finds the current tuple with a stream, whose rows are views;
+// the tuple handed to f is a copy, so a read of the same shape inside f
+// (reusing the stream's pooled state) does not change it.
+func TestShardedUpsertRowIsTheCallersToKeep(t *testing.T) {
+	sr := newShardedSched(t, core.ShardOptions{ShardKey: []string{"ns"}, AllowNonKey: true, Shards: 2})
+	for _, tu := range []relation.Tuple{
+		paperex.SchedulerTuple(1, 1, paperex.StateS, 7),
+		paperex.SchedulerTuple(1, 2, paperex.StateR, 4),
+	} {
+		if err := sr.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", 1))
+	other := relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", 2))
+	all := schedSpec().Cols().Names()
+	err := sr.Upsert(key, func(cur relation.Tuple, found bool) (relation.Tuple, error) {
+		if err := sr.QueryFunc(other, all, func(relation.Tuple) bool { return true }); err != nil {
+			return relation.Tuple{}, err
+		}
+		if want := paperex.SchedulerTuple(1, 1, paperex.StateS, 7); !found || !cur.Equal(want) {
+			t.Errorf("Upsert handed f %v (found %v) after a read, want %v", cur, found, want)
+		}
+		return relation.NewTuple(relation.BindInt("cpu", 8)), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // stressOp is one entry of the recorded operation log.
 type stressOp struct {
 	kind byte // 'i', 'r', 'u'

@@ -1,12 +1,10 @@
 // Package fd implements functional dependencies over column sets (§2 of the
 // paper): representation, the attribute-closure decision procedure for the
 // implication judgment ∆ ⊢fd C1 → C2 (sound and complete for Armstrong's
-// axioms), satisfaction checking on concrete relations, and canonical
-// covers.
+// axioms) and satisfaction checking on concrete relations.
 package fd
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/relation"
@@ -127,71 +125,6 @@ func (s Set) HoldsOnInsert(r *relation.Relation, t relation.Tuple) bool {
 // IsKey reports whether the column set k is a key for relations over cols
 // under s: s ⊢fd k → cols.
 func (s Set) IsKey(k, cols relation.Cols) bool { return s.Implies(k, cols) }
-
-// canonical returns an equivalent set in a canonical form: every dependency
-// is split to single-column right-hand sides, trivial dependencies are
-// dropped, redundant dependencies are removed, and the result is sorted.
-func (s Set) canonical() Set {
-	// Split right-hand sides and drop trivial parts.
-	var split []FD
-	for _, f := range s.fds {
-		for _, c := range f.To.Minus(f.From).Names() {
-			split = append(split, FD{From: f.From, To: relation.NewCols(c)})
-		}
-	}
-	// Remove redundant dependencies: f is redundant if the rest imply it.
-	kept := make([]bool, len(split))
-	for i := range kept {
-		kept[i] = true
-	}
-	for i := range split {
-		kept[i] = false
-		rest := Set{fds: filterFDs(split, kept)}
-		if !rest.ImpliesFD(split[i]) {
-			kept[i] = true
-		}
-	}
-	out := filterFDs(split, kept)
-	// Minimize left-hand sides: drop columns whose removal preserves the FD.
-	for i, f := range out {
-		from := f.From
-		for _, c := range f.From.Names() {
-			smaller := from.Minus(relation.NewCols(c))
-			if smaller.IsEmpty() {
-				continue
-			}
-			trial := Set{fds: out}
-			if trial.Implies(smaller, f.To) {
-				from = smaller
-			}
-		}
-		out[i] = FD{From: from, To: f.To}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if a, b := out[i].From.Key(), out[j].From.Key(); a != b {
-			return a < b
-		}
-		return out[i].To.Key() < out[j].To.Key()
-	})
-	// Dedupe identical entries after minimization.
-	dedup := out[:0]
-	for i, f := range out {
-		if i == 0 || f.String() != out[i-1].String() {
-			dedup = append(dedup, f)
-		}
-	}
-	return Set{fds: dedup}
-}
-
-func filterFDs(fds []FD, keep []bool) []FD {
-	var out []FD
-	for i, f := range fds {
-		if keep[i] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
 
 // String renders the set one dependency per line.
 func (s Set) String() string {

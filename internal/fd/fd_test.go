@@ -114,44 +114,6 @@ func TestHoldsOnInsert(t *testing.T) {
 	}
 }
 
-func TestCanonical(t *testing.T) {
-	s := NewSet(
-		FD{From: cols("a"), To: cols("b", "c")},
-		FD{From: cols("b"), To: cols("c")},
-		FD{From: cols("a"), To: cols("c")}, // redundant via a→b→c
-		FD{From: cols("a", "b"), To: cols("c")},
-	)
-	c := s.canonical()
-	if !equivalent(c, s) {
-		t.Fatalf("canonical cover not equivalent:\n%v\nvs\n%v", c, s)
-	}
-	// Every canonical FD has a single-column RHS.
-	for _, f := range c.All() {
-		if f.To.Len() != 1 {
-			t.Errorf("canonical FD %v has wide RHS", f)
-		}
-	}
-	if len(c.fds) > 2 {
-		t.Errorf("canonical cover has %d FDs (%v), want ≤ 2", len(c.fds), c)
-	}
-}
-
-func TestCanonicalMinimizesLHS(t *testing.T) {
-	s := NewSet(
-		FD{From: cols("a"), To: cols("b")},
-		FD{From: cols("a", "b"), To: cols("c")}, // b is redundant on the left
-	)
-	c := s.canonical()
-	if !equivalent(c, s) {
-		t.Fatalf("canonical not equivalent")
-	}
-	for _, f := range c.All() {
-		if f.To.Equal(cols("c")) && f.From.Len() != 1 {
-			t.Errorf("LHS of %v not minimized", f)
-		}
-	}
-}
-
 // equivalent reports whether s and o imply exactly the same dependencies.
 func equivalent(s, o Set) bool {
 	for _, f := range s.fds {

@@ -1226,10 +1226,9 @@ const rowSlab = 16
 // box is known, or bounded, before the first is boxed, so their values are
 // carved from one allocation per rowSlab values rather than one per row:
 // the same bytes, and no more than the rows need. It is the one
-// materialization of the tier, under EachRow, Collect and Merge. Each of
-// them decodes a row into the values next carves in its own loop: next
-// inlines, a method that also decoded would not, and a call per row costs
-// a streamed 1,000-row read a fifth more.
+// materialization of the tier, under Collect and Merge. Each of them
+// decodes a row into the values next carves in its own loop: next inlines,
+// a method that also decoded would not.
 type boxer struct {
 	names   []string
 	perSlab int
@@ -1262,25 +1261,6 @@ func (st *batchState) outCols() [][]colblock.Code {
 	}
 	st.outc = out
 	return out
-}
-
-// EachRow is EachTuple for a callback that keeps what it is given: every
-// row is a tuple of its own, not a view.
-func (r *BatchResult) EachRow(f func(relation.Tuple) bool) bool {
-	st := r.st
-	out := st.outCols()
-	n := st.cur.blk.N
-	b := newBoxer(st.p.cols)
-	for i := 0; i < n; i++ {
-		vals := b.next(len(out), n-i)
-		for j, col := range out {
-			vals[j] = st.vw.Decode(col[i])
-		}
-		if !f(relation.SortedTuple(b.names, vals)) {
-			return false
-		}
-	}
-	return true
 }
 
 // distinctRows returns the frontier rows that survive projection dedup —

@@ -112,12 +112,12 @@ func TestVectorizedDifferential(t *testing.T) {
 							if got := br.Rows(); got != len(gotS) {
 								t.Fatalf("Rows() = %d but EachTuple emitted %d", got, len(gotS))
 							}
-							// EachRow's rows are the callback's to keep: read back
-							// after the sweep and the release, each must still be
-							// what EachTuple's view was while it was current.
+							// A view copied with Project is the caller's: read back
+							// after the sweep and the release, each copy must still
+							// be what EachTuple's view was while it was current.
 							var rows []relation.Tuple
-							br.EachRow(func(tp relation.Tuple) bool {
-								rows = append(rows, tp)
+							br.EachTuple(func(tp relation.Tuple) bool {
+								rows = append(rows, tp.Project(tp.Dom()))
 								return true
 							})
 							br.Release()
@@ -126,7 +126,7 @@ func TestVectorizedDifferential(t *testing.T) {
 								keptS = append(keptS, tp.Key())
 							}
 							if !sameKeys(keptS, gotS) {
-								t.Fatalf("input %v → %v plan %s pattern %v: rows kept from EachRow differ from EachTuple's (order-sensitive):\nkept %v\nview %v",
+								t.Fatalf("input %v → %v plan %s pattern %v: rows copied from EachTuple's views differ from the views (order-sensitive):\nkept %v\nview %v",
 									input, output, cand.Op, pat, keptS, gotS)
 							}
 							var wantS []string
@@ -260,23 +260,24 @@ func TestVectorizedEarlyStop(t *testing.T) {
 		t.Errorf("full sweep emitted %d rows (done=%v), want 3 (true)", count, done)
 	}
 	count = 0
-	done = br.EachRow(func(relation.Tuple) bool {
+	done = br.EachTuple(func(relation.Tuple) bool {
 		count++
 		return count < 2
 	})
 	if count != 2 || done {
-		t.Errorf("EachRow stopped after %d rows (done=%v), want 2 (false)", count, done)
+		t.Errorf("a second sweep stopped after %d rows (done=%v), want 2 (false)", count, done)
 	}
 	br.Release()
 	br.Release() // idempotent
 }
 
-// TestVectorizedEachRowSlabs pins what EachRow is for: a sweep whose rows
-// the callback keeps allocates one object per slab of rows — the steady
-// state allocates nothing else — never one per row, and rows that share a
-// slab do not share values. 3 columns × 40 rows crosses eight slabs of five
-// rows; 1 column × 10 rows fits a single, exactly-sized one.
-func TestVectorizedEachRowSlabs(t *testing.T) {
+// TestVectorizedCollectSlabs pins the boxer under Collect: a result whose
+// rows are all distinct allocates one object per slab of rows plus the
+// result slice — the steady state allocates nothing else — never one per
+// row, and rows that share a slab do not share values. 3 columns × 40 rows
+// crosses eight slabs of five rows; 1 column × 10 rows fits a single,
+// exactly-sized one.
+func TestVectorizedCollectSlabs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
@@ -310,19 +311,18 @@ func TestVectorizedEachRowSlabs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			kept := make([]relation.Tuple, 0, s.rows)
+			var kept []relation.Tuple
 			run := func() {
-				kept = kept[:0]
 				br, ok := bp.Run(in, s.pat)
 				if !ok {
 					t.Fatal("batch run bailed")
 				}
-				br.EachRow(func(tp relation.Tuple) bool { kept = append(kept, tp); return true })
+				kept = br.Collect()
 				br.Release()
 			}
 			run() // warm the pool and scratch
-			if allocs := testing.AllocsPerRun(50, run); allocs != float64(s.slabs) {
-				t.Errorf("a sweep of %d kept rows allocates %.1f objects, want %d (one per slab)", s.rows, allocs, s.slabs)
+			if allocs := testing.AllocsPerRun(50, run); allocs != float64(s.slabs+1) {
+				t.Errorf("collecting %d rows allocates %.1f objects, want %d (one per slab and the result)", s.rows, allocs, s.slabs+1)
 			}
 			want := plan.Collect(in, cand.Op, s.pat, s.output)
 			if len(kept) != s.rows || !sameKeys(sortedKeys(kept), sortedKeys(want)) {

@@ -8,7 +8,7 @@ import (
 )
 
 // The methods below are for this package's tests only: the engine reads a
-// BatchResult through Collect, EachTuple and EachRow, runs a closure
+// BatchResult through Collect, EachTuple and SortDistinct, runs a closure
 // Program only through StreamView, and costs plans while enumerating them.
 
 // Estimate recomputes the cost of an existing plan under the planner's

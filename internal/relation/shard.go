@@ -4,9 +4,9 @@ import "repro/internal/value"
 
 // HashShard returns a stable 64-bit hash of t's values on the columns of
 // key, in key's (sorted) column order, and reports whether t binds every
-// key column. It hashes the same byte stream appendValuesKey would encode
-// for the projection π_key(t), but without materializing the projection or
-// the encoding — shard routing must not allocate per operation.
+// key column. It hashes the key columns' values in key order without
+// materializing the projection π_key(t) — shard routing must not allocate
+// per operation.
 //
 // The hash depends only on the key columns' values (not on any extra
 // columns t binds), so a full tuple and a pattern binding the same key

@@ -254,15 +254,6 @@ func (t Tuple) keySize() int {
 	return n
 }
 
-// valuesKeySize returns the exact encoded length of appendValuesKey's output.
-func (t Tuple) valuesKeySize() int {
-	n := 0
-	for _, v := range t.vals {
-		n += v.EncodedSize()
-	}
-	return n
-}
-
 // AppendKey appends the canonical injective encoding of t (see Key) to b
 // and returns the extended slice. Callers on hot paths pass a reused
 // scratch buffer (b[:0]) to avoid allocating a fresh key per operation.
@@ -286,22 +277,6 @@ func (t Tuple) AppendKey(b []byte) []byte {
 func (t Tuple) Key() string {
 	b := t.AppendKey(make([]byte, 0, t.keySize()))
 	return string(b)
-}
-
-// appendValuesKey appends an injective encoding of only the values of t, in
-// column order, to b and returns the extended slice; the scratch-buffer
-// contract matches AppendKey. It keys a data structure when the column set
-// is fixed by context (all keys in one map share a domain).
-func (t Tuple) appendValuesKey(b []byte) []byte {
-	if need := len(b) + t.valuesKeySize(); cap(b) < need {
-		nb := make([]byte, len(b), need)
-		copy(nb, b)
-		b = nb
-	}
-	for _, v := range t.vals {
-		b = v.AppendEncode(b)
-	}
-	return b
 }
 
 // Compare totally orders tuples with equal domains by comparing values in

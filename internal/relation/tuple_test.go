@@ -300,17 +300,3 @@ func TestTupleProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestValuesKeyFixedDomain(t *testing.T) {
-	// Within one domain, the values-only encoding must be injective.
-	key := func(t Tuple) string { return string(t.appendValuesKey(nil)) }
-	a := tupNsPid(1, 2)
-	b := tupNsPid(2, 1)
-	if key(a) == key(b) {
-		t.Errorf("appendValuesKey collision for %v vs %v", a, b)
-	}
-	if key(a) != key(tupNsPid(1, 2)) {
-		t.Errorf("appendValuesKey not deterministic")
-	}
-	_ = value.OfInt(0) // keep import for doc symmetry
-}

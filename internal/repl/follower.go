@@ -494,7 +494,8 @@ func (f *Follower) WaitFor(seq uint64, timeout time.Duration) error {
 
 // Query, QueryFunc, QueryRange, Len, All and CheckInvariants are the
 // replica's read surface: the same lock-free MVCC reads the primary
-// serves, against the follower's own decomposition.
+// serves, against the follower's own decomposition. As on the primary, a
+// row QueryFunc streams is valid only until its callback returns.
 
 func (f *Follower) Query(pat relation.Tuple, out []string) ([]relation.Tuple, error) {
 	return f.eng().Query(pat, out)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -414,18 +415,26 @@ func (p *Publisher) sendSnapshot(f *framer, seq uint64, versions []*core.Relatio
 		return err
 	}
 	chunk := make([]relation.Tuple, 0, min(total, snapChunkTuples))
+	// A streamed row is a view, so its values are copied into vals, one
+	// arena for the chunk's rows that flush empties once they are encoded.
+	k := len(p.sorted)
+	vals := make([]value.Value, 0, cap(chunk)*k)
 	enc := wal.NewStreamEncoder()
 	var scratch []byte
 	flush := func() error {
 		scratch = append(scratch[:0], msgSnapChunk)
 		scratch = enc.AppendChunk(scratch, chunk)
-		chunk = chunk[:0]
+		chunk, vals = chunk[:0], vals[:0]
 		return f.writeFrame(scratch)
 	}
 	for _, v := range versions {
 		var werr error
 		err := v.QueryFunc(relation.NewTuple(), p.sorted, func(t relation.Tuple) bool {
-			chunk = append(chunk, t)
+			n := len(vals)
+			for i := range k {
+				vals = append(vals, t.ValueAt(i))
+			}
+			chunk = append(chunk, relation.SortedTuple(p.sorted, vals[n:len(vals):len(vals)]))
 			if len(chunk) == snapChunkTuples {
 				werr = flush()
 			}

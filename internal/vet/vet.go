@@ -3,7 +3,8 @@
 // stdlib-only framework of internal/analysis and report the misuse
 // patterns the engine's API makes easy: discarding mutation errors,
 // swallowing poisoning, reading query results or pinned MVCC snapshot
-// handles across mutations, and under-specified option literals.
+// handles across mutations, keeping a streamed row past its callback, and
+// under-specified option literals.
 // relvet105 — the codegen cleanliness
 // contract — is not an AST analyzer; cmd/relvet's -gen mode and the
 // codegen golden test enforce it, and it is catalogued here so the code
@@ -31,6 +32,7 @@ const (
 	CodeStaleSnapshot    diag.Code = "relvet106" // pinned snapshot handle read across its own mutation
 	CodeUnsyncedDurable  diag.Code = "relvet107" // durable relation mutated, never closed or synced
 	CodeUnclosedFollower diag.Code = "relvet108" // replication follower bound, never closed
+	CodeEscapedRow       diag.Code = "relvet109" // streamed row kept past its callback
 )
 
 // Codes returns the Go-plane catalogue, in the same Info currency as the
@@ -61,12 +63,15 @@ func Codes() []lint.Info {
 		{Code: CodeUnclosedFollower, Severity: diag.Warning,
 			Summary:   "replication follower created but never closed in the function that created it",
 			Grounding: "repl.NewFollower starts a session goroutine that dials and redials until Close; a dropped handle leaks the goroutine and its connection, and keeps resubscribing to the publisher forever"},
+		{Code: CodeEscapedRow, Severity: diag.Warning,
+			Summary:   "row streamed by QueryFunc/QueryRangeFunc kept past its callback (stored, appended, sent or captured by a go statement)",
+			Grounding: "like the paper's generated iterators, a stream hands its callback a view that the next row overwrites; only a copy (t.Project(t.Dom())) or values read out of it outlive the callback"},
 	}
 }
 
 // Analyzers returns the AST analyzers of the suite.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{UncheckedMut, SwallowedPoison, StaleResults, OptionsMisuse, StaleSnapshot, UnsyncedDurable, UnclosedFollower}
+	return []*analysis.Analyzer{UncheckedMut, SwallowedPoison, StaleResults, OptionsMisuse, StaleSnapshot, UnsyncedDurable, UnclosedFollower, EscapedRow}
 }
 
 // relTypeNames are the engine types whose methods the analyzers treat as
@@ -656,6 +661,116 @@ func isFollowerType(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	return ok && n.Obj().Name() == "Follower" &&
 		n.Obj().Pkg() != nil && strings.HasSuffix(n.Obj().Pkg().Path(), "internal/repl")
+}
+
+// EscapedRow (relvet109) flags a QueryFunc or QueryRangeFunc callback,
+// written as a function literal, whose relation.Tuple parameter outlives
+// the call: assigned to a variable declared outside the literal, stored in
+// a field, map or slice element, appended, sent on a channel, or passed to
+// or captured by a go statement. The row is a view valid only until the
+// callback returns. Reading it — MustGet, ValueAt, Project — is what the
+// callback is for, so only the bare parameter counts; a callback-local
+// alias is not followed.
+var EscapedRow = &analysis.Analyzer{
+	Name:     "escapedrow",
+	Doc:      "flags streamed rows kept past their QueryFunc/QueryRangeFunc callback",
+	Code:     CodeEscapedRow,
+	Severity: diag.Warning,
+	Run: func(pass *analysis.Pass) {
+		info := pass.Pkg.Info
+		for _, f := range pass.Pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "QueryFunc" && sel.Sel.Name != "QueryRangeFunc") {
+					return true
+				}
+				lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
+				if !ok || len(lit.Type.Params.List) != 1 || len(lit.Type.Params.List[0].Names) != 1 {
+					return true
+				}
+				row := info.Defs[lit.Type.Params.List[0].Names[0]]
+				if row == nil || !isTupleType(row.Type()) {
+					return true
+				}
+				isRow := func(e ast.Expr) bool {
+					id, ok := ast.Unparen(e).(*ast.Ident)
+					return ok && info.Uses[id] == row
+				}
+				report := func(at ast.Node, how string) {
+					pass.Reportf(at.Pos(), "streamed row %s %s: it is a view valid only until the callback returns — keep a copy (%s.Project(%s.Dom())) or the values read out of it",
+						row.Name(), how, row.Name(), row.Name())
+				}
+				ast.Inspect(lit.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						if len(n.Lhs) != len(n.Rhs) {
+							return true
+						}
+						for i, rhs := range n.Rhs {
+							if !isRow(rhs) {
+								continue
+							}
+							switch lhs := ast.Unparen(n.Lhs[i]).(type) {
+							case *ast.Ident:
+								if obj := info.Uses[lhs]; obj != nil && (obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()) {
+									report(rhs, "is assigned to "+lhs.Name+", declared outside the callback")
+								}
+							case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+								report(rhs, "is stored beyond the callback")
+							}
+						}
+					case *ast.CallExpr:
+						if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && info.Uses[id] == types.Universe.Lookup("append") {
+							for _, a := range n.Args[1:] {
+								if isRow(a) {
+									report(a, "is appended")
+								}
+							}
+						}
+					case *ast.SendStmt:
+						if isRow(n.Value) {
+							report(n.Value, "is sent on a channel")
+						}
+					case *ast.GoStmt:
+						// Arguments are evaluated before the goroutine
+						// starts, so only a bare row or a capture escapes.
+						for _, a := range n.Call.Args {
+							if isRow(a) {
+								report(a, "is passed to a go statement")
+							}
+						}
+						ast.Inspect(n.Call, func(m ast.Node) bool {
+							fl, ok := m.(*ast.FuncLit)
+							if !ok {
+								return true
+							}
+							ast.Inspect(fl.Body, func(m ast.Node) bool {
+								if id, ok := m.(*ast.Ident); ok && info.Uses[id] == row {
+									report(id, "is captured by a go statement")
+									return false
+								}
+								return true
+							})
+							return false
+						})
+						return false
+					}
+					return true
+				})
+				return true
+			})
+		}
+	},
+}
+
+func isTupleType(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "Tuple" &&
+		n.Obj().Pkg() != nil && strings.HasSuffix(n.Obj().Pkg().Path(), "internal/relation")
 }
 
 // OptionsMisuse (relvet104) flags keyed options literals missing the

@@ -26,6 +26,7 @@ func TestAnalyzersOnCorpus(t *testing.T) {
 		{"relvet106", vet.StaleSnapshot},
 		{"relvet107", vet.UnsyncedDurable},
 		{"relvet108", vet.UnclosedFollower},
+		{"relvet109", vet.EscapedRow},
 	}
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) {
@@ -87,8 +88,8 @@ func runCorpus(t *testing.T, dir string, an *analysis.Analyzer) {
 // analyzers agree with it.
 func TestCatalogue(t *testing.T) {
 	infos := vet.Codes()
-	if len(infos) != 8 {
-		t.Fatalf("catalogue has %d codes, want 8 (relvet101–108)", len(infos))
+	if len(infos) != 9 {
+		t.Fatalf("catalogue has %d codes, want 9 (relvet101–109)", len(infos))
 	}
 	sev := map[diag.Code]diag.Severity{}
 	for _, i := range infos {
