@@ -20,9 +20,10 @@ ci: vet build race test-vec heap-budget faultinject lint lint-engine fuzz-smoke 
 # gofmt-idempotent and analyzer-clean). relvet is built once into bin/
 # rather than `go run` three times. All legs must exit 0 on a healthy
 # checkout; zero standing suppressions — enforced by
-# TestNoStandingSuppressions in internal/vet. The grep keeps the read
-# ladder at two rungs (batch program, then interpreter): outside tests only
-# the frozen benchmark probe may still compile a closure program. The last
+# TestNoStandingSuppressions in internal/vet. The greps keep the read
+# ladder at two rungs (batch program, then interpreter) on every tier:
+# outside tests only the frozen benchmark probe may still compile a closure
+# program, and no point plan or routed point path runs beside it. The last
 # line holds the API to its callers: every exported name or method of a
 # non-main package is used by non-test code in this module or in bench/,
 # or by a test of another package (interface methods and generated files
@@ -34,6 +35,8 @@ lint: bin/relvet
 	bin/relvet -gen spec/*.rel
 	@if git grep -nE 'plan\.Compile\(|cand\.Prog|PlanCompiled' -- '*.go' ':!*_test.go' | grep -v '^bench/probes\.go:'; then \
 		echo 'lint: a closure program is back outside bench/probes.go'; exit 1; fi
+	@if git grep -nE 'PointPlan|CompilePoint|queryPoint|updatePoint' -- '*.go' ':!*_test.go' ':!bench'; then \
+		echo 'lint: a point-plan side door is back beside the read ladder'; exit 1; fi
 	$(GO) test -count 1 -run '^TestEveryExportHasACaller$$' ./internal/vet
 
 # The engine-invariant plane (relvet2xx): the interprocedural analyzers

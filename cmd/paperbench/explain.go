@@ -2,9 +2,9 @@ package main
 
 // The explain subcommand: for each corpus relation, print how the engine
 // executes its characteristic query shapes — the chosen Figure 7 plan, the
-// §4.3 cost and cardinality estimates per node, the execution tier
-// (point-access path, batch program, or the interpreter a shape without one
-// runs on), and for the flows relation the sharded tier's routing decision. This is the
+// §4.3 cost and cardinality estimates per node, the execution tier (batch
+// program, or the interpreter a shape without one runs on), and for the
+// flows relation the sharded tier's routing decision. This is the
 // same core.ExplainQuery surface applications get at runtime.
 
 import (

@@ -170,19 +170,22 @@ func parity(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fmt.Println("== §6.2 performance parity: hand-coded vs synthesized variants ==")
+	fmt.Printf("== §6.2 performance parity: hand-coded vs synthesized variants (median of %d passes, min–max) ==\n", experiments.ParityPasses)
 	rows, err := experiments.RunParity(*scale)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %-11s %-11s %-11s %-10s %-12s %s\n", "system", "hand(s)", "engine(s)", "relc(s)", "relc/hand", "engine/relc", "behaviour")
+	span := func(t experiments.Timing) string {
+		return fmt.Sprintf("%.4f (%.4f–%.4f)", t.Median, t.Min, t.Max)
+	}
+	fmt.Printf("%-8s %-26s %-26s %-26s %-9s %-11s %s\n", "system", "hand(s)", "engine(s)", "relc(s)", "relc/hand", "engine/relc", "behaviour")
 	for _, r := range rows {
 		agree := "identical"
 		if !r.Agree {
 			agree = "DIVERGED"
 		}
-		fmt.Printf("%-10s %-11.4f %-11.4f %-11.4f %-10.2f %-12.2f %s\n",
-			r.System, r.HandSecs, r.SynthSecs, r.GenSecs, r.GenSecs/r.HandSecs, r.SynthSecs/r.GenSecs, agree)
+		fmt.Printf("%-8s %-26s %-26s %-26s %-9.2f %-11.2f %s\n",
+			r.System, span(r.Hand), span(r.Synth), span(r.Gen), r.Gen.Median/r.Hand.Median, r.Synth.Median/r.Gen.Median, agree)
 	}
 	fmt.Println()
 	return nil

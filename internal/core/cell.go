@@ -180,36 +180,26 @@ func (c *cell) remove(pat relation.Tuple) (int, error) {
 	return len(removed), nil
 }
 
-// update implements the keyed dupdate on this cell. point asserts the
-// caller has certified pat as a superkey (the sharded tier's FD-validated
-// shard key): an unlogged cell then takes the compiled in-place point
-// path, which never materializes the replaced tuple. A logged cell needs
-// that tuple — the delta is the full stored tuple replaced and the full
-// merged tuple now stored, so replay is two exact-tuple operations with no
-// key reasoning — and the log append dwarfs the saved plan work.
-func (c *cell) update(pat, u relation.Tuple, point bool) (int, error) {
+// update implements the keyed dupdate on this cell. A logged cell asks
+// updateDelta for the replaced and the merged tuple — the delta is the full
+// stored tuple replaced and the full merged tuple now stored, so replay is
+// two exact-tuple operations with no key reasoning; an unlogged one does
+// not, and may update in place without ever copying the match out.
+func (c *cell) update(pat, u relation.Tuple) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	next, err := c.fork()
 	if err != nil {
 		return 0, err
 	}
-	var (
-		n     int
-		delta wal.Commit
-	)
-	if point && c.log == nil {
-		n, err = next.updatePoint(pat, u)
-	} else {
-		// One logical update; updateDelta leaves the counter to its caller.
-		if next.metrics != nil {
-			next.metrics.Updates.Add(1)
-		}
-		var old, upd relation.Tuple
-		n, old, upd, err = next.updateDelta(pat, u)
-		if n > 0 && c.log != nil {
-			delta = wal.Commit{Removed: []relation.Tuple{old}, Inserted: []relation.Tuple{upd}}
-		}
+	// One logical update; updateDelta leaves the counter to its caller.
+	if next.metrics != nil {
+		next.metrics.Updates.Add(1)
+	}
+	n, old, upd, err := next.updateDelta(pat, u, c.log != nil)
+	var delta wal.Commit
+	if n > 0 && c.log != nil {
+		delta = wal.Commit{Removed: []relation.Tuple{old}, Inserted: []relation.Tuple{upd}}
 	}
 	if err := c.commit(next, n > 0, delta, err); err != nil {
 		return 0, err

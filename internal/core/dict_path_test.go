@@ -12,6 +12,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/dstruct"
 	"repro/internal/fd"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -241,7 +242,7 @@ func dictHistory(t *testing.T, rnd *rand.Rand, r dictEngine, oracle *relation.Re
 }
 
 // TestNeverInternedValueIsACleanMiss: looking up a string no tuple ever held
-// — by Query, by the point plan's descent, by range bound — finds nothing and
+// — by Query, by a full-key read's descent, by range bound — finds nothing and
 // interns nothing.
 func TestNeverInternedValueIsACleanMiss(t *testing.T) {
 	d := dictDecomps()["vector/htable/avl"]
@@ -265,16 +266,16 @@ func TestNeverInternedValueIsACleanMiss(t *testing.T) {
 	if got, err := r.Query(ghost, []string{"grp", "tag"}); err != nil || len(got) != 0 {
 		t.Fatalf("Query of a never-interned name: %v, %v", got, err)
 	}
+	// The full key: a pure lookup chain, run on the same ladder as every
+	// other read — its descent must miss at the never-interned name.
 	full := relation.NewTuple(relation.BindInt("slot", 1), relation.BindInt("grp", 1), relation.BindString("name", "never-stored"))
-	cand, err := r.PlanCandidate([]string{"slot", "grp", "name"}, []string{"tag", "n"})
-	if err != nil {
-		t.Fatal(err)
+	m := &obs.Metrics{}
+	r.SetMetrics(m)
+	if got, err := r.Query(full, []string{"tag", "n"}); err != nil || len(got) != 0 {
+		t.Fatalf("full-key Query of a never-interned name: %v, %v", got, err)
 	}
-	if cand.Point == nil {
-		t.Fatal("no point plan for a full key")
-	}
-	if u, ok := cand.Point.Get(r.Instance(), full); ok {
-		t.Fatalf("point descent found %v under a never-interned name", u)
+	if s := m.Snapshot(); s.ExecVectorized != 1 || s.ExecInterpreted != 0 {
+		t.Fatalf("full-key Query: %s, want one vectorized run", s.String())
 	}
 	if n, err := r.Remove(ghost); err != nil || n != 0 {
 		t.Fatalf("Remove of a never-interned name: %d, %v", n, err)

@@ -115,10 +115,9 @@ func SetCheckFDs(e Engine, on bool) {
 // fan-out pins each cell's version as it visits it, so cross-cell reads are
 // per-cell snapshot-consistent, not globally serialized.
 type engine struct {
-	spec  *Spec
-	ro    *router // nil over one cell
-	keyed bool    // the FDs certify the shard key as a key
-	sem   chan struct{}
+	spec *Spec
+	ro   *router // nil over one cell
+	sem  chan struct{}
 
 	// metrics is the engine's own view of the sink every cell also holds
 	// (SetMetrics); it feeds the routing counters and the fan-out latency
@@ -196,23 +195,27 @@ func (e *engine) Remove(pat relation.Tuple) (int, error) {
 }
 
 // Update implements the keyed dupdate; like Remove, a failed update drops
-// the fork and reports 0. A pattern binding an FD-certified shard key is a
-// superkey, so the routed cell may skip the per-operation key check and
-// take the compiled point-update path. Otherwise every cell checks the
-// pattern, and since it must be a key at most one cell finds a match.
+// the fork and reports 0. A pattern binding the shard key updates on its
+// one cell; any other pattern goes to every cell, and since it must be a
+// key at most one cell finds a match. Values that assign a shard-key
+// column are rejected: the tuple would stay on a cell its new values do
+// not route to.
 func (e *engine) Update(s, u relation.Tuple) (int, error) {
+	if e.ro != nil && u.Dom().Intersects(e.ro.key) {
+		return 0, fmt.Errorf("core: update values %v assign the shard key %v", u, e.ro.key)
+	}
 	if i, ok := e.ro.route(s); ok {
 		e.routed()
-		return e.cells[i].update(s, u, e.keyed)
+		return e.cells[i].update(s, u)
 	}
-	return e.fanOutSum(func(_ int, c *cell) (int, error) { return c.update(s, u, false) })
+	return e.fanOutSum(func(_ int, c *cell) (int, error) { return c.update(s, u) })
 }
 
 // Query implements query r s C, lock-free. A routed pattern reads one
-// cell's snapshot, through the point-query fast path when an FD-certified
-// shard key makes it a superkey. Other patterns fan out over the cells'
-// snapshots: each cell's answer stays sorted, de-duplicated code rows, and
-// the merge boxes each result row once (plan.Merge).
+// cell's snapshot with Relation.Query, the call every single-cell tier
+// makes. Other patterns fan out over the cells' snapshots: each cell's
+// answer stays sorted, de-duplicated code rows, and the merge boxes each
+// result row once (plan.Merge).
 //
 //relvet:role=read
 func (e *engine) Query(pat relation.Tuple, out []string) ([]relation.Tuple, error) {
@@ -221,9 +224,6 @@ func (e *engine) Query(pat relation.Tuple, out []string) ([]relation.Tuple, erro
 		r, ok := e.cells[i].snapshot()
 		if !ok {
 			return nil, ErrClosed
-		}
-		if e.keyed {
-			return r.queryPoint(pat, out)
 		}
 		return r.Query(pat, out)
 	}

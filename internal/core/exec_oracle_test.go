@@ -328,8 +328,8 @@ type oracleCase struct {
 // a miss pattern, before and after a round of pattern removes and key
 // updates checked against the internal/relation oracle. The bare relation,
 // a SyncRelation and a ShardedRelation over the same decomposition answer
-// every query too, so the point plan and shard routing sit in the same
-// table as the executors they bypass.
+// every query too, so shard routing sits in the same table as the
+// executors it routes to.
 //
 // The range differential rides the same cases — plus, for the range sweep
 // only, the range tests' own decompositions (an AVL and a skip list that

@@ -3,8 +3,8 @@ package core
 // The EXPLAIN surface: every engine tier can report, for a query shape,
 // which plan it would run and with what provenance — the §4.3 cost
 // estimate the planner chose it by, whether the shape was already in the
-// plan cache, which execution tier it runs on (point plan, batch program,
-// or the Figure 7 interpreter), and, for the sharded tier, whether
+// plan cache, which execution tier it runs on (batch program or the
+// Figure 7 interpreter), and, for the sharded tier, whether
 // the shape routes to one shard or fans out. cmd/relc -explain and
 // cmd/paperbench explain render it for the spec corpus.
 
@@ -27,7 +27,6 @@ type QueryExplain struct {
 	EstRows int     // planner's row estimate (clamped like execution's)
 
 	Cached bool // the shape was in the plan cache before this call
-	Point  bool // has a compiled point-access path (superkey patterns)
 
 	// Vectorized reports that the shape lowered to a batch program and the
 	// relation will try it first; the interpreter finishes executions that
@@ -74,9 +73,6 @@ func (e *QueryExplain) String() string {
 	if e.Vectorized {
 		tags = append(tags, "vectorized")
 	}
-	if e.Point {
-		tags = append(tags, "point")
-	}
 	if e.Durable {
 		tags = append(tags, "durable")
 	}
@@ -114,7 +110,6 @@ func (r *Relation) ExplainQuery(input, output []string) (*QueryExplain, error) {
 		Cost:       cand.Cost,
 		EstRows:    cand.EstimatedRows(),
 		Cached:     cached,
-		Point:      cand.Point != nil,
 		Vectorized: cand.Batch != nil,
 		Durable:    r.durable,
 	}, nil

@@ -50,7 +50,7 @@ func newObsOracle(t *testing.T) *obsOracle {
 // a fan-out over n shards: the shards share one singleflight cache, so a
 // new shape is planned exactly once and the other n-1 callers count as
 // hits whether they waited in flight or hit the published entry.
-func (o *obsOracle) lookup(in, out []string, n uint64) (point, vec bool) {
+func (o *obsOracle) lookup(in, out []string, n uint64) (vec bool) {
 	o.t.Helper()
 	cand, err := o.probe.PlanCandidate(in, out)
 	if err != nil {
@@ -59,7 +59,7 @@ func (o *obsOracle) lookup(in, out []string, n uint64) (point, vec bool) {
 	key := strings.Join(relation.NewCols(in...).Names(), ",") + "|" +
 		strings.Join(relation.NewCols(out...).Names(), ",")
 	o.promote(key, cand.Batch != nil, n)
-	return cand.Point != nil, cand.Batch != nil
+	return cand.Batch != nil
 }
 
 // promote accounts n lookups of the shape whose cache signature is key, the
@@ -93,10 +93,10 @@ func (o *obsOracle) rangeQuery(in, out []string, col string) {
 	o.exec(true, 1)
 }
 
-// exec accounts n executions through the one read ladder below the point
-// plan (Query, QueryFunc, QueryRange and queryPoint's fallback alike): the
-// batch program when the shape vectorized (none of the scheduler's shapes
-// bail at run time), else the interpreter.
+// exec accounts n executions through the one read ladder (Query,
+// QueryFunc, QueryRange and a mutation's locating read alike): the batch
+// program when the shape vectorized (none of the scheduler's shapes bail at
+// run time), else the interpreter.
 func (o *obsOracle) exec(vec bool, n uint64) {
 	if vec {
 		o.exp.ExecVectorized += n
@@ -183,7 +183,7 @@ func driveSingleTier(t *testing.T, rnd *rand.Rand, api singleTierAPI, o *obsOrac
 		}
 		o.exp.Removes++
 		o.snapPublish(stored)
-		_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+		v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
 		o.exec(v, 1)
 		want := 0
 		if stored {
@@ -200,7 +200,7 @@ func driveSingleTier(t *testing.T, rnd *rand.Rand, api singleTierAPI, o *obsOrac
 		}
 		o.exp.QueryCollect++
 		o.snapRead(1)
-		_, v := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
+		v := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
 		o.exec(v, 1)
 	case 4: // streaming query by state
 		pat := relation.NewTuple(relation.BindInt("state", tup.MustGet("state").Int()))
@@ -209,7 +209,7 @@ func driveSingleTier(t *testing.T, rnd *rand.Rand, api singleTierAPI, o *obsOrac
 		}
 		o.exp.QueryStream++
 		o.snapRead(1)
-		_, v := o.lookup([]string{"state"}, []string{"ns", "pid"}, 1)
+		v := o.lookup([]string{"state"}, []string{"ns", "pid"}, 1)
 		o.exec(v, 1)
 	case 5: // range query over cpu
 		lo, hi := value.OfInt(2), value.OfInt(6)
@@ -226,7 +226,7 @@ func driveSingleTier(t *testing.T, rnd *rand.Rand, api singleTierAPI, o *obsOrac
 		}
 		o.exp.Updates++
 		o.snapPublish(stored)
-		_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+		v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
 		o.exec(v, 1)
 		want := 0
 		if stored {
@@ -328,21 +328,11 @@ func TestObsDifferentialSharded(t *testing.T) {
 	model := map[string]relation.Tuple{}
 	rnd := rand.New(rand.NewSource(3))
 
-	// The oracle models the scheduler's {ns,pid}->all shape as having no
-	// compiled point plan (the plan is a join, which the point compiler
-	// declines); updatePoint and Upsert therefore take their interpreter
-	// fallbacks. Fail loudly if the planner ever learns to point-compile it.
-	if point, _ := o.lookup([]string{"ns", "pid"}, schedAllCols, 0); point {
-		t.Fatal("scheduler {ns,pid}->all gained a point plan; the sharded oracle below must be extended")
-	}
-	o.shapes = map[string]bool{} // forget the probe-only lookup
-	o.exp = obs.Snapshot{}
-
-	// updateFallback accounts updatePoint's pp==nil path: a second lookup
-	// of the same {ns,pid}->all shape inside the generic update, one plan
-	// execution to find the match, and the usual phases when it exists.
-	updateFallback := func(stored bool) {
-		_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+	// update accounts a routed update's one path, the same as every other
+	// tier's: one lookup of the {ns,pid}->all shape, one plan execution to
+	// find the match, and the usual phases when it exists.
+	update := func(stored bool) {
+		v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
 		o.exec(v, 1)
 		if stored {
 			if o.canInPlaceCPU() {
@@ -379,7 +369,7 @@ func TestObsDifferentialSharded(t *testing.T) {
 			o.exp.RoutedOps++
 			o.exp.Removes++
 			o.snapPublish(stored)
-			_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+			v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
 			o.exec(v, 1)
 			want := 0
 			if stored {
@@ -390,19 +380,15 @@ func TestObsDifferentialSharded(t *testing.T) {
 			if n != want {
 				t.Fatalf("remove %s: n = %d, want %d", key, n, want)
 			}
-		case 3: // routed point query (keyed fast path)
+		case 3: // routed point query: Query on the routed cell
 			if _, err := sr.Query(keyPat(tup), []string{"cpu"}); err != nil {
 				t.Fatalf("query: %v", err)
 			}
 			o.exp.RoutedOps++
-			o.exp.QueryPoint++
+			o.exp.QueryCollect++
 			o.snapRead(1)
-			point, v := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
-			if point {
-				o.exp.ExecPoint++
-			} else {
-				o.exec(v, 1)
-			}
+			v := o.lookup([]string{"ns", "pid"}, []string{"cpu"}, 1)
+			o.exec(v, 1)
 		case 4: // fan-out query by state
 			pat := relation.NewTuple(relation.BindInt("state", tup.MustGet("state").Int()))
 			if _, err := sr.Query(pat, []string{"ns", "pid"}); err != nil {
@@ -411,7 +397,7 @@ func TestObsDifferentialSharded(t *testing.T) {
 			o.exp.FanOuts++
 			o.exp.QueryCollect += shards
 			o.snapRead(shards)
-			_, v := o.lookup([]string{"state"}, []string{"ns", "pid"}, shards)
+			v := o.lookup([]string{"state"}, []string{"ns", "pid"}, shards)
 			o.exec(v, shards)
 		case 5: // broadcast streaming query
 			if err := sr.QueryFunc(relation.NewTuple(), schedAllCols, func(relation.Tuple) bool { return true }); err != nil {
@@ -420,9 +406,9 @@ func TestObsDifferentialSharded(t *testing.T) {
 			o.exp.FanOuts++
 			o.exp.QueryStream += shards
 			o.snapRead(shards)
-			_, v := o.lookup(nil, schedAllCols, shards)
+			v := o.lookup(nil, schedAllCols, shards)
 			o.exec(v, shards)
-		case 6: // routed keyed update (updatePoint, interpreter fallback)
+		case 6: // routed keyed update
 			u := relation.NewTuple(relation.BindInt("cpu", int64(rnd.Intn(8))))
 			n, err := sr.Update(keyPat(tup), u)
 			if err != nil {
@@ -431,8 +417,7 @@ func TestObsDifferentialSharded(t *testing.T) {
 			o.exp.RoutedOps++
 			o.exp.Updates++
 			o.snapPublish(stored)
-			o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
-			updateFallback(stored)
+			update(stored)
 			want := 0
 			if stored {
 				want = 1
@@ -441,7 +426,7 @@ func TestObsDifferentialSharded(t *testing.T) {
 			if n != want {
 				t.Fatalf("update %s: n = %d, want %d", key, n, want)
 			}
-		case 7: // upsert: point read, then insert or point update
+		case 7: // upsert: Query, then insert or Update
 			newCPU := int64(rnd.Intn(8))
 			err := sr.Upsert(keyPat(tup), func(cur relation.Tuple, found bool) (relation.Tuple, error) {
 				if found != stored {
@@ -465,9 +450,9 @@ func TestObsDifferentialSharded(t *testing.T) {
 			// (fresh insert or a real point update), so exactly one version
 			// publishes.
 			o.snapPublish(true)
-			o.exp.QueryPoint++
-			_, v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
-			o.exec(v, 1) // point read falls to the streaming ladder (no point plan)
+			o.exp.QueryCollect++
+			v := o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
+			o.exec(v, 1)
 			u := relation.NewTuple(relation.BindInt("cpu", newCPU))
 			if !stored {
 				o.exp.Inserts++
@@ -476,8 +461,7 @@ func TestObsDifferentialSharded(t *testing.T) {
 					relation.BindInt("state", tup.MustGet("state").Int()))).Merge(u)
 			} else {
 				o.exp.Updates++
-				o.lookup([]string{"ns", "pid"}, schedAllCols, 1)
-				updateFallback(true)
+				update(true)
 				model[key] = model[key].Merge(u)
 			}
 		}

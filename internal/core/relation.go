@@ -227,6 +227,7 @@ func (r *Relation) promote(input, output relation.Cols, rangeCol string) (*plan.
 	}
 	bp, berr := plan.CompileBatchRange(r.inst, c.Op, input, output, rangeCol)
 	c.Batch = bp // nil when the plan did not lower
+	c.Key = r.spec.FDs.IsKey(input, r.spec.Cols())
 	if r.metrics != nil {
 		if bp != nil {
 			r.metrics.PlanVectorized.Add(1)
@@ -398,8 +399,7 @@ const (
 // emission order matches the interpreter's (the differential tests in
 // package plan hold both to it). rg bounds a range shape's column and is
 // zero for an equality shape, which the interpreter then runs exactly as
-// plan.Exec does. m says whether the rows are collected or streamed to f;
-// queryPoint alone tries a point plan before coming here.
+// plan.Exec does. m says whether the rows are collected or streamed to f.
 func (r *Relation) run(cand *plan.Candidate, s relation.Tuple, rg plan.Range, out relation.Cols, m readMode, f func(relation.Tuple) bool) (p plan.Part) {
 	if tr := r.tracer; tr != nil {
 		op := "query"
@@ -603,23 +603,24 @@ func (r *Relation) Update(s, u relation.Tuple) (n int, err error) {
 	if r.metrics != nil {
 		r.metrics.Updates.Add(1)
 	}
-	return r.update(s, u)
-}
-
-// update is Update without the Updates counter, so the sharded tier's
-// updatePoint fast path (which counts once itself) can fall back here
-// without double-counting the logical operation.
-func (r *Relation) update(s, u relation.Tuple) (int, error) {
-	n, _, _, err := r.updateDelta(s, u)
+	n, _, _, err = r.updateDelta(s, u, false)
 	return n, err
 }
 
-// updateDelta is update additionally reporting the logical delta the
-// operation applied — the full stored tuple it replaced (old) and the
-// full merged tuple now stored (upd) — for the durable tier, which logs
-// the pair as one WAL commit. Both are zero when n == 0. Like update it
-// does not count the Updates counter; callers count the logical op once.
-func (r *Relation) updateDelta(s, u relation.Tuple) (n int, old, upd relation.Tuple, err error) {
+// updateDelta is Update without the Updates counter (callers count the
+// logical op once), additionally reporting what the operation applied —
+// the full stored tuple it replaced (old) and the full merged tuple now
+// stored (upd) — for a logged cell, which writes the pair as one WAL
+// commit and so sets delta. Both are zero when n == 0, and may be when
+// delta is off.
+//
+// The match is located by the shape's plan on the one read ladder. Whether
+// the pattern is a key is decided once per shape, when the plan cache
+// promotes it (plan.Candidate.Key). When nothing needs the stored tuple —
+// no delta, no FD check, the update fits in place and the pattern binds
+// every map-edge key, so it can locate the nodes itself — the match is
+// only proved to exist, never copied out of the read's view.
+func (r *Relation) updateDelta(s, u relation.Tuple, delta bool) (n int, old, upd relation.Tuple, err error) {
 	if r.poisoned {
 		return 0, old, upd, ErrPoisoned
 	}
@@ -630,22 +631,37 @@ func (r *Relation) updateDelta(s, u relation.Tuple) (n int, old, upd relation.Tu
 	if err := r.spec.CheckTuple(u, false); err != nil {
 		return 0, old, upd, err
 	}
-	if !r.spec.FDs.IsKey(s.Dom(), r.spec.Cols()) {
-		return 0, old, upd, fmt.Errorf("core: update pattern %v is not a key (the paper's dupdate restriction)", s)
-	}
-	if !s.Dom().Intersect(u.Dom()).IsEmpty() {
-		return 0, old, upd, fmt.Errorf("core: update values %v overlap the pattern %v", u, s)
-	}
-	var match relation.Tuple
-	found := false
-	if err := r.queryFunc(s, r.spec.Cols(), func(t relation.Tuple) bool {
-		match, found = t.Project(r.spec.Cols()), true
-		return false
-	}); err != nil {
+	cols := r.spec.Cols()
+	cand, err := r.planFor(s.Dom(), cols)
+	if err != nil {
 		return 0, old, upd, err
 	}
+	if !cand.Key {
+		return 0, old, upd, fmt.Errorf("core: update pattern %v is not a key (the paper's dupdate restriction)", s)
+	}
+	if s.Dom().Intersects(u.Dom()) {
+		return 0, old, upd, fmt.Errorf("core: update values %v overlap the pattern %v", u, s)
+	}
+	locate := !delta && !r.CheckFDs && r.inst.CanUpdateInPlace(u.Dom()) && r.inst.EdgeKeyCols().SubsetOf(s.Dom())
+	var match relation.Tuple
+	found := false
+	r.run(cand, s, plan.Range{}, cols, streamViews, func(t relation.Tuple) bool {
+		found = true
+		if !locate {
+			match = t.Project(cols)
+		}
+		return false
+	})
 	if !found {
 		return 0, old, upd, nil
+	}
+	if locate {
+		// The pattern drives the in-place walk itself; the read above proved
+		// the match exists, which UpdateInPlace takes on trust.
+		if _, uerr := r.inst.UpdateInPlace(s, u); uerr != nil {
+			return 0, old, upd, uerr
+		}
+		return 1, old, upd, nil
 	}
 	merged := match.Merge(u)
 	if r.CheckFDs {

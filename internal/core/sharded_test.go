@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decomp"
+	"repro/internal/dstruct"
+	"repro/internal/fd"
 	"repro/internal/paperex"
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -42,19 +44,142 @@ func TestNewShardedValidation(t *testing.T) {
 	if _, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"nope"}}); err == nil {
 		t.Error("shard key outside the columns accepted")
 	}
-	// {ns} is not a key under ns, pid → state, cpu.
-	if _, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"ns"}}); err == nil {
-		t.Error("non-key shard key accepted without AllowNonKey")
+	// {cpu} and {state} are determined by ns, pid: two tuples that differ
+	// only there would land on different shards, past each cell's FD check,
+	// and an update of cpu or state would leave its tuple on a shard the new
+	// value does not route to.
+	for _, col := range []string{"cpu", "state"} {
+		if _, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{col}}); err == nil {
+			t.Errorf("shard key {%s}, determined by the FD, accepted", col)
+		}
 	}
-	if _, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"ns"}, AllowNonKey: true}); err != nil {
-		t.Errorf("AllowNonKey rejected a non-key shard key: %v", err)
+	// {ns} is not a key under ns, pid → state, cpu. It is accepted: a
+	// tuple's shard depends only on its ns, so routing stays exact, and
+	// every operation must still agree with the relational oracle.
+	nonKey, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"ns"}, Shards: 4})
+	if err != nil {
+		t.Fatalf("non-key shard key rejected: %v", err)
 	}
+	oracle := relation.Empty(spec.Cols())
+	for ns := int64(0); ns < 3; ns++ {
+		for pid := int64(0); pid < 12; pid++ {
+			tu := paperex.SchedulerTuple(ns, pid, pid%3, ns*100+pid)
+			if err := nonKey.Insert(tu); err != nil {
+				t.Fatal(err)
+			}
+			_ = oracle.Insert(tu)
+		}
+	}
+	all := spec.Cols().Names()
+	agree := func(step string) {
+		t.Helper()
+		for _, pat := range []relation.Tuple{
+			relation.NewTuple(relation.BindInt("ns", 1)),                             // routed, many rows
+			relation.NewTuple(relation.BindInt("ns", 2), relation.BindInt("pid", 5)), // routed key
+			relation.NewTuple(relation.BindInt("state", 1)),                          // fan-out
+			relation.NewTuple(relation.BindInt("ns", 9)),                             // routed, absent
+		} {
+			got, err := nonKey.Query(pat, all)
+			if err != nil {
+				t.Fatalf("%s: Query(%v): %v", step, pat, err)
+			}
+			if want := oracle.Query(pat, spec.Cols()); !tupleSlicesEqual(got, want) {
+				t.Fatalf("%s: Query(%v) = %v, oracle %v", step, pat, got, want)
+			}
+		}
+		if err := nonKey.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	agree("after inserts")
+	key := relation.NewTuple(relation.BindInt("ns", 2), relation.BindInt("pid", 5))
+	cpu := relation.NewTuple(relation.BindInt("cpu", 7))
+	if n, err := nonKey.Update(key, cpu); err != nil || n != 1 {
+		t.Fatalf("routed keyed update: n=%d err=%v", n, err)
+	}
+	oracle.Update(key, cpu)
+	byPid := relation.NewTuple(relation.BindInt("pid", 3))
+	if _, err := nonKey.Update(byPid, cpu); err == nil {
+		t.Fatal("update on the non-key pattern {pid} accepted")
+	}
+	if _, err := nonKey.Update(relation.NewTuple(relation.BindInt("ns", 1)), cpu); err == nil {
+		t.Fatal("routed update on the non-key pattern {ns} accepted")
+	}
+	agree("after updates")
+	if n, err := nonKey.Remove(relation.NewTuple(relation.BindInt("ns", 1))); err != nil || n != 12 {
+		t.Fatalf("routed remove of a namespace: n=%d err=%v", n, err)
+	}
+	oracle.Remove(relation.NewTuple(relation.BindInt("ns", 1)))
+	agree("after remove")
+
 	sr, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"ns", "pid"}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.NumShards() != 4 {
 		t.Errorf("NumShards = %d, want 4", sr.NumShards())
+	}
+}
+
+// TestShardedUpdateMayNotAssignTheShardKey shards a relation with two
+// candidate keys (k1 → k2, v and k2 → k1, v) on the key {k1}. An update
+// through the other key {k2} fans out and finds its tuple on the shard its
+// k1 chose; assigning k1 there would strand the tuple where a routed read
+// of the new k1 cannot see it, so the update is rejected. Assigning k2
+// through the routed pattern {k1} is an ordinary update.
+func TestShardedUpdateMayNotAssignTheShardKey(t *testing.T) {
+	spec := &core.Spec{
+		Name: "twokey",
+		Columns: []core.ColDef{
+			{Name: "k1", Type: core.IntCol}, {Name: "k2", Type: core.IntCol}, {Name: "v", Type: core.IntCol},
+		},
+		FDs: fd.NewSet(
+			fd.FD{From: relation.NewCols("k1"), To: relation.NewCols("k2", "v")},
+			fd.FD{From: relation.NewCols("k2"), To: relation.NewCols("k1", "v")},
+		),
+	}
+	d := decomp.MustNew([]decomp.Binding{
+		decomp.Let("w", []string{"k1", "k2"}, []string{"v"}, decomp.U("v")),
+		decomp.Let("y", []string{"k1"}, []string{"k2", "v"}, decomp.M(dstruct.HTableKind, "w", "k2")),
+		decomp.Let("z", []string{"k2"}, []string{"k1", "v"}, decomp.M(dstruct.HTableKind, "w", "k1")),
+		decomp.Let("x", nil, []string{"k1", "k2", "v"},
+			decomp.J(decomp.M(dstruct.HTableKind, "y", "k1"), decomp.M(dstruct.HTableKind, "z", "k2"))),
+	}, "x")
+	sr, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"k1"}, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tup := func(k1, k2, v int64) relation.Tuple {
+		return relation.NewTuple(relation.BindInt("k1", k1), relation.BindInt("k2", k2), relation.BindInt("v", v))
+	}
+	oracle := relation.Empty(spec.Cols())
+	for k := int64(0); k < 8; k++ {
+		if err := sr.Insert(tup(k, k+10, k)); err != nil {
+			t.Fatal(err)
+		}
+		_ = oracle.Insert(tup(k, k+10, k))
+	}
+	byK2 := relation.NewTuple(relation.BindInt("k2", 13))
+	if n, err := sr.Update(byK2, relation.NewTuple(relation.BindInt("k1", 99))); err == nil {
+		t.Fatalf("update assigning the shard key k1 accepted (n=%d)", n)
+	}
+	byK1 := relation.NewTuple(relation.BindInt("k1", 3))
+	k2 := relation.NewTuple(relation.BindInt("k2", 42))
+	if n, err := sr.Update(byK1, k2); err != nil || n != 1 {
+		t.Fatalf("routed update of k2: n=%d err=%v", n, err)
+	}
+	oracle.Update(byK1, k2)
+	for _, pat := range []relation.Tuple{byK1, byK2, relation.NewTuple(relation.BindInt("k1", 99)), relation.NewTuple(relation.BindInt("k2", 42))} {
+		got, err := sr.Query(pat, spec.Cols().Names())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracle.Query(pat, spec.Cols()); !tupleSlicesEqual(got, want) {
+			t.Fatalf("Query(%v) = %v, oracle %v", pat, got, want)
+		}
+	}
+	if err := sr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -235,7 +360,7 @@ func TestShardedExclusiveUpsert(t *testing.T) {
 // the tuple handed to f is a copy, so a read of the same shape inside f
 // (reusing the stream's pooled state) does not change it.
 func TestShardedUpsertRowIsTheCallersToKeep(t *testing.T) {
-	sr := newShardedSched(t, core.ShardOptions{ShardKey: []string{"ns"}, AllowNonKey: true, Shards: 2})
+	sr := newShardedSched(t, core.ShardOptions{ShardKey: []string{"ns"}, Shards: 2})
 	for _, tu := range []relation.Tuple{
 		paperex.SchedulerTuple(1, 1, paperex.StateS, 7),
 		paperex.SchedulerTuple(1, 2, paperex.StateR, 4),

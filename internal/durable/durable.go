@@ -62,15 +62,14 @@ type Options struct {
 	Policy   wal.SyncPolicy
 	Interval time.Duration
 
-	// Shards > 0 with a ShardKey selects the sharded tier; Workers and
-	// AllowNonKey configure it exactly like core.ShardOptions. Both unset
+	// Shards > 0 with a ShardKey selects the sharded tier; Workers
+	// configures it exactly like core.ShardOptions. Both unset
 	// opens the single-cell sync tier; either without the other is an
 	// error (the shard count is the directory's on-disk layout, so it has
 	// no default).
-	Shards      int
-	ShardKey    []string
-	Workers     int
-	AllowNonKey bool
+	Shards   int
+	ShardKey []string
+	Workers  int
 
 	// CheckFDs enables per-mutation FD checking on the underlying engine.
 	CheckFDs bool
@@ -181,10 +180,9 @@ func Open(dir string, spec *core.Spec, d *decomp.Decomp, opts Options) (*core.Du
 	// The empty MVCC engine recovery replays into, built first so that a
 	// layout or decomposition it rejects never creates the directory.
 	eng, err := core.NewEngine(spec, d, core.ShardOptions{
-		ShardKey:    opts.ShardKey,
-		Shards:      opts.Shards,
-		Workers:     opts.Workers,
-		AllowNonKey: opts.AllowNonKey,
+		ShardKey: opts.ShardKey,
+		Shards:   opts.Shards,
+		Workers:  opts.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -201,8 +201,10 @@ func TestRunParity(t *testing.T) {
 		if !row.Agree {
 			t.Errorf("%s: variants disagree", row.System)
 		}
-		if row.HandSecs <= 0 || row.SynthSecs <= 0 {
-			t.Errorf("%s: missing timings %+v", row.System, row)
+		for _, v := range []experiments.Timing{row.Hand, row.Synth, row.Gen} {
+			if !(0 < v.Min && v.Min <= v.Median && v.Median <= v.Max) {
+				t.Errorf("%s: timings out of order or missing %+v", row.System, row)
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -101,115 +103,129 @@ func RunSchedulerBench(r *core.Relation, ops []workload.SchedulerOp) (float64, i
 // relc-generated code — the last being the paper's deployment mode and the
 // fair performance comparison.
 type ParityResult struct {
-	System    string
-	HandSecs  float64
-	SynthSecs float64 // dynamic engine
-	GenSecs   float64 // relc-generated code
-	Agree     bool    // behaviour identical across all variants
+	System string
+	Hand   Timing
+	Synth  Timing // dynamic engine
+	Gen    Timing // relc-generated code
+	Agree  bool   // behaviour identical across all variants and passes
 }
 
-// RunParity measures all three systems.
-func RunParity(scale int) ([]ParityResult, error) {
-	var out []ParityResult
+// A Timing summarizes the timed passes of one variant, in seconds.
+type Timing struct {
+	Median, Min, Max float64
+}
 
+// ParityPasses is how many timed passes each variant runs. One cold pass
+// read the same binary's ztopo engine/relc at 3.19× and then 11.22×.
+const ParityPasses = 5
+
+// parity times the hand-coded, engine and relc variants of one system on
+// the same work, and records whether they behaved identically. Each pass
+// builds fresh state — the variant's table, wrapped by wrap — collects
+// garbage, so no pass pays for an earlier one's or another variant's, and
+// times work over that state alone.
+func parity[T, S any](system string, wrap func(T) S, work func(S) (int, error), hand, synth, gen func() (T, error)) (ParityResult, error) {
+	r := ParityResult{System: system}
+	var counts [3]int
+	for i, v := range []struct {
+		t     *Timing
+		build func() (T, error)
+	}{{&r.Hand, hand}, {&r.Synth, synth}, {&r.Gen, gen}} {
+		secs := make([]float64, ParityPasses)
+		for p := range secs {
+			tbl, err := v.build()
+			if err != nil {
+				return r, err
+			}
+			st := wrap(tbl)
+			runtime.GC()
+			start := time.Now()
+			n, err := work(st)
+			secs[p] = time.Since(start).Seconds()
+			if err != nil {
+				return r, err
+			}
+			if p > 0 && n != counts[i] {
+				n = -1 // the passes disagree
+			}
+			counts[i] = n
+		}
+		slices.Sort(secs)
+		*v.t = Timing{Median: secs[ParityPasses/2], Min: secs[0], Max: secs[ParityPasses-1]}
+	}
+	r.Agree = counts[0] >= 0 && counts[0] == counts[1] && counts[0] == counts[2]
+	return r, nil
+}
+
+// RunParity measures all three systems, each variant over ParityPasses
+// passes.
+func RunParity(scale int) ([]ParityResult, error) {
 	// thttpd: Zipf request stream through the server cache logic.
 	reqs := workload.Zipf(4000*scale, 500, 1.1, 21)
-	runThttpd := func(c thttpdcache.Cache) (float64, int, error) {
-		store := thttpdcache.NewFileStore()
-		srv := thttpdcache.NewServer(c, store, 64, 300)
-		start := time.Now()
-		for _, r := range reqs {
-			if _, err := srv.GetFile(fmt.Sprintf("/files/%d.html", r)); err != nil {
-				return 0, 0, err
+	thttpd, err := parity("thttpd",
+		func(c thttpdcache.Cache) *thttpdcache.Server {
+			return thttpdcache.NewServer(c, thttpdcache.NewFileStore(), 64, 300)
+		},
+		func(srv *thttpdcache.Server) (int, error) {
+			for _, r := range reqs {
+				if _, err := srv.GetFile(fmt.Sprintf("/files/%d.html", r)); err != nil {
+					return 0, err
+				}
 			}
-		}
-		return time.Since(start).Seconds(), srv.Hits, nil
-	}
-	handSecs, handHits, err := runThttpd(thttpdcache.NewHandCache())
+			return srv.Hits, nil
+		},
+		func() (thttpdcache.Cache, error) { return thttpdcache.NewHandCache(), nil },
+		func() (thttpdcache.Cache, error) { return thttpdcache.NewSynthCache(thttpdcache.DefaultMapDecomp()) },
+		func() (thttpdcache.Cache, error) { return thttpdcache.NewGenCache(), nil },
+	)
 	if err != nil {
 		return nil, err
 	}
-	synthCache, err := thttpdcache.NewSynthCache(thttpdcache.DefaultMapDecomp())
-	if err != nil {
-		return nil, err
-	}
-	synthSecs, synthHits, err := runThttpd(synthCache)
-	if err != nil {
-		return nil, err
-	}
-	genSecs, genHits, err := runThttpd(thttpdcache.NewGenCache())
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ParityResult{"thttpd", handSecs, synthSecs, genSecs,
-		handHits == synthHits && handHits == genHits})
 
 	// ipcap: packet trace through the daemon.
 	trace := workload.PacketTrace(20000*scale, 64, 1024, 23)
-	runIpcap := func(t ipcap.FlowTable) (float64, int, error) {
-		d := ipcap.NewDaemon(t, nil, 10000)
-		start := time.Now()
-		for _, p := range trace {
-			if err := d.HandlePacket(p); err != nil {
-				return 0, 0, err
+	capture, err := parity("ipcap",
+		func(t ipcap.FlowTable) *ipcap.Daemon { return ipcap.NewDaemon(t, nil, 10000) },
+		func(d *ipcap.Daemon) (int, error) {
+			for _, p := range trace {
+				if err := d.HandlePacket(p); err != nil {
+					return 0, err
+				}
 			}
-		}
-		if err := d.Flush(); err != nil {
-			return 0, 0, err
-		}
-		processed, _ := d.Stats()
-		return time.Since(start).Seconds(), processed, nil
-	}
-	iHandSecs, iHandN, err := runIpcap(ipcap.NewHandFlowTable())
+			if err := d.Flush(); err != nil {
+				return 0, err
+			}
+			processed, _ := d.Stats()
+			return processed, nil
+		},
+		func() (ipcap.FlowTable, error) { return ipcap.NewHandFlowTable(), nil },
+		func() (ipcap.FlowTable, error) { return ipcap.NewSynthFlowTable(ipcap.DefaultFlowDecomp()) },
+		func() (ipcap.FlowTable, error) { return ipcap.NewGenFlowTable(), nil },
+	)
 	if err != nil {
 		return nil, err
 	}
-	synthFlow, err := ipcap.NewSynthFlowTable(ipcap.DefaultFlowDecomp())
-	if err != nil {
-		return nil, err
-	}
-	iSynthSecs, iSynthN, err := runIpcap(synthFlow)
-	if err != nil {
-		return nil, err
-	}
-	iGenSecs, iGenN, err := runIpcap(ipcap.NewGenFlowTable())
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ParityResult{"ipcap", iHandSecs, iSynthSecs, iGenSecs,
-		iHandN == iSynthN && iHandN == iGenN})
 
 	// ztopo: Zipf tile stream through the viewer.
 	accesses := workload.Zipf(3000*scale, 400, 1.1, 25)
-	runZtopo := func(idx ztopo.TileIndex) (float64, int, error) {
-		store := ztopo.NewTileStore(1 << 10)
-		v := ztopo.NewViewer(idx, store, 64<<10, 256<<10)
-		start := time.Now()
-		for _, id := range accesses {
-			if _, err := v.Tile(id); err != nil {
-				return 0, 0, err
+	topo, err := parity("ztopo",
+		func(idx ztopo.TileIndex) *ztopo.Viewer {
+			return ztopo.NewViewer(idx, ztopo.NewTileStore(1<<10), 64<<10, 256<<10)
+		},
+		func(v *ztopo.Viewer) (int, error) {
+			for _, id := range accesses {
+				if _, err := v.Tile(id); err != nil {
+					return 0, err
+				}
 			}
-		}
-		return time.Since(start).Seconds(), v.MemHits, nil
-	}
-	zHandSecs, zHandHits, err := runZtopo(ztopo.NewHandTileIndex())
+			return v.MemHits, nil
+		},
+		func() (ztopo.TileIndex, error) { return ztopo.NewHandTileIndex(), nil },
+		func() (ztopo.TileIndex, error) { return ztopo.NewSynthTileIndex(ztopo.DefaultTileDecomp()) },
+		func() (ztopo.TileIndex, error) { return ztopo.NewGenTileIndex(), nil },
+	)
 	if err != nil {
 		return nil, err
 	}
-	synthIdx, err := ztopo.NewSynthTileIndex(ztopo.DefaultTileDecomp())
-	if err != nil {
-		return nil, err
-	}
-	zSynthSecs, zSynthHits, err := runZtopo(synthIdx)
-	if err != nil {
-		return nil, err
-	}
-	zGenSecs, zGenHits, err := runZtopo(ztopo.NewGenTileIndex())
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ParityResult{"ztopo", zHandSecs, zSynthSecs, zGenSecs,
-		zHandHits == zSynthHits && zHandHits == zGenHits})
-
-	return out, nil
+	return []ParityResult{thttpd, capture, topo}, nil
 }

@@ -18,19 +18,19 @@
 // Counters count engine-level events, and the differential test in
 // package core holds the engine to these rules exactly:
 //
-//   - QueryCollect / QueryStream / QueryRange / QueryPoint: one increment
-//     per Query / QueryFunc / QueryRange(Func) / point-query call on a
-//     single-threaded Relation. A sharded fan-out increments the counter
+//   - QueryCollect / QueryStream / QueryRange: one increment per Query /
+//     QueryFunc / QueryRange(Func) call on a single-threaded Relation. A sharded fan-out increments the counter
 //     once per shard (the fan-out is visible); a routed operation
 //     increments it once.
-//   - ExecInterpreted / ExecPoint / ExecVectorized: one increment per plan
+//   - ExecInterpreted / ExecVectorized: one increment per plan
 //     execution, by tier — including the internal executions mutations use
 //     to locate tuples. A vectorized execution that bails out mid-run
 //     counts one VecFallbacks plus one ExecInterpreted, the tier that
 //     finishes it; ExecVectorized counts only completed vectorized
 //     executions. Range queries are attributed the same way.
-//     ExecCompiled is always 0: the engine holds no closure program (it
-//     stays only for a frozen benchmark probe's tier share).
+//     ExecCompiled and ExecPoint are always 0: the engine holds no closure
+//     program and no point plan (they stay only for a frozen benchmark
+//     probe's tier share).
 //   - PlanCacheHits / PlanCacheMisses: one increment per memoized plan
 //     lookup. A miss is a planner invocation; concurrent callers that wait
 //     on an in-flight planning of the same shape count as hits. A range
@@ -120,11 +120,11 @@ type Metrics struct {
 	QueryCollect atomic.Uint64
 	QueryStream  atomic.Uint64
 	QueryRange   atomic.Uint64
-	QueryPoint   atomic.Uint64
 
-	// ExecCompiled is incremented by nothing: the engine's read ladder is
-	// the batch program, then the interpreter. It stays until the frozen
-	// benchmark, whose tier-share ladder reads it, retires its probes.
+	// ExecCompiled and ExecPoint are incremented by nothing: the engine's
+	// read ladder is the batch program, then the interpreter. They stay
+	// until the frozen benchmark, whose tier-share ladder reads them,
+	// retires its probes.
 	ExecCompiled    atomic.Uint64
 	ExecInterpreted atomic.Uint64
 	ExecPoint       atomic.Uint64
@@ -177,7 +177,7 @@ type Metrics struct {
 // Snapshot is an atomic-free copy of a Metrics block, safe to compare,
 // subtract, and marshal. Field names match Metrics.
 type Snapshot struct {
-	QueryCollect, QueryStream, QueryRange, QueryPoint uint64
+	QueryCollect, QueryStream, QueryRange uint64
 
 	ExecCompiled, ExecInterpreted, ExecPoint, ExecVectorized uint64
 
@@ -211,7 +211,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		QueryCollect:    m.QueryCollect.Load(),
 		QueryStream:     m.QueryStream.Load(),
 		QueryRange:      m.QueryRange.Load(),
-		QueryPoint:      m.QueryPoint.Load(),
 		ExecCompiled:    m.ExecCompiled.Load(),
 		ExecInterpreted: m.ExecInterpreted.Load(),
 		ExecPoint:       m.ExecPoint.Load(),
@@ -262,7 +261,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		QueryCollect:    s.QueryCollect - prev.QueryCollect,
 		QueryStream:     s.QueryStream - prev.QueryStream,
 		QueryRange:      s.QueryRange - prev.QueryRange,
-		QueryPoint:      s.QueryPoint - prev.QueryPoint,
 		ExecCompiled:    s.ExecCompiled - prev.ExecCompiled,
 		ExecInterpreted: s.ExecInterpreted - prev.ExecInterpreted,
 		ExecPoint:       s.ExecPoint - prev.ExecPoint,
@@ -322,7 +320,6 @@ func (s Snapshot) String() string {
 	app("query.collect", s.QueryCollect)
 	app("query.stream", s.QueryStream)
 	app("query.range", s.QueryRange)
-	app("query.point", s.QueryPoint)
 	app("exec.compiled", s.ExecCompiled)
 	app("exec.interpreted", s.ExecInterpreted)
 	app("exec.point", s.ExecPoint)

@@ -32,10 +32,10 @@ func TestSnapshotString(t *testing.T) {
 	if got := m.Snapshot().String(); got != "(all zero)" {
 		t.Fatalf("zero snapshot string = %q", got)
 	}
-	m.QueryPoint.Add(7)
+	m.QueryRange.Add(7)
 	m.PoisonEvents.Add(1)
 	s := m.Snapshot().String()
-	for _, want := range []string{"query.point=7", "poison.events=1"} {
+	for _, want := range []string{"query.range=7", "poison.events=1"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, want substring %q", s, want)
 		}

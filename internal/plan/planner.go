@@ -71,11 +71,6 @@ type Candidate struct {
 	rows  float64
 	scans int // qscan operators in the plan, the cost-tie tiebreaker
 
-	// Point is the compiled point-access form of Op, set by Best when the
-	// plan is a pure lookup chain (no scans, no joins) and therefore yields
-	// at most one result per constraint. Nil otherwise.
-	Point *PointPlan
-
 	// Batch is the vectorized form of Op (see CompileBatchRange). It is not
 	// set by Best — the engine compiles it when it caches the candidate,
 	// because compilation needs an instance and the output columns. Nil
@@ -83,6 +78,13 @@ type Candidate struct {
 	// run time, so Batch is an optimization over the interpreter, never a
 	// replacement: the engine re-runs a bailed query on the interpreter.
 	Batch *BatchProgram
+
+	// Key reports that the input columns determine every column of the
+	// relation under its FDs, so a pattern binding them matches at most
+	// one tuple — the proof the paper's dupdate demands of its pattern.
+	// Like Batch it is set by the engine when it caches the candidate, so
+	// an update decides it once per shape, not once per operation.
+	Key bool
 }
 
 // EstimatedRows returns the planner's row estimate for the candidate,
@@ -125,7 +127,6 @@ func (pl *Planner) Best(input, output relation.Cols) (*Candidate, error) {
 	if best == nil {
 		return nil, fmt.Errorf("plan: no valid plan computes %v from input %v on this decomposition", output, input)
 	}
-	best.Point = CompilePoint(best.Op)
 	return best, nil
 }
 

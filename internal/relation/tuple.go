@@ -106,8 +106,7 @@ func (t Tuple) MustGet(c string) value.Value {
 //
 // The values are always copied (t may be a transient view). When t binds
 // every column of C — every projection on the engine's read paths — the
-// result shares C's sorted name slice, as MergeProject's does, so it costs
-// one allocation, not two.
+// result shares C's sorted name slice, so it costs one allocation, not two.
 func (t Tuple) Project(c Cols) Tuple {
 	vals := make([]value.Value, 0, len(c.names))
 	j := 0
@@ -164,36 +163,6 @@ func (t Tuple) Matches(s Tuple) bool {
 		}
 	}
 	return true
-}
-
-// MergeProject returns π_out(t ▷ u) in a single pass, without materializing
-// the merged tuple — one allocation instead of Merge's plus Project's. The
-// result shares out's name slice. The boolean reports whether every column
-// of out was bound by t or u; on false the projection would silently drop
-// columns and the caller should fall back to Merge+Project semantics.
-func (t Tuple) MergeProject(u Tuple, out Cols) (Tuple, bool) {
-	if out.IsEmpty() {
-		return Tuple{}, true
-	}
-	vals := make([]value.Value, len(out.names))
-	i, j := 0, 0
-	for k, c := range out.names {
-		for i < len(t.cols) && t.cols[i] < c {
-			i++
-		}
-		for j < len(u.cols) && u.cols[j] < c {
-			j++
-		}
-		switch {
-		case j < len(u.cols) && u.cols[j] == c:
-			vals[k] = u.vals[j] // right bias, like Merge
-		case i < len(t.cols) && t.cols[i] == c:
-			vals[k] = t.vals[i]
-		default:
-			return Tuple{}, false
-		}
-	}
-	return Tuple{cols: out.names, vals: vals}, true
 }
 
 // Merge returns t ▷ u: the tuple over dom t ∪ dom u taking u's value wherever

@@ -66,7 +66,7 @@ func cutIsExact(t *testing.T, shards int) {
 	layouts := []FollowerOptions{
 		{},
 		{ShardKey: []string{"ns", "pid"}, Shards: 3},
-		{ShardKey: []string{"ns"}, Shards: 2, AllowNonKey: true},
+		{ShardKey: []string{"ns"}, Shards: 2},
 	}
 	var replicas []replica
 	for _, opts := range layouts {

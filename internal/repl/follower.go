@@ -34,13 +34,12 @@ type FollowerOptions struct {
 	Decomp *decomp.Decomp
 
 	// ShardKey, when non-empty, makes the replica a ShardedRelation
-	// partitioned on these columns; Shards (default core.DefaultShards),
-	// Workers and AllowNonKey are passed through to core.NewEngine. Empty
+	// partitioned on these columns; Shards (default core.DefaultShards)
+	// and Workers are passed through to core.NewEngine. Empty
 	// means a SyncRelation, and Shards without a ShardKey is an error.
-	ShardKey    []string
-	Shards      int
-	Workers     int
-	AllowNonKey bool
+	ShardKey []string
+	Shards   int
+	Workers  int
 
 	// Metrics receives the follower-side replication counters:
 	// repl.records and repl.bytes received, the repl.batches they were
@@ -124,10 +123,9 @@ func NewFollower(spec *core.Spec, dial Dialer, opts FollowerOptions) (*Follower,
 
 func (f *Follower) newEngine() (core.Engine, error) {
 	e, err := core.NewEngine(f.spec, f.opts.Decomp, core.ShardOptions{
-		ShardKey:    f.opts.ShardKey,
-		Shards:      f.opts.Shards,
-		Workers:     f.opts.Workers,
-		AllowNonKey: f.opts.AllowNonKey,
+		ShardKey: f.opts.ShardKey,
+		Shards:   f.opts.Shards,
+		Workers:  f.opts.Workers,
 	})
 	if err != nil {
 		return nil, err

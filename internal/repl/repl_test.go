@@ -507,9 +507,8 @@ func TestShardedFollowerDifferentLayout(t *testing.T) {
 	d := openPrimary(t, 4)
 	p := newTestPublisher(t, d, PublisherOptions{})
 	f := newTestFollower(t, schedSpec(), InProcDialer(p), FollowerOptions{
-		ShardKey:    []string{"ns"},
-		Shards:      2,
-		AllowNonKey: true,
+		ShardKey: []string{"ns"},
+		Shards:   2,
 	})
 	for ns := int64(1); ns <= 3; ns++ {
 		for pid := int64(1); pid <= 4; pid++ {

@@ -34,8 +34,7 @@ func (t *ShardedFlowTable) Relation() *core.ShardedRelation { return t.rel }
 // Account adds one packet to the flow. The read-increment-write sequence
 // runs under the owning shard's exclusive lock via the engine's Upsert, so
 // concurrent Accounts on the same flow never lose updates, Accounts on flows
-// in different shards do not contend at all, and both the read and the write
-// take the compiled point paths.
+// in different shards do not contend at all.
 func (t *ShardedFlowTable) Account(key FlowKey, bytes int64) error {
 	return t.rel.Upsert(flowPattern(key), func(cur relation.Tuple, found bool) (relation.Tuple, error) {
 		if !found {
