@@ -138,7 +138,7 @@ bench:
 # plan.exec_*_us metrics), the MVCC grid and the list micro-benchmarks: not
 # a measurement, a smoke test that their fixtures still build and run. Part
 # of `make ci` so bench-only regressions cannot land silently. The figures
-# worth reading off it are allocs/op on the ListFirstWriteAfterClone rows,
+# worth reading off it are allocs/op on the FirstWriteAfterClone rows,
 # which must not grow with the list's length (DESIGN.md ablation 11), on
 # the Collect*/Range*Vectorized rows, which must stay a handful per call —
 # an object per row means set-valued reads are boxing tuples before they
@@ -155,7 +155,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '(Scan|Enumerate|Join|Collect)(Interpreted|Compiled|Vectorized)$$|Range(Interpreted|Vectorized)$$|CollectDupVectorized$$' -benchmem -benchtime 10x ./internal/plan
 	$(GO) test -run '^$$' -bench 'MVCC' -benchtime 10x .
-	$(GO) test -run '^$$' -bench 'ListFirstWriteAfterClone|ListSmall|ListFindWords(64|512)|HTableGetWord|HTableFirstWriteAfterClone' -benchmem -benchtime 10x ./internal/dstruct
+	$(GO) test -run '^$$' -bench 'FirstWriteAfterClone|ListSmall|ListFindWords(64|512)|HTableGetWord' -benchmem -benchtime 10x ./internal/dstruct
 	$(GO) test -run '^$$' -bench 'OpenReplay|DurableCommit' -benchmem -benchtime 1x ./internal/durable
 
 # The repo's benchmark (bench/, BENCHMARK.json) is a nested module that

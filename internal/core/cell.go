@@ -151,6 +151,11 @@ func (c *cell) commit(next *Relation, changed bool, delta wal.Commit, err error)
 func (c *cell) insert(t relation.Tuple) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.insertHeld(t)
+}
+
+// insertHeld is insert with wmu already held.
+func (c *cell) insertHeld(t relation.Tuple) error {
 	next, err := c.fork()
 	if err != nil {
 		return err
@@ -188,6 +193,12 @@ func (c *cell) remove(pat relation.Tuple) (int, error) {
 func (c *cell) update(pat, u relation.Tuple) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.updateHeld(pat, u, nil)
+}
+
+// updateHeld is update with wmu already held. A non-nil check vets the
+// tuple the update stores before the fork commits; its error drops the fork.
+func (c *cell) updateHeld(pat, u relation.Tuple, check func(relation.Tuple) error) (int, error) {
 	next, err := c.fork()
 	if err != nil {
 		return 0, err
@@ -196,7 +207,10 @@ func (c *cell) update(pat, u relation.Tuple) (int, error) {
 	if next.metrics != nil {
 		next.metrics.Updates.Add(1)
 	}
-	n, old, upd, err := next.updateDelta(pat, u, c.log != nil)
+	n, old, upd, err := next.updateDelta(pat, u, c.log != nil || check != nil)
+	if err == nil && n > 0 && check != nil {
+		err = check(upd)
+	}
 	var delta wal.Commit
 	if n > 0 && c.log != nil {
 		delta = wal.Commit{Removed: []relation.Tuple{old}, Inserted: []relation.Tuple{upd}}
@@ -217,6 +231,11 @@ func (c *cell) insertBatch(ts []relation.Tuple) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.insertBatchHeld(ts)
+}
+
+// insertBatchHeld is insertBatch with wmu already held.
+func (c *cell) insertBatchHeld(ts []relation.Tuple) error {
 	next, err := c.fork()
 	if err != nil {
 		return err

@@ -126,11 +126,7 @@ func (d *DurableRelation) Pin(at func()) (versions []*Relation, err error) {
 // no write is in flight anywhere in the relation while f runs. On a closed
 // relation it runs nothing and returns ErrClosed.
 func (d *DurableRelation) fenced(f func()) error {
-	for i := range d.cells {
-		c := &d.cells[i]
-		c.wmu.Lock()
-		defer c.wmu.Unlock()
-	}
+	defer d.lockAll()()
 	if err := d.cells[0].fence(); err != nil {
 		return err
 	}

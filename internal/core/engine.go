@@ -179,6 +179,13 @@ func (e *engine) Insert(t relation.Tuple) error {
 		return err
 	}
 	e.routed()
+	if e.checksAcross() {
+		defer e.lockAll()()
+		if err := e.crossCheck(i, t); err != nil {
+			return err
+		}
+		return e.cells[i].insertHeld(t)
+	}
 	return e.cells[i].insert(t)
 }
 
@@ -204,11 +211,67 @@ func (e *engine) Update(s, u relation.Tuple) (int, error) {
 	if e.ro != nil && u.Dom().Intersects(e.ro.key) {
 		return 0, fmt.Errorf("core: update values %v assign the shard key %v", u, e.ro.key)
 	}
+	across := e.checksAcross()
+	if across {
+		defer e.lockAll()()
+	}
 	if i, ok := e.ro.route(s); ok {
 		e.routed()
+		return e.updateCell(i, s, u, across)
+	}
+	return e.fanOutSum(func(i int, _ *cell) (int, error) { return e.updateCell(i, s, u, across) })
+}
+
+// updateCell runs Update's body on cell i: under its own writer mutex, or,
+// where writes check FDs across cells, with every writer mutex held by the
+// caller and the tuple the update stores checked against the other cells
+// before it commits.
+func (e *engine) updateCell(i int, s, u relation.Tuple, across bool) (int, error) {
+	if !across {
 		return e.cells[i].update(s, u)
 	}
-	return e.fanOutSum(func(_ int, c *cell) (int, error) { return c.update(s, u) })
+	return e.cells[i].updateHeld(s, u, func(t relation.Tuple) error { return e.crossCheck(i, t) })
+}
+
+// checksAcross reports whether writes check FDs across cells: the shard key
+// leaves some FD to check there (router.cross) and CheckFDs is on. Like
+// every knob, CheckFDs is set on all cells before the engine is shared, so
+// cell 0's published version speaks for every cell. Other writes take only
+// the writer mutex of the cell they change.
+func (e *engine) checksAcross() bool {
+	return e.ro.crosses() && e.cells[0].cur.Load().CheckFDs
+}
+
+// crossCheck is the FD check a write to cell i runs against every other
+// cell when writes check FDs across cells (checksAcross), with every writer
+// mutex held: t, the tuple the write would store, may not agree with
+// another cell's tuple on the left side of such an FD and differ on its
+// right.
+func (e *engine) crossCheck(i int, t relation.Tuple) error {
+	for j := range e.cells {
+		if j == i {
+			continue
+		}
+		for _, f := range e.ro.cross {
+			if err := e.cells[j].cur.Load().checkFD(t, f); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// lockAll takes every cell's writer mutex in index order, the one order
+// any writer holding more than one takes them in, and returns the release.
+func (e *engine) lockAll() (unlock func()) {
+	for i := range e.cells {
+		e.cells[i].wmu.Lock()
+	}
+	return func() {
+		for i := range e.cells {
+			e.cells[i].wmu.Unlock()
+		}
+	}
 }
 
 // Query implements query r s C, lock-free. A routed pattern reads one
@@ -346,7 +409,8 @@ func (e *engine) Len() int {
 
 // InsertBatch inserts many tuples with one version fork (and, on a durable
 // engine, one log record) per touched cell; distinct cells apply their
-// groups in parallel. Each cell's group is atomic: on error the failing
+// groups in parallel, or in order where FDs are checked across cells (see
+// crossCheck). Each cell's group is atomic: on error the failing
 // cell drops its fork (readers keep the pre-batch version) and returns the
 // first error (by cell index), while the other cells' groups publish
 // independently — a failing cell never strands its peers mid-batch.
@@ -361,6 +425,27 @@ func (e *engine) InsertBatch(ts []relation.Tuple) error {
 			return err
 		}
 		groups[i] = append(groups[i], t)
+	}
+	if e.checksAcross() {
+		// The groups commit one after another under every writer mutex, each
+		// checked against the cells as the groups before it left them.
+		defer e.lockAll()()
+		var first error
+		for i, g := range groups {
+			var err error
+			for _, t := range g {
+				if err = e.crossCheck(i, t); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				err = e.cells[i].insertBatchHeld(g)
+			}
+			if err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
 	}
 	return e.fanOut(func(i int, c *cell) error { return c.insertBatch(groups[i]) })
 }

@@ -263,12 +263,12 @@ func TestSyncConcurrentDifferential(t *testing.T) {
 }
 
 // TestSyncPinnedSnapshotsUnderListChurnDifferential holds the scheduler's
-// two run-queue lists at about a thousand processes each — some thirty
-// chunks — and commits seeded spawn / exit / set-state / charge operations
+// two run-queue lists at about a thousand processes each — some sixty
+// blocks — and commits seeded spawn / exit / set-state / charge operations
 // against them while a reader streams {state}→{ns,pid} off whatever version
 // is published. Every hundredth commit pins Snapshot() beside the oracle of
 // that moment; at the end every pinned version must still read back exactly
-// its oracle and pass CheckInvariants. A chunk or directory that a later
+// its oracle and pass CheckInvariants. A block or directory that a later
 // version wrote in place instead of copying shows up here as a pinned
 // version that changed — which pointer identity of the version cannot show.
 func TestSyncPinnedSnapshotsUnderListChurnDifferential(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/decomp"
+	"repro/internal/fd"
 	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -284,20 +285,26 @@ func (r *Relation) insert(t relation.Tuple) (changed bool, err error) {
 	}
 	if r.CheckFDs {
 		for _, f := range r.spec.FDs.All() {
-			conflict := false
-			err := r.queryFunc(t.Project(f.From), f.To, func(got relation.Tuple) bool {
-				conflict = !got.Project(f.To).Equal(t.Project(f.To))
-				return !conflict
-			})
-			if err != nil {
+			if err := r.checkFD(t, f); err != nil {
 				return false, err
-			}
-			if conflict {
-				return false, fmt.Errorf("core: insert of %v violates FD %v", t, f)
 			}
 		}
 	}
 	return r.inst.Insert(t)
+}
+
+// checkFD fails when r holds a tuple that agrees with t on f's left side
+// and not on its right: one that storing t would violate f with.
+func (r *Relation) checkFD(t relation.Tuple, f fd.FD) error {
+	conflict := false
+	err := r.queryFunc(t.Project(f.From), f.To, func(got relation.Tuple) bool {
+		conflict = !got.Project(f.To).Equal(t.Project(f.To))
+		return !conflict
+	})
+	if err == nil && conflict {
+		err = fmt.Errorf("core: insert of %v violates FD %v", t, f)
+	}
+	return err
 }
 
 // Query implements query r s C: it returns π_C of the tuples extending s,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/fd"
 	"repro/internal/relation"
 )
 
@@ -14,7 +15,16 @@ import (
 type router struct {
 	key    relation.Cols
 	shards int
+
+	// cross are the FDs whose left side does not hold the whole shard key
+	// (only a shard key that is a key may have any): tuples they set in
+	// conflict can hash to different shards, so with CheckFDs an insert or
+	// update checks them against the other shards (see engine.checksAcross).
+	cross []fd.FD
 }
+
+// crosses reports whether writes must check FDs across shards.
+func (ro *router) crosses() bool { return ro != nil && len(ro.cross) > 0 }
 
 // route returns the shard index owning t's shard-key valuation, or ok=false
 // when t does not bind the whole shard key (the operation must fan out).

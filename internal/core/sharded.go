@@ -21,10 +21,13 @@ type ShardOptions struct {
 	// FD: two tuples an FD could set in conflict then share a shard, whose
 	// FD check sees both, and no FD determines a shard-key column, so every
 	// key — every update pattern — binds the whole shard key. A key is
-	// accepted too; if it fails that test, tuples in conflict under another
-	// FD can sit on two shards, which only CheckInvariants sees. Either way
-	// an update may not assign a shard-key column, so no update moves a
-	// tuple off its shard.
+	// accepted too. If it fails that test, tuples in conflict under another
+	// FD can hash to two shards, so with CheckFDs every insert, batch,
+	// update and Upsert checks those FDs against every other shard, holding
+	// every shard's writer mutex: such a layout serializes its writes while
+	// CheckFDs is on, and takes one shard's mutex per write while it is off.
+	// Either way an update may not assign a shard-key column, so no update
+	// moves a tuple off its shard.
 	ShardKey []string
 
 	// Shards is the number of partitions (default DefaultShards). More
@@ -74,16 +77,18 @@ func NewSharded(spec *Spec, d *decomp.Decomp, opts ShardOptions) (*ShardedRelati
 	if !key.SubsetOf(spec.Cols()) {
 		return nil, fmt.Errorf("core: shard key %v is not a subset of relation columns %v", key, spec.Cols())
 	}
-	if !spec.FDs.IsKey(key, spec.Cols()) {
-		for _, f := range spec.FDs.All() {
-			if !f.To.SubsetOf(f.From) && !key.SubsetOf(f.From) {
+	ro := &router{key: key, shards: opts.Shards}
+	for _, f := range spec.FDs.All() {
+		if !f.To.SubsetOf(f.From) && !key.SubsetOf(f.From) {
+			if !spec.FDs.IsKey(key, spec.Cols()) {
 				return nil, fmt.Errorf("core: shard key %v of relation %q is neither a key nor inside the left side of FD %v", key, spec.Name, f)
 			}
+			ro.cross = append(ro.cross, f)
 		}
 	}
 	sr := &ShardedRelation{engine{
 		spec:  spec,
-		ro:    &router{key: key, shards: opts.Shards},
+		ro:    ro,
 		sem:   make(chan struct{}, opts.Workers),
 		cells: make([]cell, opts.Shards),
 	}}
@@ -130,8 +135,13 @@ func (sr *ShardedRelation) Upsert(pat relation.Tuple, f func(cur relation.Tuple,
 		sr.metrics.Upserts.Add(1)
 	}
 	sh := &sr.cells[i]
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
+	across := sr.checksAcross()
+	if across {
+		defer sr.lockAll()()
+	} else {
+		sh.wmu.Lock()
+		defer sh.wmu.Unlock()
+	}
 	next, err := sh.fork()
 	if err != nil {
 		return err
@@ -147,6 +157,15 @@ func (sr *ShardedRelation) Upsert(pat relation.Tuple, f func(cur relation.Tuple,
 	u, err := f(cur, len(res) > 0)
 	if err != nil {
 		return err
+	}
+	if across {
+		stored := pat.Merge(u)
+		if len(res) > 0 {
+			stored = cur.Merge(u)
+		}
+		if err := sr.crossCheck(i, stored); err != nil {
+			return sh.commit(next, false, wal.Commit{}, err)
+		}
 	}
 	if len(res) == 0 {
 		changed, ierr := next.insert(pat.Merge(u))

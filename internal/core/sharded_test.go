@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/decomp"
@@ -121,13 +122,9 @@ func TestNewShardedValidation(t *testing.T) {
 	}
 }
 
-// TestShardedUpdateMayNotAssignTheShardKey shards a relation with two
-// candidate keys (k1 → k2, v and k2 → k1, v) on the key {k1}. An update
-// through the other key {k2} fans out and finds its tuple on the shard its
-// k1 chose; assigning k1 there would strand the tuple where a routed read
-// of the new k1 cannot see it, so the update is rejected. Assigning k2
-// through the routed pattern {k1} is an ordinary update.
-func TestShardedUpdateMayNotAssignTheShardKey(t *testing.T) {
+// twoKeySpec is a relation with two candidate keys (k1 → k2, v and k2 → k1,
+// v) and a shared unit reached through both key paths.
+func twoKeySpec() (*core.Spec, *decomp.Decomp) {
 	spec := &core.Spec{
 		Name: "twokey",
 		Columns: []core.ColDef{
@@ -145,12 +142,228 @@ func TestShardedUpdateMayNotAssignTheShardKey(t *testing.T) {
 		decomp.Let("x", nil, []string{"k1", "k2", "v"},
 			decomp.J(decomp.M(dstruct.HTableKind, "y", "k1"), decomp.M(dstruct.HTableKind, "z", "k2"))),
 	}, "x")
+	return spec, d
+}
+
+// tup is a tuple of twoKeySpec.
+func tup(k1, k2, v int64) relation.Tuple {
+	return relation.NewTuple(relation.BindInt("k1", k1), relation.BindInt("k2", k2), relation.BindInt("v", v))
+}
+
+// TestShardedCrossShardFDs shards twoKeySpec on the key {k1}, which lies
+// outside the left side of k2 → k1, v: tuples that FD sets in conflict hash
+// to different shards, so with CheckFDs every insert, batch, update and
+// Upsert checks it against the other shards. Six inserts sharing k2 = 3 and
+// two conflict-free updates are accepted or rejected exactly as on the
+// single-cell tier, and both tiers read back the relational oracle. An
+// update and an Upsert that would store a second tuple with k2 = 3 are
+// rejected (the single-cell tier's Update checks no FD against other
+// tuples, so it is not the reference for those two), and so is the shard
+// group of a batch that would.
+func TestShardedCrossShardFDs(t *testing.T) {
+	spec, d := twoKeySpec()
+	single, err := core.NewEngine(spec, d, core.ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sr, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"k1"}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tup := func(k1, k2, v int64) relation.Tuple {
-		return relation.NewTuple(relation.BindInt("k1", k1), relation.BindInt("k2", k2), relation.BindInt("v", v))
+	core.SetCheckFDs(single, true)
+	core.SetCheckFDs(sr, true)
+	oracle := relation.Empty(spec.Cols())
+	same := func(op string, want, got error) bool {
+		t.Helper()
+		if (want == nil) != (got == nil) {
+			t.Fatalf("%s: single cell says %v, sharded %v", op, want, got)
+		}
+		return want == nil
+	}
+	for k1 := int64(0); k1 < 6; k1++ {
+		if same(fmt.Sprintf("insert k1=%d", k1), single.Insert(tup(k1, 3, k1)), sr.Insert(tup(k1, 3, k1))) {
+			_ = oracle.Insert(tup(k1, 3, k1))
+		}
+	}
+	for k1 := int64(10); k1 < 14; k1++ {
+		if same("insert", single.Insert(tup(k1, k1, k1)), sr.Insert(tup(k1, k1, k1))) {
+			_ = oracle.Insert(tup(k1, k1, k1))
+		}
+	}
+	byK1 := func(k1 int64) relation.Tuple { return relation.NewTuple(relation.BindInt("k1", k1)) }
+	k2 := func(k2 int64) relation.Tuple { return relation.NewTuple(relation.BindInt("k2", k2)) }
+	for _, u := range [][2]int64{{12, 42}, {13, 12}} {
+		_, errS := single.Update(byK1(u[0]), k2(u[1]))
+		_, errR := sr.Update(byK1(u[0]), k2(u[1]))
+		if same(fmt.Sprintf("update k1=%d k2:=%d", u[0], u[1]), errS, errR) {
+			oracle.Update(byK1(u[0]), k2(u[1]))
+		}
+	}
+	if n, err := sr.Update(byK1(11), k2(3)); err == nil {
+		t.Fatalf("an update storing a second tuple with k2 = 3 was accepted (n=%d)", n)
+	}
+	upsert := func(relation.Tuple, bool) (relation.Tuple, error) {
+		return relation.NewTuple(relation.BindInt("k2", 3), relation.BindInt("v", 7)), nil
+	}
+	if err := sr.Upsert(byK1(20), upsert); err == nil {
+		t.Fatal("an Upsert storing a second tuple with k2 = 3 was accepted")
+	}
+	want := oracle.All()
+	for name, e := range map[string]core.Engine{"single cell": single, "sharded": sr} {
+		got, err := e.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tupleSlicesEqual(got, want) {
+			t.Fatalf("%s reads %v, oracle %v", name, got, want)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	var batch []relation.Tuple
+	for k1 := int64(30); k1 < 36; k1++ {
+		batch = append(batch, tup(k1, 50, k1))
+	}
+	if err := sr.InsertBatch(batch); err == nil {
+		t.Fatal("a batch of six tuples sharing k2 = 50 was accepted")
+	}
+	if err := sr.CheckInvariants(); err != nil {
+		t.Fatalf("after the batch: %v", err)
+	}
+}
+
+// TestShardedCrossShardFDsConcurrent races eight writers on twoKeySpec
+// sharded on {k1}: each inserts tuples whose k2 collide with every other
+// writer's, and moves some of its tuples to a k2 of its own by update.
+// Every write of such a layout holds every shard's writer mutex, so
+// whatever interleaving runs, no two stored tuples share a k2 and the FDs
+// hold at the end.
+func TestShardedCrossShardFDsConcurrent(t *testing.T) {
+	spec, d := twoKeySpec()
+	sr, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"k1"}, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.SetCheckFDs(sr, true)
+	var wg sync.WaitGroup
+	for g := int64(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < 40; i++ {
+				_ = sr.Insert(tup(100*g+i, i%10, g))
+				if i%4 == 3 {
+					_, _ = sr.Update(relation.NewTuple(relation.BindInt("k1", 100*g+i-1)),
+						relation.NewTuple(relation.BindInt("k2", 1000*g+i)))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	all, err := sr.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]bool{}
+	for _, tu := range all {
+		k2 := tu.MustGet("k2").Int()
+		if seen[k2] {
+			t.Fatalf("two stored tuples share k2 = %d: %v", k2, all)
+		}
+		seen[k2] = true
+	}
+	if len(all) == 0 {
+		t.Fatal("no insert was accepted")
+	}
+	if err := sr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedCrossShardFDsOffTakesOneMutex shards twoKeySpec on {k1} with
+// CheckFDs off: no FD is checked across shards, so a write takes only the
+// writer mutex of the shard it changes. An Upsert holds one shard's mutex
+// while its callback runs an insert, a removal, an update, a batch and an
+// Upsert on another shard; each must finish while the first still holds
+// its mutex.
+func TestShardedCrossShardFDsOffTakesOneMutex(t *testing.T) {
+	spec, d := twoKeySpec()
+	sr, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"k1"}, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byK1 := func(k1 int64) relation.Tuple { return relation.NewTuple(relation.BindInt("k1", k1)) }
+	shardOf := func(k1 int64) int {
+		for i := range sr.NumShards() {
+			if rows, err := sr.Shard(i).Query(byK1(k1), []string{"k1"}); err == nil && len(rows) == 1 {
+				return i
+			}
+		}
+		t.Fatalf("k1 = %d is on no shard", k1)
+		return -1
+	}
+	if err := sr.Insert(tup(0, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	other := int64(1)
+	for ; ; other++ {
+		if err := sr.Insert(tup(other, other, other)); err != nil {
+			t.Fatal(err)
+		}
+		if shardOf(other) != shardOf(0) {
+			break
+		}
+	}
+	writes := func() error {
+		if _, err := sr.Remove(tup(other, other, other)); err != nil {
+			return err
+		}
+		if err := sr.Insert(tup(other, other, other)); err != nil {
+			return err
+		}
+		if _, err := sr.Update(byK1(other), relation.NewTuple(relation.BindInt("v", 9))); err != nil {
+			return err
+		}
+		if err := sr.InsertBatch([]relation.Tuple{tup(other, other, 9)}); err != nil {
+			return err
+		}
+		return sr.Upsert(byK1(other), func(relation.Tuple, bool) (relation.Tuple, error) {
+			return relation.NewTuple(relation.BindInt("k2", other), relation.BindInt("v", 10)), nil
+		})
+	}
+	done := make(chan error, 1)
+	err = sr.Upsert(byK1(0), func(relation.Tuple, bool) (relation.Tuple, error) {
+		go func() { done <- writes() }()
+		select {
+		case err := <-done:
+			return relation.NewTuple(relation.BindInt("k2", 0), relation.BindInt("v", 1)), err
+		case <-time.After(10 * time.Second):
+			return relation.Tuple{}, fmt.Errorf("writes to shard %d blocked while shard %d's mutex was held", shardOf(other), shardOf(0))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k1, w := range map[int64]relation.Tuple{0: tup(0, 0, 1), other: tup(other, other, 10)} {
+		got, err := sr.Query(byK1(k1), spec.Cols().Names())
+		if err != nil || len(got) != 1 || !got[0].Equal(w) {
+			t.Fatalf("k1 = %d reads %v (%v), want %v", k1, got, err, w)
+		}
+	}
+}
+
+// TestShardedUpdateMayNotAssignTheShardKey shards a relation with two
+// candidate keys (k1 → k2, v and k2 → k1, v) on the key {k1}. An update
+// through the other key {k2} fans out and finds its tuple on the shard its
+// k1 chose; assigning k1 there would strand the tuple where a routed read
+// of the new k1 cannot see it, so the update is rejected. Assigning k2
+// through the routed pattern {k1} is an ordinary update.
+func TestShardedUpdateMayNotAssignTheShardKey(t *testing.T) {
+	spec, d := twoKeySpec()
+	sr, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"k1"}, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
 	oracle := relation.Empty(spec.Cols())
 	for k := int64(0); k < 8; k++ {

@@ -9,44 +9,24 @@ import (
 
 var listKinds = []Kind{DListKind, SListKind}
 
-// BenchmarkListFirstWriteAfterClone is what one copy-on-write commit pays on
-// a list edge: fork the list a published version holds, remove one entry
-// from the middle and append one. With -benchmem it shows whether the cost
-// follows the list's length (an eager clone: one object per entry) or its
-// chunk directory. `make bench-smoke` runs it.
-func BenchmarkListFirstWriteAfterClone(b *testing.B) {
-	for _, kind := range listKinds {
+// BenchmarkFirstWriteAfterClone is what one copy-on-write commit pays on an
+// edge of each kind (firstWrite): fork the container a published version
+// holds, remove one entry from the middle and add one. With -benchmem it
+// shows whether the cost follows the length (the skip list's eager clone,
+// the vector's and sorted array's whole-array copy) or a directory and the
+// blocks written (lists, hash tables). `make bench-smoke` runs it.
+func BenchmarkFirstWriteAfterClone(b *testing.B) {
+	for _, kind := range allKinds() {
 		for _, n := range []int64{64, 512, 4096} {
-			b.Run(fmt.Sprintf("%s/%d", kind, n), func(b *testing.B) { benchFirstWriteAfterClone(b, kind, n) })
+			b.Run(fmt.Sprintf("%s/%d", kind, n), func(b *testing.B) {
+				op := firstWrite(kind, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+			})
 		}
-	}
-}
-
-// benchFirstWriteAfterClone times a clone of a kind container of n entries
-// plus the first delete and the first put on the clone.
-func benchFirstWriteAfterClone(b *testing.B, kind Kind, n int64) {
-	var vw colblock.View
-	m := NewWords[int](kind, 1)
-	for i := int64(0); i < n; i++ {
-		m.Put(vw, code1(i), int(i))
-	}
-	del, put := code1(n/2), code1(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := m.Clone()
-		c.Delete(vw, del)
-		c.Put(vw, put, i)
-	}
-}
-
-// BenchmarkHTableFirstWriteAfterClone is the same commit on a hash-table
-// edge: fork, remove one entry, add one. With -benchmem it shows the cost
-// following the group directory (8 bytes a group) plus the one or two
-// 288-byte groups written, not the entry count. `make bench-smoke` runs it.
-func BenchmarkHTableFirstWriteAfterClone(b *testing.B) {
-	for _, n := range []int64{128, 4096} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) { benchFirstWriteAfterClone(b, HTableKind, n) })
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // Small-class tests: a list that fits listSmall key words lives in its
-// header, the Put that overflows it promotes it to a chunk, Delete never
+// header, the Put that overflows it promotes it to a block, Delete never
 // demotes it, and Clone demotes only the copy it returns.
 
 // listWords is the distinct value every small-class test stores under
@@ -85,10 +85,9 @@ func inOrder(kind Kind, n int) []int {
 }
 
 // TestListPromotion pins the header's capacity: listSmall/arity entries
-// stay in the header, the next Put moves them all into a first chunk with
-// room for twice as many and clears the header's values, a promoted list
-// deleted to nothing stays chunked, and a small list's delete clears the
-// slot it frees.
+// stay in the header, the next Put moves them all into a first block and
+// clears the header's values, a promoted list deleted to nothing stays
+// chunked, and a small list's delete clears the slot it frees.
 func TestListPromotion(t *testing.T) {
 	var vw colblock.View
 	for _, kind := range listKinds {
@@ -114,8 +113,8 @@ func TestListPromotion(t *testing.T) {
 			}
 
 			w.Put(vw, listKey(capacity, arity), &listWords[capacity])
-			if len(l.dir) != 1 || len(l.dir[0].vals) != capacity+1 || cap(l.dir[0].vals) != max(2*capacity, listFirstCap) {
-				t.Fatalf("%s: Put %d did not promote into one chunk of capacity %d", label, capacity+1, max(2*capacity, listFirstCap))
+			if len(l.dir) != 1 || l.dir[0].count() != capacity+1 {
+				t.Fatalf("%s: Put %d did not promote into one block", label, capacity+1)
 			}
 			if l.sv != [listSmall]*int{} {
 				t.Fatalf("%s: the promoted header still holds values %v", label, l.sv)
@@ -130,7 +129,7 @@ func TestListPromotion(t *testing.T) {
 				}
 			}
 			if l.dir == nil || len(l.dir) != 0 || len(listOrder(t, w)) != 0 {
-				t.Fatalf("%s: a promoted list deleted to nothing has %d chunks, small %v", label, len(l.dir), l.dir == nil)
+				t.Fatalf("%s: a promoted list deleted to nothing has %d blocks, small %v", label, len(l.dir), l.dir == nil)
 			}
 			w.Put(vw, listKey(7, arity), &listWords[7])
 			if l.dir == nil || !slices.Equal(listOrder(t, w), []int{7}) {
@@ -154,7 +153,7 @@ func TestListPromotion(t *testing.T) {
 					t.Fatalf("%s: after a small list's delete it reads %v, want %v", label, got, want)
 				}
 			}
-			if over := (list[*int]{arity: int32(arity), n: capacity + 1}); over.checkInvariant() {
+			if over := (list[*int]{blocks: blocks[*int]{arity: int32(arity)}, n: capacity + 1}); over.checkInvariant() {
 				t.Fatalf("%s: checkInvariant accepts %d entries in a header", label, capacity+1)
 			}
 		}
@@ -163,7 +162,7 @@ func TestListPromotion(t *testing.T) {
 
 // TestListCloneDemotesTheCloneOnly clones a chunked list that has been
 // deleted down to what a header holds: the clone is small, the receiver's
-// directory, chunks, owner token and shared flag are exactly as they were,
+// directory, blocks, epoch and shared flag are exactly as they were,
 // and each side reads back its own entries in order through later writes
 // on both. A small list's clone is small too.
 func TestListCloneDemotesTheCloneOnly(t *testing.T) {
@@ -186,19 +185,7 @@ func TestListCloneDemotesTheCloneOnly(t *testing.T) {
 			if l.dir == nil {
 				t.Fatalf("%s: setup: the list is not chunked", label)
 			}
-			type chunkID struct {
-				keys  *colblock.Code
-				vals  **int
-				owner *listOwner
-			}
-			ids := func(dir []listChunk[*int]) []chunkID {
-				var out []chunkID
-				for _, c := range dir {
-					out = append(out, chunkID{unsafe.SliceData(c.keys), unsafe.SliceData(c.vals), c.owner})
-				}
-				return out
-			}
-			dir, chunks, owner, shared := unsafe.SliceData(l.dir), ids(l.dir), l.owner, l.sharedDir
+			dir, blocks, epoch, shared := unsafe.SliceData(l.dir), slices.Clone(l.dir), l.epoch, l.shared
 			want := listOrder(t, w)
 
 			c := w.Clone()
@@ -206,7 +193,7 @@ func TestListCloneDemotesTheCloneOnly(t *testing.T) {
 			if cl.dir != nil || cl.n != capacity {
 				t.Fatalf("%s: the clone of a chunked list of %d entries is not small", label, capacity)
 			}
-			if unsafe.SliceData(l.dir) != dir || !slices.Equal(ids(l.dir), chunks) || l.owner != owner || l.sharedDir != shared {
+			if unsafe.SliceData(l.dir) != dir || !slices.Equal(l.dir, blocks) || l.epoch != epoch || l.shared != shared {
 				t.Fatalf("%s: the demoting Clone changed the receiver", label)
 			}
 			if !slices.Equal(listOrder(t, c), want) || !slices.Equal(listOrder(t, w), want) {

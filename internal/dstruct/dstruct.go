@@ -11,8 +11,8 @@
 // The set of structures mirrors the paper's library: unordered lists in the
 // doubly-linked (insertion order) and singly-linked (newest first) roles —
 // one body under both, up to four key words inline in the list's header and
-// chunked copy-on-write past that, removal by key, no intrusive handles —
-// open-addressed hash tables in groups of sixteen slots, AVL
+// copy-on-write blocks past that, removal by key, no intrusive handles —
+// open-addressed hash tables in the same sixteen-slot blocks, AVL
 // trees (the ordered std::map/boost::intrusive::set role), vectors, and
 // sorted arrays. All are implemented here from scratch on stdlib only.
 package dstruct
@@ -100,7 +100,7 @@ type Words[V any] interface {
 	// after the call never changes what the other side observes. Every
 	// structure but the skip list shares substructure with its clone and
 	// copies lazily on the first write to each shared piece (a tree path, a
-	// hash-table group, a list chunk, a whole array), so Clone itself is O(1);
+	// hash-table or list block, a whole array), so Clone itself is O(1);
 	// a list that fits in its header is copied whole, which is O(1) too, and
 	// the skip list copies eagerly. The clone is the same concrete
 	// kind as the receiver, preserving the optional WordRanger. Clone is the
@@ -116,10 +116,10 @@ type Words[V any] interface {
 
 // A Footprint is a container's resident heap in bytes, as allocated (rounded
 // to the allocator's size classes): Entries is what holds key words and
-// values — list chunks or a small list's inline arrays, hash-table groups,
+// values — list blocks or a small list's inline arrays, hash-table groups,
 // sorted arrays, vector slots and tree nodes, whose links are part of the
-// node — and Overhead is everything else: the container header, group and
-// chunk directories and skip-list towers.
+// node — and Overhead is everything else: the container header, block
+// directories and skip-list towers.
 type Footprint struct {
 	Entries, Overhead int
 }

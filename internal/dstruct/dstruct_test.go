@@ -262,7 +262,7 @@ func TestDListDeleteDuringRange(t *testing.T) {
 // every visited entry or only most of them, Range must still visit every
 // entry exactly once, in order.
 func TestListDeleteDuringRangeAcrossChunks(t *testing.T) {
-	const n = 5*listChunkCap + 7
+	const n = 5*blockSlots + 7
 	for _, kind := range listKinds {
 		for _, shared := range []bool{false, true} {
 			for _, thinned := range []bool{false, true} {
@@ -313,7 +313,7 @@ func TestListDeleteDuringRangeAcrossChunks(t *testing.T) {
 // checks that the other side, which shares that directory, still reads back
 // its oracle in order.
 func TestListReshapeRightAfterClone(t *testing.T) {
-	const c = listChunkCap
+	const c = blockSlots
 	for _, tc := range []struct {
 		name         string
 		n            int64 // keys [0, n) inserted

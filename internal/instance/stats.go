@@ -97,7 +97,7 @@ type Stats struct {
 	NodeHeaders        int // the node objects but their unit words: headers, containers' interface words, size-class slack
 	UnitWords          int // the nodes' unit columns, held in the node objects
 	ContainerEntries   int // what holds key words and child pointers (dstruct.Footprint.Entries)
-	ContainerOverhead  int // container headers, group and chunk directories, towers
+	ContainerOverhead  int // container headers, block directories, towers
 	Dictionary         int // the lineage's interned values and their index
 	DictionaryInterned int // values interned over the lineage's life; none is ever reclaimed
 }
