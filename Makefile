@@ -23,7 +23,9 @@ ci: vet build race test-vec heap-budget faultinject lint lint-engine fuzz-smoke 
 # TestNoStandingSuppressions in internal/vet. The greps keep the read
 # ladder at two rungs (batch program, then interpreter) on every tier:
 # outside tests only the frozen benchmark probe may still compile a closure
-# program, and no point plan or routed point path runs beside it. The last
+# program, and no point plan or routed point path runs beside it; and they
+# keep FD enforcement off the option list: no Go file, test or not, names a
+# switch that turns it off. The last
 # line holds the API to its callers: every exported name or method of a
 # non-main package is used by non-test code in this module or in bench/,
 # or by a test of another package (interface methods and generated files
@@ -37,6 +39,8 @@ lint: bin/relvet
 		echo 'lint: a closure program is back outside bench/probes.go'; exit 1; fi
 	@if git grep -nE 'PointPlan|CompilePoint|queryPoint|updatePoint' -- '*.go' ':!*_test.go' ':!bench'; then \
 		echo 'lint: a point-plan side door is back beside the read ladder'; exit 1; fi
+	@if git grep -nE 'CheckFDs|SetCheckFDs' -- '*.go'; then \
+		echo 'lint: an FD-checking switch is back; the FDs always hold'; exit 1; fi
 	$(GO) test -count 1 -run '^TestEveryExportHasACaller$$' ./internal/vet
 
 # The engine-invariant plane (relvet2xx): the interprocedural analyzers

@@ -82,10 +82,9 @@ func main() {
 	met := &obs.Metrics{}
 	open := func(create bool) *core.DurableRelation {
 		d, oerr := durable.Open(dir, flowSpec(), flowDecomp(), durable.Options{
-			Create:   create,
-			Policy:   wal.SyncAlways,
-			CheckFDs: true,
-			Metrics:  met,
+			Create:  create,
+			Policy:  wal.SyncAlways,
+			Metrics: met,
 		})
 		if oerr != nil {
 			log.Fatal(oerr)

@@ -141,9 +141,8 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	d, err := durable.Open(dir, flowSpec(), flowDecomp(), durable.Options{
-		Create:   true,
-		Policy:   wal.SyncOff,
-		CheckFDs: true,
+		Create: true,
+		Policy: wal.SyncOff,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -19,7 +19,7 @@ func view(b *box) *core.Relation { return b.cur.Load() }
 func same(r *core.Relation) *core.Relation { return r }
 
 // poke stores through its parameter directly: MutatesParam[0].
-func poke(r *core.Relation) { r.CheckFDs = true }
+func poke(r *core.Relation) { *r = core.Relation{} }
 
 // pokeVia mutates only through a callee, with the argument laundered
 // through an alias: MutatesParam[0] by propagation.
@@ -38,7 +38,7 @@ func fork(b *box) *core.Relation {
 // not inherit MutatesParam through it.
 //
 //relvet:role=config
-func configure(r *core.Relation) { r.CheckFDs = true }
+func configure(r *core.Relation) { *r = core.Relation{} }
 
 // applyConfig calls only the role-exempt mutator: no MutatesParam.
 func applyConfig(r *core.Relation) { configure(r) }

@@ -32,7 +32,6 @@ func newDurableSyncEngine(t *testing.T, dir string, policy wal.SyncPolicy) (*cor
 		t.Fatal(err)
 	}
 	r := core.MustNew(schedSpec(), paperex.SchedulerDecomp())
-	r.CheckFDs = true
 	s := core.NewSync(r)
 	d, err := core.NewDurable(s, []*wal.Log{log})
 	if err != nil {
@@ -65,7 +64,6 @@ func newDurableSharded(t *testing.T, dir string, shards int, policy wal.SyncPoli
 			t.Fatal(err)
 		}
 	}
-	core.SetCheckFDs(sr, true)
 	d, err := core.NewDurable(sr, logs)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +87,6 @@ func durAll(t *testing.T, d *core.DurableRelation) []relation.Tuple {
 func recoverSync(t *testing.T, dir string) []relation.Tuple {
 	t.Helper()
 	r := core.MustNew(schedSpec(), paperex.SchedulerDecomp())
-	r.CheckFDs = true
 	s := core.NewSync(r)
 	var snapSeq uint64
 	entries, err := os.ReadDir(dir)

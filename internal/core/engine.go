@@ -94,14 +94,6 @@ func NewEngine(spec *Spec, d *decomp.Decomp, opts ShardOptions) (Engine, error) 
 	return NewSync(r), nil
 }
 
-// SetCheckFDs toggles per-mutation FD validation on every cell of e. Like
-// the other configuration knobs it belongs to the pre-share window: call it
-// before the engine is visible to concurrent readers, since version forks
-// inherit the flag from the version they copy.
-func SetCheckFDs(e Engine, on bool) {
-	e.body().config(func(r *Relation) { r.CheckFDs = on })
-}
-
 // engine is the body of every concurrent tier: the relational surface
 // written once over a set of MVCC cells (see cell) and an optional router.
 // A SyncRelation is the body over one cell and no router, a
@@ -179,7 +171,7 @@ func (e *engine) Insert(t relation.Tuple) error {
 		return err
 	}
 	e.routed()
-	if e.checksAcross() {
+	if e.ro.crosses() {
 		defer e.lockAll()()
 		if err := e.crossCheck(i, t); err != nil {
 			return err
@@ -211,7 +203,7 @@ func (e *engine) Update(s, u relation.Tuple) (int, error) {
 	if e.ro != nil && u.Dom().Intersects(e.ro.key) {
 		return 0, fmt.Errorf("core: update values %v assign the shard key %v", u, e.ro.key)
 	}
-	across := e.checksAcross()
+	across := e.ro.crosses()
 	if across {
 		defer e.lockAll()()
 	}
@@ -233,27 +225,19 @@ func (e *engine) updateCell(i int, s, u relation.Tuple, across bool) (int, error
 	return e.cells[i].updateHeld(s, u, func(t relation.Tuple) error { return e.crossCheck(i, t) })
 }
 
-// checksAcross reports whether writes check FDs across cells: the shard key
-// leaves some FD to check there (router.cross) and CheckFDs is on. Like
-// every knob, CheckFDs is set on all cells before the engine is shared, so
-// cell 0's published version speaks for every cell. Other writes take only
-// the writer mutex of the cell they change.
-func (e *engine) checksAcross() bool {
-	return e.ro.crosses() && e.cells[0].cur.Load().CheckFDs
-}
-
 // crossCheck is the FD check a write to cell i runs against every other
-// cell when writes check FDs across cells (checksAcross), with every writer
-// mutex held: t, the tuple the write would store, may not agree with
-// another cell's tuple on the left side of such an FD and differ on its
-// right.
+// cell when the shard key leaves FDs to check across cells (router.cross),
+// with every writer mutex held: t, the tuple the write would store, may not
+// agree with another cell's tuple on the left side of such an FD and differ
+// on its right. Other layouts' writes take only the writer mutex of the
+// cell they change.
 func (e *engine) crossCheck(i int, t relation.Tuple) error {
 	for j := range e.cells {
 		if j == i {
 			continue
 		}
 		for _, f := range e.ro.cross {
-			if err := e.cells[j].cur.Load().checkFD(t, f); err != nil {
+			if err := e.cells[j].cur.Load().checkFD(t, f, relation.Tuple{}); err != nil {
 				return err
 			}
 		}
@@ -426,7 +410,7 @@ func (e *engine) InsertBatch(ts []relation.Tuple) error {
 		}
 		groups[i] = append(groups[i], t)
 	}
-	if e.checksAcross() {
+	if e.ro.crosses() {
 		// The groups commit one after another under every writer mutex, each
 		// checked against the cells as the groups before it left them.
 		defer e.lockAll()()

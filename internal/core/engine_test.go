@@ -26,11 +26,9 @@ func TestEveryTierCommitsThroughOneCell(t *testing.T) {
 			Shards:   shards,
 			Workers:  1,
 		})
-		core.SetCheckFDs(sr, true)
 		return sr
 	}
 	sync := newSched(t)
-	sync.CheckFDs = true
 	durable4, _ := newDurableSharded(t, t.TempDir(), 4, wal.SyncOff)
 	engines := []struct {
 		name string

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fd"
 	"repro/internal/plan"
 	"repro/internal/relation"
 )
@@ -32,6 +33,12 @@ type planCache struct {
 
 	mu       sync.Mutex
 	inflight map[string]*planCall
+
+	// unseen are the FDs the instance's insert walk cannot see, which
+	// writes check by query (unseenFDs). They are fixed by the
+	// decomposition, so they live here, with the rest of what every version
+	// and shard of one relation shares, and not on each version.
+	unseen []fd.FD
 }
 
 // planCall is one in-flight planning computation; waiters block on done.
@@ -41,8 +48,8 @@ type planCall struct {
 	err  error
 }
 
-func newPlanCache() *planCache {
-	pc := &planCache{inflight: make(map[string]*planCall)}
+func newPlanCache(unseen []fd.FD) *planCache {
+	pc := &planCache{inflight: make(map[string]*planCall), unseen: unseen}
 	empty := make(map[string]*plan.Candidate)
 	pc.plans.Store(&empty)
 	emptyCols := make(map[string]relation.Cols)

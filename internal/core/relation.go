@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/decomp"
-	"repro/internal/fd"
 	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -17,23 +16,18 @@ import (
 // of §2 implemented over the decomposition instance of a chosen
 // decomposition, with every query compiled to the cheapest valid plan.
 //
-// Like the paper's generated code, a Relation trusts its client to respect
-// the relational specification: inserting a tuple that would violate the
-// declared functional dependencies is a client error (Lemma 4's
-// precondition). The structurally detectable violations are still reported
-// as errors; set CheckFDs for full validation at a per-operation query
-// cost.
+// The declared functional dependencies always hold: an insert or update
+// that would violate one is rejected and changes nothing (Lemma 4's
+// precondition, checked rather than trusted). The instance's insert walk
+// rejects every violation the decomposition's shape can show; the FDs no
+// shape shows (unseenFDs, computed once per decomposition and empty for
+// most) cost one query per insert, and per update that sets their columns.
 type Relation struct {
 	spec    *Spec
 	dcmp    *decomp.Decomp
 	inst    *instance.Instance
 	planner *plan.Planner
 	plans   *planCache
-
-	// CheckFDs enables full functional-dependency validation on every
-	// insert and update. Off by default: the paper's compiled code performs
-	// no dynamic checking.
-	CheckFDs bool
 
 	// poisoned degrades the relation to read-only after a failed rollback;
 	// see ErrPoisoned. Only written under the owning tier's write lock.
@@ -79,7 +73,7 @@ func New(spec *Spec, d *decomp.Decomp) (*Relation, error) {
 		spec:  spec,
 		dcmp:  d,
 		inst:  instance.New(d, spec.FDs),
-		plans: newPlanCache(),
+		plans: newPlanCache(unseenFDs(d, spec.FDs)),
 	}
 	r.planner = plan.NewPlanner(d, spec.FDs, nil)
 	return r, nil
@@ -130,9 +124,9 @@ func (r *Relation) beginVersion() *Relation {
 	return &c
 }
 
-// SetMetrics attaches (or, with nil, detaches) a metrics sink. Like the
-// CheckFDs flag, set it before the relation is shared;
-// sharded shards may safely share one sink — every counter is atomic.
+// SetMetrics attaches (or, with nil, detaches) a metrics sink. Set it
+// before the relation is shared; sharded shards may safely share one sink —
+// every counter is atomic.
 //
 //relvet:role=config
 func (r *Relation) SetMetrics(m *obs.Metrics) {
@@ -262,8 +256,8 @@ func (r *Relation) PlanCandidate(input, output []string) (*plan.Candidate, error
 }
 
 // Insert implements insert r t. The tuple must bind exactly the relation's
-// columns with the declared types. With CheckFDs it also verifies the
-// functional dependencies are preserved. Insert is atomic: on any error —
+// columns with the declared types, and storing it must preserve the
+// functional dependencies. Insert is atomic: on any error —
 // including a panic from plan execution or a data structure, which is
 // returned as a *PanicError — the relation is unchanged.
 func (r *Relation) Insert(t relation.Tuple) error {
@@ -283,28 +277,12 @@ func (r *Relation) insert(t relation.Tuple) (changed bool, err error) {
 	if err := r.spec.CheckTuple(t, true); err != nil {
 		return false, err
 	}
-	if r.CheckFDs {
-		for _, f := range r.spec.FDs.All() {
-			if err := r.checkFD(t, f); err != nil {
-				return false, err
-			}
+	for _, f := range r.plans.unseen {
+		if err := r.checkFD(t, f, relation.Tuple{}); err != nil {
+			return false, err
 		}
 	}
 	return r.inst.Insert(t)
-}
-
-// checkFD fails when r holds a tuple that agrees with t on f's left side
-// and not on its right: one that storing t would violate f with.
-func (r *Relation) checkFD(t relation.Tuple, f fd.FD) error {
-	conflict := false
-	err := r.queryFunc(t.Project(f.From), f.To, func(got relation.Tuple) bool {
-		conflict = !got.Project(f.To).Equal(t.Project(f.To))
-		return !conflict
-	})
-	if err == nil && conflict {
-		err = fmt.Errorf("core: insert of %v violates FD %v", t, f)
-	}
-	return err
 }
 
 // Query implements query r s C: it returns π_C of the tuples extending s,
@@ -624,9 +602,16 @@ func (r *Relation) Update(s, u relation.Tuple) (n int, err error) {
 // The match is located by the shape's plan on the one read ladder. Whether
 // the pattern is a key is decided once per shape, when the plan cache
 // promotes it (plan.Candidate.Key). When nothing needs the stored tuple —
-// no delta, no FD check, the update fits in place and the pattern binds
-// every map-edge key, so it can locate the nodes itself — the match is
-// only proved to exist, never copied out of the read's view.
+// no delta, no FD to check by query, the update fits in place and the
+// pattern binds every map-edge key, so it can locate the nodes itself — the
+// match is only proved to exist, never copied out of the read's view.
+//
+// An FD whose columns u does not set holds for the merged tuple as it did
+// for the match. Of the others, the remove+reinsert's insert walk rejects
+// the violations it can see, and an in-place update writes only nodes that
+// stand for the match alone, which keeps those FDs true; the FDs no walk
+// sees (unseenFDs) are checked by query against the stored tuples other
+// than the match.
 func (r *Relation) updateDelta(s, u relation.Tuple, delta bool) (n int, old, upd relation.Tuple, err error) {
 	if r.poisoned {
 		return 0, old, upd, ErrPoisoned
@@ -649,7 +634,11 @@ func (r *Relation) updateDelta(s, u relation.Tuple, delta bool) (n int, old, upd
 	if s.Dom().Intersects(u.Dom()) {
 		return 0, old, upd, fmt.Errorf("core: update values %v overlap the pattern %v", u, s)
 	}
-	locate := !delta && !r.CheckFDs && r.inst.CanUpdateInPlace(u.Dom()) && r.inst.EdgeKeyCols().SubsetOf(s.Dom())
+	checks := false
+	for _, f := range r.plans.unseen {
+		checks = checks || sets(f, u.Dom())
+	}
+	locate := !delta && !checks && r.inst.CanUpdateInPlace(u.Dom()) && r.inst.EdgeKeyCols().SubsetOf(s.Dom())
 	var match relation.Tuple
 	found := false
 	r.run(cand, s, plan.Range{}, cols, streamViews, func(t relation.Tuple) bool {
@@ -671,8 +660,11 @@ func (r *Relation) updateDelta(s, u relation.Tuple, delta bool) (n int, old, upd
 		return 1, old, upd, nil
 	}
 	merged := match.Merge(u)
-	if r.CheckFDs {
-		if err := r.spec.CheckTuple(merged, true); err != nil {
+	for _, f := range r.plans.unseen {
+		if !sets(f, u.Dom()) {
+			continue
+		}
+		if err := r.checkFD(merged, f, s); err != nil {
 			return 0, old, upd, err
 		}
 	}

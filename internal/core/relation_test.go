@@ -182,17 +182,27 @@ func TestInsertTypeChecking(t *testing.T) {
 	}
 }
 
-func TestCheckFDs(t *testing.T) {
+// TestInsertRejectsFDViolation: on the paper's Figure 2 scheduler, a second
+// state for one (ns, pid) with the same cpu trips no unit or edge conflict;
+// its insert walk would link the existing shared node w from a fresh state
+// node. A Relation rejects it as it is, with no option set, and stays
+// consistent.
+func TestInsertRejectsFDViolation(t *testing.T) {
 	r := newSched(t)
-	r.CheckFDs = true
-	if err := r.Insert(paperex.SchedulerTuple(1, 1, paperex.StateS, 7)); err != nil {
+	if err := r.Insert(paperex.SchedulerTuple(1, 2, 0, 7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Insert(paperex.SchedulerTuple(1, 1, paperex.StateR, 7)); err == nil {
-		t.Errorf("FD-violating insert accepted with CheckFDs")
+	if err := r.Insert(paperex.SchedulerTuple(1, 2, 1, 7)); err == nil {
+		t.Errorf("FD-violating insert accepted")
 	}
-	if err := r.Insert(paperex.SchedulerTuple(1, 1, paperex.StateS, 7)); err != nil {
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Insert(paperex.SchedulerTuple(1, 2, 0, 7)); err != nil {
 		t.Errorf("idempotent insert rejected: %v", err)
+	}
+	if r.Len() != 1 {
+		t.Errorf("Len = %d, want 1", r.Len())
 	}
 }
 

@@ -18,8 +18,8 @@ type router struct {
 
 	// cross are the FDs whose left side does not hold the whole shard key
 	// (only a shard key that is a key may have any): tuples they set in
-	// conflict can hash to different shards, so with CheckFDs an insert or
-	// update checks them against the other shards (see engine.checksAcross).
+	// conflict can hash to different shards, so an insert or update checks
+	// them against the other shards (see engine.crossCheck).
 	cross []fd.FD
 }
 

@@ -20,14 +20,13 @@ type ShardOptions struct {
 	// related tuples on one shard) if it lies inside the left side of every
 	// FD: two tuples an FD could set in conflict then share a shard, whose
 	// FD check sees both, and no FD determines a shard-key column, so every
-	// key — every update pattern — binds the whole shard key. A key is
-	// accepted too. If it fails that test, tuples in conflict under another
-	// FD can hash to two shards, so with CheckFDs every insert, batch,
-	// update and Upsert checks those FDs against every other shard, holding
-	// every shard's writer mutex: such a layout serializes its writes while
-	// CheckFDs is on, and takes one shard's mutex per write while it is off.
-	// Either way an update may not assign a shard-key column, so no update
-	// moves a tuple off its shard.
+	// key — every update pattern — binds the whole shard key. Such a layout
+	// takes one shard's writer mutex per write. A key is accepted too. If it
+	// fails the left-side test, tuples in conflict under another FD can hash
+	// to two shards, so every insert, batch, update and Upsert checks those
+	// FDs against every other shard, holding every shard's writer mutex:
+	// such a layout serializes its writes. Either way an update may not
+	// assign a shard-key column, so no update moves a tuple off its shard.
 	ShardKey []string
 
 	// Shards is the number of partitions (default DefaultShards). More
@@ -92,13 +91,14 @@ func NewSharded(spec *Spec, d *decomp.Decomp, opts ShardOptions) (*ShardedRelati
 		sem:   make(chan struct{}, opts.Workers),
 		cells: make([]cell, opts.Shards),
 	}}
-	shared := newPlanCache()
 	for i := range sr.cells {
 		r, err := New(spec, d)
 		if err != nil {
 			return nil, err
 		}
-		r.plans = shared
+		if i > 0 {
+			r.plans = sr.cells[0].cur.Load().plans
+		}
 		sr.cells[i].init(r)
 	}
 	return sr, nil
@@ -110,9 +110,7 @@ func (sr *ShardedRelation) NumShards() int { return len(sr.cells) }
 // Shard exposes one partition's currently published version for tests and
 // profiling. The handle is an immutable snapshot: the caller must not
 // mutate it, and later writes to the sharded engine publish new versions
-// this handle will never reflect. (Configuration knobs like CheckFDs may
-// still be set through it before the engine is shared — version forks
-// inherit them.)
+// this handle will never reflect.
 //
 //relvet:role=read
 func (sr *ShardedRelation) Shard(i int) *Relation { return sr.cells[i].cur.Load() }
@@ -135,7 +133,7 @@ func (sr *ShardedRelation) Upsert(pat relation.Tuple, f func(cur relation.Tuple,
 		sr.metrics.Upserts.Add(1)
 	}
 	sh := &sr.cells[i]
-	across := sr.checksAcross()
+	across := sr.ro.crosses()
 	if across {
 		defer sr.lockAll()()
 	} else {

@@ -152,16 +152,37 @@ func tup(k1, k2, v int64) relation.Tuple {
 
 // TestShardedCrossShardFDs shards twoKeySpec on the key {k1}, which lies
 // outside the left side of k2 → k1, v: tuples that FD sets in conflict hash
-// to different shards, so with CheckFDs every insert, batch, update and
-// Upsert checks it against the other shards. Six inserts sharing k2 = 3 and
-// two conflict-free updates are accepted or rejected exactly as on the
-// single-cell tier, and both tiers read back the relational oracle. An
-// update and an Upsert that would store a second tuple with k2 = 3 are
-// rejected (the single-cell tier's Update checks no FD against other
-// tuples, so it is not the reference for those two), and so is the shard
-// group of a batch that would.
+// to different shards, so every insert, batch, update and Upsert checks it
+// against the other shards. The single-cell tier is the reference for every
+// op: six inserts sharing k2 = 3, three updates (the last would store a
+// second tuple with k2 = 3) and an Upsert that would too are accepted or
+// rejected exactly as there, and both tiers read back the relational
+// oracle. So is the batch of six tuples sharing k2 = 50, though the two
+// tiers keep different prefixes of it (a sharded batch commits per shard).
 func TestShardedCrossShardFDs(t *testing.T) {
 	spec, d := twoKeySpec()
+	byK1 := func(k1 int64) relation.Tuple { return relation.NewTuple(relation.BindInt("k1", k1)) }
+	k2 := func(k2 int64) relation.Tuple { return relation.NewTuple(relation.BindInt("k2", k2)) }
+
+	// One cell checks an update against its own other tuples: with (0, 3, 0)
+	// and (11, 11, 11) stored, moving k1 = 11 to k2 = 3 would store a second
+	// tuple with k2 = 3.
+	probe, err := core.NewEngine(spec, d, core.ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tu := range []relation.Tuple{tup(0, 3, 0), tup(11, 11, 11)} {
+		if err := probe.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := probe.Update(byK1(11), k2(3)); err == nil {
+		t.Fatalf("one cell accepted an update storing a second tuple with k2 = 3 (n=%d)", n)
+	}
+	if err := probe.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
 	single, err := core.NewEngine(spec, d, core.ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +191,6 @@ func TestShardedCrossShardFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetCheckFDs(single, true)
-	core.SetCheckFDs(sr, true)
 	oracle := relation.Empty(spec.Cols())
 	same := func(op string, want, got error) bool {
 		t.Helper()
@@ -190,22 +209,23 @@ func TestShardedCrossShardFDs(t *testing.T) {
 			_ = oracle.Insert(tup(k1, k1, k1))
 		}
 	}
-	byK1 := func(k1 int64) relation.Tuple { return relation.NewTuple(relation.BindInt("k1", k1)) }
-	k2 := func(k2 int64) relation.Tuple { return relation.NewTuple(relation.BindInt("k2", k2)) }
-	for _, u := range [][2]int64{{12, 42}, {13, 12}} {
-		_, errS := single.Update(byK1(u[0]), k2(u[1]))
-		_, errR := sr.Update(byK1(u[0]), k2(u[1]))
-		if same(fmt.Sprintf("update k1=%d k2:=%d", u[0], u[1]), errS, errR) {
-			oracle.Update(byK1(u[0]), k2(u[1]))
+	for _, u := range []struct {
+		k1, k2 int64
+		ok     bool
+	}{{12, 42, true}, {13, 12, true}, {11, 3, false}} {
+		_, errS := single.Update(byK1(u.k1), k2(u.k2))
+		_, errR := sr.Update(byK1(u.k1), k2(u.k2))
+		if same(fmt.Sprintf("update k1=%d k2:=%d", u.k1, u.k2), errS, errR) != u.ok {
+			t.Fatalf("update k1=%d k2:=%d: accepted %v, want %v", u.k1, u.k2, errS == nil, u.ok)
 		}
-	}
-	if n, err := sr.Update(byK1(11), k2(3)); err == nil {
-		t.Fatalf("an update storing a second tuple with k2 = 3 was accepted (n=%d)", n)
+		if u.ok {
+			oracle.Update(byK1(u.k1), k2(u.k2))
+		}
 	}
 	upsert := func(relation.Tuple, bool) (relation.Tuple, error) {
 		return relation.NewTuple(relation.BindInt("k2", 3), relation.BindInt("v", 7)), nil
 	}
-	if err := sr.Upsert(byK1(20), upsert); err == nil {
+	if same("upsert k1=20", single.Insert(tup(20, 3, 7)), sr.Upsert(byK1(20), upsert)) {
 		t.Fatal("an Upsert storing a second tuple with k2 = 3 was accepted")
 	}
 	want := oracle.All()
@@ -225,11 +245,13 @@ func TestShardedCrossShardFDs(t *testing.T) {
 	for k1 := int64(30); k1 < 36; k1++ {
 		batch = append(batch, tup(k1, 50, k1))
 	}
-	if err := sr.InsertBatch(batch); err == nil {
+	if same("batch sharing k2 = 50", single.InsertBatch(batch), sr.InsertBatch(batch)) {
 		t.Fatal("a batch of six tuples sharing k2 = 50 was accepted")
 	}
-	if err := sr.CheckInvariants(); err != nil {
-		t.Fatalf("after the batch: %v", err)
+	for name, e := range map[string]core.Engine{"single cell": single, "sharded": sr} {
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%s after the batch: %v", name, err)
+		}
 	}
 }
 
@@ -245,7 +267,6 @@ func TestShardedCrossShardFDsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetCheckFDs(sr, true)
 	var wg sync.WaitGroup
 	for g := int64(0); g < 8; g++ {
 		wg.Add(1)
@@ -281,34 +302,36 @@ func TestShardedCrossShardFDsConcurrent(t *testing.T) {
 	}
 }
 
-// TestShardedCrossShardFDsOffTakesOneMutex shards twoKeySpec on {k1} with
-// CheckFDs off: no FD is checked across shards, so a write takes only the
-// writer mutex of the shard it changes. An Upsert holds one shard's mutex
-// while its callback runs an insert, a removal, an update, a batch and an
-// Upsert on another shard; each must finish while the first still holds
-// its mutex.
+// TestShardedCrossShardFDsOffTakesOneMutex shards the scheduler on {ns},
+// which lies inside the left side of its one FD (ns, pid → state, cpu): no
+// FD is checked across shards, so a write takes only the writer mutex of
+// the shard it changes. An Upsert holds one shard's mutex while its
+// callback runs an insert, a removal, an update, a batch and an Upsert on
+// another shard; each must finish while the first still holds its mutex.
 func TestShardedCrossShardFDsOffTakesOneMutex(t *testing.T) {
-	spec, d := twoKeySpec()
-	sr, err := core.NewSharded(spec, d, core.ShardOptions{ShardKey: []string{"k1"}, Shards: 4})
+	spec := schedSpec()
+	sr, err := core.NewSharded(spec, paperex.SchedulerDecomp(), core.ShardOptions{ShardKey: []string{"ns"}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byK1 := func(k1 int64) relation.Tuple { return relation.NewTuple(relation.BindInt("k1", k1)) }
-	shardOf := func(k1 int64) int {
+	key := func(ns int64) relation.Tuple {
+		return relation.NewTuple(relation.BindInt("ns", ns), relation.BindInt("pid", 1))
+	}
+	shardOf := func(ns int64) int {
 		for i := range sr.NumShards() {
-			if rows, err := sr.Shard(i).Query(byK1(k1), []string{"k1"}); err == nil && len(rows) == 1 {
+			if rows, err := sr.Shard(i).Query(key(ns), []string{"ns"}); err == nil && len(rows) == 1 {
 				return i
 			}
 		}
-		t.Fatalf("k1 = %d is on no shard", k1)
+		t.Fatalf("ns = %d is on no shard", ns)
 		return -1
 	}
-	if err := sr.Insert(tup(0, 0, 0)); err != nil {
+	if err := sr.Insert(paperex.SchedulerTuple(0, 1, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	other := int64(1)
 	for ; ; other++ {
-		if err := sr.Insert(tup(other, other, other)); err != nil {
+		if err := sr.Insert(paperex.SchedulerTuple(other, 1, 0, other)); err != nil {
 			t.Fatal(err)
 		}
 		if shardOf(other) != shardOf(0) {
@@ -316,28 +339,28 @@ func TestShardedCrossShardFDsOffTakesOneMutex(t *testing.T) {
 		}
 	}
 	writes := func() error {
-		if _, err := sr.Remove(tup(other, other, other)); err != nil {
+		if _, err := sr.Remove(paperex.SchedulerTuple(other, 1, 0, other)); err != nil {
 			return err
 		}
-		if err := sr.Insert(tup(other, other, other)); err != nil {
+		if err := sr.Insert(paperex.SchedulerTuple(other, 1, 0, other)); err != nil {
 			return err
 		}
-		if _, err := sr.Update(byK1(other), relation.NewTuple(relation.BindInt("v", 9))); err != nil {
+		if _, err := sr.Update(key(other), relation.NewTuple(relation.BindInt("cpu", 9))); err != nil {
 			return err
 		}
-		if err := sr.InsertBatch([]relation.Tuple{tup(other, other, 9)}); err != nil {
+		if err := sr.InsertBatch([]relation.Tuple{paperex.SchedulerTuple(other, 1, 0, 9)}); err != nil {
 			return err
 		}
-		return sr.Upsert(byK1(other), func(relation.Tuple, bool) (relation.Tuple, error) {
-			return relation.NewTuple(relation.BindInt("k2", other), relation.BindInt("v", 10)), nil
+		return sr.Upsert(key(other), func(relation.Tuple, bool) (relation.Tuple, error) {
+			return relation.NewTuple(relation.BindInt("state", 0), relation.BindInt("cpu", 10)), nil
 		})
 	}
 	done := make(chan error, 1)
-	err = sr.Upsert(byK1(0), func(relation.Tuple, bool) (relation.Tuple, error) {
+	err = sr.Upsert(key(0), func(relation.Tuple, bool) (relation.Tuple, error) {
 		go func() { done <- writes() }()
 		select {
 		case err := <-done:
-			return relation.NewTuple(relation.BindInt("k2", 0), relation.BindInt("v", 1)), err
+			return relation.NewTuple(relation.BindInt("state", 0), relation.BindInt("cpu", 1)), err
 		case <-time.After(10 * time.Second):
 			return relation.Tuple{}, fmt.Errorf("writes to shard %d blocked while shard %d's mutex was held", shardOf(other), shardOf(0))
 		}
@@ -345,10 +368,10 @@ func TestShardedCrossShardFDsOffTakesOneMutex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k1, w := range map[int64]relation.Tuple{0: tup(0, 0, 1), other: tup(other, other, 10)} {
-		got, err := sr.Query(byK1(k1), spec.Cols().Names())
+	for ns, w := range map[int64]relation.Tuple{0: paperex.SchedulerTuple(0, 1, 0, 1), other: paperex.SchedulerTuple(other, 1, 0, 10)} {
+		got, err := sr.Query(key(ns), spec.Cols().Names())
 		if err != nil || len(got) != 1 || !got[0].Equal(w) {
-			t.Fatalf("k1 = %d reads %v (%v), want %v", k1, got, err, w)
+			t.Fatalf("ns = %d reads %v (%v), want %v", ns, got, err, w)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func newUnitRootRelation() *Relation {
 		spec:  spec,
 		dcmp:  d,
 		inst:  instance.New(d, spec.FDs),
-		plans: newPlanCache(),
+		plans: newPlanCache(unseenFDs(d, spec.FDs)),
 	}
 	r.planner = plan.NewPlanner(d, spec.FDs, nil)
 	return r

@@ -71,9 +71,6 @@ type Options struct {
 	ShardKey []string
 	Workers  int
 
-	// CheckFDs enables per-mutation FD checking on the underlying engine.
-	CheckFDs bool
-
 	// Metrics, when set, is attached to the engine and receives the WAL
 	// and recovery counters (wal.appends, recovery.replays, ...).
 	Metrics *obs.Metrics
@@ -187,7 +184,6 @@ func Open(dir string, spec *core.Spec, d *decomp.Decomp, opts Options) (*core.Du
 	if err != nil {
 		return nil, err
 	}
-	core.SetCheckFDs(eng, opts.CheckFDs)
 	m, err := readManifest(dir)
 	switch {
 	case errors.Is(err, os.ErrNotExist):

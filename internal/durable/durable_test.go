@@ -86,7 +86,7 @@ func TestOpenCreateReopen(t *testing.T) {
 	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncOff} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			opts := durable.Options{Create: true, Policy: policy, CheckFDs: true}
+			opts := durable.Options{Create: true, Policy: policy}
 			d := open(t, dir, opts)
 			seed(t, d, 30)
 			key := relation.NewTuple(relation.BindInt("ns", 1), relation.BindInt("pid", 5))
@@ -317,7 +317,6 @@ func TestShardedReopen(t *testing.T) {
 		Shards:   4,
 		ShardKey: []string{"ns", "pid"},
 		Workers:  2,
-		CheckFDs: true,
 	}
 	d := open(t, dir, opts)
 	var batch []relation.Tuple
@@ -390,7 +389,7 @@ func TestRecoveryIsOneVersionPerCell(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := durable.Options{Create: true, CheckFDs: true}
+			opts := durable.Options{Create: true}
 			if tc.shards > 0 {
 				opts.Shards, opts.ShardKey = tc.shards, []string{"ns", "pid"}
 			}
@@ -445,7 +444,7 @@ func TestRecoveryIsOneVersionPerCell(t *testing.T) {
 // with the full acknowledged state.
 func TestRecoveryFaultLeavesNoTornState(t *testing.T) {
 	dir := t.TempDir()
-	d := open(t, dir, durable.Options{Create: true, CheckFDs: true})
+	d := open(t, dir, durable.Options{Create: true})
 	seed(t, d, 12)
 	want := state(t, d)
 	if err := d.Close(); err != nil {
@@ -461,7 +460,7 @@ func TestRecoveryFaultLeavesNoTornState(t *testing.T) {
 	faultinject.Sweep(t, p, faultinject.Regime[*recovery]{
 		Fresh: func() *recovery { return new(recovery) },
 		Action: func(r *recovery) (err error) {
-			r.got, err = durable.Open(dir, schedSpec(), paperex.SchedulerDecomp(), durable.Options{CheckFDs: true})
+			r.got, err = durable.Open(dir, schedSpec(), paperex.SchedulerDecomp(), durable.Options{})
 			return err
 		},
 		Require: []string{"recovery.apply"},
@@ -495,7 +494,7 @@ func TestRecoveryFaultLeavesNoTornState(t *testing.T) {
 				t.Fatalf("step %d: armed panic did not propagate out of Open", a.Step)
 			}
 			// A later clean Open still recovers everything.
-			d2 := open(t, dir, durable.Options{CheckFDs: true})
+			d2 := open(t, dir, durable.Options{})
 			defer d2.Close()
 			if got := state(t, d2); !eqStates(got, want) {
 				t.Fatalf("step %d/%v: post-fault recovery diverged: %d tuples, want %d", a.Step, a.Mode, len(got), len(want))

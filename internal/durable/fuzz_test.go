@@ -38,9 +38,8 @@ func FuzzRecovery(f *testing.F) {
 		dir := t.TempDir()
 		spec := schedSpec()
 		d, err := durable.Open(dir, spec, paperex.SchedulerDecomp(), durable.Options{
-			Create:   true,
-			Policy:   wal.SyncAlways,
-			CheckFDs: true,
+			Create: true,
+			Policy: wal.SyncAlways,
 		})
 		if err != nil {
 			t.Fatalf("open: %v", err)
@@ -108,8 +107,7 @@ func FuzzRecovery(f *testing.F) {
 		}
 
 		d2, oerr := durable.Open(dir, spec, paperex.SchedulerDecomp(), durable.Options{
-			Policy:   wal.SyncAlways,
-			CheckFDs: true,
+			Policy: wal.SyncAlways,
 		})
 		if oerr != nil {
 			// Loud refusal is a correct answer to damage — mid-log

@@ -81,9 +81,6 @@ func (c Case) build(t *testing.T) *core.Relation {
 	if err != nil {
 		t.Fatalf("%s: build: %v", c.Name, err)
 	}
-	// The harness feeds arbitrary generated tuples; dynamic FD validation
-	// keeps Lemma 4's precondition (the engine's default trusts the client).
-	r.CheckFDs = true
 	for _, tup := range c.Seed {
 		if err := r.Insert(tup); err != nil {
 			t.Fatalf("%s: seed %v: %v", c.Name, tup, err)
@@ -280,9 +277,6 @@ func Concurrent(t *testing.T, p *faultinject.Plane, workers, ops int) {
 		core.ShardOptions{ShardKey: []string{"ns", "pid"}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < sr.NumShards(); i++ {
-		sr.Shard(i).CheckFDs = true
 	}
 	stop := make(chan struct{})
 	var armWG sync.WaitGroup

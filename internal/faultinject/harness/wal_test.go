@@ -55,10 +55,9 @@ func openWAL(t *testing.T, dir string, c Case, shards int) *core.DurableRelation
 
 func tryOpenWAL(dir string, c Case, shards int) (*core.DurableRelation, error) {
 	opts := durable.Options{
-		Create:   true,
-		Policy:   wal.SyncAlways,
-		CheckFDs: true,
-		Metrics:  &obs.Metrics{},
+		Create:  true,
+		Policy:  wal.SyncAlways,
+		Metrics: &obs.Metrics{},
 	}
 	if shards > 0 {
 		opts.Shards = shards

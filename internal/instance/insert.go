@@ -19,11 +19,15 @@ import (
 // tuple whose plan writes nothing is already represented, so no separate
 // walk looks for it first.
 //
-// The caller is responsible for FD preservation (Lemma 4(a) requires
-// ∆ ⊨ r ∪ {t}); the engine in package core checks it. Insert still detects
-// the violations that would corrupt the instance — a path leading to a node
-// whose unit disagrees with t — and, because detection now happens in the
-// planning pass, rejects them without touching shared nodes.
+// Lemma 4(a) requires ∆ ⊨ r ∪ {t}. The planning pass rejects, without
+// touching shared nodes, every violation the instance's shape can show: a
+// located node whose unit disagrees with t, an entry under t's key pointing
+// at another node than the one t reaches, a new entry into an existing node
+// (t would reach it under a second valuation of its bound columns) and a
+// second key in a container whose key its parent's bound columns determine.
+// An FD those checks cannot see — one no path's keys and no such container
+// imply — is checked by the engine in package core, by query, before it
+// calls Insert.
 func (in *Instance) Insert(t relation.Tuple) (bool, error) {
 	if !t.Dom().Equal(in.dcmp.Cols()) {
 		return false, fmt.Errorf("instance: insert of %v into relation over %v", t, in.dcmp.Cols())
@@ -104,9 +108,13 @@ func (in *Instance) walkInsert(t relation.Tuple) error {
 		}
 	}
 	// Plan the map-edge links, bumping the child's reference count for each
-	// new entry; an existing entry pointing at a different node is an FD
-	// violation, caught here before anything is written. The edges the walk
-	// above already searched answer from the memo.
+	// new entry. Three shapes of link are FD violations, caught here before
+	// anything is written: an existing entry pointing at a different node; a
+	// new entry into an existing node, which already has every in-edge linked
+	// under its bound valuation, so t reaches it under another one; and a
+	// second key in a container whose key the parent's bound columns
+	// determine. The edges the walk above already searched answer from the
+	// memo.
 	for k := range in.linkEdges {
 		le := &in.linkEdges[k]
 		if existing := in.child(k); existing != nil {
@@ -114,6 +122,12 @@ func (in *Instance) walkInsert(t relation.Tuple) error {
 				return fmt.Errorf("instance: insert of %v violates the functional dependencies: edge %s→%s key %v points elsewhere", t, le.e.Parent, le.e.Target, t.Project(le.e.Key))
 			}
 			continue
+		}
+		if !scr.fresh[le.target] {
+			return fmt.Errorf("instance: insert of %v violates the functional dependencies: node %s is reached through edge %s→%s under a second valuation", t, le.e.Target, le.e.Parent, le.e.Target)
+		}
+		if le.single && scr.nodes[le.parent].Map(le.slot).Len() > 0 {
+			return fmt.Errorf("instance: insert of %v violates the functional dependencies: edge %s→%s already holds a key, and %s determines it", t, le.e.Parent, le.e.Target, in.dcmp.Var(le.e.Parent).Bound)
 		}
 		scr.links = append(scr.links, linkWrite{pi: le.parent, slot: le.slot, ci: le.target, key: le.keyPos})
 	}

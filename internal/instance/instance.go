@@ -219,12 +219,15 @@ type lineage struct {
 
 // linkEdge is one map edge resolved against the walk: the walk indices of
 // its parent and target variables, the container's index in the parent node
-// and where the key's columns sit in an encoded tuple.
+// and where the key's columns sit in an encoded tuple. single records that
+// the parent's bound columns determine the key (∆ ⊢ Bound(parent) → Key):
+// while the FDs hold, such a container holds at most one key.
 type linkEdge struct {
 	parent int
 	target int
 	slot   int
 	keyPos []int
+	single bool
 	e      *decomp.MapEdge
 }
 
@@ -463,7 +466,8 @@ func (in *Instance) buildWalk(fullCut map[string]bool) {
 	edgeIdx := make(map[*decomp.MapEdge]int)
 	for k, e := range in.dcmp.Edges() {
 		edgeIdx[e] = k
-		le := linkEdge{parent: idx[e.Parent], target: idx[e.Target], slot: in.edgeSlots[e], keyPos: in.positions(e.Key), e: e}
+		le := linkEdge{parent: idx[e.Parent], target: idx[e.Target], slot: in.edgeSlots[e], keyPos: in.positions(e.Key),
+			single: in.fds.Implies(in.dcmp.Var(e.Parent).Bound, e.Key), e: e}
 		in.linkEdges = append(in.linkEdges, le)
 		if !fullCut[e.Parent] && fullCut[e.Target] {
 			in.rmBreaks = append(in.rmBreaks, le)

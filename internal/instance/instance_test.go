@@ -427,21 +427,58 @@ func TestReinsertAfterRemoveWithoutCleanup(t *testing.T) {
 	checkAgainst(t, in, relation.FromTuples(paperex.SchedulerCols(), tup2))
 }
 
-// TestCheckWFDetectsCorruption: the well-formedness checker must catch
-// real corruption, not just bless valid instances. An FD-violating insert
-// pair whose unit payloads coincide slips past the cheap structural insert
-// checks (the paper's compiled code checks nothing at all) and leaves a
-// shared node reachable under two inconsistent bound valuations — exactly
-// what rule WFLET/AMAP forbids.
-func TestCheckWFDetectsCorruption(t *testing.T) {
+// TestInsertRejectsSecondValuation: an FD-violating insert whose unit
+// payload coincides with the stored tuple's — same (ns, pid) and cpu, a
+// different state — trips no unit or edge conflict. Its walk would link the
+// existing shared node w from a fresh z, reaching w under a second
+// valuation of its bound columns (the corruption rule WFLET/AMAP forbids,
+// which wf_test.go builds by hand). The walk rejects that link, and the
+// instance stays well-formed and unchanged.
+func TestInsertRejectsSecondValuation(t *testing.T) {
 	in := newSched(t)
-	mustInsert(t, in, paperex.SchedulerTuple(0, 1, paperex.StateS, 5))
-	// Same (ns, pid), different state, same cpu: violates ns,pid → state
-	// without tripping any unit or edge conflict.
-	if _, err := in.Insert(paperex.SchedulerTuple(0, 1, paperex.StateR, 5)); err != nil {
-		t.Skipf("insert rejected structurally: %v", err)
+	stored := paperex.SchedulerTuple(0, 1, paperex.StateS, 5)
+	mustInsert(t, in, stored)
+	if _, err := in.Insert(paperex.SchedulerTuple(0, 1, paperex.StateR, 5)); err == nil {
+		t.Fatal("insert reaching w under a second state accepted")
 	}
-	if err := in.CheckWF(); err == nil {
-		t.Errorf("CheckWF blessed a corrupted instance")
+	if err := in.CheckWF(); err != nil {
+		t.Fatal(err)
 	}
+	checkAgainst(t, in, relation.FromTuples(paperex.SchedulerCols(), stored))
+}
+
+// TestInsertRejectsSecondKeyOfDeterminedMap: in a relation with two keys
+// (k1 → k2, v and k2 → k1, v), node z of k2 = 3 maps k1 to the shared w, and
+// Bound(z) = {k2} determines k1, so z holds one key at most. A second tuple
+// with k2 = 3 allocates fresh nodes everywhere else and would add a second
+// key to z; the walk rejects it.
+func TestInsertRejectsSecondKeyOfDeterminedMap(t *testing.T) {
+	cols := relation.NewCols("k1", "k2", "v")
+	fds := fd.NewSet(
+		fd.FD{From: relation.NewCols("k1"), To: relation.NewCols("k2", "v")},
+		fd.FD{From: relation.NewCols("k2"), To: relation.NewCols("k1", "v")},
+	)
+	d := decomp.MustNew([]decomp.Binding{
+		decomp.Let("w", []string{"k1", "k2"}, []string{"v"}, decomp.U("v")),
+		decomp.Let("y", []string{"k1"}, []string{"k2", "v"}, decomp.M(dstruct.HTableKind, "w", "k2")),
+		decomp.Let("z", []string{"k2"}, []string{"k1", "v"}, decomp.M(dstruct.HTableKind, "w", "k1")),
+		decomp.Let("x", nil, []string{"k1", "k2", "v"},
+			decomp.J(decomp.M(dstruct.HTableKind, "y", "k1"), decomp.M(dstruct.HTableKind, "z", "k2"))),
+	}, "x")
+	if err := d.CheckAdequate(cols, fds); err != nil {
+		t.Fatal(err)
+	}
+	in := instance.New(d, fds)
+	tup := func(k1, k2, v int64) relation.Tuple {
+		return relation.NewTuple(relation.BindInt("k1", k1), relation.BindInt("k2", k2), relation.BindInt("v", v))
+	}
+	mustInsert(t, in, tup(0, 3, 0))
+	if _, err := in.Insert(tup(1, 3, 1)); err == nil {
+		t.Fatal("a second tuple with k2 = 3 accepted")
+	}
+	if err := in.CheckWF(); err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, in, tup(1, 4, 1))
+	checkAgainst(t, in, relation.FromTuples(cols, tup(0, 3, 0), tup(1, 4, 1)))
 }

@@ -36,11 +36,11 @@ func schedSpec() *core.Spec {
 // is the sync tier.
 func openPrimary(t *testing.T, shards int) *core.DurableRelation {
 	t.Helper()
-	// CheckFDs keeps randomized writers honest: the paper's adequacy
-	// argument (and therefore exact-delta replay on a replica) only holds
-	// for relations that satisfy their FDs, so the primary must reject a
-	// violating insert rather than ship a delta for undefined state.
-	opts := durable.Options{Create: true, Policy: wal.SyncOff, CheckFDs: true}
+	// The paper's adequacy argument (and therefore exact-delta replay on a
+	// replica) only holds for relations that satisfy their FDs: the primary
+	// rejects a randomized writer's violating insert rather than ship a
+	// delta for undefined state.
+	opts := durable.Options{Create: true, Policy: wal.SyncOff}
 	if shards > 0 {
 		opts.Shards = shards
 		opts.ShardKey = []string{"ns", "pid"}

@@ -39,21 +39,21 @@ func fork(b *box) *core.Relation {
 // SetMetrics/SetTracer contract).
 //
 //relvet:role=config
-func configure(r *core.Relation) { r.CheckFDs = true }
+func configure(r *core.Relation) { *r = core.Relation{} }
 
 // poke mutates its argument; passing published state here is the bug.
-func poke(r *core.Relation) { r.CheckFDs = false }
+func poke(r *core.Relation) { *r = core.Relation{} }
 
 // bump mutates transitively, through poke.
 func bump(r *core.Relation) { poke(r) }
 
 func trigger(b *box) {
-	b.cur.Load().CheckFDs = true // want relvet201
+	*b.cur.Load() = core.Relation{} // want relvet201
 }
 
 func triggerVar(b *box) {
 	r := b.cur.Load()
-	r.CheckFDs = true // want relvet201
+	*r = core.Relation{} // want relvet201
 }
 
 func triggerInterproc(b *box) {
@@ -66,11 +66,11 @@ func triggerChain(b *box) {
 }
 
 func triggerTwoLevel(b *box) {
-	relOf(b).CheckFDs = true // want relvet201
+	*relOf(b) = core.Relation{} // want relvet201
 }
 
 func triggerAlias(b *box) {
-	ref(view(b)).CheckFDs = true // want relvet201
+	*ref(view(b)) = core.Relation{} // want relvet201
 }
 
 // load returns the published version and a status, the engine's cell.load
@@ -84,7 +84,8 @@ func explain(b *box) (*core.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &core.Relation{CheckFDs: r.CheckFDs}, nil
+	c := *r
+	return &c, nil
 }
 
 func triggerTuple(b *box) {
@@ -92,7 +93,7 @@ func triggerTuple(b *box) {
 	if err != nil {
 		return
 	}
-	r.CheckFDs = true // want relvet201
+	*r = core.Relation{} // want relvet201
 }
 
 func nearMissTupleErr(b *box) {
@@ -100,12 +101,12 @@ func nearMissTupleErr(b *box) {
 	if err != nil {
 		return
 	}
-	r.CheckFDs = true // explain's own relation, never published
+	*r = core.Relation{} // explain's own relation, never published
 }
 
 func nearMissFork(b *box) {
 	f := fork(b) // a fork-role result is unpublished until installed
-	f.CheckFDs = true
+	*f = core.Relation{}
 	install(b, f)
 }
 
@@ -115,7 +116,8 @@ func nearMissConfig(b *box) {
 
 func nearMissLocal() {
 	var r core.Relation
-	r.CheckFDs = true // a fresh local value was never published
+	p := &r
+	*p = core.Relation{} // a fresh local value was never published
 }
 
 func nearMissRead(b *box) int {
