@@ -107,7 +107,9 @@ faultinject:
 # finds land in the build cache, promote keepers into
 # internal/durable/testdata/fuzz/FuzzRecovery. fuzz-smoke does the same
 # for FuzzCommitPayload, the replication commit payload's decode ∘ encode
-# = id and its refusal of cut or damaged payloads.
+# = id and its refusal of cut or damaged payloads, and for FuzzLogRecord,
+# the same two properties on log records read through the Scanner's reused
+# view, each view equal to ReadLog's owned copy.
 fuzz:
 	$(GO) test -count 1 -run '^FuzzRecovery$$' -fuzz 'FuzzRecovery' -fuzztime 60s ./internal/durable
 
@@ -116,6 +118,8 @@ fuzz-smoke:
 	$(GO) test -count 1 -run '^FuzzRecovery$$' -fuzz 'FuzzRecovery' -fuzztime 5s ./internal/durable
 	$(GO) test -count 1 -run '^FuzzCommitPayload$$' ./internal/wal
 	$(GO) test -count 1 -run '^FuzzCommitPayload$$' -fuzz 'FuzzCommitPayload' -fuzztime 5s ./internal/wal
+	$(GO) test -count 1 -run '^FuzzLogRecord$$' ./internal/wal
+	$(GO) test -count 1 -run '^FuzzLogRecord$$' -fuzz 'FuzzLogRecord' -fuzztime 5s ./internal/wal
 
 vet:
 	$(GO) vet ./...
@@ -155,12 +159,16 @@ bench:
 # recovery path's quick local loop — run it at -benchtime 10x or more to
 # read replays/s, B/op and allocs/op off it — and one update through a
 # logged cell (BenchmarkDurableCommit), the commit path's: run it at
-# -benchtime 100000x to read ns/op, B/op and allocs/op per commit.
+# -benchtime 100000x to read ns/op, B/op and allocs/op per commit. The
+# replication leg is one catch-up of 1,000 flows records by a severed
+# in-process follower (BenchmarkFollowerCatchUp): run it at the default
+# benchtime to read records/s, B/op and allocs/op per catch-up.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '(Scan|Enumerate|Join|Collect)(Interpreted|Compiled|Vectorized)$$|Range(Interpreted|Vectorized)$$|CollectDupVectorized$$' -benchmem -benchtime 10x ./internal/plan
 	$(GO) test -run '^$$' -bench 'MVCC' -benchtime 10x .
 	$(GO) test -run '^$$' -bench 'FirstWriteAfterClone|ListSmall|ListFindWords(64|512)|HTableGetWord' -benchmem -benchtime 10x ./internal/dstruct
 	$(GO) test -run '^$$' -bench 'OpenReplay|DurableCommit' -benchmem -benchtime 1x ./internal/durable
+	$(GO) test -run '^$$' -bench 'FollowerCatchUp' -benchmem -benchtime 1x ./internal/repl
 
 # The repo's benchmark (bench/, BENCHMARK.json) is a nested module that
 # root `go build/vet/test ./...` does not see, so an engine API change can

@@ -260,7 +260,10 @@ func (c *cell) insertBatchHeld(ts []relation.Tuple) error {
 // taking a slice, lets the caller's kill-point fire before each record and
 // keeps the records from being materialized or pinned as a batch: recovery
 // pulls them from a wal.Scanner, which decodes each log record only when it
-// is asked for it, and a follower from its connection.
+// is asked for it, and a follower from its connection. A record is a view
+// valid until the next call; clone to keep (wal.Commit.Clone): both
+// decoders hand out every record in one reused buffer, so an applier
+// replays a record before it pulls the next.
 type CommitSource func() (c wal.Commit, ok bool, err error)
 
 // oneCommit is the source of the single record c.
@@ -321,6 +324,9 @@ func (c *cell) apply(src CommitSource) (int, error) {
 		// The version is complete: src is dry, something failed, or the cell
 		// is logged and d is the whole of it.
 		if next != nil {
+			if err == nil && c.sink != nil {
+				d = d.Clone() // the sink may keep the delta; d is src's view
+			}
 			if err = c.commit(next, changed, d, err); err == nil {
 				published += staged
 			}

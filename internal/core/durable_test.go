@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -198,6 +199,45 @@ func TestDurableSyncLogsDeltas(t *testing.T) {
 // applied record on both tiers — so when a later record of the batch does
 // not replay, every record on the log is one whose version published, and
 // recovery lands on exactly the prefix the applier reported.
+// TestDurableApplySinkKeepsCopies: a replayed record is a view its source
+// overwrites on the next pull, but a commit sink may keep what it is
+// handed. A logged relation that applies records from a decoder's reused
+// buffer must hand its sink copies: every delta the sink kept still reads
+// as the record it was.
+func TestDurableApplySinkKeepsCopies(t *testing.T) {
+	batch := []wal.Commit{
+		{Inserted: []relation.Tuple{paperex.SchedulerTuple(1, 1, paperex.StateS, 7)}},
+		{Inserted: []relation.Tuple{paperex.SchedulerTuple(1, 2, paperex.StateR, 4)}},
+		{Removed: []relation.Tuple{paperex.SchedulerTuple(1, 1, paperex.StateS, 7)},
+			Inserted: []relation.Tuple{paperex.SchedulerTuple(1, 1, paperex.StateS, 9)}},
+	}
+	d := newDurableSync(t, t.TempDir(), wal.SyncOff)
+	defer d.Close()
+	var kept []wal.Commit
+	if err := d.SetCommitSink(func(c wal.Commit) { kept = append(kept, c) }); err != nil {
+		t.Fatal(err)
+	}
+	dec := wal.NewPayloadDecoder(d.Spec().Cols().Names())
+	next := 0
+	n, err := d.ApplyCommits(func() (wal.Commit, bool, error) {
+		if next == len(batch) {
+			return wal.Commit{}, false, nil
+		}
+		next++
+		c, err := dec.Read(wal.AppendCommitPayload(nil, batch[next-1]))
+		return c, err == nil, err
+	})
+	if err != nil || n != len(batch) || len(kept) != len(batch) {
+		t.Fatalf("ApplyCommits = %d, %v; the sink kept %d deltas, want %d", n, err, len(kept), len(batch))
+	}
+	for i, c := range kept {
+		w := batch[i]
+		if !slices.EqualFunc(c.Removed, w.Removed, relation.Tuple.Equal) || !slices.EqualFunc(c.Inserted, w.Inserted, relation.Tuple.Equal) {
+			t.Fatalf("the sink's delta %d reads %+v, want %+v", i, c, w)
+		}
+	}
+}
+
 func TestDurableApplyCommitsLogsPerRecord(t *testing.T) {
 	t1 := paperex.SchedulerTuple(1, 1, paperex.StateS, 7)
 	t2 := paperex.SchedulerTuple(1, 2, paperex.StateR, 4)

@@ -45,7 +45,10 @@ type Engine interface {
 	// ApplyCommits replays the logical deltas src hands over — tuples that
 	// need not be partitioned for this engine's layout — strictly: every
 	// removed tuple must be stored and every inserted tuple must be new. A
-	// checkpoint or bootstrap chunk is the delta {Inserted: tuples}.
+	// checkpoint or bootstrap chunk is the delta {Inserted: tuples}. A
+	// record may be a view valid until src's next call (CommitSource): the
+	// engine replays it before pulling the next, and a commit sink is
+	// handed a clone.
 	//
 	// Records are pulled one at a time and consecutive records that route
 	// whole to the same cell share one fork and one publish, so a reader
@@ -440,7 +443,8 @@ func (e *engine) InsertBatch(ts []relation.Tuple) error {
 // the record that ends a run is pulled while the run's fork is still open
 // and held over to start the next one. A record that splits across shards
 // (a follower whose layout differs from the publisher's) is applied on its
-// own, each shard's piece as its own atomic version.
+// own, each shard's piece as its own atomic version; the pieces of every
+// split record of one call are built in one scratch.
 func (e *engine) ApplyCommits(src CommitSource) (int, error) {
 	if e.ro == nil {
 		return e.cells[0].apply(src)
@@ -451,9 +455,10 @@ func (e *engine) ApplyCommits(src CommitSource) (int, error) {
 	}
 	var (
 		published int
-		rec       wal.Commit // the record pulled last
-		at        int        // the shard rec routes whole to; -1 when it splits
-		held      bool       // rec ended a run it does not belong to: it starts the next
+		rec       wal.Commit   // the record pulled last
+		at        int          // the shard rec routes whole to; -1 when it splits
+		held      bool         // rec ended a run it does not belong to: it starts the next
+		pieces    []wal.Commit // applySplit's per-cell scratch, reused from split to split
 	)
 	pull := func() (ok bool, err error) {
 		if rec, ok, err = src(); err != nil || !ok {
@@ -470,7 +475,10 @@ func (e *engine) ApplyCommits(src CommitSource) (int, error) {
 		}
 		held = false
 		if at < 0 {
-			if err := e.applySplit(rec); err != nil {
+			if pieces == nil {
+				pieces = make([]wal.Commit, len(e.cells))
+			}
+			if err := e.applySplit(rec, pieces); err != nil {
 				return published, err
 			}
 			published++
@@ -523,38 +531,30 @@ func (e *engine) routeWhole(c wal.Commit) (int, error) {
 }
 
 // applySplit replays a delta that spans shards: each shard's piece is its
-// own atomic version, applied in shard order.
-func (e *engine) applySplit(c wal.Commit) error {
-	pieces := make(map[int]*wal.Commit)
-	at := func(t relation.Tuple) (*wal.Commit, error) {
-		i, err := e.ro.mustRoute(t)
-		if err != nil {
-			return nil, err
-		}
-		p := pieces[i]
-		if p == nil {
-			p = &wal.Commit{Seq: c.Seq}
-			pieces[i] = p
-		}
-		return p, nil
+// own atomic version, applied in shard order. The pieces are built in
+// pieces, one commit per cell, which the caller reuses from one split
+// record to the next.
+func (e *engine) applySplit(c wal.Commit, pieces []wal.Commit) error {
+	for i := range pieces {
+		pieces[i] = wal.Commit{Seq: c.Seq, Removed: pieces[i].Removed[:0], Inserted: pieces[i].Inserted[:0]}
 	}
 	for _, t := range c.Removed {
-		p, err := at(t)
+		i, err := e.ro.mustRoute(t)
 		if err != nil {
 			return err
 		}
-		p.Removed = append(p.Removed, t)
+		pieces[i].Removed = append(pieces[i].Removed, t)
 	}
 	for _, t := range c.Inserted {
-		p, err := at(t)
+		i, err := e.ro.mustRoute(t)
 		if err != nil {
 			return err
 		}
-		p.Inserted = append(p.Inserted, t)
+		pieces[i].Inserted = append(pieces[i].Inserted, t)
 	}
-	for i := range e.cells {
-		if p := pieces[i]; p != nil {
-			if err := e.cells[i].applyOne(*p); err != nil {
+	for i, p := range pieces {
+		if len(p.Removed)+len(p.Inserted) > 0 {
+			if err := e.cells[i].applyOne(p); err != nil {
 				return err
 			}
 		}

@@ -52,11 +52,13 @@ type Spec struct {
 
 	colsOnce sync.Once
 	colsVal  relation.Cols
+	kinds    []value.Kind // the value kind of each column of colsVal, in its order
 }
 
 // Cols returns the column set of the specification. The set is computed once
 // and cached: Cols sits on every operation's validation path, and Columns is
-// fixed after construction.
+// fixed after construction. Beside it goes each column's value kind, in the
+// set's order, so a full tuple is type-checked by position.
 //
 //relvet:role=cachefill
 func (s *Spec) Cols() relation.Cols {
@@ -66,6 +68,12 @@ func (s *Spec) Cols() relation.Cols {
 			names[i] = c.Name
 		}
 		s.colsVal = relation.NewCols(names...)
+		s.kinds = make([]value.Kind, s.colsVal.Len())
+		for i, name := range s.colsVal.Names() {
+			if t, _ := s.Type(name); t == StringCol {
+				s.kinds[i] = value.String
+			}
+		}
 	})
 	return s.colsVal
 }
@@ -122,22 +130,29 @@ func (s *Spec) Validate() error {
 // CheckTuple verifies that every column bound by t is declared with a
 // matching type. If full is set, t must bind exactly the relation's
 // columns.
+//
+// Both t's columns and the relation's are sorted, so the check is one merge
+// of the two: a full tuple is one Dom comparison and then each value's kind
+// against the kind of the column at its position.
 func (s *Spec) CheckTuple(t relation.Tuple, full bool) error {
-	if full && !t.Dom().Equal(s.Cols()) {
-		return fmt.Errorf("core: tuple %v does not cover the columns %v of relation %q", t, s.Cols(), s.Name)
+	cols := s.Cols()
+	if full && !t.Dom().Equal(cols) {
+		return fmt.Errorf("core: tuple %v does not cover the columns %v of relation %q", t, cols, s.Name)
 	}
+	names, j := cols.Names(), 0
 	for i, col := range t.Dom().Names() {
-		ct, ok := s.Type(col)
-		if !ok {
-			return fmt.Errorf("core: relation %q has no column %q", s.Name, col)
+		if !full {
+			for j < len(names) && names[j] < col {
+				j++
+			}
+			if j == len(names) || names[j] != col {
+				return fmt.Errorf("core: relation %q has no column %q", s.Name, col)
+			}
 		}
-		v := t.ValueAt(i)
-		switch {
-		case ct == IntCol && v.Kind() != value.Int:
-			return fmt.Errorf("core: column %q of relation %q is int, got %v", col, s.Name, v)
-		case ct == StringCol && v.Kind() != value.String:
-			return fmt.Errorf("core: column %q of relation %q is string, got %v", col, s.Name, v)
+		if v := t.ValueAt(i); v.Kind() != s.kinds[j] {
+			return fmt.Errorf("core: column %q of relation %q is %v, got %v", col, s.Name, s.kinds[j], v)
 		}
+		j++
 	}
 	return nil
 }

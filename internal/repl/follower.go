@@ -236,13 +236,9 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 	if err := fr.writeFrame(appendHello(nil, h)); err != nil {
 		return err
 	}
-	dec := wal.NewStreamDecoder() // snapshot chunks; commit frames are self-contained
-
-	// Snapshot bootstrap state: the pending engine fills chunk by chunk,
-	// invisible to readers until snapEnd publishes it with one pointer
-	// swap. A session death mid-snapshot just discards it.
-	var pending core.Engine
-	var pendingSeq uint64
+	// A commit frame is self-contained: one decoder serves the session,
+	// handing out every record in its one reused buffer.
+	pd := wal.NewPayloadDecoder(f.sorted)
 
 	for {
 		payload, err := fr.readFrame()
@@ -261,54 +257,15 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 			if err != nil {
 				return err
 			}
-			if pending, err = f.newEngine(); err != nil {
-				return err
-			}
-			pendingSeq = seq
-
-		case msgSnapChunk:
-			if pending == nil {
-				return fmt.Errorf("%w: snapshot chunk outside a snapshot", ErrBadFrame)
-			}
-			ts, err := dec.ReadChunk(payload[1:])
-			if err != nil {
-				return err
-			}
-			if err := pending.ApplyCommit(wal.Commit{Seq: pendingSeq, Inserted: ts}); err != nil {
+			if err := f.bootstrap(fr, seq); err != nil {
 				return err
 			}
 
-		case msgSnapEnd:
-			if pending == nil {
-				return fmt.Errorf("%w: snapshot end outside a snapshot", ErrBadFrame)
-			}
-			// The apply kill-point sits before the publish: a fault here
-			// models a follower that died with the bootstrap staged but
-			// not visible, so readers keep the old prefix and the next
-			// session bootstraps again.
-			if f.fi != nil {
-				if err := f.fi.Point("repl.apply", true); err != nil {
-					return err
-				}
-			}
-			f.setEngine(pending)
-			// Counted before Applied() moves, like a batch of records: a
-			// caller WaitFor released must already see the bootstrap.
-			if f.met != nil {
-				f.met.ReplSnapshots.Add(1)
-			}
-			f.advance(pendingSeq)
-			f.bumpHead(pendingSeq)
-			pending = nil
-			if f.met != nil {
-				f.met.ReplLag.Store(f.Lag())
-			}
+		case msgSnapChunk, msgSnapEnd:
+			return fmt.Errorf("%w: snapshot frame 0x%02x outside a snapshot", ErrBadFrame, payload[0])
 
 		case msgCommit:
-			if pending != nil {
-				return fmt.Errorf("%w: commit during a snapshot", ErrBadFrame)
-			}
-			if err := f.applyCommits(fr, payload); err != nil {
+			if err := f.applyCommits(fr, pd, payload); err != nil {
 				return err
 			}
 
@@ -316,6 +273,72 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 			return fmt.Errorf("%w: unknown message type 0x%02x", ErrBadFrame, payload[0])
 		}
 	}
+}
+
+// bootstrap loads the snapshot a snapBegin frame announced at sequence seq
+// into a fresh engine, invisible to readers until the snapshot's end
+// publishes it with one pointer swap; a session death mid-snapshot just
+// discards it. The chunk frames up to snapEnd are one batch through the
+// engine's applier, each chunk the delta {Inserted: chunk} and each the
+// view of one stream decoder (the publisher encodes every snapshot with a
+// fresh one): a bootstrap decodes every chunk into one buffer, a sharded
+// replica splits them in one scratch, and neither outlives the snapshot. A
+// snapshot that stops arriving — a dropped link, a bad frame — is not a
+// failed apply: the source ends the batch there and bootstrap reports why,
+// discarding the engine, so only a chunk that does not replay strictly
+// counts as a dropped fork.
+func (f *Follower) bootstrap(fr *framer, seq uint64) error {
+	pending, err := f.newEngine()
+	if err != nil {
+		return err
+	}
+	dec := wal.NewStreamDecoder()
+	var cut error // why the snapshot stopped arriving
+	_, err = pending.ApplyCommits(func() (wal.Commit, bool, error) {
+		payload, err := fr.readFrame()
+		switch {
+		case err != nil:
+			cut = err
+		case len(payload) == 0:
+			cut = fmt.Errorf("%w: empty payload", ErrBadFrame)
+		case payload[0] == msgSnapEnd:
+		case payload[0] == msgError:
+			cut = fmt.Errorf("repl: publisher ended session: %s", parseErrorMsg(payload))
+		case payload[0] != msgSnapChunk:
+			cut = fmt.Errorf("%w: message type 0x%02x during a snapshot", ErrBadFrame, payload[0])
+		default:
+			ts, err := dec.ReadChunk(payload[1:])
+			cut = err
+			return wal.Commit{Seq: seq, Inserted: ts}, err == nil, nil
+		}
+		return wal.Commit{}, false, nil
+	})
+	if err == nil {
+		err = cut
+	}
+	if err != nil {
+		return err
+	}
+	// The apply kill-point sits before the publish: a fault here models a
+	// follower that died with the bootstrap staged but not visible, so
+	// readers keep the old prefix and the next session bootstraps again.
+	if f.fi != nil {
+		if err := f.fi.Point("repl.apply", true); err != nil {
+			return err
+		}
+	}
+	f.setEngine(pending)
+	// Counted before Applied() moves, like a batch of records: a caller
+	// WaitFor released must already see the bootstrap.
+	if f.met != nil {
+		f.met.ReplSnapshots.Add(1)
+	}
+	f.advance(seq)
+	f.bumpHead(seq)
+	if f.met != nil {
+		f.met.ReplLag.Store(f.Lag())
+	}
+	return nil
 }
 
 // applyCommits applies the commit frame in payload and every complete commit
@@ -326,8 +349,9 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 // repl.recv and repl.apply kill-points before it is handed over; a fault at
 // any of them — an injected panic included, contained here so the applier
 // can report — drops the unpublished records, and Applied advances over
-// exactly the ones the applier published.
-func (f *Follower) applyCommits(fr *framer, payload []byte) error {
+// exactly the ones the applier published. Each record the source hands
+// over is pd's view, valid until the applier pulls the next.
+func (f *Follower) applyCommits(fr *framer, pd *wal.PayloadDecoder, payload []byte) error {
 	applied := f.applied.Load()
 	pulled, head := uint64(0), uint64(0)
 	src := func() (c wal.Commit, ok bool, err error) {
@@ -352,7 +376,7 @@ func (f *Follower) applyCommits(fr *framer, payload []byte) error {
 		if seq != applied+pulled+1 {
 			return c, false, fmt.Errorf("repl: sequence gap: applied %d, publisher sent %d", applied+pulled, seq)
 		}
-		if c, err = wal.ReadCommitPayload(rest, f.sorted); err != nil {
+		if c, err = pd.Read(rest); err != nil {
 			return c, false, err
 		}
 		c.Seq = seq

@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -51,11 +52,34 @@ func appendPositional(b []byte, ts []relation.Tuple) []byte {
 	return b
 }
 
-// ReadCommitPayload decodes a payload AppendCommitPayload wrote for a
-// relation whose sorted column names are cols. The tuples alias cols,
-// which the caller must leave unmodified, and share one values slab. The
-// returned commit's Seq is zero. Failures wrap ErrCorrupt.
-func ReadCommitPayload(payload []byte, cols []string) (Commit, error) {
+// A PayloadDecoder decodes the commit payloads AppendCommitPayload wrote
+// for one relation. The commit Read returns is a view: its tuples and
+// values live in storage the decoder reuses, so it is valid until the next
+// Read; clone it (Commit.Clone) to keep it. A decoder lives as long as a
+// replication session, so it keeps storage for records of up to
+// keepValues values only: a larger record is decoded into storage the
+// decoder then forgets, and it is garbage once the caller lets go of it.
+// Not safe for concurrent use.
+type PayloadDecoder struct {
+	cols []string
+	view
+}
+
+// keepValues bounds the values slab a PayloadDecoder keeps between reads
+// (24 KiB, and the tuple slice beside it): a commit of a few tuples reuses
+// it, and a batch insert of thousands, which would pin its slab for the
+// rest of the session, does not.
+const keepValues = 1 << 10
+
+// NewPayloadDecoder returns a decoder for a relation whose sorted column
+// names are cols. Every decoded tuple aliases cols, which the caller must
+// leave unmodified.
+func NewPayloadDecoder(cols []string) *PayloadDecoder { return &PayloadDecoder{cols: cols} }
+
+// Read decodes one payload into the decoder's view: a view valid until the
+// next call; clone to keep. The commit's Seq is zero. Failures wrap
+// ErrCorrupt.
+func (d *PayloadDecoder) Read(payload []byte) (Commit, error) {
 	r := &byteReader{b: payload}
 	nr, err := r.uvarint()
 	if err != nil {
@@ -67,26 +91,37 @@ func ReadCommitPayload(payload []byte, cols []string) (Commit, error) {
 	}
 	// A value takes at least two bytes (tag, one-byte value), so the
 	// counts are bounded by what is left before anything is allocated.
-	w := uint64(len(cols))
+	w := uint64(len(d.cols))
 	left := uint64(len(r.b) - r.off)
 	if nr > left || ni > left || (nr+ni)*2*w > left {
 		return Commit{}, fmt.Errorf("%w: %d+%d tuples of %d columns run past payload end", ErrCorrupt, nr, ni, w)
 	}
-	ts := make([]relation.Tuple, nr+ni)
-	vals := make([]value.Value, (nr+ni)*w)
-	for k := range ts {
-		tv := vals[uint64(k)*w : uint64(k+1)*w : uint64(k+1)*w]
+	d.reset()
+	d.ts = slices.Grow(d.ts, int(nr+ni))
+	for k := nr + ni; k > 0; k-- {
+		tv := d.carve(w, k*w)
 		for i := range tv {
 			if tv[i], err = r.value(); err != nil {
 				return Commit{}, err
 			}
 		}
-		ts[k] = relation.SortedTuple(cols, tv)
+		d.ts = append(d.ts, relation.SortedTuple(d.cols, tv))
 	}
 	if r.off != len(payload) {
 		return Commit{}, fmt.Errorf("%w: %d trailing bytes in commit payload", ErrCorrupt, len(payload)-r.off)
 	}
-	return Commit{Removed: ts[:nr:nr], Inserted: ts[nr:]}, nil
+	c := d.record(int(nr))
+	if cap(d.vals) > keepValues {
+		d.view = view{}
+	}
+	return c, nil
+}
+
+// ReadCommitPayload decodes one payload for a relation whose sorted column
+// names are cols into storage of its own: a fresh decoder's Read, whose
+// commit the caller may keep.
+func ReadCommitPayload(payload []byte, cols []string) (Commit, error) {
+	return NewPayloadDecoder(cols).Read(payload)
 }
 
 // value decodes one tagged value with its string inline.

@@ -168,7 +168,8 @@ func (e *encoder) appendDict(b []byte) []byte {
 
 // decoder mirrors the encoder: it accumulates the dictionary as records
 // define entries, and its final state seeds the encoder when the file is
-// reopened for append.
+// reopened for append. The records it decodes are views into its own
+// storage (see view).
 type decoder struct {
 	dict []string
 
@@ -178,6 +179,95 @@ type decoder struct {
 	// slice is frozen from the moment the first tuple aliases it.
 	colIDs []uint64
 	cols   []string
+
+	view
+}
+
+// A view is the storage a decoder hands its records out in: one tuple
+// slice and one values slab, both overwritten by the decoder's next call.
+// A record is therefore valid until that call, and a caller that keeps one
+// copies it (Commit.Clone, or a copier for many). Column names are never
+// overwritten: a tuple's names stay frozen, so a copy shares them.
+type view struct {
+	ts   []relation.Tuple
+	vals []value.Value
+}
+
+// reset starts the next record at the front of the view's storage.
+func (v *view) reset() { v.ts, v.vals = v.ts[:0], v.vals[:0] }
+
+// carve returns n values of the slab, full-capacity-capped. A slab without
+// room is replaced by one with room for want values (at least n) or twice
+// the old one, whichever is more; the tuples already carved keep the old
+// slab alive until the view is reset, and the next record starts on the
+// new one.
+func (v *view) carve(n, want uint64) []value.Value {
+	s := v.vals
+	if uint64(cap(s)-len(s)) < n {
+		s = make([]value.Value, 0, max(want, n, 2*uint64(cap(s))))
+	}
+	v.vals = s[:len(s)+int(n)]
+	return s[len(s) : len(s)+int(n) : len(s)+int(n)]
+}
+
+// record returns the view's tuples as a commit whose first nr tuples are
+// the removed ones.
+func (v *view) record(nr int) Commit {
+	return Commit{Removed: v.ts[:nr:nr], Inserted: v.ts[nr:len(v.ts):len(v.ts)]}
+}
+
+// Clone returns a copy of c that owns its tuples and values — one
+// allocation for each — so it outlives the decoder call that returned c.
+func (c Commit) Clone() Commit {
+	var p copier
+	return p.commit(c)
+}
+
+// A copier copies records and tuples out of a decoder's view, carving the
+// copies from blocks it allocates at least block elements at a time, so a
+// reader that keeps every record (ReadLog) pays an allocation per block,
+// not two per record. Column names are shared, not copied: they are frozen.
+type copier struct {
+	block int
+	ts    []relation.Tuple
+	vals  []value.Value
+}
+
+// commit copies c, its tuples contiguous in the copier's tuple block.
+func (p *copier) commit(c Commit) Commit {
+	n := len(c.Removed) + len(c.Inserted)
+	if cap(p.ts)-len(p.ts) < n {
+		p.ts = make([]relation.Tuple, 0, max(n, p.block))
+	}
+	start := len(p.ts)
+	p.ts = p.appendTuples(p.ts, c.Removed, c.Inserted)
+	ts := p.ts[start:len(p.ts):len(p.ts)]
+	nr := len(c.Removed)
+	return Commit{Seq: c.Seq, Removed: ts[:nr:nr], Inserted: ts[nr:]}
+}
+
+// appendTuples appends copies of the tuples of lists to dst, their values
+// contiguous in the copier's values block.
+func (p *copier) appendTuples(dst []relation.Tuple, lists ...[]relation.Tuple) []relation.Tuple {
+	w := 0
+	for _, ts := range lists {
+		for _, t := range ts {
+			w += t.Len()
+		}
+	}
+	if cap(p.vals)-len(p.vals) < w {
+		p.vals = make([]value.Value, 0, max(w, p.block))
+	}
+	for _, ts := range lists {
+		for _, t := range ts {
+			k := len(p.vals)
+			for i := range t.Len() {
+				p.vals = append(p.vals, t.ValueAt(i))
+			}
+			dst = append(dst, relation.SortedTuple(t.Dom().Names(), p.vals[k:len(p.vals):len(p.vals)]))
+		}
+	}
+	return dst
 }
 
 type byteReader struct {
@@ -238,19 +328,19 @@ func (d *decoder) lookup(id uint64) (string, error) {
 	return d.dict[id], nil
 }
 
-// readTuple decodes one tuple, its values carved from *slab; rest is how
-// many tuples of the list are left, this one included, so that an empty
-// slab is refilled with room for all of them at this tuple's width.
-func (d *decoder) readTuple(r *byteReader, slab *[]value.Value, rest uint64) (relation.Tuple, error) {
+// readTuple decodes one tuple onto the view; rest is how many tuples of
+// the list are left, this one included, so that a full slab is replaced
+// with room for all of them at this tuple's width.
+func (d *decoder) readTuple(r *byteReader, rest uint64) error {
 	n, err := r.uvarint()
 	if err != nil {
-		return relation.Tuple{}, err
+		return err
 	}
 	// Every value takes at least three bytes (column id, tag, value), which
 	// bounds both this tuple and the values still to come.
 	left := uint64(len(r.b)-r.off) / 3
 	if n > left {
-		return relation.Tuple{}, fmt.Errorf("%w: tuple of %d columns runs past payload end", ErrCorrupt, n)
+		return fmt.Errorf("%w: tuple of %d columns runs past payload end", ErrCorrupt, n)
 	}
 	// cols and ids alias the remembered column set until an id departs from
 	// it; from there on they are this tuple's own, and become the set the
@@ -260,16 +350,11 @@ func (d *decoder) readTuple(r *byteReader, slab *[]value.Value, rest uint64) (re
 	if !shared {
 		cols, ids = make([]string, n), make([]uint64, n)
 	}
-	s := *slab
-	if uint64(cap(s)-len(s)) < n {
-		s = make([]value.Value, 0, min(n*rest, left))
-	}
-	vals := s[len(s) : len(s)+int(n) : len(s)+int(n)]
-	*slab = s[:len(s)+int(n)]
+	vals := d.carve(n, min(n*rest, left))
 	for i := uint64(0); i < n; i++ {
 		id, err := r.uvarint()
 		if err != nil {
-			return relation.Tuple{}, err
+			return err
 		}
 		if shared && id != ids[i] {
 			// Keep the prefix that did match, own the rest.
@@ -280,66 +365,63 @@ func (d *decoder) readTuple(r *byteReader, slab *[]value.Value, rest uint64) (re
 		if !shared {
 			ids[i] = id
 			if cols[i], err = d.lookup(id); err != nil {
-				return relation.Tuple{}, err
+				return err
 			}
 			if i > 0 && cols[i-1] >= cols[i] {
-				return relation.Tuple{}, fmt.Errorf("%w: tuple columns not strictly sorted", ErrCorrupt)
+				return fmt.Errorf("%w: tuple columns not strictly sorted", ErrCorrupt)
 			}
 		}
 		tag, err := r.byte()
 		if err != nil {
-			return relation.Tuple{}, err
+			return err
 		}
 		switch tag {
 		case tagInt:
 			u, err := r.uvarint()
 			if err != nil {
-				return relation.Tuple{}, err
+				return err
 			}
 			vals[i] = value.OfInt(unzigzag(u))
 		case tagStr:
 			sid, err := r.uvarint()
 			if err != nil {
-				return relation.Tuple{}, err
+				return err
 			}
 			s, err := d.lookup(sid)
 			if err != nil {
-				return relation.Tuple{}, err
+				return err
 			}
 			vals[i] = value.OfString(s)
 		default:
-			return relation.Tuple{}, fmt.Errorf("%w: unknown value tag 0x%02x", ErrCorrupt, tag)
+			return fmt.Errorf("%w: unknown value tag 0x%02x", ErrCorrupt, tag)
 		}
 	}
 	d.cols, d.colIDs = cols, ids
-	return relation.SortedTuple(cols, vals), nil
+	d.ts = append(d.ts, relation.SortedTuple(cols, vals))
+	return nil
 }
 
-// readTuples decodes a tuple list. The values of all its tuples share one
-// allocation (a tuple aliases its part of it), not one per tuple.
-func (d *decoder) readTuples(r *byteReader) ([]relation.Tuple, error) {
+// readTuples decodes a tuple list onto the view and returns its length.
+func (d *decoder) readTuples(r *byteReader) (int, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if n > uint64(len(r.b)-r.off) {
-		return nil, fmt.Errorf("%w: %d tuples run past payload end", ErrCorrupt, n)
+		return 0, fmt.Errorf("%w: %d tuples run past payload end", ErrCorrupt, n)
 	}
-	ts := make([]relation.Tuple, 0, n)
-	var slab []value.Value
+	d.ts = slices.Grow(d.ts, int(n))
 	for i := uint64(0); i < n; i++ {
-		t, err := d.readTuple(r, &slab, n-i)
-		if err != nil {
-			return nil, err
+		if err := d.readTuple(r, n-i); err != nil {
+			return 0, err
 		}
-		ts = append(ts, t)
 	}
-	return ts, nil
+	return int(n), nil
 }
 
-// readCommit decodes one commit payload (the frame's CRC has already been
-// verified, so every failure here is in-place corruption, not a torn
-// write).
+// readCommit decodes one commit payload onto the view (the frame's CRC has
+// already been verified, so every failure here is in-place corruption, not
+// a torn write).
 func (d *decoder) readCommit(payload []byte) (Commit, error) {
 	r := &byteReader{b: payload}
 	typ, err := r.byte()
@@ -349,26 +431,30 @@ func (d *decoder) readCommit(payload []byte) (Commit, error) {
 	if typ != recCommit {
 		return Commit{}, fmt.Errorf("%w: record type 0x%02x where a commit was expected", ErrCorrupt, typ)
 	}
-	var c Commit
-	if c.Seq, err = r.uvarint(); err != nil {
+	seq, err := r.uvarint()
+	if err != nil {
 		return Commit{}, err
 	}
 	if err := d.readDict(r); err != nil {
 		return Commit{}, err
 	}
-	if c.Removed, err = d.readTuples(r); err != nil {
+	d.reset()
+	nr, err := d.readTuples(r)
+	if err != nil {
 		return Commit{}, err
 	}
-	if c.Inserted, err = d.readTuples(r); err != nil {
+	if _, err := d.readTuples(r); err != nil {
 		return Commit{}, err
 	}
 	if r.off != len(payload) {
 		return Commit{}, fmt.Errorf("%w: %d trailing bytes in commit payload", ErrCorrupt, len(payload)-r.off)
 	}
+	c := d.record(nr)
+	c.Seq = seq
 	return c, nil
 }
 
-// readChunk decodes one snapshot chunk payload.
+// readChunk decodes one snapshot chunk payload onto the view.
 func (d *decoder) readChunk(payload []byte) ([]relation.Tuple, error) {
 	r := &byteReader{b: payload}
 	typ, err := r.byte()
@@ -381,14 +467,14 @@ func (d *decoder) readChunk(payload []byte) ([]relation.Tuple, error) {
 	if err := d.readDict(r); err != nil {
 		return nil, err
 	}
-	ts, err := d.readTuples(r)
-	if err != nil {
+	d.reset()
+	if _, err := d.readTuples(r); err != nil {
 		return nil, err
 	}
 	if r.off != len(payload) {
 		return nil, fmt.Errorf("%w: %d trailing bytes in chunk payload", ErrCorrupt, len(payload)-r.off)
 	}
-	return ts, nil
+	return d.ts[:len(d.ts):len(d.ts)], nil
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }

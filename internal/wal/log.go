@@ -508,6 +508,11 @@ func NewScanner(path string) (*Scanner, error) {
 // are exhausted (a torn tail, if any, is counted in Scan().Discarded); an
 // error ends the scan, and every later call returns it again. Next has the
 // shape of a core.CommitSource, so a Scanner feeds a replay directly.
+//
+// The record is a view valid until the next call; clone to keep
+// (Commit.Clone): its tuples and values live in storage the Scanner
+// reuses, so a replay that applies each record before asking for the next
+// decodes the whole log into one buffer.
 func (s *Scanner) Next() (c Commit, ok bool, err error) {
 	if s.err != nil || s.off >= len(s.data) {
 		return Commit{}, false, s.err
@@ -566,14 +571,16 @@ func (s *Scanner) Scan() *Scan {
 	return &sc
 }
 
-// ReadLog reads and verifies a whole log file: a Scanner drained, with
-// every record it handed out kept in Scan.Commits.
+// ReadLog reads and verifies a whole log file: a Scanner drained, with a
+// copy of every record it handed out kept in Scan.Commits (the copies
+// share blocks of 4096 tuples and values).
 func ReadLog(path string) (*Scan, error) {
 	s, err := NewScanner(path)
 	if err != nil {
 		return nil, err
 	}
 	var commits []Commit
+	p := copier{block: 4096}
 	for {
 		c, ok, err := s.Next()
 		if err != nil {
@@ -582,7 +589,7 @@ func ReadLog(path string) (*Scan, error) {
 		if !ok {
 			break
 		}
-		commits = append(commits, c)
+		commits = append(commits, p.commit(c))
 	}
 	sc := s.Scan()
 	sc.Commits = commits

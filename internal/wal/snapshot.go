@@ -144,6 +144,7 @@ func ReadSnapshot(path string) ([]relation.Tuple, uint64, error) {
 	count := binary.LittleEndian.Uint64(data[16:])
 	tuples := make([]relation.Tuple, 0, count)
 	dec := &decoder{}
+	var p copier // one values block per chunk
 	off := snapHdrSize
 	for off < len(data) {
 		rem := len(data) - off
@@ -163,7 +164,7 @@ func ReadSnapshot(path string) ([]relation.Tuple, uint64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("chunk at offset %d of snapshot %s: %w", off, path, err)
 		}
-		tuples = append(tuples, ts...)
+		tuples = p.appendTuples(tuples, ts)
 		off += frameHdrSize + plen
 	}
 	if uint64(len(tuples)) != count {

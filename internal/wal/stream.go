@@ -55,9 +55,11 @@ func NewStreamDecoder() *StreamDecoder {
 	return &StreamDecoder{}
 }
 
-// ReadChunk decodes one snapshot-chunk payload. Failures wrap ErrCorrupt:
-// the framing CRC already held, so a bad payload means the stream is
-// corrupt, not torn.
+// ReadChunk decodes one snapshot-chunk payload. The tuples are a view
+// valid until the next call; clone to keep: they live in storage the
+// decoder reuses for every payload of the stream. Failures wrap
+// ErrCorrupt: the framing CRC already held, so a bad payload means the
+// stream is corrupt, not torn.
 func (d *StreamDecoder) ReadChunk(payload []byte) ([]relation.Tuple, error) {
 	return d.dec.readChunk(payload)
 }

@@ -444,9 +444,10 @@ func TestGroupCommitSyncs(t *testing.T) {
 }
 
 // TestDecodeAllocatesPerPayload pins what decoding a commit payload costs
-// once its columns are known: the tuple list and one values slab for all
-// of its tuples, whatever their number. It was the list and one values
-// slice per tuple.
+// once its columns are known and the decoder has seen a record as large:
+// nothing, whatever the number of tuples, because the record is a view into
+// the decoder's reused tuple slice and values slab. It was the list and
+// one values slice per tuple, and then the list and one slab per record.
 func TestDecodeAllocatesPerPayload(t *testing.T) {
 	row := func(i int) relation.Tuple {
 		return tup(bi("local", int64(i%7)), bi("foreign", int64(i)), bi("packets", 1), bi("bytes", int64(64*i)))
@@ -475,27 +476,35 @@ func TestDecodeAllocatesPerPayload(t *testing.T) {
 		if !eqTuples(got.Inserted, c.Inserted) {
 			t.Fatalf("%d tuples: round-trip mismatch", n)
 		}
-		if allocs != 2 {
-			t.Errorf("decoding a %d-tuple commit allocated %.0f times, want 2 (the tuple list and the values)", n, allocs)
+		if allocs != 0 {
+			t.Errorf("decoding a %d-tuple commit allocated %.0f times, want 0 (a view into the decoder's storage)", n, allocs)
 		}
 	}
 }
 
 // readLog is ReadLog checked against a Scanner drained by hand: the same
-// records, the same end state, the same error.
+// records, the same end state, the same error. A record the Scanner hands
+// out is a view valid until its next call, so each is compared with
+// ReadLog's copy before the next is asked for.
 func readLog(t *testing.T, path string) (*Scan, error) {
 	t.Helper()
 	want, werr := ReadLog(path)
 	s, err := NewScanner(path)
-	var got []Commit
+	n := 0
 	for err == nil {
-		var c Commit
-		var ok bool
-		if c, ok, err = s.Next(); ok {
-			got = append(got, c)
-		} else if err == nil {
+		c, ok, nerr := s.Next()
+		if err = nerr; !ok {
 			break
 		}
+		if werr == nil {
+			if n >= len(want.Commits) {
+				t.Fatalf("the Scanner hands out record %d, ReadLog holds %d", n, len(want.Commits))
+			}
+			if w := want.Commits[n]; c.Seq != w.Seq || !eqTuples(c.Removed, w.Removed) || !eqTuples(c.Inserted, w.Inserted) {
+				t.Fatalf("record %d: Scanner %+v, ReadLog %+v", n, c, w)
+			}
+		}
+		n++
 	}
 	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
 		t.Fatalf("ReadLog: %v, draining a Scanner: %v", werr, err)
@@ -505,14 +514,8 @@ func readLog(t *testing.T, path string) (*Scan, error) {
 	}
 	sc := s.Scan()
 	if sc.BaseSeq != want.BaseSeq || sc.NextSeq != want.NextSeq || sc.ValidSize != want.ValidSize ||
-		sc.Discarded != want.Discarded || len(sc.Dict) != len(want.Dict) || len(got) != len(want.Commits) {
-		t.Fatalf("Scanner ended at %+v with %d commits, ReadLog at %+v with %d", *sc, len(got), *want, len(want.Commits))
-	}
-	for i, c := range got {
-		w := want.Commits[i]
-		if c.Seq != w.Seq || !eqTuples(c.Removed, w.Removed) || !eqTuples(c.Inserted, w.Inserted) {
-			t.Fatalf("record %d: Scanner %+v, ReadLog %+v", i, c, w)
-		}
+		sc.Discarded != want.Discarded || len(sc.Dict) != len(want.Dict) || n != len(want.Commits) {
+		t.Fatalf("Scanner ended at %+v with %d commits, ReadLog at %+v with %d", *sc, n, *want, len(want.Commits))
 	}
 	return want, werr
 }
@@ -704,4 +707,131 @@ func TestFramesAreHeaderThenPayload(t *testing.T) {
 			t.Fatalf("record %d: %+v, want %+v", i, c, w)
 		}
 	}
+}
+
+// TestViewDecodesAllocateNothing pins the three decoders a replay runs at
+// zero allocations per record once warm: a record is a view into the
+// decoder's reused tuple slice and values slab. Scanner.Next reads a log of
+// int-only flows records (inserts, updates and removes, as recovery
+// replays them); PayloadDecoder.Read a follower's commit payloads; and
+// StreamDecoder.ReadChunk a bootstrap's snapshot chunks. Each view must
+// still equal what was encoded, and the payload decoder, which lives as
+// long as a session, must keep no storage of a record past keepValues.
+func TestViewDecodesAllocateNothing(t *testing.T) {
+	flow := func(i int64) relation.Tuple {
+		return tup(bi("local", i%200), bi("foreign", i), bi("packets", i%5), bi("bytes", 64*i))
+	}
+	record := func(i int64) Commit {
+		switch i % 10 {
+		case 7, 8:
+			return Commit{Removed: []relation.Tuple{flow(i - 1)}, Inserted: []relation.Tuple{flow(i)}}
+		case 9:
+			return Commit{Removed: []relation.Tuple{flow(i - 2)}}
+		}
+		return Commit{Inserted: []relation.Tuple{flow(i)}}
+	}
+	const warm, runs = 20, 200
+	records := make([]Commit, warm+runs+1)
+	for i := range records {
+		records[i] = record(int64(i))
+	}
+	same := func(got Commit, i int) bool {
+		want := records[i]
+		return eqTuples(got.Removed, want.Removed) && eqTuples(got.Inserted, want.Inserted)
+	}
+
+	t.Run("Scanner.Next", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		l, err := Create(path, 1, Config{Policy: SyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range records {
+			if err := l.Append(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewScanner(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		next := func() {
+			c, ok, err := s.Next()
+			if err != nil || !ok || c.Seq != uint64(i+1) || !same(c, i) {
+				t.Fatalf("record %d: %+v, %v, %v", i, c, ok, err)
+			}
+			i++
+		}
+		for range warm {
+			next()
+		}
+		if allocs := testing.AllocsPerRun(runs, next); allocs != 0 {
+			t.Fatalf("Scanner.Next allocated %.2f times per record, want 0", allocs)
+		}
+	})
+
+	t.Run("PayloadDecoder.Read", func(t *testing.T) {
+		cols := flow(0).Dom().Names()
+		d := NewPayloadDecoder(cols)
+		payloads := make([][]byte, len(records))
+		for i, c := range records {
+			payloads[i] = AppendCommitPayload(nil, c)
+		}
+		i := 0
+		read := func() {
+			c, err := d.Read(payloads[i])
+			if err != nil || !same(c, i) {
+				t.Fatalf("payload %d: %+v, %v", i, c, err)
+			}
+			i++
+		}
+		for range warm {
+			read()
+		}
+		if allocs := testing.AllocsPerRun(runs, read); allocs != 0 {
+			t.Fatalf("PayloadDecoder.Read allocated %.2f times per payload, want 0", allocs)
+		}
+		// A batch insert's record decodes whole, but the session-long
+		// decoder does not keep its storage.
+		big := Commit{Inserted: make([]relation.Tuple, 2*keepValues/len(cols))}
+		for i := range big.Inserted {
+			big.Inserted[i] = records[0].Inserted[0]
+		}
+		if c, err := d.Read(AppendCommitPayload(nil, big)); err != nil || !eqTuples(c.Inserted, big.Inserted) {
+			t.Fatalf("a %d-tuple payload: %d tuples, %v", len(big.Inserted), len(c.Inserted), err)
+		}
+		if cap(d.vals) != 0 || cap(d.ts) != 0 {
+			t.Fatalf("the decoder kept %d values and %d tuples of a %d-tuple record", cap(d.vals), cap(d.ts), len(big.Inserted))
+		}
+	})
+
+	t.Run("StreamDecoder.ReadChunk", func(t *testing.T) {
+		enc, dec := NewStreamEncoder(), NewStreamDecoder()
+		chunk := func(k int64) []relation.Tuple {
+			ts := make([]relation.Tuple, 512)
+			for i := range ts {
+				ts[i] = flow(k*512 + int64(i))
+			}
+			return ts
+		}
+		if _, err := dec.ReadChunk(enc.AppendChunk(nil, chunk(0))); err != nil {
+			t.Fatal(err)
+		}
+		// The first chunk defined the stream's names; the second defines
+		// none, so it can be read again and again.
+		second := chunk(1)
+		payload := enc.AppendChunk(nil, second)
+		if allocs := testing.AllocsPerRun(runs, func() {
+			ts, err := dec.ReadChunk(payload)
+			if err != nil || !eqTuples(ts, second) {
+				t.Fatalf("chunk: %d tuples, %v", len(ts), err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("StreamDecoder.ReadChunk allocated %.2f times per chunk, want 0", allocs)
+		}
+	})
 }
